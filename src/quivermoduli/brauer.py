@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import NotDecidableError
+from .errors import InvariantError, NotDecidableError
 from .galois import FinitePair, GaloisPair, QuadraticPair
 from .numtheory import rational_factor_exponents, squarefree_part
 from .quaternions import QuaternionAlgebra, quat_is_division
@@ -86,9 +86,12 @@ def brauer_class(lam, pair):
         canon = _canonical_lambda_gaussian(lam)
         # The cyclic algebra of a quadratic pair has index dividing 2; it is
         # nontrivial here, hence a quaternion division algebra.
-        cls = BrauerClass(pair, canon, 2)
-        assert quat_is_division(pair.m, canon)
-        return cls
+        if not quat_is_division(pair.m, canon):
+            raise InvariantError(
+                f"lambda={canon} is not a norm from {pair!r}, yet "
+                f"({pair.m},{canon})_Q is split"
+            )
+        return BrauerClass(pair, canon, 2)
     raise NotDecidableError(f"unsupported Galois pair {pair!r}")
 
 

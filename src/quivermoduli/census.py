@@ -2,12 +2,22 @@
 classification of rational points by Brauer type.
 
 The enumeration core works on integer-encoded matrices with the field's
-lookup tables bound to locals, which keeps full scans of rep spaces like
-F_4^8 in the seconds range.  Orbit counting is done twice, by union-find
-over group generators and by canonical (minimal) representatives, and the
-two counts are cross-checked.  Single-loop quivers additionally route
-through similarity classes (companion blocks of prime-power polynomials),
-which covers spaces too large to scan pointwise.
+operations bound to locals, which keeps full scans of rep spaces like
+F_4^8 in the seconds range.  Stability is decided by a packed closure
+kernel: a vector v of F_q^d is the integer code sum v_i q^i, and every
+subspace U carries a membership bitmask with bit c set for each code c in
+U.  For one arrow matrix M, the codes of M u over a basis of U_t are ORed
+into one mask, so M U_t inside U_h is the test img & mask(U_h) == img, with
+no row elimination.  Closed pairs are memoized per arrow matrix.
+
+Orbit counting is done twice, by union-find over group generators and by
+canonical (minimal) representatives, and the two counts are cross-checked.
+Single-loop quivers additionally route through similarity classes
+(companion blocks of prime-power polynomials, with the monic irreducibles
+found by a sieve), which covers spaces too large to scan pointwise.
+
+Subspace records and matrix lists are built per census call, never cached
+across calls.
 """
 
 from dataclasses import dataclass, field
@@ -86,69 +96,41 @@ def _k_rank(rows, field):
     return rank
 
 
-def _echelon_with_pivots(rows, field):
-    """RREF rows and pivot columns for membership testing."""
-    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    out = []
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        piv = work[r]
-        if piv[c] != field.one:
-            pinv = inv(piv[c])
-            piv = [mul(pinv, x) for x in piv]
-            work[r] = piv
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                nf = neg(work[i][c])
-                work[i] = [add(x, mul(nf, y)) for x, y in zip(work[i], piv)]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return [tuple(work[i]) for i in range(r)], pivots
-
-
 class _SubspaceRec:
-    """A subspace stored as RREF rows with pivots, for O(rank*dim) membership."""
+    """A subspace as RREF basis rows plus a membership bitmask.
 
-    __slots__ = ("rank", "rows", "pivots")
+    Bit c of `mask` is set for every vector v in the span, where
+    c = sum v_i q^i is the vector's code (v_i the field element codes).
+    """
 
-    def __init__(self, rows, pivots):
-        self.rank = len(rows)
+    __slots__ = ("rows", "mask")
+
+    def __init__(self, rows, mask):
         self.rows = rows
-        self.pivots = pivots
-
-    def contains_vector(self, vec, field):
-        add, mul, neg = field.add, field.mul, field.neg
-        w = list(vec)
-        for row, c in zip(self.rows, self.pivots):
-            f = w[c]
-            if f:
-                nf = neg(f)
-                w = [add(x, mul(nf, y)) for x, y in zip(w, row)]
-        return not any(w)
+        self.mask = mask
 
 
-_SUBSPACE_RECS = {}
+def _span_mask(rows, field, dim):
+    """Membership bitmask of the span of `rows`, one bit per vector code."""
+    add, mul, q = field.add, field.mul, field.size
+    units = list(field.units())
+    span = [(field.zero,) * dim]
+    for row in rows:
+        multiples = [tuple(mul(c, x) for x in row) for c in units]
+        span = span + [
+            tuple(add(a, b) for a, b in zip(s, m)) for s in span for m in multiples
+        ]
+    mask = 0
+    for v in span:
+        code = 0
+        for x in reversed(v):
+            code = code * q + x
+        mask |= 1 << code
+    return mask
 
 
 def _subspace_records(field, dim):
     """All subspaces of field^dim as _SubspaceRec, grouped by rank."""
-    key = (field, dim)
-    cached = _SUBSPACE_RECS.get(key)
-    if cached is not None:
-        return cached
     by_rank = {r: [] for r in range(dim + 1)}
     elems = list(field.elements())
     for r in range(dim + 1):
@@ -164,8 +146,8 @@ def _subspace_records(field, dim):
                     rows[i][pivots[i]] = field.one
                 for (i, j), val in zip(free_pos, values):
                     rows[i][j] = val
-                by_rank[r].append(_SubspaceRec([tuple(x) for x in rows], list(pivots)))
-    _SUBSPACE_RECS[key] = by_rank
+                rows = [tuple(x) for x in rows]
+                by_rank[r].append(_SubspaceRec(rows, _span_mask(rows, field, dim)))
     return by_rank
 
 
@@ -187,8 +169,8 @@ class _Plan:
     groups: list  # [(slope, [(e_vec, [index combos])])], slope >= mu, descending
     arrow_idx: list  # (arrow position, tail vertex pos, head vertex pos)
     verts: list
-    vertex_recs: list  # per vertex position: list of _SubspaceRec or None
-    arrow_pairs: list  # per arrow position: {(t_idx, h_idx)} queried by some combo
+    vertex_recs: list  # per vertex position: list of _SubspaceRec
+    arrow_pairs: list  # per arrow position: {t_idx: {h_idx}} queried by some combo
     closure_memo: list  # per arrow position: {matrix rows -> set of closed pairs}
 
 
@@ -199,15 +181,18 @@ def _build_plan(quiver, dims, theta, field):
     mu = slope(dims, theta)
     all_recs = [None] * len(verts)
     rec_index = [{} for _ in verts]  # rank -> [global indices]
+    recs_by_dim = {}  # vertices of equal dimension share one record list
     for i, v in enumerate(verts):
-        by_rank = _subspace_records(field, dims[v])
+        by_rank = recs_by_dim.get(dims[v])
+        if by_rank is None:
+            by_rank = recs_by_dim[dims[v]] = _subspace_records(field, dims[v])
         flat = []
         for r in sorted(by_rank):
             rec_index[i][r] = list(range(len(flat), len(flat) + len(by_rank[r])))
             flat.extend(by_rank[r])
         all_recs[i] = flat
     groups = []
-    arrow_pairs = [set() for _ in quiver.arrows]
+    arrow_pairs = [{} for _ in quiver.arrows]
     for s, es in _slope_groups_for(dims, theta):
         if s < mu:
             break
@@ -218,7 +203,7 @@ def _build_plan(quiver, dims, theta, field):
             entries.append((tuple(e[v] for v in verts), combos))
             for combo in combos:
                 for a_i, t_pos, h_pos in arrow_idx:
-                    arrow_pairs[a_i].add((combo[t_pos], combo[h_pos]))
+                    arrow_pairs[a_i].setdefault(combo[t_pos], set()).add(combo[h_pos])
         groups.append((s, entries))
     closure_memo = [{} for _ in quiver.arrows]
     return _Plan(
@@ -249,31 +234,35 @@ def _slope_groups_for(dims, theta):
 
 
 def _closed_pairs(plan, a_i, t_pos, h_pos, mat):
-    """Closed pairs (t_idx, h_idx) with M U_t inside U_h, over queried pairs."""
+    """Closed pairs (t_idx, h_idx) with M U_t inside U_h, over queried pairs.
+
+    M u is computed once per distinct basis vector u.  The image of U_t is
+    the bitmask of its basis images' codes, so a pair is closed exactly when
+    that mask lies inside U_h's membership mask.
+    """
     field = plan.field
-    add, mul = field.add, field.mul
-    zero = field.zero
+    add, mul, zero, q = field.add, field.mul, field.zero, field.size
     t_recs = plan.vertex_recs[t_pos]
     h_recs = plan.vertex_recs[h_pos]
+    image_bits = {}  # basis vector u -> 1 << code(M u)
     out = set()
-    images = {}
-    for t_idx, h_idx in plan.arrow_pairs[a_i]:
-        imgs = images.get(t_idx)
-        if imgs is None:
-            imgs = []
-            for u in t_recs[t_idx].rows:
-                img = []
-                for mrow in mat:
+    for t_idx, h_idxs in plan.arrow_pairs[a_i].items():
+        img = 0
+        for u in t_recs[t_idx].rows:
+            bit = image_bits.get(u)
+            if bit is None:
+                code = 0
+                for mrow in reversed(mat):
                     acc = zero
                     for c, x in zip(mrow, u):
                         if c and x:
                             acc = add(acc, mul(c, x))
-                    img.append(acc)
-                imgs.append(img)
-            images[t_idx] = imgs
-        hrec = h_recs[h_idx]
-        if all(hrec.contains_vector(img, field) for img in imgs):
-            out.add((t_idx, h_idx))
+                    code = code * q + acc
+                bit = image_bits[u] = 1 << code
+            img |= bit
+        for h_idx in h_idxs:
+            if img & h_recs[h_idx].mask == img:
+                out.add((t_idx, h_idx))
     return out
 
 
@@ -347,27 +336,21 @@ def _decode_rep(quiver, ring, dims, point):
     return Representation(quiver, ring, dims, mats)
 
 
-_MATRIX_LISTS = {}
-
-
 def _all_matrices(field, nrows, ncols):
-    """Every nrows x ncols matrix over the field, as shared row tuples."""
-    key = (field, nrows, ncols)
-    cached = _MATRIX_LISTS.get(key)
-    if cached is None:
-        elems = list(field.elements())
-        rows_choices = list(product(elems, repeat=ncols))
-        cached = [
-            tuple(rows) for rows in product(rows_choices, repeat=nrows)
-        ]
-        _MATRIX_LISTS[key] = cached
-    return cached
+    """Every nrows x ncols matrix over the field, as row tuples."""
+    rows_choices = list(product(field.elements(), repeat=ncols))
+    return [tuple(rows) for rows in product(rows_choices, repeat=nrows)]
 
 
 def _all_points(quiver, dims, field):
-    per_arrow = [
-        _all_matrices(field, dims[a.dst], dims[a.src]) for a in quiver.arrows
-    ]
+    """Every point of the rep space; arrows of one shape share a matrix list."""
+    by_shape = {}
+    per_arrow = []
+    for a in quiver.arrows:
+        shape = (dims[a.dst], dims[a.src])
+        if shape not in by_shape:
+            by_shape[shape] = _all_matrices(field, *shape)
+        per_arrow.append(by_shape[shape])
     return product(*per_arrow)
 
 
@@ -552,104 +535,28 @@ def _fpoly_mul(a, b, field):
     return _fpoly_trim(out)
 
 
-def _fpoly_mod(a, m, field):
-    # m monic
-    sub, mul = field.sub, field.mul
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) > dm:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = sub(a[shift + i], mul(lead, mi))
-        a.pop()
-    return _fpoly_trim(a)
-
-
-def _fpoly_powmod(a, e, m, field):
-    result = [field.one]
-    base = _fpoly_mod(list(a), m, field)
-    while e:
-        if e & 1:
-            result = _fpoly_mod(_fpoly_mul(result, base, field), m, field)
-        base = _fpoly_mod(_fpoly_mul(base, base, field), m, field)
-        e >>= 1
-    return result
-
-
-def _fpoly_gcd(a, b, field):
-    a, b = list(a), list(b)
-    while b:
-        inv_lead = field.inv(b[-1])
-        bm = [field.mul(inv_lead, x) for x in b]
-        r = list(a)
-        while len(r) >= len(bm) and r:
-            lead = r[-1]
-            if lead:
-                shift = len(r) - len(bm)
-                for i, mi in enumerate(bm):
-                    r[shift + i] = field.sub(r[shift + i], field.mul(lead, mi))
-            r.pop()
-        a, b = b, _fpoly_trim(r)
-    return a
-
-
-def _fpoly_is_irreducible(coeffs, field):
-    n = len(coeffs) - 1
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    q = field.size
-    x = [field.zero, field.one]
-    xq = _fpoly_powmod(x, q**n, list(coeffs), field)
-    diff = _fpoly_trim(
-        [field.sub(a, b) for a, b in _zip_pad(xq, x, field.zero)]
-    )
-    if diff:
-        return False
-    for ell in _distinct_prime_factors(n):
-        xe = _fpoly_powmod(x, q ** (n // ell), list(coeffs), field)
-        diff = _fpoly_trim(
-            [field.sub(a, b) for a, b in _zip_pad(xe, x, field.zero)]
-        )
-        g = _fpoly_gcd(list(coeffs), diff, field)
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
-def _zip_pad(a, b, zero):
-    n = max(len(a), len(b))
-    a = list(a) + [zero] * (n - len(a))
-    b = list(b) + [zero] * (n - len(b))
-    return zip(a, b)
-
-
-def _distinct_prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def monic_irreducibles(field, max_degree):
-    """All monic irreducible polynomials of degree <= max_degree (low first)."""
+    """All monic irreducible polynomials of degree <= max_degree (low first).
+
+    A sieve: each degree marks every product p r, with p irreducible of
+    degree k <= deg/2 and r monic of degree deg - k, as reducible, and keeps
+    the unmarked candidates in product(elems) order.
+    """
     out = []
     elems = list(field.elements())
+    one = (field.one,)
     for deg in range(1, max_degree + 1):
+        reducible = set()
+        for p in out:
+            k = len(p) - 1
+            if 2 * k > deg:
+                break
+            for tail in product(elems, repeat=deg - k):
+                reducible.add(tuple(_fpoly_mul(p, tail + one, field)))
         for tail in product(elems, repeat=deg):
-            coeffs = list(tail) + [field.one]
-            if _fpoly_is_irreducible(coeffs, field):
-                out.append(tuple(coeffs))
+            coeffs = tail + one
+            if coeffs not in reducible:
+                out.append(coeffs)
     return out
 
 
@@ -683,25 +590,28 @@ def similarity_class_reps(field, size):
     (class_data, matrix_rows) pairs, class_data a sorted tuple of
     (poly, multiplicity) with poly repeated per partition part.
     """
-    irreds = [p for p in monic_irreducibles(field, size)]
+    irreds = monic_irreducibles(field, size)
+    # fits[r]: how many irreducibles (a degree-sorted prefix) have degree <= r
+    fits = [sum(1 for p in irreds if len(p) - 1 <= r) for r in range(size + 1)]
     out = []
 
-    def assign(remaining, idx, chosen):
+    def assign(remaining, start, chosen):
+        # Skipping an irreducible is a loop step, not a call, so the depth
+        # is at most `size` however many irreducibles there are.  Walking
+        # idx downwards lists the classes in skip-first order.
         if remaining == 0:
             out.append(tuple(sorted(chosen)))
             return
-        if idx == len(irreds):
-            return
-        poly = irreds[idx]
-        deg = len(poly) - 1
-        assign(remaining, idx + 1, chosen)
-        for mult_total in range(1, remaining // deg + 1):
-            for part in _partitions(mult_total):
-                assign(
-                    remaining - deg * mult_total,
-                    idx + 1,
-                    chosen + [(poly, part)],
-                )
+        for idx in range(fits[remaining] - 1, start - 1, -1):
+            poly = irreds[idx]
+            deg = len(poly) - 1
+            for mult_total in range(1, remaining // deg + 1):
+                for part in _partitions(mult_total):
+                    assign(
+                        remaining - deg * mult_total,
+                        idx + 1,
+                        chosen + [(poly, part)],
+                    )
 
     assign(size, 0, [])
     reps = []

@@ -167,10 +167,6 @@ def combine_homs(basis, coeffs, ring):
     return out
 
 
-def _all_square(hom, dims, dims2):
-    return all(dims[v] == dims2[v] for v in dims)
-
-
 def _is_invertible_tuple(h):
     return all(m.is_invertible() for m in h.values())
 

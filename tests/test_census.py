@@ -68,6 +68,11 @@ def test_kernel_matches_generic_verdicts():
         (K2, {"s": 2, "t": 1}, THETA, GF(2)),
         (J, {"v": 2}, {"v": 0}, GF(2)),
         (a2_quiver(), {"s": 2, "t": 2}, THETA, GF(2)),
+        # extension fields, where element codes are not coordinates mod p
+        (K2, {"s": 2, "t": 1}, THETA, GF(4)),
+        (a2_quiver(), {"s": 2, "t": 2}, THETA, GF(4)),
+        (J, {"v": 2}, {"v": 0}, GF(9)),
+        (J, {"v": 3}, {"v": 0}, GF(4)),
     ):
         plan = _build_plan(quiver, dims, theta, field)
         for _ in range(30):
@@ -111,11 +116,19 @@ def test_monic_irreducibles():
     f4 = GF(4)
     deg2 = [p for p in monic_irreducibles(f4, 2) if len(p) == 3]
     assert len(deg2) == (16 - 4) // 2
+    # Gauss: (1/n) sum_{k | n} mu(n/k) q^k monic irreducibles of degree n
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0}
+    for q, max_deg in ((9, 3), (4, 4)):
+        polys = monic_irreducibles(GF(q), max_deg)
+        for n in range(1, max_deg + 1):
+            want = sum(mobius[n // k] * q**k for k in range(1, n + 1) if n % k == 0) // n
+            assert sum(1 for p in polys if len(p) - 1 == n) == want, (q, n)
 
 
 def test_similarity_class_counts():
-    # number of similarity classes of 2x2 matrices over F_q is q^2 + q
-    for q in (2, 3, 4):
+    # number of similarity classes of 2x2 matrices over F_q is q^2 + q;
+    # q = 49 has 1,225 monic irreducibles of degree <= 2
+    for q in (2, 3, 4, 49):
         f = GF(q)
         assert len(similarity_class_reps(f, 2)) == q * q + q
 

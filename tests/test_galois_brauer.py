@@ -5,7 +5,9 @@ from math import isqrt
 import pytest
 
 from quivermoduli import GaloisPair, NotDecidableError, brauer_class, galois_apply
+from quivermoduli import brauer
 from quivermoduli.brauer import BrauerClass, normalized_lambda
+from quivermoduli.errors import InvariantError
 from quivermoduli.quaternions import quat_is_division
 
 
@@ -158,6 +160,15 @@ def test_division_cross_check():
             continue
         lam = Fraction(n)
         assert quat_is_division(-1, lam) == (not brauer_class(lam, gp).is_trivial), n
+
+
+def test_split_nonnorm_class_raises_invariant_error(monkeypatch):
+    # a non-norm lambda whose quaternion algebra splits contradicts the
+    # Hilbert-symbol cross-check; it must raise even under python -O
+    monkeypatch.setattr(brauer, "quat_is_division", lambda a, b: False)
+    with pytest.raises(InvariantError):
+        brauer_class(Fraction(-1), GaloisPair.gaussian())
+    assert brauer_class(Fraction(9), GaloisPair.gaussian()).is_trivial
 
 
 def test_normalized_lambda():
