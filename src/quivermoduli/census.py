@@ -8,16 +8,20 @@ kernel: a vector v of F_q^d is the integer code sum v_i q^i, and every
 subspace U carries a membership bitmask with bit c set for each code c in
 U.  For one arrow matrix M, the codes of M u over a basis of U_t are ORed
 into one mask, so M U_t inside U_h is the test img & mask(U_h) == img, with
-no row elimination.  Closed pairs are memoized per arrow matrix.
+no row elimination.  Closed pairs are memoized per arrow matrix when the
+quiver has more than one arrow.
 
 Orbit counting is done twice, by union-find over group generators and by
 canonical (minimal) representatives, and the two counts are cross-checked.
+Within one census each generator acts once per distinct arrow matrix: every
+(generator, arrow) pair has a lazily filled memo M -> g_dst M g_src^-1,
+shared by arrows with the same ends.
 Single-loop quivers additionally route through similarity classes
 (companion blocks of prime-power polynomials, with the monic irreducibles
 found by a sieve), which covers spaces too large to scan pointwise.
 
-Subspace records and matrix lists are built per census call, never cached
-across calls.
+Subspace records, matrix lists and generator memos are built per census
+call, never cached across calls.
 """
 
 from dataclasses import dataclass, field
@@ -43,21 +47,6 @@ STABLE_NOT_SCHUR = "stable_not_schur"
 
 # ---------------------------------------------------------------------------
 # integer-matrix kernel
-
-
-def _k_matmul(A, B, add, mul, zero):
-    Bt = tuple(zip(*B)) if B else ()
-    out = []
-    for row in A:
-        orow = []
-        for col in Bt:
-            acc = zero
-            for a, b in zip(row, col):
-                if a and b:
-                    acc = add(acc, mul(a, b))
-            orow.append(acc)
-        out.append(tuple(orow))
-    return tuple(out)
 
 
 def _k_rank(rows, field):
@@ -157,8 +146,8 @@ class _Plan:
 
     Subspaces carry per-vertex indices; each slope group stores explicit
     index combinations.  Closure of (M_a, U_tail, U_head) is memoized per
-    arrow and matrix, which collapses full rep-space scans to set lookups
-    because arrow matrices repeat across points.
+    arrow and matrix when there are several arrows, whose matrices repeat
+    across points; that collapses full rep-space scans to set lookups.
     """
 
     quiver: object
@@ -270,13 +259,16 @@ def _categorize_point(point, plan):
     """Stability category of an encoded point, matching stability_verdict."""
     memo = plan.closure_memo
     arrow_idx = plan.arrow_idx
+    # a scan over one arrow meets every matrix once, so storing never pays
+    store = len(arrow_idx) > 1
     closed = []
     for a_i, t_pos, h_pos in arrow_idx:
         mat = point[a_i]
         pairs = memo[a_i].get(mat)
         if pairs is None:
             pairs = _closed_pairs(plan, a_i, t_pos, h_pos, mat)
-            memo[a_i][mat] = pairs
+            if store:
+                memo[a_i][mat] = pairs
         closed.append(pairs)
     for s, entries in plan.groups:
         for e_vec, combos in entries:
@@ -386,23 +378,26 @@ class _UnionFind:
 
 
 def _generator_tables(quiver, dims, field):
-    """Group generators as encoded matrix dicts together with inverses."""
+    """Group generators (g, g^-1, memos); memos[k] maps arrow k's matrix rows
+    M to the rows of g_dst M g_src^-1, filled lazily and shared by arrows
+    with the same (src, dst)."""
     gens = []
     for g, ginv in group_generators(quiver, field, dims):
-        enc = {v: g[v].rows for v in g}
-        encinv = {v: ginv[v].rows for v in ginv}
-        gens.append((enc, encinv))
+        by_ends = {}
+        memos = [by_ends.setdefault((a.src, a.dst), {}) for a in quiver.arrows]
+        gens.append((g, ginv, memos))
     return gens
 
 
 def _apply_generator(point, gen, quiver, field):
-    enc, encinv = gen
-    add, mul, zero = field.add, field.mul, field.zero
+    g, ginv, memos = gen
     out = []
-    for rows, a in zip(point, quiver.arrows):
-        m = _k_matmul(enc[a.dst], rows, add, mul, zero)
-        m = _k_matmul(m, encinv[a.src], add, mul, zero)
-        out.append(m)
+    for rows, a, memo in zip(point, quiver.arrows, memos):
+        image = memo.get(rows)
+        if image is None:
+            m = Mat(field, rows, (g[a.dst].nrows, ginv[a.src].ncols))
+            image = memo[rows] = (g[a.dst] @ m @ ginv[a.src]).rows
+        out.append(image)
     return tuple(out)
 
 

@@ -49,6 +49,7 @@ from .serialize import (
     verdict_to_json,
 )
 from .stability import (
+    UNKNOWN,
     end_dim,
     geom_stability_certificate,
     hn_filtration,
@@ -90,13 +91,30 @@ def _load_config(args):
     return cfg
 
 
+def _load_dims(text, quiver):
+    """A dimension vector on exactly the quiver's vertices, >= 0, not all 0."""
+    data = _parse_json_arg(text, "dims")
+    if not isinstance(data, dict) or set(data) != set(quiver.vertices):
+        raise SchemaError(f"dims must give a dimension for each of {list(quiver.vertices)}")
+    try:
+        dims = {v: int(data[v]) for v in quiver.vertices}
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad dims: {exc}") from exc
+    if min(dims.values()) < 0 or not any(dims.values()):
+        raise SchemaError(f"dims must be nonnegative and not all zero, got {dims}")
+    return dims
+
+
 def _emit(payload, config):
+    """JSON, or one line per key; None (an undecided answer) is `unknown`."""
     if config.output_format == "json":
         print(dumps(payload, config))
     else:
         for key, value in payload.items():
             if isinstance(value, (dict, list)):
                 value = json.dumps(value, sort_keys=True)
+            elif value is None:
+                value = "unknown"
             print(f"{key:24} {value}")
 
 
@@ -118,7 +136,8 @@ def cmd_stability(args, config, want_hn=False):
             )
         verdict = drep_is_geom_stable(rep, pair, theta, config)
         payload["verdict"] = verdict_to_json(verdict)
-        payload["geometrically_stable"] = verdict.is_stable
+        # an Unknown certificate is printed as null, never as false
+        payload["geometrically_stable"] = None if verdict.kind == UNKNOWN else verdict.is_stable
         _emit(payload, config)
         return EXIT_OK
     if rep.ring.is_finite:
@@ -131,7 +150,7 @@ def cmd_stability(args, config, want_hn=False):
     else:
         verdict = geom_stability_certificate(rep, theta, config)
         payload["verdict"] = verdict_to_json(verdict)
-        payload["geometrically_stable"] = verdict.is_stable
+        payload["geometrically_stable"] = None if verdict.kind == UNKNOWN else verdict.is_stable
     if want_hn or getattr(args, "hn", False):
         if not rep.ring.is_finite:
             raise SchemaError("HN filtrations are computed over finite fields")
@@ -211,10 +230,7 @@ def cmd_twisted_validate(args, config):
 
 def cmd_census(args, config):
     quiver = quiver_from_json(_read_json(args.quiver))
-    dims = {
-        str(v): int(d)
-        for v, d in _parse_json_arg(args.dims, "dims").items()
-    }
+    dims = _load_dims(args.dims, quiver)
     theta = load_theta(_parse_json_arg(args.theta, "theta"), quiver)
     q_list = [int(q) for q in args.q.split(",")]
     fit = census_polynomiality(quiver, dims, theta, q_list, config)

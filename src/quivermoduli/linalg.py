@@ -152,10 +152,6 @@ class Mat:
         mul = self.ring.mul
         return Mat(self.ring, tuple(tuple(mul(c, a) for a in r) for r in self.rows), self.shape)
 
-    def scale_right(self, c):
-        mul = self.ring.mul
-        return Mat(self.ring, tuple(tuple(mul(a, c) for a in r) for r in self.rows), self.shape)
-
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise SchemaError("hstack needs equal row counts")
@@ -267,9 +263,6 @@ class Mat:
         return Mat(self.ring, tuple(tuple(r) for r in out_rows), (n, rhs.ncols))
 
     # --- column span utilities (bases are stored as columns) ---
-
-    def col_rank(self):
-        return self.rank()
 
     def canonical_cols(self):
         """Canonical matrix with the same column span (RREF of the transpose)."""

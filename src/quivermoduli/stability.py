@@ -73,13 +73,6 @@ def full_witness(rep):
     )
 
 
-def zero_witness(rep):
-    return SubrepWitness(
-        {v: 0 for v in rep.quiver.vertices},
-        {v: Mat.zero(rep.ring, rep.dims[v], 0) for v in rep.quiver.vertices},
-    )
-
-
 @dataclass(frozen=True)
 class StabilityVerdict:
     kind: str

@@ -20,9 +20,12 @@ from quivermoduli import (
 from quivermoduli.census import (
     GEOM_STABLE,
     STABLE_NOT_SCHUR,
+    _apply_generator,
     _categorize_point,
     _build_plan,
+    _decode_rep,
     _encode_rep,
+    _generator_tables,
     all_orbit_representatives,
     lagrange_interpolation,
     loop_class_census,
@@ -98,6 +101,51 @@ def test_union_find_and_canonical_counts_agree():
     ):
         cen = orbit_census(quiver, dims, theta, GF(q), CFG)
         assert cen.canonical_count == len(cen.orbit_category)
+
+
+def test_memoized_action_matches_representation_act():
+    # each generator's memoized action against Representation.act, once on
+    # a memo miss and once on the hit that follows
+    from quivermoduli.quiver import Arrow, Quiver
+
+    a3 = Quiver(("s", "m", "t"), (Arrow("a", "s", "m"), Arrow("b", "m", "t")))
+    rng = random.Random(5)
+    for quiver, dims, field in (
+        (K2, {"s": 2, "t": 2}, GF(4)),
+        (kronecker_quiver(3), {"s": 1, "t": 2}, GF(3)),
+        (K2, {"s": 0, "t": 2}, GF(3)),
+        (K2, {"s": 2, "t": 0}, GF(3)),
+        # arrows with different ends must not share a memo
+        (a3, {"s": 1, "m": 1, "t": 1}, GF(3)),
+    ):
+        gens = _generator_tables(quiver, dims, field)
+        assert gens
+        for _ in range(10):
+            point = tuple(
+                tuple(
+                    tuple(rng.randrange(field.size) for _ in range(dims[a.src]))
+                    for _ in range(dims[a.dst])
+                )
+                for a in quiver.arrows
+            )
+            for gen in gens:
+                g, _, memos = gen
+                want = _encode_rep(_decode_rep(quiver, field, dims, point).act(g))
+                first = _apply_generator(point, gen, quiver, field)
+                assert all(rows in memo for rows, memo in zip(point, memos))
+                second = _apply_generator(point, gen, quiver, field)
+                assert first == second == want
+
+
+def test_orbit_census_repeats_exactly():
+    # generator memos are scoped to one call: a second census sees no state
+    # left by the first
+    for quiver, dims, q in ((K2, {"s": 2, "t": 1}, 3), (a2_quiver(), {"s": 1, "t": 1}, 4)):
+        a = orbit_census(quiver, dims, THETA, GF(q), CFG)
+        b = orbit_census(quiver, dims, THETA, GF(q), CFG)
+        assert a.counts == b.counts
+        assert a.canonical_count == b.canonical_count
+        assert a.representatives == b.representatives
 
 
 def test_class_census_against_pointwise():

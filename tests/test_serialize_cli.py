@@ -233,6 +233,53 @@ def test_cli_census(tmp_path, capsys):
     assert all(r["ok"] for r in out["descent"])
 
 
+KRONECKER2_JSON = {"vertices": ["s", "t"], "arrows": [
+    {"id": "a1", "from": "s", "to": "t"},
+    {"id": "a2", "from": "s", "to": "t"},
+]}
+
+
+@pytest.mark.parametrize("dims", [
+    '{"s":1}',  # missing vertex
+    '{"s":1,"t":1,"u":1}',  # unknown vertex
+    '{"s":-1,"t":1}',  # negative dimension
+    '{"s":0,"t":0}',  # zero dimension vector
+])
+def test_cli_census_bad_dims(tmp_path, capsys, dims):
+    path = write_json(tmp_path, "quiver.json", KRONECKER2_JSON)
+    code = main([
+        "census",
+        "--quiver", path,
+        "--dims", dims,
+        "--theta", '{"s":1,"t":-1}',
+        "--q", "2",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:")
+    assert "Traceback" not in err
+
+
+def test_cli_stability_unknown_is_not_false(tmp_path, capsys):
+    # 3 and 7 are inert in Q(i), so no reduction is usable
+    Qi = gaussian_rationals()
+    w = Representation(
+        kronecker_quiver(2), Qi, {"s": 1, "t": 1},
+        {"a1": gimat([[1]]), "a2": gimat([[(0, 1)]])},
+    )
+    path = write_json(tmp_path, "rep.json", rep_to_json(w))
+    args = ["--primes", "3,7", "stability", path, "--theta", '{"s":1,"t":-1}']
+    assert main(["--format", "json"] + args) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"]["kind"] == "unknown"
+    assert out["geometrically_stable"] is None
+    assert main(["--format", "table"] + args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[1] for ln in lines if ln.startswith("geometrically_stable")] == [
+        "unknown"
+    ]
+
+
 def test_cli_json_determinism(tmp_path, capsys):
     rep = kronecker_rep(GF(2), [1, 1])
     path = write_json(tmp_path, "rep.json", rep_to_json(rep))
