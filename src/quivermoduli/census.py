@@ -3,13 +3,10 @@ classification of rational points by Brauer type.
 
 The enumeration core works on integer-encoded matrices with the field's
 operations bound to locals, which keeps full scans of rep spaces like
-F_4^8 in the seconds range.  Stability is decided by a packed closure
-kernel: a vector v of F_q^d is the integer code sum v_i q^i, and every
-subspace U carries a membership bitmask with bit c set for each code c in
-U.  For one arrow matrix M, the codes of M u over a basis of U_t are ORed
-into one mask, so M U_t inside U_h is the test img & mask(U_h) == img, with
-no row elimination.  Closed pairs are memoized per arrow matrix when the
-quiver has more than one arrow.
+F_4^8 in the seconds range.  Stability is decided by the closure engine of
+the stability module, built once per census: each slope group's index
+tuples are listed once, and when the quiver has more than one arrow each
+arrow matrix keeps its image masks across points.
 
 Orbit counting is done twice, by union-find over group generators and by
 canonical (minimal) representatives, and the two counts are cross-checked.
@@ -20,13 +17,13 @@ Single-loop quivers additionally route through similarity classes
 (companion blocks of prime-power polynomials, with the monic irreducibles
 found by a sieve), which covers spaces too large to scan pointwise.
 
-Subspace records, matrix lists and generator memos are built per census
-call, never cached across calls.
+The engine, matrix lists and generator memos are built per census call,
+never cached across calls.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Dict, List, Optional
 
 from .brauer import brauer_class
@@ -39,14 +36,21 @@ from .homs import is_isomorphic
 from .linalg import Mat
 from .morita import division_form, drep_to_twisted
 from .quiver import Representation, base_change, group_generators, slope, total_dim
-from .stability import STABLE, STRICTLY_SEMISTABLE, UNSTABLE, stability_verdict
+from .stability import (
+    STABLE,
+    STRICTLY_SEMISTABLE,
+    UNSTABLE,
+    _closed_pairs,
+    _Engine,
+    _slope_groups,
+)
 
 GEOM_STABLE = "geom_stable"
 STABLE_NOT_SCHUR = "stable_not_schur"
 
 
 # ---------------------------------------------------------------------------
-# integer-matrix kernel
+# stability and End of encoded points
 
 
 def _k_rank(rows, field):
@@ -85,218 +89,68 @@ def _k_rank(rows, field):
     return rank
 
 
-class _SubspaceRec:
-    """A subspace as RREF basis rows plus a membership bitmask.
-
-    Bit c of `mask` is set for every vector v in the span, where
-    c = sum v_i q^i is the vector's code (v_i the field element codes).
-    """
-
-    __slots__ = ("rows", "mask")
-
-    def __init__(self, rows, mask):
-        self.rows = rows
-        self.mask = mask
-
-
-def _span_mask(rows, field, dim):
-    """Membership bitmask of the span of `rows`, one bit per vector code."""
-    add, mul, q = field.add, field.mul, field.size
-    units = list(field.units())
-    span = [(field.zero,) * dim]
-    for row in rows:
-        multiples = [tuple(mul(c, x) for x in row) for c in units]
-        span = span + [
-            tuple(add(a, b) for a, b in zip(s, m)) for s in span for m in multiples
-        ]
-    mask = 0
-    for v in span:
-        code = 0
-        for x in reversed(v):
-            code = code * q + x
-        mask |= 1 << code
-    return mask
-
-
-def _subspace_records(field, dim):
-    """All subspaces of field^dim as _SubspaceRec, grouped by rank."""
-    by_rank = {r: [] for r in range(dim + 1)}
-    elems = list(field.elements())
-    for r in range(dim + 1):
-        for pivots in combinations(range(dim), r):
-            free_pos = []
-            for i in range(r):
-                for j in range(pivots[i] + 1, dim):
-                    if j not in pivots:
-                        free_pos.append((i, j))
-            for values in product(elems, repeat=len(free_pos)):
-                rows = [[field.zero] * dim for _ in range(r)]
-                for i in range(r):
-                    rows[i][pivots[i]] = field.one
-                for (i, j), val in zip(free_pos, values):
-                    rows[i][j] = val
-                rows = [tuple(x) for x in rows]
-                by_rank[r].append(_SubspaceRec(rows, _span_mask(rows, field, dim)))
-    return by_rank
-
-
 @dataclass
 class _Plan:
-    """Precomputed stability plan for one (quiver, dims, theta, field).
+    """One census's drive of the stability engine for (quiver, dims, theta).
 
-    Subspaces carry per-vertex indices; each slope group stores explicit
-    index combinations.  Closure of (M_a, U_tail, U_head) is memoized per
-    arrow and matrix when there are several arrows, whose matrices repeat
-    across points; that collapses full rep-space scans to set lookups.
+    The slope groups at or above mu carry their index combos, listed once
+    per census.  With several arrows, whose matrices repeat across points,
+    each arrow keeps a memo from matrix rows to that matrix's closure test;
+    a scan over one arrow meets every matrix once, so it keeps none.
     """
 
-    quiver: object
-    dims: dict
-    theta: dict
-    field: object
+    engine: _Engine
     mu: Fraction
-    groups: list  # [(slope, [(e_vec, [index combos])])], slope >= mu, descending
-    arrow_idx: list  # (arrow position, tail vertex pos, head vertex pos)
-    verts: list
-    vertex_recs: list  # per vertex position: list of _SubspaceRec
-    arrow_pairs: list  # per arrow position: {t_idx: {h_idx}} queried by some combo
-    closure_memo: list  # per arrow position: {matrix rows -> set of closed pairs}
+    groups: list  # [(slope, e, [index combos])], slope >= mu, descending
+    memo: Optional[list]  # per arrow: {matrix rows -> (images, heads, t, h)}
 
 
 def _build_plan(quiver, dims, theta, field):
-    verts = list(quiver.vertices)
-    vpos = {v: i for i, v in enumerate(verts)}
-    arrow_idx = [(i, vpos[a.src], vpos[a.dst]) for i, a in enumerate(quiver.arrows)]
+    engine = _Engine(quiver, dims, field)
     mu = slope(dims, theta)
-    all_recs = [None] * len(verts)
-    rec_index = [{} for _ in verts]  # rank -> [global indices]
-    recs_by_dim = {}  # vertices of equal dimension share one record list
-    for i, v in enumerate(verts):
-        by_rank = recs_by_dim.get(dims[v])
-        if by_rank is None:
-            by_rank = recs_by_dim[dims[v]] = _subspace_records(field, dims[v])
-        flat = []
-        for r in sorted(by_rank):
-            rec_index[i][r] = list(range(len(flat), len(flat) + len(by_rank[r])))
-            flat.extend(by_rank[r])
-        all_recs[i] = flat
-    groups = []
-    arrow_pairs = [{} for _ in quiver.arrows]
-    for s, es in _slope_groups_for(dims, theta):
-        if s < mu:
-            break
-        entries = []
-        for e in es:
-            per_vertex = [rec_index[i][e[v]] for i, v in enumerate(verts)]
-            combos = list(product(*per_vertex))
-            entries.append((tuple(e[v] for v in verts), combos))
-            for combo in combos:
-                for a_i, t_pos, h_pos in arrow_idx:
-                    arrow_pairs[a_i].setdefault(combo[t_pos], set()).add(combo[h_pos])
-        groups.append((s, entries))
-    closure_memo = [{} for _ in quiver.arrows]
-    return _Plan(
-        quiver,
-        dims,
-        theta,
-        field,
-        mu,
-        groups,
-        arrow_idx,
-        verts,
-        all_recs,
-        arrow_pairs,
-        closure_memo,
-    )
-
-
-def _slope_groups_for(dims, theta):
-    groups = {}
-    verts = list(dims)
-    for combo in product(*[range(dims[v] + 1) for v in verts]):
-        e = dict(zip(verts, combo))
-        t = sum(combo)
-        if t == 0 or e == dims:
-            continue
-        groups.setdefault(slope(e, theta), []).append(e)
-    return sorted(groups.items(), key=lambda kv: kv[0], reverse=True)
-
-
-def _closed_pairs(plan, a_i, t_pos, h_pos, mat):
-    """Closed pairs (t_idx, h_idx) with M U_t inside U_h, over queried pairs.
-
-    M u is computed once per distinct basis vector u.  The image of U_t is
-    the bitmask of its basis images' codes, so a pair is closed exactly when
-    that mask lies inside U_h's membership mask.
-    """
-    field = plan.field
-    add, mul, zero, q = field.add, field.mul, field.zero, field.size
-    t_recs = plan.vertex_recs[t_pos]
-    h_recs = plan.vertex_recs[h_pos]
-    image_bits = {}  # basis vector u -> 1 << code(M u)
-    out = set()
-    for t_idx, h_idxs in plan.arrow_pairs[a_i].items():
-        img = 0
-        for u in t_recs[t_idx].rows:
-            bit = image_bits.get(u)
-            if bit is None:
-                code = 0
-                for mrow in reversed(mat):
-                    acc = zero
-                    for c, x in zip(mrow, u):
-                        if c and x:
-                            acc = add(acc, mul(c, x))
-                    code = code * q + acc
-                bit = image_bits[u] = 1 << code
-            img |= bit
-        for h_idx in h_idxs:
-            if img & h_recs[h_idx].mask == img:
-                out.add((t_idx, h_idx))
-    return out
+    groups = [
+        (s, e, list(engine.combos(e)))
+        for s, es in _slope_groups(dims, theta)
+        if s >= mu
+        for e in es
+    ]
+    memo = [{} for _ in quiver.arrows] if len(quiver.arrows) > 1 else None
+    return _Plan(engine, mu, groups, memo)
 
 
 def _categorize_point(point, plan):
     """Stability category of an encoded point, matching stability_verdict."""
-    memo = plan.closure_memo
-    arrow_idx = plan.arrow_idx
-    # a scan over one arrow meets every matrix once, so storing never pays
-    store = len(arrow_idx) > 1
-    closed = []
-    for a_i, t_pos, h_pos in arrow_idx:
-        mat = point[a_i]
-        pairs = memo[a_i].get(mat)
-        if pairs is None:
-            pairs = _closed_pairs(plan, a_i, t_pos, h_pos, mat)
-            if store:
-                memo[a_i][mat] = pairs
-        closed.append(pairs)
-    for s, entries in plan.groups:
-        for e_vec, combos in entries:
-            for combo in combos:
-                for k, (a_i, t_pos, h_pos) in enumerate(arrow_idx):
-                    if (combo[t_pos], combo[h_pos]) not in closed[k]:
-                        break
-                else:
-                    return UNSTABLE if s > plan.mu else STRICTLY_SEMISTABLE
-    return STABLE
+    arrows = plan.engine.arrows
+    if plan.memo is None:
+        tests = [
+            (_closed_pairs(mat, tails), heads, t, h)
+            for mat, (tails, heads, t, h) in zip(point, arrows)
+        ]
+    else:
+        tests = []
+        for mat, memo, (tails, heads, t, h) in zip(point, plan.memo, arrows):
+            test = memo.get(mat)
+            if test is None:
+                test = memo[mat] = (_closed_pairs(mat, tails), heads, t, h)
+            tests.append(test)
+    hit = next(plan.engine.closed(tests, plan.groups), None)
+    if hit is None:
+        return STABLE
+    return UNSTABLE if hit[0] > plan.mu else STRICTLY_SEMISTABLE
 
 
-def _end_dim_point(point, plan):
+def _end_dim_point(point, quiver, dims, field):
     """dim End for an encoded point via the rank of the intertwiner system."""
-    field = plan.field
-    verts = plan.verts
-    dims = plan.dims
     offsets = {}
     total = 0
-    for v in verts:
+    for v in quiver.vertices:
         offsets[v] = total
         total += dims[v] * dims[v]
     rows = []
     zero = field.zero
     add_, sub_ = field.add, field.sub
-    for (a_i, t_i, h_i), arrow in zip(plan.arrow_idx, plan.quiver.arrows):
-        m = point[a_i]
-        vt, vh = verts[t_i], verts[h_i]
+    for m, arrow in zip(point, quiver.arrows):
+        vt, vh = arrow.src, arrow.dst
         dh, dt = dims[vh], dims[vt]
         for i in range(dh):
             for j in range(dt):
@@ -449,7 +303,7 @@ def orbit_census(quiver, dims, theta, field, config):
     for point in _all_points(quiver, dims, field):
         cat = _categorize_point(point, plan)
         if cat == STABLE:
-            schur = _end_dim_point(point, plan) == 1
+            schur = _end_dim_point(point, quiver, dims, field) == 1
             stable_points[point] = GEOM_STABLE if schur else STABLE_NOT_SCHUR
     gens = _generator_tables(quiver, dims, field)
     uf = _UnionFind()
@@ -696,7 +550,8 @@ def loop_class_census(quiver, dims, theta, field, config):
         point = (rows,)
         cat = _categorize_point(point, plan)
         if cat == STABLE:
-            cat = GEOM_STABLE if _end_dim_point(point, plan) == 1 else STABLE_NOT_SCHUR
+            schur = _end_dim_point(point, quiver, dims, field) == 1
+            cat = GEOM_STABLE if schur else STABLE_NOT_SCHUR
             counts[cat] += 1
         entries.append((data, point, cat))
     return LoopClassCensus(quiver, dims, theta, field, counts, entries, config)

@@ -27,6 +27,7 @@ from .errors import (
     InvariantError,
     SchemaError,
 )
+from .ffields import GF
 from .galois import GaloisPair
 from .morita import (
     division_form,
@@ -232,7 +233,14 @@ def cmd_census(args, config):
     quiver = quiver_from_json(_read_json(args.quiver))
     dims = _load_dims(args.dims, quiver)
     theta = load_theta(_parse_json_arg(args.theta, "theta"), quiver)
-    q_list = [int(q) for q in args.q.split(",")]
+    try:
+        q_list = [int(q) for q in args.q.split(",")]
+        for q in q_list:
+            GF(q)  # raises for a q that is not a prime power
+    except ValueError as exc:
+        raise SchemaError(f"bad q: {exc}") from exc
+    if len(set(q_list)) < len(q_list):
+        raise SchemaError(f"bad q: repeated values in {q_list}")
     fit = census_polynomiality(quiver, dims, theta, q_list, config)
     payload = {"census": fit.as_dict()}
     if args.verify_descent:

@@ -392,9 +392,9 @@ class ExtensionField(Ring):
 def GF(q, modulus=None):
     """Finite field of order q = p^n (q prime gives PrimeField)."""
     fac = _prime_factors(q)
-    p = fac[0]
-    if any(f != p for f in fac):
+    if not fac or any(f != fac[0] for f in fac):
         raise ValueError(f"{q} is not a prime power")
+    p = fac[0]
     n = len(fac)
     if n == 1:
         return PrimeField(p)

@@ -2,16 +2,25 @@
 Harder-Narasimhan filtrations over finite fields, plus sound one-sided
 certificates over Q and Q(i).
 
-Enumeration works through canonical reduced-echelon subspace bases, so
-witnesses are deduplicated by construction.  Decision procedures over
-infinite fields do not exist here; geom_stability_certificate returns
-Stable only with a finite-field certificate, returns a non-stable verdict
-only with an exactly re-verified witness, and says Unknown otherwise.
+Every finite-field answer, here and in the censuses, comes from one closure
+engine.  It lists subspaces as reduced-echelon bases, one rank at a time on
+first use, so witnesses are deduplicated by construction.  A vector v is the
+integer code sum v_i q^i, so M U_t inside U_h is the mask test
+img & mask(U_h) == img, img the mask of the codes of M u over a basis of
+U_t.  Both masks are built on first use, and the search stops at the first
+closed subspace tuple.  Engine state lives in an object built per call (or
+once per census), and witnesses become Mat column bases only on the way out.
+
+Decision procedures over infinite fields do not exist here;
+geom_stability_certificate returns Stable only with a finite-field
+certificate, returns a non-stable verdict only with an exactly re-verified
+witness, and says Unknown otherwise.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import Dict, Optional, Tuple
 
 from .errors import BudgetExceededError, InvariantError, SchemaError
@@ -99,23 +108,77 @@ class HNFiltration:
 
 
 # ---------------------------------------------------------------------------
-# subspace enumeration
+# the finite-field closure engine
 
 
-_SUBSPACE_CACHE = {}
+def _gaussian_binomial(q, n, k):
+    """Number of k-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
 
 
-def subspaces(ring, dim):
-    """All subspaces of ring^dim as canonical column-basis matrices."""
-    key = (ring, dim)
-    cached = _SUBSPACE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if not ring.is_finite:
-        raise SchemaError("subspace enumeration needs a finite field")
-    out = []
-    elems = list(ring.elements())
-    for r in range(dim + 1):
+def count_subspaces(q, dim):
+    """Total number of subspaces of F_q^dim (sum of Gaussian binomials)."""
+    return sum(_gaussian_binomial(q, dim, r) for r in range(dim + 1))
+
+
+def _span_mask(rows, field, dim):
+    """Membership bitmask of the span of `rows`, one bit per vector code."""
+    add, mul, q = field.add, field.mul, field.size
+    units = list(field.units())
+    span = [(field.zero,) * dim]
+    for row in rows:
+        multiples = [tuple(mul(c, x) for x in row) for c in units]
+        span = span + [
+            tuple(add(a, b) for a, b in zip(s, m)) for s in span for m in multiples
+        ]
+    mask = 0
+    for v in span:
+        code = 0
+        for x in reversed(v):
+            code = code * q + x
+        mask |= 1 << code
+    return mask
+
+
+class _Subspaces(dict):
+    """The subspaces of F_q^dim: RREF bases listed per rank on first use, and
+    a dict from subspace index to membership bitmask, filled on first lookup.
+
+    Index offsets[r] + i is the i-th subspace of rank r (pivot columns in
+    combinations order, free entries in product order), so the offsets are
+    partial sums of Gaussian binomials.  Bit c of a mask is set for each code
+    c = sum v_i q^i of a vector in the subspace.
+    """
+
+    def __init__(self, field, dim):
+        self.field = field
+        self.dim = dim
+        sizes = [_gaussian_binomial(field.size, dim, r) for r in range(dim + 1)]
+        self.offsets = list(accumulate(sizes, initial=0))
+        self._rows = [None] * self.offsets[-1]
+
+    def __missing__(self, idx):
+        mask = self[idx] = _span_mask(self.rows(idx), self.field, self.dim)
+        return mask
+
+    def indices(self, rank):
+        return range(self.offsets[rank], self.offsets[rank + 1])
+
+    def rows(self, idx):
+        rows = self._rows[idx]
+        if rows is None:
+            self._list_rank(bisect_right(self.offsets, idx) - 1)
+            rows = self._rows[idx]
+        return rows
+
+    def _list_rank(self, r):
+        field, dim = self.field, self.dim
+        elems = list(field.elements())
+        at = self.offsets[r]
         for pivots in combinations(range(dim), r):
             free_pos = []
             for i in range(r):
@@ -123,27 +186,114 @@ def subspaces(ring, dim):
                     if j not in pivots:
                         free_pos.append((i, j))
             for values in product(elems, repeat=len(free_pos)):
-                rows = [[ring.zero] * dim for _ in range(r)]
+                rows = [[field.zero] * dim for _ in range(r)]
                 for i in range(r):
-                    rows[i][pivots[i]] = ring.one
+                    rows[i][pivots[i]] = field.one
                 for (i, j), val in zip(free_pos, values):
                     rows[i][j] = val
-                basis_rows = Mat(ring, rows, (r, dim))
-                out.append(basis_rows.transpose())
-    _SUBSPACE_CACHE[key] = out
-    return out
+                self._rows[at] = tuple(tuple(row) for row in rows)
+                at += 1
 
 
-def count_subspaces(q, dim):
-    """Total number of subspaces of F_q^dim (sum of Gaussian binomials)."""
-    total = 0
-    for r in range(dim + 1):
-        num = den = 1
-        for i in range(r):
-            num *= q ** (dim - i) - 1
-            den *= q ** (i + 1) - 1
-        total += num // den
-    return total
+class _Images(dict):
+    """Image masks of one arrow matrix M by tail subspace index.
+
+    Filled on first lookup: the mask of U_t has the bit of the code of M u
+    set for each u in U_t's basis, with M u computed once per basis vector.
+    """
+
+    __slots__ = ("mat", "tails", "bits")
+
+    def __init__(self, mat, tails):
+        self.mat = mat
+        self.tails = tails
+        self.bits = {}  # basis vector u -> 1 << code(M u)
+
+    def __missing__(self, t_idx):
+        field = self.tails.field
+        add, mul, zero, q = field.add, field.mul, field.zero, field.size
+        img = 0
+        for u in self.tails.rows(t_idx):
+            bit = self.bits.get(u)
+            if bit is None:
+                code = 0
+                for mrow in reversed(self.mat):
+                    acc = zero
+                    for c, x in zip(mrow, u):
+                        if c and x:
+                            acc = add(acc, mul(c, x))
+                    code = code * q + acc
+                bit = self.bits[u] = 1 << code
+            img |= bit
+        self[t_idx] = img
+        return img
+
+
+def _closed_pairs(mat, tails):
+    """The image masks of one arrow matrix, empty until tested; made once
+    per matrix an engine meets, so a census calls it once per memo miss."""
+    return _Images(mat, tails)
+
+
+class _Engine:
+    """Closure engine for one (quiver, dims) over a finite field.
+
+    A candidate subrepresentation is a combo: one subspace index per vertex,
+    in quiver.vertices order.  It is closed when M U_t lies inside U_h for
+    every arrow.  Vertices of equal dimension share one subspace list.  An
+    engine is built per call, or once per census, and nothing outlives it.
+    """
+
+    def __init__(self, quiver, dims, field):
+        self.field = field
+        self.verts = list(quiver.vertices)
+        by_dim = {d: _Subspaces(field, d) for d in set(dims.values())}
+        self.spaces = [by_dim[dims[v]] for v in self.verts]
+        pos = {v: i for i, v in enumerate(self.verts)}
+        # per arrow: tail subspaces, head subspaces, tail and head positions
+        self.arrows = [
+            (self.spaces[pos[a.src]], self.spaces[pos[a.dst]], pos[a.src], pos[a.dst])
+            for a in quiver.arrows
+        ]
+
+    def combos(self, e):
+        """Index tuples of the subspace tuples with dimension vector e."""
+        return product(*[sp.indices(e[v]) for v, sp in zip(self.verts, self.spaces)])
+
+    def with_combos(self, groups):
+        """Slope groups [(s, [e])] as flat [(s, e, combos)], combos lazy."""
+        return [(s, e, self.combos(e)) for s, es in groups for e in es]
+
+    def tests(self, rep):
+        """Closure tests (images, heads, t, h) for each arrow matrix of rep."""
+        return [
+            (_closed_pairs(rep.mats[a.name].rows, tails), heads, t, h)
+            for a, (tails, heads, t, h) in zip(rep.quiver.arrows, self.arrows)
+        ]
+
+    def closed(self, tests, groups):
+        """(s, e, combo) for each closed combo in [(s, e, combos)], in order.
+
+        M U_t lies inside U_h iff img & mask(U_h) == img, img the image mask.
+        """
+        for s, e, combos in groups:
+            for combo in combos:
+                for images, heads, t, h in tests:
+                    img = images[combo[t]]
+                    if img & heads[combo[h]] != img:
+                        break
+                else:
+                    yield s, e, combo
+
+    def witness(self, e, combo):
+        """A closed combo as per-vertex column bases."""
+        return SubrepWitness(
+            dict(e),
+            {
+                v: Mat.from_cols(self.field, sp.rows(i), sp.dim)
+                for v, sp, i in zip(self.verts, self.spaces, combo)
+            },
+        )
 
 
 def _sub_dim_vectors(dims):
@@ -152,11 +302,14 @@ def _sub_dim_vectors(dims):
     return [dict(zip(verts, combo)) for combo in product(*ranges)]
 
 
-def _subspaces_by_dim(ring, dim):
-    by_dim = {}
-    for s in subspaces(ring, dim):
-        by_dim.setdefault(s.ncols, []).append(s)
-    return by_dim
+def _slope_groups(dims, theta):
+    """Proper nonzero sub-dimension vectors grouped by slope, decreasing."""
+    groups = {}
+    for e in _sub_dim_vectors(dims):
+        if sum(e.values()) == 0 or e == dims:
+            continue
+        groups.setdefault(slope(e, theta), []).append(e)
+    return sorted(groups.items(), key=lambda kv: kv[0], reverse=True)
 
 
 def _check_budget(rep, dim_vectors, config):
@@ -165,12 +318,7 @@ def _check_budget(rep, dim_vectors, config):
     for e in dim_vectors:
         c = 1
         for v, d in rep.dims.items():
-            # number of e_v-dimensional subspaces of F_q^d
-            num = den = 1
-            for i in range(e[v]):
-                num *= q ** (d - i) - 1
-                den *= q ** (i + 1) - 1
-            c *= num // den
+            c *= _gaussian_binomial(q, d, e[v])
         cost += c
     if cost > config.max_subspace_checks:
         raise BudgetExceededError(
@@ -181,52 +329,19 @@ def _check_budget(rep, dim_vectors, config):
     return cost
 
 
-def iter_closed_tuples(rep, dim_vector):
-    """All subrepresentation witnesses with the given dimension vector."""
-    verts = list(rep.quiver.vertices)
-    per_vertex = []
-    for v in verts:
-        options = [
-            s for s in _subspaces_by_dim(rep.ring, rep.dims[v]).get(dim_vector[v], [])
-        ]
-        if not options:
-            return
-        per_vertex.append(options)
-    for combo in product(*per_vertex):
-        bases = dict(zip(verts, combo))
-        w = SubrepWitness(dict(dim_vector), bases)
-        if w.is_closed_in(rep):
-            yield w
-
-
 def enumerate_subreps(rep, config):
     """Every subrepresentation witness, including 0 and the full one."""
     if not rep.ring.is_finite:
         raise SchemaError("enumerate_subreps requires a finite coefficient field")
+    eng = _Engine(rep.quiver, rep.dims, rep.ring)
     dim_vectors = _sub_dim_vectors(rep.dims)
     _check_budget(rep, dim_vectors, config)
-    out = []
-    for e in dim_vectors:
-        out.extend(iter_closed_tuples(rep, e))
-    return out
+    closed = eng.closed(eng.tests(rep), eng.with_combos([(None, dim_vectors)]))
+    return [eng.witness(e, combo) for _, e, combo in closed]
 
 
 # ---------------------------------------------------------------------------
 # verdicts
-
-
-def _slope_groups(rep, theta, proper_only=True):
-    """Sub-dimension vectors grouped by slope, in decreasing slope order."""
-    groups = {}
-    d = rep.dims
-    for e in _sub_dim_vectors(d):
-        t = sum(e.values())
-        if t == 0:
-            continue
-        if proper_only and e == d:
-            continue
-        groups.setdefault(slope(e, theta), []).append(e)
-    return sorted(groups.items(), key=lambda kv: kv[0], reverse=True)
 
 
 def stability_verdict(rep, theta, config):
@@ -242,31 +357,27 @@ def stability_verdict(rep, theta, config):
         raise SchemaError(
             "exact verdicts need a finite field; use geom_stability_certificate"
         )
+    eng = _Engine(rep.quiver, rep.dims, rep.ring)
     mu = rep.slope(theta)
-    groups = _slope_groups(rep, theta, proper_only=True)
-    relevant = [(s, es) for s, es in groups if s >= mu]
+    relevant = [(s, es) for s, es in _slope_groups(rep.dims, theta) if s >= mu]
     _check_budget(rep, [e for _, es in relevant for e in es], config)
-    for s, es in relevant:
-        for e in es:
-            for w in iter_closed_tuples(rep, e):
-                if s > mu:
-                    return StabilityVerdict(UNSTABLE, witness=w, detail={"slope": s})
-                return StabilityVerdict(STRICTLY_SEMISTABLE, witness=w, detail={"slope": s})
-    return StabilityVerdict(STABLE)
+    hit = next(eng.closed(eng.tests(rep), eng.with_combos(relevant)), None)
+    if hit is None:
+        return StabilityVerdict(STABLE)
+    s, e, combo = hit
+    kind = UNSTABLE if s > mu else STRICTLY_SEMISTABLE
+    return StabilityVerdict(kind, witness=eng.witness(e, combo), detail={"slope": s})
 
 
 def is_semistable(rep, theta, config):
     """Semistability only needs the slope groups strictly above mu."""
     if not rep.ring.is_finite:
         raise SchemaError("exact semistability checks need a finite field")
+    eng = _Engine(rep.quiver, rep.dims, rep.ring)
     mu = rep.slope(theta)
-    groups = [(s, es) for s, es in _slope_groups(rep, theta) if s > mu]
-    _check_budget(rep, [e for _, es in groups for e in es], config)
-    for s, es in groups:
-        for e in es:
-            for _ in iter_closed_tuples(rep, e):
-                return False
-    return True
+    above = [(s, es) for s, es in _slope_groups(rep.dims, theta) if s > mu]
+    _check_budget(rep, [e for _, es in above for e in es], config)
+    return next(eng.closed(eng.tests(rep), eng.with_combos(above)), None) is None
 
 
 def is_geometrically_stable(rep, theta, config):
@@ -292,23 +403,19 @@ def scss(rep, theta, config):
         raise ValueError("scss of the zero representation is undefined")
     if not rep.ring.is_finite:
         raise SchemaError("scss needs a finite coefficient field")
+    eng = _Engine(rep.quiver, rep.dims, rep.ring)
     mu = rep.slope(theta)
     # Only slopes strictly above mu can beat the full representation; if none
     # is attained, the representation is semistable and is its own scss.
-    above = [(s, es) for s, es in _slope_groups(rep, theta) if s > mu]
+    above = [(s, es) for s, es in _slope_groups(rep.dims, theta) if s > mu]
     _check_budget(rep, [e for _, es in above for e in es], config)
-    best_slope = None
-    witnesses = []
+    tests = eng.tests(rep)
     for s, es in above:
-        if best_slope is not None and s < best_slope:
+        closed = eng.closed(tests, eng.with_combos([(s, es)]))
+        witnesses = [eng.witness(e, combo) for _, e, combo in closed]
+        if witnesses:
             break
-        for e in es:
-            found = list(iter_closed_tuples(rep, e))
-            if found and best_slope is None:
-                best_slope = s
-            if best_slope is not None and s == best_slope:
-                witnesses.extend(found)
-    if best_slope is None:
+    else:
         return full_witness(rep)
     witnesses.sort(key=lambda w: w.total_dim(), reverse=True)
     top = witnesses[0]
@@ -597,7 +704,7 @@ def geom_stability_certificate(rep, theta, config, primes=None):
     if rep.ring.is_finite:
         raise SchemaError("certificates are for infinite coefficient fields")
     mu = rep.slope(theta)
-    groups = _slope_groups(rep, theta, proper_only=True)
+    groups = _slope_groups(rep.dims, theta)
     if not groups or groups[0][0] < mu:
         # no sub-dimension vector can destabilize: stable without reduction
         return StabilityVerdict(STABLE, detail={"certificate": "dimension-count"})

@@ -1,15 +1,20 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and a brute-force stability reference."""
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, product
 
 from quivermoduli import (
     GaloisPair,
     Mat,
     Representation,
+    SubrepWitness,
     gaussian_rationals,
     kronecker_quiver,
+    slope,
 )
 from quivermoduli.rings import QQ
+from quivermoduli.stability import STABLE, STRICTLY_SEMISTABLE, UNSTABLE
 
 
 def fmat(field, rows):
@@ -61,3 +66,69 @@ def quaternionic_kronecker_example():
     m3 = gimat([[0, -1], [1, 0]])
     rep = Representation(quiver, Qi, {"s": 2, "t": 2}, {"a1": m1, "a2": m2, "a3": m3})
     return rep, GaloisPair.gaussian(), {"s": 1, "t": -1}
+
+
+# ---------------------------------------------------------------------------
+# brute-force reference for finite-field subrepresentations
+
+
+@lru_cache(maxsize=None)
+def rref_bases(field, dim, rank):
+    """Every rank-`rank` subspace of field^dim as its RREF basis rows.
+
+    Brute force: take `rank` vectors whose first nonzero entry is 1, with
+    increasing leading columns, and keep the tuples in which every other row
+    vanishes at each leading column.  The list is in the canonical order,
+    by pivot columns and then by the entries read row by row.
+    """
+    leading = []
+    for v in product(field.elements(), repeat=dim):
+        nonzero = [i for i, x in enumerate(v) if x != field.zero]
+        if nonzero and v[nonzero[0]] == field.one:
+            leading.append((nonzero[0], v))
+    out = []
+    for chosen in combinations(sorted(leading), rank):
+        pivots = [p for p, _ in chosen]
+        if len(set(pivots)) < rank:
+            continue
+        if all(row[p] == field.zero for p in pivots for q, row in chosen if q != p):
+            out.append((tuple(pivots), tuple(row for _, row in chosen)))
+    return tuple(rows for _, rows in sorted(out))
+
+
+def _reference_closed(rep, e):
+    """Closed witnesses of dimension vector e, checked with is_closed_in."""
+    verts = rep.quiver.vertices
+    per_vertex = [rref_bases(rep.ring, rep.dims[v], e[v]) for v in verts]
+    for combo in product(*per_vertex):
+        bases = {
+            v: Mat.from_cols(rep.ring, rows, rep.dims[v]) for v, rows in zip(verts, combo)
+        }
+        w = SubrepWitness(dict(e), bases)
+        if w.is_closed_in(rep):
+            yield w
+
+
+def _reference_dim_vectors(dims):
+    verts = list(dims)
+    return [dict(zip(verts, c)) for c in product(*(range(dims[v] + 1) for v in verts))]
+
+
+def reference_subreps(rep):
+    """Every subrepresentation, dimension vectors in product order."""
+    return [w for e in _reference_dim_vectors(rep.dims) for w in _reference_closed(rep, e)]
+
+
+def reference_verdict(rep, theta):
+    """(kind, witness): the first closed proper tuple, slopes decreasing."""
+    mu = rep.slope(theta)
+    candidates = [
+        e
+        for e in _reference_dim_vectors(rep.dims)
+        if sum(e.values()) and e != rep.dims and slope(e, theta) >= mu
+    ]
+    candidates.sort(key=lambda e: slope(e, theta), reverse=True)
+    for e in candidates:
+        for w in _reference_closed(rep, e):
+            return (UNSTABLE if slope(e, theta) > mu else STRICTLY_SEMISTABLE), w
+    return STABLE, None

@@ -37,9 +37,14 @@ from quivermoduli.census import (
 from quivermoduli.config import JobConfig
 from quivermoduli.errors import BudgetExceededError
 from quivermoduli.quiver import base_change
-from quivermoduli.stability import stability_verdict
+from quivermoduli.stability import enumerate_subreps, stability_verdict
 
-from helpers import gimat, quaternionic_kronecker_example
+from helpers import (
+    gimat,
+    quaternionic_kronecker_example,
+    reference_subreps,
+    reference_verdict,
+)
 
 CFG = JobConfig()
 THETA = {"s": 1, "t": -1}
@@ -63,8 +68,13 @@ def test_stable_not_schur_census():
     assert cen.counts == {GEOM_STABLE: 0, STABLE_NOT_SCHUR: 1}
 
 
+def _bases(w):
+    return None if w is None else (dict(w.dims), {v: m.rows for v, m in w.bases.items()})
+
+
 def test_kernel_matches_generic_verdicts():
-    # the encoded-point categorizer against the generic enumeration verdicts
+    # the census categorizer and the API verdicts share one engine, so both
+    # are held against the brute-force reference in tests/helpers.py
     rng = random.Random(3)
     for quiver, dims, theta, field in (
         (K2, {"s": 1, "t": 1}, THETA, GF(3)),
@@ -87,8 +97,14 @@ def test_kernel_matches_generic_verdicts():
                 )
                 mats[a.name] = Mat(field, rows, (dims[a.dst], dims[a.src]))
             rep = Representation(quiver, field, dims, mats)
-            kind = stability_verdict(rep, theta, CFG).kind
+            verdict = stability_verdict(rep, theta, CFG)
+            kind, witness = reference_verdict(rep, theta)
+            assert verdict.kind == kind
+            assert _bases(verdict.witness) == _bases(witness)
             assert _categorize_point(_encode_rep(rep), plan) == kind
+            assert [_bases(w) for w in enumerate_subreps(rep, CFG)] == [
+                _bases(w) for w in reference_subreps(rep)
+            ]
 
 
 def test_union_find_and_canonical_counts_agree():

@@ -246,13 +246,31 @@ KRONECKER2_JSON = {"vertices": ["s", "t"], "arrows": [
     '{"s":0,"t":0}',  # zero dimension vector
 ])
 def test_cli_census_bad_dims(tmp_path, capsys, dims):
+    _assert_census_parse_error(tmp_path, capsys, dims, "2")
+
+
+@pytest.mark.parametrize("q", [
+    "abc",  # not an integer
+    "2.5",  # not an integer
+    "6",  # not a prime power
+    "1",  # below 2
+    "0",  # below 2
+    "-4",  # below 2
+    "3,abc",  # one bad entry among good ones
+    "2,3,2",  # repeated, so the interpolation is undefined
+])
+def test_cli_census_bad_q(tmp_path, capsys, q):
+    _assert_census_parse_error(tmp_path, capsys, '{"s":1,"t":1}', q)
+
+
+def _assert_census_parse_error(tmp_path, capsys, dims, q):
     path = write_json(tmp_path, "quiver.json", KRONECKER2_JSON)
     code = main([
         "census",
         "--quiver", path,
         "--dims", dims,
         "--theta", '{"s":1,"t":-1}',
-        "--q", "2",
+        "--q", q,
     ])
     assert code == 2
     err = capsys.readouterr().err

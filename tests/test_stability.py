@@ -28,8 +28,8 @@ from quivermoduli.stability import (
     is_semistable,
     quotient_rep,
     restrict_rep,
-    subspaces,
     verify_hn,
+    _Subspaces,
 )
 
 from helpers import fmat, kronecker_rep
@@ -50,13 +50,23 @@ def random_rep(quiver, field, dims, rng):
 
 
 def test_subspace_enumeration_counts():
-    # Gaussian binomial totals: q=2, d=2 -> 5; q=2, d=3 -> 16; q=3, d=2 -> 6
-    assert len(subspaces(GF(2), 2)) == count_subspaces(2, 2) == 5
-    assert len(subspaces(GF(2), 3)) == count_subspaces(2, 3) == 16
-    assert len(subspaces(GF(3), 2)) == count_subspaces(3, 2) == 6
-    # canonical forms are pairwise distinct
-    seen = {s.rows for s in subspaces(GF(3), 2)}
-    assert len(seen) == 6
+    # Gaussian binomial totals: q=2, d=2 -> 5; q=2, d=3 -> 16; q=3, d=2 -> 6;
+    # q=4, d=3 -> 44.  Ranks are listed in increasing order, so a rank that
+    # listed too many or too few bases leaves a wrong-length or missing one.
+    for q, d, total in ((2, 2, 5), (2, 3, 16), (3, 2, 6), (4, 3, 44)):
+        spaces = _Subspaces(GF(q), d)
+        per_rank = [spaces.indices(r) for r in range(d + 1)]
+        assert sum(len(ix) for ix in per_rank) == count_subspaces(q, d) == total
+        rows = []
+        for r, ix in enumerate(per_rank):
+            for i in ix:
+                basis = spaces.rows(i)
+                assert basis is not None and len(basis) == r
+                assert bin(spaces[i]).count("1") == q**r
+                rows.append(basis)
+        # canonical forms are pairwise distinct, and so are their spans
+        assert len(set(rows)) == total
+        assert len({spaces[i] for ix in per_rank for i in ix}) == total
 
 
 def test_enumerate_subreps_examples():
