@@ -5,8 +5,9 @@ The enumeration core works on integer-encoded matrices with the field's
 operations bound to locals, which keeps full scans of rep spaces like
 F_4^8 in the seconds range.  Stability is decided by the closure engine of
 the stability module, built once per census: each slope group's index
-tuples are listed once, and when the quiver has more than one arrow each
-arrow matrix keeps its image masks across points.
+tuples are listed once, subspace membership verdicts are shared by all
+points, and when the quiver has more than one arrow each arrow matrix keeps
+its image codes across points.
 
 Orbit counting is done twice, by union-find over group generators and by
 canonical (minimal) representatives, and the two counts are cross-checked.
@@ -40,7 +41,8 @@ from .stability import (
     STABLE,
     STRICTLY_SEMISTABLE,
     UNSTABLE,
-    _closed_pairs,
+    _closed_pairs,  # noqa: F401  called through _Engine.tests once per memo miss
+    _encode_rep,
     _Engine,
     _slope_groups,
 )
@@ -102,37 +104,21 @@ class _Plan:
     engine: _Engine
     mu: Fraction
     groups: list  # [(slope, e, [index combos])], slope >= mu, descending
-    memo: Optional[list]  # per arrow: {matrix rows -> (images, heads, t, h)}
+    memo: Optional[list]  # per arrow: {matrix rows -> closure test}
 
 
 def _build_plan(quiver, dims, theta, field):
     engine = _Engine(quiver, dims, field)
     mu = slope(dims, theta)
-    groups = [
-        (s, e, list(engine.combos(e)))
-        for s, es in _slope_groups(dims, theta)
-        if s >= mu
-        for e in es
-    ]
+    relevant = [(s, es) for s, es in _slope_groups(dims, theta) if s >= mu]
+    groups = [(s, e, list(combos)) for s, e, combos in engine.with_combos(relevant)]
     memo = [{} for _ in quiver.arrows] if len(quiver.arrows) > 1 else None
     return _Plan(engine, mu, groups, memo)
 
 
 def _categorize_point(point, plan):
     """Stability category of an encoded point, matching stability_verdict."""
-    arrows = plan.engine.arrows
-    if plan.memo is None:
-        tests = [
-            (_closed_pairs(mat, tails), heads, t, h)
-            for mat, (tails, heads, t, h) in zip(point, arrows)
-        ]
-    else:
-        tests = []
-        for mat, memo, (tails, heads, t, h) in zip(point, plan.memo, arrows):
-            test = memo.get(mat)
-            if test is None:
-                test = memo[mat] = (_closed_pairs(mat, tails), heads, t, h)
-            tests.append(test)
+    tests = plan.engine.tests(point, plan.memo)
     hit = next(plan.engine.closed(tests, plan.groups), None)
     if hit is None:
         return STABLE
@@ -169,10 +155,6 @@ def _end_dim_point(point, quiver, dims, field):
     if not rows:
         return total
     return total - _k_rank(rows, field)
-
-
-def _encode_rep(rep):
-    return tuple(rep.mats[a.name].rows for a in rep.quiver.arrows)
 
 
 def _decode_rep(quiver, ring, dims, point):

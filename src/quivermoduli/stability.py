@@ -4,12 +4,15 @@ certificates over Q and Q(i).
 
 Every finite-field answer, here and in the censuses, comes from one closure
 engine.  It lists subspaces as reduced-echelon bases, one rank at a time on
-first use, so witnesses are deduplicated by construction.  A vector v is the
-integer code sum v_i q^i, so M U_t inside U_h is the mask test
-img & mask(U_h) == img, img the mask of the codes of M u over a basis of
-U_t.  Both masks are built on first use, and the search stops at the first
-closed subspace tuple.  Engine state lives in an object built per call (or
-once per census), and witnesses become Mat column bases only on the way out.
+first use, so witnesses are deduplicated by construction.  M U_t lies inside
+U_h when each M u, u in a basis of U_t, reduces to zero against U_h's
+echelon rows; vectors are keyed by their integer code sum v_i q^i, and
+every image code and membership verdict is memoized on first use, so the
+work and memory grow with the closure checks made, never with q^dim.  The
+subspace budget is checked before any listing, and the search stops at the
+first closed subspace tuple.  Engine state lives in an object built per call
+(or once per census), and witnesses become Mat column bases only on the way
+out.
 
 Decision procedures over infinite fields do not exist here;
 geom_stability_certificate returns Stable only with a finite-field
@@ -125,33 +128,55 @@ def count_subspaces(q, dim):
     return sum(_gaussian_binomial(q, dim, r) for r in range(dim + 1))
 
 
-def _span_mask(rows, field, dim):
-    """Membership bitmask of the span of `rows`, one bit per vector code."""
-    add, mul, q = field.add, field.mul, field.size
-    units = list(field.units())
-    span = [(field.zero,) * dim]
-    for row in rows:
-        multiples = [tuple(mul(c, x) for x in row) for c in units]
-        span = span + [
-            tuple(add(a, b) for a, b in zip(s, m)) for s in span for m in multiples
-        ]
-    mask = 0
-    for v in span:
-        code = 0
-        for x in reversed(v):
-            code = code * q + x
-        mask |= 1 << code
-    return mask
+class _Span(dict):
+    """Membership of vector codes in one subspace U, filled on first lookup.
+
+    With U's basis rows in reduced echelon form, v lies in U iff
+    v[j] = sum_i v[p_i] row_i[j] at every non-pivot column j, p_i the pivot
+    of row i.  A lookup miss costs O(rank * dim) field operations, and the
+    memo holds only the codes looked up.
+    """
+
+    __slots__ = ("rows", "space", "pivots")
+
+    def __init__(self, rows, space):
+        self.rows = rows
+        self.space = space
+        self.pivots = tuple(row.index(space.field.one) for row in rows)
+
+    def __missing__(self, code):
+        field, dim, rows = self.space.field, self.space.dim, self.rows
+        add, mul, q = field.add, field.mul, field.size
+        v = []
+        rest = code
+        for _ in range(dim):
+            rest, x = divmod(rest, q)
+            v.append(x)
+        pivots = self.pivots
+        inside = True
+        for j in range(dim):
+            if j in pivots:
+                continue
+            acc = field.zero
+            for p, row in zip(pivots, rows):
+                c = v[p]
+                if c and row[j]:
+                    acc = add(acc, mul(c, row[j]))
+            if acc != v[j]:
+                inside = False
+                break
+        self[code] = inside
+        return inside
 
 
 class _Subspaces(dict):
-    """The subspaces of F_q^dim: RREF bases listed per rank on first use, and
-    a dict from subspace index to membership bitmask, filled on first lookup.
+    """The subspaces of F_q^dim: RREF bases listed one rank at a time on
+    first use, and a dict from subspace index to its _Span.
 
     Index offsets[r] + i is the i-th subspace of rank r (pivot columns in
     combinations order, free entries in product order), so the offsets are
-    partial sums of Gaussian binomials.  Bit c of a mask is set for each code
-    c = sum v_i q^i of a vector in the subspace.
+    partial sums of Gaussian binomials.  Only the ranks some index is asked
+    for are ever listed.
     """
 
     def __init__(self, field, dim):
@@ -159,26 +184,25 @@ class _Subspaces(dict):
         self.dim = dim
         sizes = [_gaussian_binomial(field.size, dim, r) for r in range(dim + 1)]
         self.offsets = list(accumulate(sizes, initial=0))
-        self._rows = [None] * self.offsets[-1]
+        self._ranks = {}  # rank -> its RREF bases, in index order
 
     def __missing__(self, idx):
-        mask = self[idx] = _span_mask(self.rows(idx), self.field, self.dim)
-        return mask
+        span = self[idx] = _Span(self.rows(idx), self)
+        return span
 
     def indices(self, rank):
         return range(self.offsets[rank], self.offsets[rank + 1])
 
     def rows(self, idx):
-        rows = self._rows[idx]
-        if rows is None:
-            self._list_rank(bisect_right(self.offsets, idx) - 1)
-            rows = self._rows[idx]
-        return rows
+        rank = bisect_right(self.offsets, idx) - 1
+        listed = self._ranks.get(rank)
+        if listed is None:
+            listed = self._ranks[rank] = list(self._list_rank(rank))
+        return listed[idx - self.offsets[rank]]
 
     def _list_rank(self, r):
         field, dim = self.field, self.dim
         elems = list(field.elements())
-        at = self.offsets[r]
         for pivots in combinations(range(dim), r):
             free_pos = []
             for i in range(r):
@@ -191,31 +215,30 @@ class _Subspaces(dict):
                     rows[i][pivots[i]] = field.one
                 for (i, j), val in zip(free_pos, values):
                     rows[i][j] = val
-                self._rows[at] = tuple(tuple(row) for row in rows)
-                at += 1
+                yield tuple(tuple(row) for row in rows)
 
 
 class _Images(dict):
-    """Image masks of one arrow matrix M by tail subspace index.
+    """Image codes of one arrow matrix M by tail subspace index.
 
-    Filled on first lookup: the mask of U_t has the bit of the code of M u
-    set for each u in U_t's basis, with M u computed once per basis vector.
+    Filled on first lookup: the codes sum_i (M u)_i q^i for u in U_t's
+    basis, with M u computed once per basis vector.
     """
 
-    __slots__ = ("mat", "tails", "bits")
+    __slots__ = ("mat", "tails", "codes")
 
     def __init__(self, mat, tails):
         self.mat = mat
         self.tails = tails
-        self.bits = {}  # basis vector u -> 1 << code(M u)
+        self.codes = {}  # basis vector u -> code of M u
 
     def __missing__(self, t_idx):
         field = self.tails.field
         add, mul, zero, q = field.add, field.mul, field.zero, field.size
-        img = 0
+        img = []
         for u in self.tails.rows(t_idx):
-            bit = self.bits.get(u)
-            if bit is None:
+            code = self.codes.get(u)
+            if code is None:
                 code = 0
                 for mrow in reversed(self.mat):
                     acc = zero
@@ -223,16 +246,21 @@ class _Images(dict):
                         if c and x:
                             acc = add(acc, mul(c, x))
                     code = code * q + acc
-                bit = self.bits[u] = 1 << code
-            img |= bit
-        self[t_idx] = img
+                self.codes[u] = code
+            img.append(code)
+        img = self[t_idx] = tuple(img)
         return img
 
 
 def _closed_pairs(mat, tails):
-    """The image masks of one arrow matrix, empty until tested; made once
+    """The image codes of one arrow matrix, empty until tested; made once
     per matrix an engine meets, so a census calls it once per memo miss."""
     return _Images(mat, tails)
+
+
+def _encode_rep(rep):
+    """A representation's arrow matrices as row tuples, in quiver.arrows order."""
+    return tuple(rep.mats[a.name].rows for a in rep.quiver.arrows)
 
 
 class _Engine:
@@ -264,24 +292,37 @@ class _Engine:
         """Slope groups [(s, [e])] as flat [(s, e, combos)], combos lazy."""
         return [(s, e, self.combos(e)) for s, es in groups for e in es]
 
-    def tests(self, rep):
-        """Closure tests (images, heads, t, h) for each arrow matrix of rep."""
-        return [
-            (_closed_pairs(rep.mats[a.name].rows, tails), heads, t, h)
-            for a, (tails, heads, t, h) in zip(rep.quiver.arrows, self.arrows)
-        ]
+    def tests(self, point, memo=None):
+        """Closure tests (images, heads, t, h), one per arrow matrix of an
+        encoded point.  With memo (one dict per arrow), a matrix met before
+        reuses its test and a new one is kept for the points that follow."""
+        out = []
+        for i, mat in enumerate(point):
+            test = memo[i].get(mat) if memo else None
+            if test is None:
+                tails, heads, t, h = self.arrows[i]
+                test = (_closed_pairs(mat, tails), heads, t, h)
+                if memo:
+                    memo[i][mat] = test
+            out.append(test)
+        return out
 
     def closed(self, tests, groups):
         """(s, e, combo) for each closed combo in [(s, e, combos)], in order.
 
-        M U_t lies inside U_h iff img & mask(U_h) == img, img the image mask.
+        M U_t lies inside U_h iff the code of every M u, u in U_t's basis,
+        is in the span of U_h.
         """
         for s, e, combos in groups:
             for combo in combos:
                 for images, heads, t, h in tests:
-                    img = images[combo[t]]
-                    if img & heads[combo[h]] != img:
-                        break
+                    span = heads[combo[h]]
+                    for code in images[combo[t]]:
+                        if not span[code]:
+                            break
+                    else:
+                        continue
+                    break  # an image vector outside U_h: not closed
                 else:
                     yield s, e, combo
 
@@ -333,10 +374,12 @@ def enumerate_subreps(rep, config):
     """Every subrepresentation witness, including 0 and the full one."""
     if not rep.ring.is_finite:
         raise SchemaError("enumerate_subreps requires a finite coefficient field")
-    eng = _Engine(rep.quiver, rep.dims, rep.ring)
     dim_vectors = _sub_dim_vectors(rep.dims)
     _check_budget(rep, dim_vectors, config)
-    closed = eng.closed(eng.tests(rep), eng.with_combos([(None, dim_vectors)]))
+    eng = _Engine(rep.quiver, rep.dims, rep.ring)
+    closed = eng.closed(
+        eng.tests(_encode_rep(rep)), eng.with_combos([(None, dim_vectors)])
+    )
     return [eng.witness(e, combo) for _, e, combo in closed]
 
 
@@ -357,11 +400,11 @@ def stability_verdict(rep, theta, config):
         raise SchemaError(
             "exact verdicts need a finite field; use geom_stability_certificate"
         )
-    eng = _Engine(rep.quiver, rep.dims, rep.ring)
     mu = rep.slope(theta)
     relevant = [(s, es) for s, es in _slope_groups(rep.dims, theta) if s >= mu]
     _check_budget(rep, [e for _, es in relevant for e in es], config)
-    hit = next(eng.closed(eng.tests(rep), eng.with_combos(relevant)), None)
+    eng = _Engine(rep.quiver, rep.dims, rep.ring)
+    hit = next(eng.closed(eng.tests(_encode_rep(rep)), eng.with_combos(relevant)), None)
     if hit is None:
         return StabilityVerdict(STABLE)
     s, e, combo = hit
@@ -373,11 +416,11 @@ def is_semistable(rep, theta, config):
     """Semistability only needs the slope groups strictly above mu."""
     if not rep.ring.is_finite:
         raise SchemaError("exact semistability checks need a finite field")
-    eng = _Engine(rep.quiver, rep.dims, rep.ring)
     mu = rep.slope(theta)
     above = [(s, es) for s, es in _slope_groups(rep.dims, theta) if s > mu]
     _check_budget(rep, [e for _, es in above for e in es], config)
-    return next(eng.closed(eng.tests(rep), eng.with_combos(above)), None) is None
+    eng = _Engine(rep.quiver, rep.dims, rep.ring)
+    return next(eng.closed(eng.tests(_encode_rep(rep)), eng.with_combos(above)), None) is None
 
 
 def is_geometrically_stable(rep, theta, config):
@@ -403,13 +446,13 @@ def scss(rep, theta, config):
         raise ValueError("scss of the zero representation is undefined")
     if not rep.ring.is_finite:
         raise SchemaError("scss needs a finite coefficient field")
-    eng = _Engine(rep.quiver, rep.dims, rep.ring)
     mu = rep.slope(theta)
     # Only slopes strictly above mu can beat the full representation; if none
     # is attained, the representation is semistable and is its own scss.
     above = [(s, es) for s, es in _slope_groups(rep.dims, theta) if s > mu]
     _check_budget(rep, [e for _, es in above for e in es], config)
-    tests = eng.tests(rep)
+    eng = _Engine(rep.quiver, rep.dims, rep.ring)
+    tests = eng.tests(_encode_rep(rep))
     for s, es in above:
         closed = eng.closed(tests, eng.with_combos([(s, es)]))
         witnesses = [eng.witness(e, combo) for _, e, combo in closed]

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -54,19 +56,38 @@ def test_subspace_enumeration_counts():
     # q=4, d=3 -> 44.  Ranks are listed in increasing order, so a rank that
     # listed too many or too few bases leaves a wrong-length or missing one.
     for q, d, total in ((2, 2, 5), (2, 3, 16), (3, 2, 6), (4, 3, 44)):
-        spaces = _Subspaces(GF(q), d)
+        field = GF(q)
+        spaces = _Subspaces(field, d)
         per_rank = [spaces.indices(r) for r in range(d + 1)]
         assert sum(len(ix) for ix in per_rank) == count_subspaces(q, d) == total
-        rows = []
+        rows, spans = [], []
         for r, ix in enumerate(per_rank):
             for i in ix:
                 basis = spaces.rows(i)
                 assert basis is not None and len(basis) == r
-                assert bin(spaces[i]).count("1") == q**r
+                # the membership test agrees with the span listed outright
+                span = {
+                    _code(_combine(field, basis, coeffs), q)
+                    for coeffs in product(list(field.elements()), repeat=r)
+                }
+                assert len(span) == q**r
+                assert {c for c in range(q**d) if spaces[i][c]} == span
                 rows.append(basis)
+                spans.append(frozenset(span))
         # canonical forms are pairwise distinct, and so are their spans
         assert len(set(rows)) == total
-        assert len({spaces[i] for ix in per_rank for i in ix}) == total
+        assert len(set(spans)) == total
+
+
+def _combine(field, basis, coeffs):
+    v = [field.zero] * len(basis[0]) if basis else []
+    for c, row in zip(coeffs, basis):
+        v = [field.add(a, field.mul(c, x)) for a, x in zip(v, row)]
+    return v
+
+
+def _code(v, q):
+    return sum(x * q**i for i, x in enumerate(v))
 
 
 def test_enumerate_subreps_examples():
@@ -101,6 +122,41 @@ def test_budget_error():
                       {"s": 2, "t": 2})
     with pytest.raises(BudgetExceededError):
         enumerate_subreps(w, tight)
+    # F_3^9 has about 1.4e10 subspaces: listing them, or keeping one slot per
+    # subspace, would exhaust memory, so the budget must refuse first.
+    big = Representation.zero_maps(kronecker_quiver(2), f3, {"s": 1, "t": 9})
+    assert count_subspaces(3, 9) > 10**10
+    for call in (
+        lambda: enumerate_subreps(big, CFG),
+        lambda: stability_verdict(big, THETA, CFG),
+        lambda: is_semistable(big, THETA, CFG),
+        lambda: scss(big, THETA, CFG),
+    ):
+        with pytest.raises(BudgetExceededError):
+            call()
+
+
+def test_large_field_closure_stays_small():
+    # A loop over F_101 with the companion matrix of x^3 + x + 1, which has no
+    # root mod 101 and so no invariant line or plane: every one of the
+    # 2 * 10303 proper subspaces is checked.  The membership test works on
+    # reduced echelon rows, so memory follows the checks made, not the
+    # 101^3 vectors of the space.
+    f101 = GF(101)
+    assert all((x**3 + x + 1) % 101 for x in range(101))
+    loop = Representation(
+        jordan_quiver(), f101, {"v": 3},
+        {"loop": fmat(f101, [[0, 0, 100], [1, 0, 100], [0, 1, 0]])},
+    )
+    budget = JobConfig(max_subspace_checks=2 * 10303)
+    tracemalloc.start()
+    try:
+        verdict = stability_verdict(loop, {"v": 0}, budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.kind == STABLE
+    assert peak < 64 * 2**20
 
 
 def test_stability_verdict_examples():
