@@ -18,6 +18,7 @@ from .errors import (
     InconclusiveError,
     InvariantError,
     NotDecidableError,
+    NotGeometricallyStableError,
     NotInvertibleError,
     SchemaError,
 )

@@ -9,8 +9,8 @@ tuples are listed once, subspace membership verdicts are shared by all
 points, and when the quiver has more than one arrow each arrow matrix keeps
 its image codes across points.
 
-Orbit counting is done twice, by union-find over group generators and by
-canonical (minimal) representatives, and the two counts are cross-checked.
+Orbits are counted by union-find over group generators, and each orbit's
+size is checked by orbit-stabilizer against dim End, computed once per orbit.
 Within one census each generator acts once per distinct arrow matrix: every
 (generator, arrow) pair has a lazily filled memo M -> g_dst M g_src^-1,
 shared by arrows with the same ends.
@@ -25,6 +25,7 @@ never cached across calls.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Dict, List, Optional
 
 from .brauer import brauer_class
@@ -253,7 +254,7 @@ class OrbitCensus:
     orbit_category: Dict[object, str]  # union-find root -> category
     uf: Optional[_UnionFind]
     representatives: List[object]  # one encoded point per stable orbit
-    canonical_count: int
+    canonical_count: int  # orbits that passed the orbit-stabilizer check
 
     @property
     def geom_stable_count(self):
@@ -272,7 +273,13 @@ class OrbitCensus:
 
 
 def orbit_census(quiver, dims, theta, field, config):
-    """Scan the whole rep space; count stable orbits by category, two ways."""
+    """Scan the whole rep space; count stable orbits by category.
+
+    Each union-find orbit is checked by orbit-stabilizer: End W of a stable
+    W is a field F_{q^e} (King, Quart. J. Math. 45 (1994)), so |orbit|
+    (q^e - 1) = |G_d(F_q)|; e, computed on the orbit's minimum, sets its
+    category.
+    """
     npoints = _point_count(quiver, dims, field.size)
     if npoints > config.max_orbit_points:
         raise BudgetExceededError(
@@ -280,13 +287,10 @@ def orbit_census(quiver, dims, theta, field, config):
             estimate=npoints,
         )
     plan = _build_plan(quiver, dims, theta, field)
-    stable_points = {}
-    counts = {GEOM_STABLE: 0, STABLE_NOT_SCHUR: 0}
-    for point in _all_points(quiver, dims, field):
-        cat = _categorize_point(point, plan)
-        if cat == STABLE:
-            schur = _end_dim_point(point, quiver, dims, field) == 1
-            stable_points[point] = GEOM_STABLE if schur else STABLE_NOT_SCHUR
+    # a dict, not a set: scan order fixes the union-find's roots
+    stable_points = dict.fromkeys(
+        p for p in _all_points(quiver, dims, field) if _categorize_point(p, plan) == STABLE
+    )
     gens = _generator_tables(quiver, dims, field)
     uf = _UnionFind()
     for point in stable_points:
@@ -297,40 +301,23 @@ def orbit_census(quiver, dims, theta, field, config):
             if image not in stable_points:
                 raise InvariantError("stability is not constant on an orbit")
             uf.union(point, image)
+    orbits = {}
+    for point in stable_points:
+        orbits.setdefault(uf.find(point), []).append(point)
+    q = field.size
+    group_order = prod(q**d - q**i for d in dims.values() for i in range(d))
+    counts = {GEOM_STABLE: 0, STABLE_NOT_SCHUR: 0}
     orbit_category = {}
-    for point, cat in stable_points.items():
-        root = uf.find(point)
-        prev = orbit_category.get(root)
-        if prev is None:
-            orbit_category[root] = cat
-        elif prev != cat:
-            raise InvariantError("category is not constant on an orbit")
-    for cat in (GEOM_STABLE, STABLE_NOT_SCHUR):
-        counts[cat] = sum(1 for c in orbit_category.values() if c == cat)
-    # independent count: canonical minimal representatives via orbit BFS
-    visited = set()
     representatives = []
-    canonical_count = 0
-    for point in sorted(stable_points):
-        if point in visited:
-            continue
-        orbit = {point}
-        frontier = [point]
-        while frontier:
-            cur = frontier.pop()
-            for gen in gens:
-                image = _apply_generator(cur, gen, quiver, field)
-                if image not in orbit:
-                    orbit.add(image)
-                    frontier.append(image)
-        visited |= orbit
-        representatives.append(min(orbit))
-        canonical_count += 1
-    if canonical_count != len(orbit_category):
-        raise InvariantError(
-            f"orbit counts disagree: union-find {len(orbit_category)}, "
-            f"canonical {canonical_count}"
-        )
+    for root, members in orbits.items():
+        rep = min(members)
+        e = _end_dim_point(rep, quiver, dims, field)
+        if len(members) * (q**e - 1) != group_order:
+            raise InvariantError(f"orbit of {rep} has {len(members)} points, dim End {e}")
+        orbit_category[root] = cat = GEOM_STABLE if e == 1 else STABLE_NOT_SCHUR
+        counts[cat] += 1
+        representatives.append(rep)
+    representatives.sort()
     return OrbitCensus(
         quiver,
         dims,
@@ -340,7 +327,7 @@ def orbit_census(quiver, dims, theta, field, config):
         orbit_category,
         uf,
         representatives,
-        canonical_count,
+        len(representatives),
     )
 
 
@@ -618,8 +605,11 @@ def census_polynomiality(quiver, dims, theta, q_list, config=JobConfig()):
 
     Residuals at the sample points are reported (they vanish by
     construction; a nonzero residual would expose an arithmetic bug), and a
-    non-integral fit is reported rather than raised.
+    non-integral fit is reported rather than raised.  A repeated q leaves
+    the interpolation undefined and raises SchemaError.
     """
+    if len(set(q_list)) < len(q_list):
+        raise SchemaError(f"bad q: repeated values in {list(q_list)}")
     counts = [count_geom_stable_orbits(quiver, dims, theta, q, config) for q in q_list]
     coeffs = lagrange_interpolation(list(zip(q_list, counts)))
     residuals = [_poly_eval(coeffs, q) - c for q, c in zip(q_list, counts)]

@@ -25,6 +25,7 @@ from .errors import (
     BudgetExceededError,
     InconclusiveError,
     InvariantError,
+    NotGeometricallyStableError,
     SchemaError,
 )
 from .ffields import GF
@@ -165,7 +166,12 @@ def cmd_typemap(args, config):
     pair = pair_from_json(_parse_json_arg(args.pair, "pair"))
     theta = load_theta(_parse_json_arg(args.theta, "theta"), rep.quiver)
     payload = {"input": args.rep}
-    datum = solve_modifying_u(rep, pair, theta, config)
+    try:
+        datum = solve_modifying_u(rep, pair, theta, config)
+    except NotGeometricallyStableError as exc:
+        payload["status"] = f"not geometrically stable: {exc.verdict}"
+        _emit(payload, config)
+        return EXIT_OK
     if datum is None:
         payload["status"] = "orbit not Galois-fixed"
         _emit(payload, config)
@@ -239,8 +245,6 @@ def cmd_census(args, config):
             GF(q)  # raises for a q that is not a prime power
     except ValueError as exc:
         raise SchemaError(f"bad q: {exc}") from exc
-    if len(set(q_list)) < len(q_list):
-        raise SchemaError(f"bad q: repeated values in {q_list}")
     fit = census_polynomiality(quiver, dims, theta, q_list, config)
     payload = {"census": fit.as_dict()}
     if args.verify_descent:

@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from .brauer import BrauerClass, brauer_class
-from .errors import InconclusiveError, InvariantError
-from .homs import find_invertible_in_span, hom_space
+from .errors import InconclusiveError, InvariantError, NotGeometricallyStableError
+from .homs import end_dim, find_invertible_in_span, hom_space
 from .linalg import Mat
 from .quiver import Representation
-from .stability import STABLE, geom_stability_certificate, is_geometrically_stable
+from .stability import STABLE, geom_stability_certificate, stability_verdict
 
 
 def twist(rep, pair, power=1):
@@ -138,8 +138,11 @@ def ensure_geom_stable(rep, pair, theta, config):
     certificate is required, and Unknown blocks the operation.
     """
     if rep.ring.is_finite:
-        if not is_geometrically_stable(rep, theta, config):
-            raise ValueError("representation is not geometrically stable")
+        verdict = stability_verdict(rep, theta, config)
+        if not verdict.is_stable:
+            raise NotGeometricallyStableError(verdict.kind)
+        if end_dim(rep) != 1:
+            raise NotGeometricallyStableError("stable but not Schur")
         return {"stability": "finite-field decision"}
     verdict = geom_stability_certificate(rep, theta, config)
     if verdict.kind != STABLE:
@@ -149,7 +152,7 @@ def ensure_geom_stable(rep, pair, theta, config):
                 f"diagnostics: {verdict.detail}",
                 seed=config.seed,
             )
-        raise ValueError(f"representation is not geometrically stable: {verdict.kind}")
+        raise NotGeometricallyStableError(verdict.kind)
     return {"stability": "certificate", "detail": verdict.detail}
 
 

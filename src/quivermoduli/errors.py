@@ -16,6 +16,14 @@ class NotDecidableError(QuiverModuliError):
     """
 
 
+class NotGeometricallyStableError(QuiverModuliError, ValueError):
+    """A descent operation met a rep that is not geometrically stable, per `verdict`."""
+
+    def __init__(self, verdict):
+        super().__init__(f"representation is not geometrically stable: {verdict}")
+        self.verdict = verdict
+
+
 class NotInvertibleError(QuiverModuliError):
     """Inversion of a non-unit (zero divisor or zero reduced norm)."""
 

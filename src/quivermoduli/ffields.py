@@ -330,9 +330,6 @@ class ExtensionField(Ring):
         """F_p -> F_{p^n} as constant polynomials."""
         return x % self.p
 
-    def in_base(self, x):
-        return x < self.p
-
     def to_base(self, x):
         if x >= self.p:
             raise ValueError(f"code {x} is not in the prime subfield")

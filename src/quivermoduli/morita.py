@@ -25,7 +25,7 @@ from .descent import (
     modified_action_fixes,
     solve_descent_change_of_basis,
 )
-from .errors import InvariantError, SchemaError
+from .errors import InvariantError, NotDecidableError, SchemaError
 from .galois import QuadraticPair
 from .homs import end_dim, hom_space
 from .linalg import Mat
@@ -270,7 +270,7 @@ def validate_twisted(twisted):
             problems.append(
                 f"declared index {twisted.index} but the class has index {declared_index}"
             )
-    except Exception as exc:  # NotDecidable propagates as a diagnostic
+    except NotDecidableError as exc:
         problems.append(f"class index undecided: {exc}")
     return (not problems, problems)
 

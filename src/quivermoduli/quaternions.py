@@ -88,9 +88,6 @@ class QuaternionAlgebra(Ring):
         z = Fraction(0)
         return (Fraction(q), z, z, z)
 
-    def scalar_part(self, x):
-        return x[0]
-
     def left_mul_matrix(self, c):
         """4x4 rational matrix (rows) of y -> c*y on coordinate columns."""
         basis = (self.one, self.i, self.j, self.k)

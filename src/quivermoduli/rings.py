@@ -41,9 +41,6 @@ class Ring:
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 
-    def div(self, x, y):
-        return self.mul(x, self.inv(y))
-
     def from_int(self, n):
         raise NotImplementedError
 
@@ -182,12 +179,6 @@ class QuadraticField(Ring):
 
     def from_rational(self, q):
         return (Fraction(q), Fraction(0))
-
-    def rational_part(self, x):
-        return x[0]
-
-    def is_rational(self, x):
-        return x[1] == 0
 
     def random(self, rng):
         return (

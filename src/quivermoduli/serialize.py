@@ -146,6 +146,8 @@ def datum_from_json(data):
         u_data = data["u"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad descent datum: {exc}") from exc
+    if lam == pair.base.zero:
+        raise SchemaError("bad descent datum: lambda must be nonzero")
     u = {}
     for v in rep.quiver.vertices:
         if v not in u_data:

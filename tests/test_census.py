@@ -17,6 +17,7 @@ from quivermoduli import (
     kronecker_quiver,
     verify_descent_census,
 )
+from quivermoduli import census
 from quivermoduli.census import (
     GEOM_STABLE,
     STABLE_NOT_SCHUR,
@@ -35,7 +36,7 @@ from quivermoduli.census import (
     stable_orbit_census,
 )
 from quivermoduli.config import JobConfig
-from quivermoduli.errors import BudgetExceededError
+from quivermoduli.errors import BudgetExceededError, InvariantError, SchemaError
 from quivermoduli.quiver import base_change
 from quivermoduli.stability import enumerate_subreps, stability_verdict
 
@@ -108,8 +109,8 @@ def test_kernel_matches_generic_verdicts():
 
 
 def test_union_find_and_canonical_counts_agree():
-    # the census itself raises InvariantError if the two counters disagree;
-    # run a few non-trivial spaces through it
+    # the census itself raises InvariantError unless every union-find orbit
+    # has |G| / (q^dim End - 1) points; run a few non-trivial spaces through it
     for quiver, dims, theta, q in (
         (K2, {"s": 1, "t": 1}, THETA, 5),
         (K2, {"s": 2, "t": 1}, THETA, 3),
@@ -117,6 +118,48 @@ def test_union_find_and_canonical_counts_agree():
     ):
         cen = orbit_census(quiver, dims, theta, GF(q), CFG)
         assert cen.canonical_count == len(cen.orbit_category)
+
+
+def test_orbit_stabilizer_check_catches_wrong_end(monkeypatch):
+    real = census._end_dim_point
+    calls = []
+
+    def one_too_many(*args):
+        calls.append(args)
+        return real(*args) + (len(calls) == 1)
+
+    monkeypatch.setattr(census, "_end_dim_point", one_too_many)
+    with pytest.raises(InvariantError):
+        orbit_census(K2, {"s": 1, "t": 1}, THETA, GF(3), CFG)
+
+
+def test_orbit_stabilizer_check_catches_lost_generator(monkeypatch):
+    # without the transvection E_01 at s the generators at s are lower
+    # triangular, so the union-find splits the one geometrically stable orbit.
+    # (A lost generator shows only where it and Aut W together fall short of
+    # G: at (2,2) over F_3 every stable orbit has Aut W = F_9^x, which
+    # completes any one generator's loss.)
+    real = census._generator_tables
+    monkeypatch.setattr(census, "_generator_tables", lambda *args: real(*args)[1:])
+    with pytest.raises(InvariantError):
+        orbit_census(K2, {"s": 2, "t": 1}, THETA, GF(3), CFG)
+
+
+def test_end_dim_runs_once_per_orbit(monkeypatch):
+    real = census._end_dim_point
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(census, "_end_dim_point", counted)
+    for quiver, dims, q in ((K2, {"s": 2, "t": 1}, 3), (K2, {"s": 2, "t": 2}, 3)):
+        calls.clear()
+        cen = orbit_census(quiver, dims, THETA, GF(q), CFG)
+        assert len(calls) == len(cen.orbit_category) > 0
+        assert [args[0] for args in calls] == cen.representatives
+    assert cen.counts[STABLE_NOT_SCHUR] > 0
 
 
 def test_memoized_action_matches_representation_act():
@@ -218,6 +261,10 @@ def test_polynomiality_fit():
 
     fit = census_polynomiality(J, {"v": 2}, {"v": 0}, [2, 3], CFG)
     assert fit.counts == [0, 0]
+
+    # a repeated q leaves the interpolation undefined
+    with pytest.raises(SchemaError):
+        census_polynomiality(K2, {"s": 1, "t": 1}, THETA, [2, 2], CFG)
     assert fit.coefficients == [Fraction(0)]
 
 

@@ -24,10 +24,11 @@ from quivermoduli.descent import (
     modified_action_fixes,
     type_map_of_datum,
 )
-from quivermoduli.errors import InvariantError
+from quivermoduli.errors import InvariantError, NotGeometricallyStableError
 from quivermoduli.homs import apply_hom, is_isomorphic
 from quivermoduli.quiver import base_change
 from quivermoduli.rings import gaussian_rationals
+from quivermoduli.stability import UNSTABLE
 
 from helpers import gimat, kronecker_rep, quaternionic_kronecker_example
 
@@ -100,8 +101,9 @@ def test_solve_modifying_u_not_fixed():
 def test_solve_modifying_u_rejects_unstable():
     pair = GaloisPair.finite(2, 2)
     w = Representation.zero_maps(kronecker_quiver(2), pair.ext, {"s": 1, "t": 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(NotGeometricallyStableError) as err:
         solve_modifying_u(w, pair, THETA, CFG)
+    assert err.value.verdict == UNSTABLE
 
 
 def test_type_map_examples():

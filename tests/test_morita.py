@@ -13,7 +13,8 @@ from quivermoduli import (
 )
 from quivermoduli.config import JobConfig
 from quivermoduli.descent import solve_modifying_u
-from quivermoduli.errors import SchemaError
+from quivermoduli import morita
+from quivermoduli.errors import InvariantError, SchemaError
 from quivermoduli.morita import (
     TwistedRep,
     division_form,
@@ -170,6 +171,25 @@ def test_twisted_rep_validate_and_dim():
     wrong_scalar = TwistedRep(pair, rep, ident, Fraction(-1), 2)
     ok, problems = validate_twisted(wrong_scalar)
     assert not ok
+
+
+def test_validate_twisted_reports_undecided_class(monkeypatch):
+    # norm membership in Q(sqrt(2))/Q is not decided, so neither is the index
+    pair = GaloisPair.quadratic(2)
+    L = pair.ext
+    rep = Representation(jordan_quiver(), L, {"v": 1}, {"loop": Mat(L, ((L.one,),))})
+    tw = TwistedRep(pair, rep, {"v": Mat.identity(L, 1)}, Fraction(1), 1)
+    ok, problems = validate_twisted(tw)
+    assert not ok
+    assert len(problems) == 1 and problems[0].startswith("class index undecided")
+
+    # any other failure is a bug, not a diagnostic
+    def broken(lam, pair):
+        raise InvariantError("broken")
+
+    monkeypatch.setattr(morita, "brauer_class", broken)
+    with pytest.raises(InvariantError):
+        validate_twisted(tw)
 
 
 def test_validate_twisted_under_scalar_moves():

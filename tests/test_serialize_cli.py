@@ -88,6 +88,12 @@ def test_datum_and_twisted_round_trips():
     tw2 = twisted_from_json(twisted_to_json(tw))
     assert tw2.rep == tw.rep and tw2.index == 2
 
+    # a cocycle scalar of an invertible u is a unit
+    zero = twisted_to_json(tw)
+    zero["lambda"] = pair.base.to_json(pair.base.zero)
+    with pytest.raises(SchemaError):
+        twisted_from_json(zero)
+
 
 def write_json(tmp_path, name, payload):
     path = tmp_path / name
@@ -180,6 +186,20 @@ def test_cli_typemap_not_fixed(tmp_path, capsys):
     assert code == 0  # mathematically negative answers are still success
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "orbit not Galois-fixed"
+
+
+def test_cli_typemap_not_geom_stable(tmp_path, capsys):
+    w = Representation.zero_maps(kronecker_quiver(2), gaussian_rationals(), {"s": 1, "t": 1})
+    path = write_json(tmp_path, "rep.json", rep_to_json(w))
+    code = main([
+        "--format", "json",
+        "typemap", path,
+        "--pair", '{"type":"quadratic","m":-1}',
+        "--theta", '{"s":1,"t":-1}',
+    ])
+    assert code == 0  # mathematically negative answers are still success
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "not geometrically stable: unstable"
 
 
 def test_cli_descend_subcommand(tmp_path, capsys):
