@@ -1,19 +1,27 @@
 """Desk-scale censuses: orbit counting, descent verification, and
 classification of rational points by Brauer type.
 
-The enumeration core works on integer-encoded matrices with the field's
-operations bound to locals, which keeps full scans of rep spaces like
-F_4^8 in the seconds range.  Stability is decided by the closure engine of
-the stability module, built once per census: each slope group's index
-tuples are listed once, subspace membership verdicts are shared by all
-points, and when the quiver has more than one arrow each arrow matrix keeps
-its image codes across points.
+The orbit census is a slice census.  One arrow a0, the first non-loop
+arrow with the largest d_src d_dst, is put in normal form: G_d acts
+transitively on its rank-r matrices, so every orbit meets exactly one slice
+S_r = {M_a0 = J_r}, J_r = [[I_r, 0], [0, 0]], and meets it in one orbit of
+the stabilizer H_r.  Only the slices are scanned, which turns the 65,536
+points of K2 (2,2) over F_4 into 768.  A quiver with no such arrow has one
+slice, the whole space, with H = G_d.
 
-Orbits are counted by union-find over group generators, and each orbit's
-size is checked by orbit-stabilizer against dim End, computed once per orbit.
-Within one census each generator acts once per distinct arrow matrix: every
-(generator, arrow) pair has a lazily filled memo M -> g_dst M g_src^-1,
-shared by arrows with the same ends.
+The scan works on integer-encoded matrices with the field's operations
+bound to locals.  Stability is decided by the closure engine of the
+stability module, built once per census: each slope group's index tuples
+are listed once, subspace membership verdicts are shared by all points, and
+when the quiver has more than one arrow each arrow matrix keeps its image
+codes across points.
+
+Orbits are counted by union-find over generators of H_r, and each orbit's
+size is checked by orbit-stabilizer against |H_r| and dim End, computed once
+per orbit.  Within one census each generator acts once per distinct arrow
+matrix: every (generator, arrow) pair has a lazily filled memo
+M -> g_dst M g_src^-1, shared by arrows with the same ends.  A point outside
+the slices is looked up by row-reducing its a0 matrix to J_r first.
 Single-loop quivers additionally route through similarity classes
 (companion blocks of prime-power polynomials, with the monic irreducibles
 found by a sieve), which covers spaces too large to scan pointwise.
@@ -171,21 +179,21 @@ def _all_matrices(field, nrows, ncols):
     return [tuple(rows) for rows in product(rows_choices, repeat=nrows)]
 
 
-def _all_points(quiver, dims, field):
-    """Every point of the rep space; arrows of one shape share a matrix list."""
+def _all_points(quiver, dims, field, fixed=None):
+    """Every point of the rep space whose arrow k matrix is fixed[k]; arrows
+    of one shape share a matrix list."""
+    fixed = fixed or {}
     by_shape = {}
     per_arrow = []
-    for a in quiver.arrows:
+    for k, a in enumerate(quiver.arrows):
         shape = (dims[a.dst], dims[a.src])
+        if k in fixed:
+            per_arrow.append([fixed[k]])
+            continue
         if shape not in by_shape:
             by_shape[shape] = _all_matrices(field, *shape)
         per_arrow.append(by_shape[shape])
     return product(*per_arrow)
-
-
-def _point_count(quiver, dims, q):
-    entries = sum(dims[a.dst] * dims[a.src] for a in quiver.arrows)
-    return q**entries
 
 
 class _UnionFind:
@@ -210,16 +218,33 @@ class _UnionFind:
         if rx != ry:
             self.parent[rx] = ry
 
-    def roots(self):
-        return {self.find(x) for x in self.parent}
+
+# ---------------------------------------------------------------------------
+# slices: one normal form of the largest arrow
 
 
-def _generator_tables(quiver, dims, field):
-    """Group generators (g, g^-1, memos); memos[k] maps arrow k's matrix rows
-    M to the rows of g_dst M g_src^-1, filled lazily and shared by arrows
-    with the same (src, dst)."""
+def _slice_arrow(quiver, dims):
+    """Index of the first non-loop arrow with the largest d_src d_dst > 0,
+    or None when there is none."""
+    best, size = None, 0
+    for k, a in enumerate(quiver.arrows):
+        if a.src != a.dst and dims[a.src] * dims[a.dst] > size:
+            best, size = k, dims[a.src] * dims[a.dst]
+    return best
+
+
+def _normal_form(field, m, n, r):
+    """J_r = [[I_r, 0], [0, 0]] as m x n row tuples."""
+    one, zero = field.one, field.zero
+    return tuple(tuple(one if i == j < r else zero for j in range(n)) for i in range(m))
+
+
+def _generator_tables(quiver, dims, field, a0=None, r=0):
+    """Generators of H_r (of G_d with no a0) as (g, g^-1, memos); memos[k]
+    maps arrow k's matrix rows M to the rows of g_dst M g_src^-1, filled
+    lazily and shared by arrows with the same (src, dst)."""
     gens = []
-    for g, ginv in group_generators(quiver, field, dims):
+    for g, ginv in group_generators(quiver, field, dims, a0, r):
         by_ends = {}
         memos = [by_ends.setdefault((a.src, a.dst), {}) for a in quiver.arrows]
         gens.append((g, ginv, memos))
@@ -238,12 +263,110 @@ def _apply_generator(point, gen, quiver, field):
     return tuple(out)
 
 
+def _group_order(dims, q):
+    """|G_d(F_q)| = prod_v prod_{i < d_v} (q^{d_v} - q^i)."""
+    return prod(q**d - q**i for d in dims.values() for i in range(d))
+
+
+def _slices(quiver, dims, field, k):
+    """[(fixed, |H|, r)] for each slice: the rank-r normal form J_r of
+    arrow k and its stabilizer's order, or the whole space and |G_d| when k
+    is None.
+
+    G_d acts transitively on the m x n matrices of rank r, of which there
+    are prod_{i<r} (q^m - q^i)(q^n - q^i) / (q^r - q^i), so
+    |H_r| = |G_d| / that number.
+    """
+    q = field.size
+    order = _group_order(dims, q)
+    if k is None:
+        return [({}, order, 0)]
+    a = quiver.arrows[k]
+    n, m = dims[a.src], dims[a.dst]
+    out = []
+    for r in range(min(m, n) + 1):
+        num = prod((q**m - q**i) * (q**n - q**i) for i in range(r))
+        den = prod(q**r - q**i for i in range(r))
+        out.append(({k: _normal_form(field, m, n, r)}, order * den // num, r))
+    return out
+
+
+def _slice_orbits(quiver, dims, field, config, keep=None):
+    """Union-find over the slice points that keep accepts (all when None).
+
+    Each slice is scanned in product order and its kept points are joined
+    along the generators of its stabilizer H_r; every generator image must
+    be a kept point of the same slice, or InvariantError.  Returns the
+    union-find and, per orbit, (minimum, size, root, |H_r|), sorted by
+    minimum.
+    """
+    k = _slice_arrow(quiver, dims)
+    slices = _slices(quiver, dims, field, k)
+    entries = sum(dims[a.dst] * dims[a.src] for a in quiver.arrows)
+    if k is not None:
+        a = quiver.arrows[k]
+        entries -= dims[a.dst] * dims[a.src]
+    npoints = len(slices) * field.size**entries
+    if npoints > config.max_orbit_points:
+        raise BudgetExceededError(
+            f"slices have {npoints} points (budget {config.max_orbit_points})",
+            estimate=npoints,
+        )
+    a0 = None if k is None else quiver.arrows[k]
+    uf = _UnionFind()
+    orbits = []
+    for fixed, order, r in slices:
+        # a dict, not a set: scan order fixes the union-find's roots
+        points = _all_points(quiver, dims, field, fixed)
+        kept = dict.fromkeys(points if keep is None else filter(keep, points))
+        for point in kept:
+            uf.add(point)
+        for gen in _generator_tables(quiver, dims, field, a0, r):
+            for point in kept:
+                image = _apply_generator(point, gen, quiver, field)
+                if image not in kept:
+                    raise InvariantError(f"a generator of H_{r} maps {point} out of the kept points")
+                uf.union(point, image)
+        members = {}
+        for point in kept:
+            members.setdefault(uf.find(point), []).append(point)
+        orbits += [(min(ps), len(ps), root, order) for root, ps in members.items()]
+    orbits.sort()
+    return uf, orbits, k
+
+
+def _to_slice(point, quiver, dims, field, k):
+    """A point of the G_d-orbit of point whose arrow k matrix is J_r.
+
+    Row reduction [M | I] -> [R | P] gives P M = R in reduced echelon form;
+    g_src stacks R's r nonzero rows over the unit rows e_j of the non-pivot
+    columns, so R = J_r g_src and (P, g_src) . M = J_r.
+    """
+    if k is None:
+        return point
+    a = quiver.arrows[k]
+    n, m = dims[a.src], dims[a.dst]
+    aug, pivots = Mat(field, point[k], (m, n)).hstack(Mat.identity(field, m)).rref()
+    r = sum(1 for c in pivots if c < n)
+    if point[k] == _normal_form(field, m, n, r):
+        return point
+    zero, one = field.zero, field.one
+    src_rows = [row[:n] for row in aug.rows[:r]]
+    src_rows += [tuple(one if i == j else zero for i in range(n)) for j in range(n) if j not in pivots]
+    g = {v: Mat.identity(field, dims[v]) for v in quiver.vertices}
+    g[a.dst] = Mat(field, [row[n:] for row in aug.rows], (m, m))
+    g[a.src] = Mat(field, src_rows, (n, n))
+    return _encode_rep(_decode_rep(quiver, field, dims, point).act(g))
+
+
 @dataclass
 class OrbitCensus:
     """Stable orbits of one rep space, with category counts and orbit lookup.
 
     `counts` covers the two stable categories only; non-stable points never
-    enter the orbit structure.
+    enter the orbit structure.  The union-find holds the stable points of
+    the slices only; orbit_id and same_orbit first move a point into its
+    slice.
     """
 
     quiver: object
@@ -253,18 +376,19 @@ class OrbitCensus:
     counts: Dict[str, int]
     orbit_category: Dict[object, str]  # union-find root -> category
     uf: Optional[_UnionFind]
-    representatives: List[object]  # one encoded point per stable orbit
+    representatives: List[object]  # each stable orbit's minimum in its slice
     canonical_count: int  # orbits that passed the orbit-stabilizer check
+    slice_arrow: Optional[int] = None  # arrow index fixed to J_r, if any
 
     @property
     def geom_stable_count(self):
         return self.counts[GEOM_STABLE]
 
     def orbit_id(self, point):
-        return self.uf.find(point)
+        return self.uf.find(_to_slice(point, self.quiver, self.dims, self.field, self.slice_arrow))
 
     def same_orbit(self, p1, p2):
-        return self.uf.find(p1) == self.uf.find(p2)
+        return self.orbit_id(p1) == self.orbit_id(p2)
 
     def geom_stable_representatives(self):
         return [
@@ -273,51 +397,33 @@ class OrbitCensus:
 
 
 def orbit_census(quiver, dims, theta, field, config):
-    """Scan the whole rep space; count stable orbits by category.
+    """Count stable orbits by category with a slice census.
 
-    Each union-find orbit is checked by orbit-stabilizer: End W of a stable
-    W is a field F_{q^e} (King, Quart. J. Math. 45 (1994)), so |orbit|
-    (q^e - 1) = |G_d(F_q)|; e, computed on the orbit's minimum, sets its
-    category.
+    Arrow a0, the first non-loop arrow with the largest d_src d_dst, is
+    put in normal form: G_d acts transitively on its rank-r matrices, so
+    every orbit meets exactly one slice S_r = {M_a0 = J_r} in exactly one
+    orbit of H_r = Stab(J_r).  Each slice's stable points are joined along
+    generators of H_r, and each orbit is checked by orbit-stabilizer: End W
+    of a stable W is a field F_{q^e} (King, Quart. J. Math. 45 (1994)) and
+    Aut W is the stabilizer, so |orbit in S_r| (q^e - 1) = |H_r|; e,
+    computed on the orbit's minimum, sets its category.  Without a non-loop
+    arrow the one slice is the whole space and H = G_d.
     """
-    npoints = _point_count(quiver, dims, field.size)
-    if npoints > config.max_orbit_points:
-        raise BudgetExceededError(
-            f"rep space has {npoints} points (budget {config.max_orbit_points})",
-            estimate=npoints,
-        )
     plan = _build_plan(quiver, dims, theta, field)
-    # a dict, not a set: scan order fixes the union-find's roots
-    stable_points = dict.fromkeys(
-        p for p in _all_points(quiver, dims, field) if _categorize_point(p, plan) == STABLE
+    uf, orbits, k = _slice_orbits(
+        quiver, dims, field, config, keep=lambda p: _categorize_point(p, plan) == STABLE
     )
-    gens = _generator_tables(quiver, dims, field)
-    uf = _UnionFind()
-    for point in stable_points:
-        uf.add(point)
-    for point in stable_points:
-        for gen in gens:
-            image = _apply_generator(point, gen, quiver, field)
-            if image not in stable_points:
-                raise InvariantError("stability is not constant on an orbit")
-            uf.union(point, image)
-    orbits = {}
-    for point in stable_points:
-        orbits.setdefault(uf.find(point), []).append(point)
     q = field.size
-    group_order = prod(q**d - q**i for d in dims.values() for i in range(d))
     counts = {GEOM_STABLE: 0, STABLE_NOT_SCHUR: 0}
     orbit_category = {}
     representatives = []
-    for root, members in orbits.items():
-        rep = min(members)
+    for rep, size, root, order in orbits:
         e = _end_dim_point(rep, quiver, dims, field)
-        if len(members) * (q**e - 1) != group_order:
-            raise InvariantError(f"orbit of {rep} has {len(members)} points, dim End {e}")
+        if size * (q**e - 1) != order:
+            raise InvariantError(f"orbit of {rep} has {size} slice points, dim End {e}")
         orbit_category[root] = cat = GEOM_STABLE if e == 1 else STABLE_NOT_SCHUR
         counts[cat] += 1
         representatives.append(rep)
-    representatives.sort()
     return OrbitCensus(
         quiver,
         dims,
@@ -328,6 +434,7 @@ def orbit_census(quiver, dims, theta, field, config):
         uf,
         representatives,
         len(representatives),
+        k,
     )
 
 
@@ -782,31 +889,14 @@ def all_orbit_representatives(quiver, dims, field, config):
     Group-equivariant properties (HN data, semistability of layers, base
     change behaviour) are constant on orbits, so checking them on these
     representatives checks them for the whole representation space.
-    Single-loop quivers use similarity classes; everything else is a
-    union-find sweep of the full space.
+    Single-loop quivers use similarity classes; everything else is the
+    slice union-find of orbit_census over every slice point, and each
+    orbit is represented by its minimum within its slice.
     """
     if quiver.is_single_loop() and total_dim(dims) > 0:
         return [
             _decode_rep(quiver, field, dims, (rows,))
             for _, rows in similarity_class_reps(field, dims[quiver.vertices[0]])
         ]
-    npoints = _point_count(quiver, dims, field.size)
-    if npoints > config.max_orbit_points:
-        raise BudgetExceededError(
-            f"rep space has {npoints} points (budget {config.max_orbit_points})",
-            estimate=npoints,
-        )
-    gens = _generator_tables(quiver, dims, field)
-    uf = _UnionFind()
-    points = list(_all_points(quiver, dims, field))
-    for point in points:
-        uf.add(point)
-    for point in points:
-        for gen in gens:
-            uf.union(point, _apply_generator(point, gen, quiver, field))
-    reps = {}
-    for point in points:
-        root = uf.find(point)
-        if root not in reps or point < reps[root]:
-            reps[root] = point
-    return [_decode_rep(quiver, field, dims, p) for p in sorted(reps.values())]
+    _, orbits, _ = _slice_orbits(quiver, dims, field, config)
+    return [_decode_rep(quiver, field, dims, rep) for rep, _, _, _ in orbits]

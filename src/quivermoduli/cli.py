@@ -196,9 +196,19 @@ def cmd_typemap(args, config):
     return EXIT_OK
 
 
+def _read_datum(path):
+    """A descent datum from a JSON file; one that fails its own check is bad
+    input, not a broken invariant."""
+    datum = datum_from_json(_read_json(path))
+    try:
+        datum.check()
+    except InvariantError as exc:
+        raise SchemaError(f"bad descent datum: {exc}") from exc
+    return datum
+
+
 def cmd_descend(args, config):
-    datum = datum_from_json(_read_json(args.datum))
-    datum.check()
+    datum = _read_datum(args.datum)
     form, _ = hilbert90_descend(datum, config)
     payload = {"form": rep_to_json(form)}
     if args.out:
@@ -211,8 +221,7 @@ def cmd_descend(args, config):
 
 
 def cmd_divform(args, config):
-    datum = datum_from_json(_read_json(args.datum))
-    datum.check()
+    datum = _read_datum(args.datum)
     drep, prov = division_form(datum, config)
     payload = {"form": rep_to_json(drep), "lambda": str(prov["lambda"])}
     if args.out:

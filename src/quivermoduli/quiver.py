@@ -178,35 +178,64 @@ def base_change(rep, pair):
     return rep.map_entries(pair.embed, pair.ext)
 
 
+def _transvection(ring, n, i, j):
+    rows = [list(r) for r in Mat.identity(ring, n).rows]
+    rows[i][j] = ring.one
+    return Mat(ring, rows, (n, n))
+
+
+def _block_diag(ring, top, bottom):
+    k, n = top.nrows, top.nrows + bottom.nrows
+    rows = [[ring.zero] * n for _ in range(n)]
+    for i, row in enumerate(top.rows):
+        rows[i][:k] = row
+    for i, row in enumerate(bottom.rows):
+        rows[k + i][k:] = row
+    return Mat(ring, rows, (n, n))
+
+
 def generators_of_gln(ring, n):
     """Generators of GL_n over a finite field: transvections and one diagonal."""
-    gens = []
-    one = ring.one
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                rows = [list(r) for r in Mat.identity(ring, n).rows]
-                rows[i][j] = one
-                gens.append(Mat(ring, rows, (n, n)))
+    gens = [_transvection(ring, n, i, j) for i in range(n) for j in range(n) if i != j]
     gamma = ring.multiplicative_generator()
-    if gamma != one and n > 0:
+    if gamma != ring.one and n > 0:
         rows = [list(r) for r in Mat.identity(ring, n).rows]
         rows[0][0] = gamma
         gens.append(Mat(ring, rows, (n, n)))
     return gens
 
 
-def group_generators(quiver, ring, dims):
-    """Generators of prod_v GL_{d_v} as vertex-indexed dicts, with inverses."""
-    out = []
+def group_generators(quiver, ring, dims, a0=None, r=0):
+    """Generators of prod_v GL_{d_v} as vertex-indexed dicts, with inverses.
+
+    With an arrow a0 (d_src = n, d_dst = m), generators of the stabilizer
+    H_r of J_r = [[I_r, 0], [0, 0]] at a0 instead.  g_dst J_r = J_r g_src
+    forces g_src = [[A, 0], [C, D]] and g_dst = [[A, B], [0, D']], so H_r is
+    generated by GL_r acting diagonally on both ends of a0, GL_{n-r} at the
+    source, GL_{m-r} at the target, the lower-left transvections of g_src,
+    the upper-right transvections of g_dst and GL_{d_v} at every other
+    vertex.
+    """
+    eye = {v: Mat.identity(ring, dims[v]) for v in quiver.vertices}
+    parts = []  # {vertex: matrix}, identity elsewhere
+    ends = ()
+    if a0 is not None:
+        ends = (a0.src, a0.dst)
+        n, m = dims[a0.src], dims[a0.dst]
+        i_r, i_n, i_m = (Mat.identity(ring, k) for k in (r, n - r, m - r))
+        for h in generators_of_gln(ring, r):
+            parts.append({a0.src: _block_diag(ring, h, i_n), a0.dst: _block_diag(ring, h, i_m)})
+        parts += [{a0.src: _block_diag(ring, i_r, h)} for h in generators_of_gln(ring, n - r)]
+        parts += [{a0.dst: _block_diag(ring, i_r, h)} for h in generators_of_gln(ring, m - r)]
+        parts += [{a0.src: _transvection(ring, n, i, j)} for i in range(r, n) for j in range(r)]
+        parts += [{a0.dst: _transvection(ring, m, i, j)} for i in range(r) for j in range(r, m)]
     for v in quiver.vertices:
-        n = dims[v]
-        if n == 0:
-            continue
-        for g in generators_of_gln(ring, n):
-            full = {
-                w: (g if w == v else Mat.identity(ring, dims[w])) for w in quiver.vertices
-            }
-            inv = {w: m.inverse() for w, m in full.items()}
-            out.append((full, inv))
-    return out
+        if v not in ends:
+            parts += [{v: h} for h in generators_of_gln(ring, dims[v])]
+    return [
+        (
+            {v: part.get(v, eye[v]) for v in quiver.vertices},
+            {v: part[v].inverse() if v in part else eye[v] for v in quiver.vertices},
+        )
+        for part in parts
+    ]

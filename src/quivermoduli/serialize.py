@@ -175,6 +175,8 @@ def twisted_from_json(data):
         index = int(data["index"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad twisted representation: {exc}") from exc
+    if index < 1:
+        raise SchemaError(f"bad twisted representation: index must be at least 1, got {index}")
     return TwistedRep(datum.pair, datum.rep, datum.u, datum.lam, index)
 
 

@@ -1,4 +1,5 @@
-"""Shared builders for the test suite, and a brute-force stability reference."""
+"""Shared builders for the test suite, a brute-force stability reference
+and the full-scan orbit census as the reference for the slice census."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -13,6 +14,8 @@ from quivermoduli import (
     kronecker_quiver,
     slope,
 )
+from quivermoduli import census
+from quivermoduli.errors import BudgetExceededError, InvariantError
 from quivermoduli.rings import QQ
 from quivermoduli.stability import STABLE, STRICTLY_SEMISTABLE, UNSTABLE
 
@@ -132,3 +135,46 @@ def reference_verdict(rep, theta):
         for w in _reference_closed(rep, e):
             return (UNSTABLE if slope(e, theta) > mu else STRICTLY_SEMISTABLE), w
     return STABLE, None
+
+
+# ---------------------------------------------------------------------------
+# full-scan reference for the orbit census
+
+
+def reference_orbit_census(quiver, dims, theta, field, config):
+    """(counts, canonical_count, sorted categories) from a scan of the whole
+    rep space: every stable point, union-find over generators of G_d, and
+    |orbit| (q^e - 1) = |G_d| for each orbit, e = dim End of its minimum."""
+    npoints = field.size ** sum(dims[a.dst] * dims[a.src] for a in quiver.arrows)
+    if npoints > config.max_orbit_points:
+        raise BudgetExceededError(f"rep space has {npoints} points", estimate=npoints)
+    plan = census._build_plan(quiver, dims, theta, field)
+    stable = dict.fromkeys(
+        p
+        for p in census._all_points(quiver, dims, field)
+        if census._categorize_point(p, plan) == STABLE
+    )
+    uf = census._UnionFind()
+    for point in stable:
+        uf.add(point)
+    for gen in census._generator_tables(quiver, dims, field):
+        for point in stable:
+            image = census._apply_generator(point, gen, quiver, field)
+            if image not in stable:
+                raise InvariantError("stability is not constant on an orbit")
+            uf.union(point, image)
+    orbits = {}
+    for point in stable:
+        orbits.setdefault(uf.find(point), []).append(point)
+    q = field.size
+    order = census._group_order(dims, q)
+    counts = {census.GEOM_STABLE: 0, census.STABLE_NOT_SCHUR: 0}
+    categories = []
+    for members in orbits.values():
+        e = census._end_dim_point(min(members), quiver, dims, field)
+        if len(members) * (q**e - 1) != order:
+            raise InvariantError(f"orbit has {len(members)} points, dim End {e}")
+        cat = census.GEOM_STABLE if e == 1 else census.STABLE_NOT_SCHUR
+        counts[cat] += 1
+        categories.append(cat)
+    return counts, len(orbits), sorted(categories)

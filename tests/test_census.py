@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -43,6 +45,7 @@ from quivermoduli.stability import enumerate_subreps, stability_verdict
 from helpers import (
     gimat,
     quaternionic_kronecker_example,
+    reference_orbit_census,
     reference_subreps,
     reference_verdict,
 )
@@ -120,6 +123,71 @@ def test_union_find_and_canonical_counts_agree():
         assert cen.canonical_count == len(cen.orbit_category)
 
 
+def test_slice_census_matches_full_scan():
+    # K2, K3 and A2 at every d <= (2,2) but (0,0), three thetas, F_2, F_3
+    # and F_4, against the full-scan reference in tests/helpers.py; cells
+    # whose whole space exceeds the reference's budget are skipped on both
+    # sides (K3 (2,2) over F_3 and F_4)
+    ref_cfg = JobConfig(max_orbit_points=70_000)
+    checked = 0
+    for quiver in (K2, kronecker_quiver(3), a2_quiver()):
+        for ds, dt in product(range(3), repeat=2):
+            if ds == dt == 0:
+                continue
+            dims = {"s": ds, "t": dt}
+            for theta, q in product(
+                ({"s": 1, "t": -1}, {"s": 0, "t": 0}, {"s": -1, "t": 1}), (2, 3, 4)
+            ):
+                try:
+                    want = reference_orbit_census(quiver, dims, theta, GF(q), ref_cfg)
+                except BudgetExceededError:
+                    continue
+                cen = orbit_census(quiver, dims, theta, GF(q), CFG)
+                cats = sorted(cen.orbit_category[cen.uf.find(r)] for r in cen.representatives)
+                assert (cen.counts, cen.canonical_count, cats) == want, (quiver, dims, theta, q)
+                checked += 1
+    assert checked == 3 * 8 * 3 * 3 - 2 * 3
+
+
+def test_slice_census_kronecker3_d23():
+    # 262,144 points in the whole space, 12,288 in the slices; 183 orbits
+    # as Reineke's HN recursion gives (Invent. Math. 152 (2003))
+    t0 = time.monotonic()
+    cen = orbit_census(kronecker_quiver(3), {"s": 2, "t": 3}, THETA, GF(2), CFG)
+    assert cen.counts == {GEOM_STABLE: 183, STABLE_NOT_SCHUR: 0}
+    assert time.monotonic() - t0 < 2
+
+
+def test_orbit_id_moves_points_into_their_slice():
+    # g . p for random g in G_d lands outside the slice; orbit_id row-reduces
+    # it back and must find p's orbit, and no other
+    rng = random.Random(11)
+    for quiver, dims, q in (
+        (K2, {"s": 2, "t": 2}, 3),
+        (kronecker_quiver(3), {"s": 1, "t": 2}, 4),
+        (K2, {"s": 2, "t": 1}, 5),
+    ):
+        field = GF(q)
+        cen = orbit_census(quiver, dims, THETA, field, CFG)
+        reps = cen.representatives
+        assert reps
+        moved = 0
+        for p in reps:
+            for _ in range(5):
+                g = {}
+                for v, d in dims.items():
+                    m = None
+                    while m is None or not m.is_invertible():
+                        m = Mat(field, [[rng.randrange(q) for _ in range(d)] for _ in range(d)], (d, d))
+                    g[v] = m
+                image = _encode_rep(_decode_rep(quiver, field, dims, p).act(g))
+                moved += image not in cen.uf.parent
+                assert cen.orbit_id(image) == cen.orbit_id(p)
+                assert cen.same_orbit(image, p)
+                assert [cen.same_orbit(image, r) for r in reps].count(True) == 1
+        assert moved > 0
+
+
 def test_orbit_stabilizer_check_catches_wrong_end(monkeypatch):
     real = census._end_dim_point
     calls = []
@@ -134,13 +202,15 @@ def test_orbit_stabilizer_check_catches_wrong_end(monkeypatch):
 
 
 def test_orbit_stabilizer_check_catches_lost_generator(monkeypatch):
-    # without the transvection E_01 at s the generators at s are lower
-    # triangular, so the union-find splits the one geometrically stable orbit.
-    # (A lost generator shows only where it and Aut W together fall short of
-    # G: at (2,2) over F_3 every stable orbit has Aut W = F_9^x, which
-    # completes any one generator's loss.)
+    # K2 (2,1) puts a1 in normal form.  Its rank-1 slice a1 = [1, 0] holds
+    # the one geometrically stable orbit, six points a2 = [x, y], y != 0.
+    # The last generator of H_1 is the lower-left transvection E_10 at s,
+    # the only one that moves x; without it the union-find splits the orbit
+    # by x.  (A lost generator shows only where it and Aut W together fall
+    # short of H_r: without the diagonal GL_1 of both ends, the scalars in
+    # Aut W make up for it.)
     real = census._generator_tables
-    monkeypatch.setattr(census, "_generator_tables", lambda *args: real(*args)[1:])
+    monkeypatch.setattr(census, "_generator_tables", lambda *args: real(*args)[:-1])
     with pytest.raises(InvariantError):
         orbit_census(K2, {"s": 2, "t": 1}, THETA, GF(3), CFG)
 

@@ -381,3 +381,31 @@ def test_cli_stability_quaternion_rep(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["geometrically_stable"] is True
     assert out["verdict"]["kind"] == "stable"
+
+
+def test_cli_twisted_validate_rejects_index_zero(tmp_path, capsys):
+    rep, pair, theta = quaternionic_kronecker_example()
+    datum = solve_modifying_u(rep, pair, theta, CFG)
+    data = twisted_to_json(TwistedRep(pair, rep, datum.u, datum.lam, 2))
+    data["index"] = 0
+    with pytest.raises(SchemaError):
+        twisted_from_json(data)
+    path = write_json(tmp_path, "tw.json", data)
+    code = main(["--format", "json", "twisted-validate", path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["descend", "divform"])
+def test_cli_datum_with_wrong_lambda_is_a_parse_error(tmp_path, capsys, command):
+    # the Hamilton datum has lambda -1; a stored 3 is bad input (exit 2),
+    # not a broken invariant (exit 5)
+    rep, pair, theta = quaternionic_kronecker_example()
+    data = datum_to_json(solve_modifying_u(rep, pair, theta, CFG))
+    data["lambda"] = "3"
+    path = write_json(tmp_path, "datum.json", data)
+    code = main(["--format", "json", command, path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "lambda" in err
