@@ -3,8 +3,9 @@
 Subcommands: stability | hn | typemap | descend | divform | twisted-validate
 | census.  Exit codes: 0 success (including mathematically negative
 answers), 2 parse errors, 3 budget errors, 4 inconclusive randomized
-searches, 5 internal invariant violations.  Reports embed the config and
-seed; JSON output is byte-stable for a fixed (input, seed, version).
+searches, 5 internal invariant violations, 6 questions no implemented
+procedure decides.  Reports embed the config and seed; JSON output is
+byte-stable for a fixed (input, seed, version).
 """
 
 import argparse
@@ -20,11 +21,13 @@ from .errors import (
     EXIT_BUDGET,
     EXIT_INCONCLUSIVE,
     EXIT_INVARIANT,
+    EXIT_NOT_DECIDABLE,
     EXIT_OK,
     EXIT_PARSE,
     BudgetExceededError,
     InconclusiveError,
     InvariantError,
+    NotDecidableError,
     NotGeometricallyStableError,
     SchemaError,
 )
@@ -349,6 +352,9 @@ def main(argv=None):
     except InvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except NotDecidableError as exc:
+        print(f"not decidable: {exc}", file=sys.stderr)
+        return EXIT_NOT_DECIDABLE
 
 
 if __name__ == "__main__":

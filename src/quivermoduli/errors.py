@@ -59,3 +59,4 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_INVARIANT = 5
+EXIT_NOT_DECIDABLE = 6

@@ -1,12 +1,21 @@
 """Dense exact matrices over a coefficient ring.
 
-Rows are tuples of payloads; the ring object supplies all arithmetic, so the
-same code runs over F_q (int codes), Q (Fraction), Q(sqrt(m)) and quaternion
-algebras.  Shapes are tracked explicitly so zero-row and zero-column
-matrices behave.  Elimination routines require the ring to be a field.
+Rows are tuples of payloads.  Over F_q (int codes) and quaternion algebras
+the ring object supplies all arithmetic, one operation per entry.  Over Q
+and Q(sqrt(m)), `rref` and `@` clear denominators and run on integer
+coordinates (a, b) of a + b sqrt(m), then write reduced `Fraction` payloads
+back; the reduced echelon form is unique and products are exact, so the
+answers are the ones the per-entry loop gives.  Shapes are tracked
+explicitly so zero-row and zero-column matrices behave.  Elimination
+routines require the ring to be a field.
 """
 
+import operator
+from fractions import Fraction
+from math import gcd, lcm
+
 from .errors import NotInvertibleError, SchemaError
+from .rings import QuadraticField, RationalField
 
 
 class Mat:
@@ -135,8 +144,11 @@ class Mat:
         if self.ncols != other.nrows:
             raise SchemaError(f"shape mismatch {self.shape} @ {other.shape}")
         ring = self.ring
+        m = _quadratic_m(ring)
+        if m is not None:
+            return _matmul_coords(ring, m, self, other)
         add, mul, zero = ring.add, ring.mul, ring.zero
-        ocols = list(zip(*other.rows)) if other.rows else []
+        ocols = list(zip(*other.rows)) or [()] * other.ncols
         out = []
         for row in self.rows:
             orow = []
@@ -179,6 +191,9 @@ class Mat:
         ring (quaternions); there, pivot selection skips non-units.
         """
         ring = self.ring
+        m = _quadratic_m(ring)
+        if m is not None:
+            return _rref_coords(ring, m, self)
         zero = ring.zero
         sub, mul, inv = ring.sub, ring.mul, ring.inv
         is_field = ring.is_field
@@ -276,3 +291,136 @@ class Mat:
             return True
         stacked = other.hstack(self)
         return stacked.rank() == other.rank()
+
+
+# --- Q and Q(sqrt(m)) on integer coordinates ---
+#
+# A matrix of payloads is held as integer rows A, B and a positive integer d
+# with entry (i, j) = (A[i][j] + B[i][j] sqrt(m)) / d; over Q, m = 0 and B is
+# all zeros, so one loop serves both rings.  Elimination keeps each row a
+# rational multiple of the row the field algorithm would hold, so the
+# reduced form, which is unique, comes out the same.
+
+
+def _quadratic_m(ring):
+    """m for Q(sqrt(m)), 0 for Q, None for rings on the generic loop."""
+    if isinstance(ring, QuadraticField):
+        return ring.m
+    if isinstance(ring, RationalField):
+        return 0
+    return None
+
+
+def _integer_rows(mat, m):
+    """(A, B, d): integer rows with entry (i, j) = (A[i][j] + B[i][j] sqrt(m)) / d,
+    d the lcm of all denominators."""
+    if m:
+        xs = [[x[0] for x in row] for row in mat.rows]
+        ys = [[x[1] for x in row] for row in mat.rows]
+    else:
+        xs = mat.rows
+        ys = [[0] * mat.ncols for _ in xs]
+    d = lcm(*[x.denominator for row in xs for x in row],
+            *[y.denominator for row in ys for y in row])
+    if d == 1:
+        return [[x.numerator for x in row] for row in xs], [[y.numerator for y in row] for row in ys], 1
+    return (
+        [[x.numerator * (d // x.denominator) for x in row] for row in xs],
+        [[y.numerator * (d // y.denominator) for y in row] for row in ys],
+        d,
+    )
+
+
+_ZERO = Fraction(0)
+
+
+def _payloads(xs, ys, d, m):
+    """The payloads (x_j + y_j sqrt(m)) / d, as reduced Fractions."""
+    zero = _ZERO
+    fx = [Fraction(x, d) if x else zero for x in xs]
+    if not m:
+        return tuple(fx)
+    return tuple(zip(fx, [Fraction(y, d) if y else zero for y in ys]))
+
+
+def _primitive(xs, ys):
+    """The row divided by the gcd of all its integer coordinates."""
+    g = gcd(*xs, *ys)
+    if g > 1:
+        return [x // g for x in xs], [y // g for y in ys]
+    return xs, ys
+
+
+def _rref_coords(ring, m, mat):
+    """Gauss-Jordan by cross-multiplication: row_i <- s*row_i - f*row_r, with
+    the pivot made rational and every row kept primitive (content removed)."""
+    nrows, ncols = mat.shape
+    A, B, _ = _integer_rows(mat, m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for pr in range(r, nrows):
+            if A[pr][c] or B[pr][c]:
+                break
+        else:
+            continue
+        A[r], A[pr] = A[pr], A[r]
+        B[r], B[pr] = B[pr], B[r]
+        ya, yb = A[r], B[r]
+        pa, pb = ya[c], yb[c]
+        if pb:
+            # times conj(pivot): the pivot becomes its norm, a rational integer
+            mpb = m * pb
+            ya, yb = (
+                [pa * x - mpb * y for x, y in zip(ya, yb)],
+                [pa * y - pb * x for x, y in zip(ya, yb)],
+            )
+        A[r], B[r] = ya, yb = _primitive(ya, yb)
+        p = ya[c]
+        support = [j for j in range(c, ncols) if ya[j] or yb[j]]
+        for i in range(nrows):
+            xa, xb = A[i], B[i]
+            fa, fb = xa[c], xb[c]
+            if i == r or not (fa or fb):
+                continue
+            g = gcd(p, fa, fb)
+            s, fa, fb = p // g, fa // g, fb // g
+            mfb = m * fb
+            if s == 1:
+                for j in support:
+                    u, v = ya[j], yb[j]
+                    xa[j] -= fa * u + mfb * v
+                    xb[j] -= fa * v + fb * u
+            else:
+                xa = [s * x - fa * u - mfb * v for x, u, v in zip(xa, ya, yb)]
+                xb = [s * x - fa * v - fb * u for x, u, v in zip(xb, ya, yb)]
+            A[i], B[i] = _primitive(xa, xb)
+        pivots.append(c)
+        r += 1
+    rows = [_payloads(A[i], B[i], A[i][c], m) for i, c in enumerate(pivots)]
+    rows.extend([(ring.zero,) * ncols] * (nrows - r))
+    return Mat(ring, rows, mat.shape), tuple(pivots)
+
+
+def _matmul_coords(ring, m, left, right):
+    """Integer dot products, with the denominators of each factor cleared."""
+    mul = operator.mul
+    A, B, d = _integer_rows(left, m)
+    C, E, f = _integer_rows(right, m)
+    q = d * f
+    cols = list(zip(zip(*C), zip(*E))) or [((), ())] * right.ncols
+    out = []
+    for a, b in zip(A, B):
+        row = []
+        for c, e in cols:
+            x = sum(map(mul, a, c))
+            if m:
+                x += m * sum(map(mul, b, e))
+                y = sum(map(mul, a, e)) + sum(map(mul, b, c))
+                row.append((Fraction(x, q), Fraction(y, q)))
+            else:
+                row.append(Fraction(x, q))
+        out.append(tuple(row))
+    return Mat(ring, out, (left.nrows, right.ncols))

@@ -1,5 +1,7 @@
-"""Shared builders for the test suite, a brute-force stability reference
-and the full-scan orbit census as the reference for the slice census."""
+"""Shared builders for the test suite, the per-entry matrix loops as the
+reference for the integer-coordinate kernel, a brute-force stability
+reference and the full-scan orbit census as the reference for the slice
+census."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -69,6 +71,47 @@ def quaternionic_kronecker_example():
     m3 = gimat([[0, -1], [1, 0]])
     rep = Representation(quiver, Qi, {"s": 2, "t": 2}, {"a1": m1, "a2": m2, "a3": m3})
     return rep, GaloisPair.gaussian(), {"s": 1, "t": -1}
+
+
+# ---------------------------------------------------------------------------
+# per-entry reference for elimination and products
+
+
+def reference_rref(mat):
+    """(rows, pivots): Gauss-Jordan with one ring operation per entry."""
+    ring = mat.ring
+    rows = [list(r) for r in mat.rows]
+    pivots = []
+    r = 0
+    for c in range(mat.ncols):
+        pr = next((i for i in range(r, mat.nrows) if rows[i][c] != ring.zero), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = ring.inv(rows[r][c])
+        rows[r] = [ring.mul(pv, x) for x in rows[r]]
+        for i in range(mat.nrows):
+            f = rows[i][c]
+            if i != r and f != ring.zero:
+                rows[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def reference_matmul(a, b):
+    """Rows of a @ b, one ring operation per term."""
+    ring = a.ring
+    out = []
+    for row in a.rows:
+        orow = []
+        for j in range(b.ncols):
+            acc = ring.zero
+            for k, x in enumerate(row):
+                acc = ring.add(acc, ring.mul(x, b.rows[k][j]))
+            orow.append(acc)
+        out.append(tuple(orow))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from quivermoduli import GF, Mat, hamilton_quaternions
+from quivermoduli import GF, Mat, Representation, hamilton_quaternions, kronecker_quiver
 from quivermoduli.errors import SchemaError
-from quivermoduli.rings import QQ
+from quivermoduli.homs import _field_hom_system
+from quivermoduli.rings import QQ, QuadraticField, gaussian_rationals
 
-from helpers import fmat, qmat
+from helpers import fmat, qmat, reference_matmul, reference_rref
 
 
 def test_shapes_and_empty():
@@ -19,6 +22,14 @@ def test_shapes_and_empty():
     assert (m @ Mat.zero(f, 2, 0)).shape == (2, 0)
     with pytest.raises(SchemaError):
         Mat(f, ((1, 2), (1,)), (2, 2))
+    for ring in (f, QQ, gaussian_rationals()):
+        # an empty inner dimension gives the zero matrix
+        assert Mat.zero(ring, 2, 0) @ Mat.zero(ring, 0, 3) == Mat.zero(ring, 2, 3)
+        assert Mat.zero(ring, 0, 2) @ Mat.identity(ring, 2) == Mat.zero(ring, 0, 2)
+        r, pivots = Mat.zero(ring, 0, 3).rref()
+        assert r.shape == (0, 3) and pivots == ()
+        r, pivots = Mat.zero(ring, 3, 0).rref()
+        assert r.shape == (3, 0) and pivots == ()
 
 
 def test_rref_rank_nullspace_over_f5():
@@ -102,3 +113,108 @@ def test_block_ops():
     assert a.vstack(b).shape == (2, 2)
     assert a.hstack(b).shape == (1, 4)
     assert Mat.scalar(QQ, 2, Fraction(5)).entry(1, 1) == 5
+
+
+# --- the integer-coordinate kernel over Q and Q(sqrt(m)) against the
+# per-entry reference loops ---
+
+FIELDS = [QQ, QuadraticField(-1), QuadraticField(2), QuadraticField(-3), QuadraticField(5)]
+# small, repeated, pairwise coprime and large denominators
+DENOMINATORS = [1, 1, 1, 2, 3, 4, 5, 7, 9, 11, 13, 2**31 - 1, 10**12 + 39]
+
+
+@st.composite
+def rationals(draw):
+    return Fraction(draw(st.integers(-40, 40)), draw(st.sampled_from(DENOMINATORS)))
+
+
+@st.composite
+def elements(draw, ring):
+    if draw(st.integers(0, 3)) == 0:
+        return ring.zero
+    if ring == QQ:
+        return draw(rationals())
+    return (draw(rationals()), draw(rationals()) if draw(st.booleans()) else Fraction(0))
+
+
+@st.composite
+def matrices(draw, ring, nrows=None, ncols=None):
+    if nrows is None:
+        nrows = draw(st.integers(0, 6))
+    if ncols is None:
+        ncols = draw(st.integers(0, 6))
+    rows = [tuple(draw(elements(ring)) for _ in range(ncols)) for _ in range(nrows)]
+    # rank-deficient inputs: rows replaced by repeated or scaled copies of others
+    for _ in range(draw(st.integers(0, 2)) if nrows > 1 else 0):
+        src, dst = draw(st.permutations(range(nrows)))[:2]
+        c = ring.one if draw(st.booleans()) else draw(elements(ring))
+        rows[dst] = tuple(ring.mul(c, x) for x in rows[src])
+    return Mat(ring, rows, (nrows, ncols))
+
+
+@st.composite
+def hom_systems(draw, ring):
+    """The 12 x 8 system hom_space solves for 3-Kronecker (2,2) reps W and
+    g.W, so its kernel is never zero."""
+    w = Representation(
+        kronecker_quiver(3), ring, {"s": 2, "t": 2},
+        {f"a{i}": draw(matrices(ring, 2, 2)) for i in (1, 2, 3)},
+    )
+    o, z = ring.one, ring.zero
+    g = {
+        v: Mat(ring, ((o, draw(elements(ring))), (z, o))) @ Mat(ring, ((o, z), (draw(elements(ring)), o)))
+        for v in ("s", "t")
+    }
+    _, _, rows = _field_hom_system(w, w.act(g))
+    return Mat(ring, rows, (12, 8))
+
+
+fields = st.sampled_from(FIELDS)
+
+
+def _check_rref(m):
+    r, pivots = m.rref()
+    rows, ref_pivots = reference_rref(m)
+    assert r.shape == m.shape
+    assert (r.rows, pivots) == (rows, ref_pivots)
+    flat = [x for row in r.rows for e in row for x in (e if isinstance(e, tuple) else (e,))]
+    assert all(type(x) is Fraction for x in flat)
+
+
+@given(fields.flatmap(matrices))
+def test_rref_matches_reference(m):
+    _check_rref(m)
+
+
+@given(fields.flatmap(hom_systems))
+def test_rref_matches_reference_on_hom_systems(m):
+    _check_rref(m)
+    assert m.rank() < 8
+
+
+@given(fields, st.data())
+def test_matmul_matches_reference(ring, data):
+    a = data.draw(matrices(ring))
+    b = data.draw(matrices(ring, a.ncols, data.draw(st.integers(0, 5))))
+    prod = a @ b
+    assert prod.shape == (a.nrows, b.ncols)
+    assert prod.rows == reference_matmul(a, b)
+
+
+@given(fields, st.data())
+def test_inverse_solve_nullspace_multiply_back(ring, data):
+    n = data.draw(st.integers(0, 5))
+    m = data.draw(matrices(ring, n, n))
+    rank = len(reference_rref(m)[1])
+    assert m.rank() == rank
+    for vec in m.nullspace():
+        assert (m @ Mat.from_cols(ring, [vec], m.ncols)).is_zero()
+    assert len(m.nullspace()) == m.ncols - rank
+    inv = m.inverse()
+    assert (inv is not None) == (rank == n)
+    if inv is not None:
+        assert m @ inv == Mat.identity(ring, n) == inv @ m
+    x0 = Mat.from_cols(ring, [tuple(ring.from_int(j - i) for i in range(m.ncols)) for j in range(2)], m.ncols)
+    rhs = m @ x0
+    x = m.solve(rhs)
+    assert x is not None and m @ x == rhs

@@ -409,3 +409,21 @@ def test_cli_datum_with_wrong_lambda_is_a_parse_error(tmp_path, capsys, command)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and "lambda" in err
+
+
+@pytest.mark.parametrize("command", ["descend", "divform"])
+def test_cli_not_decidable_exits_6(tmp_path, capsys, command):
+    # norm membership in Q(sqrt(2))/Q has no decision procedure here
+    pair = GaloisPair.quadratic(2)
+    L = pair.ext
+    rep = Representation(
+        kronecker_quiver(3), L, {"s": 1, "t": 1},
+        {f"a{i}": Mat(L, ((L.from_int(i),),)) for i in (1, 2, 3)},
+    )
+    u = {v: Mat.identity(L, 1) for v in ("s", "t")}
+    datum = DescentDatum(rep, u, QQ.one, pair)
+    path = write_json(tmp_path, "datum.json", datum_to_json(datum))
+    code = main(["--format", "json", command, path])
+    assert code == 6
+    err = capsys.readouterr().err
+    assert err.startswith("not decidable:") and "Traceback" not in err
