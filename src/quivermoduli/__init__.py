@@ -11,7 +11,6 @@ from .descent import (
     solve_modifying_u,
     twist,
     type_map,
-    verify_modified_action_fixed,
 )
 from .errors import (
     BudgetExceededError,

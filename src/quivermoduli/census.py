@@ -40,7 +40,7 @@ from .brauer import brauer_class
 from .config import JobConfig
 from .descent import solve_modifying_u, hilbert90_descend
 from .errors import BudgetExceededError, InvariantError, SchemaError
-from .ffields import GF
+from .ffields import GF, _poly_trim
 from .galois import GaloisPair
 from .homs import is_isomorphic
 from .linalg import Mat
@@ -62,42 +62,6 @@ STABLE_NOT_SCHUR = "stable_not_schur"
 
 # ---------------------------------------------------------------------------
 # stability and End of encoded points
-
-
-def _k_rank(rows, field):
-    """Rank by destructive forward elimination on a list of row lists."""
-    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rows and col < ncols:
-        pr = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pr = i
-                break
-        if pr is None:
-            col += 1
-            continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        piv = rows[rank]
-        pinv = inv(piv[col])
-        if piv[col] != field.one:
-            piv = [mul(pinv, x) for x in piv]
-            rows[rank] = piv
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                nf = neg(f)
-                rows[i] = [add(x, mul(nf, y)) for x, y in zip(rows[i], piv)]
-        rank += 1
-        col += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 @dataclass
@@ -161,9 +125,7 @@ def _end_dim_point(point, quiver, dims, field):
                         idx = offsets[vt] + k * dt + j
                         row[idx] = sub_(row[idx], c)
                 rows.append(row)
-    if not rows:
-        return total
-    return total - _k_rank(rows, field)
+    return total - Mat(field, rows, (len(rows), total)).rank()
 
 
 def _decode_rep(quiver, ring, dims, point):
@@ -441,12 +403,6 @@ def orbit_census(quiver, dims, theta, field, config):
 # ---------------------------------------------------------------------------
 # similarity classes for single-loop quivers
 
-def _fpoly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _fpoly_mul(a, b, field):
     if not a or not b:
         return []
@@ -457,7 +413,7 @@ def _fpoly_mul(a, b, field):
             for j, bj in enumerate(b):
                 if bj:
                     out[i + j] = add(out[i + j], mul(ai, bj))
-    return _fpoly_trim(out)
+    return _poly_trim(out)
 
 
 def monic_irreducibles(field, max_degree):

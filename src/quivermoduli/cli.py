@@ -199,19 +199,27 @@ def cmd_typemap(args, config):
     return EXIT_OK
 
 
-def _read_datum(path):
-    """A descent datum from a JSON file; one that fails its own check is bad
-    input, not a broken invariant."""
+def _read_datum(path, trivial):
+    """A descent datum from a JSON file.  One that fails its own check is bad
+    input, not a broken invariant, and so is one whose Brauer class is not
+    the kind the subcommand takes (trivial for descend, not for divform)."""
     datum = datum_from_json(_read_json(path))
     try:
         datum.check()
     except InvariantError as exc:
         raise SchemaError(f"bad descent datum: {exc}") from exc
+    cls = brauer_class(datum.lam, datum.pair)
+    if cls.is_trivial != trivial:
+        other = "divform" if trivial else "descend"
+        raise SchemaError(
+            f"class {cls.describe()} is {'not ' if trivial else ''}trivial; "
+            f"use the {other} subcommand"
+        )
     return datum
 
 
 def cmd_descend(args, config):
-    datum = _read_datum(args.datum)
+    datum = _read_datum(args.datum, trivial=True)
     form, _ = hilbert90_descend(datum, config)
     payload = {"form": rep_to_json(form)}
     if args.out:
@@ -224,7 +232,7 @@ def cmd_descend(args, config):
 
 
 def cmd_divform(args, config):
-    datum = _read_datum(args.datum)
+    datum = _read_datum(args.datum, trivial=False)
     drep, prov = division_form(datum, config)
     payload = {"form": rep_to_json(drep), "lambda": str(prov["lambda"])}
     if args.out:

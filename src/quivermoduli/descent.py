@@ -7,6 +7,11 @@ scalar lambda in k^x, and the Brauer class of the cyclic algebra
 (L/k, sigma, lambda) is the type of the orbit.  Trivial classes descend to
 k-forms through an explicit Hilbert-90 resolvent; nontrivial quadratic
 classes produce representations over the quaternion algebra (m, lambda)_Q.
+
+Descent and the change of basis onto the standard quaternionic form share
+one Hilbert-90 average (Serre, Local Fields, X Prop. 3).  Its resolvents
+after the identity are drawn over all of L: over Q(sqrt(m)) a rational c
+gives the singular average (I + u) c whenever u has eigenvalue -1.
 """
 
 from dataclasses import dataclass, field
@@ -65,18 +70,6 @@ class DescentDatum:
         return DescentDatum(self.rep, u2, lam2, pair, dict(self.provenance))
 
 
-def modified_action_fixes(rep, u, pair):
-    """Whether Phi^u_sigma(W) = u . sigma(W) equals W entrywise."""
-    for a in rep.quiver.arrows:
-        m = rep.mats[a.name]
-        tw = m.map(pair.sigma)
-        lhs = u[a.dst] @ tw
-        rhs = m @ u[a.src]
-        if lhs != rhs:
-            return False
-    return True
-
-
 def modified_action_failures(rep, u, pair):
     """Arrow names where the modified action fails to fix W."""
     bad = []
@@ -87,9 +80,9 @@ def modified_action_failures(rep, u, pair):
     return bad
 
 
-def verify_modified_action_fixed(rep, u, pair):
-    """Membership test for the fixed locus of the u-modified Galois action."""
-    return modified_action_fixes(rep, u, pair)
+def modified_action_fixes(rep, u, pair):
+    """Whether Phi^u_sigma(W) = u . sigma(W) equals W entrywise."""
+    return not modified_action_failures(rep, u, pair)
 
 
 def cochain_products(u, pair):
@@ -202,66 +195,52 @@ def type_map(rep, pair, theta, config):
     return type_map_of_datum(datum)
 
 
-def _random_matrix(ring, nrows, ncols, rng):
-    if ring.is_finite:
-        return Mat(
-            ring,
-            tuple(
-                tuple(rng.randrange(ring.size) for _ in range(ncols))
-                for _ in range(nrows)
-            ),
-            (nrows, ncols),
-        )
-    return Mat(
-        ring,
-        tuple(
-            tuple(ring.from_int(rng.randint(-4, 4)) for _ in range(ncols))
-            for _ in range(nrows)
-        ),
-        (nrows, ncols),
+def _average(u_from, u_to, pair, config, label):
+    """h with h u_from sigma(h)^{-1} = u_to, for cocycles with one scalar.
+
+    T(c) = u_to sigma(c) u_from^{-1} has T^i(c) =
+    (u_to)_{sigma^i} sigma^i(c) ((u_from)_{sigma^i})^{-1} and T^n(c) =
+    lambda c lambda^{-1} = c, so the average h = c + T(c) + ... + T^{n-1}(c)
+    is T-fixed, which is the claim; it is invertible for c off a proper
+    Zariski-closed subset of M_n(L).  The identity resolvent goes first, for
+    a deterministic result whenever it works (it fails e.g. when
+    char | degree); then c is drawn entrywise from L.  Every output is
+    verified; exhaustion raises InconclusiveError with the seed.
+    """
+    ext = pair.ext
+    inv_from = {v: m.inverse() for v, m in u_from.items()}
+    rng = config.rng(label)
+    for attempt in range(config.h90_retries):
+        h = {}
+        for v, target in u_to.items():
+            n = target.nrows
+            if attempt == 0:
+                c = Mat.identity(ext, n)
+            else:
+                entries = [[ext.random(rng) for _ in range(n)] for _ in range(n)]
+                c = Mat(ext, entries, (n, n))
+            term = acc = c
+            for _ in range(1, pair.degree):
+                term = target @ term.map(pair.sigma) @ inv_from[v]
+                acc = acc + term
+            if n and not acc.is_invertible():
+                break
+            h[v] = acc
+        else:
+            for v, hv in h.items():
+                if hv @ u_from[v] @ hv.map(pair.sigma).inverse() != u_to[v]:
+                    raise InvariantError(f"{label}: the average does not reach the target")
+            return h
+    raise InconclusiveError(
+        f"no invertible Hilbert-90 average ({label}) in {config.h90_retries} attempts",
+        seed=config.seed,
     )
 
 
 def hilbert90_split(u, pair, config, label="hilbert90"):
-    """g with u = g sigma(g)^{-1}, for a 1-cocycle u (cyclic product = 1).
-
-    Classical averaging: g = sum_i u_{sigma^i} sigma^i(c) for a random
-    resolvent c, retried until g is invertible.  The output is verified, so
-    randomness cannot produce a wrong answer; exhaustion raises
-    InconclusiveError with the seed.
-    """
-    ext = pair.ext
-    prods = cochain_products(u, pair)
-    rng = config.rng(label)
-    dims = {v: u[v].nrows for v in u}
-    for attempt in range(config.h90_retries):
-        g = {}
-        ok = True
-        for v in u:
-            acc = Mat.zero(ext, dims[v], dims[v])
-            # identity resolvent first, for a deterministic result whenever
-            # it happens to be invertible (it fails e.g. when char | degree)
-            if attempt == 0:
-                c = Mat.identity(ext, dims[v])
-            else:
-                c = _random_matrix(ext, dims[v], dims[v], rng)
-            for i in range(pair.degree):
-                acc = acc + prods[i][v] @ c.map(lambda x: pair.sigma(x, i))
-            g[v] = acc
-            if dims[v] and not acc.is_invertible():
-                ok = False
-                break
-        if not ok:
-            continue
-        for v in u:
-            sg_inv = g[v].map(pair.sigma).inverse()
-            if g[v] @ sg_inv != u[v]:
-                raise InvariantError("averaging produced g with g sigma(g)^-1 != u")
-        return g
-    raise InconclusiveError(
-        f"no invertible Hilbert-90 resolvent in {config.h90_retries} attempts",
-        seed=config.seed,
-    )
+    """g with u = g sigma(g)^{-1}, for a 1-cocycle u (cyclic product = 1)."""
+    ident = {v: Mat.identity(pair.ext, m.nrows) for v, m in u.items()}
+    return _average(ident, u, pair, config, label)
 
 
 def hilbert90_descend(datum, config):
@@ -296,42 +275,8 @@ def hilbert90_descend(datum, config):
 
 
 def solve_descent_change_of_basis(u, u_target, pair, config, label="cob"):
-    """h with h u sigma(h)^{-1} = u_target, via the same averaging trick.
-
-    Requires both modifying elements to have the same cocycle scalar; then
-    T(c) = u_target sigma(c) u^{-1} satisfies T^2 = id (degree 2) and
-    h = c + T(c) is a fixed point, retried until invertible.
-    """
-    if pair.degree != 2:
-        raise NotImplementedError("change of basis implemented for degree-2 pairs")
-    ext = pair.ext
-    rng = config.rng(label)
-    uinv = {v: m.inverse() for v, m in u.items()}
+    """h with h u sigma(h)^{-1} = u_target, for two modifying elements with
+    the same cocycle scalar, by the same averaging as hilbert90_split."""
     if u == u_target:
-        return {v: Mat.identity(ext, m.nrows) for v, m in u.items()}
-    for attempt in range(config.h90_retries):
-        h = {}
-        ok = True
-        for v in u:
-            n = u[v].nrows
-            if attempt == 0:
-                c = Mat.identity(ext, n)
-            else:
-                c = _random_matrix(ext, n, n, rng)
-            t_c = u_target[v] @ c.map(pair.sigma) @ uinv[v]
-            hv = c + t_c
-            if n and not hv.is_invertible():
-                ok = False
-                break
-            h[v] = hv
-        if not ok:
-            continue
-        for v in u:
-            lhs = h[v] @ u[v] @ h[v].map(pair.sigma).inverse()
-            if lhs != u_target[v]:
-                raise InvariantError("change of basis does not transport u to target")
-        return h
-    raise InconclusiveError(
-        f"no invertible change of basis in {config.h90_retries} attempts",
-        seed=config.seed,
-    )
+        return {v: Mat.identity(pair.ext, m.nrows) for v, m in u.items()}
+    return _average(u, u_target, pair, config, label)

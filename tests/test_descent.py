@@ -20,8 +20,10 @@ from quivermoduli.config import JobConfig
 from quivermoduli.descent import (
     DescentDatum,
     cocycle_scalar,
+    hilbert90_split,
     modified_action_failures,
     modified_action_fixes,
+    solve_descent_change_of_basis,
     type_map_of_datum,
 )
 from quivermoduli.errors import InvariantError, NotGeometricallyStableError
@@ -226,6 +228,72 @@ def test_hilbert90_gaussian_round_trip():
     assert form.ring == QQ
     assert is_isomorphic(base_change(form, pair), moved, CFG) is not None
     assert is_isomorphic(form, w0, CFG) is not None
+
+
+def _splits(g, u, pair):
+    return all(g[v] @ g[v].map(pair.sigma).inverse() == u[v] for v in u)
+
+
+@pytest.mark.parametrize("m", [-1, 2])
+def test_hilbert90_split_minus_one(m):
+    # the identity resolvent gives 1 + u = 0, and so does every rational one:
+    # only a resolvent with a sqrt(m) part splits u = -1
+    pair = GaloisPair.quadratic(m)
+    L = pair.ext
+    u = {"v": Mat(L, ((L.neg(L.one),),))}
+    g = hilbert90_split(u, pair, CFG)
+    assert _splits(g, u, pair)
+
+
+def test_hilbert90_split_eigenvalue_minus_one():
+    pair = GaloisPair.gaussian()
+    u = {"v": gimat([[1, 0], [0, -1]])}
+    g = hilbert90_split(u, pair, CFG)
+    assert _splits(g, u, pair)
+
+
+def test_hilbert90_gaussian_round_trip_minus_identity():
+    # u = -I fixes a base-changed rational rep and has cocycle scalar 1
+    from quivermoduli.rings import QQ
+
+    pair = GaloisPair.gaussian()
+    w0 = kronecker_rep(
+        QQ,
+        [Mat(QQ, ((Fraction(1),), (Fraction(0),))), Mat(QQ, ((Fraction(0),), (Fraction(1),)))],
+        {"s": 1, "t": 2},
+    )
+    wl = base_change(w0, pair)
+    minus_one = pair.ext.neg(pair.ext.one)
+    u = {v: Mat.scalar(pair.ext, n, minus_one) for v, n in wl.dims.items()}
+    datum = DescentDatum(wl, u, cocycle_scalar(u, pair), pair)
+    datum.check()
+    form, g = hilbert90_descend(datum, CFG)
+    assert form.ring == QQ
+    assert is_isomorphic(base_change(form, pair), wl, CFG) is not None
+    assert is_isomorphic(form, w0, CFG) is not None
+
+
+def test_change_of_basis_degree_three():
+    # F_8/F_2: every unit has norm 1, so any invertible diagonal u is a
+    # 1-cocycle; u and h0 u sigma(h0)^-1 share the cocycle scalar
+    pair = GaloisPair.finite(2, 3)
+    f8 = pair.ext
+    rng = random.Random(8)
+    u = {"s": Mat(f8, ((3, 0), (0, 5))), "t": Mat(f8, ((6,),))}
+    h0 = {}
+    for v, m in u.items():
+        n = m.nrows
+        while True:
+            entries = [[rng.randrange(f8.size) for _ in range(n)] for _ in range(n)]
+            cand = Mat(f8, entries, (n, n))
+            if cand.is_invertible():
+                h0[v] = cand
+                break
+    target = {v: h0[v] @ u[v] @ h0[v].map(pair.sigma).inverse() for v in u}
+    assert cocycle_scalar(u, pair) == cocycle_scalar(target, pair)
+    h = solve_descent_change_of_basis(u, target, pair, CFG)
+    for v in u:
+        assert h[v] @ u[v] @ h[v].map(pair.sigma).inverse() == target[v]
 
 
 def test_hilbert90_requires_trivial_class():

@@ -339,16 +339,6 @@ def test_division_form_normalizes_lambda():
     assert find_invertible_in_span(homs, drep.ring, CFG) is not None
 
 
-def test_verify_modified_action_fixed_alias():
-    from quivermoduli import verify_modified_action_fixed
-
-    rep, pair, theta = quaternionic_kronecker_example()
-    datum = solve_modifying_u(rep, pair, theta, CFG)
-    assert verify_modified_action_fixed(rep, datum.u, pair)
-    ident = {v: Mat.identity(pair.ext, 2) for v in ("s", "t")}
-    assert not verify_modified_action_fixed(rep, ident, pair)
-
-
 def test_drep_stability_finite_field_degenerate():
     # index-1 inputs over a finite field reduce to the exact quiver-core
     # decision; checked exhaustively on the Kronecker (1,1) space over F_2

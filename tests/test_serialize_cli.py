@@ -427,3 +427,26 @@ def test_cli_not_decidable_exits_6(tmp_path, capsys, command):
     assert code == 6
     err = capsys.readouterr().err
     assert err.startswith("not decidable:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, other", [("descend", "divform"), ("divform", "descend")]
+)
+def test_cli_class_mismatch_is_parse_error(tmp_path, capsys, command, other):
+    if command == "descend":
+        # the Hamilton datum: lambda = -1, class (-1,-1)_Q
+        rep, pair, theta = quaternionic_kronecker_example()
+        datum = solve_modifying_u(rep, pair, theta, CFG)
+    else:
+        pair = GaloisPair.finite(2, 2)
+        f4 = pair.ext
+        from quivermoduli import jordan_quiver
+
+        rep = Representation(jordan_quiver(), f4, {"v": 1}, {"loop": Mat(f4, ((1,),))})
+        u = {"v": Mat(f4, ((2,),))}
+        datum = DescentDatum(rep, u, cocycle_scalar(u, pair), pair)
+    path = write_json(tmp_path, "datum.json", datum_to_json(datum))
+    code = main(["--format", "json", command, path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and other in err
