@@ -24,7 +24,8 @@ M -> g_dst M g_src^-1, shared by arrows with the same ends.  A point outside
 the slices is looked up by row-reducing its a0 matrix to J_r first.
 Single-loop quivers additionally route through similarity classes
 (companion blocks of prime-power polynomials, with the monic irreducibles
-found by a sieve), which covers spaces too large to scan pointwise.
+found by the sieve in ffields), which covers spaces too large to scan
+pointwise.
 
 The engine, matrix lists and generator memos are built per census call,
 never cached across calls.
@@ -40,9 +41,9 @@ from .brauer import brauer_class
 from .config import JobConfig
 from .descent import solve_modifying_u, hilbert90_descend
 from .errors import BudgetExceededError, InvariantError, SchemaError
-from .ffields import GF, _poly_trim
+from .ffields import GF, _poly_mul, monic_irreducibles
 from .galois import GaloisPair
-from .homs import is_isomorphic
+from .homs import _field_hom_system, is_isomorphic
 from .linalg import Mat
 from .morita import division_form, drep_to_twisted
 from .quiver import Representation, base_change, group_generators, slope, total_dim
@@ -99,32 +100,8 @@ def _categorize_point(point, plan):
 
 
 def _end_dim_point(point, quiver, dims, field):
-    """dim End for an encoded point via the rank of the intertwiner system."""
-    offsets = {}
-    total = 0
-    for v in quiver.vertices:
-        offsets[v] = total
-        total += dims[v] * dims[v]
-    rows = []
-    zero = field.zero
-    add_, sub_ = field.add, field.sub
-    for m, arrow in zip(point, quiver.arrows):
-        vt, vh = arrow.src, arrow.dst
-        dh, dt = dims[vh], dims[vt]
-        for i in range(dh):
-            for j in range(dt):
-                row = [zero] * total
-                for k in range(dh):
-                    c = m[k][j]
-                    if c:
-                        idx = offsets[vh] + i * dh + k
-                        row[idx] = add_(row[idx], c)
-                for k in range(dt):
-                    c = m[i][k]
-                    if c:
-                        idx = offsets[vt] + k * dt + j
-                        row[idx] = sub_(row[idx], c)
-                rows.append(row)
+    """dim End for an encoded point: the corank of its intertwiner system."""
+    _, total, rows = _field_hom_system(quiver, field, dims, dims, point, point)
     return total - Mat(field, rows, (len(rows), total)).rank()
 
 
@@ -403,44 +380,6 @@ def orbit_census(quiver, dims, theta, field, config):
 # ---------------------------------------------------------------------------
 # similarity classes for single-loop quivers
 
-def _fpoly_mul(a, b, field):
-    if not a or not b:
-        return []
-    add, mul = field.add, field.mul
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-    return _poly_trim(out)
-
-
-def monic_irreducibles(field, max_degree):
-    """All monic irreducible polynomials of degree <= max_degree (low first).
-
-    A sieve: each degree marks every product p r, with p irreducible of
-    degree k <= deg/2 and r monic of degree deg - k, as reducible, and keeps
-    the unmarked candidates in product(elems) order.
-    """
-    out = []
-    elems = list(field.elements())
-    one = (field.one,)
-    for deg in range(1, max_degree + 1):
-        reducible = set()
-        for p in out:
-            k = len(p) - 1
-            if 2 * k > deg:
-                break
-            for tail in product(elems, repeat=deg - k):
-                reducible.add(tuple(_fpoly_mul(p, tail + one, field)))
-        for tail in product(elems, repeat=deg):
-            coeffs = tail + one
-            if coeffs not in reducible:
-                out.append(coeffs)
-    return out
-
-
 def _partitions(n):
     if n == 0:
         yield ()
@@ -502,7 +441,7 @@ def similarity_class_reps(field, size):
             for m in part:
                 pm = [field.one]
                 for _ in range(m):
-                    pm = _fpoly_mul(pm, list(poly), field)
+                    pm = _poly_mul(pm, list(poly), field)
                 blocks.append(_companion_matrix(pm, field))
         n = sum(len(b) for b in blocks)
         rows = [[field.zero] * n for _ in range(n)]

@@ -1,13 +1,25 @@
-"""Finite fields F_p and F_{p^n} with integer-encoded elements.
+"""Finite fields F_p and F_{p^n} with integer-encoded elements, and the
+polynomials over them.
 
 Extension field elements are encoded as integers in [0, p^n): the code of
 sum(c_i x^i) is sum(c_i p^i).  Small fields (the only ones used by the
 enumeration core) precompute full multiplication / inverse / Frobenius
 tables, which keeps the inner loops of the census at plain list-indexing
 speed.  Larger fields fall back to on-the-fly polynomial arithmetic.
+
+This is the one polynomial module over finite fields.  `monic_irreducibles`
+lists every monic irreducible up to a degree by a sieve, for the similarity
+classes of the census.  The modulus of F_{p^n} is found instead by Rabin's
+irreducibility test (SIAM J. Comput. 9 (1980)), which needs polynomially
+many products in n and log p, where a sieve would list all p^n candidates:
+`ExtensionField(2, 40)` is a valid field.  `default_modulus` is the first
+irreducible in code order; it fixes every element code, so it must not
+change.
 """
 
-from math import isqrt
+from itertools import product
+
+from sympy import factorint, isprime
 
 from .errors import NotInvertibleError
 from .rings import Ring
@@ -23,6 +35,20 @@ def _poly_trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
+
+
+def _poly_mul(a, b, field):
+    """Product of coefficient lists over a field object."""
+    if not a or not b:
+        return []
+    add, mul = field.add, field.mul
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = add(out[i + j], mul(ai, bj))
+    return _poly_trim(out)
 
 
 def _poly_mod(c, mod, p):
@@ -63,21 +89,18 @@ def _poly_gcd(a, b, p):
     while b:
         # a mod b with b made monic
         lead_inv = pow(b[-1], p - 2, p)
-        bm = [(x * lead_inv) % p for x in b]
-        r = list(a)
-        while len(r) >= len(bm) and r:
-            lead = r[-1]
-            if lead:
-                shift = len(r) - len(bm)
-                for i, mi in enumerate(bm):
-                    r[shift + i] = (r[shift + i] - lead * mi) % p
-            r.pop()
-        a, b = b, _poly_trim(r)
+        a, b = b, _poly_mod(a, [(x * lead_inv) % p for x in b], p)
     return a
 
 
+def _minus_x(c, p):
+    c = list(c) + [0] * (2 - len(c))
+    c[1] = (c[1] - 1) % p
+    return _poly_trim(c)
+
+
 def is_irreducible(coeffs, p):
-    """Irreducibility over F_p of a monic polynomial given low-first."""
+    """Irreducibility over F_p of a monic polynomial given low-first (Rabin)."""
     n = len(coeffs) - 1
     if n < 1 or coeffs[-1] != 1:
         return False
@@ -85,35 +108,37 @@ def is_irreducible(coeffs, p):
         return True
     # x^(p^n) = x mod f, and gcd(x^(p^(n/l)) - x, f) = 1 for prime l | n
     mod = list(coeffs)
-    xq = _poly_powmod([0, 1], p**n, mod, p)
-    if _poly_trim([(a - b) % p for a, b in zip_pad(xq, [0, 1])]):
+    if _minus_x(_poly_powmod([0, 1], p**n, mod, p), p):
         return False
-    for ell in set(_prime_factors(n)):
-        xe = _poly_powmod([0, 1], p ** (n // ell), mod, p)
-        diff = _poly_trim([(a - b) % p for a, b in zip_pad(xe, [0, 1])])
-        g = _poly_gcd(mod, diff, p)
-        if len(g) - 1 > 0:
+    for ell in factorint(n):
+        diff = _minus_x(_poly_powmod([0, 1], p ** (n // ell), mod, p), p)
+        if len(_poly_gcd(mod, diff, p)) > 1:
             return False
     return True
 
 
-def zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return zip(a, b)
+def monic_irreducibles(field, max_degree):
+    """All monic irreducible polynomials of degree <= max_degree (low first).
 
-
-def _prime_factors(n):
+    A sieve: each degree marks every product p r, with p irreducible of
+    degree k <= deg/2 and r monic of degree deg - k, as reducible, and keeps
+    the unmarked candidates in product(elems) order.
+    """
     out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
+    elems = list(field.elements())
+    one = (field.one,)
+    for deg in range(1, max_degree + 1):
+        reducible = set()
+        for p in out:
+            k = len(p) - 1
+            if 2 * k > deg:
+                break
+            for tail in product(elems, repeat=deg - k):
+                reducible.add(tuple(_poly_mul(p, tail + one, field)))
+        for tail in product(elems, repeat=deg):
+            coeffs = tail + one
+            if coeffs not in reducible:
+                out.append(coeffs)
     return out
 
 
@@ -151,7 +176,7 @@ class PrimeField(Ring):
     is_finite = True
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        if not isprime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.size = p
@@ -190,7 +215,7 @@ class PrimeField(Ring):
 
     def multiplicative_generator(self):
         order = self.p - 1
-        fac = set(_prime_factors(order))
+        fac = factorint(order)
         for g in range(2, self.p):
             if all(pow(g, order // q, self.p) != 1 for q in fac):
                 return g
@@ -349,7 +374,7 @@ class ExtensionField(Ring):
 
     def multiplicative_generator(self):
         order = self.size - 1
-        fac = set(_prime_factors(order))
+        fac = factorint(order)
         for g in range(2, self.size):
             if all(self._pow_code(g, order // q) != 1 for q in fac):
                 return g
@@ -388,11 +413,10 @@ class ExtensionField(Ring):
 
 def GF(q, modulus=None):
     """Finite field of order q = p^n (q prime gives PrimeField)."""
-    fac = _prime_factors(q)
-    if not fac or any(f != fac[0] for f in fac):
+    fac = factorint(q) if q >= 2 else {}
+    if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p = fac[0]
-    n = len(fac)
+    ((p, n),) = fac.items()
     if n == 1:
         return PrimeField(p)
     return ExtensionField(p, n, modulus)

@@ -25,18 +25,20 @@ def _vertex_offsets(quiver, dims_src, dims_dst, blowup=1):
     return offsets, total
 
 
-def _field_hom_system(w, wp):
-    ring = w.ring
-    quiver = w.quiver
-    offsets, total = _vertex_offsets(quiver, w.dims, wp.dims)
+def _field_hom_system(quiver, ring, dims, dims_p, point, point_p):
+    """Rows of the system f_{h(a)} M_a = M'_a f_{t(a)} over a field.
+
+    point and point_p hold one tuple of matrix rows per arrow, in arrow
+    order; the unknowns are the entries of f_v, a dims_p[v] x dims[v]
+    matrix, row by row from offsets[v].
+    """
+    offsets, total = _vertex_offsets(quiver, dims, dims_p)
     rows = []
     zero = ring.zero
-    neg = ring.neg
-    for a in quiver.arrows:
-        m = w.mats[a.name]
-        mp = wp.mats[a.name]
-        dh, dt = w.dims[a.dst], w.dims[a.src]
-        dph, dpt = wp.dims[a.dst], wp.dims[a.src]
+    add, sub = ring.add, ring.sub
+    for a, m, mp in zip(quiver.arrows, point, point_p):
+        dh, dt = dims[a.dst], dims[a.src]
+        dph, dpt = dims_p[a.dst], dims_p[a.src]
         # (f_h M)_{i j} - (M' f_t)_{i j} = 0 for i < d'_h, j < d_t.
         # For loops the f_h and f_t unknowns coincide, so contributions are
         # accumulated rather than assigned.
@@ -44,16 +46,16 @@ def _field_hom_system(w, wp):
             for j in range(dt):
                 row = [zero] * total
                 for k in range(dh):
-                    c = m.entry(k, j)
+                    c = m[k][j]
                     if c != zero:
                         idx = offsets[a.dst] + i * dh + k
-                        row[idx] = ring.add(row[idx], c)
+                        row[idx] = add(row[idx], c)
                 for k in range(dpt):
-                    c = mp.entry(i, k)
+                    c = mp[i][k]
                     if c != zero:
                         idx = offsets[a.src] + k * dt + j
-                        row[idx] = ring.sub(row[idx], c)
-                rows.append(tuple(row))
+                        row[idx] = sub(row[idx], c)
+                rows.append(row)
     return offsets, total, rows
 
 
@@ -134,15 +136,13 @@ def hom_space(w, wp):
         solve_ring = QQ
         reshape = _reshape_quaternion_solution
     else:
-        offsets, total, rows = _field_hom_system(w, wp)
+        points = ([r.mats[a.name].rows for a in w.quiver.arrows] for r in (w, wp))
+        offsets, total, rows = _field_hom_system(w.quiver, w.ring, w.dims, wp.dims, *points)
         solve_ring = w.ring
         reshape = _reshape_field_solution
     if total == 0:
         return []
-    if not rows:
-        system = Mat.zero(solve_ring, 1, total)
-    else:
-        system = Mat(solve_ring, tuple(rows), (len(rows), total))
+    system = Mat(solve_ring, rows, (len(rows), total))
     return [reshape(vec, w, wp, offsets) for vec in system.nullspace()]
 
 

@@ -1,11 +1,17 @@
 """Quaternionic representations, Morita splitting, and twisted presentations.
 
 The splitting isomorphism D tensor Q(sqrt(m)) = Mat_2 is pinned to
-i -> diag(sqrt(m), -sqrt(m)) and j -> [[0, lambda], [1, 0]] for
-D = (m, lambda)_Q; every entry of a D-matrix is replaced by its 2x2 image
-and blocks are assembled.  The image is exactly the fixed locus of the
-modified Galois action given by the standard block-diagonal modifying
-matrix u_std, which is what makes the inverse readout well-defined.
+i -> diag(s, -s) and j -> [[0, lambda], [1, 0]] for D = (m, lambda)_Q and
+s = sqrt(m), so in closed form
+
+    a + b i + c j + d ij  ->  [[a + b s, lambda (c + d s)], [c - d s, a - b s]];
+
+every entry of a D-matrix is replaced by its 2x2 image and blocks are
+assembled.  The image is exactly the fixed locus of the modified Galois
+action given by the standard block-diagonal modifying matrix u_std, which
+is what makes the inverse readout well-defined: a and b are read from a
+block's entry (0, 0), c and d from its entry (1, 0), and the block is
+checked against the image of the result.
 
 Representations over D reuse the generic Representation class with a
 QuaternionAlgebra coefficient ring: right D-modules with matrices acting on
@@ -31,7 +37,6 @@ from .homs import end_dim, hom_space
 from .linalg import Mat
 from .quaternions import QuaternionAlgebra, quat_is_division
 from .quiver import Representation
-from .rings import QQ
 from .stability import (
     STRICTLY_SEMISTABLE,
     StabilityVerdict,
@@ -49,78 +54,45 @@ def _check_split_pair(alg, pair):
         )
 
 
-def split_basis(alg, pair):
-    """The 2x2 images of 1, i, j, ij over L = Q(sqrt(m))."""
-    _check_split_pair(alg, pair)
-    ext = pair.ext
-    s = ext.sqrt_gen
-    lam = ext.from_rational(alg.b)
-    z, o = ext.zero, ext.one
-    m_one = Mat.identity(ext, 2)
-    m_i = Mat(ext, ((s, z), (z, ext.neg(s))), (2, 2))
-    m_j = Mat(ext, ((z, lam), (o, z)), (2, 2))
-    m_k = m_i @ m_j
-    return (m_one, m_i, m_j, m_k)
+def _split_rows(alg, x):
+    """The rows of the 2x2 image of x = a + b i + c j + d ij over Q(sqrt(m))."""
+    a, b, c, d = x
+    lam = alg.b
+    return ((a, b), (lam * c, lam * d)), ((c, -d), (a, -b))
 
 
 def split_entry(alg, pair, x):
-    basis = split_basis(alg, pair)
-    ext = pair.ext
-    out = Mat.zero(ext, 2, 2)
-    for coeff, mat in zip(x, basis):
-        if coeff != 0:
-            out = out + mat.scale(ext.from_rational(coeff))
-    return out
+    _check_split_pair(alg, pair)
+    return Mat(pair.ext, _split_rows(alg, x), (2, 2))
 
 
 def split_matrix(alg, pair, m):
     """Blockwise image of a D-matrix, shape doubling in both directions."""
-    ext = pair.ext
-    if m.nrows == 0 or m.ncols == 0:
-        return Mat.zero(ext, 2 * m.nrows, 2 * m.ncols)
-    block_rows = []
-    for i in range(m.nrows):
-        blocks = [split_entry(alg, pair, m.entry(i, j)) for j in range(m.ncols)]
-        top = blocks[0]
-        for b in blocks[1:]:
-            top = top.hstack(b)
-        block_rows.append(top)
-    out = block_rows[0]
-    for b in block_rows[1:]:
-        out = out.vstack(b)
-    return out
+    _check_split_pair(alg, pair)
+    rows = []
+    for row in m.rows:
+        blocks = [_split_rows(alg, x) for x in row]
+        rows.extend(tuple(e for blk in blocks for e in blk[r]) for r in (0, 1))
+    return Mat(pair.ext, rows, (2 * m.nrows, 2 * m.ncols))
 
 
 def unsplit_matrix(alg, pair, m):
-    """Inverse of split_matrix on its image; errors off the image."""
-    ext = pair.ext
+    """Inverse of split_matrix on its image; errors off the image.
+
+    Block entry (0, 0) is a + b sqrt(m) and entry (1, 0) is c - d sqrt(m).
+    """
     if m.nrows % 2 or m.ncols % 2:
         raise SchemaError("matrix shape is not a doubling")
-    basis = split_basis(alg, pair)
-    # 8 rational coordinates per block against the 4 basis images
-    cols = []
-    for bm in basis:
-        flat = []
-        for i in range(2):
-            for j in range(2):
-                a, b = bm.entry(i, j)
-                flat.extend([a, b])
-        cols.append(tuple(flat))
-    system = Mat.from_cols(QQ, cols, 8)
+    _check_split_pair(alg, pair)
     rows = []
-    for i in range(m.nrows // 2):
+    for top, bottom in zip(m.rows[::2], m.rows[1::2]):
         row = []
-        for j in range(m.ncols // 2):
-            flat = []
-            for di in range(2):
-                for dj in range(2):
-                    a, b = m.entry(2 * i + di, 2 * j + dj)
-                    flat.extend([a, b])
-            rhs = Mat(QQ, tuple((x,) for x in flat), (8, 1))
-            sol = system.solve(rhs)
-            if sol is None or system @ sol != rhs:
+        for j in range(0, m.ncols, 2):
+            (a, b), (c, d) = top[j], bottom[j]
+            x = (a, b, c, -d)
+            if _split_rows(alg, x) != (top[j : j + 2], bottom[j : j + 2]):
                 raise InvariantError("block is not in the image of the splitting")
-            row.append(tuple(sol.entry(t, 0) for t in range(4)))
+            row.append(x)
         rows.append(tuple(row))
     return Mat(alg, tuple(rows), (m.nrows // 2, m.ncols // 2))
 

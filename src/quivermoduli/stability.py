@@ -202,14 +202,14 @@ class _Subspaces(dict):
 
     def _list_rank(self, r):
         field, dim = self.field, self.dim
-        elems = list(field.elements())
         for pivots in combinations(range(dim), r):
             free_pos = []
             for i in range(r):
                 for j in range(pivots[i] + 1, dim):
                     if j not in pivots:
                         free_pos.append((i, j))
-            for values in product(elems, repeat=len(free_pos)):
+            # product never iterates the elements when there is no free position
+            for values in product(field.elements(), repeat=len(free_pos)):
                 rows = [[field.zero] * dim for _ in range(r)]
                 for i in range(r):
                     rows[i][pivots[i]] = field.one
@@ -473,18 +473,13 @@ def scss(rep, theta, config):
 
 
 def _complement_columns(basis, ring, dim):
-    """Greedy completion of a column basis by standard basis vectors."""
-    cols = [basis.col(j) for j in range(basis.ncols)]
-    current = basis
-    comp = []
-    for i in range(dim):
-        e = tuple(ring.one if k == i else ring.zero for k in range(dim))
-        cand = Mat.from_cols(ring, cols + comp + [e], dim)
-        if cand.rank() == len(cols) + len(comp) + 1:
-            comp.append(e)
-        if len(cols) + len(comp) == dim:
-            break
-    return Mat.from_cols(ring, comp, dim) if comp else Mat.zero(ring, dim, 0)
+    """Standard basis vectors completing a column basis U: the pivots of
+    rref [U | I] past U's columns, which the greedy left-to-right pick
+    would also choose."""
+    ident = Mat.identity(ring, dim)
+    k = basis.ncols
+    pivots = basis.hstack(ident).rref()[1]
+    return Mat.from_cols(ring, [ident.col(p - k) for p in pivots if p >= k], dim)
 
 
 def quotient_rep(rep, witness):

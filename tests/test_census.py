@@ -32,13 +32,13 @@ from quivermoduli.census import (
     all_orbit_representatives,
     lagrange_interpolation,
     loop_class_census,
-    monic_irreducibles,
     orbit_census,
     similarity_class_reps,
     stable_orbit_census,
 )
 from quivermoduli.config import JobConfig
 from quivermoduli.errors import BudgetExceededError, InvariantError, SchemaError
+from quivermoduli.ffields import monic_irreducibles
 from quivermoduli.quiver import base_change
 from quivermoduli.stability import enumerate_subreps, stability_verdict
 

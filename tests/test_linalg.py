@@ -165,7 +165,9 @@ def hom_systems(draw, ring):
         v: Mat(ring, ((o, draw(elements(ring))), (z, o))) @ Mat(ring, ((o, z), (draw(elements(ring)), o)))
         for v in ("s", "t")
     }
-    _, _, rows = _field_hom_system(w, w.act(g))
+    wg = w.act(g)
+    points = ([r.mats[a.name].rows for a in w.quiver.arrows] for r in (w, wg))
+    _, _, rows = _field_hom_system(w.quiver, ring, w.dims, wg.dims, *points)
     return Mat(ring, rows, (12, 8))
 
 

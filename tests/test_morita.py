@@ -6,6 +6,7 @@ import pytest
 from quivermoduli import (
     GaloisPair,
     Mat,
+    QuaternionAlgebra,
     Representation,
     hamilton_quaternions,
     jordan_quiver,
@@ -24,6 +25,7 @@ from quivermoduli.morita import (
     morita_split,
     morita_unsplit,
     split_entry,
+    split_matrix,
     standard_u,
     twisted_dim,
     twisted_to_drep,
@@ -55,16 +57,33 @@ def drep_1ij():
     return Representation(q, H, {"s": 1, "t": 1}, mats)
 
 
-def test_split_entry_is_ring_homomorphism():
+SPLIT_CASES = [(-1, -1), (-1, 3), (2, 5), (-3, 7), (5, -2)]  # (m, lambda)
+
+
+def random_dmat(alg, nrows, ncols, rng):
+    rows = tuple(tuple(alg.random(rng) for _ in range(ncols)) for _ in range(nrows))
+    return Mat(alg, rows, (nrows, ncols))
+
+
+@pytest.mark.parametrize("m, lam", SPLIT_CASES)
+def test_split_entry_is_ring_homomorphism(m, lam):
+    alg, pair = QuaternionAlgebra(m, lam), GaloisPair.quadratic(m)
     rng = random.Random(8)
     for _ in range(60):
-        x = H.random(rng)
-        y = H.random(rng)
-        sx = split_entry(H, PAIR, x)
-        sy = split_entry(H, PAIR, y)
-        assert split_entry(H, PAIR, H.mul(x, y)) == sx @ sy
-        assert split_entry(H, PAIR, H.add(x, y)) == sx + sy
-    assert split_entry(H, PAIR, H.one) == Mat.identity(PAIR.ext, 2)
+        x = alg.random(rng)
+        y = alg.random(rng)
+        sx = split_entry(alg, pair, x)
+        sy = split_entry(alg, pair, y)
+        assert split_entry(alg, pair, alg.mul(x, y)) == sx @ sy
+        assert split_entry(alg, pair, alg.add(x, y)) == sx + sy
+    assert split_entry(alg, pair, alg.one) == Mat.identity(pair.ext, 2)
+    # blockwise: products of matrices, 0 x n and n x 0 ones included
+    for nrows, inner, ncols in ((2, 3, 1), (0, 2, 3), (3, 2, 0), (2, 0, 2)):
+        a = random_dmat(alg, nrows, inner, rng)
+        b = random_dmat(alg, inner, ncols, rng)
+        split = split_matrix(alg, pair, a @ b)
+        assert split.shape == (2 * nrows, 2 * ncols)
+        assert split == split_matrix(alg, pair, a) @ split_matrix(alg, pair, b)
 
 
 def test_split_example():
@@ -74,18 +93,20 @@ def test_split_example():
     assert split == expect
 
 
-def test_unsplit_round_trip_random():
+@pytest.mark.parametrize("m, lam", SPLIT_CASES)
+def test_unsplit_round_trip_random(m, lam):
+    alg, pair = QuaternionAlgebra(m, lam), GaloisPair.quadratic(m)
     rng = random.Random(15)
     q = kronecker_quiver(2)
-    for _ in range(10):
-        mats = {
-            name: Mat(H, ((H.random(rng), H.random(rng)),), (1, 2))
-            for name in ("a1", "a2")
-        }
-        drep = Representation(q, H, {"s": 2, "t": 1}, mats)
-        split = morita_split(drep, PAIR)
-        back = morita_unsplit(split, PAIR, Fraction(-1))
+    shapes = [{"s": 2, "t": 1}] * 10 + [{"s": 0, "t": 2}, {"s": 2, "t": 0}]
+    for dims in shapes:
+        mats = {name: random_dmat(alg, dims["t"], dims["s"], rng) for name in ("a1", "a2")}
+        drep = Representation(q, alg, dims, mats)
+        split = morita_split(drep, pair)
+        back = morita_unsplit(split, pair, Fraction(lam))
         assert back == drep
+        for name, mat in mats.items():
+            assert unsplit_matrix(alg, pair, split.mats[name]) == mat
 
 
 def test_unsplit_rejects_non_fixed():
@@ -98,7 +119,7 @@ def test_unsplit_rejects_non_fixed():
 
 def test_unsplit_matrix_errors_off_image():
     bad = gimat([[(0, 1), 0], [0, (0, 1)]])  # diag(i, i) is not split(x)
-    with pytest.raises(Exception):
+    with pytest.raises(InvariantError):
         unsplit_matrix(H, PAIR, bad)
 
 

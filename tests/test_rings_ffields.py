@@ -1,7 +1,9 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from sympy import primerange
 
 from quivermoduli import GF, ExtensionField, PrimeField, NotInvertibleError
 from quivermoduli.ffields import default_modulus, is_irreducible
@@ -46,6 +48,18 @@ def test_default_moduli():
     assert default_modulus(3, 2) == [1, 0, 1]  # x^2 + 1
     assert is_irreducible(default_modulus(2, 3), 2)
     assert is_irreducible(default_modulus(5, 2), 5)
+    # The modulus fixes every element code: pin it for the 51 fields with
+    # p^n <= 10^4.
+    moduli = [
+        (p, n, tuple(default_modulus(p, n)))
+        for p in primerange(2, 101)
+        for n in range(2, 14)
+        if p**n <= 10**4
+    ]
+    assert len(moduli) == 51
+    digest = hashlib.sha256(repr(moduli).encode()).hexdigest()
+    assert digest == "a5e782cd47788dddd73328039e49f64812d6f0706f6437dfd7fd919069967065"
+    assert default_modulus(2, 40) == [1, 0, 0, 1, 1, 1] + [0] * 34 + [1]  # x^40+x^5+x^4+x^3+1
 
 
 def test_modulus_validation():

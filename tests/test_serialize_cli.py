@@ -112,6 +112,22 @@ def test_cli_stability(tmp_path, capsys):
     assert out["end_dim"] == 1
 
 
+def test_cli_stability_huge_prime_field(tmp_path, capsys):
+    # F_p with p = 2^127 - 1: no trial division up to sqrt(p) and no list
+    # of the field's elements
+    quiver = {"vertices": ["s", "t"], "arrows": [
+        {"id": "a1", "from": "s", "to": "t"}, {"id": "a2", "from": "s", "to": "t"},
+    ]}
+    rep = {"quiver": quiver, "ring": {"type": "prime", "p": 2**127 - 1},
+           "dims": {"s": 1, "t": 1}, "matrices": {"a1": [[1]], "a2": [[-1]]}}
+    path = write_json(tmp_path, "rep.json", rep)
+    code = main(["--format", "json", "stability", path, "--theta", '{"s":1,"t":-1}'])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"]["kind"] == "stable"
+    assert out["end_dim"] == 1
+
+
 def test_cli_hn(tmp_path, capsys):
     rep = Representation.zero_maps(kronecker_quiver(2), GF(2), {"s": 1, "t": 1})
     path = write_json(tmp_path, "rep.json", rep_to_json(rep))
