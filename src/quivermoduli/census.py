@@ -22,10 +22,13 @@ per orbit.  Within one census each generator acts once per distinct arrow
 matrix: every (generator, arrow) pair has a lazily filled memo
 M -> g_dst M g_src^-1, shared by arrows with the same ends.  A point outside
 the slices is looked up by row-reducing its a0 matrix to J_r first.
-Single-loop quivers additionally route through similarity classes
-(companion blocks of prime-power polynomials, with the monic irreducibles
-found by the sieve in ffields), which covers spaces too large to scan
-pointwise.
+`stable_orbit_census` routes single-loop quivers through similarity
+classes instead (companion blocks of prime-power polynomials, with the
+monic irreducibles found by the sieve in ffields), which covers spaces too
+large to scan pointwise.  There stability and End are read from the
+invariant factors, with no subspace scan: a class is stable iff its data is
+one irreducible f of degree d, and then End = F_q[x]/(f).  The number of
+stable classes is checked against Gauss's count of monic irreducibles.
 
 The engine, matrix lists and generator memos are built per census call,
 never cached across calls.
@@ -36,6 +39,8 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 from typing import Dict, List, Optional
+
+from sympy import divisors, mobius
 
 from .brauer import brauer_class
 from .config import JobConfig
@@ -408,7 +413,7 @@ def similarity_class_reps(field, size):
     total weighted size equal to `size`; the representative is the block
     diagonal of companion matrices of prime powers.  Returns
     (class_data, matrix_rows) pairs, class_data a sorted tuple of
-    (poly, multiplicity) with poly repeated per partition part.
+    (poly, partition): one companion block of poly^m per part m.
     """
     irreds = monic_irreducibles(field, size)
     # fits[r]: how many irreducibles (a degree-sorted prefix) have degree <= r
@@ -468,8 +473,12 @@ class LoopClassCensus:
     """Similarity-class census for a single-loop quiver (no pointwise scan).
 
     Orbits of a single loop are similarity classes, so representatives come
-    from invariant-factor data (companion blocks of prime powers) and
-    Frobenius fixedness is read off the class data.
+    from invariant-factor data (companion blocks of prime powers).  Every
+    subrepresentation has slope theta_v = mu, so a class is stable exactly
+    when F_q^d is a simple F_q[x]-module, i.e. its data is one (f, (1,))
+    with f irreducible of degree d, and then End = F_q[x]/(f) has dimension
+    d; every other class is strictly semistable.  Frobenius fixedness is
+    read off the class data too.
     """
 
     quiver: object
@@ -509,22 +518,32 @@ class LoopClassCensus:
         raise InvariantError("point matches no similarity class")
 
 
+def _irreducible_count(d, q):
+    """Gauss: (1/d) sum_{k | d} mu(d/k) q^k monic irreducibles of degree d."""
+    return sum(mobius(d // k) * q**k for k in divisors(d)) // d
+
+
 def loop_class_census(quiver, dims, theta, field, config):
+    """LoopClassCensus with each category read from the class data; the
+    stable classes are the degree-d irreducibles, so InvariantError unless
+    they number Gauss's count."""
     if not quiver.is_single_loop():
         raise InvariantError("class census is only for single-loop quivers")
-    v = quiver.vertices[0]
-    size = dims[v]
-    plan = _build_plan(quiver, dims, theta, field)
+    size = dims[quiver.vertices[0]]
+    if size < 1:
+        raise ValueError("class census needs a nonzero dimension")
     counts = {GEOM_STABLE: 0, STABLE_NOT_SCHUR: 0}
     entries = []
     for data, rows in similarity_class_reps(field, size):
-        point = (rows,)
-        cat = _categorize_point(point, plan)
-        if cat == STABLE:
-            schur = _end_dim_point(point, quiver, dims, field) == 1
-            cat = GEOM_STABLE if schur else STABLE_NOT_SCHUR
+        if len(data) == 1 and data[0][1] == (1,):
+            cat = GEOM_STABLE if size == 1 else STABLE_NOT_SCHUR
             counts[cat] += 1
-        entries.append((data, point, cat))
+        else:
+            cat = STRICTLY_SEMISTABLE
+        entries.append((data, (rows,), cat))
+    stable, want = sum(counts.values()), _irreducible_count(size, field.size)
+    if stable != want:
+        raise InvariantError(f"{stable} stable classes of size {size}, Gauss count {want}")
     return LoopClassCensus(quiver, dims, theta, field, counts, entries, config)
 
 
@@ -537,8 +556,10 @@ def stable_orbit_census(quiver, dims, theta, field, config):
 
     For one loop, orbits are exactly similarity classes, so the class route
     is a full census at a fraction of the pointwise cost (and covers spaces
-    such as 4x4 matrices over F_4 that no scan could).  The pointwise
-    union-find census remains the general path and the cross-check.
+    such as 4x4 matrices over F_4 that no scan could).  It reads stability
+    and End from each class's invariant factors, under a check against
+    Gauss's count of irreducibles.  The pointwise union-find census remains
+    the general path and the cross-check.
     """
     if quiver.is_single_loop() and total_dim(dims) > 0:
         return loop_class_census(quiver, dims, theta, field, config)

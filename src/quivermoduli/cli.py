@@ -31,7 +31,7 @@ from .errors import (
     NotGeometricallyStableError,
     SchemaError,
 )
-from .ffields import GF
+from .ffields import prime_power
 from .galois import GaloisPair
 from .morita import (
     division_form,
@@ -262,7 +262,7 @@ def cmd_census(args, config):
     try:
         q_list = [int(q) for q in args.q.split(",")]
         for q in q_list:
-            GF(q)  # raises for a q that is not a prime power
+            prime_power(q)  # raises for a q that is not a prime power
     except ValueError as exc:
         raise SchemaError(f"bad q: {exc}") from exc
     fit = census_polynomiality(quiver, dims, theta, q_list, config)

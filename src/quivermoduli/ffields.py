@@ -3,9 +3,11 @@ polynomials over them.
 
 Extension field elements are encoded as integers in [0, p^n): the code of
 sum(c_i x^i) is sum(c_i p^i).  Small fields (the only ones used by the
-enumeration core) precompute full multiplication / inverse / Frobenius
-tables, which keeps the inner loops of the census at plain list-indexing
-speed.  Larger fields fall back to on-the-fly polynomial arithmetic.
+enumeration core) precompute full addition / multiplication / inverse /
+Frobenius tables, which keeps the inner loops of the census at plain
+list-indexing speed.  The products come from discrete logs to a
+multiplicative generator, so building them takes O(s) polynomial products,
+not s^2/2.  Larger fields fall back to on-the-fly polynomial arithmetic.
 
 This is the one polynomial module over finite fields.  `monic_irreducibles`
 lists every monic irreducible up to a degree by a sieve, for the similarity
@@ -18,6 +20,7 @@ change.
 """
 
 from itertools import product
+from operator import itemgetter
 
 from sympy import factorint, isprime
 
@@ -285,25 +288,44 @@ class ExtensionField(Ring):
         return _encode([(u + v) % self.p for u, v in zip(a, b)], self.p)
 
     def _build_tables(self):
-        s = self.size
-        add = [0] * (s * s)
-        mul = [0] * (s * s)
-        for x in range(s):
-            for y in range(x, s):
-                v = self._add_codes(x, y)
-                add[x * s + y] = v
-                add[y * s + x] = v
-                w = self._mul_codes(x, y)
-                mul[x * s + y] = w
-                mul[y * s + x] = w
-        neg = [add.index(0, x * s, (x + 1) * s) - x * s for x in range(s)]
-        inv = [0] * s
+        """The s*s add and mul tables and the neg, inv and frob lists.
+
+        mul, inv and frob come from discrete logs to a multiplicative
+        generator g, whose powers take s - 2 polynomial products:
+        x y = g^(log x + log y).  add and neg work digit by digit on the
+        base-p codes, which is XOR when p = 2.
+        """
+        s, p, n = self.size, self.p, self.n
+        order = s - 1
+        g = self.multiplicative_generator()
+        antilog = [1] * order
+        for k in range(1, order):
+            antilog[k] = self._mul_codes(antilog[k - 1], g)
+        log = [0] * s
+        for k, x in enumerate(antilog):
+            log[x] = k
+        twice = antilog + antilog
+        by_log = itemgetter(*log[1:])  # row of g^l: entry y is g^(l + log y)
+        mul = [0] * s
         for x in range(1, s):
-            for y in range(1, s):
-                if mul[x * s + y] == 1:
-                    inv[x] = y
-                    break
-        frob = [self._pow_code(x, self.p) for x in range(s)]
+            mul.append(0)
+            mul += by_log(twice[log[x] : log[x] + order])
+        inv = [0] + [antilog[-log[x] % order] for x in range(1, s)]
+        frob = [0] + [antilog[p * log[x] % order] for x in range(1, s)]
+        if p == 2:
+            add = [x ^ y for x in range(s) for y in range(s)]
+            neg = list(range(s))
+        else:
+            add = []
+            for x in range(s):
+                # y -> x + y shifts each base-p digit of y cyclically
+                row = [0]
+                for i in reversed(range(n)):
+                    xi, unit = x // p**i % p, p**i
+                    shift = [(xi + t) % p * unit for t in range(p)]
+                    row = [r + u for r in row for u in shift]
+                add += row
+            neg = [_encode([-c for c in _decode(x, p, n)], p) for x in range(s)]
         self._tables = (add, mul, neg, inv, frob)
         self._add_t, self._mul_t, self._neg_t, self._inv_t, self._frob_t = self._tables
 
@@ -411,12 +433,18 @@ class ExtensionField(Ring):
         return hash(("ext", self.p, self.n, self.modulus))
 
 
-def GF(q, modulus=None):
-    """Finite field of order q = p^n (q prime gives PrimeField)."""
+def prime_power(q):
+    """(p, n) with q = p^n, or ValueError; builds no field."""
     fac = factorint(q) if q >= 2 else {}
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
     ((p, n),) = fac.items()
+    return p, n
+
+
+def GF(q, modulus=None):
+    """Finite field of order q = p^n (q prime gives PrimeField)."""
+    p, n = prime_power(q)
     if n == 1:
         return PrimeField(p)
     return ExtensionField(p, n, modulus)

@@ -13,10 +13,6 @@ from .numtheory import hilbert_symbol, relevant_places
 from .rings import Ring, _fraction_from_json, _fraction_to_json
 
 
-def _cols_to_rows(cols):
-    return tuple(tuple(col[r] for col in cols) for r in range(4))
-
-
 def quat_is_division(a, b):
     """True iff (a, b)_Q is a division algebra (not the 2x2 matrix algebra)."""
     a = Fraction(a)
@@ -89,14 +85,28 @@ class QuaternionAlgebra(Ring):
         return (Fraction(q), z, z, z)
 
     def left_mul_matrix(self, c):
-        """4x4 rational matrix (rows) of y -> c*y on coordinate columns."""
-        basis = (self.one, self.i, self.j, self.k)
-        return _cols_to_rows([self.mul(c, e) for e in basis])
+        """4x4 rational matrix (rows) of y -> c*y on coordinate columns;
+        column k is c e_k for e = (1, i, j, ij), written out."""
+        a, b = self.a, self.b
+        c0, c1, c2, c3 = c
+        return (
+            (c0, a * c1, b * c2, -a * b * c3),
+            (c1, c0, b * c3, -b * c2),
+            (c2, -a * c3, c0, a * c1),
+            (c3, -c2, c1, c0),
+        )
 
     def right_mul_matrix(self, c):
-        """4x4 rational matrix (rows) of y -> y*c on coordinate columns."""
-        basis = (self.one, self.i, self.j, self.k)
-        return _cols_to_rows([self.mul(e, c) for e in basis])
+        """4x4 rational matrix (rows) of y -> y*c on coordinate columns;
+        column k is e_k c, written out."""
+        a, b = self.a, self.b
+        c0, c1, c2, c3 = c
+        return (
+            (c0, a * c1, b * c2, -a * b * c3),
+            (c1, c0, -b * c3, b * c2),
+            (c2, a * c3, c0, -a * c1),
+            (c3, c2, -c1, c0),
+        )
 
     def random(self, rng):
         return tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4))

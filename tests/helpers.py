@@ -1,7 +1,8 @@
 """Shared builders for the test suite, the per-entry matrix loops as the
 reference for the integer-coordinate kernel, a brute-force stability
-reference and the full-scan orbit census as the reference for the slice
-census."""
+reference, the full-scan orbit census as the reference for the slice
+census, and product-by-product references for finite-field tables and
+quaternion regular representations."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -221,3 +222,37 @@ def reference_orbit_census(quiver, dims, theta, field, config):
         counts[cat] += 1
         categories.append(cat)
     return counts, len(orbits), sorted(categories)
+
+
+# ---------------------------------------------------------------------------
+# product-by-product references for field tables and quaternion matrices
+
+
+def reference_field_tables(field):
+    """(add, mul, neg, inv, frob) of a small ExtensionField, built pairwise
+    from one polynomial sum and one product-and-reduction per pair."""
+    s = field.size
+    add = [0] * (s * s)
+    mul = [0] * (s * s)
+    for x in range(s):
+        for y in range(x, s):
+            add[x * s + y] = add[y * s + x] = field._add_codes(x, y)
+            mul[x * s + y] = mul[y * s + x] = field._mul_codes(x, y)
+    neg = [add.index(0, x * s, (x + 1) * s) - x * s for x in range(s)]
+    inv = [0] + [mul.index(1, x * s, (x + 1) * s) - x * s for x in range(1, s)]
+    frob = [field._pow_code(x, field.p) for x in range(s)]
+    return add, mul, neg, inv, frob
+
+
+def _cols_to_rows(cols):
+    return tuple(tuple(col[r] for col in cols) for r in range(4))
+
+
+def reference_left_mul_matrix(alg, c):
+    """Rows of y -> c y, column k the product c e_k, e = (1, i, j, ij)."""
+    return _cols_to_rows([alg.mul(c, e) for e in (alg.one, alg.i, alg.j, alg.k)])
+
+
+def reference_right_mul_matrix(alg, c):
+    """Rows of y -> y c, column k the product e_k c."""
+    return _cols_to_rows([alg.mul(e, c) for e in (alg.one, alg.i, alg.j, alg.k)])

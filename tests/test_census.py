@@ -40,7 +40,12 @@ from quivermoduli.config import JobConfig
 from quivermoduli.errors import BudgetExceededError, InvariantError, SchemaError
 from quivermoduli.ffields import monic_irreducibles
 from quivermoduli.quiver import base_change
-from quivermoduli.stability import enumerate_subreps, stability_verdict
+from quivermoduli.stability import (
+    STABLE,
+    STRICTLY_SEMISTABLE,
+    enumerate_subreps,
+    stability_verdict,
+)
 
 from helpers import (
     gimat,
@@ -278,12 +283,52 @@ def test_orbit_census_repeats_exactly():
 
 
 def test_class_census_against_pointwise():
-    for q, d in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+    for q, d in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2), (5, 2)):
         dims = {"v": d}
         theta = {"v": 0}
         a = orbit_census(J, dims, theta, GF(q), CFG)
         b = loop_class_census(J, dims, theta, GF(q), CFG)
         assert a.counts == b.counts
+
+
+def test_class_census_matches_engine():
+    # the categories read from invariant factors against the closure engine
+    # on every class representative, and deg f against dim End when stable
+    grid = [(d, q) for d in (1, 2, 3) for q in (2, 3, 4, 5, 7, 8, 9)]
+    grid += [(4, q) for q in (2, 3, 4)]
+    for d, q in grid:
+        dims, field = {"v": d}, GF(q)
+        for theta in ({"v": 0}, {"v": 3}):
+            if theta["v"] and q > 3:
+                continue
+            plan = _build_plan(J, dims, theta, field)
+            cen = loop_class_census(J, dims, theta, field, CFG)
+            for data, point, cat in cen.entries:
+                kind = _categorize_point(point, plan)
+                if cat == STRICTLY_SEMISTABLE:
+                    assert kind == STRICTLY_SEMISTABLE, (d, q, data)
+                    continue
+                assert kind == STABLE, (d, q, data)
+                (f, part), = data
+                e = census._end_dim_point(point, J, dims, field)
+                assert part == (1,) and len(f) - 1 == e == d
+                assert cat == (GEOM_STABLE if e == 1 else STABLE_NOT_SCHUR)
+
+
+def test_class_census_gauss_check(monkeypatch):
+    # losing one irreducible class makes the stable count fall short of
+    # Gauss's count of monic irreducibles
+    real = census.similarity_class_reps
+
+    def one_lost(field, size):
+        reps = real(field, size)
+        lost = next(i for i, (data, _) in enumerate(reps) if len(data) == 1 and data[0][1] == (1,))
+        return reps[:lost] + reps[lost + 1 :]
+
+    monkeypatch.setattr(census, "similarity_class_reps", one_lost)
+    for d, q in ((1, 2), (2, 3), (3, 2)):
+        with pytest.raises(InvariantError):
+            loop_class_census(J, {"v": d}, {"v": 0}, GF(q), CFG)
 
 
 def test_monic_irreducibles():

@@ -6,6 +6,8 @@ import pytest
 from quivermoduli import NotInvertibleError, QuaternionAlgebra, hamilton_quaternions
 from quivermoduli.quaternions import quat_is_division
 
+from helpers import reference_left_mul_matrix, reference_right_mul_matrix
+
 
 def test_defining_relations():
     H = hamilton_quaternions()
@@ -84,3 +86,13 @@ def test_regular_representation_matrices():
         prod2 = H.mul(y, c)
         via_r = tuple(sum(R[r][s] * y[s] for s in range(4)) for r in range(4))
         assert via_r == prod2
+
+
+@pytest.mark.parametrize("a, b", [(-1, -1), (-1, 3), (2, 5), (-3, 7)])
+def test_regular_representations_closed_form(a, b):
+    # the closed-form columns against four quaternion products each
+    alg = QuaternionAlgebra(a, b)
+    rng = random.Random(a * 100 + b)
+    for c in [alg.one, alg.i, alg.j, alg.k] + [alg.random(rng) for _ in range(30)]:
+        assert alg.left_mul_matrix(c) == reference_left_mul_matrix(alg, c)
+        assert alg.right_mul_matrix(c) == reference_right_mul_matrix(alg, c)

@@ -269,6 +269,34 @@ def test_cli_census(tmp_path, capsys):
     assert all(r["ok"] for r in out["descent"])
 
 
+def test_cli_census_builds_each_field_once(monkeypatch, capsys):
+    # q is validated without building F_q; the census builds it once
+    import pathlib
+
+    from quivermoduli import ExtensionField
+
+    built = []
+    real = ExtensionField.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExtensionField, "__init__", counted)
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+    code = main([
+        "--format", "json",
+        "census",
+        "--quiver", str(fixtures / "kronecker2.quiver.json"),
+        "--dims", '{"s":1,"t":1}',
+        "--theta", '{"s":1,"t":-1}',
+        "--q", "4",
+    ])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["census"]["counts"] == [5]
+    assert built == [(2, 2, None)]
+
+
 KRONECKER2_JSON = {"vertices": ["s", "t"], "arrows": [
     {"id": "a1", "from": "s", "to": "t"},
     {"id": "a2", "from": "s", "to": "t"},
