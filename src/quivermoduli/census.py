@@ -40,8 +40,6 @@ from itertools import product
 from math import prod
 from typing import Dict, List, Optional
 
-from sympy import divisors, mobius
-
 from .brauer import brauer_class
 from .config import JobConfig
 from .descent import solve_modifying_u, hilbert90_descend
@@ -51,6 +49,7 @@ from .galois import GaloisPair
 from .homs import _field_hom_system, is_isomorphic
 from .linalg import Mat
 from .morita import division_form, drep_to_twisted
+from .numtheory import mobius
 from .quiver import Representation, base_change, group_generators, slope, total_dim
 from .stability import (
     STABLE,
@@ -520,7 +519,7 @@ class LoopClassCensus:
 
 def _irreducible_count(d, q):
     """Gauss: (1/d) sum_{k | d} mu(d/k) q^k monic irreducibles of degree d."""
-    return sum(mobius(d // k) * q**k for k in divisors(d)) // d
+    return sum(mobius(d // k) * q**k for k in range(1, d + 1) if d % k == 0) // d
 
 
 def loop_class_census(quiver, dims, theta, field, config):

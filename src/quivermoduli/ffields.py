@@ -22,9 +22,8 @@ change.
 from itertools import product
 from operator import itemgetter
 
-from sympy import factorint, isprime
-
 from .errors import NotInvertibleError
+from .numtheory import factorint, isprime
 from .rings import Ring
 
 _TABLE_LIMIT = 1024  # build s*s tables only up to this field size

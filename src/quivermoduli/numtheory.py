@@ -1,18 +1,63 @@
 """Elementary number theory used by the arithmetic layer.
 
-Valuations and factorizations of rationals, Legendre symbols, square roots
-of -1 modulo p, sums of two squares, and the Hilbert symbol over Q at a
-finite or infinite place.
+Integer factoring, valuations and factorizations of rationals, Legendre
+symbols, square roots of -1 modulo p, sums of two squares, and the Hilbert
+symbol over Q at a finite or infinite place.
+
+Integers below 2^24 are factored by trial division.  Larger ones go to
+sympy, which is imported only then, so no process that stays below 2^24
+pays for importing it.
 """
 
 from fractions import Fraction
 from math import isqrt
 
-from sympy import factorint, isprime
-
 from .errors import InvariantError
 
 INF_PLACE = "inf"
+_TRIAL_LIMIT = 1 << 12  # odd trial divisors stay below this
+_SMALL = _TRIAL_LIMIT * _TRIAL_LIMIT  # trial division settles every n below this
+
+
+def factorint(n):
+    """Map prime -> exponent for an integer n >= 1, in ascending order of prime.
+
+    Trial division settles n when its cofactor is 1 or has no divisor up to
+    its square root; that covers every n < 2^24.  Otherwise the answer is
+    sympy's for the original n, so its dict order is sympy's too.
+    """
+    if n >= 1:
+        fac = {}
+        m, d = n, 2
+        while d < _TRIAL_LIMIT and d * d <= m:
+            while m % d == 0:
+                fac[d] = fac.get(d, 0) + 1
+                m //= d
+            d += 1 if d == 2 else 2
+        if d * d > m:
+            if m > 1:
+                fac[m] = 1
+            return fac
+    from sympy import factorint as sympy_factorint
+
+    return sympy_factorint(n)
+
+
+def isprime(n):
+    """Primality of an integer; sympy decides it from 2^24 on."""
+    if isinstance(n, int) and n < _SMALL:
+        return n >= 2 and factorint(n) == {n: 1}
+    from sympy import isprime as sympy_isprime
+
+    return sympy_isprime(n)
+
+
+def mobius(n):
+    """Moebius function of an integer n >= 1."""
+    exps = factorint(n).values()
+    if any(e > 1 for e in exps):
+        return 0
+    return -1 if len(exps) % 2 else 1
 
 
 def valuation(x, p):

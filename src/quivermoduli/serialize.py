@@ -92,7 +92,10 @@ def mat_from_json(ring, data, shape):
     for row in data:
         if not isinstance(row, list):
             raise SchemaError("matrix row must be a list")
-        rows.append(tuple(ring.from_json(x) for x in row))
+        try:
+            rows.append(tuple(ring.from_json(x) for x in row))
+        except (ValueError, TypeError) as exc:
+            raise SchemaError(f"bad matrix entry over {ring!r}: {exc}") from exc
     if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
         raise SchemaError(f"matrix has wrong shape; expected {shape}")
     return Mat(ring, rows, shape)
@@ -113,8 +116,13 @@ def rep_from_json(data):
         ring = ring_from_json(data["ring"])
         dims = {str(v): int(d) for v, d in data["dims"].items()}
         matrices = data["matrices"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SchemaError(f"bad representation data: {exc}") from exc
+    if not isinstance(matrices, dict):
+        raise SchemaError("bad representation data: matrices must be an object")
+    missing = [v for v in quiver.vertices if v not in dims]
+    if missing:
+        raise SchemaError(f"bad representation data: dims missing vertices {missing}")
     mats = {}
     for a in quiver.arrows:
         if a.name not in matrices:
@@ -223,5 +231,8 @@ def load_theta(data, quiver):
     for v in quiver.vertices:
         if v not in data:
             raise SchemaError(f"theta missing vertex {v}")
-        theta[v] = int(data[v])
+        try:
+            theta[v] = int(data[v])
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"bad theta at vertex {v}: {exc}") from exc
     return theta

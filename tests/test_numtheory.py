@@ -1,18 +1,80 @@
+import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 import pytest
+import sympy
+from sympy.ntheory import factor_ as sympy_factor_module
 
 from quivermoduli.numtheory import (
+    factorint,
     hilbert_symbol,
+    isprime,
     legendre,
+    mobius,
     relevant_places,
     squarefree_part,
     sqrt_minus_one_mod,
     two_squares,
     valuation,
 )
+
+# Around the trial-division bound 2^24 and beyond it, where sympy answers.
+LARGE = [
+    2**24 - 3, 2**24 + 1, 4093 * 4099, 4099**2, 2**61 - 1, 2**127 - 2, 2**127 - 1,
+    561 * 4099 * 4111, 10**18 + 9,
+]
+
+
+def _cold_items(factor, n):
+    """factor(n) as a list, on an empty sympy factor cache.  sympy lists the
+    large factors of n in an order that depends on what its process-wide
+    cache already holds, so each call starts from the same state."""
+    cache = getattr(sympy_factor_module, "factor_cache", None)
+    if cache is not None:
+        cache.cache_clear()
+    return list(factor(n).items())
+
+
+def test_factorint_matches_sympy_in_order():
+    for n in list(range(1, 1 << 16)) + LARGE:
+        assert _cold_items(factorint, n) == _cold_items(sympy.factorint, n), n
+
+
+def test_isprime_matches_sympy():
+    for n in list(range(-5, 1 << 16)) + LARGE:
+        assert isprime(n) == sympy.isprime(n), n
+
+
+def test_mobius_matches_sympy():
+    for n in range(1, 5000):
+        assert mobius(n) == sympy.mobius(n), n
+
+
+_BIG_PRIMES = (4099, 4111, 4129, 4153, 65537, 1000003)
+
+
+def test_two_squares_pinned():
+    # SHA-256 of the answers from when sympy factored every n, on a grid
+    # with prime factors above the 2^12 trial-division bound
+    grid = list(range(-2, 3000)) + [
+        m * p * r for p, r in product(_BIG_PRIMES, (1, 4099, 4129)) for m in (1, 2, 5, 9, 13, 21)
+    ]
+    got = hashlib.sha256(repr([two_squares(n) for n in grid]).encode()).hexdigest()
+    assert got == "07d8899c0a022d3c5a7da4a0aabd46c2859ba32d544aee382e942f46e0be3759"
+
+
+def test_relevant_places_pinned():
+    grid = [
+        Fraction(n, d)
+        for n in (1, -1, 2, -3, 10, 4099, -4129, 4099 * 4111, 2 * 65537, 2**61 - 1)
+        for d in (1, 7, 4153, 9 * 4129)
+    ]
+    got = [relevant_places(a, b) for a in grid for b in grid]
+    digest = hashlib.sha256(repr(got).encode()).hexdigest()
+    assert digest == "f10462274efb476cf3b474da6d8d8945a020f84e36d2f48bcce7ba09fb57959f"
 
 
 def brute_two_squares(n):

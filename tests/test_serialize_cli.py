@@ -144,6 +144,27 @@ def test_cli_parse_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("change, theta", [
+    ({"dims": {"s": "x", "t": 1}}, '{"s":1,"t":-1}'),  # dimension not an integer
+    ({"dims": {"s": 1}}, '{"s":1,"t":-1}'),  # vertex t missing
+    ({"dims": [1, 1]}, '{"s":1,"t":-1}'),  # dims not an object
+    ({"matrices": {"a1": [[[1]]], "a2": [[1]]}}, '{"s":1,"t":-1}'),  # list as F_3 entry
+    ({"matrices": {"a1": [["3/2"]], "a2": [[1]]}}, '{"s":1,"t":-1}'),  # fraction as F_3 entry
+    ({"matrices": 5}, '{"s":1,"t":-1}'),  # matrices not an object
+    ({}, '{"s":"a","t":-1}'),  # theta not an integer
+], ids=[
+    "dims-str", "dims-missing-t", "dims-list", "entry-list", "entry-fraction", "matrices-int",
+    "theta-str",
+])
+def test_cli_malformed_rep_is_parse_error(tmp_path, capsys, change, theta):
+    data = {**rep_to_json(kronecker_rep(GF(3), [1, 1])), **change}
+    path = write_json(tmp_path, "rep.json", data)
+    assert main(["stability", path, "--theta", theta]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:")
+    assert "Traceback" not in err
+
+
 def test_cli_budget_error(tmp_path, capsys):
     quiver = kronecker_quiver(2)
     path = write_json(
