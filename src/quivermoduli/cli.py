@@ -2,10 +2,12 @@
 
 Subcommands: stability | hn | typemap | descend | divform | twisted-validate
 | census.  Exit codes: 0 success (including mathematically negative
-answers), 2 parse errors, 3 budget errors, 4 inconclusive randomized
-searches, 5 internal invariant violations, 6 questions no implemented
-procedure decides.  Reports embed the config and seed; JSON output is
-byte-stable for a fixed (input, seed, version).
+answers), 2 parse errors (bad input or a bad config), 3 budget errors, 4
+inconclusive randomized searches, 5 internal invariant violations, 6
+questions no implemented procedure decides.  A reader that closes stdout
+early gets what it read and exit 0, without a traceback.  Reports embed the
+config and seed; JSON output is byte-stable for a fixed (input, seed,
+version).
 """
 
 import argparse
@@ -45,6 +47,7 @@ from .serialize import (
     dumps,
     hn_to_json,
     hom_to_json,
+    json_int,
     load_theta,
     pair_from_json,
     quiver_from_json,
@@ -85,14 +88,19 @@ def _load_config(args):
     data = {}
     path = os.environ.get(CONFIG_ENV)
     if path:
-        data.update(_read_json(path))
-    cfg = JobConfig.from_dict(data)
+        data = _read_json(path)
+        if not isinstance(data, dict):
+            raise SchemaError(f"{path}: a config must be a JSON object")
+    if getattr(args, "primes", None):
+        data = {**data, "primes": args.primes}
+    if getattr(args, "format", None):
+        data = {**data, "output_format": args.format}
+    try:
+        cfg = JobConfig.from_dict(data)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad config: {exc}") from exc
     if getattr(args, "seed", None) is not None:
         cfg = cfg.with_seed(args.seed)
-    if getattr(args, "primes", None):
-        cfg = JobConfig.from_dict({**cfg.to_dict(), "primes": args.primes})
-    if getattr(args, "format", None):
-        cfg = JobConfig.from_dict({**cfg.to_dict(), "output_format": args.format})
     return cfg
 
 
@@ -101,10 +109,7 @@ def _load_dims(text, quiver):
     data = _parse_json_arg(text, "dims")
     if not isinstance(data, dict) or set(data) != set(quiver.vertices):
         raise SchemaError(f"dims must give a dimension for each of {list(quiver.vertices)}")
-    try:
-        dims = {v: int(data[v]) for v in quiver.vertices}
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad dims: {exc}") from exc
+    dims = {v: json_int(data[v], f"dims[{v}]") for v in quiver.vertices}
     if min(dims.values()) < 0 or not any(dims.values()):
         raise SchemaError(f"dims must be nonnegative and not all zero, got {dims}")
     return dims
@@ -336,7 +341,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _load_config(args)
     handlers = {
         "stability": cmd_stability,
         "hn": lambda a, c: cmd_stability(a, c, want_hn=True),
@@ -347,7 +351,13 @@ def main(argv=None):
         "census": cmd_census,
     }
     try:
-        return handlers[args.command](args, config)
+        code = handlers[args.command](args, _load_config(args))
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone; send the interpreter's last flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except SchemaError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

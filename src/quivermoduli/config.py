@@ -9,6 +9,8 @@ import random
 from dataclasses import asdict, dataclass, replace
 from typing import Tuple
 
+from .numtheory import isprime
+
 
 @dataclass(frozen=True)
 class JobConfig:
@@ -24,6 +26,11 @@ class JobConfig:
         for name in ("max_subspace_checks", "max_orbit_points", "iso_trials", "h90_retries"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not self.primes:
+            raise ValueError("primes must name at least one prime")
+        for p in self.primes:
+            if not isinstance(p, int) or not isprime(p):
+                raise ValueError(f"primes: {p!r} is not a prime")
 
     def rng(self, label):
         """Deterministic generator derived from the seed and a purpose label."""

@@ -230,7 +230,9 @@ class PrimeField(Ring):
         return x
 
     def from_json(self, data):
-        return int(data) % self.p
+        from .serialize import json_int  # serialize imports this module
+
+        return json_int(data, "prime field element") % self.p
 
     def descriptor(self):
         return {"type": "prime", "p": self.p}
@@ -408,11 +410,13 @@ class ExtensionField(Ring):
         return self.coeffs(x)
 
     def from_json(self, data):
-        if isinstance(data, int):
-            return data % self.p
+        from .serialize import json_int  # serialize imports this module
+
+        if isinstance(data, (int, float)):  # json_int refuses bools and floats
+            return json_int(data, "extension field element") % self.p
         if not isinstance(data, list) or len(data) > self.n:
             raise ValueError(f"bad extension field element {data!r}")
-        return self.from_coeffs([int(c) for c in data])
+        return self.from_coeffs([json_int(c, "coefficient") for c in data])
 
     def descriptor(self):
         return {"type": "ext", "p": self.p, "n": self.n, "modulus": list(self.modulus)}

@@ -20,6 +20,22 @@ from .rings import QQ, QuadraticField
 VERSION = "0.1.0"
 
 
+def json_int(value, what):
+    """An integer from JSON: an int or an integer string.  A float or a bool
+    is refused, not truncated."""
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise SchemaError(f"{what} must be an integer, got {value!r}")
+
+
+def _modulus(data):
+    modulus = data.get("modulus")
+    return None if modulus is None else [json_int(c, "modulus coefficient") for c in modulus]
+
+
 def ring_to_json(ring):
     return ring.descriptor()
 
@@ -32,12 +48,13 @@ def ring_from_json(data):
         if kind == "rational":
             return QQ
         if kind == "prime":
-            return PrimeField(int(data["p"]))
+            return PrimeField(json_int(data["p"], "p"))
         if kind == "ext":
-            modulus = data.get("modulus")
-            return ExtensionField(int(data["p"]), int(data["n"]), modulus)
+            return ExtensionField(
+                json_int(data["p"], "p"), json_int(data["n"], "n"), _modulus(data)
+            )
         if kind == "quad":
-            return QuadraticField(int(data["m"]))
+            return QuadraticField(json_int(data["m"], "m"))
         if kind == "quaternion":
             return QuaternionAlgebra(QQ.from_json(data["a"]), QQ.from_json(data["b"]))
     except (KeyError, ValueError, TypeError) as exc:
@@ -55,9 +72,11 @@ def pair_from_json(data):
     kind = data["type"]
     try:
         if kind == "finite":
-            return GaloisPair.finite(int(data["p"]), int(data["n"]), data.get("modulus"))
+            return GaloisPair.finite(
+                json_int(data["p"], "p"), json_int(data["n"], "n"), _modulus(data)
+            )
         if kind == "quadratic":
-            return GaloisPair.quadratic(int(data["m"]))
+            return GaloisPair.quadratic(json_int(data["m"], "m"))
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaError(f"bad pair descriptor {data!r}: {exc}") from exc
     raise SchemaError(f"unknown pair type {kind!r}")
@@ -114,7 +133,7 @@ def rep_from_json(data):
     try:
         quiver = quiver_from_json(data["quiver"])
         ring = ring_from_json(data["ring"])
-        dims = {str(v): int(d) for v, d in data["dims"].items()}
+        dims = {str(v): json_int(d, f"dims[{v}]") for v, d in data["dims"].items()}
         matrices = data["matrices"]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SchemaError(f"bad representation data: {exc}") from exc
@@ -179,10 +198,9 @@ def twisted_from_json(data):
     from .morita import TwistedRep
 
     datum = datum_from_json(data)
-    try:
-        index = int(data["index"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad twisted representation: {exc}") from exc
+    if "index" not in data:
+        raise SchemaError("bad twisted representation: missing index")
+    index = json_int(data["index"], "index")
     if index < 1:
         raise SchemaError(f"bad twisted representation: index must be at least 1, got {index}")
     return TwistedRep(datum.pair, datum.rep, datum.u, datum.lam, index)
@@ -231,8 +249,5 @@ def load_theta(data, quiver):
     for v in quiver.vertices:
         if v not in data:
             raise SchemaError(f"theta missing vertex {v}")
-        try:
-            theta[v] = int(data[v])
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad theta at vertex {v}: {exc}") from exc
+        theta[v] = json_int(data[v], f"theta at vertex {v}")
     return theta

@@ -17,7 +17,13 @@ out.
 Decision procedures over infinite fields do not exist here;
 geom_stability_certificate returns Stable only with a finite-field
 certificate, returns a non-stable verdict only with an exactly re-verified
-witness, and says Unknown otherwise.
+witness, and says Unknown otherwise.  It first looks for a geometrically
+stable reduction at every prime, and only then hunts exact destabilizers,
+closing the prime-independent seeds (arrow kernels and images, full vertex
+spaces) once.  The order cannot change the answer: an exact
+subrepresentation of slope >= mu reduces, at every usable prime, to a
+subrepresentation with the same dimension vector, so a Stable reduction and
+an exact witness never both exist.
 """
 
 from bisect import bisect_right
@@ -685,24 +691,28 @@ def _centered_lift(ring, fp, col):
     )
 
 
-def _exact_destabilizer_candidates(rep, theta, modp_witness, fp):
+def _lifted_seeds(rep, modp_witness, fp):
+    """Seeds from a mod-p witness: its centered lift at every vertex, then
+    the lift at each vertex where it is nonzero on its own."""
+    if modp_witness is None:
+        return []
+    ring = rep.ring
+    lifted = {}
+    for v, b in modp_witness.bases.items():
+        cols = [_centered_lift(ring, fp, b.col(j)) for j in range(b.ncols)]
+        lifted[v] = (
+            Mat.from_cols(ring, cols, rep.dims[v])
+            if cols
+            else Mat.zero(ring, rep.dims[v], 0)
+        )
+    return [lifted] + [{v: m} for v, m in lifted.items() if m.ncols]
+
+
+def _fixed_seeds(rep):
+    """Seeds that do not depend on the prime: each arrow's kernel and image,
+    then each nonzero vertex space."""
     ring = rep.ring
     seeds = []
-    if modp_witness is not None:
-        lifted = {}
-        for v, b in modp_witness.bases.items():
-            cols = [
-                _centered_lift(ring, fp, b.col(j)) for j in range(b.ncols)
-            ]
-            lifted[v] = (
-                Mat.from_cols(ring, cols, rep.dims[v])
-                if cols
-                else Mat.zero(ring, rep.dims[v], 0)
-            )
-        seeds.append(lifted)
-        for v, m in lifted.items():
-            if m.ncols:
-                seeds.append({v: m})
     for a in rep.quiver.arrows:
         m = rep.mats[a.name]
         ker = m.nullspace()
@@ -712,10 +722,15 @@ def _exact_destabilizer_candidates(rep, theta, modp_witness, fp):
             img = m.canonical_cols()
             if img.ncols:
                 seeds.append({a.dst: img})
-    full = {v: Mat.identity(ring, rep.dims[v]) for v in rep.quiver.vertices}
     for v in rep.quiver.vertices:
         if rep.dims[v]:
-            seeds.append({v: full[v]})
+            seeds.append({v: Mat.identity(ring, rep.dims[v])})
+    return seeds
+
+
+def _exact_destabilizer_candidates(rep, seeds):
+    """The proper nonzero forward closures of the seeds, in seed order and
+    without repeats."""
     out = []
     seen = set()
     for seed in seeds:
@@ -736,6 +751,19 @@ def geom_stability_certificate(rep, theta, config, primes=None):
     destabilizing subspace over the algebraic closure would specialize into
     the reduction, so none exists).  Non-stable verdicts carry an exactly
     verified witness over the input field.  Otherwise Unknown.
+
+    Two passes.  The first reduces at each prime in order and returns Stable
+    at the first reduction that is stable with a one-dimensional End.  The
+    second walks the usable primes in the same order and closes candidate
+    seeds exactly: the lift of that prime's mod-p witness, and, at the first
+    prime only, the seeds that do not depend on p (arrow kernels and images,
+    full vertex spaces).  The order cannot change the answer: an exact
+    subrepresentation U of slope >= mu meets the lattice in a saturated,
+    arrow-stable sublattice at every usable prime, whose reduction is a
+    subrepresentation with U's dimension vector, so no usable reduction is
+    stable when a witness exists.  A BudgetExceededError from the verdict at
+    one prime ends the first pass; it is raised after the second pass has
+    hunted the primes before it, unless that hunt finds an Unstable witness.
     """
     if rep.is_zero_dimensional():
         raise ValueError("stability of the zero representation is undefined")
@@ -748,18 +776,29 @@ def geom_stability_certificate(rep, theta, config, primes=None):
         return StabilityVerdict(STABLE, detail={"certificate": "dimension-count"})
     primes = list(primes if primes is not None else config.primes)
     tried = []
-    best_exact = None
+    hunts = []  # (p, F_p, mod-p witness) per usable prime, in order
+    over_budget = None
     for p in primes:
         red = reduce_mod_prime(rep, p)
         if red is None:
             tried.append((p, "unusable"))
             continue
-        verdict = stability_verdict(red, theta, config)
+        try:
+            verdict = stability_verdict(red, theta, config)
+        except BudgetExceededError as exc:
+            over_budget = exc
+            break
         if verdict.is_stable and end_dim(red) == 1:
             return StabilityVerdict(STABLE, detail={"certificate": "reduction", "prime": p})
         tried.append((p, verdict.kind))
-        fp = red.ring
-        for cand in _exact_destabilizer_candidates(rep, theta, verdict.witness, fp):
+        hunts.append((p, red.ring, verdict.witness))
+    best_exact = None
+    for i, (p, fp, witness) in enumerate(hunts):
+        seeds = _lifted_seeds(rep, witness, fp)
+        if i == 0:
+            # later primes would close these again and could add nothing
+            seeds += _fixed_seeds(rep)
+        for cand in _exact_destabilizer_candidates(rep, seeds):
             if not cand.is_closed_in(rep):
                 continue
             s = cand.slope(theta)
@@ -771,6 +810,8 @@ def geom_stability_certificate(rep, theta, config, primes=None):
                 best_exact = StabilityVerdict(
                     STRICTLY_SEMISTABLE, witness=cand, detail={"slope": s, "prime": p}
                 )
+    if over_budget is not None:
+        raise over_budget
     if best_exact is not None:
         return best_exact
     return StabilityVerdict(UNKNOWN, detail={"tried": tried})

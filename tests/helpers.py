@@ -1,8 +1,8 @@
 """Shared builders for the test suite, the per-entry matrix loops as the
 reference for the integer-coordinate kernel, a brute-force stability
-reference, the full-scan orbit census as the reference for the slice
-census, and product-by-product references for finite-field tables and
-quaternion regular representations."""
+reference, the one-loop certificate over Q and Q(i), the full-scan orbit
+census as the reference for the slice census, and product-by-product
+references for finite-field tables and quaternion regular representations."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -17,10 +17,16 @@ from quivermoduli import (
     kronecker_quiver,
     slope,
 )
-from quivermoduli import census
+from quivermoduli import census, stability
 from quivermoduli.errors import BudgetExceededError, InvariantError
 from quivermoduli.rings import QQ
-from quivermoduli.stability import STABLE, STRICTLY_SEMISTABLE, UNSTABLE
+from quivermoduli.stability import (
+    STABLE,
+    STRICTLY_SEMISTABLE,
+    UNKNOWN,
+    UNSTABLE,
+    StabilityVerdict,
+)
 
 
 def fmat(field, rows):
@@ -179,6 +185,75 @@ def reference_verdict(rep, theta):
         for w in _reference_closed(rep, e):
             return (UNSTABLE if slope(e, theta) > mu else STRICTLY_SEMISTABLE), w
     return STABLE, None
+
+
+# ---------------------------------------------------------------------------
+# one-loop reference for the certificate over Q and Q(i)
+
+
+def _reference_candidates(rep, modp_witness, fp):
+    """Forward closures of every seed at one prime: the lifted witness, its
+    vertices alone, arrow kernels and images, full vertex spaces."""
+    ring = rep.ring
+    seeds = []
+    if modp_witness is not None:
+        lifted = {}
+        for v, b in modp_witness.bases.items():
+            cols = [stability._centered_lift(ring, fp, b.col(j)) for j in range(b.ncols)]
+            lifted[v] = (
+                Mat.from_cols(ring, cols, rep.dims[v]) if cols else Mat.zero(ring, rep.dims[v], 0)
+            )
+        seeds.append(lifted)
+        seeds += [{v: m} for v, m in lifted.items() if m.ncols]
+    for a in rep.quiver.arrows:
+        m = rep.mats[a.name]
+        ker = m.nullspace()
+        if ker:
+            seeds.append({a.src: Mat.from_cols(ring, ker, rep.dims[a.src])})
+        if m.ncols and m.canonical_cols().ncols:
+            seeds.append({a.dst: m.canonical_cols()})
+    seeds += [{v: Mat.identity(ring, rep.dims[v])} for v in rep.quiver.vertices if rep.dims[v]]
+    out, seen = [], set()
+    for seed in seeds:
+        cand = stability._forward_closure(rep, seed)
+        key = tuple(sorted((v, m.rows) for v, m in cand.bases.items()))
+        if key not in seen:
+            seen.add(key)
+            if 0 < cand.total_dim() and cand.dims != rep.dims:
+                out.append(cand)
+    return out
+
+
+def reference_certificate(rep, theta, config, primes=None):
+    """The certificate as one loop over primes: reduce, then hunt exact
+    destabilizers from every seed before trying the next prime."""
+    mu = rep.slope(theta)
+    groups = stability._slope_groups(rep.dims, theta)
+    if not groups or groups[0][0] < mu:
+        return StabilityVerdict(STABLE, detail={"certificate": "dimension-count"})
+    tried, best_exact = [], None
+    for p in list(primes if primes is not None else config.primes):
+        red = stability.reduce_mod_prime(rep, p)
+        if red is None:
+            tried.append((p, "unusable"))
+            continue
+        verdict = stability.stability_verdict(red, theta, config)
+        if verdict.is_stable and stability.end_dim(red) == 1:
+            return StabilityVerdict(STABLE, detail={"certificate": "reduction", "prime": p})
+        tried.append((p, verdict.kind))
+        for cand in _reference_candidates(rep, verdict.witness, red.ring):
+            if not cand.is_closed_in(rep):
+                continue
+            s = cand.slope(theta)
+            if s > mu:
+                return StabilityVerdict(UNSTABLE, witness=cand, detail={"slope": s, "prime": p})
+            if s == mu and best_exact is None:
+                best_exact = StabilityVerdict(
+                    STRICTLY_SEMISTABLE, witness=cand, detail={"slope": s, "prime": p}
+                )
+    if best_exact is not None:
+        return best_exact
+    return StabilityVerdict(UNKNOWN, detail={"tried": tried})
 
 
 # ---------------------------------------------------------------------------

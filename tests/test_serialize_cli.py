@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +17,7 @@ from quivermoduli.rings import QQ, gaussian_rationals
 from quivermoduli.serialize import (
     datum_from_json,
     datum_to_json,
+    json_int,
     pair_from_json,
     pair_to_json,
     rep_from_json,
@@ -329,6 +334,8 @@ KRONECKER2_JSON = {"vertices": ["s", "t"], "arrows": [
     '{"s":1,"t":1,"u":1}',  # unknown vertex
     '{"s":-1,"t":1}',  # negative dimension
     '{"s":0,"t":0}',  # zero dimension vector
+    '{"s":1.5,"t":1}',  # a float is not truncated
+    '{"s":true,"t":1}',  # nor is a bool read as 1
 ])
 def test_cli_census_bad_dims(tmp_path, capsys, dims):
     _assert_census_parse_error(tmp_path, capsys, dims, "2")
@@ -515,3 +522,120 @@ def test_cli_class_mismatch_is_parse_error(tmp_path, capsys, command, other):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and other in err
+
+
+# ---------------------------------------------------------------------------
+# integers from JSON, configs, and a closed stdout
+
+
+def test_json_int_refuses_floats_and_bools():
+    assert [json_int(x, "n") for x in (3, -2, "7", " 5 ", "-1")] == [3, -2, 7, 5, -1]
+    for bad in (3.0, 3.9, True, False, "3.0", "x", None, [1], {"a": 1}):
+        with pytest.raises(SchemaError, match="n must be an integer"):
+            json_int(bad, "n")
+
+
+@pytest.mark.parametrize("change, theta", [
+    ({"ring": {"type": "prime", "p": 3.9}}, '{"s":1,"t":-1}'),
+    ({"ring": {"type": "prime", "p": True}}, '{"s":1,"t":-1}'),
+    ({"dims": {"s": 1.5, "t": 1}}, '{"s":1,"t":-1}'),
+    ({"matrices": {"a1": [[1.7]], "a2": [[1]]}}, '{"s":1,"t":-1}'),
+    ({"matrices": {"a1": [[True]], "a2": [[1]]}}, '{"s":1,"t":-1}'),
+    ({}, '{"s":1.2,"t":-1}'),
+    ({"ring": {"type": "ext", "p": 2, "n": 2.0}}, '{"s":1,"t":-1}'),
+    ({"ring": {"type": "ext", "p": 2, "n": 2, "modulus": [1, 1.0, 1]}}, '{"s":1,"t":-1}'),
+    ({"ring": {"type": "ext", "p": 2, "n": 2}, "matrices": {"a1": [[1.0]], "a2": [[1]]}},
+     '{"s":1,"t":-1}'),
+    ({"ring": {"type": "ext", "p": 2, "n": 2}, "matrices": {"a1": [[[0, 1.5]]], "a2": [[1]]}},
+     '{"s":1,"t":-1}'),
+    ({"ring": {"type": "quad", "m": -1.0}}, '{"s":1,"t":-1}'),
+], ids=[
+    "p-float", "p-bool", "dims-float", "entry-float", "entry-bool", "theta-float", "ext-n-float",
+    "ext-modulus-float", "ext-entry-float", "ext-coefficient-float", "quad-m-float",
+])
+def test_cli_non_integer_numbers_are_parse_errors(tmp_path, capsys, change, theta):
+    data = {**rep_to_json(kronecker_rep(GF(3), [1, 1])), **change}
+    path = write_json(tmp_path, "rep.json", data)
+    assert main(["stability", path, "--theta", theta]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "must be an integer" in err
+
+
+def test_cli_integer_strings_still_accepted(tmp_path, capsys):
+    data = rep_to_json(kronecker_rep(GF(3), [1, 1]))
+    data.update(
+        ring={"type": "prime", "p": "3"},
+        dims={"s": "1", "t": 1},
+        matrices={"a1": [["1"]], "a2": [[1]]},
+    )
+    path = write_json(tmp_path, "rep.json", data)
+    assert main(["--format", "json", "stability", path, "--theta", '{"s":"1","t":-1}']) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["theta"] == {"s": 1, "t": -1} and out["verdict"]["kind"] == "stable"
+
+
+def test_non_integer_pair_and_index_rejected():
+    with pytest.raises(SchemaError):
+        pair_from_json({"type": "finite", "p": 2.0, "n": 2})
+    with pytest.raises(SchemaError):
+        pair_from_json({"type": "quadratic", "m": -1.5})
+    rep, pair, theta = quaternionic_kronecker_example()
+    datum = solve_modifying_u(rep, pair, theta, CFG)
+    data = {**datum_to_json(datum), "index": 2.0}
+    with pytest.raises(SchemaError, match="index must be an integer"):
+        twisted_from_json(data)
+    assert twisted_from_json({**data, "index": "2"}).index == 2
+
+
+def test_config_rejects_bad_primes():
+    for primes in ((), (4,), (5, 4), (5, 1), (5, 13.0), (True,)):
+        with pytest.raises(ValueError):
+            JobConfig(primes=primes)
+    assert JobConfig(primes=(2, 3, 2**61 - 1)).primes == (2, 3, 2**61 - 1)
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--primes", "4"], None),
+    (["--primes", "4,5"], None),
+    ([], '{"max_subspace_checks": 0}'),
+    ([], '{"primes": []}'),
+    ([], '{"primes": 5}'),
+    ([], '{"iso_trials": "many"}'),
+    ([], '[1, 2]'),
+    ([], '{"seed": 1,'),
+], ids=[
+    "primes-4", "primes-4-5", "budget-0", "primes-empty", "primes-int", "trials-str",
+    "not-object", "bad-json",
+])
+def test_cli_bad_config_is_parse_error(tmp_path, capsys, monkeypatch, argv, config):
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config)
+        monkeypatch.setenv("QUIVERMODULI_CONFIG", str(cfg_path))
+    rep = Representation(
+        kronecker_quiver(2), QQ, {"s": 1, "t": 1},
+        {"a1": Mat(QQ, ((Fraction(1),),)), "a2": Mat(QQ, ((Fraction(2),),))},
+    )
+    path = write_json(tmp_path, "rep.json", rep_to_json(rep))
+    assert main([*argv, "stability", path, "--theta", '{"s":1,"t":-1}']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "Traceback" not in err
+
+
+def test_cli_closed_stdout_exits_quietly(tmp_path):
+    path = write_json(tmp_path, "rep.json", rep_to_json(kronecker_rep(GF(3), [1, 1])))
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the CLI writes a byte
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "quivermoduli.cli", "--format", "json",
+             "hn", path, "--theta", '{"s":1,"t":-1}'],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0
+    assert done.stderr == ""
