@@ -17,11 +17,16 @@ when the quiver has more than one arrow each arrow matrix keeps its image
 codes across points.
 
 Orbits are counted by union-find over generators of H_r, and each orbit's
-size is checked by orbit-stabilizer against |H_r| and dim End, computed once
-per orbit.  Within one census each generator acts once per distinct arrow
-matrix: every (generator, arrow) pair has a lazily filled memo
-M -> g_dst M g_src^-1, shared by arrows with the same ends.  A point outside
-the slices is looked up by row-reducing its a0 matrix to J_r first.
+size is checked by orbit-stabilizer against |H_r| and e = dim End, computed
+once per orbit.  When the nonzero d_v are coprime, e = 1 with no
+elimination: End W of a stable W is a field F_{q^e} and every W_v is a
+vector space over it, so e divides every nonzero d_v.  The orbit-stabilizer
+check runs on every orbit either way.  Within one census each generator
+acts once per distinct arrow matrix: every (generator, arrow) pair has a
+lazily filled memo M -> g_dst M g_src^-1, shared by arrows with the same
+ends.  A point whose a0 matrix is one of the normal forms J_r is looked up
+in the union-find directly; only a point outside the slices is row-reduced
+to J_r first.
 `stable_orbit_census` routes single-loop quivers through similarity
 classes instead (companion blocks of prime-power polynomials, with the
 monic irreducibles found by the sieve in ffields), which covers spaces too
@@ -30,20 +35,20 @@ invariant factors, with no subspace scan: a class is stable iff its data is
 one irreducible f of degree d, and then End = F_q[x]/(f).  The number of
 stable classes is checked against Gauss's count of monic irreducibles.
 
-The engine, matrix lists and generator memos are built per census call,
-never cached across calls.
+The engine, matrix lists, generator memos and the set of normal forms are
+built per census call, never cached across calls.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, prod
 from typing import Dict, List, Optional
 
 from .brauer import brauer_class
 from .config import JobConfig
 from .descent import solve_modifying_u, hilbert90_descend
-from .errors import BudgetExceededError, InvariantError, SchemaError
+from .errors import BudgetExceededError, InvariantError, SchemaError, count_text
 from .ffields import GF, _poly_mul, monic_irreducibles
 from .galois import GaloisPair
 from .homs import _field_hom_system, is_isomorphic
@@ -55,6 +60,7 @@ from .stability import (
     STABLE,
     STRICTLY_SEMISTABLE,
     UNSTABLE,
+    _check_budget,
     _closed_pairs,  # noqa: F401  called through _Engine.tests once per memo miss
     _encode_rep,
     _Engine,
@@ -85,10 +91,13 @@ class _Plan:
     memo: Optional[list]  # per arrow: {matrix rows -> closure test}
 
 
-def _build_plan(quiver, dims, theta, field):
-    engine = _Engine(quiver, dims, field)
+def _build_plan(quiver, dims, theta, field, config=JobConfig()):
+    """The plan, once the combos it lists, the closure checks of one point,
+    fit config.max_subspace_checks (BudgetExceededError otherwise)."""
     mu = slope(dims, theta)
     relevant = [(s, es) for s, es in _slope_groups(dims, theta) if s >= mu]
+    _check_budget(dims, field.size, [e for _, es in relevant for e in es], config)
+    engine = _Engine(quiver, dims, field)
     groups = [(s, e, list(combos)) for s, e, combos in engine.with_combos(relevant)]
     memo = [{} for _ in quiver.arrows] if len(quiver.arrows) > 1 else None
     return _Plan(engine, mu, groups, memo)
@@ -104,7 +113,15 @@ def _categorize_point(point, plan):
 
 
 def _end_dim_point(point, quiver, dims, field):
-    """dim End for an encoded point: the corank of its intertwiner system."""
+    """dim End for an encoded stable point: the corank of its intertwiner
+    system, or 1 with no system when the nonzero d_v are coprime.
+
+    End W of a stable W is a field F_{q^e} (King, Quart. J. Math. 45
+    (1994)), and every W_v is a vector space over it, so e divides every
+    nonzero d_v.  On a point that is not stable the shortcut can be wrong.
+    """
+    if gcd(*(d for d in dims.values() if d)) == 1:
+        return 1
     _, total, rows = _field_hom_system(quiver, field, dims, dims, point, point)
     return total - Mat(field, rows, (len(rows), total)).rank()
 
@@ -234,27 +251,37 @@ def _slices(quiver, dims, field, k):
     return out
 
 
-def _slice_orbits(quiver, dims, field, config, keep=None):
-    """Union-find over the slice points that keep accepts (all when None).
+def _checked_slice_arrow(quiver, dims, field, config):
+    """The slice arrow's index (see _slice_arrow), once the slices' points
+    fit config.max_orbit_points (BudgetExceededError otherwise)."""
+    k = _slice_arrow(quiver, dims)
+    entries = sum(dims[a.dst] * dims[a.src] for a in quiver.arrows)
+    nslices = 1
+    if k is not None:
+        a = quiver.arrows[k]
+        entries -= dims[a.dst] * dims[a.src]
+        nslices = min(dims[a.src], dims[a.dst]) + 1
+    npoints = nslices * field.size**entries
+    if npoints > config.max_orbit_points:
+        raise BudgetExceededError(
+            f"slices have {count_text(npoints)} points "
+            f"(budget {config.max_orbit_points})",
+            estimate=npoints,
+        )
+    return k
+
+
+def _slice_orbits(quiver, dims, field, k, keep=None):
+    """Union-find over the points of arrow k's slices that keep accepts
+    (all when None).
 
     Each slice is scanned in product order and its kept points are joined
     along the generators of its stabilizer H_r; every generator image must
     be a kept point of the same slice, or InvariantError.  Returns the
     union-find and, per orbit, (minimum, size, root, |H_r|), sorted by
-    minimum.
+    minimum, and the set of a0's normal forms J_r (empty without a0).
     """
-    k = _slice_arrow(quiver, dims)
     slices = _slices(quiver, dims, field, k)
-    entries = sum(dims[a.dst] * dims[a.src] for a in quiver.arrows)
-    if k is not None:
-        a = quiver.arrows[k]
-        entries -= dims[a.dst] * dims[a.src]
-    npoints = len(slices) * field.size**entries
-    if npoints > config.max_orbit_points:
-        raise BudgetExceededError(
-            f"slices have {npoints} points (budget {config.max_orbit_points})",
-            estimate=npoints,
-        )
     a0 = None if k is None else quiver.arrows[k]
     uf = _UnionFind()
     orbits = []
@@ -275,24 +302,22 @@ def _slice_orbits(quiver, dims, field, config, keep=None):
             members.setdefault(uf.find(point), []).append(point)
         orbits += [(min(ps), len(ps), root, order) for root, ps in members.items()]
     orbits.sort()
-    return uf, orbits, k
+    forms = frozenset(fixed[k] for fixed, _, _ in slices if k is not None)
+    return uf, orbits, forms
 
 
 def _to_slice(point, quiver, dims, field, k):
-    """A point of the G_d-orbit of point whose arrow k matrix is J_r.
+    """A point of the G_d-orbit of point whose arrow k matrix is J_r, for a
+    point whose arrow k matrix is not in normal form.
 
     Row reduction [M | I] -> [R | P] gives P M = R in reduced echelon form;
     g_src stacks R's r nonzero rows over the unit rows e_j of the non-pivot
     columns, so R = J_r g_src and (P, g_src) . M = J_r.
     """
-    if k is None:
-        return point
     a = quiver.arrows[k]
     n, m = dims[a.src], dims[a.dst]
     aug, pivots = Mat(field, point[k], (m, n)).hstack(Mat.identity(field, m)).rref()
     r = sum(1 for c in pivots if c < n)
-    if point[k] == _normal_form(field, m, n, r):
-        return point
     zero, one = field.zero, field.one
     src_rows = [row[:n] for row in aug.rows[:r]]
     src_rows += [tuple(one if i == j else zero for i in range(n)) for j in range(n) if j not in pivots]
@@ -308,8 +333,9 @@ class OrbitCensus:
 
     `counts` covers the two stable categories only; non-stable points never
     enter the orbit structure.  The union-find holds the stable points of
-    the slices only; orbit_id and same_orbit first move a point into its
-    slice.
+    the slices only.  orbit_id and same_orbit look a point whose slice
+    arrow matrix is one of `slice_forms` up directly, and row-reduce any
+    other point into its slice first.
     """
 
     quiver: object
@@ -322,13 +348,17 @@ class OrbitCensus:
     representatives: List[object]  # each stable orbit's minimum in its slice
     canonical_count: int  # orbits that passed the orbit-stabilizer check
     slice_arrow: Optional[int] = None  # arrow index fixed to J_r, if any
+    slice_forms: frozenset = frozenset()  # the normal forms J_r of that arrow
 
     @property
     def geom_stable_count(self):
         return self.counts[GEOM_STABLE]
 
     def orbit_id(self, point):
-        return self.uf.find(_to_slice(point, self.quiver, self.dims, self.field, self.slice_arrow))
+        k = self.slice_arrow
+        if k is not None and point[k] not in self.slice_forms:
+            point = _to_slice(point, self.quiver, self.dims, self.field, k)
+        return self.uf.find(point)
 
     def same_orbit(self, p1, p2):
         return self.orbit_id(p1) == self.orbit_id(p2)
@@ -352,9 +382,10 @@ def orbit_census(quiver, dims, theta, field, config):
     computed on the orbit's minimum, sets its category.  Without a non-loop
     arrow the one slice is the whole space and H = G_d.
     """
-    plan = _build_plan(quiver, dims, theta, field)
-    uf, orbits, k = _slice_orbits(
-        quiver, dims, field, config, keep=lambda p: _categorize_point(p, plan) == STABLE
+    k = _checked_slice_arrow(quiver, dims, field, config)
+    plan = _build_plan(quiver, dims, theta, field, config)
+    uf, orbits, forms = _slice_orbits(
+        quiver, dims, field, k, keep=lambda p: _categorize_point(p, plan) == STABLE
     )
     q = field.size
     counts = {GEOM_STABLE: 0, STABLE_NOT_SCHUR: 0}
@@ -378,6 +409,7 @@ def orbit_census(quiver, dims, theta, field, config):
         representatives,
         len(representatives),
         k,
+        forms,
     )
 
 
@@ -813,5 +845,6 @@ def all_orbit_representatives(quiver, dims, field, config):
             _decode_rep(quiver, field, dims, (rows,))
             for _, rows in similarity_class_reps(field, dims[quiver.vertices[0]])
         ]
-    _, orbits, _ = _slice_orbits(quiver, dims, field, config)
+    k = _checked_slice_arrow(quiver, dims, field, config)
+    _, orbits, _ = _slice_orbits(quiver, dims, field, k)
     return [_decode_rep(quiver, field, dims, rep) for rep, _, _, _ in orbits]

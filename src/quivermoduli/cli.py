@@ -172,6 +172,8 @@ def cmd_stability(args, config, want_hn=False):
 def cmd_typemap(args, config):
     rep = rep_from_json(_read_json(args.rep))
     pair = pair_from_json(_parse_json_arg(args.pair, "pair"))
+    if rep.ring != pair.ext:
+        raise SchemaError(f"representation is over {rep.ring!r}, the pair is over {pair.ext!r}")
     theta = load_theta(_parse_json_arg(args.theta, "theta"), rep.quiver)
     payload = {"input": args.rep}
     try:

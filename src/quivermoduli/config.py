@@ -46,10 +46,12 @@ class JobConfig:
 
     @staticmethod
     def from_dict(data):
-        known = {}
-        for f in JobConfig.__dataclass_fields__:
-            if f in data:
-                known[f] = data[f]
+        """The config with data's fields; a key that names no field is a
+        ValueError, so a misspelled key cannot fall back to its default."""
+        unknown = [k for k in data if k not in JobConfig.__dataclass_fields__]
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
+        known = dict(data)
         if "primes" in known:
             known["primes"] = tuple(known["primes"])
         return JobConfig(**known)

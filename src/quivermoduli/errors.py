@@ -36,6 +36,13 @@ class BudgetExceededError(QuiverModuliError):
         self.estimate = estimate
 
 
+def count_text(n):
+    """A budget estimate for a message: n in decimal below 2^64, else its
+    power-of-two floor, since a count too large to print is still an
+    answer (str() of an int refuses more than 4,300 digits)."""
+    return str(n) if n.bit_length() <= 64 else f"at least 2^{n.bit_length() - 1}"
+
+
 class InconclusiveError(QuiverModuliError):
     """A randomized or certificate-based search ended without an answer.
 

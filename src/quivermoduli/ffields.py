@@ -185,6 +185,7 @@ class PrimeField(Ring):
         self.char = p
         self.zero = 0
         self.one = 1 % p
+        self._generator = None
 
     def add(self, x, y):
         return (x + y) % self.p
@@ -216,12 +217,15 @@ class PrimeField(Ring):
         return range(1, self.p)
 
     def multiplicative_generator(self):
-        order = self.p - 1
-        fac = factorint(order)
-        for g in range(2, self.p):
-            if all(pow(g, order // q, self.p) != 1 for q in fac):
-                return g
-        return 1  # p == 2
+        """The least generator of F_p^x (1 when p = 2), found once per field."""
+        if self._generator is None:
+            order = self.p - 1
+            fac = factorint(order)
+            units = range(2, self.p)
+            self._generator = next(
+                (g for g in units if all(pow(g, order // q, self.p) != 1 for q in fac)), 1
+            )
+        return self._generator
 
     def random(self, rng):
         return rng.randrange(self.p)
@@ -272,6 +276,7 @@ class ExtensionField(Ring):
         self.one = 1
         self.gen = p  # the class of x
         self._tables = None
+        self._generator = None
         if self.size <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -396,12 +401,16 @@ class ExtensionField(Ring):
         return range(1, self.size)
 
     def multiplicative_generator(self):
-        order = self.size - 1
-        fac = factorint(order)
-        for g in range(2, self.size):
-            if all(self._pow_code(g, order // q) != 1 for q in fac):
-                return g
-        raise RuntimeError("no generator found")
+        """The least code that generates the unit group, found once per field
+        (by _build_tables when the field has tables)."""
+        if self._generator is None:
+            order = self.size - 1
+            fac = factorint(order)
+            units = range(2, self.size)
+            self._generator = next(
+                g for g in units if all(self._pow_code(g, order // q) != 1 for q in fac)
+            )
+        return self._generator
 
     def random(self, rng):
         return rng.randrange(self.size)

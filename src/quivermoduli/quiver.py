@@ -197,8 +197,8 @@ def _block_diag(ring, top, bottom):
 def generators_of_gln(ring, n):
     """Generators of GL_n over a finite field: transvections and one diagonal."""
     gens = [_transvection(ring, n, i, j) for i in range(n) for j in range(n) if i != j]
-    gamma = ring.multiplicative_generator()
-    if gamma != ring.one and n > 0:
+    gamma = ring.multiplicative_generator() if n > 0 else ring.one
+    if gamma != ring.one:
         rows = [list(r) for r in Mat.identity(ring, n).rows]
         rows[0][0] = gamma
         gens.append(Mat(ring, rows, (n, n)))

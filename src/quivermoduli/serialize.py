@@ -173,6 +173,10 @@ def datum_from_json(data):
         u_data = data["u"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad descent datum: {exc}") from exc
+    if not isinstance(u_data, dict):
+        raise SchemaError("bad descent datum: u must be an object")
+    if rep.ring != pair.ext:
+        raise SchemaError(f"bad descent datum: rep is over {rep.ring!r}, pair over {pair.ext!r}")
     if lam == pair.base.zero:
         raise SchemaError("bad descent datum: lambda must be nonzero")
     u = {}

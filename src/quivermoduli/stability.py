@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations, product
 from typing import Dict, Optional, Tuple
 
-from .errors import BudgetExceededError, InvariantError, SchemaError
+from .errors import BudgetExceededError, InvariantError, SchemaError, count_text
 from .ffields import PrimeField
 from .homs import end_dim
 from .linalg import Mat
@@ -359,17 +359,18 @@ def _slope_groups(dims, theta):
     return sorted(groups.items(), key=lambda kv: kv[0], reverse=True)
 
 
-def _check_budget(rep, dim_vectors, config):
-    q = rep.ring.size
+def _check_budget(dims, q, dim_vectors, config):
+    """The closure checks of one point over F_q with these dims, at most one
+    per subspace tuple of each dimension vector, or BudgetExceededError."""
     cost = 0
     for e in dim_vectors:
         c = 1
-        for v, d in rep.dims.items():
+        for v, d in dims.items():
             c *= _gaussian_binomial(q, d, e[v])
         cost += c
     if cost > config.max_subspace_checks:
         raise BudgetExceededError(
-            f"subspace enumeration needs {cost} closure checks "
+            f"subspace enumeration needs {count_text(cost)} closure checks "
             f"(budget {config.max_subspace_checks})",
             estimate=cost,
         )
@@ -381,7 +382,7 @@ def enumerate_subreps(rep, config):
     if not rep.ring.is_finite:
         raise SchemaError("enumerate_subreps requires a finite coefficient field")
     dim_vectors = _sub_dim_vectors(rep.dims)
-    _check_budget(rep, dim_vectors, config)
+    _check_budget(rep.dims, rep.ring.size, dim_vectors, config)
     eng = _Engine(rep.quiver, rep.dims, rep.ring)
     closed = eng.closed(
         eng.tests(_encode_rep(rep)), eng.with_combos([(None, dim_vectors)])
@@ -408,7 +409,7 @@ def stability_verdict(rep, theta, config):
         )
     mu = rep.slope(theta)
     relevant = [(s, es) for s, es in _slope_groups(rep.dims, theta) if s >= mu]
-    _check_budget(rep, [e for _, es in relevant for e in es], config)
+    _check_budget(rep.dims, rep.ring.size, [e for _, es in relevant for e in es], config)
     eng = _Engine(rep.quiver, rep.dims, rep.ring)
     hit = next(eng.closed(eng.tests(_encode_rep(rep)), eng.with_combos(relevant)), None)
     if hit is None:
@@ -424,7 +425,7 @@ def is_semistable(rep, theta, config):
         raise SchemaError("exact semistability checks need a finite field")
     mu = rep.slope(theta)
     above = [(s, es) for s, es in _slope_groups(rep.dims, theta) if s > mu]
-    _check_budget(rep, [e for _, es in above for e in es], config)
+    _check_budget(rep.dims, rep.ring.size, [e for _, es in above for e in es], config)
     eng = _Engine(rep.quiver, rep.dims, rep.ring)
     return next(eng.closed(eng.tests(_encode_rep(rep)), eng.with_combos(above)), None) is None
 
@@ -456,7 +457,7 @@ def scss(rep, theta, config):
     # Only slopes strictly above mu can beat the full representation; if none
     # is attained, the representation is semistable and is its own scss.
     above = [(s, es) for s, es in _slope_groups(rep.dims, theta) if s > mu]
-    _check_budget(rep, [e for _, es in above for e in es], config)
+    _check_budget(rep.dims, rep.ring.size, [e for _, es in above for e in es], config)
     eng = _Engine(rep.quiver, rep.dims, rep.ring)
     tests = eng.tests(_encode_rep(rep))
     for s, es in above:

@@ -17,7 +17,7 @@ from quivermoduli import (
     kronecker_quiver,
     slope,
 )
-from quivermoduli import census, stability
+from quivermoduli import census, homs, stability
 from quivermoduli.errors import BudgetExceededError, InvariantError
 from quivermoduli.rings import QQ
 from quivermoduli.stability import (
@@ -263,7 +263,8 @@ def reference_certificate(rep, theta, config, primes=None):
 def reference_orbit_census(quiver, dims, theta, field, config):
     """(counts, canonical_count, sorted categories) from a scan of the whole
     rep space: every stable point, union-find over generators of G_d, and
-    |orbit| (q^e - 1) = |G_d| for each orbit, e = dim End of its minimum."""
+    |orbit| (q^e - 1) = |G_d| for each orbit, e = dim End of its minimum
+    from homs.end_dim, which shares no shortcut with the census."""
     npoints = field.size ** sum(dims[a.dst] * dims[a.src] for a in quiver.arrows)
     if npoints > config.max_orbit_points:
         raise BudgetExceededError(f"rep space has {npoints} points", estimate=npoints)
@@ -290,7 +291,7 @@ def reference_orbit_census(quiver, dims, theta, field, config):
     counts = {census.GEOM_STABLE: 0, census.STABLE_NOT_SCHUR: 0}
     categories = []
     for members in orbits.values():
-        e = census._end_dim_point(min(members), quiver, dims, field)
+        e = homs.end_dim(census._decode_rep(quiver, field, dims, min(members)))
         if len(members) * (q**e - 1) != order:
             raise InvariantError(f"orbit has {len(members)} points, dim End {e}")
         cat = census.GEOM_STABLE if e == 1 else census.STABLE_NOT_SCHUR

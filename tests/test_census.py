@@ -39,6 +39,7 @@ from quivermoduli.census import (
 from quivermoduli.config import JobConfig
 from quivermoduli.errors import BudgetExceededError, InvariantError, SchemaError
 from quivermoduli.ffields import monic_irreducibles
+from quivermoduli.homs import end_dim
 from quivermoduli.quiver import base_change
 from quivermoduli.stability import (
     STABLE,
@@ -191,6 +192,95 @@ def test_orbit_id_moves_points_into_their_slice():
                 assert cen.same_orbit(image, p)
                 assert [cen.same_orbit(image, r) for r in reps].count(True) == 1
         assert moved > 0
+
+
+def test_slice_lookup_skips_elimination(monkeypatch):
+    # a point already in its slice is found without row reduction; a point
+    # moved out of it by a random g in G_d goes through _to_slice once
+    real_rref, real_to_slice = Mat.rref, census._to_slice
+    rrefs, moves = [], []
+
+    def counted_rref(self, *args, **kwargs):
+        rrefs.append(self.nrows)
+        return real_rref(self, *args, **kwargs)
+
+    def counted_to_slice(*args):
+        moves.append(args[0])
+        return real_to_slice(*args)
+
+    monkeypatch.setattr(census, "_to_slice", counted_to_slice)
+
+    rng = random.Random(12)
+    for quiver, dims, q in (
+        (K2, {"s": 2, "t": 2}, 3),
+        (kronecker_quiver(3), {"s": 1, "t": 2}, 4),
+        (K2, {"s": 2, "t": 1}, 5),
+    ):
+        field = GF(q)
+        cen = orbit_census(quiver, dims, THETA, field, CFG)
+        k = cen.slice_arrow
+        monkeypatch.setattr(Mat, "rref", counted_rref)
+        for p in cen.representatives:
+            rrefs.clear()
+            moves.clear()
+            cen.orbit_id(p)
+            frob = tuple(tuple(tuple(field.frobenius(x) for x in row) for row in m) for m in p)
+            assert cen.same_orbit(frob, frob)
+            assert rrefs == moves == []
+        moved = 0
+        for p in cen.representatives:
+            g = {}
+            for v, d in dims.items():
+                m = None
+                while m is None or not m.is_invertible():
+                    m = Mat(field, [[rng.randrange(q) for _ in range(d)] for _ in range(d)], (d, d))
+                g[v] = m
+            image = _encode_rep(_decode_rep(quiver, field, dims, p).act(g))
+            outside = image[k] not in cen.slice_forms
+            moved += outside
+            rrefs.clear()
+            moves.clear()
+            assert cen.orbit_id(image) == cen.orbit_id(p)
+            assert moves == ([image] if outside else [])
+            assert bool(rrefs) == outside
+        monkeypatch.setattr(Mat, "rref", real_rref)
+        assert moved > 0
+
+
+def test_end_dim_is_one_on_coprime_grid():
+    # with the nonzero d_v coprime the census takes e = 1 without solving
+    # for End; homs.end_dim solves for it on every stable orbit
+    # representative instead
+    budget = JobConfig(max_orbit_points=5_000)
+    checked = 0
+    for quiver, dims in (
+        (K2, {"s": 1, "t": 1}),
+        (K2, {"s": 1, "t": 2}),
+        (K2, {"s": 2, "t": 1}),
+        (K2, {"s": 2, "t": 3}),
+        (kronecker_quiver(3), {"s": 1, "t": 2}),
+        (a2_quiver(), {"s": 1, "t": 1}),
+    ):
+        for q in (2, 3, 4, 5):
+            field = GF(q)
+            try:
+                cen = orbit_census(quiver, dims, THETA, field, budget)
+            except BudgetExceededError:
+                continue
+            assert cen.counts[STABLE_NOT_SCHUR] == 0
+            for p in cen.representatives:
+                assert end_dim(_decode_rep(quiver, field, dims, p)) == 1, (dims, q, p)
+            checked += 1
+    assert checked == 6 * 4 - 2  # K2 (2,3) over F_4 and F_5 exceed the budget
+
+
+def test_census_plan_respects_subspace_budget():
+    # K2 (12,1) over F_2 has 8,192 slice points, but a verdict on one of
+    # them would list 488,176,700,922 subspace tuples
+    with pytest.raises(BudgetExceededError, match="488176700922 closure checks"):
+        orbit_census(K2, {"s": 12, "t": 1}, THETA, GF(2), CFG)
+    with pytest.raises(BudgetExceededError, match=r"slices have at least 2\^"):
+        orbit_census(K2, {"s": 100, "t": 100}, THETA, GF(2), CFG)
 
 
 def test_orbit_stabilizer_check_catches_wrong_end(monkeypatch):

@@ -128,6 +128,32 @@ def test_multiplicative_generator():
         assert len(seen) == q - 1
 
 
+def test_multiplicative_generator_is_least_and_found_once(monkeypatch):
+    # the least generating code, as before it was kept on the field; after
+    # the first search (by _build_tables when the field has tables) no call
+    # factors q - 1 again, and GL_0 asks for no generator at all
+    from quivermoduli import ffields
+    from quivermoduli.quiver import generators_of_gln
+
+    def unit_order(f, g):
+        x, k = g, 1
+        while x != f.one:
+            x, k = f.mul(x, g), k + 1
+        return k
+
+    factorings = []
+    real = ffields.factorint
+    monkeypatch.setattr(ffields, "factorint", lambda n: factorings.append(n) or real(n))
+    for q in (2, 3, 4, 5, 7, 8, 9, 25, 49, 3125):
+        f = GF(q)
+        least = next((g for g in range(2, q) if unit_order(f, g) == q - 1), 1)
+        assert generators_of_gln(f, 0) == []
+        factorings.clear()
+        assert [f.multiplicative_generator() for _ in range(3)] == [least] * 3
+        assert len(generators_of_gln(f, 2)) == 2 + (least != f.one)
+        assert factorings == ([] if getattr(f, "_tables", None) else [q - 1])
+
+
 def test_rational_field():
     assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
     assert QQ.inv(Fraction(-2, 7)) == Fraction(-7, 2)

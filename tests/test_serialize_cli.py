@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import json
 import os
 import pathlib
@@ -6,6 +9,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quivermoduli import GF, GaloisPair, Mat, Representation, kronecker_quiver
 from quivermoduli.cli import main
@@ -330,6 +335,35 @@ KRONECKER2_JSON = {"vertices": ["s", "t"], "arrows": [
 
 
 @pytest.mark.parametrize("dims", [
+    '{"s":12,"t":1}',  # 8,192 slice points; 488,176,700,922 subspace tuples per point
+    '{"s":40,"t":1}',
+    '{"s":1000,"t":1000}',  # a slice count with more digits than str() prints
+])
+def test_cli_census_large_dims_exceed_budget(tmp_path, capsys, dims):
+    path = write_json(tmp_path, "quiver.json", KRONECKER2_JSON)
+    theta = '{"s":1,"t":-1}'
+    code = main(["census", "--quiver", path, "--dims", dims, "--theta", theta, "--q", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded:") and "Traceback" not in err
+
+
+def test_cli_input_over_the_wrong_ring_is_parse_error(tmp_path, capsys):
+    # a Q(i) rep with the Q(sqrt 2) pair, and a datum whose u is not an object
+    rep, pair, theta = quaternionic_kronecker_example()
+    path = write_json(tmp_path, "rep.json", rep_to_json(rep))
+    theta_arg = '{"s":1,"t":-1}'
+    code = main(["typemap", path, "--pair", '{"type":"quadratic","m":2}', "--theta", theta_arg])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("parse error:")
+    datum = datum_to_json(solve_modifying_u(rep, pair, theta, CFG))
+    for change in ({"u": None}, {"pair": {"type": "quadratic", "m": 2}}):
+        path = write_json(tmp_path, "datum.json", {**datum, **change})
+        assert main(["divform", path]) == 2
+        assert capsys.readouterr().err.startswith("parse error: bad descent datum")
+
+
+@pytest.mark.parametrize("dims", [
     '{"s":1}',  # missing vertex
     '{"s":1,"t":1,"u":1}',  # unknown vertex
     '{"s":-1,"t":1}',  # negative dimension
@@ -622,6 +656,23 @@ def test_cli_bad_config_is_parse_error(tmp_path, capsys, monkeypatch, argv, conf
     assert err.startswith("parse error:") and "Traceback" not in err
 
 
+def test_cli_unknown_config_keys_are_parse_errors(tmp_path, capsys, monkeypatch):
+    # misspelled keys must not fall back to the defaults
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 3, "max_subspace_cheks": 5, "output_fromat": "json"}))
+    monkeypatch.setenv("QUIVERMODULI_CONFIG", str(cfg_path))
+    path = write_json(tmp_path, "rep.json", rep_to_json(kronecker_rep(GF(3), [1, 1])))
+    assert main(["stability", path, "--theta", '{"s":1,"t":-1}']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: bad config:")
+    assert "max_subspace_cheks" in captured.err and "output_fromat" in captured.err
+    assert "seed" not in captured.err
+    with pytest.raises(ValueError):
+        JobConfig.from_dict({"seed": 1, "prime": [5]})
+    assert JobConfig.from_dict({"seed": 1, "primes": [5]}) == JobConfig(seed=1, primes=(5,))
+
+
 def test_cli_closed_stdout_exits_quietly(tmp_path):
     path = write_json(tmp_path, "rep.json", rep_to_json(kronecker_rep(GF(3), [1, 1])))
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -639,3 +690,112 @@ def test_cli_closed_stdout_exits_quietly(tmp_path):
         os.close(write_end)
     assert done.returncode == 0
     assert done.stderr == ""
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under mutated inputs
+
+# Small integers keep every case's work small; the budgets below turn any
+# larger census or subspace enumeration into exit 3.
+_FUZZ_INTS = st.integers(-3, 13)
+_FUZZ_STRINGS = st.sampled_from(
+    ["", "x", "0", "1", "-1", "3", "1/2", "1/0", "s", "t", "a1", "a2", "prime", "ext", "quad"]
+)
+_FUZZ_LEAVES = st.one_of(
+    st.none(), st.booleans(), _FUZZ_INTS, st.floats(-4, 4, allow_nan=False), _FUZZ_STRINGS
+)
+_FUZZ_VALUES = st.recursive(
+    _FUZZ_LEAVES,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["s", "t", "type", "p", "n", "m"]), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutated(data, value):
+    """value with one node, found by a random walk from the root, dropped
+    from its container or replaced: an int or a string mostly by another of
+    its kind, anything else by a random JSON value."""
+    if isinstance(value, (dict, list)) and value and data.draw(st.integers(0, 3)):
+        out = dict(value) if isinstance(value, dict) else list(value)
+        key = data.draw(st.sampled_from(list(out) if isinstance(out, dict) else range(len(out))))
+        if data.draw(st.integers(0, 4)) == 0:
+            del out[key]
+        else:
+            out[key] = _mutated(data, out[key])
+        return out
+    scalar = isinstance(value, (int, str)) and not isinstance(value, bool)
+    if scalar and data.draw(st.integers(0, 3)):
+        return data.draw(_FUZZ_INTS if isinstance(value, int) else _FUZZ_STRINGS)
+    return data.draw(_FUZZ_VALUES)
+
+
+def _fuzz_json(data, value):
+    """A mutation of value as JSON text, sometimes cut short so that it no
+    longer parses."""
+    text = json.dumps(_mutated(data, value))
+    if data.draw(st.integers(0, 3)):
+        return text
+    return text[: data.draw(st.integers(0, len(text) - 1))]
+
+
+_FUZZ_Q = st.one_of(
+    st.lists(st.integers(-1, 13), min_size=1, max_size=3).map(lambda qs: ",".join(map(str, qs))),
+    st.text(alphabet="0123456789,.-x ", max_size=6),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_inputs():
+    """Per subcommand, its inputs as (flag or None, file name or None,
+    valid value); the fuzz mutates one of them."""
+    rep, pair, theta = quaternionic_kronecker_example()
+    kr = rep_to_json(kronecker_rep(GF(3), [1, 2]))
+    st_theta = ("--theta", None, {"s": 1, "t": -1})
+    return {
+        "stability": [(None, "rep.json", kr), st_theta],
+        "hn": [(None, "rep.json", kr), st_theta],
+        "typemap": [
+            (None, "rep.json", rep_to_json(rep)), ("--pair", None, pair_to_json(pair)), st_theta
+        ],
+        "divform": [(None, "datum.json", datum_to_json(solve_modifying_u(rep, pair, theta, CFG)))],
+        "census": [
+            ("--quiver", "quiver.json", KRONECKER2_JSON),
+            ("--dims", None, {"s": 1, "t": 1}),
+            st_theta,
+            ("--q", None, "2,3"),
+        ],
+    }
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_exit_codes_under_mutated_inputs(tmp_path, monkeypatch, data):
+    # one mutated rep, datum, pair, theta or census argument per case; every
+    # case ends in a contract exit code, with no exception escaping main.
+    # Tight budgets turn any large census or enumeration into exit 3.
+    budgets = {"max_orbit_points": 500, "max_subspace_checks": 500}
+    cfg_path = write_json(tmp_path, "cfg.json", budgets)
+    monkeypatch.setenv("QUIVERMODULI_CONFIG", cfg_path)
+    command = data.draw(st.sampled_from(["stability", "hn", "typemap", "divform", "census"]))
+    inputs = _fuzz_inputs()[command]
+    target = data.draw(st.integers(0, len(inputs) - 1))
+    argv = ["--format", data.draw(st.sampled_from(["json", "table"])), command]
+    for i, (flag, name, value) in enumerate(inputs):
+        if i != target:
+            text = value if isinstance(value, str) else json.dumps(value)
+        elif flag == "--q":
+            text = data.draw(_FUZZ_Q)
+        else:
+            text = _fuzz_json(data, value)
+        if name is not None:
+            (tmp_path / name).write_text(text)
+            text = str(tmp_path / name)
+        argv.append(text if flag is None else f"{flag}={text}")
+    if command == "census" and data.draw(st.booleans()):
+        argv += ["--verify-descent", "2"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5, 6), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
