@@ -28,7 +28,6 @@ from .linalg import Mat
 from .morita import (
     TwistedRep,
     division_form,
-    drep_hom_space,
     drep_is_geom_stable,
     drep_to_twisted,
     morita_split,
@@ -61,6 +60,7 @@ from .stability import (
     StabilityVerdict,
     SubrepWitness,
     enumerate_subreps,
+    geom_stability,
     geom_stability_certificate,
     hn_filtration,
     is_geometrically_stable,

@@ -60,10 +60,10 @@ from .stability import (
     STABLE,
     STRICTLY_SEMISTABLE,
     UNSTABLE,
-    _check_budget,
     _closed_pairs,  # noqa: F401  called through _Engine.tests once per memo miss
     _encode_rep,
     _Engine,
+    _search,
     _slope_groups,
 )
 
@@ -95,10 +95,8 @@ def _build_plan(quiver, dims, theta, field, config=JobConfig()):
     """The plan, once the combos it lists, the closure checks of one point,
     fit config.max_subspace_checks (BudgetExceededError otherwise)."""
     mu = slope(dims, theta)
-    relevant = [(s, es) for s, es in _slope_groups(dims, theta) if s >= mu]
-    _check_budget(dims, field.size, [e for _, es in relevant for e in es], config)
-    engine = _Engine(quiver, dims, field)
-    groups = [(s, e, list(combos)) for s, e, combos in engine.with_combos(relevant)]
+    engine, groups = _search(quiver, dims, field, _slope_groups(dims, theta, mu), config)
+    groups = [(s, e, list(combos)) for s, e, combos in groups]
     memo = [{} for _ in quiver.arrows] if len(quiver.arrows) > 1 else None
     return _Plan(engine, mu, groups, memo)
 

@@ -35,12 +35,7 @@ from .errors import (
 )
 from .ffields import prime_power
 from .galois import GaloisPair
-from .morita import (
-    division_form,
-    drep_is_geom_stable,
-    twisted_to_drep,
-    validate_twisted,
-)
+from .morita import division_form, morita_split, twisted_to_drep, validate_twisted
 from .quaternions import QuaternionAlgebra
 from .serialize import (
     datum_from_json,
@@ -59,7 +54,7 @@ from .serialize import (
 from .stability import (
     UNKNOWN,
     end_dim,
-    geom_stability_certificate,
+    geom_stability,
     hn_filtration,
     stability_verdict,
 )
@@ -128,28 +123,25 @@ def _emit(payload, config):
             print(f"{key:24} {value}")
 
 
+def _split_pair(alg):
+    """The quadratic pair a quaternion algebra (a, b)_Q splits over."""
+    a = alg.a
+    try:
+        pair = GaloisPair.quadratic(int(a)) if a.denominator == 1 else None
+    except ValueError:
+        pair = None
+    if pair is None:
+        raise SchemaError(
+            "quaternion stability needs a squarefree integer i^2 constant "
+            f"to split over; got {a}"
+        )
+    return pair
+
+
 def cmd_stability(args, config, want_hn=False):
     rep = rep_from_json(_read_json(args.rep))
     theta = load_theta(_parse_json_arg(args.theta, "theta"), rep.quiver)
     payload = {"input": args.rep, "theta": theta}
-    if isinstance(rep.ring, QuaternionAlgebra):
-        # quaternionic representations are judged through their splitting
-        a = rep.ring.a
-        try:
-            pair = GaloisPair.quadratic(int(a)) if a.denominator == 1 else None
-        except ValueError:
-            pair = None
-        if pair is None:
-            raise SchemaError(
-                "quaternion stability needs a squarefree integer i^2 constant "
-                f"to split over; got {a}"
-            )
-        verdict = drep_is_geom_stable(rep, pair, theta, config)
-        payload["verdict"] = verdict_to_json(verdict)
-        # an Unknown certificate is printed as null, never as false
-        payload["geometrically_stable"] = None if verdict.kind == UNKNOWN else verdict.is_stable
-        _emit(payload, config)
-        return EXIT_OK
     if rep.ring.is_finite:
         verdict = stability_verdict(rep, theta, config)
         payload["verdict"] = verdict_to_json(verdict)
@@ -158,8 +150,12 @@ def cmd_stability(args, config, want_hn=False):
             verdict.is_stable and payload["end_dim"] == 1
         )
     else:
-        verdict = geom_stability_certificate(rep, theta, config)
+        if isinstance(rep.ring, QuaternionAlgebra):
+            # quaternionic representations are judged through their splitting
+            rep = morita_split(rep, _split_pair(rep.ring))
+        verdict = geom_stability(rep, theta, config)
         payload["verdict"] = verdict_to_json(verdict)
+        # an Unknown certificate is printed as null, never as false
         payload["geometrically_stable"] = None if verdict.kind == UNKNOWN else verdict.is_stable
     if want_hn or getattr(args, "hn", False):
         if not rep.ring.is_finite:

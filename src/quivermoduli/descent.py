@@ -19,10 +19,10 @@ from typing import Dict
 
 from .brauer import BrauerClass, brauer_class
 from .errors import InconclusiveError, InvariantError, NotGeometricallyStableError
-from .homs import end_dim, find_invertible_in_span, hom_space
+from .homs import find_invertible_in_span, hom_space
 from .linalg import Mat
 from .quiver import Representation
-from .stability import STABLE, geom_stability_certificate, stability_verdict
+from .stability import UNKNOWN, geom_stability
 
 
 def twist(rep, pair, power=1):
@@ -125,27 +125,20 @@ def cocycle_scalar(u, pair):
 
 
 def ensure_geom_stable(rep, pair, theta, config):
-    """Precondition check shared by the descent operations.
-
-    Finite fields decide geometric stability exactly; over Q(i) a Stable
-    certificate is required, and Unknown blocks the operation.
-    """
+    """Precondition check shared by the descent operations: geom_stability
+    must say Stable.  Finite fields decide it exactly; over Q(i) an Unknown
+    certificate blocks the operation."""
+    verdict = geom_stability(rep, theta, config)
+    if verdict.kind == UNKNOWN:
+        raise InconclusiveError(
+            "geometric stability could not be certified; "
+            f"diagnostics: {verdict.detail}",
+            seed=config.seed,
+        )
+    if not verdict.is_stable:
+        raise NotGeometricallyStableError(verdict.detail.get("reason", verdict.kind))
     if rep.ring.is_finite:
-        verdict = stability_verdict(rep, theta, config)
-        if not verdict.is_stable:
-            raise NotGeometricallyStableError(verdict.kind)
-        if end_dim(rep) != 1:
-            raise NotGeometricallyStableError("stable but not Schur")
         return {"stability": "finite-field decision"}
-    verdict = geom_stability_certificate(rep, theta, config)
-    if verdict.kind != STABLE:
-        if verdict.kind == "unknown":
-            raise InconclusiveError(
-                "geometric stability could not be certified; "
-                f"diagnostics: {verdict.detail}",
-                seed=config.seed,
-            )
-        raise NotGeometricallyStableError(verdict.kind)
     return {"stability": "certificate", "detail": verdict.detail}
 
 

@@ -12,7 +12,6 @@ from itertools import product
 from .errors import BudgetExceededError, InconclusiveError
 from .linalg import Mat
 from .quaternions import QuaternionAlgebra
-from .quiver import Representation
 from .rings import QQ
 
 
@@ -252,15 +251,3 @@ def is_isomorphic(w, wp, config):
 def identity_hom(w):
     return {v: Mat.identity(w.ring, w.dims[v]) for v in w.quiver.vertices}
 
-
-def apply_hom(h, rep):
-    """Conjugate a representation by an invertible hom tuple (h . M)."""
-    return Representation(
-        rep.quiver,
-        rep.ring,
-        rep.dims,
-        {
-            a.name: h[a.dst] @ rep.mats[a.name] @ h[a.src].inverse()
-            for a in rep.quiver.arrows
-        },
-    )

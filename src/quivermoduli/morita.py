@@ -28,21 +28,16 @@ from .descent import (
     DescentDatum,
     cocycle_scalar,
     hilbert90_descend,
+    modified_action_failures,
     modified_action_fixes,
     solve_descent_change_of_basis,
 )
 from .errors import InvariantError, NotDecidableError, SchemaError
 from .galois import QuadraticPair
-from .homs import end_dim, hom_space
 from .linalg import Mat
 from .quaternions import QuaternionAlgebra, quat_is_division
 from .quiver import Representation
-from .stability import (
-    STRICTLY_SEMISTABLE,
-    StabilityVerdict,
-    geom_stability_certificate,
-    stability_verdict,
-)
+from .stability import geom_stability
 
 
 def _check_split_pair(alg, pair):
@@ -171,12 +166,7 @@ def division_form(datum, config):
     dprime = {v: d // 2 for v, d in rep.dims.items()}
     u_std = standard_u(pair, lam_std, dprime)
     h = solve_descent_change_of_basis(normalized.u, u_std, pair, config)
-    hinv = {v: m.inverse() for v, m in h.items()}
-    std_mats = {
-        arr.name: h[arr.dst] @ rep.mats[arr.name] @ hinv[arr.src]
-        for arr in rep.quiver.arrows
-    }
-    rep_std = Representation(rep.quiver, pair.ext, rep.dims, std_mats)
+    rep_std = rep.act(h)
     if not modified_action_fixes(rep_std, u_std, pair):
         raise InvariantError("conjugated representation is not u_std-fixed")
     drep = morita_unsplit(rep_std, pair, lam_std)
@@ -220,12 +210,11 @@ def twisted_dim(twisted):
 
 def validate_twisted(twisted):
     """Check all twisted-representation invariants; returns (ok, diagnostics)."""
-    problems = []
     rep, u, pair = twisted.rep, twisted.u, twisted.pair
-    for a in rep.quiver.arrows:
-        m = rep.mats[a.name]
-        if u[a.dst] @ m.map(pair.sigma) != m @ u[a.src]:
-            problems.append(f"transition fails on arrow {a.name}")
+    problems = [
+        f"transition fails on arrow {name}"
+        for name in modified_action_failures(rep, u, pair)
+    ]
     try:
         lam = cocycle_scalar(u, pair)
         if lam != twisted.lam:
@@ -277,32 +266,13 @@ def twisted_to_drep(twisted, config):
 
 
 def drep_is_geom_stable(drep, pair, theta, config):
-    """Geometric stability of a D-representation via its Morita splitting.
+    """geom_stability of a D-representation's Morita splitting.
 
     Splitting identifies D-subrepresentations with subrepresentations of the
     split L-representation compatibly with (twisted) dimensions, so the
     verdict of the split representation is the definitionally right notion.
-    Index-1 inputs over finite fields reduce to the exact decision; a
-    stable-but-not-Schur decision is reported as strictly semistable, since
-    such a representation splits after a base field extension.
+    Index-1 inputs (already over a field) are judged as they are.
     """
     if isinstance(drep.ring, QuaternionAlgebra):
-        split = morita_split(drep, pair)
-    else:
-        split = drep  # index-1 degenerate case: already a field representation
-    if split.ring.is_finite:
-        verdict = stability_verdict(split, theta, config)
-        if not verdict.is_stable:
-            return verdict
-        if end_dim(split) == 1:
-            return verdict
-        return StabilityVerdict(
-            STRICTLY_SEMISTABLE,
-            detail={"reason": "stable but not Schur; splits after base change"},
-        )
-    return geom_stability_certificate(split, theta, config)
-
-
-def drep_hom_space(r1, r2):
-    """Q-basis of the D-linear intertwiners between two D-representations."""
-    return hom_space(r1, r2)
+        drep = morita_split(drep, pair)
+    return geom_stability(drep, theta, config)

@@ -1,19 +1,23 @@
 """Slope stability: subrepresentation enumeration, verdicts, scss, and
 Harder-Narasimhan filtrations over finite fields, plus sound one-sided
-certificates over Q and Q(i).
+certificates over Q and Q(i), joined in geom_stability, the one
+geometric-stability decision.
 
 Every finite-field answer, here and in the censuses, comes from one closure
-engine.  It lists subspaces as reduced-echelon bases, one rank at a time on
-first use, so witnesses are deduplicated by construction.  M U_t lies inside
-U_h when each M u, u in a basis of U_t, reduces to zero against U_h's
-echelon rows; vectors are keyed by their integer code sum v_i q^i, and
-every image code and membership verdict is memoized on first use, so the
-work and memory grow with the closure checks made, never with q^dim.  The
-subspace budget is checked before any listing, and the search stops at the
-first closed subspace tuple.  Engine state lives in an object built per call
-(or once per census), and witnesses become Mat column bases only on the way
-out.
+engine, entered through _search: it refuses an infinite field, checks the
+subspace budget before any listing, and returns the slope groups with their
+index combos.  The engine lists subspaces as reduced-echelon bases, one
+rank at a time on first use, so witnesses are deduplicated by construction.
+M U_t lies inside U_h when each M u, u in a basis of U_t, reduces to zero
+against U_h's echelon rows; vectors are keyed by their integer code
+sum v_i q^i, and every image code and membership verdict is memoized on
+first use, so the work and memory grow with the closure checks made, never
+with q^dim.  The search stops at the first closed subspace tuple.  Engine
+state lives in an object built per call (or once per census), and
+witnesses become Mat column bases only on the way out.
 
+Over F_q a rep is geometrically stable iff it is stable and End W = k
+(King, Quart. J. Math. 45 (1994)), which geom_stability decides exactly.
 Decision procedures over infinite fields do not exist here;
 geom_stability_certificate returns Stable only with a finite-field
 certificate, returns a non-stable verdict only with an exactly re-verified
@@ -29,7 +33,7 @@ an exact witness never both exist.
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, groupby, product
 from typing import Dict, Optional, Tuple
 
 from .errors import BudgetExceededError, InvariantError, SchemaError, count_text
@@ -294,10 +298,6 @@ class _Engine:
         """Index tuples of the subspace tuples with dimension vector e."""
         return product(*[sp.indices(e[v]) for v, sp in zip(self.verts, self.spaces)])
 
-    def with_combos(self, groups):
-        """Slope groups [(s, [e])] as flat [(s, e, combos)], combos lazy."""
-        return [(s, e, self.combos(e)) for s, es in groups for e in es]
-
     def tests(self, point, memo=None):
         """Closure tests (images, heads, t, h), one per arrow matrix of an
         encoded point.  With memo (one dict per arrow), a matrix met before
@@ -349,25 +349,37 @@ def _sub_dim_vectors(dims):
     return [dict(zip(verts, combo)) for combo in product(*ranges)]
 
 
-def _slope_groups(dims, theta):
-    """Proper nonzero sub-dimension vectors grouped by slope, decreasing."""
+def _slope_groups(dims, theta, floor, strict=False):
+    """Proper nonzero sub-dimension vectors of slope at least floor (above
+    it when strict), grouped by slope, decreasing."""
     groups = {}
     for e in _sub_dim_vectors(dims):
         if sum(e.values()) == 0 or e == dims:
             continue
-        groups.setdefault(slope(e, theta), []).append(e)
+        s = slope(e, theta)
+        if s > floor or (s == floor and not strict):
+            groups.setdefault(s, []).append(e)
     return sorted(groups.items(), key=lambda kv: kv[0], reverse=True)
 
 
 def _check_budget(dims, q, dim_vectors, config):
     """The closure checks of one point over F_q with these dims, at most one
-    per subspace tuple of each dimension vector, or BudgetExceededError."""
+    per subspace tuple of each dimension vector, or BudgetExceededError.
+
+    The sum stops once it passes both the budget and 2^64: a count that
+    large is reported as a power-of-two floor anyway, and a single large
+    d_v would otherwise sum Gaussian binomials of F_q^{d_v} for every
+    dimension vector before refusing.
+    """
+    cap = max(config.max_subspace_checks, 2**64)
     cost = 0
     for e in dim_vectors:
         c = 1
         for v, d in dims.items():
             c *= _gaussian_binomial(q, d, e[v])
         cost += c
+        if cost > cap:
+            break
     if cost > config.max_subspace_checks:
         raise BudgetExceededError(
             f"subspace enumeration needs {count_text(cost)} closure checks "
@@ -377,16 +389,25 @@ def _check_budget(dims, q, dim_vectors, config):
     return cost
 
 
+_NEEDS_FINITE = "exact verdicts need a finite field; use geom_stability_certificate"
+
+
+def _search(quiver, dims, field, groups, config):
+    """The engine for (quiver, dims) over a finite field, and the slope
+    groups [(s, [e])] as flat [(s, e, combos)] with lazy combos, once their
+    closure checks fit the budget."""
+    if not field.is_finite:
+        raise SchemaError(_NEEDS_FINITE)
+    _check_budget(dims, field.size, [e for _, es in groups for e in es], config)
+    eng = _Engine(quiver, dims, field)
+    return eng, [(s, e, eng.combos(e)) for s, es in groups for e in es]
+
+
 def enumerate_subreps(rep, config):
     """Every subrepresentation witness, including 0 and the full one."""
-    if not rep.ring.is_finite:
-        raise SchemaError("enumerate_subreps requires a finite coefficient field")
-    dim_vectors = _sub_dim_vectors(rep.dims)
-    _check_budget(rep.dims, rep.ring.size, dim_vectors, config)
-    eng = _Engine(rep.quiver, rep.dims, rep.ring)
-    closed = eng.closed(
-        eng.tests(_encode_rep(rep)), eng.with_combos([(None, dim_vectors)])
-    )
+    groups = [(None, _sub_dim_vectors(rep.dims))]
+    eng, groups = _search(rep.quiver, rep.dims, rep.ring, groups, config)
+    closed = eng.closed(eng.tests(_encode_rep(rep)), groups)
     return [eng.witness(e, combo) for _, e, combo in closed]
 
 
@@ -403,15 +424,10 @@ def stability_verdict(rep, theta, config):
     """
     if rep.is_zero_dimensional():
         raise ValueError("stability of the zero representation is undefined")
-    if not rep.ring.is_finite:
-        raise SchemaError(
-            "exact verdicts need a finite field; use geom_stability_certificate"
-        )
     mu = rep.slope(theta)
-    relevant = [(s, es) for s, es in _slope_groups(rep.dims, theta) if s >= mu]
-    _check_budget(rep.dims, rep.ring.size, [e for _, es in relevant for e in es], config)
-    eng = _Engine(rep.quiver, rep.dims, rep.ring)
-    hit = next(eng.closed(eng.tests(_encode_rep(rep)), eng.with_combos(relevant)), None)
+    groups = _slope_groups(rep.dims, theta, mu)
+    eng, groups = _search(rep.quiver, rep.dims, rep.ring, groups, config)
+    hit = next(eng.closed(eng.tests(_encode_rep(rep)), groups), None)
     if hit is None:
         return StabilityVerdict(STABLE)
     s, e, combo = hit
@@ -421,25 +437,36 @@ def stability_verdict(rep, theta, config):
 
 def is_semistable(rep, theta, config):
     """Semistability only needs the slope groups strictly above mu."""
+    groups = _slope_groups(rep.dims, theta, rep.slope(theta), strict=True)
+    eng, groups = _search(rep.quiver, rep.dims, rep.ring, groups, config)
+    return next(eng.closed(eng.tests(_encode_rep(rep)), groups), None) is None
+
+
+def geom_stability(rep, theta, config):
+    """The geometric-stability decision: stability after every base field
+    extension.
+
+    Over a finite field it is exact: a rep is geometrically stable iff it is
+    stable and Schur, End W = k (King, Quart. J. Math. 45 (1994)).  A stable
+    rep with a larger End (a loop with irreducible quadratic characteristic
+    polynomial has End a quadratic field) splits after base change and
+    comes back strictly semistable, with no witness and a reason.  Over Q
+    and Q(i) the answer is geom_stability_certificate's, Unknown included.
+    """
     if not rep.ring.is_finite:
-        raise SchemaError("exact semistability checks need a finite field")
-    mu = rep.slope(theta)
-    above = [(s, es) for s, es in _slope_groups(rep.dims, theta) if s > mu]
-    _check_budget(rep.dims, rep.ring.size, [e for _, es in above for e in es], config)
-    eng = _Engine(rep.quiver, rep.dims, rep.ring)
-    return next(eng.closed(eng.tests(_encode_rep(rep)), eng.with_combos(above)), None) is None
+        return geom_stability_certificate(rep, theta, config)
+    verdict = stability_verdict(rep, theta, config)
+    if verdict.is_stable and end_dim(rep) != 1:
+        return StabilityVerdict(STRICTLY_SEMISTABLE, detail={"reason": "stable but not Schur"})
+    return verdict
 
 
 def is_geometrically_stable(rep, theta, config):
-    """Stable over the finite field and Schur (End = base field).
-
-    Stable plus Schur is equivalent to stability after every base field
-    extension; stability alone is not enough (a loop with irreducible
-    quadratic characteristic polynomial is stable with End a quadratic
-    field, and splits after the quadratic extension).
-    """
-    v = stability_verdict(rep, theta, config)
-    return v.is_stable and end_dim(rep) == 1
+    """geom_stability over a finite field, as a bool; an infinite ring raises
+    SchemaError, since an Unknown certificate is not a False."""
+    if not rep.ring.is_finite:
+        raise SchemaError(_NEEDS_FINITE)
+    return geom_stability(rep, theta, config).is_stable
 
 
 def scss(rep, theta, config):
@@ -451,18 +478,13 @@ def scss(rep, theta, config):
     """
     if rep.is_zero_dimensional():
         raise ValueError("scss of the zero representation is undefined")
-    if not rep.ring.is_finite:
-        raise SchemaError("scss needs a finite coefficient field")
-    mu = rep.slope(theta)
     # Only slopes strictly above mu can beat the full representation; if none
     # is attained, the representation is semistable and is its own scss.
-    above = [(s, es) for s, es in _slope_groups(rep.dims, theta) if s > mu]
-    _check_budget(rep.dims, rep.ring.size, [e for _, es in above for e in es], config)
-    eng = _Engine(rep.quiver, rep.dims, rep.ring)
+    groups = _slope_groups(rep.dims, theta, rep.slope(theta), strict=True)
+    eng, groups = _search(rep.quiver, rep.dims, rep.ring, groups, config)
     tests = eng.tests(_encode_rep(rep))
-    for s, es in above:
-        closed = eng.closed(tests, eng.with_combos([(s, es)]))
-        witnesses = [eng.witness(e, combo) for _, e, combo in closed]
+    for _, same_slope in groupby(groups, key=lambda g: g[0]):
+        witnesses = [eng.witness(e, combo) for _, e, combo in eng.closed(tests, same_slope)]
         if witnesses:
             break
     else:
@@ -771,8 +793,7 @@ def geom_stability_certificate(rep, theta, config, primes=None):
     if rep.ring.is_finite:
         raise SchemaError("certificates are for infinite coefficient fields")
     mu = rep.slope(theta)
-    groups = _slope_groups(rep.dims, theta)
-    if not groups or groups[0][0] < mu:
+    if not _slope_groups(rep.dims, theta, mu):
         # no sub-dimension vector can destabilize: stable without reduction
         return StabilityVerdict(STABLE, detail={"certificate": "dimension-count"})
     primes = list(primes if primes is not None else config.primes)

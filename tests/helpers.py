@@ -228,8 +228,7 @@ def reference_certificate(rep, theta, config, primes=None):
     """The certificate as one loop over primes: reduce, then hunt exact
     destabilizers from every seed before trying the next prime."""
     mu = rep.slope(theta)
-    groups = stability._slope_groups(rep.dims, theta)
-    if not groups or groups[0][0] < mu:
+    if not stability._slope_groups(rep.dims, theta, mu):
         return StabilityVerdict(STABLE, detail={"certificate": "dimension-count"})
     tried, best_exact = [], None
     for p in list(primes if primes is not None else config.primes):

@@ -37,7 +37,7 @@ from quivermoduli.census import (
 )
 from quivermoduli.config import JobConfig
 from quivermoduli.descent import solve_modifying_u, type_map_of_datum
-from quivermoduli.homs import apply_hom, end_dim
+from quivermoduli.homs import end_dim
 from quivermoduli.morita import division_form, drep_to_twisted, morita_split
 from quivermoduli.numtheory import hilbert_symbol, relevant_places
 from quivermoduli.quiver import base_change
@@ -177,7 +177,7 @@ def test_criterion_5_type_map_well_defined():
             }
             if all(m.is_invertible() for m in g.values()):
                 break
-        datum = solve_modifying_u(apply_hom(g, rep), pair, theta, CFG)
+        datum = solve_modifying_u(rep.act(g), pair, theta, CFG)
         assert type_map_of_datum(datum).brauer == base_cls
         changes += 1
     # u-scalar moves over Q(i)
@@ -209,7 +209,7 @@ def test_criterion_5_type_map_well_defined():
             }
             if all(m.is_invertible() for m in g.values()):
                 break
-        moved = apply_hom(g, wl)
+        moved = wl.act(g)
         datum = solve_modifying_u(moved, fpair, THETA, CFG)
         assert datum is not None
         assert type_map_of_datum(datum).brauer.is_trivial

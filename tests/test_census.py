@@ -283,6 +283,25 @@ def test_census_plan_respects_subspace_budget():
         orbit_census(K2, {"s": 100, "t": 100}, THETA, GF(2), CFG)
 
 
+def test_over_budget_plan_is_refused_before_summing(monkeypatch):
+    # A2 (3000,1) over F_2: the first relevant dimension vector (1,0) already
+    # needs 2^3000 - 1 closure checks, so the budget check stops there
+    # instead of summing a Gaussian binomial for each of the 3000
+    from quivermoduli import stability
+
+    calls = []
+    real = stability._gaussian_binomial
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stability, "_gaussian_binomial", counted)
+    with pytest.raises(BudgetExceededError, match=r"at least 2\^2999 closure checks"):
+        orbit_census(a2_quiver(), {"s": 3000, "t": 1}, THETA, GF(2), CFG)
+    assert len(calls) == 2  # one binomial per vertex of (1,0)
+
+
 def test_orbit_stabilizer_check_catches_wrong_end(monkeypatch):
     real = census._end_dim_point
     calls = []

@@ -27,7 +27,7 @@ from quivermoduli.descent import (
     type_map_of_datum,
 )
 from quivermoduli.errors import InvariantError, NotGeometricallyStableError
-from quivermoduli.homs import apply_hom, is_isomorphic
+from quivermoduli.homs import is_isomorphic
 from quivermoduli.quiver import base_change
 from quivermoduli.rings import gaussian_rationals
 from quivermoduli.stability import UNSTABLE
@@ -141,7 +141,7 @@ def test_type_map_well_defined_under_orbit_and_scalar_moves():
             }
             if all(m.is_invertible() for m in g.values()):
                 break
-        moved = apply_hom(g, rep)
+        moved = rep.act(g)
         datum = solve_modifying_u(moved, pair, theta, CFG)
         assert datum is not None
         assert type_map_of_datum(datum).brauer == base
@@ -219,7 +219,7 @@ def test_hilbert90_gaussian_round_trip():
         "s": gimat([[(1, 1)]]),
         "t": gimat([[(1, 1), 0], [0, 1]]),
     }
-    moved = apply_hom(g0, wl)
+    moved = wl.act(g0)
     datum = solve_modifying_u(moved, pair, THETA, CFG)
     assert datum is not None
     cls = brauer_class(datum.lam, pair)
@@ -347,7 +347,7 @@ def test_two_forms_from_one_orbit_are_isomorphic():
     )
     wl = base_change(w0, pair)
     g0 = {"s": gimat([[(2, 1)]]), "t": gimat([[1, (0, 1)], [0, 1]])}
-    moved = apply_hom(g0, wl)
+    moved = wl.act(g0)
     forms = []
     for seed in (1, 2):
         cfg = JobConfig(seed=seed)

@@ -14,12 +14,12 @@ from quivermoduli import (
 )
 from quivermoduli.config import JobConfig
 from quivermoduli.descent import solve_modifying_u
+from quivermoduli.homs import hom_space
 from quivermoduli import morita
 from quivermoduli.errors import InvariantError, SchemaError
 from quivermoduli.morita import (
     TwistedRep,
     division_form,
-    drep_hom_space,
     drep_is_geom_stable,
     drep_to_twisted,
     morita_split,
@@ -234,7 +234,7 @@ def test_twisted_drep_round_trip():
     back = twisted_to_drep(tw, CFG)
     assert back.ring == H
     # round trip up to D-isomorphism
-    homs = drep_hom_space(back, drep)
+    homs = hom_space(back, drep)
     assert homs, "no D-morphisms after round trip"
     from quivermoduli.homs import find_invertible_in_span
 
@@ -285,7 +285,7 @@ def test_drep_hom_space_dimensions():
     # arrow merges the two vertex maps) and with the right scalar action
     # (the module structure of a right D-module).
     drep = drep_1ij()
-    assert len(drep_hom_space(drep, drep)) == 1
+    assert len(hom_space(drep, drep)) == 1
 
     from quivermoduli.linalg import Mat as M
 
@@ -326,7 +326,7 @@ def test_no_arrow_quiver_hom_dimension():
     r1 = Representation(q, H, {"x": 1, "y": 2}, {})
     r2 = Representation(q, H, {"x": 2, "y": 1}, {})
     # 4 * sum_v d_v * d'_v rational dimensions with no constraints
-    assert len(drep_hom_space(r1, r2)) == 4 * (1 * 2 + 2 * 1)
+    assert len(hom_space(r1, r2)) == 4 * (1 * 2 + 2 * 1)
 
 
 def test_drep_hom_conjugation_invariance():
@@ -341,7 +341,7 @@ def test_drep_hom_conjugation_invariance():
             for a in drep.quiver.arrows
         },
     )
-    assert len(drep_hom_space(moved, moved)) == len(drep_hom_space(drep, drep))
+    assert len(hom_space(moved, moved)) == len(hom_space(drep, drep))
 
 
 def test_division_form_normalizes_lambda():
@@ -354,29 +354,63 @@ def test_division_form_normalizes_lambda():
     drep, prov = division_form(moved, CFG)
     assert prov["lambda"] == Fraction(-1)
     assert (drep.ring.a, drep.ring.b) == (-1, -1)
-    homs = drep_hom_space(drep, drep_1ij())
+    homs = hom_space(drep, drep_1ij())
     from quivermoduli.homs import find_invertible_in_span
 
     assert find_invertible_in_span(homs, drep.ring, CFG) is not None
 
 
-def test_drep_stability_finite_field_degenerate():
+def test_drep_stability_finite_field_degenerate(tmp_path, capsys):
     # index-1 inputs over a finite field reduce to the exact quiver-core
-    # decision; checked exhaustively on the Kronecker (1,1) space over F_2
+    # decision.  Every entry point must agree on every point of four small
+    # spaces, Jordan d=2 among them, whose stable loops with irreducible
+    # characteristic polynomial are not Schur: the predicate, the D-rep
+    # verdict, the descent precondition over F_{q^2}/F_q (after base change
+    # for a rep over F_q, which keeps geometric stability) and the CLI.
+    import json
     from itertools import product as iproduct
 
     from quivermoduli import GF, is_geometrically_stable
+    from quivermoduli.cli import main
+    from quivermoduli.errors import NotGeometricallyStableError
+    from quivermoduli.quiver import base_change
+    from quivermoduli.serialize import rep_to_json
     from quivermoduli.stability import STABLE as ST
 
-    f2 = GF(2)
-    q = kronecker_quiver(2)
-    for a, b in iproduct(range(2), repeat=2):
-        rep = Representation(
-            q, f2, {"s": 1, "t": 1},
-            {"a1": Mat(f2, ((a,),)), "a2": Mat(f2, ((b,),))},
-        )
-        verdict = drep_is_geom_stable(rep, PAIR, THETA, CFG)
-        assert (verdict.kind == ST) == is_geometrically_stable(rep, THETA, CFG)
+    f4_f2, f9_f3 = GaloisPair.finite(2, 2), GaloisPair.finite(3, 2)
+    jordan, k2 = ({"v": 2}, {"v": 0}), ({"s": 1, "t": 1}, THETA)
+    spaces = [
+        (jordan_quiver(), *jordan, f4_f2, GF(2)),
+        (jordan_quiver(), *jordan, f4_f2, f4_f2.ext),
+        (kronecker_quiver(2), *k2, f4_f2, GF(2)),
+        (kronecker_quiver(2), *k2, f9_f3, GF(3)),
+    ]
+    path = tmp_path / "rep.json"
+    seen = set()
+    for q, dims, theta, pair, field in spaces:
+        arrows = [(a.name, (dims[a.dst], dims[a.src])) for a in q.arrows]
+        n = sum(r * c for _, (r, c) in arrows)
+        for entries in iproduct(field.elements(), repeat=n):
+            mats, it = {}, iter(entries)
+            for name, (r, c) in arrows:
+                rows = tuple(tuple(next(it) for _ in range(c)) for _ in range(r))
+                mats[name] = Mat(field, rows, (r, c))
+            rep = Representation(q, field, dims, mats)
+            want = is_geometrically_stable(rep, theta, CFG)
+            assert (drep_is_geom_stable(rep, PAIR, theta, CFG).kind == ST) == want
+            over_ext = rep if field == pair.ext else base_change(rep, pair)
+            try:
+                solve_modifying_u(over_ext, pair, theta, CFG)
+                assert want, rep
+            except NotGeometricallyStableError:
+                assert not want, rep
+            path.write_text(json.dumps(rep_to_json(rep)))
+            argv = ["--format", "json", "stability", str(path), "--theta", json.dumps(theta)]
+            assert main(argv) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["geometrically_stable"] is want
+            seen.add((out["verdict"]["kind"], want))
+    assert {("stable", True), ("stable", False), ("unstable", False)} <= seen
 
 
 def test_twisted_dim_matches_drep_dim_random():

@@ -17,7 +17,7 @@ from quivermoduli import (
 )
 from quivermoduli.config import JobConfig
 from quivermoduli.errors import SchemaError
-from quivermoduli.homs import apply_hom, identity_hom
+from quivermoduli.homs import identity_hom
 from quivermoduli.quiver import Arrow, Quiver, base_change, group_generators
 from quivermoduli.galois import GaloisPair
 from quivermoduli.rings import QQ
@@ -108,7 +108,7 @@ def test_is_isomorphic_examples():
     w2 = kronecker_rep(f3, [2, 0])
     g = is_isomorphic(w1, w2, CFG)
     assert g is not None
-    assert apply_hom(g, w1) == w2
+    assert w1.act(g) == w2
 
     assert is_isomorphic(w1, w1, CFG) is not None
 
@@ -167,4 +167,4 @@ def test_hom_space_over_q():
     )
     assert end_dim(w) == 1
     idh = identity_hom(w)
-    assert apply_hom(idh, w) == w
+    assert w.act(idh) == w

@@ -248,16 +248,24 @@ def test_cli_typemap_not_geom_stable(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "not geometrically stable: unstable"
 
-
-def test_cli_descend_subcommand(tmp_path, capsys):
+    # a loop over F_4 with irreducible x^2 + x + w is stable with End = F_16
     pair = GaloisPair.finite(2, 2)
     f4 = pair.ext
     from quivermoduli import jordan_quiver
 
-    rep = Representation(jordan_quiver(), f4, {"v": 1}, {"loop": Mat(f4, ((1,),))})
-    u = {"v": Mat(f4, ((2,),))}
-    datum = DescentDatum(rep, u, cocycle_scalar(u, pair), pair)
-    path = write_json(tmp_path, "datum.json", datum_to_json(datum))
+    loop = Representation(jordan_quiver(), f4, {"v": 2}, {"loop": Mat(f4, ((0, 2), (1, 1)))})
+    path = write_json(tmp_path, "loop.json", rep_to_json(loop))
+    code = main([
+        "--format", "json", "typemap", path,
+        "--pair", '{"type":"finite","p":2,"n":2}', "--theta", '{"v":0}',
+    ])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "not geometrically stable: stable but not Schur"
+
+
+def test_cli_descend_subcommand(tmp_path, capsys):
+    path = write_json(tmp_path, "datum.json", datum_to_json(_jordan_f4_datum()))
     code = main(["--format", "json", "descend", path])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
@@ -470,23 +478,47 @@ def test_cli_config_env(tmp_path, capsys, monkeypatch):
     assert out["seed"] == 99
 
 
-def test_cli_stability_quaternion_rep(tmp_path, capsys):
+def _hamilton_drep():
+    """The 3-Kronecker (1,1) rep over the Hamilton quaternions with arrows 1, i, j."""
     from quivermoduli import hamilton_quaternions
 
     H = hamilton_quaternions()
-    q3 = kronecker_quiver(3)
-    from quivermoduli import Representation, Mat
-
-    drep = Representation(
-        q3, H, {"s": 1, "t": 1},
+    return Representation(
+        kronecker_quiver(3), H, {"s": 1, "t": 1},
         {"a1": Mat(H, ((H.one,),)), "a2": Mat(H, ((H.i,),)), "a3": Mat(H, ((H.j,),))},
     )
-    path = write_json(tmp_path, "drep.json", rep_to_json(drep))
+
+
+def _jordan_f4_datum():
+    """A descent datum for the F_4/F_2 pair on the one-loop rep (1)."""
+    pair = GaloisPair.finite(2, 2)
+    f4 = pair.ext
+    from quivermoduli import jordan_quiver
+
+    rep = Representation(jordan_quiver(), f4, {"v": 1}, {"loop": Mat(f4, ((1,),))})
+    u = {"v": Mat(f4, ((2,),))}
+    return DescentDatum(rep, u, cocycle_scalar(u, pair), pair)
+
+
+def test_cli_stability_quaternion_rep(tmp_path, capsys):
+    path = write_json(tmp_path, "drep.json", rep_to_json(_hamilton_drep()))
     code = main(["--format", "json", "stability", path, "--theta", '{"s":1,"t":-1}'])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["geometrically_stable"] is True
     assert out["verdict"]["kind"] == "stable"
+
+
+@pytest.mark.parametrize("argv", [["hn"], ["stability", "--hn"]])
+def test_cli_hn_on_quaternion_rep_is_a_parse_error(tmp_path, capsys, argv):
+    # HN filtrations are computed over finite fields; a quaternion rep must
+    # not get a verdict with the filtration silently left out
+    path = write_json(tmp_path, "drep.json", rep_to_json(_hamilton_drep()))
+    code = main(["--format", "json", *argv, path, "--theta", '{"s":1,"t":-1}'])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error:") and "finite fields" in captured.err
 
 
 def test_cli_twisted_validate_rejects_index_zero(tmp_path, capsys):
@@ -544,13 +576,7 @@ def test_cli_class_mismatch_is_parse_error(tmp_path, capsys, command, other):
         rep, pair, theta = quaternionic_kronecker_example()
         datum = solve_modifying_u(rep, pair, theta, CFG)
     else:
-        pair = GaloisPair.finite(2, 2)
-        f4 = pair.ext
-        from quivermoduli import jordan_quiver
-
-        rep = Representation(jordan_quiver(), f4, {"v": 1}, {"loop": Mat(f4, ((1,),))})
-        u = {"v": Mat(f4, ((2,),))}
-        datum = DescentDatum(rep, u, cocycle_scalar(u, pair), pair)
+        datum = _jordan_f4_datum()
     path = write_json(tmp_path, "datum.json", datum_to_json(datum))
     code = main(["--format", "json", command, path])
     assert code == 2
@@ -747,40 +773,50 @@ _FUZZ_Q = st.one_of(
 
 @functools.lru_cache(maxsize=None)
 def _fuzz_inputs():
-    """Per subcommand, its inputs as (flag or None, file name or None,
-    valid value); the fuzz mutates one of them."""
+    """Per case, the subcommand's words and its inputs as (flag or None,
+    file name or None, valid value); the fuzz mutates one input."""
     rep, pair, theta = quaternionic_kronecker_example()
+    datum = solve_modifying_u(rep, pair, theta, CFG)
     kr = rep_to_json(kronecker_rep(GF(3), [1, 2]))
+    drep = rep_to_json(_hamilton_drep())
+    twisted = twisted_to_json(TwistedRep(pair, rep, datum.u, datum.lam, 2))
     st_theta = ("--theta", None, {"s": 1, "t": -1})
     return {
-        "stability": [(None, "rep.json", kr), st_theta],
-        "hn": [(None, "rep.json", kr), st_theta],
-        "typemap": [
+        "stability": (["stability"], [(None, "rep.json", kr), st_theta]),
+        "stability-drep": (["stability"], [(None, "rep.json", drep), st_theta]),
+        "hn": (["hn"], [(None, "rep.json", kr), st_theta]),
+        "hn-drep": (["hn"], [(None, "rep.json", drep), st_theta]),
+        "typemap": (["typemap"], [
             (None, "rep.json", rep_to_json(rep)), ("--pair", None, pair_to_json(pair)), st_theta
-        ],
-        "divform": [(None, "datum.json", datum_to_json(solve_modifying_u(rep, pair, theta, CFG)))],
-        "census": [
+        ]),
+        "descend": (["descend"], [(None, "datum.json", datum_to_json(_jordan_f4_datum()))]),
+        "divform": (["divform"], [(None, "datum.json", datum_to_json(datum))]),
+        "twisted-validate": (["twisted-validate"], [(None, "tw.json", twisted)]),
+        "twisted-validate-drep": (
+            ["twisted-validate", "--to-drep"], [(None, "tw.json", twisted)]
+        ),
+        "census": (["census"], [
             ("--quiver", "quiver.json", KRONECKER2_JSON),
             ("--dims", None, {"s": 1, "t": 1}),
             st_theta,
             ("--q", None, "2,3"),
-        ],
+        ]),
     }
 
 
 @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_cli_exit_codes_under_mutated_inputs(tmp_path, monkeypatch, data):
-    # one mutated rep, datum, pair, theta or census argument per case; every
-    # case ends in a contract exit code, with no exception escaping main.
+    # one mutated rep, datum, twisted rep, pair, theta or census argument per
+    # case; every case ends in a contract exit code, with no exception
+    # escaping main.
     # Tight budgets turn any large census or enumeration into exit 3.
     budgets = {"max_orbit_points": 500, "max_subspace_checks": 500}
     cfg_path = write_json(tmp_path, "cfg.json", budgets)
     monkeypatch.setenv("QUIVERMODULI_CONFIG", cfg_path)
-    command = data.draw(st.sampled_from(["stability", "hn", "typemap", "divform", "census"]))
-    inputs = _fuzz_inputs()[command]
+    words, inputs = _fuzz_inputs()[data.draw(st.sampled_from(sorted(_fuzz_inputs())))]
     target = data.draw(st.integers(0, len(inputs) - 1))
-    argv = ["--format", data.draw(st.sampled_from(["json", "table"])), command]
+    argv = ["--format", data.draw(st.sampled_from(["json", "table"])), *words]
     for i, (flag, name, value) in enumerate(inputs):
         if i != target:
             text = value if isinstance(value, str) else json.dumps(value)
@@ -792,7 +828,7 @@ def test_cli_exit_codes_under_mutated_inputs(tmp_path, monkeypatch, data):
             (tmp_path / name).write_text(text)
             text = str(tmp_path / name)
         argv.append(text if flag is None else f"{flag}={text}")
-    if command == "census" and data.draw(st.booleans()):
+    if words == ["census"] and data.draw(st.booleans()):
         argv += ["--verify-descent", "2"]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

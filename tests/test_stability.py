@@ -18,8 +18,9 @@ from quivermoduli import (
     stability_verdict,
 )
 from quivermoduli.config import JobConfig
-from quivermoduli.errors import BudgetExceededError
+from quivermoduli.errors import BudgetExceededError, SchemaError
 from quivermoduli.quiver import base_change
+from quivermoduli.rings import QQ
 from quivermoduli.stability import (
     STABLE,
     STRICTLY_SEMISTABLE,
@@ -201,6 +202,10 @@ def test_geometric_stability_examples():
 
     ww = w.direct_sum(w)
     assert not is_geometrically_stable(ww, THETA, CFG)
+
+    # over Q there is only a certificate, and its Unknown is not a False
+    with pytest.raises(SchemaError):
+        is_geometrically_stable(kronecker_rep(QQ, [1, 1]), THETA, CFG)
 
 
 def test_geometric_stability_tower_oracle():
