@@ -798,7 +798,7 @@ def decompose_rational_point(rep, pair, theta, config=JobConfig()):
         pair=pair,
         theta=theta,
         brauer=cls,
-        index=1 if cls.is_trivial else cls.index,
+        index=cls.index,
         datum=datum,
     )
     if cls.is_trivial:

@@ -141,6 +141,9 @@ def _split_pair(alg):
 def cmd_stability(args, config, want_hn=False):
     rep = rep_from_json(_read_json(args.rep))
     theta = load_theta(_parse_json_arg(args.theta, "theta"), rep.quiver)
+    want_hn = want_hn or getattr(args, "hn", False)
+    if want_hn and not rep.ring.is_finite:
+        raise SchemaError("HN filtrations are computed over finite fields")
     payload = {"input": args.rep, "theta": theta}
     if rep.ring.is_finite:
         verdict = stability_verdict(rep, theta, config)
@@ -157,9 +160,7 @@ def cmd_stability(args, config, want_hn=False):
         payload["verdict"] = verdict_to_json(verdict)
         # an Unknown certificate is printed as null, never as false
         payload["geometrically_stable"] = None if verdict.kind == UNKNOWN else verdict.is_stable
-    if want_hn or getattr(args, "hn", False):
-        if not rep.ring.is_finite:
-            raise SchemaError("HN filtrations are computed over finite fields")
+    if want_hn:
         payload["hn"] = hn_to_json(hn_filtration(rep, theta, config))
     _emit(payload, config)
     return EXIT_OK
@@ -187,7 +188,7 @@ def cmd_typemap(args, config):
     payload["lambda"] = pair.base.to_json(datum.lam)
     cls = brauer_class(datum.lam, pair)
     payload["brauer_class"] = cls.describe()
-    payload["index"] = 1 if cls.is_trivial else cls.index
+    payload["index"] = cls.index
     if args.descend:
         if cls.is_trivial:
             form, _ = hilbert90_descend(datum, config)
@@ -202,11 +203,13 @@ def cmd_typemap(args, config):
     return EXIT_OK
 
 
-def _read_datum(path, trivial):
-    """A descent datum from a JSON file.  One that fails its own check is bad
-    input, not a broken invariant, and so is one whose Brauer class is not
-    the kind the subcommand takes (trivial for descend, not for divform)."""
-    datum = datum_from_json(_read_json(path))
+def cmd_form(args, config):
+    """descend: the base-field form of a datum with trivial Brauer class;
+    divform: the division-algebra form of one with a nontrivial class.  A
+    datum that fails its own check is bad input, not a broken invariant, and
+    so is one whose class is not the kind the subcommand takes."""
+    trivial = args.command == "descend"
+    datum = datum_from_json(_read_json(args.datum))
     try:
         datum.check()
     except InvariantError as exc:
@@ -218,26 +221,12 @@ def _read_datum(path, trivial):
             f"class {cls.describe()} is {'not ' if trivial else ''}trivial; "
             f"use the {other} subcommand"
         )
-    return datum
-
-
-def cmd_descend(args, config):
-    datum = _read_datum(args.datum, trivial=True)
-    form, _ = hilbert90_descend(datum, config)
-    payload = {"form": rep_to_json(form)}
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(dumps(payload, config))
-        _emit({"form_written": args.out}, config)
+    if trivial:
+        form, _ = hilbert90_descend(datum, config)
+        payload = {"form": rep_to_json(form)}
     else:
-        _emit(payload, config)
-    return EXIT_OK
-
-
-def cmd_divform(args, config):
-    datum = _read_datum(args.datum, trivial=False)
-    drep, prov = division_form(datum, config)
-    payload = {"form": rep_to_json(drep), "lambda": str(prov["lambda"])}
+        drep, prov = division_form(datum, config)
+        payload = {"form": rep_to_json(drep), "lambda": str(prov["lambda"])}
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(dumps(payload, config))
@@ -343,8 +332,8 @@ def main(argv=None):
         "stability": cmd_stability,
         "hn": lambda a, c: cmd_stability(a, c, want_hn=True),
         "typemap": cmd_typemap,
-        "descend": cmd_descend,
-        "divform": cmd_divform,
+        "descend": cmd_form,
+        "divform": cmd_form,
         "twisted-validate": cmd_twisted_validate,
         "census": cmd_census,
     }

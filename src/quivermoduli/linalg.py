@@ -76,9 +76,6 @@ class Mat:
     def col(self, j):
         return tuple(r[j] for r in self.rows)
 
-    def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
-
     def entry(self, i, j):
         return self.rows[i][j]
 

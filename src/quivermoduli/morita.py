@@ -226,10 +226,9 @@ def validate_twisted(twisted):
             problems.append(f"index {twisted.index} does not divide dim {d} at {v}")
     try:
         cls = brauer_class(twisted.lam, pair)
-        declared_index = 1 if cls.is_trivial else cls.index
-        if declared_index != twisted.index:
+        if cls.index != twisted.index:
             problems.append(
-                f"declared index {twisted.index} but the class has index {declared_index}"
+                f"declared index {twisted.index} but the class has index {cls.index}"
             )
     except NotDecidableError as exc:
         problems.append(f"class index undecided: {exc}")

@@ -3,6 +3,11 @@ Harder-Narasimhan filtrations over finite fields, plus sound one-sided
 certificates over Q and Q(i), joined in geom_stability, the one
 geometric-stability decision.
 
+One routine, _subquotient, builds every subquotient U / L of nested
+subrepresentations: quotient_rep, restrict_rep and the HN layers.  The HN
+filtration is a loop: W^1 = scss(W), and W^i adds the lift of
+scss(W / W^{i-1}), each quotient built from W itself.
+
 Every finite-field answer, here and in the censuses, comes from one closure
 engine, entered through _search: it refuses an infinite field, checks the
 subspace budget before any listing, and returns the slope groups with their
@@ -501,14 +506,48 @@ def scss(rep, theta, config):
 # quotients and Harder-Narasimhan
 
 
-def _complement_columns(basis, ring, dim):
-    """Standard basis vectors completing a column basis U: the pivots of
-    rref [U | I] past U's columns, which the greedy left-to-right pick
-    would also choose."""
-    ident = Mat.identity(ring, dim)
-    k = basis.ncols
-    pivots = basis.hstack(ident).rref()[1]
-    return Mat.from_cols(ring, [ident.col(p - k) for p in pivots if p >= k], dim)
+def _zero_witness(rep):
+    return SubrepWitness(
+        {v: 0 for v in rep.quiver.vertices},
+        {v: Mat.zero(rep.ring, rep.dims[v], 0) for v in rep.quiver.vertices},
+    )
+
+
+def _subquotient(rep, lower, upper):
+    """The layer upper / lower of nested subrepresentations, and per vertex
+    the columns C of upper completing lower's basis: the pivots of
+    rref [lower | upper] past lower's columns.
+
+    The layer's matrices are the C-coordinates of M C in the basis
+    [lower | C].  Left-multiplying by a basis matrix keeps the pivots, so C
+    is the complement the greedy left-to-right pick would choose in upper's
+    own coordinates.
+    """
+    ring = rep.ring
+    C, basis = {}, {}
+    for v in rep.quiver.vertices:
+        L, U = lower.bases[v], upper.bases[v]
+        k = L.ncols
+        pivots = L.hstack(U).rref()[1]
+        inside = pivots[:k] == tuple(range(k)) and len(pivots) == U.ncols
+        # with lower nonzero, the pivot count alone would also pass a
+        # dependent upper that lower sticks out of
+        if not inside or (k and U.rank() != U.ncols):
+            raise InvariantError("witness bases are not independent and nested")
+        C[v] = Mat.from_cols(ring, [U.col(p - k) for p in pivots[k:]], rep.dims[v])
+        basis[v] = L.hstack(C[v])
+    dims = {v: C[v].ncols for v in rep.quiver.vertices}
+    mats = {}
+    for a in rep.quiver.arrows:
+        coords = basis[a.dst].solve(rep.mats[a.name] @ basis[a.src])
+        if coords is None:
+            raise InvariantError("upper witness is not closed")
+        k_h, k_t = lower.dims[a.dst], lower.dims[a.src]
+        if any(x != ring.zero for row in coords.rows[k_h:] for x in row[:k_t]):
+            raise InvariantError("lower witness is not closed")
+        block = tuple(row[k_t:] for row in coords.rows[k_h:])
+        mats[a.name] = Mat(ring, block, (dims[a.dst], dims[a.src]))
+    return Representation(rep.quiver, ring, dims, mats), C
 
 
 def quotient_rep(rep, witness):
@@ -517,98 +556,50 @@ def quotient_rep(rep, witness):
     Returns (quotient, lift) with lift(v, quotient-coordinate columns)
     producing columns in W's coordinates.
     """
-    ring = rep.ring
-    P = {}
-    Pinv = {}
-    for v in rep.quiver.vertices:
-        U = witness.bases[v]
-        C = _complement_columns(U, ring, rep.dims[v])
-        Pv = U.hstack(C)
-        if rep.dims[v] > 0 and not Pv.is_invertible():
-            raise InvariantError("witness basis plus complement is not a basis")
-        P[v] = Pv
-        Pinv[v] = Pv.inverse() if rep.dims[v] > 0 else Pv
-    qdims = {v: rep.dims[v] - witness.dims[v] for v in rep.quiver.vertices}
-    qmats = {}
-    for a in rep.quiver.arrows:
-        e_h = witness.dims[a.dst]
-        e_t = witness.dims[a.src]
-        full = Pinv[a.dst] @ rep.mats[a.name] @ P[a.src]
-        block = tuple(row[e_t:] for row in full.rows[e_h:])
-        lower_left = tuple(row[:e_t] for row in full.rows[e_h:])
-        if any(x != ring.zero for r in lower_left for x in r):
-            raise InvariantError("witness is not closed; quotient is undefined")
-        qmats[a.name] = Mat(ring, block, (qdims[a.dst], qdims[a.src]))
-    quotient = Representation(rep.quiver, ring, qdims, qmats)
-
-    def lift(v, cols_in_quotient):
-        e_v = witness.dims[v]
-        z = Mat.zero(ring, e_v, cols_in_quotient.ncols)
-        return P[v] @ z.vstack(cols_in_quotient)
-
-    return quotient, lift
+    quotient, C = _subquotient(rep, witness, full_witness(rep))
+    return quotient, lambda v, cols: C[v] @ cols
 
 
 def restrict_rep(rep, witness):
     """The representation induced on the witness subspaces, in witness coordinates."""
-    ring = rep.ring
-    mats = {}
-    for a in rep.quiver.arrows:
-        U_t = witness.bases[a.src]
-        U_h = witness.bases[a.dst]
-        img = rep.mats[a.name] @ U_t
-        coords = U_h.solve(img)
-        if coords is None:
-            raise InvariantError("witness is not closed; restriction is undefined")
-        mats[a.name] = coords
-    return Representation(rep.quiver, ring, dict(witness.dims), mats)
+    return _subquotient(rep, _zero_witness(rep), witness)[0]
 
 
 def hn_filtration(rep, theta, config):
-    """The Harder-Narasimhan filtration, built inductively from scss."""
+    """The Harder-Narasimhan filtration: W^1 = scss(W), and W^i = W^{i-1}
+    plus the lift of scss(W / W^{i-1}) until W^i = W."""
     if rep.is_zero_dimensional():
         raise ValueError("HN filtration of the zero representation is undefined")
-    first = scss(rep, theta, config)
-    first = first.canonical()
-    slopes = [first.slope(theta)]
-    if first.is_full(rep):
-        return HNFiltration((first,), tuple(slopes))
-    quotient, lift = quotient_rep(rep, first)
-    tail = hn_filtration(quotient, theta, config)
-    steps = [first]
-    for w, s in zip(tail.steps, tail.slopes):
-        lifted = {
-            v: first.bases[v].hstack(lift(v, w.bases[v])) for v in rep.quiver.vertices
-        }
-        dims = {v: first.dims[v] + w.dims[v] for v in rep.quiver.vertices}
-        steps.append(SubrepWitness(dims, lifted).canonical())
-        slopes.append(s)
+    full = full_witness(rep)
+    step = layer = scss(rep, theta, config)
+    steps, slopes = [], []
+    while True:
+        if layer.is_zero():
+            raise InvariantError("scss returned the zero subrepresentation")
+        step = step.canonical()
+        steps.append(step)
+        slopes.append(layer.slope(theta))
+        if step.is_full(rep):
+            break
+        quotient, C = _subquotient(rep, step, full)
+        layer = scss(quotient, theta, config)
+        step = SubrepWitness(
+            {v: step.dims[v] + layer.dims[v] for v in rep.quiver.vertices},
+            {v: step.bases[v].hstack(C[v] @ layer.bases[v]) for v in rep.quiver.vertices},
+        )
     for a, b in zip(slopes, slopes[1:]):
         if not a > b:
             raise InvariantError("HN slopes fail to decrease strictly")
-    if not steps[-1].is_full(rep):
-        raise InvariantError("HN filtration does not end at the full representation")
     return HNFiltration(tuple(steps), tuple(slopes))
 
 
 def hn_subquotients(rep, theta, hn):
     """The subquotients W^i / W^{i-1} of a filtration, as representations."""
     out = []
-    prev = None
+    lower = _zero_witness(rep)
     for w in hn.steps:
-        sub = restrict_rep(rep, w)
-        if prev is None:
-            out.append(sub)
-        else:
-            coords = {
-                v: w.bases[v].solve(prev.bases[v]) for v in rep.quiver.vertices
-            }
-            if any(c is None for c in coords.values()):
-                raise InvariantError("HN steps are not nested")
-            inner = SubrepWitness(dict(prev.dims), coords)
-            quotient, _ = quotient_rep(sub, inner)
-            out.append(quotient)
-        prev = w
+        out.append(_subquotient(rep, lower, w)[0])
+        lower = w
     return out
 
 
@@ -767,7 +758,7 @@ def _exact_destabilizer_candidates(rep, seeds):
     return out
 
 
-def geom_stability_certificate(rep, theta, config, primes=None):
+def geom_stability_certificate(rep, theta, config):
     """One-sided geometric stability certificate over Q or Q(i).
 
     Stable: some usable prime has a geometrically stable reduction (a
@@ -775,18 +766,19 @@ def geom_stability_certificate(rep, theta, config, primes=None):
     the reduction, so none exists).  Non-stable verdicts carry an exactly
     verified witness over the input field.  Otherwise Unknown.
 
-    Two passes.  The first reduces at each prime in order and returns Stable
-    at the first reduction that is stable with a one-dimensional End.  The
-    second walks the usable primes in the same order and closes candidate
-    seeds exactly: the lift of that prime's mod-p witness, and, at the first
-    prime only, the seeds that do not depend on p (arrow kernels and images,
-    full vertex spaces).  The order cannot change the answer: an exact
-    subrepresentation U of slope >= mu meets the lattice in a saturated,
-    arrow-stable sublattice at every usable prime, whose reduction is a
-    subrepresentation with U's dimension vector, so no usable reduction is
-    stable when a witness exists.  A BudgetExceededError from the verdict at
-    one prime ends the first pass; it is raised after the second pass has
-    hunted the primes before it, unless that hunt finds an Unstable witness.
+    Two passes.  The first reduces at each prime of config.primes in order
+    and returns Stable at the first reduction that is stable with a
+    one-dimensional End.  The second walks the usable primes in the same
+    order and closes candidate seeds exactly: the lift of that prime's mod-p
+    witness, and, at the first prime only, the seeds that do not depend on p
+    (arrow kernels and images, full vertex spaces).  The order cannot change
+    the answer: an exact subrepresentation U of slope >= mu meets the
+    lattice in a saturated, arrow-stable sublattice at every usable prime,
+    whose reduction is a subrepresentation with U's dimension vector, so no
+    usable reduction is stable when a witness exists.  A BudgetExceededError
+    from the verdict at one prime ends the first pass; it is raised after
+    the second pass has hunted the primes before it, unless that hunt finds
+    an Unstable witness.
     """
     if rep.is_zero_dimensional():
         raise ValueError("stability of the zero representation is undefined")
@@ -796,11 +788,10 @@ def geom_stability_certificate(rep, theta, config, primes=None):
     if not _slope_groups(rep.dims, theta, mu):
         # no sub-dimension vector can destabilize: stable without reduction
         return StabilityVerdict(STABLE, detail={"certificate": "dimension-count"})
-    primes = list(primes if primes is not None else config.primes)
     tried = []
     hunts = []  # (p, F_p, mod-p witness) per usable prime, in order
     over_budget = None
-    for p in primes:
+    for p in config.primes:
         red = reduce_mod_prime(rep, p)
         if red is None:
             tried.append((p, "unusable"))

@@ -224,14 +224,14 @@ def _reference_candidates(rep, modp_witness, fp):
     return out
 
 
-def reference_certificate(rep, theta, config, primes=None):
+def reference_certificate(rep, theta, config):
     """The certificate as one loop over primes: reduce, then hunt exact
     destabilizers from every seed before trying the next prime."""
     mu = rep.slope(theta)
     if not stability._slope_groups(rep.dims, theta, mu):
         return StabilityVerdict(STABLE, detail={"certificate": "dimension-count"})
     tried, best_exact = [], None
-    for p in list(primes if primes is not None else config.primes):
+    for p in config.primes:
         red = stability.reduce_mod_prime(rep, p)
         if red is None:
             tried.append((p, "unusable"))

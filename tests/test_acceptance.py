@@ -8,6 +8,7 @@ runtime are asserted as stated.
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -121,7 +122,7 @@ def test_criterion_3_descent_census():
 def test_criterion_4_quaternionic_pipeline():
     t0 = time.monotonic()
     rep, pair, theta = quaternionic_kronecker_example()
-    cert = geom_stability_certificate(rep, theta, CFG, primes=[5])
+    cert = geom_stability_certificate(rep, theta, replace(CFG, primes=(5,)))
     assert cert.kind == STABLE and cert.detail["prime"] == 5
 
     datum = solve_modifying_u(rep, pair, theta, CFG)

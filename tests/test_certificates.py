@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,7 @@ def qq_rep(entries, dims=None):
 
 def test_kronecker_stable_certificate():
     w = qq_rep([1, 1])
-    v = geom_stability_certificate(w, THETA, CFG, primes=[2])
+    v = geom_stability_certificate(w, THETA, JobConfig(primes=(2,)))
     assert v.kind == STABLE
     assert v.detail["prime"] == 2
 
@@ -50,7 +51,7 @@ def test_zero_rep_unstable_exact_witness():
 
 def test_quaternionic_example_stable_via_prime_5():
     rep, pair, theta = quaternionic_kronecker_example()
-    v = geom_stability_certificate(rep, theta, CFG, primes=[5])
+    v = geom_stability_certificate(rep, theta, JobConfig(primes=(5,)))
     assert v.kind == STABLE
     assert v.detail["prime"] == 5
 
@@ -173,7 +174,7 @@ def _grid_case(rng):
 def _outcome(certificate, rep, theta, config, primes):
     """(kind, detail, witness bases), or the message of a budget error."""
     try:
-        v = certificate(rep, theta, config, primes=primes)
+        v = certificate(rep, theta, replace(config, primes=tuple(primes)))
     except BudgetExceededError as exc:
         return "budget", str(exc)
     bases = None
@@ -218,10 +219,10 @@ def _over_budget_at(p_bad, monkeypatch):
 def test_budget_error_at_second_prime_after_unstable_hunt(monkeypatch):
     _over_budget_at(13, monkeypatch)
     w = Representation.zero_maps(kronecker_quiver(2), QQ, {"s": 1, "t": 1})
-    v = geom_stability_certificate(w, THETA, CFG, primes=[5, 13])
+    v = geom_stability_certificate(w, THETA, JobConfig(primes=(5, 13)))
     assert v.kind == UNSTABLE and v.detail["prime"] == 5
     assert v.witness.dims == {"s": 1, "t": 0}
-    assert reference_certificate(w, THETA, CFG, primes=[5, 13]).kind == UNSTABLE
+    assert reference_certificate(w, THETA, JobConfig(primes=(5, 13))).kind == UNSTABLE
 
 
 @pytest.mark.parametrize(
@@ -237,7 +238,7 @@ def test_budget_error_at_second_prime_raises(rep, monkeypatch):
     _over_budget_at(13, monkeypatch)
     for certificate in (geom_stability_certificate, reference_certificate):
         with pytest.raises(BudgetExceededError, match="over budget at 13"):
-            certificate(rep, THETA, CFG, primes=[5, 13, 17])
+            certificate(rep, THETA, JobConfig(primes=(5, 13, 17)))
 
 
 def test_prime_independent_seeds_closed_once(monkeypatch):

@@ -521,6 +521,27 @@ def test_cli_hn_on_quaternion_rep_is_a_parse_error(tmp_path, capsys, argv):
     assert captured.err.startswith("parse error:") and "finite fields" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["hn"], ["stability", "--hn"]])
+@pytest.mark.parametrize("which", ["quaternion", "gaussian"])
+def test_cli_hn_over_infinite_ring_refused_before_any_verdict(tmp_path, capsys, monkeypatch, argv, which):
+    from quivermoduli import stability
+
+    calls = []
+    certificate = stability.geom_stability_certificate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return certificate(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "geom_stability_certificate", counted)
+    rep = _hamilton_drep() if which == "quaternion" else quaternionic_kronecker_example()[0]
+    path = write_json(tmp_path, "rep.json", rep_to_json(rep))
+    code = main(["--format", "json", *argv, path, "--theta", '{"s":1,"t":-1}'])
+    assert code == 2
+    assert "finite fields" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_cli_twisted_validate_rejects_index_zero(tmp_path, capsys):
     rep, pair, theta = quaternionic_kronecker_example()
     datum = solve_modifying_u(rep, pair, theta, CFG)

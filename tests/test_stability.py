@@ -1,5 +1,7 @@
+import hashlib
 import random
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -9,6 +11,7 @@ from quivermoduli import (
     GaloisPair,
     Mat,
     Representation,
+    a2_quiver,
     enumerate_subreps,
     hn_filtration,
     is_geometrically_stable,
@@ -18,13 +21,16 @@ from quivermoduli import (
     stability_verdict,
 )
 from quivermoduli.config import JobConfig
-from quivermoduli.errors import BudgetExceededError, SchemaError
+from quivermoduli import stability
+from quivermoduli.errors import BudgetExceededError, InvariantError, SchemaError
 from quivermoduli.quiver import base_change
 from quivermoduli.rings import QQ
 from quivermoduli.stability import (
     STABLE,
     STRICTLY_SEMISTABLE,
     UNSTABLE,
+    HNFiltration,
+    SubrepWitness,
     base_change_witness,
     count_subspaces,
     hn_subquotients,
@@ -299,6 +305,78 @@ def test_hn_of_split_direct_sum():
     assert hn.steps[0].dims == {"s": 1, "t": 0}
 
 
+def test_hn_of_length_three():
+    # S_s + (a stable (1,1)) + S_t, moved by a base change: slopes 1, 0, -1
+    f5 = GF(5)
+    q = kronecker_quiver(2)
+    w = Representation.zero_maps(q, f5, {"s": 1, "t": 0})
+    w = w.direct_sum(kronecker_rep(f5, [1, 2]))
+    w = w.direct_sum(Representation.zero_maps(q, f5, {"s": 0, "t": 1}))
+    w = w.act({"s": fmat(f5, [[1, 2], [3, 4]]), "t": fmat(f5, [[2, 1], [1, 1]])})
+    hn = hn_filtration(w, THETA, CFG)
+    assert list(hn.slopes) == [1, 0, -1]
+    assert [dict(s.dims) for s in hn.steps] == [
+        {"s": 1, "t": 0}, {"s": 2, "t": 1}, {"s": 2, "t": 2}
+    ]
+    assert verify_hn(w, THETA, hn, CFG)
+    layers = hn_subquotients(w, THETA, hn)
+    assert [layer.dims for layer in layers] == [
+        {"s": 1, "t": 0}, {"s": 1, "t": 1}, {"s": 0, "t": 1}
+    ]
+    assert stability_verdict(layers[1], THETA, CFG).is_stable
+
+
+def test_subquotients_of_bad_witnesses_raise():
+    f3 = GF(3)
+    w = kronecker_rep(f3, [1, 0])
+    # span of e_s alone: a1 maps it outside the zero space at t
+    open_sub = SubrepWitness({"s": 1, "t": 0}, {"s": fmat(f3, [[1]]), "t": Mat.zero(f3, 1, 0)})
+    with pytest.raises(InvariantError):
+        quotient_rep(w, open_sub)
+    with pytest.raises(InvariantError):
+        restrict_rep(w, open_sub)
+    # two equal columns are not a basis
+    twice = SubrepWitness({"s": 2, "t": 1}, {"s": fmat(f3, [[1, 1]]), "t": fmat(f3, [[1]])})
+    with pytest.raises(InvariantError):
+        quotient_rep(w, twice)
+    # S_t then S_s in S_s + S_t: each a subrepresentation, not nested
+    split = Representation.zero_maps(kronecker_quiver(2), f3, {"s": 1, "t": 1})
+    at_t = SubrepWitness({"s": 0, "t": 1}, {"s": Mat.zero(f3, 1, 0), "t": fmat(f3, [[1]])})
+    at_s = SubrepWitness({"s": 1, "t": 0}, {"s": fmat(f3, [[1]]), "t": Mat.zero(f3, 1, 0)})
+    with pytest.raises(InvariantError):
+        hn_subquotients(split, THETA, HNFiltration((at_t, at_s), (-1, 1)))
+    # a last step with a dependent basis that the step before sticks out of
+    plane = Representation.zero_maps(kronecker_quiver(2), f3, {"s": 2, "t": 0})
+    none = Mat.zero(f3, 0, 0)
+    line = SubrepWitness({"s": 1, "t": 0}, {"s": fmat(f3, [[0], [1]]), "t": none})
+    doubled = SubrepWitness({"s": 2, "t": 0}, {"s": fmat(f3, [[1, 1], [0, 0]]), "t": none})
+    with pytest.raises(InvariantError):
+        hn_subquotients(plane, THETA, HNFiltration((line, doubled), (1, 1)))
+
+
+@pytest.mark.parametrize("true_steps", [0, 1])
+def test_hn_refuses_a_zero_scss_step(monkeypatch, true_steps):
+    # a faulty scss that returns 0, at the first step or a later one, must
+    # raise rather than loop
+    w = Representation.zero_maps(kronecker_quiver(2), GF(2), {"s": 1, "t": 1})
+    calls = []
+    true_scss = stability.scss
+
+    def faulty(rep, theta, config):
+        calls.append(rep)
+        if len(calls) <= true_steps:
+            return true_scss(rep, theta, config)
+        return SubrepWitness(
+            {v: 0 for v in rep.dims},
+            {v: Mat.zero(rep.ring, d, 0) for v, d in rep.dims.items()},
+        )
+
+    monkeypatch.setattr(stability, "scss", faulty)
+    with pytest.raises(InvariantError):
+        hn_filtration(w, THETA, CFG)
+    assert len(calls) == true_steps + 1
+
+
 def test_hn_properties_random():
     rng = random.Random(21)
     for q in (2, 3):
@@ -344,3 +422,74 @@ def test_hn_commutes_with_base_change():
             for w1, w2 in zip(hn.steps, hn2.steps):
                 lifted = base_change_witness(w1, pair).canonical()
                 assert lifted.bases == w2.bases
+
+
+def _subquotient_record(rep, hn):
+    """Every subquotient the HN API builds for rep, as plain data: steps and
+    slopes, the hn_subquotients layers, and per step the quotient_rep and
+    restrict_rep matrices and the lift of each quotient coordinate vector."""
+
+    def mats(r):
+        return (sorted(r.dims.items()), sorted((a, m.rows) for a, m in r.mats.items()))
+
+    steps = []
+    for w in hn.steps:
+        quot, lift = quotient_rep(rep, w)
+        lifts = sorted(
+            (v, lift(v, Mat.identity(rep.ring, quot.dims[v])).rows) for v in rep.quiver.vertices
+        )
+        steps.append((
+            sorted(w.dims.items()),
+            sorted((v, b.rows) for v, b in w.bases.items()),
+            mats(quot),
+            lifts,
+            mats(restrict_rep(rep, w)),
+        ))
+    layers = [mats(layer) for layer in hn_subquotients(rep, THETA, hn)]
+    return steps, [str(s) for s in hn.slopes], layers
+
+
+def _grid_reps():
+    """Seeded reps: K2, K3 and A2 with dims up to (3,3), and the Jordan
+    quiver, over F_2 to F_5; entries are zero with a per-rep probability, so
+    that HN filtrations of every length turn up."""
+    rng = random.Random(1515)
+    quivers = [kronecker_quiver(2), kronecker_quiver(3), a2_quiver()]
+    for q in (2, 3, 4, 5):
+        f = GF(q)
+        for quiv in quivers:
+            for _ in range(8):
+                dims = {"s": 0, "t": 0}
+                while not any(dims.values()):
+                    dims = {"s": rng.randint(0, 3), "t": rng.randint(0, 3)}
+                yield _sparse_rep(quiv, f, dims, rng), THETA
+        yield _sparse_rep(jordan_quiver(), f, {"v": rng.randint(1, 3)}, rng), {"v": 0}
+
+
+def _sparse_rep(quiver, field, dims, rng):
+    density = rng.random()
+    mats = {}
+    for a in quiver.arrows:
+        rows = tuple(
+            tuple(rng.randrange(field.size) if rng.random() < density else 0
+                  for _ in range(dims[a.src]))
+            for _ in range(dims[a.dst])
+        )
+        mats[a.name] = Mat(field, rows, (dims[a.dst], dims[a.src]))
+    return Representation(quiver, field, dims, mats)
+
+
+def test_hn_subquotients_pinned_on_seeded_grid():
+    # HN steps are unique and canonical, and each layer is written on the
+    # complement the greedy pick chooses, so the records are fixed answers
+    digest = hashlib.sha256()
+    lengths = Counter()
+    for rep, theta in _grid_reps():
+        hn = hn_filtration(rep, theta, CFG)
+        assert verify_hn(rep, theta, hn, CFG)
+        lengths[hn.length()] += 1
+        digest.update(repr(_subquotient_record(rep, hn)).encode())
+    assert lengths == {1: 58, 2: 33, 3: 9}, lengths
+    assert digest.hexdigest() == (
+        "4309f80adbc650112c47b4d21607660a7a889662ac07076b7c0c0bdf7852d9f6"
+    )
