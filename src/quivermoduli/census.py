@@ -33,7 +33,10 @@ monic irreducibles found by the sieve in ffields), which covers spaces too
 large to scan pointwise.  There stability and End are read from the
 invariant factors, with no subspace scan: a class is stable iff its data is
 one irreducible f of degree d, and then End = F_q[x]/(f).  The number of
-stable classes is checked against Gauss's count of monic irreducibles.
+stable classes is checked against Gauss's count of monic irreducibles.  The
+number of all classes has a closed form, which is held to
+config.max_orbit_points before any class is listed and checked against the
+listing.
 
 The engine, matrix lists, generator memos and the set of normal forms are
 built per census call, never cached across calls.
@@ -552,15 +555,42 @@ def _irreducible_count(d, q):
     return sum(mobius(d // k) * q**k for k in range(1, d + 1) if d % k == 0) // d
 
 
+def _similarity_class_count(d, q):
+    """Similarity classes of d x d matrices over F_q: the coefficient of x^d
+    in prod_{i >= 1} 1 / (1 - q x^i).  A class assigns a partition to each
+    monic irreducible, and prod_k (1 - y^k)^(-N_k) = 1 / (1 - q y) for N_k
+    irreducibles of degree k."""
+    c = [1] + [0] * d
+    for i in range(1, d + 1):
+        for n in range(i, d + 1):  # times 1 / (1 - q x^i)
+            c[n] += q * c[n - i]
+    return c[d]
+
+
+def _checked_class_count(field, size, config):
+    """The number of similarity classes of size x size matrices, once it
+    fits config.max_orbit_points (BudgetExceededError otherwise)."""
+    n = _similarity_class_count(size, field.size)
+    if n > config.max_orbit_points:
+        raise BudgetExceededError(
+            f"{count_text(n)} similarity classes of {size}x{size} matrices "
+            f"(budget {config.max_orbit_points})",
+            estimate=n,
+        )
+    return n
+
+
 def loop_class_census(quiver, dims, theta, field, config):
-    """LoopClassCensus with each category read from the class data; the
-    stable classes are the degree-d irreducibles, so InvariantError unless
-    they number Gauss's count."""
+    """LoopClassCensus with each category read from the class data, once the
+    class count fits the orbit budget.  The stable classes are the degree-d
+    irreducibles, so InvariantError unless they number Gauss's count and
+    all classes number the closed-form count."""
     if not quiver.is_single_loop():
         raise InvariantError("class census is only for single-loop quivers")
     size = dims[quiver.vertices[0]]
     if size < 1:
         raise ValueError("class census needs a nonzero dimension")
+    nclasses = _checked_class_count(field, size, config)
     counts = {GEOM_STABLE: 0, STABLE_NOT_SCHUR: 0}
     entries = []
     for data, rows in similarity_class_reps(field, size):
@@ -573,6 +603,8 @@ def loop_class_census(quiver, dims, theta, field, config):
     stable, want = sum(counts.values()), _irreducible_count(size, field.size)
     if stable != want:
         raise InvariantError(f"{stable} stable classes of size {size}, Gauss count {want}")
+    if len(entries) != nclasses:
+        raise InvariantError(f"{len(entries)} similarity classes of size {size}, expected {nclasses}")
     return LoopClassCensus(quiver, dims, theta, field, counts, entries, config)
 
 
@@ -839,9 +871,11 @@ def all_orbit_representatives(quiver, dims, field, config):
     orbit is represented by its minimum within its slice.
     """
     if quiver.is_single_loop() and total_dim(dims) > 0:
+        size = dims[quiver.vertices[0]]
+        _checked_class_count(field, size, config)
         return [
             _decode_rep(quiver, field, dims, (rows,))
-            for _, rows in similarity_class_reps(field, dims[quiver.vertices[0]])
+            for _, rows in similarity_class_reps(field, size)
         ]
     k = _checked_slice_arrow(quiver, dims, field, config)
     _, orbits, _ = _slice_orbits(quiver, dims, field, k)

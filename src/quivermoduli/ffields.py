@@ -352,6 +352,11 @@ class ExtensionField(Ring):
             return self._add_t[x * self.size + y]
         return self._add_codes(x, y)
 
+    def sub(self, x, y):
+        if self._tables:
+            return self._add_t[x * self.size + self._neg_t[y]]
+        return self._add_codes(x, self.neg(y))
+
     def neg(self, x):
         if self._tables:
             return self._neg_t[x]

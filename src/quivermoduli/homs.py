@@ -34,26 +34,27 @@ def _field_hom_system(quiver, ring, dims, dims_p, point, point_p):
     offsets, total = _vertex_offsets(quiver, dims, dims_p)
     rows = []
     zero = ring.zero
-    add, sub = ring.add, ring.sub
+    sub, neg = ring.sub, ring.neg
     for a, m, mp in zip(quiver.arrows, point, point_p):
         dh, dt = dims[a.dst], dims[a.src]
         dph, dpt = dims_p[a.dst], dims_p[a.src]
+        loop = a.src == a.dst
         # (f_h M)_{i j} - (M' f_t)_{i j} = 0 for i < d'_h, j < d_t.
-        # For loops the f_h and f_t unknowns coincide, so contributions are
-        # accumulated rather than assigned.
+        # Each unknown gets at most one term from each side, so off loops
+        # every entry is assigned once; for loops the f_h and f_t unknowns
+        # coincide, and the M' terms are subtracted from the M terms.
         for i in range(dph):
             for j in range(dt):
                 row = [zero] * total
                 for k in range(dh):
                     c = m[k][j]
                     if c != zero:
-                        idx = offsets[a.dst] + i * dh + k
-                        row[idx] = add(row[idx], c)
+                        row[offsets[a.dst] + i * dh + k] = c
                 for k in range(dpt):
                     c = mp[i][k]
                     if c != zero:
                         idx = offsets[a.src] + k * dt + j
-                        row[idx] = sub(row[idx], c)
+                        row[idx] = sub(row[idx], c) if loop else neg(c)
                 rows.append(row)
     return offsets, total, rows
 

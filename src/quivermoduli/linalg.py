@@ -1,13 +1,16 @@
 """Dense exact matrices over a coefficient ring.
 
-Rows are tuples of payloads.  Over F_q (int codes) and quaternion algebras
-the ring object supplies all arithmetic, one operation per entry.  Over Q
-and Q(sqrt(m)), `rref` and `@` clear denominators and run on integer
-coordinates (a, b) of a + b sqrt(m), then write reduced `Fraction` payloads
-back; the reduced echelon form is unique and products are exact, so the
-answers are the ones the per-entry loop gives.  Shapes are tracked
-explicitly so zero-row and zero-column matrices behave.  Elimination
-routines require the ring to be a field.
+Rows are tuples of payloads.  Over Q and Q(sqrt(m)), `rref` and `@` clear
+denominators and run on integer coordinates (a, b) of a + b sqrt(m), then
+write reduced `Fraction` payloads back.  Over F_p and over the F_{p^n} that
+carry tables, `rref` runs on the int codes themselves: one `% p` per
+updated entry, or table lookups, and only on the nonzero columns of the
+pivot row.  The reduced echelon form is unique and products are exact, so
+the answers are the ones the per-entry loop gives; that loop remains for
+quaternion algebras and untabled extension fields, with the ring object
+supplying one operation per entry.  Shapes are tracked explicitly so
+zero-row and zero-column matrices behave.  Elimination routines require the
+ring to be a field.
 """
 
 import operator
@@ -15,6 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import NotInvertibleError, SchemaError
+from .ffields import ExtensionField, PrimeField
 from .rings import QuadraticField, RationalField
 
 
@@ -32,6 +36,16 @@ class Mat:
         if len(rows) != self.nrows or any(len(r) != self.ncols for r in rows):
             raise SchemaError(f"ragged matrix: expected shape {shape}")
         self.rows = rows
+
+    @classmethod
+    def _of(cls, ring, rows, shape):
+        """A matrix from a tuple of row tuples known to have this shape: the
+        results of internal operations skip the copy and check of __init__."""
+        mat = cls.__new__(cls)
+        mat.ring = ring
+        mat.nrows, mat.ncols = shape
+        mat.rows = rows
+        return mat
 
     # --- constructors ---
 
@@ -61,7 +75,7 @@ class Mat:
     @staticmethod
     def from_cols(ring, cols, nrows):
         cols = list(cols)
-        return Mat(
+        return Mat._of(
             ring,
             tuple(tuple(col[i] for col in cols) for i in range(nrows)),
             (nrows, len(cols)),
@@ -80,7 +94,7 @@ class Mat:
         return self.rows[i][j]
 
     def transpose(self):
-        return Mat(
+        return Mat._of(
             self.ring,
             tuple(self.col(j) for j in range(self.ncols)),
             (self.ncols, self.nrows),
@@ -155,7 +169,7 @@ class Mat:
                     acc = add(acc, mul(a, b))
                 orow.append(acc)
             out.append(tuple(orow))
-        return Mat(ring, tuple(out), (self.nrows, other.ncols))
+        return Mat._of(ring, tuple(out), (self.nrows, other.ncols))
 
     def scale(self, c):
         mul = self.ring.mul
@@ -164,7 +178,7 @@ class Mat:
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise SchemaError("hstack needs equal row counts")
-        return Mat(
+        return Mat._of(
             self.ring,
             tuple(r1 + r2 for r1, r2 in zip(self.rows, other.rows)),
             (self.nrows, self.ncols + other.ncols),
@@ -191,6 +205,8 @@ class Mat:
         m = _quadratic_m(ring)
         if m is not None:
             return _rref_coords(ring, m, self)
+        if isinstance(ring, PrimeField) or (isinstance(ring, ExtensionField) and ring._tables):
+            return _rref_fq(ring, self)
         zero = ring.zero
         sub, mul, inv = ring.sub, ring.mul, ring.inv
         is_field = ring.is_field
@@ -224,7 +240,7 @@ class Mat:
             r += 1
             if r == m:
                 break
-        return Mat(ring, tuple(tuple(r_) for r_ in rows), self.shape), tuple(pivots)
+        return Mat._of(ring, tuple(tuple(r_) for r_ in rows), self.shape), tuple(pivots)
 
     def rank(self):
         return len(self.rref()[1])
@@ -255,7 +271,7 @@ class Mat:
         R, pivots = aug.rref()
         if tuple(pivots) != tuple(range(n)):
             return None
-        return Mat(self.ring, tuple(r[n:] for r in R.rows), (n, n))
+        return Mat._of(self.ring, tuple(r[n:] for r in R.rows), (n, n))
 
     def is_invertible(self):
         return self.nrows == self.ncols and (self.nrows == 0 or self.rank() == self.nrows)
@@ -272,7 +288,7 @@ class Mat:
         for i, p in enumerate(pivots):
             for j in range(rhs.ncols):
                 out_rows[p][j] = R.rows[i][n + j]
-        return Mat(self.ring, tuple(tuple(r) for r in out_rows), (n, rhs.ncols))
+        return Mat._of(self.ring, tuple(tuple(r) for r in out_rows), (n, rhs.ncols))
 
     # --- column span utilities (bases are stored as columns) ---
 
@@ -280,7 +296,7 @@ class Mat:
         """Canonical matrix with the same column span (RREF of the transpose)."""
         R, pivots = self.transpose().rref()
         rows = [R.rows[i] for i in range(len(pivots))]
-        return Mat(self.ring, tuple(rows), (len(pivots), self.nrows)).transpose()
+        return Mat._of(self.ring, tuple(rows), (len(pivots), self.nrows)).transpose()
 
     def cols_contained_in(self, other):
         """Whether span(self columns) is inside span(other columns)."""
@@ -398,7 +414,7 @@ def _rref_coords(ring, m, mat):
         r += 1
     rows = [_payloads(A[i], B[i], A[i][c], m) for i, c in enumerate(pivots)]
     rows.extend([(ring.zero,) * ncols] * (nrows - r))
-    return Mat(ring, rows, mat.shape), tuple(pivots)
+    return Mat._of(ring, tuple(rows), mat.shape), tuple(pivots)
 
 
 def _matmul_coords(ring, m, left, right):
@@ -420,4 +436,58 @@ def _matmul_coords(ring, m, left, right):
             else:
                 row.append(Fraction(x, q))
         out.append(tuple(row))
-    return Mat(ring, out, (left.nrows, right.ncols))
+    return Mat._of(ring, tuple(out), (left.nrows, right.ncols))
+
+
+# --- F_q on int codes ---
+
+
+def _rref_fq(ring, mat):
+    """Gauss-Jordan on the codes of F_p, or of an F_{p^n} with tables (see
+    ffields).  Zero and one are the codes 0 and 1; a row update touches only
+    the nonzero columns of the pivot row, which are zero left of the pivot."""
+    nrows, ncols = mat.shape
+    rows = [list(r) for r in mat.rows]
+    prime = isinstance(ring, PrimeField)
+    if prime:
+        p = ring.p
+    else:
+        s = ring.size
+        add, mul, neg, inv = ring._tables[:4]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for pr in range(r, nrows):
+            if rows[pr][c]:
+                break
+        else:
+            continue
+        prow = rows[pr]
+        rows[pr] = rows[r]
+        x = prow[c]
+        if x != 1:
+            if prime:
+                t = pow(x, p - 2, p)
+                prow = [t * y % p for y in prow]
+            else:
+                t = inv[x] * s
+                prow = [mul[t + y] for y in prow]
+        rows[r] = prow
+        support = [j for j in range(c, ncols) if prow[j]]
+        for i in range(nrows):
+            row = rows[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            if prime:
+                for j in support:
+                    row[j] = (row[j] - f * prow[j]) % p
+            else:
+                f = neg[f] * s
+                for j in support:
+                    row[j] = add[row[j] * s + mul[f + prow[j]]]
+        pivots.append(c)
+        r += 1
+    return Mat._of(ring, tuple(map(tuple, rows)), mat.shape), tuple(pivots)

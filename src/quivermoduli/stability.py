@@ -39,6 +39,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations, groupby, product
+from operator import mul
 from typing import Dict, Optional, Tuple
 
 from .errors import BudgetExceededError, InvariantError, SchemaError, count_text
@@ -356,14 +357,23 @@ def _sub_dim_vectors(dims):
 
 def _slope_groups(dims, theta, floor, strict=False):
     """Proper nonzero sub-dimension vectors of slope at least floor (above
-    it when strict), grouped by slope, decreasing."""
+    it when strict), grouped by slope, decreasing.  The slope num / tot of
+    each integer tuple is compared with floor by cross-multiplication, and
+    only a kept vector becomes a Fraction and a dict."""
+    verts = list(dims)
+    full = tuple(dims.values())
+    weights = [theta[v] for v in verts]
+    floor = Fraction(floor)
+    a, b = floor.numerator, floor.denominator
     groups = {}
-    for e in _sub_dim_vectors(dims):
-        if sum(e.values()) == 0 or e == dims:
+    for e in product(*[range(d + 1) for d in full]):
+        tot = sum(e)
+        if tot == 0 or e == full:
             continue
-        s = slope(e, theta)
-        if s > floor or (s == floor and not strict):
-            groups.setdefault(s, []).append(e)
+        num = sum(map(mul, weights, e))
+        above = num * b - a * tot
+        if above > 0 or (above == 0 and not strict):
+            groups.setdefault(Fraction(num, tot), []).append(dict(zip(verts, e)))
     return sorted(groups.items(), key=lambda kv: kv[0], reverse=True)
 
 
@@ -604,19 +614,18 @@ def hn_subquotients(rep, theta, hn):
 
 
 def verify_hn(rep, theta, hn, config):
-    """Re-check an HN filtration: nesting, decreasing slopes, semistable layers."""
-    prev = None
-    for w in hn.steps:
-        if not w.is_closed_in(rep):
-            return False
-        if prev is not None and not w.contains(prev):
-            return False
-        prev = w
+    """Re-check an HN filtration: strictly decreasing slopes, then closed and
+    nested steps (each checked once, by _subquotient as it builds the
+    layers), then semistable layers of the stated slopes."""
     if list(hn.slopes) != sorted(hn.slopes, reverse=True) or len(set(hn.slopes)) != len(
         hn.slopes
     ):
         return False
-    for layer, s in zip(hn_subquotients(rep, theta, hn), hn.slopes):
+    try:
+        layers = hn_subquotients(rep, theta, hn)
+    except InvariantError:
+        return False
+    for layer, s in zip(layers, hn.slopes):
         if layer.slope(theta) != s:
             return False
         if not is_semistable(layer, theta, config):

@@ -471,9 +471,48 @@ def test_budget_error_for_oversized_nonloop():
 
 
 def test_oversized_loop_routes_through_classes():
-    tight = JobConfig(max_orbit_points=10)
+    # 81 points of 2x2 matrices over F_3 are over the budget, their 12
+    # similarity classes are not
+    tight = JobConfig(max_orbit_points=12)
     cen = stable_orbit_census(J, {"v": 2}, {"v": 0}, GF(3), tight)
     assert cen.counts[STABLE_NOT_SCHUR] == 3
+    with pytest.raises(BudgetExceededError):
+        stable_orbit_census(J, {"v": 2}, {"v": 0}, GF(3), JobConfig(max_orbit_points=11))
+
+
+def test_similarity_class_count_closed_form():
+    for d, q, want in ((8, 3, 11_514), (10, 3, 104_754), (6, 7, 140_441)):
+        assert census._similarity_class_count(d, q) == want
+    for d, q in ((1, 5), (2, 4), (3, 3), (4, 2), (3, 4)):
+        assert census._similarity_class_count(d, q) == len(similarity_class_reps(GF(q), d))
+
+
+def test_class_census_total_check(monkeypatch):
+    # losing a strictly semistable class leaves Gauss's count intact, and
+    # the closed-form class count catches it
+    real = census.similarity_class_reps
+
+    def one_lost(field, size):
+        reps = real(field, size)
+        lost = next(i for i, (data, _) in enumerate(reps) if len(data) > 1)
+        return reps[:lost] + reps[lost + 1 :]
+
+    monkeypatch.setattr(census, "similarity_class_reps", one_lost)
+    with pytest.raises(InvariantError, match="similarity classes"):
+        loop_class_census(J, {"v": 2}, {"v": 0}, GF(3), CFG)
+
+
+def test_loop_class_budget_is_checked_before_listing(monkeypatch):
+    def listed(field, size):
+        raise AssertionError("classes listed over budget")
+
+    monkeypatch.setattr(census, "similarity_class_reps", listed)
+    tight = JobConfig(max_orbit_points=100_000)
+    with pytest.raises(BudgetExceededError) as err:
+        loop_class_census(J, {"v": 10}, {"v": 0}, GF(3), tight)
+    assert err.value.estimate == 104_754
+    with pytest.raises(BudgetExceededError):
+        all_orbit_representatives(J, {"v": 10}, GF(3), tight)
 
 
 def test_polynomiality_fit():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from quivermoduli import GF, Mat, Representation, hamilton_quaternions, kronecker_quiver
 from quivermoduli.errors import SchemaError
+from quivermoduli.ffields import ExtensionField, PrimeField
 from quivermoduli.homs import _field_hom_system
 from quivermoduli.rings import QQ, QuadraticField, gaussian_rationals
 
@@ -206,7 +207,11 @@ def test_matmul_matches_reference(ring, data):
 @given(fields, st.data())
 def test_inverse_solve_nullspace_multiply_back(ring, data):
     n = data.draw(st.integers(0, 5))
-    m = data.draw(matrices(ring, n, n))
+    _check_multiply_back(ring, data.draw(matrices(ring, n, n)))
+
+
+def _check_multiply_back(ring, m):
+    n = m.nrows
     rank = len(reference_rref(m)[1])
     assert m.rank() == rank
     for vec in m.nullspace():
@@ -220,3 +225,63 @@ def test_inverse_solve_nullspace_multiply_back(ring, data):
     rhs = m @ x0
     x = m.solve(rhs)
     assert x is not None and m @ x == rhs
+
+
+# --- the int-code kernel over F_q against the per-entry reference loop;
+# GF(2**11) has no tables and stays on the per-entry loop ---
+
+FINITE_FIELDS = [GF(q) for q in (2, 3, 4, 5, 9, 25, 29, 2**11)]
+finite_fields = st.sampled_from(FINITE_FIELDS)
+
+
+@st.composite
+def fq_matrices(draw, field, nrows=None, ncols=None):
+    if nrows is None:
+        nrows = draw(st.integers(0, 6))
+    if ncols is None:
+        ncols = draw(st.integers(0, 6))
+    element = st.one_of(st.just(0), st.integers(0, field.size - 1))
+    rows = [tuple(draw(element) for _ in range(ncols)) for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 2)) if nrows > 1 else 0):
+        src, dst = draw(st.permutations(range(nrows)))[:2]
+        c = draw(element)
+        rows[dst] = tuple(field.mul(c, x) for x in rows[src])
+    return Mat(field, rows, (nrows, ncols))
+
+
+@given(finite_fields.flatmap(fq_matrices))
+def test_rref_matches_reference_over_finite_fields(m):
+    r, pivots = m.rref()
+    assert r.shape == m.shape
+    assert (r.rows, pivots) == reference_rref(m)
+
+
+@given(finite_fields, st.data())
+def test_inverse_solve_nullspace_multiply_back_over_finite_fields(field, data):
+    n = data.draw(st.integers(0, 5))
+    _check_multiply_back(field, data.draw(fq_matrices(field, n, n)))
+
+
+def test_finite_field_rref_makes_no_ring_calls(monkeypatch):
+    # rref over F_p and a tabled F_{p^n} works on the codes; a fall-back to
+    # the per-entry loop would call the ring
+    cases = []
+    for q in (5, 4):
+        f = GF(q)
+        rows = tuple(tuple((3 * i + j * j + 1) % q for j in range(5)) for i in range(4))
+        m = Mat(f, rows, (4, 5))
+        cases.append((m, reference_rref(m), m.nullspace()))
+
+    def refuse(*args):
+        raise AssertionError("ring arithmetic inside rref")
+
+    for cls in (PrimeField, ExtensionField):
+        for op in ("add", "sub", "mul"):
+            monkeypatch.setattr(cls, op, refuse)
+    for m, want, kernel in cases:
+        r, pivots = m.rref()
+        assert (r.rows, pivots) == want
+        assert m.rank() == len(pivots)
+        assert m.nullspace() == kernel
+    with pytest.raises(SchemaError):
+        Mat(GF(5), ((1, 2), (3,)), (2, 2))

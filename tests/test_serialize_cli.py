@@ -356,6 +356,25 @@ def test_cli_census_large_dims_exceed_budget(tmp_path, capsys, dims):
     assert err.startswith("budget exceeded:") and "Traceback" not in err
 
 
+def test_cli_loop_census_over_budget_exits_before_listing(tmp_path, monkeypatch, capsys):
+    # 104,754 similarity classes of 10x10 matrices over F_3, counted in
+    # closed form against the orbit budget; no class is listed
+    from quivermoduli import census
+
+    def listed(field, size):
+        raise AssertionError("classes listed over budget")
+
+    monkeypatch.setattr(census, "similarity_class_reps", listed)
+    monkeypatch.setenv("QUIVERMODULI_CONFIG", write_json(tmp_path, "cfg.json", {"max_orbit_points": 1000}))
+    path = write_json(tmp_path, "quiver.json", {"vertices": ["v"], "arrows": [
+        {"id": "loop", "from": "v", "to": "v"},
+    ]})
+    code = main(["census", "--quiver", path, "--dims", '{"v":10}', "--theta", '{"v":0}', "--q", "3"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: 104754 similarity classes") and "Traceback" not in err
+
+
 def test_cli_input_over_the_wrong_ring_is_parse_error(tmp_path, capsys):
     # a Q(i) rep with the Q(sqrt 2) pair, and a datum whose u is not an object
     rep, pair, theta = quaternionic_kronecker_example()

@@ -2,6 +2,7 @@ import hashlib
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -23,7 +24,7 @@ from quivermoduli import (
 from quivermoduli.config import JobConfig
 from quivermoduli import stability
 from quivermoduli.errors import BudgetExceededError, InvariantError, SchemaError
-from quivermoduli.quiver import base_change
+from quivermoduli.quiver import base_change, slope
 from quivermoduli.rings import QQ
 from quivermoduli.stability import (
     STABLE,
@@ -352,6 +353,52 @@ def test_subquotients_of_bad_witnesses_raise():
     doubled = SubrepWitness({"s": 2, "t": 0}, {"s": fmat(f3, [[1, 1], [0, 0]]), "t": none})
     with pytest.raises(InvariantError):
         hn_subquotients(plane, THETA, HNFiltration((line, doubled), (1, 1)))
+
+
+def test_slope_groups_match_their_definition():
+    # proper nonzero e with slope(e) >= floor (> when strict), by slope
+    cases = [
+        ({"s": 2, "t": 3}, {"s": 1, "t": -1}),
+        ({"s": 3, "t": 0, "u": 2}, {"s": 5, "t": 0, "u": -2}),
+        ({"v": 4}, {"v": 0}),
+    ]
+    for dims, theta in cases:
+        subs = [e for e in stability._sub_dim_vectors(dims) if 0 < sum(e.values()) and e != dims]
+        for floor in {slope(dims, theta), Fraction(-1, 3), Fraction(2, 5), 0}:
+            for strict in (False, True):
+                want = {}
+                for e in subs:
+                    s = slope(e, theta)
+                    if s > floor or (s == floor and not strict):
+                        want.setdefault(s, []).append(e)
+                got = stability._slope_groups(dims, theta, floor, strict)
+                assert got == sorted(want.items(), reverse=True)
+                assert all(type(s) is Fraction for s, _ in got)
+
+
+def test_verify_hn_rejects_bad_filtrations():
+    f3 = GF(3)
+    none = Mat.zero(f3, 1, 0)
+    at_s = SubrepWitness({"s": 1, "t": 0}, {"s": fmat(f3, [[1]]), "t": none})
+    at_t = SubrepWitness({"s": 0, "t": 1}, {"s": none, "t": fmat(f3, [[1]])})
+    # S_s + S_t: HN steps S_s, W with slopes 1, -1
+    split = Representation.zero_maps(kronecker_quiver(2), f3, {"s": 1, "t": 1})
+    hn = hn_filtration(split, THETA, CFG)
+    assert hn.steps[0].dims == at_s.dims and hn.slopes == (1, -1)
+    assert verify_hn(split, THETA, hn, CFG)
+    full = hn.steps[1]
+    # a1 = 1 maps S_s's space onto t: the first step is not closed
+    open_first = kronecker_rep(f3, [1, 0])
+    assert not verify_hn(open_first, THETA, HNFiltration((at_s, full), (1, -1)), CFG)
+    # S_t then S_s: each closed, not nested
+    assert not verify_hn(split, THETA, HNFiltration((at_t, at_s), (1, -1)), CFG)
+    # slopes equal or increasing
+    assert not verify_hn(split, THETA, HNFiltration(hn.steps, (1, 1)), CFG)
+    assert not verify_hn(split, THETA, HNFiltration(hn.steps, (-1, 1)), CFG)
+    # strictly decreasing, but the first layer has slope 1
+    assert not verify_hn(split, THETA, HNFiltration(hn.steps, (2, -1)), CFG)
+    # one layer of the right slope 0, destabilized by S_s
+    assert not verify_hn(split, THETA, HNFiltration((full,), (0,)), CFG)
 
 
 @pytest.mark.parametrize("true_steps", [0, 1])
