@@ -11,20 +11,20 @@ slice, the whole space, with H = G_d.
 
 The scan works on integer-encoded matrices with the field's operations
 bound to locals.  Stability is decided by the closure engine of the
-stability module, built once per census: each slope group's index tuples
-are listed once, subspace membership verdicts are shared by all points, and
+stability module, built once per census: each slope group's walk (the
+index tuples of every vertex but the last, and the last vertex's range) is
+listed once, a line at the last vertex is looked up from an image rather
+than scanned, subspace membership verdicts are shared by all points, and
 when the quiver has more than one arrow each arrow matrix keeps its image
 codes across points.
 
 Orbits are counted by union-find over generators of H_r, and each orbit's
 size is checked by orbit-stabilizer against |H_r| and e = dim End, computed
 once per orbit.  When the nonzero d_v are coprime, e = 1 with no
-elimination: End W of a stable W is a field F_{q^e} and every W_v is a
-vector space over it, so e divides every nonzero d_v.  The orbit-stabilizer
-check runs on every orbit either way.  Within one census each generator
-acts once per distinct arrow matrix: every (generator, arrow) pair has a
-lazily filled memo M -> g_dst M g_src^-1, shared by arrows with the same
-ends.  A point whose a0 matrix is one of the normal forms J_r is looked up
+elimination (homs._coprime_dims).  The orbit-stabilizer check runs on every
+orbit either way.  Within one census each generator acts once per distinct
+arrow matrix: every (generator, arrow) pair has a lazily filled memo
+M -> g_dst M g_src^-1, shared by arrows with the same ends.  A point whose a0 matrix is one of the normal forms J_r is looked up
 in the union-find directly; only a point outside the slices is row-reduced
 to J_r first.
 `stable_orbit_census` routes single-loop quivers through similarity
@@ -45,7 +45,7 @@ built per census call, never cached across calls.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import prod
 from typing import Dict, List, Optional
 
 from .brauer import brauer_class
@@ -54,7 +54,7 @@ from .descent import solve_modifying_u, hilbert90_descend
 from .errors import BudgetExceededError, InvariantError, SchemaError, count_text
 from .ffields import GF, _poly_mul, monic_irreducibles
 from .galois import GaloisPair
-from .homs import _field_hom_system, is_isomorphic
+from .homs import _coprime_dims, _field_hom_system, is_isomorphic
 from .linalg import Mat
 from .morita import division_form, drep_to_twisted
 from .numtheory import mobius
@@ -82,7 +82,7 @@ STABLE_NOT_SCHUR = "stable_not_schur"
 class _Plan:
     """One census's drive of the stability engine for (quiver, dims, theta).
 
-    The slope groups at or above mu carry their index combos, listed once
+    The slope groups at or above mu carry their engine walks, listed once
     per census.  With several arrows, whose matrices repeat across points,
     each arrow keeps a memo from matrix rows to that matrix's closure test;
     a scan over one arrow meets every matrix once, so it keeps none.
@@ -90,16 +90,15 @@ class _Plan:
 
     engine: _Engine
     mu: Fraction
-    groups: list  # [(slope, e, [index combos])], slope >= mu, descending
+    groups: list  # [(slope, e, walk)], slope >= mu, descending
     memo: Optional[list]  # per arrow: {matrix rows -> closure test}
 
 
 def _build_plan(quiver, dims, theta, field, config=JobConfig()):
-    """The plan, once the combos it lists, the closure checks of one point,
-    fit config.max_subspace_checks (BudgetExceededError otherwise)."""
+    """The plan, once the closure checks of one point fit
+    config.max_subspace_checks (BudgetExceededError otherwise)."""
     mu = slope(dims, theta)
     engine, groups = _search(quiver, dims, field, _slope_groups(dims, theta, mu), config)
-    groups = [(s, e, list(combos)) for s, e, combos in groups]
     memo = [{} for _ in quiver.arrows] if len(quiver.arrows) > 1 else None
     return _Plan(engine, mu, groups, memo)
 
@@ -115,13 +114,10 @@ def _categorize_point(point, plan):
 
 def _end_dim_point(point, quiver, dims, field):
     """dim End for an encoded stable point: the corank of its intertwiner
-    system, or 1 with no system when the nonzero d_v are coprime.
-
-    End W of a stable W is a field F_{q^e} (King, Quart. J. Math. 45
-    (1994)), and every W_v is a vector space over it, so e divides every
-    nonzero d_v.  On a point that is not stable the shortcut can be wrong.
-    """
-    if gcd(*(d for d in dims.values() if d)) == 1:
+    system, or 1 with no system when the nonzero d_v are coprime
+    (homs._coprime_dims).  On a point that is not stable the shortcut can be
+    wrong."""
+    if _coprime_dims(dims):
         return 1
     _, total, rows = _field_hom_system(quiver, field, dims, dims, point, point)
     return total - Mat(field, rows, (len(rows), total)).rank()

@@ -8,6 +8,7 @@ intertwiners.
 """
 
 from itertools import product
+from math import gcd
 
 from .errors import BudgetExceededError, InconclusiveError
 from .linalg import Mat
@@ -149,6 +150,14 @@ def hom_space(w, wp):
 def end_dim(w):
     """Dimension of End(w) over the coefficient field (over Q for quaternions)."""
     return len(hom_space(w, w))
+
+
+def _coprime_dims(dims):
+    """True when the nonzero d_v are coprime, so that End W = k for every
+    stable W of these dims: End W is then a division algebra over k, every
+    W_v is a vector space over it, and so dim_k End W divides every nonzero
+    d_v (King, Quart. J. Math. 45 (1994))."""
+    return gcd(*(d for d in dims.values() if d)) == 1
 
 
 def is_schur(w):

@@ -10,29 +10,26 @@ scss(W / W^{i-1}), each quotient built from W itself.
 
 Every finite-field answer, here and in the censuses, comes from one closure
 engine, entered through _search: it refuses an infinite field, checks the
-subspace budget before any listing, and returns the slope groups with their
-index combos.  The engine lists subspaces as reduced-echelon bases, one
-rank at a time on first use, so witnesses are deduplicated by construction.
-M U_t lies inside U_h when each M u, u in a basis of U_t, reduces to zero
-against U_h's echelon rows; vectors are keyed by their integer code
-sum v_i q^i, and every image code and membership verdict is memoized on
-first use, so the work and memory grow with the closure checks made, never
-with q^dim.  The search stops at the first closed subspace tuple.  Engine
-state lives in an object built per call (or once per census), and
-witnesses become Mat column bases only on the way out.
+subspace budget before any listing, and returns each slope group with its
+walk, the index tuples of every vertex but the last and the last vertex's
+range.  The engine lists subspaces as reduced-echelon bases, one rank at a
+time on first use, so witnesses are deduplicated by construction.  M U_t
+lies inside U_h when each M u, u in a basis of U_t, reduces to zero against
+U_h's echelon rows; vectors are keyed by their integer code sum v_i q^i,
+and every image code and membership verdict is memoized on first use, so
+the work and memory grow with the closure checks made, never with q^dim.
+A line at the last vertex is looked up from the code of a nonzero image
+M u, the one line that can hold it, rather than scanned for.  The search
+stops at the first closed subspace tuple.  Engine state lives in an object
+built per call (or once per census), and witnesses become Mat column bases
+only on the way out.
 
 Over F_q a rep is geometrically stable iff it is stable and End W = k
 (King, Quart. J. Math. 45 (1994)), which geom_stability decides exactly.
 Decision procedures over infinite fields do not exist here;
 geom_stability_certificate returns Stable only with a finite-field
 certificate, returns a non-stable verdict only with an exactly re-verified
-witness, and says Unknown otherwise.  It first looks for a geometrically
-stable reduction at every prime, and only then hunts exact destabilizers,
-closing the prime-independent seeds (arrow kernels and images, full vertex
-spaces) once.  The order cannot change the answer: an exact
-subrepresentation of slope >= mu reduces, at every usable prime, to a
-subrepresentation with the same dimension vector, so a Stable reduction and
-an exact witness never both exist.
+witness, and says Unknown otherwise.
 """
 
 from bisect import bisect_right
@@ -44,7 +41,7 @@ from typing import Dict, Optional, Tuple
 
 from .errors import BudgetExceededError, InvariantError, SchemaError, count_text
 from .ffields import PrimeField
-from .homs import end_dim
+from .homs import _coprime_dims, end_dim
 from .linalg import Mat
 from .numtheory import sqrt_minus_one_mod
 from .quiver import Representation, slope, total_dim
@@ -185,9 +182,38 @@ class _Span(dict):
         return inside
 
 
+class _Lines(dict):
+    """Index of the line through each nonzero vector code, filled on first
+    lookup.  In listing order the lines with pivot p (the first nonzero
+    coordinate) follow those with earlier pivots, q^(dim-1-i) for each
+    i < p, and are ordered by their later entries, scaled by the pivot's
+    inverse, read as base-q digits."""
+
+    __slots__ = ("space",)
+
+    def __init__(self, space):
+        self.space = space
+
+    def __missing__(self, code):
+        field, dim, q = self.space.field, self.space.dim, self.space.field.size
+        idx, rest, p = self.space.offsets[1], code, 0
+        while rest % q == 0:
+            rest //= q
+            p += 1
+            idx += q ** (dim - p)
+        rest, pivot = divmod(rest, q)
+        inv, free = field.inv(pivot), 0
+        for _ in range(p + 1, dim):
+            rest, x = divmod(rest, q)
+            free = free * q + field.mul(inv, x)
+        idx = self[code] = idx + free
+        return idx
+
+
 class _Subspaces(dict):
     """The subspaces of F_q^dim: RREF bases listed one rank at a time on
-    first use, and a dict from subspace index to its _Span.
+    first use, a dict from subspace index to its _Span, and the index of
+    the line through each vector looked up.
 
     Index offsets[r] + i is the i-th subspace of rank r (pivot columns in
     combinations order, free entries in product order), so the offsets are
@@ -201,6 +227,7 @@ class _Subspaces(dict):
         sizes = [_gaussian_binomial(field.size, dim, r) for r in range(dim + 1)]
         self.offsets = list(accumulate(sizes, initial=0))
         self._ranks = {}  # rank -> its RREF bases, in index order
+        self.lines = _Lines(self)
 
     def __missing__(self, idx):
         span = self[idx] = _Span(self.rows(idx), self)
@@ -299,10 +326,17 @@ class _Engine:
             (self.spaces[pos[a.src]], self.spaces[pos[a.dst]], pos[a.src], pos[a.dst])
             for a in quiver.arrows
         ]
+        self.last = len(self.verts) - 1
+        # arrows from an earlier vertex into the last: an image pins a line
+        self.pins = [i for i, (_, _, t, h) in enumerate(self.arrows) if h == self.last != t]
 
-    def combos(self, e):
-        """Index tuples of the subspace tuples with dimension vector e."""
-        return product(*[sp.indices(e[v]) for v, sp in zip(self.verts, self.spaces)])
+    def walk(self, e):
+        """The combos with dimension vector e: the index tuples of every
+        vertex but the last, in product order, the last vertex's range, and
+        whether an arrow can pin a line there."""
+        ranges = [sp.indices(e[v]) for v, sp in zip(self.verts, self.spaces)]
+        line = e[self.verts[-1]] == 1 and bool(self.pins)
+        return list(product(*ranges[:-1])), ranges[-1], line
 
     def tests(self, point, memo=None):
         """Closure tests (images, heads, t, h), one per arrow matrix of an
@@ -320,23 +354,41 @@ class _Engine:
         return out
 
     def closed(self, tests, groups):
-        """(s, e, combo) for each closed combo in [(s, e, combos)], in order.
+        """(s, e, combo) for each closed combo in [(s, e, walk)], in product
+        order.
 
         M U_t lies inside U_h iff the code of every M u, u in U_t's basis,
-        is in the span of U_h.
+        is in the span of U_h.  A line at the last vertex holding a nonzero
+        image can only be its span, so that line is the one candidate.
         """
-        for s, e, combos in groups:
-            for combo in combos:
-                for images, heads, t, h in tests:
-                    span = heads[combo[h]]
-                    for code in images[combo[t]]:
-                        if not span[code]:
-                            break
+        last, pins = self.last, self.pins
+        lines = self.spaces[last].lines
+        for s, e, (prefixes, everything, line) in groups:
+            for prefix in prefixes:
+                candidates = everything
+                if line:
+                    for i in pins:
+                        images, _, t, _ = tests[i]
+                        for code in images[prefix[t]]:
+                            if code:
+                                candidates = (lines[code],)
+                                break
+                        else:
+                            continue
+                        break
+                combo = [*prefix, 0]
+                for c in candidates:
+                    combo[last] = c
+                    for images, heads, t, h in tests:
+                        span = heads[combo[h]]
+                        for code in images[combo[t]]:
+                            if not span[code]:
+                                break
+                        else:
+                            continue
+                        break  # an image vector outside U_h: not closed
                     else:
-                        continue
-                    break  # an image vector outside U_h: not closed
-                else:
-                    yield s, e, combo
+                        yield s, e, tuple(combo)
 
     def witness(self, e, combo):
         """A closed combo as per-vertex column bases."""
@@ -409,13 +461,13 @@ _NEEDS_FINITE = "exact verdicts need a finite field; use geom_stability_certific
 
 def _search(quiver, dims, field, groups, config):
     """The engine for (quiver, dims) over a finite field, and the slope
-    groups [(s, [e])] as flat [(s, e, combos)] with lazy combos, once their
+    groups [(s, [e])] as flat [(s, e, walk)], each walk listed once the
     closure checks fit the budget."""
     if not field.is_finite:
         raise SchemaError(_NEEDS_FINITE)
     _check_budget(dims, field.size, [e for _, es in groups for e in es], config)
     eng = _Engine(quiver, dims, field)
-    return eng, [(s, e, eng.combos(e)) for s, es in groups for e in es]
+    return eng, [(s, e, eng.walk(e)) for s, es in groups for e in es]
 
 
 def enumerate_subreps(rep, config):
@@ -471,7 +523,7 @@ def geom_stability(rep, theta, config):
     if not rep.ring.is_finite:
         return geom_stability_certificate(rep, theta, config)
     verdict = stability_verdict(rep, theta, config)
-    if verdict.is_stable and end_dim(rep) != 1:
+    if verdict.is_stable and not _coprime_dims(rep.dims) and end_dim(rep) != 1:
         return StabilityVerdict(STRICTLY_SEMISTABLE, detail={"reason": "stable but not Schur"})
     return verdict
 
@@ -647,28 +699,17 @@ def base_change_witness(witness, pair):
 def _reduction_map(ring, p):
     """Entry map ring -> F_p, or None when p is unusable for this ring."""
     fp = PrimeField(p)
+
+    def red(x):
+        if x.denominator % p == 0:
+            raise ZeroDivisionError
+        return x.numerator * pow(x.denominator, -1, p) % p
+
     if ring == QQ:
-
-        def red(x):
-            if x.denominator % p == 0:
-                raise ZeroDivisionError
-            return x.numerator * pow(x.denominator, -1, p) % p
-
         return fp, red
-    if isinstance(ring, QuadraticField) and ring.m == -1:
-        if p % 4 != 1:
-            return None
+    if isinstance(ring, QuadraticField) and ring.m == -1 and p % 4 == 1:
         r = sqrt_minus_one_mod(p)
-
-        def red(x):
-            a, b = x
-            if a.denominator % p == 0 or b.denominator % p == 0:
-                raise ZeroDivisionError
-            av = a.numerator * pow(a.denominator, -1, p) % p
-            bv = b.numerator * pow(b.denominator, -1, p) % p
-            return (av + bv * r) % p
-
-        return fp, red
+        return fp, lambda x: (red(x[0]) + red(x[1]) * r) % p
     return None
 
 
@@ -702,16 +743,13 @@ def _forward_closure(rep, seeds):
 
 def _centered_lift(ring, fp, col):
     p = fp.p
+    lift = [Fraction(c if c <= p // 2 else c - p) for c in col]
     if ring == QQ:
-        return tuple(
-            Fraction(c if c <= p // 2 else c - p) for c in col
-        )
+        return tuple(lift)
     # Q(i): lift the plain integer residue; the sqrt(-1) part of the witness
     # cannot be recovered from one residue, so this is heuristic and every
     # candidate is re-verified exactly.
-    return tuple(
-        (Fraction(c if c <= p // 2 else c - p), Fraction(0)) for c in col
-    )
+    return tuple((x, Fraction(0)) for x in lift)
 
 
 def _lifted_seeds(rep, modp_witness, fp):
@@ -810,7 +848,7 @@ def geom_stability_certificate(rep, theta, config):
         except BudgetExceededError as exc:
             over_budget = exc
             break
-        if verdict.is_stable and end_dim(red) == 1:
+        if verdict.is_stable and (_coprime_dims(red.dims) or end_dim(red) == 1):
             return StabilityVerdict(STABLE, detail={"certificate": "reduction", "prime": p})
         tried.append((p, verdict.kind))
         hunts.append((p, red.ring, verdict.witness))

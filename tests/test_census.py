@@ -40,7 +40,7 @@ from quivermoduli.config import JobConfig
 from quivermoduli.errors import BudgetExceededError, InvariantError, SchemaError
 from quivermoduli.ffields import monic_irreducibles
 from quivermoduli.homs import end_dim
-from quivermoduli.quiver import base_change
+from quivermoduli.quiver import Arrow, Quiver, base_change
 from quivermoduli.stability import (
     STABLE,
     STRICTLY_SEMISTABLE,
@@ -84,8 +84,12 @@ def _bases(w):
 
 def test_kernel_matches_generic_verdicts():
     # the census categorizer and the API verdicts share one engine, so both
-    # are held against the brute-force reference in tests/helpers.py
+    # are held against the brute-force reference in tests/helpers.py; each
+    # case starts with zero maps, where no image pins a line at the last
+    # vertex and every line stays a candidate
     rng = random.Random(3)
+    a3 = Quiver(("s", "m", "t"), (Arrow("a", "s", "m"), Arrow("b", "m", "t")))
+    back = Quiver(("s", "t"), (Arrow("a", "s", "t"), Arrow("b", "t", "s")))
     for quiver, dims, theta, field in (
         (K2, {"s": 1, "t": 1}, THETA, GF(3)),
         (K2, {"s": 2, "t": 1}, THETA, GF(2)),
@@ -96,13 +100,18 @@ def test_kernel_matches_generic_verdicts():
         (a2_quiver(), {"s": 2, "t": 2}, THETA, GF(4)),
         (J, {"v": 2}, {"v": 0}, GF(9)),
         (J, {"v": 3}, {"v": 0}, GF(4)),
+        # lines at a dim-3 last vertex, pinned through the middle vertex of
+        # A3, and beside an arrow from the last vertex back to the first
+        (K2, {"s": 2, "t": 3}, THETA, GF(3)),
+        (a3, {"s": 1, "m": 2, "t": 2}, {"s": 1, "m": 0, "t": -1}, GF(3)),
+        (back, {"s": 2, "t": 2}, {"s": 1, "t": -1}, GF(3)),
     ):
         plan = _build_plan(quiver, dims, theta, field)
-        for _ in range(30):
+        for n in range(31):
             mats = {}
             for a in quiver.arrows:
                 rows = tuple(
-                    tuple(rng.randrange(field.size) for _ in range(dims[a.src]))
+                    tuple(rng.randrange(field.size) if n else 0 for _ in range(dims[a.src]))
                     for _ in range(dims[a.dst])
                 )
                 mats[a.name] = Mat(field, rows, (dims[a.dst], dims[a.src]))

@@ -841,6 +841,14 @@ def _fuzz_inputs():
             st_theta,
             ("--q", None, "2,3"),
         ]),
+        "census-loop": (["census"], [
+            ("--quiver", "quiver.json", {"vertices": ["v"], "arrows": [
+                {"id": "loop", "from": "v", "to": "v"},
+            ]}),
+            ("--dims", None, {"v": 3}),
+            ("--theta", None, {"v": 0}),
+            ("--q", None, "2,3"),
+        ]),
     }
 
 
@@ -854,7 +862,8 @@ def test_cli_exit_codes_under_mutated_inputs(tmp_path, monkeypatch, data):
     budgets = {"max_orbit_points": 500, "max_subspace_checks": 500}
     cfg_path = write_json(tmp_path, "cfg.json", budgets)
     monkeypatch.setenv("QUIVERMODULI_CONFIG", cfg_path)
-    words, inputs = _fuzz_inputs()[data.draw(st.sampled_from(sorted(_fuzz_inputs())))]
+    case = data.draw(st.sampled_from(sorted(_fuzz_inputs())))
+    words, inputs = _fuzz_inputs()[case]
     target = data.draw(st.integers(0, len(inputs) - 1))
     argv = ["--format", data.draw(st.sampled_from(["json", "table"])), *words]
     for i, (flag, name, value) in enumerate(inputs):
@@ -862,6 +871,9 @@ def test_cli_exit_codes_under_mutated_inputs(tmp_path, monkeypatch, data):
             text = value if isinstance(value, str) else json.dumps(value)
         elif flag == "--q":
             text = data.draw(_FUZZ_Q)
+        elif case == "census-loop" and flag == "--dims":
+            # class counts past the orbit budget, refused before any listing
+            text = json.dumps({"v": data.draw(st.integers(0, 40))})
         else:
             text = _fuzz_json(data, value)
         if name is not None:

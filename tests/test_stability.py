@@ -22,7 +22,7 @@ from quivermoduli import (
     stability_verdict,
 )
 from quivermoduli.config import JobConfig
-from quivermoduli import stability
+from quivermoduli import homs, stability
 from quivermoduli.errors import BudgetExceededError, InvariantError, SchemaError
 from quivermoduli.quiver import base_change, slope
 from quivermoduli.rings import QQ
@@ -34,6 +34,8 @@ from quivermoduli.stability import (
     SubrepWitness,
     base_change_witness,
     count_subspaces,
+    geom_stability,
+    geom_stability_certificate,
     hn_subquotients,
     is_semistable,
     quotient_rep,
@@ -61,9 +63,10 @@ def random_rep(quiver, field, dims, rng):
 
 def test_subspace_enumeration_counts():
     # Gaussian binomial totals: q=2, d=2 -> 5; q=2, d=3 -> 16; q=3, d=2 -> 6;
-    # q=4, d=3 -> 44.  Ranks are listed in increasing order, so a rank that
-    # listed too many or too few bases leaves a wrong-length or missing one.
-    for q, d, total in ((2, 2, 5), (2, 3, 16), (3, 2, 6), (4, 3, 44)):
+    # q=4, d=3 -> 44; q=9, d=2 -> 12; q=3, d=4 -> 212.  Ranks are listed in
+    # increasing order, so a rank that listed too many or too few bases
+    # leaves a wrong-length or missing one.
+    for q, d, total in ((2, 2, 5), (2, 3, 16), (3, 2, 6), (4, 3, 44), (9, 2, 12), (3, 4, 212)):
         field = GF(q)
         spaces = _Subspaces(field, d)
         per_rank = [spaces.indices(r) for r in range(d + 1)]
@@ -80,11 +83,21 @@ def test_subspace_enumeration_counts():
                 }
                 assert len(span) == q**r
                 assert {c for c in range(q**d) if spaces[i][c]} == span
+                if r == 1:
+                    # the line lookup finds this line from each of its vectors
+                    assert {spaces.lines[c] for c in span - {0}} == {i}
                 rows.append(basis)
                 spans.append(frozenset(span))
         # canonical forms are pairwise distinct, and so are their spans
         assert len(set(rows)) == total
         assert len(set(spans)) == total
+    # lines only, where listing every subspace's span would be slow
+    field = GF(9)
+    spaces = _Subspaces(field, 4)
+    for i in spaces.indices(1):
+        (row,) = spaces.rows(i)
+        for c in field.units():
+            assert spaces.lines[_code([field.mul(c, x) for x in row], 9)] == i
 
 
 def _combine(field, basis, coeffs):
@@ -165,6 +178,55 @@ def test_large_field_closure_stays_small():
         tracemalloc.stop()
     assert verdict.kind == STABLE
     assert peak < 64 * 2**20
+
+
+def test_line_lookup_work_guard(monkeypatch):
+    # a1 = I, a2 = the companion of x^3 + x + 1, irreducible over F_5: stable,
+    # so every slope group is walked.  Scanning every line of F_5^3 at t
+    # made 1,479 membership misses; looking the line up from an image makes
+    # 590.
+    f5 = GF(5)
+    w = kronecker_rep(
+        f5,
+        [fmat(f5, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), fmat(f5, [[0, 0, 4], [1, 0, 4], [0, 1, 0]])],
+        {"s": 3, "t": 3},
+    )
+    misses = []
+    lookup = stability._Span.__missing__
+
+    def counted(span, code):
+        misses.append(code)
+        return lookup(span, code)
+
+    monkeypatch.setattr(stability._Span, "__missing__", counted)
+    assert stability_verdict(w, THETA, CFG).kind == STABLE
+    assert len(misses) <= 600, len(misses)
+
+
+def test_coprime_dims_decide_end_without_hom_space(monkeypatch):
+    # End W of a stable W with coprime nonzero d_v is k, so neither the
+    # exact decision nor the certificate's mod-p step solves for End
+    f3 = GF(3)
+    w = kronecker_rep(f3, [fmat(f3, [[1], [0]]), fmat(f3, [[0], [1]])], {"s": 1, "t": 2})
+    wq = kronecker_rep(QQ, [Mat(QQ, ((1,), (0,))), Mat(QQ, ((0,), (1,)))], {"s": 1, "t": 2})
+    companion = Representation(
+        jordan_quiver(), f3, {"v": 2}, {"loop": fmat(f3, [[0, 2], [1, 0]])}
+    )
+
+    def no_hom_space(*args):
+        raise AssertionError("hom_space called")
+
+    with monkeypatch.context() as m:
+        m.setattr(homs, "hom_space", no_hom_space)
+        assert geom_stability(w, THETA, CFG).kind == STABLE
+        cert = geom_stability_certificate(wq, THETA, CFG)
+        assert cert.kind == STABLE and cert.detail["certificate"] == "reduction"
+        with pytest.raises(AssertionError):
+            geom_stability(companion, {"v": 0}, CFG)
+    # d = 2 is not coprime: x^2 + 1 is irreducible over F_3, so End = F_9
+    verdict = geom_stability(companion, {"v": 0}, CFG)
+    assert verdict.kind == STRICTLY_SEMISTABLE
+    assert verdict.detail == {"reason": "stable but not Schur"}
 
 
 def test_stability_verdict_examples():
@@ -539,4 +601,22 @@ def test_hn_subquotients_pinned_on_seeded_grid():
     assert lengths == {1: 58, 2: 33, 3: 9}, lengths
     assert digest.hexdigest() == (
         "4309f80adbc650112c47b4d21607660a7a889662ac07076b7c0c0bdf7852d9f6"
+    )
+
+
+def test_verdict_witnesses_pinned_on_seeded_grid():
+    # the engine yields candidate tuples in one fixed order, so the first
+    # closed one, the verdict's witness, is a fixed answer too
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for rep, theta in _grid_reps():
+        verdict = stability_verdict(rep, theta, CFG)
+        kinds[verdict.kind] += 1
+        bases = None
+        if verdict.witness is not None:
+            bases = sorted((v, b.rows) for v, b in verdict.witness.bases.items())
+        digest.update(repr((verdict.kind, sorted(verdict.detail.items()), bases)).encode())
+    assert kinds == {STABLE: 27, STRICTLY_SEMISTABLE: 31, UNSTABLE: 42}, kinds
+    assert digest.hexdigest() == (
+        "529ae884aaa8cd8b0cb7b00cf26c3f0b4032fd4937f910ca39270e132978656d"
     )
