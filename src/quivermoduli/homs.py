@@ -1,17 +1,20 @@
 """Intertwiner spaces and isomorphism testing.
 
 hom_space solves f_{h(a)} M_a = M'_a f_{t(a)} exactly.  Over a field the
-system is solved directly; over a quaternion algebra each unknown entry is
-expanded into its four rational coordinates through the left/right regular
-representation, so the returned basis is a Q-basis of the D-linear
-intertwiners.
+system is solved directly, over Q and Q(sqrt(m)) on the integer
+coordinates of the arrow matrices; over a quaternion algebra each unknown
+entry is expanded into its four rational coordinates through the
+left/right regular representation, so the returned basis is a Q-basis of
+the D-linear intertwiners.
 """
 
+import operator
 from itertools import product
 from math import gcd
+from types import SimpleNamespace
 
 from .errors import BudgetExceededError, InconclusiveError
-from .linalg import Mat
+from .linalg import Mat, _integer_rows, _kernel_coords, _quadratic_m
 from .quaternions import QuaternionAlgebra
 from .rings import QQ
 
@@ -25,17 +28,19 @@ def _vertex_offsets(quiver, dims_src, dims_dst, blowup=1):
     return offsets, total
 
 
-def _field_hom_system(quiver, ring, dims, dims_p, point, point_p):
+def _field_hom_system(quiver, ops, dims, dims_p, point, point_p):
     """Rows of the system f_{h(a)} M_a = M'_a f_{t(a)} over a field.
 
     point and point_p hold one tuple of matrix rows per arrow, in arrow
     order; the unknowns are the entries of f_v, a dims_p[v] x dims[v]
-    matrix, row by row from offsets[v].
+    matrix, row by row from offsets[v].  ops supplies zero, sub and neg
+    for the entries: the field itself, or _INT_OPS on one integer
+    coordinate part (each row entry is linear in the arrow entries).
     """
     offsets, total = _vertex_offsets(quiver, dims, dims_p)
     rows = []
-    zero = ring.zero
-    sub, neg = ring.sub, ring.neg
+    zero = ops.zero
+    sub, neg = ops.sub, ops.neg
     for a, m, mp in zip(quiver.arrows, point, point_p):
         dh, dt = dims[a.dst], dims[a.src]
         dph, dpt = dims_p[a.dst], dims_p[a.src]
@@ -60,17 +65,26 @@ def _field_hom_system(quiver, ring, dims, dims_p, point, point_p):
     return offsets, total, rows
 
 
-def _reshape_field_solution(vec, w, wp, offsets):
-    ring = w.ring
-    out = {}
-    for v in w.quiver.vertices:
-        dv, dpv = w.dims[v], wp.dims[v]
-        base = offsets[v]
-        rows = tuple(
-            tuple(vec[base + i * dv + j] for j in range(dv)) for i in range(dpv)
-        )
-        out[v] = Mat(ring, rows, (dpv, dv))
-    return out
+_INT_OPS = SimpleNamespace(zero=0, sub=operator.sub, neg=operator.neg)
+
+
+def _coords_hom_kernel(w, wp, m):
+    """Kernel of the Hom system over Q (m = 0) or Q(sqrt(m)), solved on
+    integer coordinates.  With M_a = (A + B sqrt(m)) / d and M'_a =
+    (A' + B' sqrt(m)) / d', the rows of arrow a times d d' are built from
+    d' A and d A', then from d' B and d B'."""
+    parts = ([], []), ([], [])  # (point, point_p) of each coordinate part
+    for a in w.quiver.arrows:
+        (A, B, d), (Ap, Bp, dp) = (_integer_rows(r.mats[a.name], m) for r in (w, wp))
+        for (point, point_p), x, xp in zip(parts, (A, B), (Ap, Bp)):
+            point.append([[e * dp for e in row] for row in x])
+            point_p.append([[e * d for e in row] for row in xp])
+    offsets, total, A = _field_hom_system(w.quiver, _INT_OPS, w.dims, wp.dims, *parts[0])
+    if m:
+        B = _field_hom_system(w.quiver, _INT_OPS, w.dims, wp.dims, *parts[1])[2]
+    else:
+        B = [[0] * total for _ in A]
+    return offsets, _kernel_coords(w.ring, m, A, B, total)
 
 
 def _quaternion_hom_system(w, wp):
@@ -107,20 +121,17 @@ def _quaternion_hom_system(w, wp):
     return offsets, total, rows
 
 
-def _reshape_quaternion_solution(vec, w, wp, offsets):
-    alg = w.ring
+def _reshape_solution(vec, w, wp, offsets):
+    """The per-vertex matrices of a kernel vector; over a quaternion algebra
+    each entry is its four rational coordinates."""
+    n = 4 if isinstance(w.ring, QuaternionAlgebra) else 1
     out = {}
     for v in w.quiver.vertices:
         dv, dpv = w.dims[v], wp.dims[v]
-        base = offsets[v]
-        rows = []
-        for i in range(dpv):
-            row = []
-            for j in range(dv):
-                at = base + (i * dv + j) * 4
-                row.append(tuple(vec[at + t] for t in range(4)))
-            rows.append(tuple(row))
-        out[v] = Mat(alg, tuple(rows), (dpv, dv))
+        flat = vec[offsets[v]:offsets[v] + dpv * dv * n]
+        if n > 1:
+            flat = [flat[k:k + n] for k in range(0, len(flat), n)]
+        out[v] = Mat(w.ring, tuple(flat[i * dv:(i + 1) * dv] for i in range(dpv)), (dpv, dv))
     return out
 
 
@@ -132,19 +143,17 @@ def hom_space(w, wp):
     """
     if w.quiver != wp.quiver or w.ring != wp.ring:
         raise ValueError("hom_space needs two representations of one quiver over one ring")
+    m = _quadratic_m(w.ring)
     if isinstance(w.ring, QuaternionAlgebra):
         offsets, total, rows = _quaternion_hom_system(w, wp)
-        solve_ring = QQ
-        reshape = _reshape_quaternion_solution
+        kernel = Mat(QQ, rows, (len(rows), total)).nullspace()
+    elif m is not None:
+        offsets, kernel = _coords_hom_kernel(w, wp, m)
     else:
         points = ([r.mats[a.name].rows for a in w.quiver.arrows] for r in (w, wp))
         offsets, total, rows = _field_hom_system(w.quiver, w.ring, w.dims, wp.dims, *points)
-        solve_ring = w.ring
-        reshape = _reshape_field_solution
-    if total == 0:
-        return []
-    system = Mat(solve_ring, rows, (len(rows), total))
-    return [reshape(vec, w, wp, offsets) for vec in system.nullspace()]
+        kernel = Mat(w.ring, rows, (len(rows), total)).nullspace()
+    return [_reshape_solution(vec, w, wp, offsets) for vec in kernel]
 
 
 def end_dim(w):
@@ -243,19 +252,23 @@ def is_isomorphic(w, wp, config):
     obstruction fails, the Hom space is at most one-dimensional, or (over a
     finite field) an exhaustive search finished.  Otherwise the randomized
     search raises InconclusiveError rather than guessing.
+
+    One Hom line decides on its own: when Hom(w, wp) is spanned by one h,
+    every isomorphism is a nonzero multiple of h, so w and wp are isomorphic
+    exactly when h is invertible.  The dimensions of Hom(wp, w), End w and
+    End wp, obstructions that agree for isomorphic reps, then cannot change
+    the answer and are solved only for a larger Hom(w, wp).
     """
     if w.dims != wp.dims:
         return None
     if w.total_dim() == 0:
         return identity_hom(w)
     fwd = hom_space(w, wp)
-    if not fwd:
+    if len(fwd) > 1 and (
+        len(fwd) != len(hom_space(wp, w)) or len(hom_space(w, w)) != len(hom_space(wp, wp))
+    ):
         return None
-    bwd = hom_space(wp, w)
-    if len(fwd) != len(bwd) or len(hom_space(w, w)) != len(hom_space(wp, wp)):
-        return None
-    ring = w.ring
-    return find_invertible_in_span(fwd, ring, config, rng_label="iso-search")
+    return find_invertible_in_span(fwd, w.ring, config, rng_label="iso-search")
 
 
 def identity_hom(w):

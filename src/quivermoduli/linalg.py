@@ -1,8 +1,11 @@
 """Dense exact matrices over a coefficient ring.
 
-Rows are tuples of payloads.  Over Q and Q(sqrt(m)), `rref` and `@` clear
-denominators and run on integer coordinates (a, b) of a + b sqrt(m), then
-write reduced `Fraction` payloads back.  Over F_p and over the F_{p^n} that
+Rows are tuples of payloads.  Over Q and Q(sqrt(m)), `rref`, `rank`,
+`nullspace` and `@` clear denominators and run on integer coordinates
+(a, b) of a + b sqrt(m).  Only `rref` writes reduced `Fraction` rows back:
+`rank` reads the pivots, and `nullspace` divides the free-column entries
+of the integer pivot rows by their pivots (homs builds its Hom systems on
+these integer rows directly).  Over F_p and over the F_{p^n} that
 carry tables, `rref` runs on the int codes themselves: one `% p` per
 updated entry, or table lookups, and only on the nonzero columns of the
 pivot row.  The reduced echelon form is unique and products are exact, so
@@ -243,22 +246,24 @@ class Mat:
         return Mat._of(ring, tuple(tuple(r_) for r_ in rows), self.shape), tuple(pivots)
 
     def rank(self):
+        m = _quadratic_m(self.ring)
+        if m is not None:
+            A, B, _ = _integer_rows(self, m)
+            return len(_eliminate_coords(A, B, m, self.ncols))
         return len(self.rref()[1])
 
     def nullspace(self):
         """Basis of the right kernel, one column tuple per basis vector."""
         ring = self.ring
+        m = _quadratic_m(ring)
+        if m is not None:
+            A, B, _ = _integer_rows(self, m)
+            return _kernel_coords(ring, m, A, B, self.ncols)
         R, pivots = self.rref()
-        n = self.ncols
-        free = [j for j in range(n) if j not in pivots]
-        basis = []
-        for fj in free:
-            vec = [ring.zero] * n
-            vec[fj] = ring.one
-            for i, pj in enumerate(pivots):
-                vec[pj] = ring.neg(R.rows[i][fj])
-            basis.append(tuple(vec))
-        return basis
+        free = [j for j in range(self.ncols) if j not in pivots]
+        neg = ring.neg
+        negs = [[neg(R.rows[i][j]) for j in free] for i in range(len(pivots))]
+        return _kernel(ring, self.ncols, pivots, free, negs)
 
     def inverse(self):
         """Inverse over a field, or None when singular."""
@@ -364,11 +369,12 @@ def _primitive(xs, ys):
     return xs, ys
 
 
-def _rref_coords(ring, m, mat):
-    """Gauss-Jordan by cross-multiplication: row_i <- s*row_i - f*row_r, with
-    the pivot made rational and every row kept primitive (content removed)."""
-    nrows, ncols = mat.shape
-    A, B, _ = _integer_rows(mat, m)
+def _eliminate_coords(A, B, m, ncols):
+    """Gauss-Jordan in place by cross-multiplication: row_i <- s*row_i - f*row_r,
+    with the pivot made rational and every row kept primitive (content
+    removed).  Returns the pivot columns; pivot row i is a multiple of the
+    reduced row i, with the rational integer A[i][c] at its pivot c."""
+    nrows = len(A)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -412,9 +418,42 @@ def _rref_coords(ring, m, mat):
             A[i], B[i] = _primitive(xa, xb)
         pivots.append(c)
         r += 1
+    return pivots
+
+
+def _rref_coords(ring, m, mat):
+    """The reduced form: each pivot row divided by its pivot, written back."""
+    A, B, _ = _integer_rows(mat, m)
+    pivots = _eliminate_coords(A, B, m, mat.ncols)
     rows = [_payloads(A[i], B[i], A[i][c], m) for i, c in enumerate(pivots)]
-    rows.extend([(ring.zero,) * ncols] * (nrows - r))
+    rows.extend([(ring.zero,) * mat.ncols] * (mat.nrows - len(pivots)))
     return Mat._of(ring, tuple(rows), mat.shape), tuple(pivots)
+
+
+def _kernel(ring, ncols, pivots, free, negs):
+    """One kernel vector per free column: one there and, at each pivot, the
+    negated entry of its reduced row in that column (negs, free columns only)."""
+    basis = []
+    for k, fj in enumerate(free):
+        vec = [ring.zero] * ncols
+        vec[fj] = ring.one
+        for row, pj in zip(negs, pivots):
+            vec[pj] = row[k]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _kernel_coords(ring, m, A, B, ncols):
+    """Mat.nullspace of the integer rows (A + B sqrt(m)), read off the pivot
+    rows: a free-column entry x of a row with pivot p gives -x/p, so no
+    reduced row is written."""
+    pivots = _eliminate_coords(A, B, m, ncols)
+    free = [j for j in range(ncols) if j not in pivots]
+    negs = [
+        _payloads([-A[i][j] for j in free], [-B[i][j] for j in free], A[i][c], m)
+        for i, c in enumerate(pivots)
+    ]
+    return _kernel(ring, ncols, pivots, free, negs)
 
 
 def _matmul_coords(ring, m, left, right):

@@ -1,8 +1,9 @@
-"""Shared builders for the test suite, the per-entry matrix loops as the
-reference for the integer-coordinate kernel, a brute-force stability
-reference, the one-loop certificate over Q and Q(i), the full-scan orbit
-census as the reference for the slice census, and product-by-product
-references for finite-field tables and quaternion regular representations."""
+"""Shared builders for the test suite, the per-entry matrix loops and Hom
+solver as the reference for the integer-coordinate kernel, a brute-force
+stability reference, the one-loop certificate over Q and Q(i), the
+full-scan orbit census as the reference for the slice census, and
+product-by-product references for finite-field tables and quaternion
+regular representations."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -104,6 +105,29 @@ def reference_rref(mat):
         pivots.append(c)
         r += 1
     return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def reference_nullspace(mat):
+    """Right kernel basis read off reference_rref, one vector per free column."""
+    ring = mat.ring
+    rows, pivots = reference_rref(mat)
+    basis = []
+    for fj in (j for j in range(mat.ncols) if j not in pivots):
+        vec = [ring.zero] * mat.ncols
+        vec[fj] = ring.one
+        for row, pj in zip(rows, pivots):
+            vec[pj] = ring.neg(row[fj])
+        basis.append(tuple(vec))
+    return basis
+
+
+def reference_hom_space(w, wp):
+    """Hom(w, wp) over a field: the rows of homs._field_hom_system over the
+    ring itself, solved by reference_nullspace."""
+    points = ([r.mats[a.name].rows for a in w.quiver.arrows] for r in (w, wp))
+    offsets, total, rows = homs._field_hom_system(w.quiver, w.ring, w.dims, wp.dims, *points)
+    kernel = reference_nullspace(Mat(w.ring, rows, (len(rows), total)))
+    return [homs._reshape_solution(vec, w, wp, offsets) for vec in kernel]
 
 
 def reference_matmul(a, b):

@@ -5,13 +5,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quivermoduli import GF, Mat, Representation, hamilton_quaternions, kronecker_quiver
+from quivermoduli import (
+    GF,
+    Mat,
+    Representation,
+    a2_quiver,
+    end_dim,
+    hamilton_quaternions,
+    hom_space,
+    jordan_quiver,
+    kronecker_quiver,
+)
 from quivermoduli.errors import SchemaError
 from quivermoduli.ffields import ExtensionField, PrimeField
 from quivermoduli.homs import _field_hom_system
-from quivermoduli.rings import QQ, QuadraticField, gaussian_rationals
+from quivermoduli.rings import QQ, QuadraticField, RationalField, gaussian_rationals
 
-from helpers import fmat, qmat, reference_matmul, reference_rref
+from helpers import (
+    fmat,
+    qmat,
+    reference_hom_space,
+    reference_matmul,
+    reference_nullspace,
+    reference_rref,
+)
 
 
 def test_shapes_and_empty():
@@ -154,22 +171,52 @@ def matrices(draw, ring, nrows=None, ncols=None):
 
 
 @st.composite
+def reps(draw, ring, quiver, dims):
+    return Representation(quiver, ring, dims, {
+        a.name: draw(matrices(ring, dims[a.dst], dims[a.src])) for a in quiver.arrows
+    })
+
+
+@st.composite
+def moved(draw, w):
+    """g.W for g a product of two elementary matrices at each vertex of dim 2."""
+    ring, o, z = w.ring, w.ring.one, w.ring.zero
+    g = {v: Mat.identity(ring, d) for v, d in w.dims.items()}
+    for v in (v for v, d in w.dims.items() if d == 2):
+        g[v] = Mat(ring, ((o, draw(elements(ring))), (z, o))) @ Mat(ring, ((o, z), (draw(elements(ring)), o)))
+    return w.act(g)
+
+
+@st.composite
+def kronecker_pairs(draw, ring):
+    """3-Kronecker (2,2) reps W and g.W, so Hom(W, g.W) is never zero."""
+    w = draw(reps(ring, kronecker_quiver(3), {"s": 2, "t": 2}))
+    return w, draw(moved(w))
+
+
+@st.composite
 def hom_systems(draw, ring):
-    """The 12 x 8 system hom_space solves for 3-Kronecker (2,2) reps W and
-    g.W, so its kernel is never zero."""
-    w = Representation(
-        kronecker_quiver(3), ring, {"s": 2, "t": 2},
-        {f"a{i}": draw(matrices(ring, 2, 2)) for i in (1, 2, 3)},
-    )
-    o, z = ring.one, ring.zero
-    g = {
-        v: Mat(ring, ((o, draw(elements(ring))), (z, o))) @ Mat(ring, ((o, z), (draw(elements(ring)), o)))
-        for v in ("s", "t")
-    }
-    wg = w.act(g)
+    """The 12 x 8 system hom_space solves for a kronecker_pairs pair."""
+    w, wg = draw(kronecker_pairs(ring))
     points = ([r.mats[a.name].rows for a in w.quiver.arrows] for r in (w, wg))
     _, _, rows = _field_hom_system(w.quiver, ring, w.dims, wg.dims, *points)
     return Mat(ring, rows, (12, 8))
+
+
+@st.composite
+def hom_pairs(draw, ring):
+    """kronecker_pairs; a 2-dim Jordan loop W with g.W, whose system adds
+    the M' terms onto the M terms of the same unknowns; and an A2 pair
+    with a zero-dimensional vertex."""
+    kind = draw(st.sampled_from(["kronecker", "jordan", "a2"]))
+    if kind == "kronecker":
+        return draw(kronecker_pairs(ring))
+    if kind == "jordan":
+        w = draw(reps(ring, jordan_quiver(), {"v": 2}))
+        return w, draw(moved(w))
+    dims = [{"s": s, "t": t} for s in range(3) for t in range(3)]
+    d = draw(st.sampled_from([e for e in dims if 0 in e.values()]))
+    return draw(reps(ring, a2_quiver(), d)), draw(reps(ring, a2_quiver(), draw(st.sampled_from(dims))))
 
 
 fields = st.sampled_from(FIELDS)
@@ -195,6 +242,12 @@ def test_rref_matches_reference_on_hom_systems(m):
     assert m.rank() < 8
 
 
+@given(fields.flatmap(hom_pairs))
+def test_hom_space_matches_reference(pair):
+    w, wp = pair
+    assert hom_space(w, wp) == reference_hom_space(w, wp)
+
+
 @given(fields, st.data())
 def test_matmul_matches_reference(ring, data):
     a = data.draw(matrices(ring))
@@ -214,9 +267,11 @@ def _check_multiply_back(ring, m):
     n = m.nrows
     rank = len(reference_rref(m)[1])
     assert m.rank() == rank
-    for vec in m.nullspace():
+    kernel = m.nullspace()
+    assert kernel == reference_nullspace(m)
+    for vec in kernel:
         assert (m @ Mat.from_cols(ring, [vec], m.ncols)).is_zero()
-    assert len(m.nullspace()) == m.ncols - rank
+    assert len(kernel) == m.ncols - rank
     inv = m.inverse()
     assert (inv is not None) == (rank == n)
     if inv is not None:
@@ -285,3 +340,42 @@ def test_finite_field_rref_makes_no_ring_calls(monkeypatch):
         assert m.nullspace() == kernel
     with pytest.raises(SchemaError):
         Mat(GF(5), ((1, 2), (3,)), (2, 2))
+
+
+def test_rational_kernels_make_no_ring_calls(monkeypatch):
+    # over Q and Q(sqrt(m)) rank, kernels and Hom spaces run on integer
+    # coordinates; a fall-back to rref or to per-entry arithmetic would
+    # call what is patched here
+    Qi, H = gaussian_rationals(), hamilton_quaternions()
+    k3 = kronecker_quiver(3)
+
+    def rep(ring, dims, entries):
+        return Representation(k3, ring, dims, {
+            f"a{n}": Mat(ring, rows, (dims["t"], dims["s"])) for n, rows in enumerate(entries, 1)
+        })
+
+    gi = lambda a, b=0: (Fraction(a), Fraction(b))
+    w = rep(Qi, {"s": 2, "t": 2}, [
+        ((gi(1), gi(0)), (gi(0), gi(1))),
+        ((gi(0, 1), gi(1, 2)), (gi(0), gi(0, -1))),
+        ((gi(0), gi(-1)), (gi(Fraction(1, 3)), gi(2, 1))),
+    ])
+    o, z = Qi.one, Qi.zero
+    g = Mat(Qi, ((o, gi(1, 1)), (z, o))) @ Mat(Qi, ((o, z), (gi(0, 1), o)))
+    wg = w.act({"s": g, "t": g.transpose()})
+    drep = rep(H, {"s": 1, "t": 1}, [
+        ((tuple(map(Fraction, x)),),) for x in ((1, 0, 1, 0), (0, Fraction(1, 2), 0, 1), (2, 0, 0, -1))
+    ])
+    m = Mat(Qi, [[gi(j - i, i * j % 3) for j in range(5)] for i in range(4)], (4, 5))
+    homs_want = reference_hom_space(w, wg)
+    assert len(homs_want) == 1 and end_dim(drep) == 1
+    want = (homs_want, end_dim(drep), len(reference_rref(m)[1]), reference_nullspace(m))
+
+    def refuse(*args):
+        raise AssertionError("ring arithmetic or rref on the integer path")
+
+    for cls in (RationalField, QuadraticField):
+        for op in ("add", "sub", "mul", "neg"):
+            monkeypatch.setattr(cls, op, refuse)
+    monkeypatch.setattr(Mat, "rref", refuse)
+    assert (hom_space(w, wg), end_dim(drep), m.rank(), m.nullspace()) == want

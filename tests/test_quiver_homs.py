@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,8 @@ from quivermoduli import (
     end_dim,
     hom_space,
     is_isomorphic,
+    gaussian_rationals,
+    hamilton_quaternions,
     is_schur,
     jordan_quiver,
     kronecker_quiver,
@@ -17,12 +21,13 @@ from quivermoduli import (
 )
 from quivermoduli.config import JobConfig
 from quivermoduli.errors import SchemaError
+from quivermoduli import homs
 from quivermoduli.homs import identity_hom
 from quivermoduli.quiver import Arrow, Quiver, base_change, group_generators
 from quivermoduli.galois import GaloisPair
 from quivermoduli.rings import QQ
 
-from helpers import fmat, kronecker_rep
+from helpers import fmat, kronecker_rep, qmat
 
 CFG = JobConfig()
 
@@ -118,6 +123,42 @@ def test_is_isomorphic_examples():
     assert is_isomorphic(a, b, CFG) is None
 
 
+def _count_hom_spaces(monkeypatch):
+    calls = []
+    real = homs.hom_space
+
+    def counted(w, wp):
+        calls.append((w, wp))
+        return real(w, wp)
+
+    monkeypatch.setattr(homs, "hom_space", counted)
+    return calls
+
+
+def test_is_isomorphic_decides_a_hom_line_alone(monkeypatch):
+    k3, k2 = kronecker_quiver(3), kronecker_quiver(2)
+    w = Representation(k3, QQ, {"s": 2, "t": 2}, {
+        name: qmat(rows) for name, rows in
+        (("a1", [[1, 0], [0, 1]]), ("a2", [[0, 1], [0, 0]]), ("a3", [[1, 2], [-1, 3]]))
+    })
+    g = {"s": qmat([[1, 1], [0, 1]]), "t": qmat([[2, 0], [1, 1]])}
+    wg = w.act(g)
+    assert end_dim(w) == 1
+    calls = _count_hom_spaces(monkeypatch)
+    iso = is_isomorphic(w, wg, CFG)
+    assert w.act(iso) == wg and len(calls) == 1
+    # a larger Hom space still checks the three other dimensions first
+    ww = w.direct_sum(w)
+    calls.clear()
+    iso = is_isomorphic(ww, wg.direct_sum(wg), CFG)
+    assert iso is not None and len(calls) == 4
+    # Hom(W, 0) is the line of (f_s, f_t) = (1, 0), which is singular
+    line = Representation(k2, QQ, {"s": 1, "t": 1}, {"a1": qmat([[1]]), "a2": qmat([[0]])})
+    calls.clear()
+    assert is_isomorphic(line, Representation.zero_maps(k2, QQ, line.dims), CFG) is None
+    assert len(calls) == 1
+
+
 def test_is_isomorphic_respects_dims():
     f2 = GF(2)
     q = kronecker_quiver(2)
@@ -168,3 +209,78 @@ def test_hom_space_over_q():
     assert end_dim(w) == 1
     idh = identity_hom(w)
     assert w.act(idh) == w
+
+
+def _hom_grid():
+    """Seeded pairs (W, W') over Q, Q(i) and (-1,-1)_Q: moved copies, fresh
+    reps and W with its first arrow zeroed, on 3-Kronecker reps of dims
+    (2,2), (1,2), (2,1) and (1,1), and moved Jordan loops over Q."""
+    rng = random.Random(1704)
+    k3, loop = kronecker_quiver(3), jordan_quiver()
+    H = hamilton_quaternions()
+
+    def entry(ring):
+        if ring == H:
+            return tuple(Fraction(rng.randint(-1, 1)) for _ in range(4))
+        x = Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2, 3)))
+        return x if ring == QQ else (x, Fraction(rng.randint(-1, 1)))
+
+    def rep(quiver, ring, dims):
+        return Representation(quiver, ring, dims, {
+            a.name: Mat(ring, [[entry(ring) for _ in range(dims[a.src])]
+                               for _ in range(dims[a.dst])], (dims[a.dst], dims[a.src]))
+            for a in quiver.arrows
+        })
+
+    def moved(w):
+        ring, o, z = w.ring, w.ring.one, w.ring.zero
+        units = [o, ring.neg(o)] if ring != H else [o, H.i, H.j, H.k]
+        g = {}
+        for v, d in w.dims.items():
+            g[v] = Mat.identity(ring, d)
+            if d == 2:
+                g[v] = Mat(ring, ((o, entry(ring)), (z, o))) @ Mat(ring, ((o, z), (rng.choice(units), o)))
+            elif ring == H:
+                g[v] = Mat(H, ((rng.choice(units),),), (1, 1))
+        return w.act(g)
+
+    grid = []
+    for ring in (QQ, gaussian_rationals()):
+        for n in range(12):
+            dims = ({"s": 2, "t": 2}, {"s": 1, "t": 2}, {"s": 2, "t": 1})[n % 3]
+            w = rep(k3, ring, dims)
+            zeroed = dict(w.mats, a1=Mat.zero(ring, dims["t"], dims["s"]))
+            partner = (moved(w), rep(k3, ring, dims),
+                       Representation(k3, ring, dims, zeroed))[n // 3 % 3]
+            grid.append((w, partner))
+        # a singular Hom line, and Hom spaces of dimension 2 and 4
+        lines = [rep(k3, ring, {"s": 1, "t": 1}) for _ in range(2)]
+        zero = Representation.zero_maps(k3, ring, lines[0].dims)
+        sums = [lines[0].direct_sum(x) for x in lines]
+        grid += [(lines[0], zero), (sums[0], moved(sums[0])), (sums[1], sums[0])]
+    for d in (2, 3, 2, 3):
+        w = rep(loop, QQ, {"v": d})
+        grid.append((w, moved(w)))
+    for n in range(6):
+        w = rep(k3, H, {"s": 1, "t": 1})
+        grid.append((w, moved(w) if n % 2 else rep(k3, H, w.dims)))
+    return grid
+
+
+def test_hom_answers_pinned_on_seeded_grid():
+    # the kernel basis is read off the unique RREF, and is_isomorphic's
+    # search is seeded, so bases, End dimensions and isomorphisms are fixed
+    digest = hashlib.sha256()
+    isos = Counter()
+    for w, wp in _hom_grid():
+        basis = [sorted((v, m.rows) for v, m in h.items()) for h in hom_space(w, wp)]
+        iso = is_isomorphic(w, wp, CFG)
+        isos[iso is not None] += 1
+        if iso is not None:
+            assert w.act(iso) == wp
+            iso = sorted((v, m.rows) for v, m in iso.items())
+        digest.update(repr((basis, end_dim(w), end_dim(wp), iso)).encode())
+    assert isos == {True: 21, False: 19}, isos
+    assert digest.hexdigest() == (
+        "c09922fa2984d5380e248ff01d7ef13c8426c2c7a845b35b6d38ff0b4361590d"
+    )
