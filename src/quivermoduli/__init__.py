@@ -23,7 +23,7 @@ from .errors import (
 )
 from .ffields import GF, ExtensionField, PrimeField
 from .galois import GaloisPair, galois_apply
-from .homs import end_dim, hom_space, is_isomorphic, is_schur
+from .homs import end_dim, hom_space, is_isomorphic
 from .linalg import Mat
 from .morita import (
     TwistedRep,

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import InvariantError, NotDecidableError
 from .galois import FinitePair, GaloisPair, QuadraticPair
-from .numtheory import rational_factor_exponents, squarefree_part
+from .numtheory import rational_factor_exponents
 from .quaternions import QuaternionAlgebra, quat_is_division
 
 
@@ -93,10 +93,3 @@ def brauer_class(lam, pair):
             )
         return BrauerClass(pair, canon, 2)
     raise NotDecidableError(f"unsupported Galois pair {pair!r}")
-
-
-def normalized_lambda(lam, pair):
-    """Spec-level storage normalization: the signed squarefree integer part."""
-    if isinstance(pair, QuadraticPair):
-        return Fraction(squarefree_part(Fraction(lam)))
-    return lam

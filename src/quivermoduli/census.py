@@ -10,13 +10,13 @@ points of K2 (2,2) over F_4 into 768.  A quiver with no such arrow has one
 slice, the whole space, with H = G_d.
 
 The scan works on integer-encoded matrices with the field's operations
-bound to locals.  Stability is decided by the closure engine of the
-stability module, built once per census: each slope group's walk (the
-index tuples of every vertex but the last, and the last vertex's range) is
-listed once, a line at the last vertex is looked up from an image rather
-than scanned, subspace membership verdicts are shared by all points, and
-when the quiver has more than one arrow each arrow matrix keeps its image
-codes across points.
+bound to locals.  Stability is decided by stability._verdicts, the one
+verdict driver, whose closure engine is built once per census: each slope
+group's walk (the index tuples of every vertex but the last, and the last
+vertex's range) is listed once, a line at the last vertex is looked up
+from an image rather than scanned, subspace membership verdicts are shared
+by all points, and when the quiver has more than one arrow each arrow
+matrix keeps its image codes across points.
 
 Orbits are counted by union-find over generators of H_r, and each orbit's
 size is checked by orbit-stabilizer against |H_r| and e = dim End, computed
@@ -24,9 +24,12 @@ once per orbit.  When the nonzero d_v are coprime, e = 1 with no
 elimination (homs._coprime_dims).  The orbit-stabilizer check runs on every
 orbit either way.  Within one census each generator acts once per distinct
 arrow matrix: every (generator, arrow) pair has a lazily filled memo
-M -> g_dst M g_src^-1, shared by arrows with the same ends.  A point whose a0 matrix is one of the normal forms J_r is looked up
-in the union-find directly; only a point outside the slices is row-reduced
-to J_r first.
+M -> g_dst M g_src^-1, shared by arrows with the same ends.
+
+A point whose a0 matrix is one of the normal forms J_r is looked up in the
+union-find directly; only a point outside the slices is row-reduced to J_r
+first.
+
 `stable_orbit_census` routes single-loop quivers through similarity
 classes instead (companion blocks of prime-power polynomials, with the
 monic irreducibles found by the sieve in ffields), which covers spaces too
@@ -58,16 +61,12 @@ from .homs import _coprime_dims, _field_hom_system, is_isomorphic
 from .linalg import Mat
 from .morita import division_form, drep_to_twisted
 from .numtheory import mobius
-from .quiver import Representation, base_change, group_generators, slope, total_dim
+from .quiver import Representation, base_change, group_generators, total_dim
 from .stability import (
-    STABLE,
     STRICTLY_SEMISTABLE,
-    UNSTABLE,
     _closed_pairs,  # noqa: F401  called through _Engine.tests once per memo miss
     _encode_rep,
-    _Engine,
-    _search,
-    _slope_groups,
+    _verdicts,
 )
 
 GEOM_STABLE = "geom_stable"
@@ -75,41 +74,7 @@ STABLE_NOT_SCHUR = "stable_not_schur"
 
 
 # ---------------------------------------------------------------------------
-# stability and End of encoded points
-
-
-@dataclass
-class _Plan:
-    """One census's drive of the stability engine for (quiver, dims, theta).
-
-    The slope groups at or above mu carry their engine walks, listed once
-    per census.  With several arrows, whose matrices repeat across points,
-    each arrow keeps a memo from matrix rows to that matrix's closure test;
-    a scan over one arrow meets every matrix once, so it keeps none.
-    """
-
-    engine: _Engine
-    mu: Fraction
-    groups: list  # [(slope, e, walk)], slope >= mu, descending
-    memo: Optional[list]  # per arrow: {matrix rows -> closure test}
-
-
-def _build_plan(quiver, dims, theta, field, config=JobConfig()):
-    """The plan, once the closure checks of one point fit
-    config.max_subspace_checks (BudgetExceededError otherwise)."""
-    mu = slope(dims, theta)
-    engine, groups = _search(quiver, dims, field, _slope_groups(dims, theta, mu), config)
-    memo = [{} for _ in quiver.arrows] if len(quiver.arrows) > 1 else None
-    return _Plan(engine, mu, groups, memo)
-
-
-def _categorize_point(point, plan):
-    """Stability category of an encoded point, matching stability_verdict."""
-    tests = plan.engine.tests(point, plan.memo)
-    hit = next(plan.engine.closed(tests, plan.groups), None)
-    if hit is None:
-        return STABLE
-    return UNSTABLE if hit[0] > plan.mu else STRICTLY_SEMISTABLE
+# End of encoded points
 
 
 def _end_dim_point(point, quiver, dims, field):
@@ -343,7 +308,6 @@ class OrbitCensus:
     orbit_category: Dict[object, str]  # union-find root -> category
     uf: Optional[_UnionFind]
     representatives: List[object]  # each stable orbit's minimum in its slice
-    canonical_count: int  # orbits that passed the orbit-stabilizer check
     slice_arrow: Optional[int] = None  # arrow index fixed to J_r, if any
     slice_forms: frozenset = frozenset()  # the normal forms J_r of that arrow
 
@@ -380,9 +344,9 @@ def orbit_census(quiver, dims, theta, field, config):
     arrow the one slice is the whole space and H = G_d.
     """
     k = _checked_slice_arrow(quiver, dims, field, config)
-    plan = _build_plan(quiver, dims, theta, field, config)
+    _, verdict = _verdicts(quiver, dims, theta, field, config)
     uf, orbits, forms = _slice_orbits(
-        quiver, dims, field, k, keep=lambda p: _categorize_point(p, plan) == STABLE
+        quiver, dims, field, k, keep=lambda p: verdict(p)[1] is None
     )
     q = field.size
     counts = {GEOM_STABLE: 0, STABLE_NOT_SCHUR: 0}
@@ -404,7 +368,6 @@ def orbit_census(quiver, dims, theta, field, config):
         orbit_category,
         uf,
         representatives,
-        len(representatives),
         k,
         forms,
     )
@@ -530,9 +493,6 @@ class LoopClassCensus:
             for e in self.geom_stable_entries()
             if _frobenius_class_data(e[0], self.field) == e[0]
         ]
-
-    def geom_stable_representatives(self):
-        return [point for _, point, _ in self.geom_stable_entries()]
 
     def same_orbit(self, p1, p2):
         r1 = _decode_rep(self.quiver, self.field, self.dims, p1)

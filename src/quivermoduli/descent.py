@@ -85,26 +85,16 @@ def modified_action_fixes(rep, u, pair):
     return not modified_action_failures(rep, u, pair)
 
 
-def cochain_products(u, pair):
-    """The family u_{sigma^i} = u sigma(u) ... sigma^{i-1}(u), i = 0..n-1."""
-    verts = list(u)
-    out = [{v: Mat.identity(u[v].ring, u[v].nrows) for v in verts}]
-    for i in range(1, pair.degree):
-        prev = out[-1]
-        step = twist_hom(u, pair, i - 1)
-        out.append({v: prev[v] @ step[v] for v in verts})
-    return out
-
-
 def cocycle_scalar(u, pair):
     """lambda with u sigma(u) ... sigma^{n-1}(u) = lambda I at every vertex.
 
     Raises InvariantError when the product is not a base-field scalar; for
     geometrically stable representations scalarity is guaranteed.
     """
-    prods = cochain_products(u, pair)
-    last = prods[-1]
-    full = {v: last[v] @ twist_hom(u, pair, pair.degree - 1)[v] for v in u}
+    full = dict(u)
+    for i in range(1, pair.degree):
+        step = twist_hom(u, pair, i)
+        full = {v: full[v] @ step[v] for v in u}
     lam = None
     ext = pair.ext
     for v, m in full.items():

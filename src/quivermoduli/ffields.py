@@ -172,10 +172,43 @@ def _encode(coeffs, p):
     return out
 
 
-class PrimeField(Ring):
-    """F_p; payloads are ints in [0, p)."""
+class _FiniteField(Ring):
+    """What F_p and F_{p^n} share: payloads are codes in [0, size).
+
+    zero and one stay instance attributes in each subclass: on the hot
+    paths an instance lookup is markedly faster than one through the type.
+    """
 
     is_finite = True
+    _generator = None
+
+    def from_int(self, n):
+        return n % self.p
+
+    def elements(self):
+        return range(self.size)
+
+    def units(self):
+        return range(1, self.size)
+
+    def random(self, rng):
+        return rng.randrange(self.size)
+
+    def multiplicative_generator(self):
+        """The least code that generates the unit group (1 for F_2), found
+        once per field (by _build_tables when the field has tables)."""
+        if self._generator is None:
+            order = self.size - 1
+            fac = factorint(order)
+            units = range(2, self.size)
+            self._generator = next(
+                (g for g in units if all(self._pow_code(g, order // q) != 1 for q in fac)), 1
+            )
+        return self._generator
+
+
+class PrimeField(_FiniteField):
+    """F_p; payloads are ints in [0, p)."""
 
     def __init__(self, p):
         if not isprime(p):
@@ -185,7 +218,6 @@ class PrimeField(Ring):
         self.char = p
         self.zero = 0
         self.one = 1 % p
-        self._generator = None
 
     def add(self, x, y):
         return (x + y) % self.p
@@ -204,31 +236,11 @@ class PrimeField(Ring):
             raise NotInvertibleError(f"0 has no inverse in F_{self.p}")
         return pow(x, self.p - 2, self.p)
 
-    def from_int(self, n):
-        return n % self.p
+    def _pow_code(self, x, e):
+        return pow(x, e, self.p)
 
     def frobenius(self, x, power=1):
         return x
-
-    def elements(self):
-        return range(self.p)
-
-    def units(self):
-        return range(1, self.p)
-
-    def multiplicative_generator(self):
-        """The least generator of F_p^x (1 when p = 2), found once per field."""
-        if self._generator is None:
-            order = self.p - 1
-            fac = factorint(order)
-            units = range(2, self.p)
-            self._generator = next(
-                (g for g in units if all(pow(g, order // q, self.p) != 1 for q in fac)), 1
-            )
-        return self._generator
-
-    def random(self, rng):
-        return rng.randrange(self.p)
 
     def to_json(self, x):
         return x
@@ -251,10 +263,8 @@ class PrimeField(Ring):
         return hash(("prime", self.p))
 
 
-class ExtensionField(Ring):
+class ExtensionField(_FiniteField):
     """F_{p^n} as F_p[x]/(modulus); payloads are codes in [0, p^n)."""
-
-    is_finite = True
 
     def __init__(self, p, n, modulus=None):
         if n < 2:
@@ -276,7 +286,6 @@ class ExtensionField(Ring):
         self.one = 1
         self.gen = p  # the class of x
         self._tables = None
-        self._generator = None
         if self.size <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -375,9 +384,6 @@ class ExtensionField(Ring):
             return self._inv_t[x]
         return self._pow_code(x, self.size - 2)
 
-    def from_int(self, n):
-        return n % self.p
-
     def frobenius(self, x, power=1):
         """x -> x^(p^power), the canonical generator of Gal(F_{p^n}/F_p)."""
         for _ in range(power % self.n):
@@ -398,27 +404,6 @@ class ExtensionField(Ring):
 
     def from_coeffs(self, coeffs):
         return _encode(list(coeffs) + [0] * (self.n - len(coeffs)), self.p)
-
-    def elements(self):
-        return range(self.size)
-
-    def units(self):
-        return range(1, self.size)
-
-    def multiplicative_generator(self):
-        """The least code that generates the unit group, found once per field
-        (by _build_tables when the field has tables)."""
-        if self._generator is None:
-            order = self.size - 1
-            fac = factorint(order)
-            units = range(2, self.size)
-            self._generator = next(
-                g for g in units if all(self._pow_code(g, order // q) != 1 for q in fac)
-            )
-        return self._generator
-
-    def random(self, rng):
-        return rng.randrange(self.size)
 
     def to_json(self, x):
         return self.coeffs(x)

@@ -169,10 +169,6 @@ def _coprime_dims(dims):
     return gcd(*(d for d in dims.values() if d)) == 1
 
 
-def is_schur(w):
-    return end_dim(w) == 1
-
-
 def combine_homs(basis, coeffs, ring):
     """Linear combination of hom-space basis elements."""
     out = None

@@ -139,21 +139,6 @@ class Mat:
             self.shape,
         )
 
-    def __sub__(self, other):
-        sub = self.ring.sub
-        return Mat(
-            self.ring,
-            tuple(
-                tuple(sub(a, b) for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            ),
-            self.shape,
-        )
-
-    def __neg__(self):
-        neg = self.ring.neg
-        return Mat(self.ring, tuple(tuple(neg(a) for a in r) for r in self.rows), self.shape)
-
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise SchemaError(f"shape mismatch {self.shape} @ {other.shape}")

@@ -92,21 +92,18 @@ def unsplit_matrix(alg, pair, m):
     return Mat(alg, tuple(rows), (m.nrows // 2, m.ncols // 2))
 
 
-def standard_u_matrix(pair, lam, dprime):
-    """Block diagonal of dprime copies of [[0, lam], [1, 0]] over L."""
+def standard_u(pair, lam, dims_dprime):
+    """Per vertex, the block diagonal of d' copies of [[0, lam], [1, 0]] over L."""
     ext = pair.ext
     lam_elem = ext.from_rational(lam)
-    z, o = ext.zero, ext.one
-    n = 2 * dprime
-    rows = [[z] * n for _ in range(n)]
-    for b in range(dprime):
-        rows[2 * b][2 * b + 1] = lam_elem
-        rows[2 * b + 1][2 * b] = o
-    return Mat(ext, rows, (n, n))
-
-
-def standard_u(pair, lam, dims_dprime):
-    return {v: standard_u_matrix(pair, lam, d) for v, d in dims_dprime.items()}
+    out = {}
+    for v, d in dims_dprime.items():
+        rows = [[ext.zero] * (2 * d) for _ in range(2 * d)]
+        for b in range(d):
+            rows[2 * b][2 * b + 1] = lam_elem
+            rows[2 * b + 1][2 * b] = ext.one
+        out[v] = Mat(ext, rows, (2 * d, 2 * d))
+    return out
 
 
 def morita_split(drep, pair):

@@ -92,16 +92,6 @@ def rational_factor_exponents(x):
     return sign, {p: e for p, e in exps.items() if e != 0}
 
 
-def squarefree_part(x):
-    """Squarefree integer with the same sign and the same square class as x."""
-    sign, exps = rational_factor_exponents(x)
-    out = sign
-    for p, e in exps.items():
-        if e % 2:
-            out *= p
-    return out
-
-
 def legendre(a, p):
     """Legendre symbol (a|p) in {-1, 0, 1} for an odd prime p.
 

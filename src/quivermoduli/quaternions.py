@@ -80,10 +80,6 @@ class QuaternionAlgebra(Ring):
         z = Fraction(0)
         return (Fraction(n), z, z, z)
 
-    def from_rational(self, q):
-        z = Fraction(0)
-        return (Fraction(q), z, z, z)
-
     def left_mul_matrix(self, c):
         """4x4 rational matrix (rows) of y -> c*y on coordinate columns;
         column k is c e_k for e = (1, i, j, ij), written out."""

@@ -37,12 +37,6 @@ class Quiver:
                 raise SchemaError(f"duplicate arrow name {a.name}")
             names.add(a.name)
 
-    def arrow(self, name):
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise KeyError(name)
-
     def is_single_loop(self):
         return (
             len(self.vertices) == 1
@@ -108,9 +102,6 @@ class Representation:
         mats = {a.name: Mat.zero(ring, dims[a.dst], dims[a.src]) for a in quiver.arrows}
         return Representation(quiver, ring, dims, mats)
 
-    def mat(self, arrow_name):
-        return self.mats[arrow_name]
-
     def slope(self, theta):
         return slope(self.dims, theta)
 
@@ -148,12 +139,6 @@ class Representation:
             mats[a.name] = top.vstack(bot)
         return Representation(self.quiver, ring, dims, mats)
 
-    def encode(self):
-        """Hashable flat encoding (used as census points and dict keys)."""
-        return tuple(
-            (a.name, self.mats[a.name].rows) for a in self.quiver.arrows
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, Representation)
@@ -164,7 +149,7 @@ class Representation:
         )
 
     def __hash__(self):
-        return hash(self.encode())
+        return hash(tuple((a.name, self.mats[a.name].rows) for a in self.quiver.arrows))
 
     def __repr__(self):
         d = [self.dims[v] for v in self.quiver.vertices]

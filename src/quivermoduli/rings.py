@@ -44,9 +44,6 @@ class Ring:
     def from_int(self, n):
         raise NotImplementedError
 
-    def is_zero(self, x):
-        return x == self.zero
-
     def elements(self):
         raise NotImplementedError(f"{self} is not enumerable")
 
@@ -72,7 +69,7 @@ def _fraction_from_json(data):
             return Fraction(data)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad rational literal {data!r}") from exc
-    if isinstance(data, int):
+    if isinstance(data, int) and not isinstance(data, bool):
         return Fraction(data)
     raise SchemaError(f"expected rational string or int, got {data!r}")
 

@@ -20,9 +20,10 @@ and every image code and membership verdict is memoized on first use, so
 the work and memory grow with the closure checks made, never with q^dim.
 A line at the last vertex is looked up from the code of a nonzero image
 M u, the one line that can hold it, rather than scanned for.  The search
-stops at the first closed subspace tuple.  Engine state lives in an object
-built per call (or once per census), and witnesses become Mat column bases
-only on the way out.
+stops at the first closed subspace tuple, from which _verdicts, the one
+verdict driver, reads every verdict here and in the censuses.  Engine state
+lives in an object built per call (or once per census), and witnesses
+become Mat column bases only on the way out.
 
 Over F_q a rep is geometrically stable iff it is stable and End W = k
 (King, Quart. J. Math. 45 (1994)), which geom_stability decides exactly.
@@ -482,6 +483,30 @@ def enumerate_subreps(rep, config):
 # verdicts
 
 
+def _verdicts(quiver, dims, theta, field, config, strict=False):
+    """The engine for (quiver, dims) over a finite field, and verdict(point)
+    for an encoded point: (kind, hit), hit the first closed (s, e, combo) in
+    the slope groups at or above mu (strictly above when strict), or
+    (STABLE, None) when there is none.
+
+    With several arrows, whose matrices repeat across a census's points,
+    each arrow keeps a memo from matrix rows to that matrix's closure test;
+    a scan over one arrow meets every matrix once, so it keeps none.
+    """
+    mu = slope(dims, theta)
+    groups = _slope_groups(dims, theta, mu, strict)
+    eng, groups = _search(quiver, dims, field, groups, config)
+    memo = [{} for _ in quiver.arrows] if len(quiver.arrows) > 1 else None
+
+    def verdict(point):
+        hit = next(eng.closed(eng.tests(point, memo), groups), None)
+        if hit is None:
+            return STABLE, None
+        return (UNSTABLE if hit[0] > mu else STRICTLY_SEMISTABLE), hit
+
+    return eng, verdict
+
+
 def stability_verdict(rep, theta, config):
     """Exact verdict over a finite field by subrepresentation enumeration.
 
@@ -491,22 +516,18 @@ def stability_verdict(rep, theta, config):
     """
     if rep.is_zero_dimensional():
         raise ValueError("stability of the zero representation is undefined")
-    mu = rep.slope(theta)
-    groups = _slope_groups(rep.dims, theta, mu)
-    eng, groups = _search(rep.quiver, rep.dims, rep.ring, groups, config)
-    hit = next(eng.closed(eng.tests(_encode_rep(rep)), groups), None)
+    eng, verdict = _verdicts(rep.quiver, rep.dims, theta, rep.ring, config)
+    kind, hit = verdict(_encode_rep(rep))
     if hit is None:
         return StabilityVerdict(STABLE)
     s, e, combo = hit
-    kind = UNSTABLE if s > mu else STRICTLY_SEMISTABLE
     return StabilityVerdict(kind, witness=eng.witness(e, combo), detail={"slope": s})
 
 
 def is_semistable(rep, theta, config):
     """Semistability only needs the slope groups strictly above mu."""
-    groups = _slope_groups(rep.dims, theta, rep.slope(theta), strict=True)
-    eng, groups = _search(rep.quiver, rep.dims, rep.ring, groups, config)
-    return next(eng.closed(eng.tests(_encode_rep(rep)), groups), None) is None
+    _, verdict = _verdicts(rep.quiver, rep.dims, theta, rep.ring, config, strict=True)
+    return verdict(_encode_rep(rep))[1] is None
 
 
 def geom_stability(rep, theta, config):

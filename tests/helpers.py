@@ -284,18 +284,16 @@ def reference_certificate(rep, theta, config):
 
 
 def reference_orbit_census(quiver, dims, theta, field, config):
-    """(counts, canonical_count, sorted categories) from a scan of the whole
+    """(counts, orbit count, sorted categories) from a scan of the whole
     rep space: every stable point, union-find over generators of G_d, and
     |orbit| (q^e - 1) = |G_d| for each orbit, e = dim End of its minimum
     from homs.end_dim, which shares no shortcut with the census."""
     npoints = field.size ** sum(dims[a.dst] * dims[a.src] for a in quiver.arrows)
     if npoints > config.max_orbit_points:
         raise BudgetExceededError(f"rep space has {npoints} points", estimate=npoints)
-    plan = census._build_plan(quiver, dims, theta, field)
+    _, verdict = stability._verdicts(quiver, dims, theta, field, config)
     stable = dict.fromkeys(
-        p
-        for p in census._all_points(quiver, dims, field)
-        if census._categorize_point(p, plan) == STABLE
+        p for p in census._all_points(quiver, dims, field) if verdict(p)[0] == STABLE
     )
     uf = census._UnionFind()
     for point in stable:

@@ -24,8 +24,6 @@ from quivermoduli.census import (
     GEOM_STABLE,
     STABLE_NOT_SCHUR,
     _apply_generator,
-    _categorize_point,
-    _build_plan,
     _decode_rep,
     _encode_rep,
     _generator_tables,
@@ -44,6 +42,7 @@ from quivermoduli.quiver import Arrow, Quiver, base_change
 from quivermoduli.stability import (
     STABLE,
     STRICTLY_SEMISTABLE,
+    _verdicts,
     enumerate_subreps,
     stability_verdict,
 )
@@ -106,7 +105,7 @@ def test_kernel_matches_generic_verdicts():
         (a3, {"s": 1, "m": 2, "t": 2}, {"s": 1, "m": 0, "t": -1}, GF(3)),
         (back, {"s": 2, "t": 2}, {"s": 1, "t": -1}, GF(3)),
     ):
-        plan = _build_plan(quiver, dims, theta, field)
+        _, point_verdict = _verdicts(quiver, dims, theta, field, CFG)
         for n in range(31):
             mats = {}
             for a in quiver.arrows:
@@ -120,7 +119,7 @@ def test_kernel_matches_generic_verdicts():
             kind, witness = reference_verdict(rep, theta)
             assert verdict.kind == kind
             assert _bases(verdict.witness) == _bases(witness)
-            assert _categorize_point(_encode_rep(rep), plan) == kind
+            assert point_verdict(_encode_rep(rep))[0] == kind
             assert [_bases(w) for w in enumerate_subreps(rep, CFG)] == [
                 _bases(w) for w in reference_subreps(rep)
             ]
@@ -135,7 +134,7 @@ def test_union_find_and_canonical_counts_agree():
         (a2_quiver(), {"s": 2, "t": 2}, THETA, 2),
     ):
         cen = orbit_census(quiver, dims, theta, GF(q), CFG)
-        assert cen.canonical_count == len(cen.orbit_category)
+        assert len(cen.representatives) == len(cen.orbit_category)
 
 
 def test_slice_census_matches_full_scan():
@@ -159,7 +158,7 @@ def test_slice_census_matches_full_scan():
                     continue
                 cen = orbit_census(quiver, dims, theta, GF(q), CFG)
                 cats = sorted(cen.orbit_category[cen.uf.find(r)] for r in cen.representatives)
-                assert (cen.counts, cen.canonical_count, cats) == want, (quiver, dims, theta, q)
+                assert (cen.counts, len(cen.representatives), cats) == want, (quiver, dims, theta, q)
                 checked += 1
     assert checked == 3 * 8 * 3 * 3 - 2 * 3
 
@@ -396,7 +395,6 @@ def test_orbit_census_repeats_exactly():
         a = orbit_census(quiver, dims, THETA, GF(q), CFG)
         b = orbit_census(quiver, dims, THETA, GF(q), CFG)
         assert a.counts == b.counts
-        assert a.canonical_count == b.canonical_count
         assert a.representatives == b.representatives
 
 
@@ -419,10 +417,10 @@ def test_class_census_matches_engine():
         for theta in ({"v": 0}, {"v": 3}):
             if theta["v"] and q > 3:
                 continue
-            plan = _build_plan(J, dims, theta, field)
+            _, verdict = _verdicts(J, dims, theta, field, CFG)
             cen = loop_class_census(J, dims, theta, field, CFG)
             for data, point, cat in cen.entries:
-                kind = _categorize_point(point, plan)
+                kind = verdict(point)[0]
                 if cat == STRICTLY_SEMISTABLE:
                     assert kind == STRICTLY_SEMISTABLE, (d, q, data)
                     continue

@@ -6,7 +6,7 @@ import pytest
 
 from quivermoduli import GaloisPair, NotDecidableError, brauer_class, galois_apply
 from quivermoduli import brauer
-from quivermoduli.brauer import BrauerClass, normalized_lambda
+from quivermoduli.brauer import BrauerClass
 from quivermoduli.errors import InvariantError
 from quivermoduli.quaternions import quat_is_division
 
@@ -171,10 +171,7 @@ def test_split_nonnorm_class_raises_invariant_error(monkeypatch):
     assert brauer_class(Fraction(9), GaloisPair.gaussian()).is_trivial
 
 
-def test_normalized_lambda():
-    gp = GaloisPair.gaussian()
-    assert normalized_lambda(Fraction(18), gp) == 2
-    assert normalized_lambda(Fraction(-4, 9), gp) == -1
+def test_trivial_class_has_index_one():
     assert BrauerClass.trivial().index == 1
 
 

@@ -15,7 +15,6 @@ from quivermoduli.numtheory import (
     legendre,
     mobius,
     relevant_places,
-    squarefree_part,
     sqrt_minus_one_mod,
     two_squares,
     valuation,
@@ -113,9 +112,6 @@ def test_sqrt_minus_one():
 def test_valuation_and_squarefree():
     assert valuation(Fraction(12), 2) == 2
     assert valuation(Fraction(5, 8), 2) == -3
-    assert squarefree_part(18) == 2
-    assert squarefree_part(-4) == -1
-    assert squarefree_part(Fraction(9, 2)) == 2
 
 
 def test_legendre_small():

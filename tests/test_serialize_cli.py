@@ -16,7 +16,7 @@ from quivermoduli import GF, GaloisPair, Mat, Representation, kronecker_quiver
 from quivermoduli.cli import main
 from quivermoduli.config import JobConfig
 from quivermoduli.descent import DescentDatum, cocycle_scalar, solve_modifying_u
-from quivermoduli.errors import SchemaError
+from quivermoduli.errors import InconclusiveError, InvariantError, SchemaError
 from quivermoduli.morita import TwistedRep
 from quivermoduli.rings import QQ, gaussian_rationals
 from quivermoduli.serialize import (
@@ -281,6 +281,91 @@ def test_cli_twisted_validate(tmp_path, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["valid"] is True
+
+
+def _gaussian_k2_datum():
+    """The modifying element of the K2 (1,1) rep (1, 2) over Q(i): trivial class."""
+    w = Representation(
+        kronecker_quiver(2), gaussian_rationals(), {"s": 1, "t": 1},
+        {"a1": gimat([[1]]), "a2": gimat([[2]])},
+    )
+    return solve_modifying_u(w, GaloisPair.gaussian(), {"s": 1, "t": -1}, CFG)
+
+
+def test_cli_typemap_descends_a_trivial_class(tmp_path, capsys):
+    path = write_json(tmp_path, "rep.json", rep_to_json(_gaussian_k2_datum().rep))
+    out_path = str(tmp_path / "form.json")
+    code = main([
+        "--format", "json", "typemap", path,
+        "--pair", '{"type":"quadratic","m":-1}', "--theta", '{"s":1,"t":-1}',
+        "--descend", out_path,
+    ])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["brauer_class"] == "Trivial" and out["form_written"] == out_path
+    written = json.loads(open(out_path).read())
+    assert written["kind"] == "base-field"
+    assert rep_from_json(written["form"]).ring == QQ
+
+
+@pytest.mark.parametrize("command, ring_type", [("descend", "rational"), ("divform", "quaternion")])
+def test_cli_form_out_writes_the_form(tmp_path, capsys, command, ring_type):
+    if command == "descend":
+        datum = _gaussian_k2_datum()
+    else:
+        rep, pair, theta = quaternionic_kronecker_example()
+        datum = solve_modifying_u(rep, pair, theta, CFG)
+    path = write_json(tmp_path, "datum.json", datum_to_json(datum))
+    out_path = str(tmp_path / "form.json")
+    assert main(["--format", "json", command, path, "--out", out_path]) == 0
+    assert json.loads(capsys.readouterr().out)["form_written"] == out_path
+    form = rep_from_json(json.loads(open(out_path).read())["form"])
+    assert form.ring.descriptor()["type"] == ring_type
+    assert form.dims == {v: d // (1 if command == "descend" else 2) for v, d in datum.rep.dims.items()}
+
+
+def test_cli_twisted_validate_to_drep(tmp_path, capsys):
+    rep, pair, theta = quaternionic_kronecker_example()
+    datum = solve_modifying_u(rep, pair, theta, CFG)
+    path = write_json(tmp_path, "tw.json", twisted_to_json(TwistedRep(pair, rep, datum.u, datum.lam, 2)))
+    assert main(["--format", "json", "twisted-validate", path, "--to-drep"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["valid"] is True
+    drep = rep_from_json(out["drep"])
+    assert drep.ring.descriptor()["type"] == "quaternion" and drep.dims == {"s": 1, "t": 1}
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (InconclusiveError("no isomorphism found", seed=7), 4, "inconclusive:"),
+    (InvariantError("broken"), 5, "internal invariant violated:"),
+])
+def test_cli_inconclusive_and_invariant_exit_codes(tmp_path, capsys, monkeypatch, error, code, prefix):
+    from quivermoduli import cli
+
+    def raises(args, config):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_stability", raises)
+    path = write_json(tmp_path, "rep.json", rep_to_json(kronecker_rep(GF(3), [1, 1])))
+    assert main(["stability", path, "--theta", '{"s":1,"t":-1}']) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and "Traceback" not in captured.err
+
+
+def test_cli_quaternion_rep_without_integer_constant_is_parse_error(tmp_path, capsys):
+    data = {**rep_to_json(_hamilton_drep()), "ring": {"type": "quaternion", "a": "1/2", "b": "-1"}}
+    path = write_json(tmp_path, "drep.json", data)
+    assert main(["stability", path, "--theta", '{"s":1,"t":-1}']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "squarefree integer" in err
+
+
+def test_cli_missing_rep_file_is_parse_error(tmp_path, capsys):
+    path = str(tmp_path / "missing.json")
+    assert main(["stability", path, "--theta", '{"s":1,"t":-1}']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "cannot read" in err and "Traceback" not in err
 
 
 def test_cli_census(tmp_path, capsys):
@@ -659,6 +744,28 @@ def test_cli_non_integer_numbers_are_parse_errors(tmp_path, capsys, change, thet
     assert main(["stability", path, "--theta", theta]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and "must be an integer" in err
+
+
+_QUAT = {"type": "quaternion", "a": "-1", "b": "-1"}
+
+
+@pytest.mark.parametrize("ring, one, bad", [
+    ({"type": "rational"}, "1", True),
+    ({"type": "quad", "m": -1}, ["1", "0"], ["1", True]),
+    (_QUAT, ["1", "0", "0", "0"], [True, "0", "0", "0"]),
+    ({**_QUAT, "a": True}, ["1", "0", "0", "0"], ["1", "0", "0", "0"]),
+], ids=["q-entry", "qi-entry", "quaternion-entry", "quaternion-constant"])
+def test_cli_bool_rationals_are_parse_errors(tmp_path, capsys, ring, one, bad):
+    # bool is an int in Python, but a JSON true is no rational
+    data = {
+        **rep_to_json(kronecker_rep(GF(3), [1, 1])),
+        "ring": ring,
+        "matrices": {"a1": [[bad]], "a2": [[one]]},
+    }
+    path = write_json(tmp_path, "rep.json", data)
+    assert main(["stability", path, "--theta", '{"s":1,"t":-1}']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "got True" in err
 
 
 def test_cli_integer_strings_still_accepted(tmp_path, capsys):
