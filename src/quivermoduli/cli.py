@@ -18,7 +18,7 @@ import sys
 from .brauer import brauer_class
 from .census import census_polynomiality, verify_descent_census
 from .config import JobConfig
-from .descent import hilbert90_descend, solve_modifying_u
+from .descent import solve_modifying_u
 from .errors import (
     EXIT_BUDGET,
     EXIT_INCONCLUSIVE,
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .ffields import prime_power
 from .galois import GaloisPair
-from .morita import division_form, morita_split, twisted_to_drep, validate_twisted
+from .morita import descended_form, drep_is_geom_stable, twisted_to_drep, validate_twisted
 from .quaternions import QuaternionAlgebra
 from .serialize import (
     datum_from_json,
@@ -51,13 +51,7 @@ from .serialize import (
     twisted_from_json,
     verdict_to_json,
 )
-from .stability import (
-    UNKNOWN,
-    end_dim,
-    geom_stability,
-    hn_filtration,
-    stability_verdict,
-)
+from .stability import UNKNOWN, end_dim, hn_filtration, stability_verdict
 
 CONFIG_ENV = "QUIVERMODULI_CONFIG"
 
@@ -153,10 +147,9 @@ def cmd_stability(args, config, want_hn=False):
             verdict.is_stable and payload["end_dim"] == 1
         )
     else:
-        if isinstance(rep.ring, QuaternionAlgebra):
-            # quaternionic representations are judged through their splitting
-            rep = morita_split(rep, _split_pair(rep.ring))
-        verdict = geom_stability(rep, theta, config)
+        # quaternionic representations are judged through their splitting
+        pair = _split_pair(rep.ring) if isinstance(rep.ring, QuaternionAlgebra) else None
+        verdict = drep_is_geom_stable(rep, pair, theta, config)
         payload["verdict"] = verdict_to_json(verdict)
         # an Unknown certificate is printed as null, never as false
         payload["geometrically_stable"] = None if verdict.kind == UNKNOWN else verdict.is_stable
@@ -190,12 +183,9 @@ def cmd_typemap(args, config):
     payload["brauer_class"] = cls.describe()
     payload["index"] = cls.index
     if args.descend:
-        if cls.is_trivial:
-            form, _ = hilbert90_descend(datum, config)
-            out = {"form": rep_to_json(form), "kind": "base-field"}
-        else:
-            drep, prov = division_form(datum, config)
-            out = {"form": rep_to_json(drep), "kind": "division-algebra"}
+        form = descended_form(datum, config)
+        kind = "base-field" if cls.is_trivial else "division-algebra"
+        out = {"form": rep_to_json(form), "kind": kind}
         with open(args.descend, "w") as fh:
             fh.write(dumps(out, config))
         payload["form_written"] = args.descend
@@ -221,12 +211,9 @@ def cmd_form(args, config):
             f"class {cls.describe()} is {'not ' if trivial else ''}trivial; "
             f"use the {other} subcommand"
         )
-    if trivial:
-        form, _ = hilbert90_descend(datum, config)
-        payload = {"form": rep_to_json(form)}
-    else:
-        drep, prov = division_form(datum, config)
-        payload = {"form": rep_to_json(drep), "lambda": str(prov["lambda"])}
+    payload = {"form": rep_to_json(descended_form(datum, config))}
+    if not trivial:
+        payload["lambda"] = str(cls.lam)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(dumps(payload, config))

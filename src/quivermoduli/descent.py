@@ -220,10 +220,10 @@ def _average(u_from, u_to, pair, config, label):
     )
 
 
-def hilbert90_split(u, pair, config, label="hilbert90"):
+def hilbert90_split(u, pair, config):
     """g with u = g sigma(g)^{-1}, for a 1-cocycle u (cyclic product = 1)."""
     ident = {v: Mat.identity(pair.ext, m.nrows) for v, m in u.items()}
-    return _average(ident, u, pair, config, label)
+    return _average(ident, u, pair, config, "hilbert90")
 
 
 def hilbert90_descend(datum, config):
@@ -231,12 +231,11 @@ def hilbert90_descend(datum, config):
 
     Rescales u to an exact 1-cocycle using a norm witness for lambda, splits
     it as g sigma(g)^{-1}, and returns (g^{-1} . W, g).  The output has all
-    entries in the base field and is isomorphic to W over L via g.
+    entries in the base field and is isomorphic to W over L via g.  A
+    lambda that is not a norm (a nontrivial class) makes norm_witness raise
+    ValueError.
     """
     pair = datum.pair
-    cls = brauer_class(datum.lam, pair)
-    if not cls.is_trivial:
-        raise ValueError(f"class {cls.describe()} is not trivial; use division_form")
     a = pair.norm_witness(datum.lam)
     a_inv = pair.ext.inv(a)
     normalized = datum.rescale(a_inv)
@@ -257,9 +256,9 @@ def hilbert90_descend(datum, config):
     return base_rep, g
 
 
-def solve_descent_change_of_basis(u, u_target, pair, config, label="cob"):
+def solve_descent_change_of_basis(u, u_target, pair, config):
     """h with h u sigma(h)^{-1} = u_target, for two modifying elements with
     the same cocycle scalar, by the same averaging as hilbert90_split."""
     if u == u_target:
         return {v: Mat.identity(pair.ext, m.nrows) for v, m in u.items()}
-    return _average(u, u_target, pair, config, label)
+    return _average(u, u_target, pair, config, "cob")

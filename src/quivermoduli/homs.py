@@ -1,11 +1,13 @@
 """Intertwiner spaces and isomorphism testing.
 
-hom_space solves f_{h(a)} M_a = M'_a f_{t(a)} exactly.  Over a field the
-system is solved directly, over Q and Q(sqrt(m)) on the integer
-coordinates of the arrow matrices; over a quaternion algebra each unknown
-entry is expanded into its four rational coordinates through the
-left/right regular representation, so the returned basis is a Q-basis of
-the D-linear intertwiners.
+hom_space solves f_{h(a)} M_a = M'_a f_{t(a)} exactly, with one system
+builder, _field_hom_system, for every ring.  Over a field the system is
+solved directly, over Q and Q(sqrt(m)) on the integer coordinates of the
+arrow matrices.  Over a quaternion algebra the same system is built on 4x4
+rational blocks: each entry c of M becomes right_mul_matrix(c), each entry
+of M' left_mul_matrix(c), and each block row is read as four rational rows,
+so every unknown entry of f is its four rational coordinates and the
+returned basis is a Q-basis of the D-linear intertwiners.
 """
 
 import operator
@@ -19,12 +21,12 @@ from .quaternions import QuaternionAlgebra
 from .rings import QQ
 
 
-def _vertex_offsets(quiver, dims_src, dims_dst, blowup=1):
+def _vertex_offsets(quiver, dims_src, dims_dst):
     offsets = {}
     total = 0
     for v in quiver.vertices:
         offsets[v] = total
-        total += dims_dst[v] * dims_src[v] * blowup
+        total += dims_dst[v] * dims_src[v]
     return offsets, total
 
 
@@ -34,8 +36,9 @@ def _field_hom_system(quiver, ops, dims, dims_p, point, point_p):
     point and point_p hold one tuple of matrix rows per arrow, in arrow
     order; the unknowns are the entries of f_v, a dims_p[v] x dims[v]
     matrix, row by row from offsets[v].  ops supplies zero, sub and neg
-    for the entries: the field itself, or _INT_OPS on one integer
-    coordinate part (each row entry is linear in the arrow entries).
+    for the entries: the field itself, _INT_OPS on one integer coordinate
+    part (each row entry is linear in the arrow entries), or _BLOCK_OPS on
+    the 4x4 rational blocks of a quaternion algebra.
     """
     offsets, total = _vertex_offsets(quiver, dims, dims_p)
     rows = []
@@ -66,6 +69,11 @@ def _field_hom_system(quiver, ops, dims, dims_p, point, point_p):
 
 
 _INT_OPS = SimpleNamespace(zero=0, sub=operator.sub, neg=operator.neg)
+_BLOCK_OPS = SimpleNamespace(
+    zero=((QQ.zero,) * 4,) * 4,
+    sub=lambda x, y: tuple(tuple(map(operator.sub, r, s)) for r, s in zip(x, y)),
+    neg=lambda x: tuple(tuple(map(operator.neg, r)) for r in x),
+)
 
 
 def _coords_hom_kernel(w, wp, m):
@@ -87,40 +95,6 @@ def _coords_hom_kernel(w, wp, m):
     return offsets, _kernel_coords(w.ring, m, A, B, total)
 
 
-def _quaternion_hom_system(w, wp):
-    alg = w.ring
-    quiver = w.quiver
-    offsets, total = _vertex_offsets(quiver, w.dims, wp.dims, blowup=4)
-    rows = []
-    zero = QQ.zero
-    for a in quiver.arrows:
-        m = w.mats[a.name]
-        mp = wp.mats[a.name]
-        dh, dt = w.dims[a.dst], w.dims[a.src]
-        dph, dpt = wp.dims[a.dst], wp.dims[a.src]
-        for i in range(dph):
-            for j in range(dt):
-                blocks = [[zero] * total for _ in range(4)]
-                for k in range(dh):
-                    c = m.entry(k, j)
-                    if c != alg.zero:
-                        rmat = alg.right_mul_matrix(c)
-                        base = offsets[a.dst] + (i * dh + k) * 4
-                        for r in range(4):
-                            for s in range(4):
-                                blocks[r][base + s] += rmat[r][s]
-                for k in range(dpt):
-                    c = mp.entry(i, k)
-                    if c != alg.zero:
-                        lmat = alg.left_mul_matrix(c)
-                        base = offsets[a.src] + (k * dt + j) * 4
-                        for r in range(4):
-                            for s in range(4):
-                                blocks[r][base + s] -= lmat[r][s]
-                rows.extend(tuple(b) for b in blocks)
-    return offsets, total, rows
-
-
 def _reshape_solution(vec, w, wp, offsets):
     """The per-vertex matrices of a kernel vector; over a quaternion algebra
     each entry is its four rational coordinates."""
@@ -128,7 +102,7 @@ def _reshape_solution(vec, w, wp, offsets):
     out = {}
     for v in w.quiver.vertices:
         dv, dpv = w.dims[v], wp.dims[v]
-        flat = vec[offsets[v]:offsets[v] + dpv * dv * n]
+        flat = vec[offsets[v] * n:(offsets[v] + dpv * dv) * n]
         if n > 1:
             flat = [flat[k:k + n] for k in range(0, len(flat), n)]
         out[v] = Mat(w.ring, tuple(flat[i * dv:(i + 1) * dv] for i in range(dpv)), (dpv, dv))
@@ -145,8 +119,14 @@ def hom_space(w, wp):
         raise ValueError("hom_space needs two representations of one quiver over one ring")
     m = _quadratic_m(w.ring)
     if isinstance(w.ring, QuaternionAlgebra):
-        offsets, total, rows = _quaternion_hom_system(w, wp)
-        kernel = Mat(QQ, rows, (len(rows), total)).nullspace()
+        alg = w.ring
+        points = (
+            [tuple(tuple(map(mul, row)) for row in r.mats[a.name].rows) for a in w.quiver.arrows]
+            for r, mul in ((w, alg.right_mul_matrix), (wp, alg.left_mul_matrix))
+        )
+        offsets, total, blocks = _field_hom_system(w.quiver, _BLOCK_OPS, w.dims, wp.dims, *points)
+        rows = [[b[r][s] for b in row for s in range(4)] for row in blocks for r in range(4)]
+        kernel = Mat(QQ, rows, (len(rows), 4 * total)).nullspace()
     elif m is not None:
         offsets, kernel = _coords_hom_kernel(w, wp, m)
     else:
@@ -185,6 +165,18 @@ def _is_invertible_tuple(h):
     return all(m.is_invertible() for m in h.values())
 
 
+def _first_invertible(basis, ring, combos):
+    """The first invertible combination over combos (coefficient tuples,
+    all-zero ones skipped), or None once they run out."""
+    for coeffs in combos:
+        if all(c == ring.zero for c in coeffs):
+            continue
+        h = combine_homs(basis, coeffs, ring)
+        if _is_invertible_tuple(h):
+            return h
+    return None
+
+
 def find_invertible_in_span(basis, ring, config, rng_label="inv-search"):
     """Invertible tuple in the span of a hom basis, or None, or Inconclusive.
 
@@ -204,22 +196,15 @@ def find_invertible_in_span(basis, ring, config, rng_label="inv-search"):
             raise BudgetExceededError(
                 f"iso search space {count} exceeds budget", estimate=count
             )
-        for coeffs in product(ring.elements(), repeat=dim):
-            if all(c == ring.zero for c in coeffs):
-                continue
-            h = combine_homs(basis, coeffs, ring)
-            if _is_invertible_tuple(h):
-                return h
-        return None
+        return _first_invertible(basis, ring, product(ring.elements(), repeat=dim))
     rng = config.rng(rng_label)
-    for trial in range(config.iso_trials):
-        bound = 1 + trial // 8
-        coeffs = [ring.from_int(rng.randint(-bound, bound)) for _ in range(dim)]
-        if all(c == ring.zero for c in coeffs):
-            continue
-        h = combine_homs(basis, coeffs, ring)
-        if _is_invertible_tuple(h):
-            return h
+    trials = (
+        [ring.from_int(rng.randint(-bound, bound)) for _ in range(dim)]
+        for bound in (1 + trial // 8 for trial in range(config.iso_trials))
+    )
+    h = _first_invertible(basis, ring, trials)
+    if h is not None:
+        return h
     # Deterministic fallback.  The product of the vertex determinants has
     # degree at most D = sum of the vertex dimensions in each coefficient, so
     # a nonzero polynomial cannot vanish on a grid with more than D values
@@ -229,13 +214,7 @@ def find_invertible_in_span(basis, ring, config, rng_label="inv-search"):
     if width**dim <= 200_000:
         half = width // 2
         grid = [ring.from_int(t) for t in range(-half, width - half)]
-        for coeffs in product(grid, repeat=dim):
-            if all(c == ring.zero for c in coeffs):
-                continue
-            h = combine_homs(basis, coeffs, ring)
-            if _is_invertible_tuple(h):
-                return h
-        return None
+        return _first_invertible(basis, ring, product(grid, repeat=dim))
     raise InconclusiveError(
         "no invertible combination found by randomized search", seed=config.seed
     )

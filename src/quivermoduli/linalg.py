@@ -20,7 +20,7 @@ import operator
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import NotInvertibleError, SchemaError
+from .errors import NotDecidableError, NotInvertibleError, SchemaError
 from .ffields import ExtensionField, PrimeField
 from .rings import QuadraticField, RationalField
 
@@ -187,7 +187,10 @@ class Mat:
         """Reduced row echelon form; returns (matrix, pivot column tuple).
 
         Row operations act from the left, which stays valid over a division
-        ring (quaternions); there, pivot selection skips non-units.
+        ring (quaternions).  Over a split quaternion algebra a nonzero entry
+        can be a zero divisor; a column whose nonzero candidates are all zero
+        divisors raises NotDecidableError rather than being read as a zero
+        column.
         """
         ring = self.ring
         m = _quadratic_m(ring)
@@ -204,16 +207,22 @@ class Mat:
         r = 0
         for c in range(n):
             pr = None
+            zero_divisor = False
             for i in range(r, m):
                 if rows[i][c] != zero:
                     if not is_field:
                         try:
                             inv(rows[i][c])
                         except NotInvertibleError:
+                            zero_divisor = True
                             continue
                     pr = i
                     break
             if pr is None:
+                if zero_divisor:
+                    raise NotDecidableError(
+                        f"column {c} has only zero-divisor pivots over {ring!r}"
+                    )
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
             pv = inv(rows[r][c])

@@ -164,9 +164,8 @@ def two_squares(n):
     return (s, t)
 
 
-def _unit_mod(x, p, k=1):
-    # Value of the p-unit rational x in Z/p^k.
-    m = p**k
+def _unit_mod(x, m):
+    # Value of the rational x, a unit mod m, in Z/m.
     num = x.numerator % m
     den = x.denominator % m
     return num * pow(den, -1, m) % m
@@ -200,8 +199,8 @@ def hilbert_symbol(a, b, place):
         if alpha % 2:
             sign *= legendre(v, p)
         return sign
-    u8 = _unit_mod(u, 2, 3)
-    v8 = _unit_mod(v, 2, 3)
+    u8 = _unit_mod(u, 8)
+    v8 = _unit_mod(v, 8)
     eps_u = (u8 % 4) == 3
     eps_v = (v8 % 4) == 3
     omega_u = u8 in (3, 5)

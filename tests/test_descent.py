@@ -100,6 +100,17 @@ def test_solve_modifying_u_not_fixed():
     assert solve_modifying_u(w, pair, THETA, CFG) is None
 
 
+def test_solve_modifying_u_non_invertible_hom_line():
+    # Jordan diag(w, 0) over F_4/F_2: Hom(sigma W, W) is the one line of
+    # E_22, which is not invertible, so the orbit moves
+    pair = GaloisPair.finite(2, 2)
+    f4 = pair.ext
+    w = Representation(
+        jordan_quiver(), f4, {"v": 2}, {"loop": Mat(f4, ((f4.gen, f4.zero), (f4.zero, f4.zero)))}
+    )
+    assert solve_modifying_u(w, pair, {"v": 0}, CFG, check_stability=False) is None
+
+
 def test_solve_modifying_u_rejects_unstable():
     pair = GaloisPair.finite(2, 2)
     w = Representation.zero_maps(kronecker_quiver(2), pair.ext, {"s": 1, "t": 1})

@@ -124,6 +124,31 @@ def test_quaternion_matrix_inverse():
     assert sing.inverse() is None
 
 
+def test_split_quaternion_zero_divisor_pivots_are_refused():
+    # over (-1,1)_Q, e = (1+j)/2 and f = (1-j)/2 are orthogonal idempotents,
+    # so M = [[e, f], [f, e]] squares to I although every entry is a zero
+    # divisor; elimination cannot pivot on any of them and must say so
+    from quivermoduli import QuaternionAlgebra
+    from quivermoduli.errors import NotDecidableError
+
+    D = QuaternionAlgebra(-1, 1)
+    h = Fraction(1, 2)
+    e, f = (h, Fraction(0), h, Fraction(0)), (h, Fraction(0), -h, Fraction(0))
+    m = Mat(D, ((e, f), (f, e)), (2, 2))
+    assert m @ m == Mat.identity(D, 2)
+    for call in (m.rank, m.is_invertible, m.inverse):
+        with pytest.raises(NotDecidableError):
+            call()
+
+
+def test_division_quaternion_rank_is_kept():
+    # over a division algebra every nonzero entry is a unit pivot
+    H = hamilton_quaternions()
+    m = Mat(H, ((H.i, H.j), (H.k, H.one), (H.one, H.zero)), (3, 2))
+    assert m.rank() == 2
+    assert Mat(H, ((H.i, H.j), (H.mul(H.j, H.i), H.mul(H.j, H.j))), (2, 2)).rank() == 1
+
+
 def test_block_ops():
     f = GF(3)
     a = fmat(f, [[1, 2]])

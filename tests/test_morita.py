@@ -344,6 +344,33 @@ def test_drep_hom_conjugation_invariance():
     assert len(hom_space(moved, moved)) == len(hom_space(drep, drep))
 
 
+@pytest.mark.parametrize("b", [-1, 3, 1])
+def test_end_dim_is_morita_invariant(b):
+    # End_D W tensor L = End_L(split W), so dim_Q End_D W = dim_L End_L(split W);
+    # (-1,-1)_Q and (-1,3)_Q are division algebras, (-1,1)_Q is split
+    from quivermoduli import QuaternionAlgebra, end_dim, jordan_quiver, kronecker_quiver
+    from quivermoduli.quiver import Arrow, Quiver
+
+    alg = QuaternionAlgebra(-1, b)
+    rng = random.Random(b)
+    loop2 = Quiver(("s", "t"), (Arrow("a", "s", "t"), Arrow("l", "t", "t")))
+    for q in (jordan_quiver(), kronecker_quiver(2), loop2):
+        for k in range(4):
+            # a direct sum of copies of one rep makes End larger than Q
+            dims = {v: 1 if k < 2 else 2 for v in q.vertices}
+            mats = {
+                a.name: random_dmat(alg, dims[a.dst], dims[a.src], rng) for a in q.arrows
+            }
+            drep = Representation(q, alg, dims, mats)
+            w = drep.direct_sum(drep) if k == 1 else drep
+            basis = hom_space(w, w)
+            assert len(basis) == end_dim(morita_split(w, PAIR))
+            for f in basis:
+                for a in q.arrows:
+                    m = w.mats[a.name]
+                    assert f[a.dst] @ m == m @ f[a.src]
+
+
 def test_division_form_normalizes_lambda():
     # rescale the modifying element so lambda becomes -5; the class is
     # unchanged and division_form must normalize back to the canonical -1

@@ -19,7 +19,7 @@ from quivermoduli import (
     slope,
 )
 from quivermoduli.config import JobConfig
-from quivermoduli.errors import SchemaError
+from quivermoduli.errors import BudgetExceededError, SchemaError
 from quivermoduli import homs
 from quivermoduli.homs import identity_hom
 from quivermoduli.quiver import Arrow, Quiver, base_change, group_generators
@@ -173,6 +173,31 @@ def test_is_isomorphic_exhausts_the_grid_over_q(monkeypatch):
     assert len(combos) == CFG.iso_trials + 4**4 - 1
     iso = is_isomorphic(w, w, CFG)
     assert iso is not None and w.act(iso) == w
+
+
+def test_is_isomorphic_exhausts_a_finite_field(monkeypatch):
+    # diag(0,0,1) and diag(0,1,1) over F_2 agree in every Hom dimension
+    # (4 both ways, End 5 and 5), so only the search over all 2^4 - 1
+    # nonzero combinations proves them non-isomorphic
+    f2, loop = GF(2), jordan_quiver()
+    w, wp = (
+        Representation(loop, f2, {"v": 3}, {"loop": fmat(f2, [[0, 0, 0], [0, b, 0], [0, 0, 1]])})
+        for b in (0, 1)
+    )
+    assert [len(hom_space(*pair)) for pair in ((w, wp), (wp, w), (w, w), (wp, wp))] == [4, 4, 5, 5]
+    combos = []
+    combine = homs.combine_homs
+    monkeypatch.setattr(homs, "combine_homs", lambda *args: combos.append(args) or combine(*args))
+    assert is_isomorphic(w, wp, CFG) is None
+    assert len(combos) == 15
+    with pytest.raises(BudgetExceededError):
+        is_isomorphic(w, wp, JobConfig(max_orbit_points=8))
+
+
+def test_is_isomorphic_zero_dimensional():
+    k2 = kronecker_quiver(2)
+    zero = Representation.zero_maps(k2, QQ, {"s": 0, "t": 0})
+    assert is_isomorphic(zero, zero, CFG) == identity_hom(zero)
 
 
 def test_is_isomorphic_respects_dims():

@@ -361,6 +361,15 @@ def test_cli_quaternion_rep_without_integer_constant_is_parse_error(tmp_path, ca
     assert err.startswith("parse error:") and "squarefree integer" in err
 
 
+def test_cli_quaternion_rep_with_square_constant_is_parse_error(tmp_path, capsys):
+    # (4, -1)_Q has an integer i^2 constant, but Q(sqrt(4)) is not a field
+    data = {**rep_to_json(_hamilton_drep()), "ring": {"type": "quaternion", "a": "4", "b": "-1"}}
+    path = write_json(tmp_path, "drep.json", data)
+    assert main(["stability", path, "--theta", '{"s":1,"t":-1}']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "squarefree integer" in err
+
+
 def test_cli_missing_rep_file_is_parse_error(tmp_path, capsys):
     path = str(tmp_path / "missing.json")
     assert main(["stability", path, "--theta", '{"s":1,"t":-1}']) == 2

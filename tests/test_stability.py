@@ -111,6 +111,21 @@ def _code(v, q):
     return sum(x * q**i for i, x in enumerate(v))
 
 
+def test_exact_verdicts_over_q_are_refused():
+    # exact verdicts enumerate subspaces over a finite field; over Q they
+    # are a SchemaError, never an attempt
+    w = Representation(
+        kronecker_quiver(2), QQ, {"s": 1, "t": 1},
+        {"a1": Mat(QQ, ((Fraction(1),),)), "a2": Mat(QQ, ((Fraction(2),),))},
+    )
+    theta = {"s": 1, "t": -1}
+    for call in (stability_verdict, is_semistable, scss, hn_filtration):
+        with pytest.raises(SchemaError):
+            call(w, theta, CFG)
+    with pytest.raises(SchemaError):
+        enumerate_subreps(w, CFG)
+
+
 def test_enumerate_subreps_examples():
     f2 = GF(2)
     w = kronecker_rep(f2, [1, 1])
