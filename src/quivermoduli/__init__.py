@@ -6,7 +6,6 @@ from .brauer import BrauerClass, brauer_class
 from .config import DEFAULT_CONFIG, JobConfig
 from .descent import (
     DescentDatum,
-    TypeMapResult,
     hilbert90_descend,
     solve_modifying_u,
     twist,

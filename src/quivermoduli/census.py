@@ -52,7 +52,7 @@ from math import prod
 from typing import Dict, List, Optional
 
 from .config import JobConfig
-from .descent import hilbert90_descend, solve_modifying_u, type_map
+from .descent import solve_modifying_u, type_map
 from .errors import BudgetExceededError, InvariantError, SchemaError, count_text
 from .ffields import GF, _poly_mul, monic_irreducibles
 from .galois import GaloisPair
@@ -682,9 +682,11 @@ def verify_descent_census(quiver, dims, theta, q, n, config=JobConfig()):
     verified F_q-form, (b) forms from distinct orbits are non-isomorphic
     over F_q, decided by their distinct F_q orbit ids, (c) the number of
     fixed orbits equals the F_q orbit count.  Every class over a finite
-    field is trivial, so each datum goes straight to hilbert90_descend.
+    field is trivial, so descended_form descends each datum by Hilbert 90.
     Violations raise InvariantError; the report carries the evidence.
     """
+    if n < 2:
+        raise SchemaError(f"descent census needs an extension degree n >= 2, got {n}")
     try:
         pair = GaloisPair.finite(q, n)
     except ValueError as exc:
@@ -701,7 +703,7 @@ def verify_descent_census(quiver, dims, theta, q, n, config=JobConfig()):
         if datum is None:
             violations.append(f"fixed orbit of {point} has no modifying element")
             continue
-        form, g = hilbert90_descend(datum, config)
+        form = descended_form(datum, config)
         lifted = base_change(form, pair)
         if not census_l.same_orbit(_encode_rep(lifted), point):
             violations.append("descended form leaves the original orbit")
@@ -758,12 +760,12 @@ def decompose_rational_point(rep, pair, theta, config=JobConfig()):
     product is lambda I, lambda^{d_v} = N(det u_v), so an odd d_v forces a
     norm lambda.  Raises ValueError when the orbit is not Galois-fixed.
     """
-    tm = type_map(rep, pair, theta, config)
-    cls = tm.brauer
+    datum = type_map(rep, pair, theta, config)
+    cls = datum.brauer
     record = ClassificationRecord(
-        rep=rep, pair=pair, theta=theta, brauer=cls, index=cls.index, datum=tm.datum
+        rep=rep, pair=pair, theta=theta, brauer=cls, index=cls.index, datum=datum
     )
-    form = descended_form(tm.datum, config)
+    form = descended_form(datum, config)
     if cls.is_trivial:
         record.k_form = form
         record.provenance["witness"] = "hilbert90"

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 
-from .brauer import brauer_class
 from .census import census_polynomiality, verify_descent_census
 from .config import JobConfig
 from .descent import solve_modifying_u
@@ -34,9 +33,7 @@ from .errors import (
     SchemaError,
 )
 from .ffields import prime_power
-from .galois import GaloisPair
 from .morita import descended_form, drep_is_geom_stable, twisted_to_drep, validate_twisted
-from .quaternions import QuaternionAlgebra
 from .serialize import (
     datum_from_json,
     dumps,
@@ -104,6 +101,13 @@ def _load_dims(text, quiver):
     return dims
 
 
+def _load_rep(path):
+    rep = rep_from_json(_read_json(path))
+    if rep.is_zero_dimensional():
+        raise SchemaError(f"{path}: dims must not be all zero, got {rep.dims}")
+    return rep
+
+
 def _emit(payload, config):
     """JSON, or one line per key; None (an undecided answer) is `unknown`."""
     if config.output_format == "json":
@@ -117,23 +121,8 @@ def _emit(payload, config):
             print(f"{key:24} {value}")
 
 
-def _split_pair(alg):
-    """The quadratic pair a quaternion algebra (a, b)_Q splits over."""
-    a = alg.a
-    try:
-        pair = GaloisPair.quadratic(int(a)) if a.denominator == 1 else None
-    except ValueError:
-        pair = None
-    if pair is None:
-        raise SchemaError(
-            "quaternion stability needs a squarefree integer i^2 constant "
-            f"to split over; got {a}"
-        )
-    return pair
-
-
 def cmd_stability(args, config, want_hn=False):
-    rep = rep_from_json(_read_json(args.rep))
+    rep = _load_rep(args.rep)
     theta = load_theta(_parse_json_arg(args.theta, "theta"), rep.quiver)
     want_hn = want_hn or getattr(args, "hn", False)
     if want_hn and not rep.ring.is_finite:
@@ -148,8 +137,7 @@ def cmd_stability(args, config, want_hn=False):
         )
     else:
         # quaternionic representations are judged through their splitting
-        pair = _split_pair(rep.ring) if isinstance(rep.ring, QuaternionAlgebra) else None
-        verdict = drep_is_geom_stable(rep, pair, theta, config)
+        verdict = drep_is_geom_stable(rep, theta, config)
         payload["verdict"] = verdict_to_json(verdict)
         # an Unknown certificate is printed as null, never as false
         payload["geometrically_stable"] = None if verdict.kind == UNKNOWN else verdict.is_stable
@@ -160,7 +148,7 @@ def cmd_stability(args, config, want_hn=False):
 
 
 def cmd_typemap(args, config):
-    rep = rep_from_json(_read_json(args.rep))
+    rep = _load_rep(args.rep)
     pair = pair_from_json(_parse_json_arg(args.pair, "pair"))
     if rep.ring != pair.ext:
         raise SchemaError(f"representation is over {rep.ring!r}, the pair is over {pair.ext!r}")
@@ -179,7 +167,7 @@ def cmd_typemap(args, config):
     payload["status"] = "Galois-fixed"
     payload["u"] = hom_to_json(datum.u)
     payload["lambda"] = pair.base.to_json(datum.lam)
-    cls = brauer_class(datum.lam, pair)
+    cls = datum.brauer
     payload["brauer_class"] = cls.describe()
     payload["index"] = cls.index
     if args.descend:
@@ -204,7 +192,7 @@ def cmd_form(args, config):
         datum.check()
     except InvariantError as exc:
         raise SchemaError(f"bad descent datum: {exc}") from exc
-    cls = brauer_class(datum.lam, datum.pair)
+    cls = datum.brauer
     if cls.is_trivial != trivial:
         other = "divform" if trivial else "descend"
         raise SchemaError(
@@ -238,6 +226,9 @@ def cmd_census(args, config):
     quiver = quiver_from_json(_read_json(args.quiver))
     dims = _load_dims(args.dims, quiver)
     theta = load_theta(_parse_json_arg(args.theta, "theta"), quiver)
+    n = args.verify_descent
+    if n is not None and n < 2:
+        raise SchemaError(f"--verify-descent needs an extension degree n >= 2, got {n}")
     try:
         q_list = [int(q) for q in args.q.split(",")]
         for q in q_list:
@@ -246,10 +237,10 @@ def cmd_census(args, config):
         raise SchemaError(f"bad q: {exc}") from exc
     fit = census_polynomiality(quiver, dims, theta, q_list, config)
     payload = {"census": fit.as_dict()}
-    if args.verify_descent:
+    if n is not None:
         reports = []
         for q in q_list:
-            report = verify_descent_census(quiver, dims, theta, q, args.verify_descent, config)
+            report = verify_descent_census(quiver, dims, theta, q, n, config)
             reports.append(
                 {
                     "q": q,

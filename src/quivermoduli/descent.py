@@ -4,7 +4,9 @@ For a cyclic pair L/k with generator sigma, a Galois-fixed orbit of a
 geometrically stable representation W over L is witnessed by u with
 u . sigma(W) = W; the n-fold product u sigma(u) ... sigma^{n-1}(u) is then a
 scalar lambda in k^x, and the Brauer class of the cyclic algebra
-(L/k, sigma, lambda) is the type of the orbit.  Trivial classes descend to
+(L/k, sigma, lambda) is the type of the orbit.  The type map returns the
+orbit's DescentDatum, which carries that class as `brauer`: it is computed
+once per datum and read by every later step.  Trivial classes descend to
 k-forms through an explicit Hilbert-90 resolvent; nontrivial quadratic
 classes produce representations over the quaternion algebra (m, lambda)_Q.
 
@@ -15,9 +17,10 @@ gives the singular average (I + u) c whenever u has eigenvalue -1.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict
 
-from .brauer import BrauerClass, brauer_class
+from .brauer import brauer_class
 from .errors import InconclusiveError, InvariantError, NotGeometricallyStableError
 from .homs import find_invertible_in_span, hom_space
 from .linalg import Mat
@@ -61,6 +64,11 @@ class DescentDatum:
         if lam != self.lam:
             raise InvariantError(f"stored lambda {self.lam} differs from computed {lam}")
         return True
+
+    @cached_property
+    def brauer(self):
+        """The class of (L/k, sigma, lambda) in Br(k): the orbit's type, kept on the datum."""
+        return brauer_class(self.lam, self.pair)
 
     def rescale(self, a):
         """Replace u by a*u for a scalar a in L^x; lambda gains norm(a)."""
@@ -154,28 +162,14 @@ def solve_modifying_u(rep, pair, theta, config, check_stability=True):
     return DescentDatum(rep, u, lam, pair, provenance)
 
 
-@dataclass(frozen=True)
-class TypeMapResult:
-    brauer: BrauerClass
-    datum: DescentDatum
-    provenance: dict
-
-
-def type_map_of_datum(datum):
-    return TypeMapResult(
-        brauer_class(datum.lam, datum.pair), datum, dict(datum.provenance)
-    )
-
-
 def type_map(rep, pair, theta, config):
-    """The Brauer class of a Galois-fixed geometrically stable orbit.
-
-    Raises ValueError when the orbit is not Galois-fixed.
+    """The descent datum of a Galois-fixed geometrically stable orbit; its
+    `brauer` is the orbit's type.  Raises ValueError for a moving orbit.
     """
     datum = solve_modifying_u(rep, pair, theta, config)
     if datum is None:
         raise ValueError("orbit is not Galois-fixed: no invertible u with u.sigma(W) = W")
-    return type_map_of_datum(datum)
+    return datum
 
 
 def _average(u_from, u_to, pair, config, label):

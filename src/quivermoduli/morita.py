@@ -11,7 +11,7 @@ assembled.  The image is exactly the fixed locus of the modified Galois
 action given by the standard block-diagonal modifying matrix u_std, which
 is what makes the inverse readout well-defined: a and b are read from a
 block's entry (0, 0), c and d from its entry (1, 0), and the block is
-checked against the image of the result.
+checked against the image of the result, that is, for u_std-fixedness.
 
 Representations over D reuse the generic Representation class with a
 QuaternionAlgebra coefficient ring: right D-modules with matrices acting on
@@ -19,9 +19,9 @@ the left, so morphism solving (hom_space) expands through the regular
 representation.
 
 descended_form is the one path from a Galois-fixed orbit's descent datum to
-its form: it reads the Brauer class once, descends a trivial class to a
-k-form by Hilbert 90 (hilbert90_descend) and turns a nontrivial one into a
-D-representation (division_form).
+its form: it reads the class the datum carries (DescentDatum.brauer),
+descends a trivial class to a k-form by Hilbert 90 (hilbert90_descend) and
+turns a nontrivial one into a D-representation (division_form).
 """
 
 from dataclasses import dataclass, field
@@ -34,11 +34,10 @@ from .descent import (
     cocycle_scalar,
     hilbert90_descend,
     modified_action_failures,
-    modified_action_fixes,
     solve_descent_change_of_basis,
 )
 from .errors import InvariantError, NotDecidableError, SchemaError
-from .galois import QuadraticPair
+from .galois import GaloisPair, QuadraticPair
 from .linalg import Mat
 from .quaternions import QuaternionAlgebra
 from .quiver import Representation
@@ -125,17 +124,19 @@ def morita_split(drep, pair):
 
 
 def morita_unsplit(rep, pair, lam):
-    """Inverse of morita_split, defined on standard quaternionic fixed points."""
+    """Inverse of morita_split, defined on standard quaternionic fixed points.
+
+    U sigma(B) = B U for U = [[0, lam], [1, 0]] forces B = [[p, lam sigma(r)],
+    [r, sigma(p)]], the splitting image, so unsplit_matrix checks u_std blockwise.
+    """
     if any(d % 2 for d in rep.dims.values()):
         raise SchemaError("dimensions must be even to unsplit")
     alg = QuaternionAlgebra(pair.m, lam)
-    u_std = standard_u(pair, lam, {v: d // 2 for v, d in rep.dims.items()})
-    if not modified_action_fixes(rep, u_std, pair):
-        raise SchemaError("representation is not fixed by the standard modified action")
     dims = {v: d // 2 for v, d in rep.dims.items()}
-    mats = {
-        a.name: unsplit_matrix(alg, pair, rep.mats[a.name]) for a in rep.quiver.arrows
-    }
+    try:
+        mats = {a.name: unsplit_matrix(alg, pair, rep.mats[a.name]) for a in rep.quiver.arrows}
+    except InvariantError as exc:
+        raise SchemaError("representation is not fixed by the standard modified action") from exc
     return Representation(rep.quiver, alg, dims, mats)
 
 
@@ -145,12 +146,13 @@ def division_form(datum, config):
     Normalizes lambda to the canonical class representative, conjugates the
     modifying element onto the standard block form, and reads the conjugated
     matrices off through the Morita splitting.  Dimensions must be even: the
-    index of the class divides the dimension vector.  brauer_class checks
-    that (m, lambda)_Q is division, morita_unsplit that the conjugated rep
-    is u_std-fixed, and unsplit_matrix every block against its image.
+    index of the class divides the dimension vector.  The datum's class
+    (brauer_class) checks that (m, lambda)_Q is division, and morita_unsplit
+    checks every block of the conjugated rep against the splitting image,
+    which is its u_std-fixedness.
     """
     pair = datum.pair
-    cls = brauer_class(datum.lam, pair)
+    cls = datum.brauer
     if cls.is_trivial:
         raise ValueError("trivial class: use hilbert90_descend, not division_form")
     rep = datum.rep
@@ -176,7 +178,7 @@ def division_form(datum, config):
 def descended_form(datum, config):
     """The form of a Galois-fixed orbit from its descent datum: a k-form
     for a trivial Brauer class, a D-representation otherwise."""
-    if brauer_class(datum.lam, datum.pair).is_trivial:
+    if datum.brauer.is_trivial:
         return hilbert90_descend(datum, config)[0]
     return division_form(datum, config)[0]
 
@@ -265,14 +267,23 @@ def twisted_to_drep(twisted, config):
     return descended_form(twisted.datum(), config)
 
 
-def drep_is_geom_stable(drep, pair, theta, config):
+def drep_is_geom_stable(drep, theta, config):
     """geom_stability of a D-representation's Morita splitting.
 
     Splitting identifies D-subrepresentations with subrepresentations of the
     split L-representation compatibly with (twisted) dimensions, so the
     verdict of the split representation is the definitionally right notion.
+    D = (a, b)_Q splits over Q(sqrt(a)), which needs a squarefree integer a.
     Index-1 inputs (already over a field) are judged as they are.
     """
     if isinstance(drep.ring, QuaternionAlgebra):
+        a = drep.ring.a
+        try:  # QuadraticField refuses a non-integral a, passed as a Fraction
+            pair = GaloisPair.quadratic(int(a) if a.denominator == 1 else a)
+        except ValueError as exc:
+            raise SchemaError(
+                "quaternion stability needs a squarefree integer i^2 constant "
+                f"to split over; got {a}"
+            ) from exc
         drep = morita_split(drep, pair)
     return geom_stability(drep, theta, config)

@@ -87,6 +87,8 @@ class Representation:
         for v in quiver.vertices:
             if v not in self.dims or self.dims[v] < 0:
                 raise SchemaError(f"missing or negative dimension at vertex {v}")
+        if len(self.dims) != len(quiver.vertices):
+            raise SchemaError(f"dims {self.dims} name a vertex outside the quiver")
         for a in quiver.arrows:
             m = self.mats.get(a.name)
             if m is None:

@@ -189,13 +189,7 @@ def datum_from_json(data):
 
 
 def twisted_to_json(twisted):
-    return {
-        "rep": rep_to_json(twisted.rep),
-        "u": hom_to_json(twisted.u),
-        "lambda": twisted.pair.base.to_json(twisted.lam),
-        "pair": pair_to_json(twisted.pair),
-        "index": twisted.index,
-    }
+    return {**datum_to_json(twisted.datum()), "index": twisted.index}
 
 
 def twisted_from_json(data):

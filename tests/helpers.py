@@ -5,6 +5,7 @@ full-scan orbit census as the reference for the slice census, and
 product-by-product references for finite-field tables and quaternion
 regular representations."""
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -28,6 +29,21 @@ from quivermoduli.stability import (
     UNSTABLE,
     StabilityVerdict,
 )
+
+
+def count_calls(monkeypatch, fn):
+    """Rebind fn in every quivermoduli module that binds it to a wrapper
+    that records each call; returns the list of recorded argument tuples."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "quivermoduli" and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counting)
+    return calls
 
 
 def fmat(field, rows):

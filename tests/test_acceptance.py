@@ -37,7 +37,7 @@ from quivermoduli.census import (
     verify_descent_census,
 )
 from quivermoduli.config import JobConfig
-from quivermoduli.descent import solve_modifying_u, type_map_of_datum
+from quivermoduli.descent import solve_modifying_u
 from quivermoduli.homs import end_dim
 from quivermoduli.morita import division_form, drep_to_twisted, morita_split
 from quivermoduli.numtheory import hilbert_symbol, relevant_places
@@ -157,7 +157,7 @@ def test_criterion_5_type_map_well_defined():
     t0 = time.monotonic()
     rep, pair, theta = quaternionic_kronecker_example()
     Qi = pair.ext
-    base_cls = type_map_of_datum(solve_modifying_u(rep, pair, theta, CFG)).brauer
+    base_cls = solve_modifying_u(rep, pair, theta, CFG).brauer
     rng = random.Random(CFG.seed)
     changes = 0
     # orbit-representative moves over Q(i)
@@ -179,7 +179,7 @@ def test_criterion_5_type_map_well_defined():
             if all(m.is_invertible() for m in g.values()):
                 break
         datum = solve_modifying_u(rep.act(g), pair, theta, CFG)
-        assert type_map_of_datum(datum).brauer == base_cls
+        assert datum.brauer == base_cls
         changes += 1
     # u-scalar moves over Q(i)
     datum0 = solve_modifying_u(rep, pair, theta, CFG)
@@ -213,7 +213,7 @@ def test_criterion_5_type_map_well_defined():
         moved = wl.act(g)
         datum = solve_modifying_u(moved, fpair, THETA, CFG)
         assert datum is not None
-        assert type_map_of_datum(datum).brauer.is_trivial
+        assert datum.brauer.is_trivial
         changes += 1
         scaled = datum.rescale(rng.randrange(1, 4))
         scaled.check()

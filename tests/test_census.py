@@ -11,6 +11,7 @@ from quivermoduli import (
     Mat,
     Representation,
     a2_quiver,
+    brauer_class,
     count_geom_stable_orbits,
     census_polynomiality,
     decompose_rational_point,
@@ -48,6 +49,7 @@ from quivermoduli.stability import (
 )
 
 from helpers import (
+    count_calls,
     gimat,
     quaternionic_kronecker_example,
     reference_orbit_census,
@@ -558,6 +560,12 @@ def test_descent_census_small():
     assert r.ok
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_descent_census_refuses_degree_below_two(n):
+    with pytest.raises(SchemaError, match="extension degree n >= 2"):
+        verify_descent_census(K2, {"s": 1, "t": 1}, THETA, 2, n, CFG)
+
+
 def test_all_orbit_representatives_complete():
     # over F_2 the scaling group is trivial, so orbits are single points
     f2 = GF(2)
@@ -595,6 +603,16 @@ def test_decompose_quaternionic():
     assert rec.twisted is not None
     ok, violations = index_divisibility_audit([rec])
     assert ok, violations
+
+
+def test_decompose_reads_one_brauer_class(monkeypatch):
+    # type_map, descended_form and division_form all read the class the
+    # datum carries
+    calls = count_calls(monkeypatch, brauer_class)
+    rep, pair, theta = quaternionic_kronecker_example()
+    rec = decompose_rational_point(rep, pair, theta, CFG)
+    assert len(calls) == 1
+    assert rec.brauer is rec.datum.brauer and rec.d_form is not None
 
 
 def test_decompose_not_fixed_orbit():

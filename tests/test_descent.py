@@ -24,12 +24,11 @@ from quivermoduli.descent import (
     modified_action_failures,
     modified_action_fixes,
     solve_descent_change_of_basis,
-    type_map_of_datum,
 )
 from quivermoduli.errors import InvariantError, NotGeometricallyStableError
 from quivermoduli.homs import is_isomorphic
 from quivermoduli.quiver import base_change
-from quivermoduli.rings import gaussian_rationals
+from quivermoduli.rings import QQ, gaussian_rationals
 from quivermoduli.stability import UNSTABLE
 
 from helpers import gimat, kronecker_rep, quaternionic_kronecker_example
@@ -131,6 +130,30 @@ def test_type_map_examples():
     assert type_map(w, fpair, THETA, CFG).brauer.is_trivial
 
 
+def test_datum_brauer_is_the_class_of_its_lambda():
+    # a seeded grid of scalar moves over F_{p^2}/F_p and over Q(i)/Q, from a
+    # trivial-class and a nontrivial-class orbit
+    rng = random.Random(CFG.seed)
+    grid = []
+    for p in (2, 3, 5, 7):
+        pair = GaloisPair.finite(p, 2)
+        w = base_change(kronecker_rep(GF(p), [1, rng.randrange(p)]), pair)
+        grid.append((solve_modifying_u(w, pair, THETA, CFG), list(pair.ext.units())))
+    qrep, qpair, theta = quaternionic_kronecker_example()
+    rational = base_change(kronecker_rep(QQ, [Fraction(1), Fraction(2)]), qpair)
+    small = [(Fraction(x), Fraction(y)) for x in range(1, 6) for y in range(-5, 6)]
+    for rep in (qrep, rational):
+        grid.append((solve_modifying_u(rep, qpair, theta, CFG), small))
+    assert {datum.brauer.is_trivial for datum, _ in grid} == {True, False}
+    for datum, scalars in grid:
+        for _ in range(6):
+            moved = datum.rescale(rng.choice(scalars))
+            moved.check()
+            assert moved.brauer == brauer_class(moved.lam, moved.pair)
+            assert moved.brauer is moved.brauer
+            assert moved.brauer == datum.brauer
+
+
 def test_type_map_well_defined_under_orbit_and_scalar_moves():
     rep, pair, theta = quaternionic_kronecker_example()
     Qi = pair.ext
@@ -155,7 +178,7 @@ def test_type_map_well_defined_under_orbit_and_scalar_moves():
         moved = rep.act(g)
         datum = solve_modifying_u(moved, pair, theta, CFG)
         assert datum is not None
-        assert type_map_of_datum(datum).brauer == base
+        assert datum.brauer == base
     # scalar changes of u multiply lambda by a norm
     datum = solve_modifying_u(rep, pair, theta, CFG)
     for a in ((Fraction(2), Fraction(1)), (Fraction(0), Fraction(3))):

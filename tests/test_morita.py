@@ -33,7 +33,8 @@ from quivermoduli.morita import (
     validate_twisted,
 )
 from quivermoduli.rings import QQ
-from quivermoduli.stability import STABLE, UNSTABLE, STRICTLY_SEMISTABLE
+from quivermoduli.serialize import verdict_to_json
+from quivermoduli.stability import STABLE, UNSTABLE, STRICTLY_SEMISTABLE, geom_stability
 
 from helpers import gimat, quaternionic_kronecker_example
 
@@ -115,6 +116,18 @@ def test_unsplit_rejects_non_fixed():
     w = Representation(q, Qi, {"v": 2}, {"loop": gimat([[(0, 1), 0], [0, 0]])})
     with pytest.raises(SchemaError):
         morita_unsplit(w, PAIR, Fraction(-1))
+
+
+def test_unsplit_rejects_a_block_off_the_image_at_the_second_arrow():
+    split = morita_split(drep_1ij(), PAIR)
+    Qi = PAIR.ext
+    rows = [list(r) for r in split.mats["a2"].rows]
+    rows[0][1] = Qi.add(rows[0][1], Qi.one)  # lambda sigma(r) no longer matches r
+    mats = {**split.mats, "a2": Mat(Qi, tuple(map(tuple, rows)), (2, 2))}
+    w = Representation(split.quiver, Qi, split.dims, mats)
+    with pytest.raises(SchemaError, match="not fixed by the standard modified action"):
+        morita_unsplit(w, PAIR, Fraction(-1))
+    assert morita_unsplit(split, PAIR, Fraction(-1)) == drep_1ij()
 
 
 def test_unsplit_matrix_errors_off_image():
@@ -263,7 +276,7 @@ def test_trivial_class_twisted_to_base_field():
 
 def test_drep_stability():
     drep = drep_1ij()
-    v = drep_is_geom_stable(drep, PAIR, THETA, CFG)
+    v = drep_is_geom_stable(drep, THETA, CFG)
     assert v.kind == STABLE
 
     q = kronecker_quiver(3)
@@ -271,10 +284,40 @@ def test_drep_stability():
         q, H, {"s": 1, "t": 1},
         {name: Mat(H, ((H.one,),)) for name in ("a1", "a2", "a3")},
     )
-    v = drep_is_geom_stable(ones, PAIR, THETA, CFG)
+    v = drep_is_geom_stable(ones, THETA, CFG)
     assert v.kind in (UNSTABLE, STRICTLY_SEMISTABLE)
     assert v.witness is not None
     assert v.witness.slope(THETA) >= Fraction(0)
+
+
+@pytest.mark.parametrize("a, b", [(2, -1), (3, -1), (-1, 3)])
+def test_drep_stability_splits_over_the_algebras_own_pair(a, b):
+    # certificates reduce only Q and Q(i) mod p, so over Q(sqrt(2)) and
+    # Q(sqrt(3)) both sides are Unknown with the same primes tried
+    alg = QuaternionAlgebra(a, b)
+    rng = random.Random(a)
+    q = kronecker_quiver(3)
+    dreps = [Representation(
+        q, alg, {"s": 1, "t": 1},
+        {"a1": Mat(alg, ((alg.one,),)), "a2": Mat(alg, ((alg.i,),)), "a3": Mat(alg, ((alg.j,),))},
+    )]
+    for _ in range(3):
+        mats = {name: random_dmat(alg, 1, 1, rng) for name in ("a1", "a2", "a3")}
+        dreps.append(Representation(q, alg, {"s": 1, "t": 1}, mats))
+    for drep in dreps:
+        want = geom_stability(morita_split(drep, GaloisPair.quadratic(a)), THETA, CFG)
+        assert verdict_to_json(drep_is_geom_stable(drep, THETA, CFG)) == verdict_to_json(want)
+
+
+@pytest.mark.parametrize("a", [4, Fraction(1, 2)], ids=["4", "1/2"])
+def test_drep_stability_refuses_an_algebra_without_a_quadratic_pair(a):
+    alg = QuaternionAlgebra(a, -1)
+    drep = Representation(
+        kronecker_quiver(2), alg, {"s": 1, "t": 1},
+        {"a1": Mat(alg, ((alg.one,),)), "a2": Mat(alg, ((alg.i,),))},
+    )
+    with pytest.raises(SchemaError, match="squarefree integer"):
+        drep_is_geom_stable(drep, THETA, CFG)
 
 
 def test_drep_hom_space_dimensions():
@@ -424,7 +467,7 @@ def test_drep_stability_finite_field_degenerate(tmp_path, capsys):
                 mats[name] = Mat(field, rows, (r, c))
             rep = Representation(q, field, dims, mats)
             want = is_geometrically_stable(rep, theta, CFG)
-            assert (drep_is_geom_stable(rep, PAIR, theta, CFG).kind == ST) == want
+            assert (drep_is_geom_stable(rep, theta, CFG).kind == ST) == want
             over_ext = rep if field == pair.ext else base_change(rep, pair)
             try:
                 solve_modifying_u(over_ext, pair, theta, CFG)

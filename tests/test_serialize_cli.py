@@ -33,7 +33,7 @@ from quivermoduli.serialize import (
     twisted_to_json,
 )
 
-from helpers import gimat, kronecker_rep, quaternionic_kronecker_example
+from helpers import count_calls, gimat, kronecker_rep, quaternionic_kronecker_example
 
 CFG = JobConfig()
 
@@ -175,6 +175,41 @@ def test_cli_malformed_rep_is_parse_error(tmp_path, capsys, change, theta):
     assert "Traceback" not in err
 
 
+def test_representation_refuses_a_dimension_outside_the_quiver():
+    mats = {name: Mat(GF(3), ((1,),)) for name in ("a1", "a2")}
+    with pytest.raises(SchemaError, match="outside the quiver"):
+        Representation(kronecker_quiver(2), GF(3), {"s": 1, "t": 1, "x": 2}, mats)
+
+
+@pytest.mark.parametrize("command", ["stability", "hn", "typemap"])
+@pytest.mark.parametrize("case", [
+    "zero-dims", "unknown-vertex", "negative-dim", "ragged", "bool-entry", "float-entry",
+])
+def test_cli_malformed_rep_file_exit_contract(tmp_path, capsys, command, case):
+    # typemap reads a rep over the pair's extension field, so the ring check
+    # passes and the rep itself is what gets refused
+    pair = GaloisPair.finite(3, 2)
+    data = rep_to_json(kronecker_rep(pair.ext if command == "typemap" else GF(3), [1, 1]))
+    one = data["matrices"]["a2"][0][0]
+    change = {
+        "zero-dims": {"dims": {"s": 0, "t": 0}, "matrices": {"a1": [], "a2": []}},
+        "unknown-vertex": {"dims": {"s": 1, "t": 1, "x": 2}},
+        "negative-dim": {"dims": {"s": -1, "t": 1}},
+        "ragged": {"dims": {"s": 2, "t": 2},
+                   "matrices": {"a1": [[one, one], [one]], "a2": [[one, one], [one, one]]}},
+        "bool-entry": {"matrices": {"a1": [[True]], "a2": [[one]]}},
+        "float-entry": {"matrices": {"a1": [[1.0]], "a2": [[one]]}},
+    }[case]
+    path = write_json(tmp_path, "rep.json", {**data, **change})
+    argv = [command, path, "--theta", '{"s":1,"t":-1}']
+    if command == "typemap":
+        argv += ["--pair", json.dumps(pair_to_json(pair))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:")
+    assert "Traceback" not in err
+
+
 def test_cli_budget_error(tmp_path, capsys):
     quiver = kronecker_quiver(2)
     path = write_json(
@@ -270,6 +305,26 @@ def test_cli_descend_subcommand(tmp_path, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["form"]["ring"] == {"type": "prime", "p": 2}
+
+
+def test_cli_typemap_descend_and_divform_read_one_brauer_class(tmp_path, capsys, monkeypatch):
+    from quivermoduli import brauer_class
+
+    rep, _, _ = quaternionic_kronecker_example()
+    path = write_json(tmp_path, "rep.json", rep_to_json(rep))
+    calls = count_calls(monkeypatch, brauer_class)
+    code = main([
+        "--format", "json", "typemap", path, "--pair", '{"type":"quadratic","m":-1}',
+        "--theta", '{"s":1,"t":-1}', "--descend", str(tmp_path / "form.json"),
+    ])
+    assert code == 0 and len(calls) == 1
+    out = json.loads(capsys.readouterr().out)
+    datum = {"rep": rep_to_json(rep), "u": out["u"], "lambda": out["lambda"],
+             "pair": {"type": "quadratic", "m": -1}}
+    calls.clear()
+    assert main(["--format", "json", "divform", write_json(tmp_path, "datum.json", datum)]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["lambda"] == "-1"
 
 
 def test_cli_twisted_validate(tmp_path, capsys):
@@ -400,6 +455,19 @@ def test_cli_census(tmp_path, capsys):
     assert out["census"]["counts"] == [3, 4, 6]
     assert out["census"]["coefficients"] == ["1", "1"]
     assert all(r["ok"] for r in out["descent"])
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_cli_census_verify_descent_below_degree_two(tmp_path, capsys, n):
+    path = write_json(tmp_path, "quiver.json", KRONECKER2_JSON)
+    code = main([
+        "census", "--quiver", path, "--dims", '{"s":1,"t":1}',
+        "--theta", '{"s":1,"t":-1}', "--q", "2", "--verify-descent", n,
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error:") and "extension degree" in captured.err
 
 
 def test_cli_census_builds_each_field_once(monkeypatch, capsys):
