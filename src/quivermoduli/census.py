@@ -31,15 +31,16 @@ union-find directly; only a point outside the slices is row-reduced to J_r
 first.
 
 `stable_orbit_census` routes single-loop quivers through similarity
-classes instead (companion blocks of prime-power polynomials, with the
-monic irreducibles found by the sieve in ffields), which covers spaces too
-large to scan pointwise.  There stability and End are read from the
-invariant factors, with no subspace scan: a class is stable iff its data is
-one irreducible f of degree d, and then End = F_q[x]/(f).  The number of
-stable classes is checked against Gauss's count of monic irreducibles.  The
-number of all classes has a closed form, which is held to
-config.max_orbit_points before any class is listed and checked against the
-listing.
+classes instead (invariant-factor data over the monic irreducibles found by
+the sieve in ffields), which covers spaces too large to scan pointwise.
+There stability and End are read from the class data, with no subspace
+scan: a class is stable iff its data is one irreducible f of degree d, and
+then End = F_q[x]/(f).  The number of stable classes is checked against
+Gauss's count of monic irreducibles.  The number of all classes has a
+closed form, which is held to config.max_orbit_points before any class is
+listed and checked against the listing.  Counts read the class data only;
+a class's representative (companion blocks of prime powers) is built only
+when a point is read.
 
 The engine, matrix lists, generator memos and the set of normal forms are
 built per census call, never cached across calls.
@@ -47,6 +48,7 @@ built per census call, never cached across calls.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import prod
 from typing import Dict, List, Optional
@@ -401,18 +403,17 @@ def _companion_matrix(poly, field):
     return tuple(tuple(r) for r in rows)
 
 
-def similarity_class_reps(field, size):
-    """One representative per similarity class of size x size matrices.
+def similarity_class_data(field, size):
+    """The class data of every similarity class of size x size matrices.
 
     Classes correspond to maps from monic irreducibles to partitions with
-    total weighted size equal to `size`; the representative is the block
-    diagonal of companion matrices of prime powers.  Returns
-    (class_data, matrix_rows) pairs, class_data a sorted tuple of
-    (poly, partition): one companion block of poly^m per part m.
+    total weighted size equal to `size`.  Each class datum is a sorted tuple
+    of (poly, partition): one companion block of poly^m per part m.
     """
     irreds = monic_irreducibles(field, size)
     # fits[r]: how many irreducibles (a degree-sorted prefix) have degree <= r
     fits = [sum(1 for p in irreds if len(p) - 1 <= r) for r in range(size + 1)]
+    partitions = [list(_partitions(n)) for n in range(size + 1)]
     out = []
 
     def assign(remaining, start, chosen):
@@ -426,7 +427,7 @@ def similarity_class_reps(field, size):
             poly = irreds[idx]
             deg = len(poly) - 1
             for mult_total in range(1, remaining // deg + 1):
-                for part in _partitions(mult_total):
+                for part in partitions[mult_total]:
                     assign(
                         remaining - deg * mult_total,
                         idx + 1,
@@ -434,26 +435,35 @@ def similarity_class_reps(field, size):
                     )
 
     assign(size, 0, [])
-    reps = []
-    for data in out:
-        blocks = []
-        for poly, part in data:
-            for m in part:
-                pm = [field.one]
-                for _ in range(m):
-                    pm = _poly_mul(pm, list(poly), field)
-                blocks.append(_companion_matrix(pm, field))
-        n = sum(len(b) for b in blocks)
-        rows = [[field.zero] * n for _ in range(n)]
-        at = 0
-        for b in blocks:
-            k = len(b)
-            for i in range(k):
-                for j in range(k):
-                    rows[at + i][at + j] = b[i][j]
-            at += k
-        reps.append((data, tuple(tuple(r) for r in rows)))
-    return reps
+    return out
+
+
+def _class_matrix(data, field):
+    """The class's representative: the block diagonal of the companion
+    matrices of its prime powers, as encoded rows."""
+    blocks = []
+    for poly, part in data:
+        for m in part:
+            pm = [field.one]
+            for _ in range(m):
+                pm = _poly_mul(pm, list(poly), field)
+            blocks.append(_companion_matrix(pm, field))
+    n = sum(len(b) for b in blocks)
+    rows = [[field.zero] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        k = len(b)
+        for i in range(k):
+            for j in range(k):
+                rows[at + i][at + j] = b[i][j]
+        at += k
+    return tuple(tuple(r) for r in rows)
+
+
+def similarity_class_reps(field, size):
+    """(class_data, matrix_rows) per similarity class of size x size
+    matrices, in the order of similarity_class_data."""
+    return [(data, _class_matrix(data, field)) for data in similarity_class_data(field, size)]
 
 
 def _frobenius_class_data(data, field):
@@ -467,13 +477,15 @@ def _frobenius_class_data(data, field):
 class LoopClassCensus:
     """Similarity-class census for a single-loop quiver (no pointwise scan).
 
-    Orbits of a single loop are similarity classes, so representatives come
-    from invariant-factor data (companion blocks of prime powers).  Every
-    subrepresentation has slope theta_v = mu, so a class is stable exactly
-    when F_q^d is a simple F_q[x]-module, i.e. its data is one (f, (1,))
-    with f irreducible of degree d, and then End = F_q[x]/(f) has dimension
-    d; every other class is strictly semistable.  Frobenius fixedness is
-    read off the class data too.
+    Orbits of a single loop are similarity classes, so the census walks
+    invariant-factor data.  Every subrepresentation has slope theta_v = mu,
+    so a class is stable exactly when F_q^d is a simple F_q[x]-module, i.e.
+    its data is one (f, (1,)) with f irreducible of degree d, and then
+    End = F_q[x]/(f) has dimension d; every other class is strictly
+    semistable.  Frobenius fixedness is read off the class data too.  Counts
+    need no matrix: a class's representative (companion blocks of prime
+    powers) is built only when a point is read, through `entries` or
+    `frobenius_fixed`.
     """
 
     quiver: object
@@ -481,19 +493,25 @@ class LoopClassCensus:
     theta: dict
     field: object
     counts: Dict[str, int]
-    entries: list  # (class_data, encoded point, category)
+    classes: list  # (class_data, category), in similarity_class_data order
     config: object
 
     @property
     def geom_stable_count(self):
         return self.counts[GEOM_STABLE]
 
+    @cached_property
+    def entries(self):
+        """(class_data, encoded point, category) per class, built on first read."""
+        return [(data, (_class_matrix(data, self.field),), cat) for data, cat in self.classes]
+
     def frobenius_fixed(self):
         """The geometrically stable class points whose class data Frobenius
-        fixes: it permutes class data, so fixedness is read off the data."""
+        fixes: it permutes class data, so fixedness is read off the data and
+        only the fixed classes' points are built."""
         return [
-            point
-            for data, point, cat in self.entries
+            (_class_matrix(data, self.field),)
+            for data, cat in self.classes
             if cat == GEOM_STABLE and _frobenius_class_data(data, self.field) == data
         ]
 
@@ -541,9 +559,9 @@ def _checked_class_count(field, size, config):
 
 def loop_class_census(quiver, dims, theta, field, config):
     """LoopClassCensus with each category read from the class data, once the
-    class count fits the orbit budget.  The stable classes are the degree-d
-    irreducibles, so InvariantError unless they number Gauss's count and
-    all classes number the closed-form count."""
+    class count fits the orbit budget; no class matrix is built.  The stable
+    classes are the degree-d irreducibles, so InvariantError unless they
+    number Gauss's count and all classes number the closed-form count."""
     if not quiver.is_single_loop():
         raise InvariantError("class census is only for single-loop quivers")
     size = dims[quiver.vertices[0]]
@@ -551,20 +569,20 @@ def loop_class_census(quiver, dims, theta, field, config):
         raise ValueError("class census needs a nonzero dimension")
     nclasses = _checked_class_count(field, size, config)
     counts = {GEOM_STABLE: 0, STABLE_NOT_SCHUR: 0}
-    entries = []
-    for data, rows in similarity_class_reps(field, size):
+    classes = []
+    for data in similarity_class_data(field, size):
         if len(data) == 1 and data[0][1] == (1,):
             cat = GEOM_STABLE if size == 1 else STABLE_NOT_SCHUR
             counts[cat] += 1
         else:
             cat = STRICTLY_SEMISTABLE
-        entries.append((data, (rows,), cat))
+        classes.append((data, cat))
     stable, want = sum(counts.values()), _irreducible_count(size, field.size)
     if stable != want:
         raise InvariantError(f"{stable} stable classes of size {size}, Gauss count {want}")
-    if len(entries) != nclasses:
-        raise InvariantError(f"{len(entries)} similarity classes of size {size}, expected {nclasses}")
-    return LoopClassCensus(quiver, dims, theta, field, counts, entries, config)
+    if len(classes) != nclasses:
+        raise InvariantError(f"{len(classes)} similarity classes of size {size}, expected {nclasses}")
+    return LoopClassCensus(quiver, dims, theta, field, counts, classes, config)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .errors import (
     SchemaError,
 )
 from .ffields import prime_power
-from .morita import descended_form, drep_is_geom_stable, twisted_to_drep, validate_twisted
+from .morita import descended_form, drep_is_geom_stable, validate_twisted
 from .serialize import (
     datum_from_json,
     dumps,
@@ -213,11 +213,11 @@ def cmd_form(args, config):
 
 def cmd_twisted_validate(args, config):
     twisted = twisted_from_json(_read_json(args.twisted))
-    ok, problems = validate_twisted(twisted)
+    datum = twisted.datum()
+    ok, problems = validate_twisted(twisted, datum)
     payload = {"valid": ok, "problems": problems}
     if ok and args.to_drep:
-        drep = twisted_to_drep(twisted, config)
-        payload["drep"] = rep_to_json(drep)
+        payload["drep"] = rep_to_json(descended_form(datum, config))
     _emit(payload, config)
     return EXIT_OK
 

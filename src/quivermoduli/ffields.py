@@ -40,16 +40,34 @@ def _poly_trim(c):
 
 
 def _poly_mul(a, b, field):
-    """Product of coefficient lists over a field object."""
+    """Product of coefficient lists over a field object, on the codes: over
+    F_p one % p per coefficient, over a tabled F_{p^n} its add and mul
+    tables, and the field's operations otherwise."""
     if not a or not b:
         return []
+    out = [0] * (len(a) + len(b) - 1)
+    if isinstance(field, PrimeField):
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+        p = field.p
+        return _poly_trim([c % p for c in out])
+    if field._tables:
+        s, add, mul = field.size, field._add_t, field._mul_t
+        for i, ai in enumerate(a):
+            if ai:
+                row = ai * s
+                for j, bj in enumerate(b, i):
+                    if bj:
+                        out[j] = add[out[j] * s + mul[row + bj]]
+        return _poly_trim(out)
     add, mul = field.add, field.mul
-    out = [field.zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
+            for j, bj in enumerate(b, i):
                 if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
+                    out[j] = add(out[j], mul(ai, bj))
     return _poly_trim(out)
 
 

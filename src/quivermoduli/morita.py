@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict
 
-from .brauer import brauer_class
 from .descent import (
     DescentDatum,
     cocycle_scalar,
@@ -216,8 +215,14 @@ def twisted_dim(twisted):
     return {v: d // e for v, d in twisted.rep.dims.items()}
 
 
-def validate_twisted(twisted):
-    """Check all twisted-representation invariants; returns (ok, diagnostics)."""
+def validate_twisted(twisted, datum=None):
+    """Check all twisted-representation invariants; returns (ok, diagnostics).
+
+    The index is checked against the Brauer class of the datum, which is
+    twisted.datum() unless given, so a caller that goes on to descend the
+    datum computes the class once."""
+    if datum is None:
+        datum = twisted.datum()
     rep, u, pair = twisted.rep, twisted.u, twisted.pair
     problems = [
         f"transition fails on arrow {name}"
@@ -233,7 +238,7 @@ def validate_twisted(twisted):
         if d % twisted.index:
             problems.append(f"index {twisted.index} does not divide dim {d} at {v}")
     try:
-        cls = brauer_class(twisted.lam, pair)
+        cls = datum.brauer
         if cls.index != twisted.index:
             problems.append(
                 f"declared index {twisted.index} but the class has index {cls.index}"
@@ -261,10 +266,11 @@ def twisted_to_drep(twisted, config):
     Trivial classes degenerate to representations over the base field
     itself (D = k); nontrivial quadratic classes go through division_form.
     """
-    ok, problems = validate_twisted(twisted)
+    datum = twisted.datum()
+    ok, problems = validate_twisted(twisted, datum)
     if not ok:
         raise SchemaError(f"invalid twisted representation: {problems}")
-    return descended_form(twisted.datum(), config)
+    return descended_form(datum, config)
 
 
 def drep_is_geom_stable(drep, theta, config):

@@ -109,15 +109,36 @@ def legendre(a, p):
     return 1 if s == 1 else -1
 
 
+def sqrt_mod(a, p):
+    """Smallest r >= 0 with r*r = a mod an odd prime p (Tonelli-Shanks);
+    ValueError when a is not a square mod p."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError(f"{a} is not a square mod {p}")
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2  # the least non-square
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    # r*r = a t throughout; each step shrinks the 2-power order of t
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
+
+
 def sqrt_minus_one_mod(p):
     """Smallest r with r*r = -1 mod p; requires p = 1 mod 4."""
     if p % 4 != 1:
         raise ValueError("p must be 1 mod 4")
-    for a in range(2, p):
-        r = pow(a, (p - 1) // 4, p)
-        if r * r % p == p - 1:
-            return min(r, p - r)
-    raise ValueError(f"no square root of -1 mod {p}")  # unreachable for prime p
+    return sqrt_mod(-1, p)
 
 
 def _cornacchia_prime(p):

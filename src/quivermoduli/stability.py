@@ -1,6 +1,6 @@
 """Slope stability: subrepresentation enumeration, verdicts, scss, and
 Harder-Narasimhan filtrations over finite fields, plus sound one-sided
-certificates over Q and Q(i), joined in geom_stability, the one
+certificates over Q and Q(sqrt(m)), joined in geom_stability, the one
 geometric-stability decision.
 
 One routine, _subquotient, builds every subquotient U / L of nested
@@ -44,7 +44,7 @@ from .errors import BudgetExceededError, InvariantError, SchemaError, count_text
 from .ffields import PrimeField
 from .homs import _coprime_dims, end_dim
 from .linalg import Mat
-from .numtheory import sqrt_minus_one_mod
+from .numtheory import legendre, sqrt_mod
 from .quiver import Representation, slope, total_dim
 from .rings import QQ, QuadraticField
 
@@ -539,7 +539,8 @@ def geom_stability(rep, theta, config):
     rep with a larger End (a loop with irreducible quadratic characteristic
     polynomial has End a quadratic field) splits after base change and
     comes back strictly semistable, with no witness and a reason.  Over Q
-    and Q(i) the answer is geom_stability_certificate's, Unknown included.
+    and Q(sqrt(m)) the answer is geom_stability_certificate's, Unknown
+    included.
     """
     if not rep.ring.is_finite:
         return geom_stability_certificate(rep, theta, config)
@@ -714,11 +715,15 @@ def base_change_witness(witness, pair):
 
 
 # ---------------------------------------------------------------------------
-# certificates over Q and Q(i)
+# certificates over Q and Q(sqrt(m))
 
 
 def _reduction_map(ring, p):
-    """Entry map ring -> F_p, or None when p is unusable for this ring."""
+    """Entry map ring -> F_p, or None when p is unusable for this ring.
+
+    Q reduces at every p.  Q(sqrt(m)) reduces at an odd p where m is a
+    nonzero square, with sqrt(m) sent to its least square root mod p; for
+    m = -1 those are the primes p = 1 mod 4."""
     fp = PrimeField(p)
 
     def red(x):
@@ -728,14 +733,15 @@ def _reduction_map(ring, p):
 
     if ring == QQ:
         return fp, red
-    if isinstance(ring, QuadraticField) and ring.m == -1 and p % 4 == 1:
-        r = sqrt_minus_one_mod(p)
+    if isinstance(ring, QuadraticField) and p > 2 and legendre(ring.m, p) == 1:
+        r = sqrt_mod(ring.m, p)
         return fp, lambda x: (red(x[0]) + red(x[1]) * r) % p
     return None
 
 
 def reduce_mod_prime(rep, p):
-    """Reduction of a Q- or Q(i)-representation mod p, or None if p unusable."""
+    """Reduction of a Q- or Q(sqrt(m))-representation mod p, or None if p
+    is unusable."""
     rm = _reduction_map(rep.ring, p)
     if rm is None:
         return None
@@ -767,7 +773,7 @@ def _centered_lift(ring, fp, col):
     lift = [Fraction(c if c <= p // 2 else c - p) for c in col]
     if ring == QQ:
         return tuple(lift)
-    # Q(i): lift the plain integer residue; the sqrt(-1) part of the witness
+    # Q(sqrt(m)): lift the plain integer residue; the sqrt(m) part of the witness
     # cannot be recovered from one residue, so this is heuristic and every
     # candidate is re-verified exactly.
     return tuple((x, Fraction(0)) for x in lift)
@@ -827,7 +833,7 @@ def _exact_destabilizer_candidates(rep, seeds):
 
 
 def geom_stability_certificate(rep, theta, config):
-    """One-sided geometric stability certificate over Q or Q(i).
+    """One-sided geometric stability certificate over Q or Q(sqrt(m)).
 
     Stable: some usable prime has a geometrically stable reduction (a
     destabilizing subspace over the algebraic closure would specialize into

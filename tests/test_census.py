@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -436,14 +438,14 @@ def test_class_census_matches_engine():
 def test_class_census_gauss_check(monkeypatch):
     # losing one irreducible class makes the stable count fall short of
     # Gauss's count of monic irreducibles
-    real = census.similarity_class_reps
+    real = census.similarity_class_data
 
     def one_lost(field, size):
-        reps = real(field, size)
-        lost = next(i for i, (data, _) in enumerate(reps) if len(data) == 1 and data[0][1] == (1,))
-        return reps[:lost] + reps[lost + 1 :]
+        classes = real(field, size)
+        lost = next(i for i, data in enumerate(classes) if len(data) == 1 and data[0][1] == (1,))
+        return classes[:lost] + classes[lost + 1 :]
 
-    monkeypatch.setattr(census, "similarity_class_reps", one_lost)
+    monkeypatch.setattr(census, "similarity_class_data", one_lost)
     for d, q in ((1, 2), (2, 3), (3, 2)):
         with pytest.raises(InvariantError):
             loop_class_census(J, {"v": d}, {"v": 0}, GF(q), CFG)
@@ -499,14 +501,14 @@ def test_similarity_class_count_closed_form():
 def test_class_census_total_check(monkeypatch):
     # losing a strictly semistable class leaves Gauss's count intact, and
     # the closed-form class count catches it
-    real = census.similarity_class_reps
+    real = census.similarity_class_data
 
     def one_lost(field, size):
-        reps = real(field, size)
-        lost = next(i for i, (data, _) in enumerate(reps) if len(data) > 1)
-        return reps[:lost] + reps[lost + 1 :]
+        classes = real(field, size)
+        lost = next(i for i, data in enumerate(classes) if len(data) > 1)
+        return classes[:lost] + classes[lost + 1 :]
 
-    monkeypatch.setattr(census, "similarity_class_reps", one_lost)
+    monkeypatch.setattr(census, "similarity_class_data", one_lost)
     with pytest.raises(InvariantError, match="similarity classes"):
         loop_class_census(J, {"v": 2}, {"v": 0}, GF(3), CFG)
 
@@ -515,13 +517,64 @@ def test_loop_class_budget_is_checked_before_listing(monkeypatch):
     def listed(field, size):
         raise AssertionError("classes listed over budget")
 
-    monkeypatch.setattr(census, "similarity_class_reps", listed)
+    monkeypatch.setattr(census, "similarity_class_data", listed)
     tight = JobConfig(max_orbit_points=100_000)
     with pytest.raises(BudgetExceededError) as err:
         loop_class_census(J, {"v": 10}, {"v": 0}, GF(3), tight)
     assert err.value.estimate == 104_754
     with pytest.raises(BudgetExceededError):
         all_orbit_representatives(J, {"v": 10}, GF(3), tight)
+
+
+# The first 16 hex digits of the SHA-256 of
+# repr((similarity_class_reps, entries, frobenius_fixed())) for Jordan d over
+# F_q, as listed when the census built every class's matrix up front.
+CLASS_LISTING_DIGESTS = {
+    (1, 2): "3740c525f4abae59",
+    (1, 4): "d7e3acd7c9f394ca",
+    (1, 9): "5267bd606f04d8d2",
+    (2, 2): "e7d9600c3abd0acd",
+    (2, 3): "473a68867fba872d",
+    (2, 4): "adf8b5b97c0b5b49",
+    (3, 2): "2d21b2f62b6c498a",
+    (3, 3): "df27ee47c9127cca",
+    (4, 2): "8ca05cb50fced834",
+}
+
+
+def test_loop_counts_build_no_class_matrix(monkeypatch, tmp_path, capsys):
+    from quivermoduli.cli import main
+
+    real = census._class_matrix
+
+    def built(data, field):
+        raise AssertionError("a count-only path built a class matrix")
+
+    monkeypatch.setattr(census, "_class_matrix", built)
+    assert count_geom_stable_orbits(J, {"v": 1}, {"v": 0}, 4) == 4
+    assert count_geom_stable_orbits(J, {"v": 4}, {"v": 0}, 9) == 0
+    assert census_polynomiality(J, {"v": 2}, {"v": 0}, [2, 3, 4]).counts == [0, 0, 0]
+    for d, q in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3)):
+        report = verify_descent_census(J, {"v": d}, {"v": 0}, q, 2)
+        assert report.ok and report.fixed_orbit_count == report.base_count == 0
+    path = tmp_path / "loop.json"
+    path.write_text('{"vertices": ["v"], "arrows": [{"id": "loop", "from": "v", "to": "v"}]}')
+    code = main([
+        "--format", "json", "census", "--quiver", str(path), "--dims", '{"v":3}',
+        "--theta", '{"v":0}', "--q", "2,3", "--verify-descent", "2",
+    ])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["census"]["counts"] == [0, 0]
+    assert [r["ok"] for r in out["descent"]] == [True, True]
+
+    # a point is built when it is read, and the listing is the old one
+    monkeypatch.setattr(census, "_class_matrix", real)
+    for (d, q), want in CLASS_LISTING_DIGESTS.items():
+        field = GF(q)
+        cen = loop_class_census(J, {"v": d}, {"v": 0}, field, CFG)
+        listing = (similarity_class_reps(field, d), cen.entries, cen.frobenius_fixed())
+        assert hashlib.sha256(repr(listing).encode()).hexdigest()[:16] == want, (d, q)
+        assert [(data, cat) for data, _, cat in cen.entries] == cen.classes
 
 
 def test_polynomiality_fit():

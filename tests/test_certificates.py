@@ -8,7 +8,7 @@ import pytest
 from quivermoduli import Mat, Representation, a2_quiver, kronecker_quiver, stability
 from quivermoduli.config import JobConfig
 from quivermoduli.errors import BudgetExceededError, SchemaError
-from quivermoduli.rings import QQ, gaussian_rationals
+from quivermoduli.rings import QQ, QuadraticField, gaussian_rationals
 from quivermoduli.stability import (
     STABLE,
     STRICTLY_SEMISTABLE,
@@ -65,6 +65,24 @@ def test_reduction_map_skips_unusable_primes():
     w = qq_rep([Fraction(1, 5), 1])
     assert reduce_mod_prime(w, 5) is None
     assert reduce_mod_prime(w, 7) is not None
+
+
+def test_reduction_over_a_real_quadratic_field():
+    # Q(sqrt 2) reduces at the odd p where 2 is a square, sqrt 2 going to
+    # its least root: 3 mod 7, 6 mod 17; 2 is not a square mod 3 or 5
+    q2 = QuadraticField(2)
+    w = Representation(
+        kronecker_quiver(2), q2, {"s": 1, "t": 1},
+        {"a1": Mat(q2, ((q2.one,),)), "a2": Mat(q2, (((Fraction(1), Fraction(2)),),))},
+    )
+    for p in (2, 3, 5, 11, 13):
+        assert reduce_mod_prime(w, p) is None
+    for p, r in ((7, 3), (17, 6)):
+        red = reduce_mod_prime(w, p)
+        assert red.mats["a2"].rows == (((1 + 2 * r) % p,),)
+    assert geom_stability_certificate(w, THETA, JobConfig(primes=(5, 7))).detail == {
+        "certificate": "reduction", "prime": 7
+    }
 
 
 def test_unknown_when_all_primes_unusable():

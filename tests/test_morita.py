@@ -8,6 +8,7 @@ from quivermoduli import (
     Mat,
     QuaternionAlgebra,
     Representation,
+    brauer_class,
     hamilton_quaternions,
     jordan_quiver,
     kronecker_quiver,
@@ -15,7 +16,7 @@ from quivermoduli import (
 from quivermoduli.config import JobConfig
 from quivermoduli.descent import solve_modifying_u
 from quivermoduli.homs import hom_space
-from quivermoduli import morita
+from quivermoduli import descent
 from quivermoduli.errors import InvariantError, SchemaError
 from quivermoduli.morita import (
     TwistedRep,
@@ -36,7 +37,7 @@ from quivermoduli.rings import QQ
 from quivermoduli.serialize import verdict_to_json
 from quivermoduli.stability import STABLE, UNSTABLE, STRICTLY_SEMISTABLE, geom_stability
 
-from helpers import gimat, quaternionic_kronecker_example
+from helpers import count_calls, gimat, quaternionic_kronecker_example
 
 CFG = JobConfig()
 THETA = {"s": 1, "t": -1}
@@ -221,7 +222,8 @@ def test_validate_twisted_reports_undecided_class(monkeypatch):
     def broken(lam, pair):
         raise InvariantError("broken")
 
-    monkeypatch.setattr(morita, "brauer_class", broken)
+    # the class is the datum's (DescentDatum.brauer calls descent.brauer_class)
+    monkeypatch.setattr(descent, "brauer_class", broken)
     with pytest.raises(InvariantError):
         validate_twisted(tw)
 
@@ -237,15 +239,17 @@ def test_validate_twisted_under_scalar_moves():
     assert moved.lam == Fraction(-5)
 
 
-def test_twisted_drep_round_trip():
+def test_twisted_drep_round_trip(monkeypatch):
     drep = drep_1ij()
     tw = drep_to_twisted(drep, PAIR)
     assert tw.index == 2
     assert twisted_dim(tw) == {"s": 1, "t": 1}
     ok, problems = validate_twisted(tw)
     assert ok, problems
+    calls = count_calls(monkeypatch, brauer_class)
     back = twisted_to_drep(tw, CFG)
     assert back.ring == H
+    assert len(calls) == 1  # the validation reads the class of the datum it descends
     # round trip up to D-isomorphism
     homs = hom_space(back, drep)
     assert homs, "no D-morphisms after round trip"
@@ -255,7 +259,7 @@ def test_twisted_drep_round_trip():
     assert iso is not None
 
 
-def test_trivial_class_twisted_to_base_field():
+def test_trivial_class_twisted_to_base_field(monkeypatch):
     pair = GaloisPair.gaussian()
     from quivermoduli.descent import DescentDatum, cocycle_scalar
     from quivermoduli.quiver import base_change
@@ -269,9 +273,11 @@ def test_trivial_class_twisted_to_base_field():
     tw = TwistedRep(pair, wl, ident, cocycle_scalar(ident, pair), 1)
     ok, problems = validate_twisted(tw)
     assert ok, problems
+    calls = count_calls(monkeypatch, brauer_class)
     back = twisted_to_drep(tw, CFG)
     assert back.ring == QQ
     assert back == w0
+    assert len(calls) == 1
 
 
 def test_drep_stability():
@@ -292,8 +298,8 @@ def test_drep_stability():
 
 @pytest.mark.parametrize("a, b", [(2, -1), (3, -1), (-1, 3)])
 def test_drep_stability_splits_over_the_algebras_own_pair(a, b):
-    # certificates reduce only Q and Q(i) mod p, so over Q(sqrt(2)) and
-    # Q(sqrt(3)) both sides are Unknown with the same primes tried
+    # the D-rep's verdict is its splitting's over Q(sqrt(a)), which the
+    # certificate reduces at the odd primes where a is a square
     alg = QuaternionAlgebra(a, b)
     rng = random.Random(a)
     q = kronecker_quiver(3)
@@ -307,6 +313,18 @@ def test_drep_stability_splits_over_the_algebras_own_pair(a, b):
     for drep in dreps:
         want = geom_stability(morita_split(drep, GaloisPair.quadratic(a)), THETA, CFG)
         assert verdict_to_json(drep_is_geom_stable(drep, THETA, CFG)) == verdict_to_json(want)
+
+
+def test_drep_over_a_real_quadratic_splitting_field_is_certified():
+    # (1, i, j) over (2, -1)_Q splits over Q(sqrt 2); 2 is a square mod 7
+    # and mod 17, so both primes are usable and the first certifies
+    alg = QuaternionAlgebra(2, -1)
+    drep = Representation(
+        kronecker_quiver(3), alg, {"s": 1, "t": 1},
+        {"a1": Mat(alg, ((alg.one,),)), "a2": Mat(alg, ((alg.i,),)), "a3": Mat(alg, ((alg.j,),))},
+    )
+    v = drep_is_geom_stable(drep, THETA, JobConfig(primes=(7, 17)))
+    assert v.kind == STABLE and v.detail == {"certificate": "reduction", "prime": 7}
 
 
 @pytest.mark.parametrize("a", [4, Fraction(1, 2)], ids=["4", "1/2"])

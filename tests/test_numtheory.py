@@ -16,6 +16,7 @@ from quivermoduli.numtheory import (
     mobius,
     relevant_places,
     sqrt_minus_one_mod,
+    sqrt_mod,
     two_squares,
     valuation,
 )
@@ -107,6 +108,23 @@ def test_sqrt_minus_one():
         assert r * r % p == p - 1
     with pytest.raises(ValueError):
         sqrt_minus_one_mod(7)
+
+
+def test_sqrt_mod_is_the_least_root():
+    # against a scan of every residue, squares and non-squares, p = 3 to 97
+    for p in (3, 5, 7, 11, 13, 17, 41, 73, 97):
+        for a in range(-p, 2 * p):
+            roots = [r for r in range(p) if (r * r - a) % p == 0]
+            if roots:
+                assert sqrt_mod(a, p) == roots[0], (a, p)
+            else:
+                with pytest.raises(ValueError):
+                    sqrt_mod(a, p)
+    # p - 1 = 2^16: the longest Tonelli-Shanks loop for its size
+    p = 2**16 + 1
+    for a in (2, 13, 38):
+        r = sqrt_mod(a, p)
+        assert r * r % p == a and 2 * r < p
 
 
 def test_valuation_and_squarefree():

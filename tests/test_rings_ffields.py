@@ -7,7 +7,7 @@ import pytest
 from sympy import primerange
 
 from quivermoduli import GF, ExtensionField, PrimeField, NotInvertibleError
-from quivermoduli.ffields import default_modulus, is_irreducible
+from quivermoduli.ffields import _poly_mul, default_modulus, is_irreducible
 from quivermoduli.rings import QQ, QuadraticField, gaussian_rationals
 
 from helpers import reference_field_tables
@@ -114,6 +114,23 @@ def test_extension_field_without_tables():
     y = f.add(x, f.one)
     assert f.mul(y, f.inv(y)) == f.one
     assert f.frobenius(f.frobenius(x, 2), 3) == x  # sigma^5 = id
+
+
+def test_poly_mul_against_schoolbook():
+    # the F_p, tabled and untabled paths against a product through the
+    # field's own add and mul, trailing zeros trimmed
+    rng = random.Random(7)
+    for field in (GF(2), GF(7), GF(4), GF(9), ExtensionField(5, 5)):
+        for _ in range(40):
+            a = [field.random(rng) for _ in range(rng.randint(0, 5))]
+            b = [field.random(rng) for _ in range(rng.randint(0, 5))]
+            want = [field.zero] * max(len(a) + len(b) - 1, 0)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    want[i + j] = field.add(want[i + j], field.mul(x, y))
+            while want and want[-1] == field.zero:
+                want.pop()
+            assert _poly_mul(a, b, field) == want, (field, a, b)
 
 
 def test_multiplicative_generator():

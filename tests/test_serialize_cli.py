@@ -379,11 +379,15 @@ def test_cli_form_out_writes_the_form(tmp_path, capsys, command, ring_type):
     assert form.dims == {v: d // (1 if command == "descend" else 2) for v, d in datum.rep.dims.items()}
 
 
-def test_cli_twisted_validate_to_drep(tmp_path, capsys):
+def test_cli_twisted_validate_to_drep(tmp_path, capsys, monkeypatch):
+    from quivermoduli import brauer_class
+
     rep, pair, theta = quaternionic_kronecker_example()
     datum = solve_modifying_u(rep, pair, theta, CFG)
     path = write_json(tmp_path, "tw.json", twisted_to_json(TwistedRep(pair, rep, datum.u, datum.lam, 2)))
+    calls = count_calls(monkeypatch, brauer_class)
     assert main(["--format", "json", "twisted-validate", path, "--to-drep"]) == 0
+    assert len(calls) == 1  # validation and the D-form read one datum's class
     out = json.loads(capsys.readouterr().out)
     assert out["valid"] is True
     drep = rep_from_json(out["drep"])
@@ -526,7 +530,7 @@ def test_cli_loop_census_over_budget_exits_before_listing(tmp_path, monkeypatch,
     def listed(field, size):
         raise AssertionError("classes listed over budget")
 
-    monkeypatch.setattr(census, "similarity_class_reps", listed)
+    monkeypatch.setattr(census, "similarity_class_data", listed)
     monkeypatch.setenv("QUIVERMODULI_CONFIG", write_json(tmp_path, "cfg.json", {"max_orbit_points": 1000}))
     path = write_json(tmp_path, "quiver.json", {"vertices": ["v"], "arrows": [
         {"id": "loop", "from": "v", "to": "v"},
