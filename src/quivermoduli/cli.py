@@ -2,12 +2,12 @@
 
 Subcommands: stability | hn | typemap | descend | divform | twisted-validate
 | census.  Exit codes: 0 success (including mathematically negative
-answers), 2 parse errors (bad input or a bad config), 3 budget errors, 4
-inconclusive randomized searches, 5 internal invariant violations, 6
-questions no implemented procedure decides.  A reader that closes stdout
-early gets what it read and exit 0, without a traceback.  Reports embed the
-config and seed; JSON output is byte-stable for a fixed (input, seed,
-version).
+answers), 2 parse errors (bad or undecodable input, an unwritable output
+path or a bad config), 3 budget errors, 4 inconclusive randomized searches,
+5 internal invariant violations, 6 questions no implemented procedure
+decides.  A reader that closes stdout early gets what it read and exit 0,
+without a traceback.  Reports embed the config and seed; JSON output is
+byte-stable for a fixed (input, seed, version).
 """
 
 import argparse
@@ -57,10 +57,18 @@ def _read_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (OSError, ValueError, RecursionError) as exc:  # undecodable, huge or deep
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_json(path, payload, config):
+    try:
+        with open(path, "w") as fh:
+            fh.write(dumps(payload, config))
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_json_arg(text, what):
@@ -68,6 +76,8 @@ def _parse_json_arg(text, what):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"bad {what}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"bad {what}: {exc}") from exc
 
 
 def _load_config(args):
@@ -96,7 +106,7 @@ def _load_dims(text, quiver):
     if not isinstance(data, dict) or set(data) != set(quiver.vertices):
         raise SchemaError(f"dims must give a dimension for each of {list(quiver.vertices)}")
     dims = {v: json_int(data[v], f"dims[{v}]") for v in quiver.vertices}
-    if min(dims.values()) < 0 or not any(dims.values()):
+    if not any(dims.values()) or min(dims.values()) < 0:
         raise SchemaError(f"dims must be nonnegative and not all zero, got {dims}")
     return dims
 
@@ -121,11 +131,11 @@ def _emit(payload, config):
             print(f"{key:24} {value}")
 
 
-def cmd_stability(args, config, want_hn=False):
+def cmd_stability(args, config):
     rep = _load_rep(args.rep)
     theta = load_theta(_parse_json_arg(args.theta, "theta"), rep.quiver)
-    want_hn = want_hn or getattr(args, "hn", False)
-    if want_hn and not rep.ring.is_finite:
+    with_hn = args.command == "hn" or args.hn
+    if with_hn and not rep.ring.is_finite:
         raise SchemaError("HN filtrations are computed over finite fields")
     payload = {"input": args.rep, "theta": theta}
     if rep.ring.is_finite:
@@ -141,7 +151,7 @@ def cmd_stability(args, config, want_hn=False):
         payload["verdict"] = verdict_to_json(verdict)
         # an Unknown certificate is printed as null, never as false
         payload["geometrically_stable"] = None if verdict.kind == UNKNOWN else verdict.is_stable
-    if want_hn:
+    if with_hn:
         payload["hn"] = hn_to_json(hn_filtration(rep, theta, config))
     _emit(payload, config)
     return EXIT_OK
@@ -174,8 +184,7 @@ def cmd_typemap(args, config):
         form = descended_form(datum, config)
         kind = "base-field" if cls.is_trivial else "division-algebra"
         out = {"form": rep_to_json(form), "kind": kind}
-        with open(args.descend, "w") as fh:
-            fh.write(dumps(out, config))
+        _write_json(args.descend, out, config)
         payload["form_written"] = args.descend
     _emit(payload, config)
     return EXIT_OK
@@ -203,8 +212,7 @@ def cmd_form(args, config):
     if not trivial:
         payload["lambda"] = str(cls.lam)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(dumps(payload, config))
+        _write_json(args.out, payload, config)
         _emit({"form_written": args.out}, config)
     else:
         _emit(payload, config)
@@ -213,11 +221,10 @@ def cmd_form(args, config):
 
 def cmd_twisted_validate(args, config):
     twisted = twisted_from_json(_read_json(args.twisted))
-    datum = twisted.datum()
-    ok, problems = validate_twisted(twisted, datum)
+    ok, problems = validate_twisted(twisted)
     payload = {"valid": ok, "problems": problems}
     if ok and args.to_drep:
-        payload["drep"] = rep_to_json(descended_form(datum, config))
+        payload["drep"] = rep_to_json(descended_form(twisted, config))
     _emit(payload, config)
     return EXIT_OK
 
@@ -308,7 +315,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     handlers = {
         "stability": cmd_stability,
-        "hn": lambda a, c: cmd_stability(a, c, want_hn=True),
+        "hn": cmd_stability,
         "typemap": cmd_typemap,
         "descend": cmd_form,
         "divform": cmd_form,

@@ -58,7 +58,7 @@ class DescentDatum:
     provenance: dict = field(default_factory=dict)
 
     def check(self):
-        if not modified_action_fixes(self.rep, self.u, self.pair):
+        if modified_action_failures(self.rep, self.u, self.pair):
             raise InvariantError("u does not intertwine sigma(W) with W")
         lam = cocycle_scalar(self.u, self.pair)
         if lam != self.lam:
@@ -86,11 +86,6 @@ def modified_action_failures(rep, u, pair):
         if u[a.dst] @ m.map(pair.sigma) != m @ u[a.src]:
             bad.append(a.name)
     return bad
-
-
-def modified_action_fixes(rep, u, pair):
-    """Whether Phi^u_sigma(W) = u . sigma(W) equals W entrywise."""
-    return not modified_action_failures(rep, u, pair)
 
 
 def cocycle_scalar(u, pair):

@@ -22,11 +22,11 @@ descended_form is the one path from a Galois-fixed orbit's descent datum to
 its form: it reads the class the datum carries (DescentDatum.brauer),
 descends a trivial class to a k-form by Hilbert 90 (hilbert90_descend) and
 turns a nontrivial one into a D-representation (division_form).
+A twisted representation (TwistedRep) is a descent datum with a declared index.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict
 
 from .descent import (
     DescentDatum,
@@ -187,8 +187,8 @@ def descended_form(datum, config):
 
 
 @dataclass(frozen=True)
-class TwistedRep:
-    """A representation over L with a transition matrix and scalar cocycle.
+class TwistedRep(DescentDatum):
+    """A descent datum read as a twisted representation, with its declared index.
 
     The cyclic form of the twisted cocycle condition: the transition u
     intertwines sigma(W) with W and its n-fold twisted product is
@@ -196,15 +196,7 @@ class TwistedRep:
     dimension of W over L; the twisted dimension vector is dim_L(W)/e.
     """
 
-    pair: object
-    rep: Representation
-    u: Dict[str, Mat]
-    lam: object
-    index: int
-    provenance: dict = field(default_factory=dict)
-
-    def datum(self):
-        return DescentDatum(self.rep, self.u, self.lam, self.pair, dict(self.provenance))
+    index: int = field(kw_only=True)
 
 
 def twisted_dim(twisted):
@@ -215,14 +207,11 @@ def twisted_dim(twisted):
     return {v: d // e for v, d in twisted.rep.dims.items()}
 
 
-def validate_twisted(twisted, datum=None):
+def validate_twisted(twisted):
     """Check all twisted-representation invariants; returns (ok, diagnostics).
 
-    The index is checked against the Brauer class of the datum, which is
-    twisted.datum() unless given, so a caller that goes on to descend the
-    datum computes the class once."""
-    if datum is None:
-        datum = twisted.datum()
+    The index is checked against the Brauer class the twisted rep carries,
+    so a caller that goes on to descend it computes the class once."""
     rep, u, pair = twisted.rep, twisted.u, twisted.pair
     problems = [
         f"transition fails on arrow {name}"
@@ -238,7 +227,7 @@ def validate_twisted(twisted, datum=None):
         if d % twisted.index:
             problems.append(f"index {twisted.index} does not divide dim {d} at {v}")
     try:
-        cls = datum.brauer
+        cls = twisted.brauer
         if cls.index != twisted.index:
             problems.append(
                 f"declared index {twisted.index} but the class has index {cls.index}"
@@ -254,10 +243,9 @@ def drep_to_twisted(drep, pair):
     if not isinstance(alg, QuaternionAlgebra):
         raise SchemaError("expected a quaternion coefficient ring")
     rep = morita_split(drep, pair)
-    lam = alg.b
-    u = standard_u(pair, lam, dict(drep.dims))
+    u = standard_u(pair, alg.b, dict(drep.dims))
     index = 2 if alg.is_division() else 1
-    return TwistedRep(pair, rep, u, Fraction(lam), index, {"source": "drep"})
+    return TwistedRep(rep, u, alg.b, pair, {"source": "drep"}, index=index)
 
 
 def twisted_to_drep(twisted, config):
@@ -266,11 +254,10 @@ def twisted_to_drep(twisted, config):
     Trivial classes degenerate to representations over the base field
     itself (D = k); nontrivial quadratic classes go through division_form.
     """
-    datum = twisted.datum()
-    ok, problems = validate_twisted(twisted, datum)
+    ok, problems = validate_twisted(twisted)
     if not ok:
         raise SchemaError(f"invalid twisted representation: {problems}")
-    return descended_form(datum, config)
+    return descended_form(twisted, config)
 
 
 def drep_is_geom_stable(drep, theta, config):

@@ -91,6 +91,8 @@ def quiver_to_json(quiver):
 
 def quiver_from_json(data):
     try:
+        if not all(isinstance(data[k], list) for k in ("vertices", "arrows")):
+            raise SchemaError("bad quiver data: vertices and arrows must be arrays")
         vertices = tuple(str(v) for v in data["vertices"])
         arrows = tuple(
             Arrow(str(a["id"]), str(a["from"]), str(a["to"])) for a in data["arrows"]
@@ -189,7 +191,7 @@ def datum_from_json(data):
 
 
 def twisted_to_json(twisted):
-    return {**datum_to_json(twisted.datum()), "index": twisted.index}
+    return {**datum_to_json(twisted), "index": twisted.index}
 
 
 def twisted_from_json(data):
@@ -201,7 +203,7 @@ def twisted_from_json(data):
     index = json_int(data["index"], "index")
     if index < 1:
         raise SchemaError(f"bad twisted representation: index must be at least 1, got {index}")
-    return TwistedRep(datum.pair, datum.rep, datum.u, datum.lam, index)
+    return TwistedRep(datum.rep, datum.u, datum.lam, datum.pair, index=index)
 
 
 def witness_to_json(witness):

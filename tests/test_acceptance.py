@@ -352,7 +352,7 @@ def test_criterion_8_index_divisibility():
                 theta=THETA,
                 brauer=brauer_class(tw.lam, pair),
                 index=tw.index,
-                datum=tw.datum(),
+                datum=tw,
             )
         )
         built += 1

@@ -22,7 +22,6 @@ from quivermoduli.descent import (
     cocycle_scalar,
     hilbert90_split,
     modified_action_failures,
-    modified_action_fixes,
     solve_descent_change_of_basis,
 )
 from quivermoduli.errors import InvariantError, NotGeometricallyStableError
@@ -75,7 +74,7 @@ def test_solve_modifying_u_quaternionic():
     J = gimat([[0, -1], [1, 0]])
     # u is the rotation matrix at both vertices, up to a scalar
     assert datum.u["s"].is_invertible() and datum.u["t"].is_invertible()
-    assert modified_action_fixes(rep, datum.u, pair)
+    assert not modified_action_failures(rep, datum.u, pair)
     assert datum.lam == Fraction(-1)
     datum.check()
 
@@ -204,15 +203,15 @@ def test_verify_modified_action_examples():
 
     rep, pair, theta = quaternionic_kronecker_example()
     datum = solve_modifying_u(rep, pair, theta, CFG)
-    assert modified_action_fixes(rep, datum.u, pair)
+    assert not modified_action_failures(rep, datum.u, pair)
     ident = {v: Mat.identity(pair.ext, 2) for v in ("s", "t")}
-    assert not modified_action_fixes(rep, ident, pair)
+    assert modified_action_failures(rep, ident, pair)
     # only the diag(i, -i) arrow moves under plain conjugation
     assert modified_action_failures(rep, ident, pair) == ["a2"]
     rational = base_change(
         Representation.zero_maps(kronecker_quiver(3), QQ, {"s": 2, "t": 2}), pair
     )
-    assert modified_action_fixes(rational, ident, pair)
+    assert not modified_action_failures(rational, ident, pair)
 
 
 def test_hilbert90_finite_example():

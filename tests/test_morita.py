@@ -20,6 +20,7 @@ from quivermoduli import descent
 from quivermoduli.errors import InvariantError, SchemaError
 from quivermoduli.morita import (
     TwistedRep,
+    descended_form,
     division_form,
     drep_is_geom_stable,
     drep_to_twisted,
@@ -193,19 +194,39 @@ def test_division_form_rejects_odd_dims():
 def test_twisted_rep_validate_and_dim():
     rep, pair, theta = quaternionic_kronecker_example()
     datum = solve_modifying_u(rep, pair, theta, CFG)
-    tw = TwistedRep(pair, rep, datum.u, datum.lam, 2)
+    tw = TwistedRep(rep, datum.u, datum.lam, pair, index=2)
     ok, problems = validate_twisted(tw)
     assert ok, problems
     assert twisted_dim(tw) == {"s": 1, "t": 1}
 
-    bad = TwistedRep(pair, rep, datum.u, Fraction(1), 2)
+    bad = TwistedRep(rep, datum.u, Fraction(1), pair, index=2)
     ok, problems = validate_twisted(bad)
     assert not ok
 
     ident = {v: Mat.identity(pair.ext, 2) for v in ("s", "t")}
-    wrong_scalar = TwistedRep(pair, rep, ident, Fraction(-1), 2)
+    wrong_scalar = TwistedRep(rep, ident, Fraction(-1), pair, index=2)
     ok, problems = validate_twisted(wrong_scalar)
     assert not ok
+
+
+def test_twisted_rep_is_its_own_descent_datum():
+    rep, pair, theta = quaternionic_kronecker_example()
+    datum = solve_modifying_u(rep, pair, theta, CFG)
+    tw = TwistedRep(rep, datum.u, datum.lam, pair, index=2)
+    assert isinstance(tw, descent.DescentDatum)
+    plain = descent.DescentDatum(rep, datum.u, datum.lam, pair)
+    assert descended_form(tw, CFG) == descended_form(plain, CFG) == drep_1ij()
+    with pytest.raises(TypeError):
+        TwistedRep(rep, datum.u, datum.lam, pair)  # the index is declared, never implied
+
+
+def test_validate_twisted_computes_one_class_per_twisted_rep(monkeypatch):
+    calls = count_calls(monkeypatch, brauer_class)
+    tw = drep_to_twisted(drep_1ij(), PAIR)
+    for _ in range(2):
+        ok, problems = validate_twisted(tw)
+        assert ok, problems
+        assert len(calls) == 1  # the second validation reads the kept class
 
 
 def test_validate_twisted_reports_undecided_class(monkeypatch):
@@ -213,7 +234,7 @@ def test_validate_twisted_reports_undecided_class(monkeypatch):
     pair = GaloisPair.quadratic(2)
     L = pair.ext
     rep = Representation(jordan_quiver(), L, {"v": 1}, {"loop": Mat(L, ((L.one,),))})
-    tw = TwistedRep(pair, rep, {"v": Mat.identity(L, 1)}, Fraction(1), 1)
+    tw = TwistedRep(rep, {"v": Mat.identity(L, 1)}, Fraction(1), pair, index=1)
     ok, problems = validate_twisted(tw)
     assert not ok
     assert len(problems) == 1 and problems[0].startswith("class index undecided")
@@ -233,7 +254,7 @@ def test_validate_twisted_under_scalar_moves():
     datum = solve_modifying_u(rep, pair, theta, CFG)
     a = (Fraction(1), Fraction(2))  # 1 + 2i, norm 5
     moved = datum.rescale(a)
-    tw = TwistedRep(pair, rep, moved.u, moved.lam, 2)
+    tw = TwistedRep(rep, moved.u, moved.lam, pair, index=2)
     ok, problems = validate_twisted(tw)
     assert ok, problems
     assert moved.lam == Fraction(-5)
@@ -244,9 +265,9 @@ def test_twisted_drep_round_trip(monkeypatch):
     tw = drep_to_twisted(drep, PAIR)
     assert tw.index == 2
     assert twisted_dim(tw) == {"s": 1, "t": 1}
+    calls = count_calls(monkeypatch, brauer_class)
     ok, problems = validate_twisted(tw)
     assert ok, problems
-    calls = count_calls(monkeypatch, brauer_class)
     back = twisted_to_drep(tw, CFG)
     assert back.ring == H
     assert len(calls) == 1  # the validation reads the class of the datum it descends
@@ -270,10 +291,10 @@ def test_trivial_class_twisted_to_base_field(monkeypatch):
     )
     wl = base_change(w0, pair)
     ident = {v: Mat.identity(pair.ext, 1) for v in ("s", "t")}
-    tw = TwistedRep(pair, wl, ident, cocycle_scalar(ident, pair), 1)
+    tw = TwistedRep(wl, ident, cocycle_scalar(ident, pair), pair, index=1)
+    calls = count_calls(monkeypatch, brauer_class)
     ok, problems = validate_twisted(tw)
     assert ok, problems
-    calls = count_calls(monkeypatch, brauer_class)
     back = twisted_to_drep(tw, CFG)
     assert back.ring == QQ
     assert back == w0

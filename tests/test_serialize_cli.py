@@ -94,7 +94,7 @@ def test_datum_and_twisted_round_trips():
     assert back.lam == datum.lam
     back.check()
 
-    tw = TwistedRep(pair, rep, datum.u, datum.lam, 2)
+    tw = TwistedRep(rep, datum.u, datum.lam, pair, index=2)
     tw2 = twisted_from_json(twisted_to_json(tw))
     assert tw2.rep == tw.rep and tw2.index == 2
 
@@ -330,7 +330,7 @@ def test_cli_typemap_descend_and_divform_read_one_brauer_class(tmp_path, capsys,
 def test_cli_twisted_validate(tmp_path, capsys):
     rep, pair, theta = quaternionic_kronecker_example()
     datum = solve_modifying_u(rep, pair, theta, CFG)
-    tw = TwistedRep(pair, rep, datum.u, datum.lam, 2)
+    tw = TwistedRep(rep, datum.u, datum.lam, pair, index=2)
     path = write_json(tmp_path, "tw.json", twisted_to_json(tw))
     code = main(["--format", "json", "twisted-validate", path])
     assert code == 0
@@ -384,7 +384,7 @@ def test_cli_twisted_validate_to_drep(tmp_path, capsys, monkeypatch):
 
     rep, pair, theta = quaternionic_kronecker_example()
     datum = solve_modifying_u(rep, pair, theta, CFG)
-    path = write_json(tmp_path, "tw.json", twisted_to_json(TwistedRep(pair, rep, datum.u, datum.lam, 2)))
+    path = write_json(tmp_path, "tw.json", twisted_to_json(TwistedRep(rep, datum.u, datum.lam, pair, index=2)))
     calls = count_calls(monkeypatch, brauer_class)
     assert main(["--format", "json", "twisted-validate", path, "--to-drep"]) == 0
     assert len(calls) == 1  # validation and the D-form read one datum's class
@@ -434,6 +434,57 @@ def test_cli_missing_rep_file_is_parse_error(tmp_path, capsys):
     assert main(["stability", path, "--theta", '{"s":1,"t":-1}']) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and "cannot read" in err and "Traceback" not in err
+
+
+_HUGE_INT = "9" * 5000  # past the interpreter's limit on int() of a digit string
+
+
+@pytest.mark.parametrize("case", ["utf16-bom", "huge-dim", "huge-theta", "deep-nesting"])
+def test_cli_undecodable_json_is_parse_error(tmp_path, capsys, case):
+    text = json.dumps({**rep_to_json(kronecker_rep(GF(3), [1, 1])), "dims": "@"})
+    raw = {
+        "utf16-bom": b"\xff\xfe" + text.encode("utf-16-le"),
+        "huge-dim": text.replace('"@"', '{"s": %s, "t": 1}' % _HUGE_INT).encode(),
+        "huge-theta": text.replace('"@"', '{"s": 1, "t": 1}').encode(),
+        "deep-nesting": b"[" * 200_000,
+    }[case]
+    path = tmp_path / "rep.json"
+    path.write_bytes(raw)
+    theta = '{"s":%s,"t":-1}' % (_HUGE_INT if case == "huge-theta" else "1")
+    assert main(["stability", str(path), "--theta", theta]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "Traceback" not in err
+    assert ("bad theta" in err) == (case == "huge-theta")
+
+
+def test_cli_unwritable_output_is_parse_error(tmp_path, capsys):
+    rep, pair, theta = quaternionic_kronecker_example()
+    rep_path = write_json(tmp_path, "rep.json", rep_to_json(rep))
+    missing = str(tmp_path / "no-such-dir" / "form.json")
+    code = main(["typemap", rep_path, "--pair", json.dumps(pair_to_json(pair)),
+                 "--theta", json.dumps(theta), "--descend", missing])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"parse error: cannot write {missing}:")
+    datum_path = write_json(tmp_path, "datum.json", datum_to_json(solve_modifying_u(rep, pair, theta, CFG)))
+    assert main(["divform", datum_path, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"parse error: cannot write {tmp_path}:")
+
+
+@pytest.mark.parametrize("quiver, dims, message", [
+    ({"vertices": [], "arrows": []}, "{}", "not all zero"),
+    ({"vertices": "st", "arrows": []}, '{"s":1,"t":1}', "must be arrays"),
+    ({"vertices": {"s": 1, "t": 1}, "arrows": []}, '{"s":1,"t":1}', "must be arrays"),
+    ({"vertices": ["s", "t"], "arrows": ""}, '{"s":1,"t":1}', "must be arrays"),
+    ({"vertices": ["s", "t"], "arrows": {}}, '{"s":1,"t":1}', "must be arrays"),
+    (["s", "t"], '{"s":1,"t":1}', "bad quiver data"),
+])
+def test_cli_census_refuses_empty_or_non_array_quivers(tmp_path, capsys, quiver, dims, message):
+    path = write_json(tmp_path, "quiver.json", quiver)
+    code = main(["census", "--quiver", path, "--dims", dims, "--theta", "{}", "--q", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and message in err
 
 
 def test_cli_census(tmp_path, capsys):
@@ -651,6 +702,42 @@ def test_cli_census_matches_golden_file(capsys):
     assert got == want
 
 
+def _hamilton_cli_outputs(tmp_path, capsys, monkeypatch):
+    """The JSON stdout of typemap --descend, divform and twisted-validate
+    --to-drep at index 2 and 1 on the Hamilton datum, and the form file
+    typemap writes.  Files are named relative to tmp_path, the working
+    directory, so the outputs carry no machine-specific path."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QUIVERMODULI_CONFIG", raising=False)
+    rep, _, _ = quaternionic_kronecker_example()
+    gaussian = {"type": "quadratic", "m": -1}
+    write_json(tmp_path, "rep.json", rep_to_json(rep))
+    out = {}
+
+    def run(name, *argv):
+        assert main(["--format", "json", "--seed", "0", *argv]) == 0, name
+        out[name] = capsys.readouterr().out
+
+    run("typemap", "typemap", "rep.json", "--pair", json.dumps(gaussian),
+        "--theta", '{"s":1,"t":-1}', "--descend", "form.json")
+    out["typemap_form_file"] = (tmp_path / "form.json").read_text()
+    typemap = json.loads(out["typemap"])
+    datum = {"rep": rep_to_json(rep), "u": typemap["u"], "lambda": typemap["lambda"],
+             "pair": gaussian}
+    write_json(tmp_path, "datum.json", datum)
+    run("divform", "divform", "datum.json")
+    for index in (2, 1):
+        write_json(tmp_path, f"tw{index}.json", {**datum, "index": index})
+        run(f"twisted_validate_index{index}", "twisted-validate", f"tw{index}.json", "--to-drep")
+    return out
+
+
+def test_cli_hamilton_matches_golden_file(tmp_path, capsys, monkeypatch):
+    got = json.dumps(_hamilton_cli_outputs(tmp_path, capsys, monkeypatch), indent=2, sort_keys=True)
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+    assert got + "\n" == (fixtures / "hamilton_cli.golden.json").read_text()
+
+
 def test_cli_config_env(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"seed": 99, "output_format": "json"}))
@@ -730,7 +817,7 @@ def test_cli_hn_over_infinite_ring_refused_before_any_verdict(tmp_path, capsys, 
 def test_cli_twisted_validate_rejects_index_zero(tmp_path, capsys):
     rep, pair, theta = quaternionic_kronecker_example()
     datum = solve_modifying_u(rep, pair, theta, CFG)
-    data = twisted_to_json(TwistedRep(pair, rep, datum.u, datum.lam, 2))
+    data = twisted_to_json(TwistedRep(rep, datum.u, datum.lam, pair, index=2))
     data["index"] = 0
     with pytest.raises(SchemaError):
         twisted_from_json(data)
@@ -1007,7 +1094,7 @@ def _fuzz_inputs():
     datum = solve_modifying_u(rep, pair, theta, CFG)
     kr = rep_to_json(kronecker_rep(GF(3), [1, 2]))
     drep = rep_to_json(_hamilton_drep())
-    twisted = twisted_to_json(TwistedRep(pair, rep, datum.u, datum.lam, 2))
+    twisted = twisted_to_json(TwistedRep(rep, datum.u, datum.lam, pair, index=2))
     st_theta = ("--theta", None, {"s": 1, "t": -1})
     return {
         "stability": (["stability"], [(None, "rep.json", kr), st_theta]),
@@ -1070,6 +1157,57 @@ def test_cli_exit_codes_under_mutated_inputs(tmp_path, monkeypatch, data):
         argv.append(text if flag is None else f"{flag}={text}")
     if words == ["census"] and data.draw(st.booleans()):
         argv += ["--verify-descent", "2"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5, 6), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+def _fuzz_file_bytes(data, value):
+    """Bytes for a file slot: random bytes, the valid file's JSON with a few
+    bytes overwritten, a mutated JSON value, or input the JSON reader
+    refuses whole (a UTF-16 file, a 5,000-digit integer, deep nesting)."""
+    raw = json.dumps(value).encode()
+    kind = data.draw(st.integers(0, 3))
+    if kind == 0:
+        return data.draw(st.binary(max_size=48))
+    if kind == 1:
+        i = data.draw(st.integers(0, len(raw)))
+        j = data.draw(st.integers(i, min(len(raw), i + 6)))
+        return raw[:i] + data.draw(st.binary(max_size=6)) + raw[j:]
+    if kind == 2:
+        return _fuzz_json(data, value).encode()
+    return data.draw(st.sampled_from([
+        b"\xff\xfe" + raw.decode().encode("utf-16-le"),
+        raw.replace(b" 1", b" " + _HUGE_INT.encode(), 1),
+        b"[" * 200_000,
+        b'{"vertices": ' * 100_000,
+    ]))
+
+
+@settings(
+    max_examples=100, derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_cli_exit_codes_under_raw_file_bytes(tmp_path, monkeypatch, data):
+    # the file slot of every file-reading subcommand gets bytes that need
+    # not decode or parse; main returns a contract exit code and raises
+    # nothing
+    budgets = {"max_orbit_points": 500, "max_subspace_checks": 500}
+    monkeypatch.setenv("QUIVERMODULI_CONFIG", write_json(tmp_path, "cfg.json", budgets))
+    case = data.draw(st.sampled_from([
+        "stability", "hn", "typemap", "descend", "divform", "twisted-validate", "census",
+    ]))
+    words, inputs = _fuzz_inputs()[case]
+    argv = ["--format", data.draw(st.sampled_from(["json", "table"])), *words]
+    for flag, name, value in inputs:
+        text = value if isinstance(value, str) else json.dumps(value)
+        if name is not None:
+            (tmp_path / name).write_bytes(_fuzz_file_bytes(data, value))
+            text = str(tmp_path / name)
+        argv.append(text if flag is None else f"{flag}={text}")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
