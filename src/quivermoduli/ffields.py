@@ -236,6 +236,7 @@ class PrimeField(_FiniteField):
         self.char = p
         self.zero = 0
         self.one = 1 % p
+        self.subspaces = {}  # dim -> the subspaces of F_p^dim, kept by stability
 
     def add(self, x, y):
         return (x + y) % self.p
@@ -303,6 +304,7 @@ class ExtensionField(_FiniteField):
         self.zero = 0
         self.one = 1
         self.gen = p  # the class of x
+        self.subspaces = {}  # dim -> the subspaces of F_q^dim, kept by stability
         self._tables = None
         if self.size <= _TABLE_LIMIT:
             self._build_tables()

@@ -89,13 +89,21 @@ def quiver_to_json(quiver):
     }
 
 
+def _name(value, what):
+    """A vertex or arrow name: a JSON string, never another value's str()."""
+    if not isinstance(value, str):
+        raise SchemaError(f"bad quiver data: {what} must be a string, got {value!r}")
+    return value
+
+
 def quiver_from_json(data):
     try:
         if not all(isinstance(data[k], list) for k in ("vertices", "arrows")):
             raise SchemaError("bad quiver data: vertices and arrows must be arrays")
-        vertices = tuple(str(v) for v in data["vertices"])
+        vertices = tuple(_name(v, "a vertex name") for v in data["vertices"])
         arrows = tuple(
-            Arrow(str(a["id"]), str(a["from"]), str(a["to"])) for a in data["arrows"]
+            Arrow(*(_name(a[k], f"arrow {k!r}") for k in ("id", "from", "to")))
+            for a in data["arrows"]
         )
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad quiver data: {exc}") from exc

@@ -21,9 +21,11 @@ the work and memory grow with the closure checks made, never with q^dim.
 A line at the last vertex is looked up from the code of a nonzero image
 M u, the one line that can hold it, rather than scanned for.  The search
 stops at the first closed subspace tuple, from which _verdicts, the one
-verdict driver, reads every verdict here and in the censuses.  Engine state
-lives in an object built per call (or once per census), and witnesses
-become Mat column bases only on the way out.
+verdict driver, reads every verdict here and in the censuses.  The
+subspaces of F_q^d and their memos live on the field object, shared by
+every engine over it; an engine, built per call (or once per census), keeps
+one point's image codes, and witnesses become Mat column bases on the way
+out.
 
 Over F_q a rep is geometrically stable iff it is stable and End W = k
 (King, Quart. J. Math. 45 (1994)), which geom_stability decides exactly.
@@ -214,7 +216,8 @@ class _Lines(dict):
 class _Subspaces(dict):
     """The subspaces of F_q^dim: RREF bases listed one rank at a time on
     first use, a dict from subspace index to its _Span, and the index of
-    the line through each vector looked up.
+    the line through each vector looked up.  One per (field object, dim),
+    kept in field.subspaces.
 
     Index offsets[r] + i is the i-th subspace of rank r (pivot columns in
     combinations order, free entries in product order), so the offsets are
@@ -312,15 +315,18 @@ class _Engine:
 
     A candidate subrepresentation is a combo: one subspace index per vertex,
     in quiver.vertices order.  It is closed when M U_t lies inside U_h for
-    every arrow.  Vertices of equal dimension share one subspace list.  An
-    engine is built per call, or once per census, and nothing outlives it.
+    every arrow.  Each vertex's subspaces come from the field's store, so
+    engines over one field share their listings and memberships; an engine
+    is built per call, or once per census, and its image codes die with it.
     """
 
     def __init__(self, quiver, dims, field):
         self.field = field
         self.verts = list(quiver.vertices)
-        by_dim = {d: _Subspaces(field, d) for d in set(dims.values())}
-        self.spaces = [by_dim[dims[v]] for v in self.verts]
+        store = field.subspaces
+        for d in set(dims.values()) - store.keys():
+            store[d] = _Subspaces(field, d)
+        self.spaces = [store[dims[v]] for v in self.verts]
         pos = {v: i for i, v in enumerate(self.verts)}
         # per arrow: tail subspaces, head subspaces, tail and head positions
         self.arrows = [

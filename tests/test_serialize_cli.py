@@ -478,6 +478,15 @@ def test_cli_unwritable_output_is_parse_error(tmp_path, capsys):
     ({"vertices": ["s", "t"], "arrows": ""}, '{"s":1,"t":1}', "must be arrays"),
     ({"vertices": ["s", "t"], "arrows": {}}, '{"s":1,"t":1}', "must be arrays"),
     (["s", "t"], '{"s":1,"t":1}', "bad quiver data"),
+    ({"vertices": [None, 1.5], "arrows": []}, '{"None":1,"1.5":1}', "vertex name must be a string"),
+    ({"vertices": ["s", 7], "arrows": []}, '{"s":1,"7":1}', "vertex name must be a string"),
+    ({"vertices": ["s", "t"], "arrows": [{"id": 7, "from": "s", "to": "t"}]},
+     '{"s":1,"t":1}', "arrow 'id' must be a string"),
+    ({"vertices": ["None", "1.5"], "arrows": [{"id": "a", "from": None, "to": 1.5}]},
+     '{"None":1,"1.5":1}', "arrow 'from' must be a string"),
+    ({"vertices": ["s", "t"], "arrows": [{"id": "a", "from": "s", "to": True}]},
+     '{"s":1,"t":1}', "arrow 'to' must be a string"),
+    ({"vertices": ["s", "t"], "arrows": [["a", "s", "t"]]}, '{"s":1,"t":1}', "bad quiver data"),
 ])
 def test_cli_census_refuses_empty_or_non_array_quivers(tmp_path, capsys, quiver, dims, message):
     path = write_json(tmp_path, "quiver.json", quiver)

@@ -1,6 +1,9 @@
+import gc
 import hashlib
+import json
 import random
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -21,11 +24,13 @@ from quivermoduli import (
     scss,
     stability_verdict,
 )
+from quivermoduli.cli import main
 from quivermoduli.config import JobConfig
 from quivermoduli import homs, stability
 from quivermoduli.errors import BudgetExceededError, InvariantError, SchemaError
 from quivermoduli.quiver import base_change, slope
 from quivermoduli.rings import QQ
+from quivermoduli.serialize import rep_to_json
 from quivermoduli.stability import (
     STABLE,
     STRICTLY_SEMISTABLE,
@@ -189,10 +194,17 @@ def test_large_field_closure_stays_small():
     try:
         verdict = stability_verdict(loop, {"v": 0}, budget)
         _, peak = tracemalloc.get_traced_memory()
+        # the subspaces and their memos live on the field and go with it
+        alive = weakref.ref(f101)
+        del loop, f101
+        gc.collect()
+        left, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert verdict.kind == STABLE
     assert peak < 64 * 2**20
+    assert alive() is None
+    assert left < 2**16, left
 
 
 def test_line_lookup_work_guard(monkeypatch):
@@ -635,3 +647,106 @@ def test_verdict_witnesses_pinned_on_seeded_grid():
     assert digest.hexdigest() == (
         "529ae884aaa8cd8b0cb7b00cf26c3f0b4032fd4937f910ca39270e132978656d"
     )
+
+
+def _store_grid(field_of):
+    """Seeded K2, K3, A2 and Jordan reps over F_3, F_4 and F_5, each over
+    field_of(q), and their theta: the same reps whatever the field objects."""
+    rng = random.Random(2024)
+    quivers = [kronecker_quiver(2), kronecker_quiver(3), a2_quiver()]
+    out = []
+    for q in (3, 4, 5):
+        for quiv in quivers:
+            for _ in range(4):
+                dims = {"s": rng.randint(1, 3), "t": rng.randint(1, 2)}
+                out.append((_sparse_rep(quiv, field_of(q), dims, rng), THETA))
+        for d in (2, 3):
+            out.append((_sparse_rep(jordan_quiver(), field_of(q), {"v": d}, rng), {"v": 0}))
+    return out
+
+
+def _store_record(rep, theta):
+    """Verdict, HN filtration, its re-verification and scss as plain data."""
+
+    def rows(w):
+        return None if w is None else sorted((v, b.rows) for v, b in w.bases.items())
+
+    verdict = stability_verdict(rep, theta, CFG)
+    hn = hn_filtration(rep, theta, CFG)
+    return (
+        verdict.kind, sorted(verdict.detail.items()), rows(verdict.witness),
+        [rows(w) for w in hn.steps], [str(s) for s in hn.slopes],
+        verify_hn(rep, theta, hn, CFG), rows(scss(rep, theta, CFG)),
+    )
+
+
+def test_answers_do_not_depend_on_the_subspace_store():
+    # each rep on a fresh field, against every rep on one field per q that
+    # other reps have already filled, taken in a shuffled order
+    fresh = [_store_record(rep, theta) for rep, theta in _store_grid(GF)]
+    fields = {q: GF(q) for q in (3, 4, 5)}
+    rng = random.Random(9)
+    for f in fields.values():
+        for dims in ({"s": 3, "t": 3}, {"s": 2, "t": 3}):
+            enumerate_subreps(_sparse_rep(kronecker_quiver(2), f, dims, rng), CFG)
+        stability_verdict(_sparse_rep(jordan_quiver(), f, {"v": 3}, rng), {"v": 0}, CFG)
+    assert all(f.subspaces for f in fields.values())
+    grid = _store_grid(fields.get)
+    order = list(range(len(grid)))
+    rng.shuffle(order)
+    shared = {i: _store_record(*grid[i]) for i in order}
+    assert [shared[i] for i in range(len(grid))] == fresh
+    kinds = Counter(r[0] for r in fresh)
+    assert kinds == {STABLE: 16, STRICTLY_SEMISTABLE: 7, UNSTABLE: 19}, kinds
+    assert hashlib.sha256(repr(fresh).encode()).hexdigest() == (
+        "b96b8a660d81fe69079ed57149d67bce87064e57c768be5c669c24d0f554d157"
+    )
+
+
+def _count_listings(monkeypatch):
+    """Patch _Subspaces._list_rank to record (field, dim, rank) per listing."""
+    listed = Counter()
+    list_rank = _Subspaces._list_rank
+
+    def counted(space, r):
+        listed[id(space.field), space.dim, r] += 1
+        return list_rank(space, r)
+
+    monkeypatch.setattr(_Subspaces, "_list_rank", counted)
+    return listed
+
+
+def _three_layer_rep(field):
+    """K2 (2,2) as S_s + (a stable (1,1)) + S_t: HN slopes 1, 0, -1."""
+    return kronecker_rep(
+        field, [fmat(field, [[0, 0], [0, 1]]), fmat(field, [[0, 0], [0, 2]])], {"s": 2, "t": 2}
+    )
+
+
+def test_one_listing_per_field_and_dimension(monkeypatch):
+    listed = _count_listings(monkeypatch)
+    f3 = GF(3)
+    w = _three_layer_rep(f3)
+    assert stability_verdict(w, THETA, CFG).kind == UNSTABLE
+    hn = hn_filtration(w, THETA, CFG)
+    assert hn.length() == 3 and verify_hn(w, THETA, hn, CFG)
+    assert listed and max(listed.values()) == 1, listed
+    first = sorted(k[1:] for k in listed)
+    # an equal field object keeps its own store and lists its ranks again
+    other = GF(3)
+    assert other == f3 and other.subspaces == {}
+    w2 = _three_layer_rep(other)
+    stability_verdict(w2, THETA, CFG)
+    verify_hn(w2, THETA, hn_filtration(w2, THETA, CFG), CFG)
+    again = sorted(k[1:] for k in listed if k[0] == id(other))
+    assert again == first and max(listed.values()) == 1, listed
+
+
+def test_cli_stability_hn_lists_each_rank_once(monkeypatch, tmp_path, capsys):
+    listed = _count_listings(monkeypatch)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep_to_json(_three_layer_rep(GF(3)))))
+    assert main(["--format", "json", "stability", str(path), "--theta", json.dumps(THETA),
+                 "--hn"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["hn"]["steps"]) == 3
+    assert listed and max(listed.values()) == 1, listed
