@@ -114,7 +114,7 @@ def _load_dims(text, quiver):
 def _load_rep(path):
     rep = rep_from_json(_read_json(path))
     if rep.is_zero_dimensional():
-        raise SchemaError(f"{path}: dims must not be all zero, got {rep.dims}")
+        raise SchemaError(f"{path}: dims must not be all zero, got {dict(rep.dims)}")
     return rep
 
 

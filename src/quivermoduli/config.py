@@ -12,6 +12,9 @@ from typing import Tuple
 from .numtheory import isprime
 
 
+_BUDGETS = ("max_subspace_checks", "max_orbit_points", "iso_trials", "h90_retries")
+
+
 @dataclass(frozen=True)
 class JobConfig:
     seed: int = 0
@@ -23,9 +26,20 @@ class JobConfig:
     output_format: str = "table"
 
     def __post_init__(self):
-        for name in ("max_subspace_checks", "max_orbit_points", "iso_trials", "h90_retries"):
+        for name in ("seed",) + _BUDGETS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in _BUDGETS:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.output_format not in ("json", "table"):
+            raise ValueError(f"output_format must be json or table, got {self.output_format!r}")
+        try:
+            primes = tuple(self.primes)
+        except TypeError:
+            raise ValueError(f"primes must be a list of primes, got {self.primes!r}") from None
+        object.__setattr__(self, "primes", primes)  # hashable, as certificate memo keys need
         if not self.primes:
             raise ValueError("primes must name at least one prime")
         for p in self.primes:
@@ -51,10 +65,7 @@ class JobConfig:
         unknown = [k for k in data if k not in JobConfig.__dataclass_fields__]
         if unknown:
             raise ValueError(f"unknown config keys {unknown}")
-        known = dict(data)
-        if "primes" in known:
-            known["primes"] = tuple(known["primes"])
-        return JobConfig(**known)
+        return JobConfig(**data)
 
 
 DEFAULT_CONFIG = JobConfig()

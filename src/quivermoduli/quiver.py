@@ -7,6 +7,7 @@ g . M = (g_{h(a)} M_a g_{t(a)}^{-1}).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Tuple
 
 from .errors import SchemaError
@@ -75,29 +76,37 @@ def slope(dims, theta):
 
 
 class Representation:
-    """A quiver representation over an exact coefficient ring."""
+    """A quiver representation over an exact coefficient ring.
 
-    __slots__ = ("quiver", "ring", "dims", "mats")
+    Immutable: dims and mats are read-only views of copies made at
+    construction, so every answer computed from a rep stays true of it.
+    certificates is the rep's own memo of geometric-stability certificates,
+    filled by stability.geom_stability_certificate on first use; equal reps
+    built separately share nothing.
+    """
+
+    __slots__ = ("quiver", "ring", "dims", "mats", "certificates")
 
     def __init__(self, quiver, ring, dims, mats):
-        self.quiver = quiver
-        self.ring = ring
-        self.dims = dict(dims)
-        self.mats = dict(mats)
+        dims, mats = dict(dims), dict(mats)
         for v in quiver.vertices:
-            if v not in self.dims or self.dims[v] < 0:
+            if v not in dims or dims[v] < 0:
                 raise SchemaError(f"missing or negative dimension at vertex {v}")
-        if len(self.dims) != len(quiver.vertices):
-            raise SchemaError(f"dims {self.dims} name a vertex outside the quiver")
+        if len(dims) != len(quiver.vertices):
+            raise SchemaError(f"dims {dims} name a vertex outside the quiver")
         for a in quiver.arrows:
-            m = self.mats.get(a.name)
+            m = mats.get(a.name)
             if m is None:
                 raise SchemaError(f"missing matrix for arrow {a.name}")
-            want = (self.dims[a.dst], self.dims[a.src])
+            want = (dims[a.dst], dims[a.src])
             if m.shape != want:
                 raise SchemaError(f"arrow {a.name}: matrix shape {m.shape}, expected {want}")
             if m.ring != ring:
                 raise SchemaError(f"arrow {a.name}: entries live in {m.ring}, not {ring}")
+        self.quiver = quiver
+        self.ring = ring
+        self.dims = MappingProxyType(dims)
+        self.mats = MappingProxyType(mats)
 
     @staticmethod
     def zero_maps(quiver, ring, dims):

@@ -32,7 +32,9 @@ Over F_q a rep is geometrically stable iff it is stable and End W = k
 Decision procedures over infinite fields do not exist here;
 geom_stability_certificate returns Stable only with a finite-field
 certificate, returns a non-stable verdict only with an exactly re-verified
-witness, and says Unknown otherwise.
+witness, and says Unknown otherwise.  A rep is immutable, so it keeps its
+certificates (rep.certificates), and the type map's precondition check reads
+the one its caller already asked for.
 """
 
 from bisect import bisect_right
@@ -859,11 +861,30 @@ def geom_stability_certificate(rep, theta, config):
     from the verdict at one prime ends the first pass; it is raised after
     the second pass has hunted the primes before it, unless that hunt finds
     an Unstable witness.
+
+    The verdict is kept in rep.certificates, keyed by theta and the only
+    config fields the certificate reads, config.primes and
+    config.max_subspace_checks, so a later call on the same rep (the type
+    map's precondition check, say) returns it without reducing again.  A
+    BudgetExceededError is not kept: it is raised again on every call.
     """
     if rep.is_zero_dimensional():
         raise ValueError("stability of the zero representation is undefined")
     if rep.ring.is_finite:
         raise SchemaError("certificates are for infinite coefficient fields")
+    key = (tuple(sorted(theta.items())), config.primes, config.max_subspace_checks)
+    try:
+        memo = rep.certificates
+    except AttributeError:  # first certificate asked of this rep
+        memo = rep.certificates = {}
+    if key not in memo:
+        memo[key] = _certificate(rep, theta, config)
+    return memo[key]
+
+
+def _certificate(rep, theta, config):
+    """geom_stability_certificate's two passes, for a nonzero rep over an
+    infinite field."""
     mu = rep.slope(theta)
     if not _slope_groups(rep.dims, theta, mu):
         # no sub-dimension vector can destabilize: stable without reduction

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -5,10 +7,22 @@ from fractions import Fraction
 
 import pytest
 
-from quivermoduli import Mat, Representation, a2_quiver, kronecker_quiver, stability
+from quivermoduli import (
+    Mat,
+    Representation,
+    a2_quiver,
+    hamilton_quaternions,
+    kronecker_quiver,
+    stability,
+)
+from quivermoduli.census import decompose_rational_point
 from quivermoduli.config import JobConfig
 from quivermoduli.errors import BudgetExceededError, SchemaError
+from quivermoduli.galois import GaloisPair
+from quivermoduli.morita import morita_split
+from quivermoduli.quiver import base_change
 from quivermoduli.rings import QQ, QuadraticField, gaussian_rationals
+from quivermoduli.serialize import rep_to_json, verdict_to_json
 from quivermoduli.stability import (
     STABLE,
     STRICTLY_SEMISTABLE,
@@ -18,10 +32,17 @@ from quivermoduli.stability import (
     reduce_mod_prime,
 )
 
-from helpers import gimat, qmat, quaternionic_kronecker_example, reference_certificate
+from helpers import (
+    count_calls,
+    gimat,
+    qmat,
+    quaternionic_kronecker_example,
+    reference_certificate,
+)
 
 CFG = JobConfig()
 THETA = {"s": 1, "t": -1}
+PINNED = "c668f4395f8ddf58fb46c53e7aa21e566cca1dcba255107cf4f6d1b032e449ca"
 
 
 def qq_rep(entries, dims=None):
@@ -276,3 +297,144 @@ def test_prime_independent_seeds_closed_once(monkeypatch):
     calls.clear()
     reference_certificate(rep, THETA, CFG)
     assert calls == {QQ: 8}
+
+
+# ---------------------------------------------------------------------------
+# the certificate memo on the representation
+
+
+def test_decomposition_after_certificate_reduces_nothing(monkeypatch):
+    rep, pair, theta = quaternionic_kronecker_example()
+    v = geom_stability_certificate(rep, theta, CFG)
+    reductions = count_calls(monkeypatch, reduce_mod_prime)
+    verdicts = count_calls(monkeypatch, stability.stability_verdict)
+    record = decompose_rational_point(rep, pair, theta, CFG)
+    assert record.index == 2
+    assert reductions == [] and verdicts == []
+    assert geom_stability_certificate(rep, theta, CFG) is v
+    # a fresh rep pays for its own certificate inside the type map
+    fresh, _, _ = quaternionic_kronecker_example()
+    decompose_rational_point(fresh, pair, theta, CFG)
+    assert reductions and verdicts
+
+
+def test_certificate_memo_key(monkeypatch):
+    rep = _gaussian_kronecker()
+    bodies = count_calls(monkeypatch, stability._certificate)
+    geom_stability_certificate(rep, THETA, CFG)
+    geom_stability_certificate(rep, {"t": -1, "s": 1}, CFG)
+    # seed, iso_trials, h90_retries and output_format do not touch the certificate
+    geom_stability_certificate(
+        rep, THETA, replace(CFG, seed=7, iso_trials=3, h90_retries=2, output_format="json")
+    )
+    assert len(bodies) == 1
+    geom_stability_certificate(rep, THETA, replace(CFG, primes=(5, 13)))
+    assert len(bodies) == 2
+    geom_stability_certificate(rep, THETA, replace(CFG, max_subspace_checks=10**5))
+    assert len(bodies) == 3
+    geom_stability_certificate(rep, {"s": 2, "t": -2}, CFG)
+    assert len(bodies) == 4
+
+
+def test_equal_reps_built_apart_share_no_certificate(monkeypatch):
+    a, b = _gaussian_kronecker(), _gaussian_kronecker()
+    assert a == b and hash(a) == hash(b)
+    bodies = count_calls(monkeypatch, stability._certificate)
+    geom_stability_certificate(a, THETA, CFG)
+    geom_stability_certificate(b, THETA, CFG)
+    assert len(bodies) == 2
+    # nor does a rep made from another's read-only dims and mats
+    geom_stability_certificate(Representation(a.quiver, a.ring, a.dims, a.mats), THETA, CFG)
+    assert len(bodies) == 3
+
+
+def test_over_budget_certificate_raises_on_every_call(monkeypatch):
+    rep = _gaussian_kronecker()
+    bodies = count_calls(monkeypatch, stability._certificate)
+    tight = JobConfig(max_subspace_checks=1)
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError):
+            geom_stability_certificate(rep, THETA, tight)
+    assert len(bodies) == 2
+    assert geom_stability_certificate(rep, THETA, CFG).kind == UNKNOWN
+
+
+def test_memoized_certificate_equals_a_fresh_one():
+    rng = random.Random(11)
+    for _ in range(60):
+        rep, theta, config, primes = _grid_case(rng)
+        first = _outcome(geom_stability_certificate, rep, theta, config, primes)
+        again = _outcome(geom_stability_certificate, rep, theta, config, primes)
+        twin = Representation(rep.quiver, rep.ring, rep.dims, rep.mats)
+        assert first == again == _outcome(geom_stability_certificate, twin, theta, config, primes)
+
+
+# ---------------------------------------------------------------------------
+# pinned answers: certificates and Brauer decompositions over Q(i)
+
+
+def _quaternionic_point(rng, pair):
+    """morita_split of a 3-Kronecker (1,1) rep over (-1,-1)_Q with small
+    integral entries, moved by units of D."""
+    H = hamilton_quaternions()
+    k3 = kronecker_quiver(3)
+
+    def quaternion():
+        while True:
+            x = tuple(Fraction(rng.randint(-2, 2)) for _ in range(4))
+            if any(x):
+                return x
+
+    drep = Representation(
+        k3, H, {"s": 1, "t": 1}, {a.name: Mat(H, ((quaternion(),),), (1, 1)) for a in k3.arrows}
+    )
+    units = [H.one, H.i, H.j, H.k]
+    drep = drep.act({v: Mat(H, ((rng.choice(units),),), (1, 1)) for v in ("s", "t")})
+    return morita_split(drep, pair)
+
+
+def _rational_point(rng, pair, forced=False):
+    """A random 3-Kronecker (2,2) rep over Q, base changed to Q(i) and moved
+    by a unimodular change of basis; forced, every arrow kills the first
+    basis vector at s, a destabilizing subrepresentation."""
+    k3, qi = kronecker_quiver(3), pair.ext
+
+    def entry(i, j):
+        return Fraction(0 if forced and j == 0 else rng.randint(-3, 3))
+
+    mats = {
+        a.name: Mat(QQ, tuple(tuple(entry(i, j) for j in range(2)) for i in range(2)), (2, 2))
+        for a in k3.arrows
+    }
+    w = base_change(Representation(k3, QQ, {"s": 2, "t": 2}, mats), pair)
+    units = [qi.one, qi.neg(qi.one), qi.sqrt_gen, qi.neg(qi.sqrt_gen)]
+    o, z = qi.one, qi.zero
+    g = {
+        v: Mat(qi, ((o, rng.choice(units)), (z, o))) @ Mat(qi, ((o, z), (rng.choice(units), o)))
+        for v in ("s", "t")
+    }
+    return w.act(g)
+
+
+def test_certificates_and_decompositions_pinned():
+    # the digest was taken before certificates were kept on the rep
+    pair = GaloisPair.gaussian()
+    rng = random.Random(20170425)
+    config = JobConfig(seed=1, h90_retries=4)
+    lines = []
+    for n in range(24):
+        if n % 2:
+            rep = _quaternionic_point(rng, pair)
+        else:
+            rep = _rational_point(rng, pair, forced=n % 6 == 0)
+        cert = geom_stability_certificate(rep, THETA, config)
+        lines.append(json.dumps(verdict_to_json(cert), sort_keys=True))
+        if cert.kind != STABLE:
+            continue
+        record = decompose_rational_point(rep, pair, THETA, config)
+        form = record.d_form if record.k_form is None else record.k_form
+        lines.append(json.dumps(
+            [record.brauer.describe(), record.index, rep_to_json(form)], sort_keys=True
+        ))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED

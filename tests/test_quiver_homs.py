@@ -63,6 +63,19 @@ def test_rep_validation():
         )
 
 
+def test_rep_is_read_only():
+    f = GF(2)
+    dims, mats = {"s": 1, "t": 1}, {"a1": fmat(f, [[1]]), "a2": fmat(f, [[0]])}
+    w = Representation(kronecker_quiver(2), f, dims, mats)
+    dims["s"], mats["a2"] = 2, fmat(f, [[1]])  # the rep keeps its own copies
+    assert w.dims == {"s": 1, "t": 1} and w.mats["a2"] == fmat(f, [[0]])
+    with pytest.raises(TypeError):
+        w.dims["s"] = 2
+    with pytest.raises(TypeError):
+        w.mats["a2"] = fmat(f, [[1]])
+    assert w == Representation(kronecker_quiver(2), f, w.dims, w.mats)
+
+
 def test_hom_space_examples():
     f2 = GF(2)
     w = kronecker_rep(f2, [1, 0])

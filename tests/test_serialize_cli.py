@@ -208,6 +208,8 @@ def test_cli_malformed_rep_file_exit_contract(tmp_path, capsys, command, case):
     err = capsys.readouterr().err
     assert err.startswith("parse error:")
     assert "Traceback" not in err
+    if case == "zero-dims":  # the read-only dims print as a plain dict
+        assert "got {'s': 0, 't': 0}" in err
 
 
 def test_cli_budget_error(tmp_path, capsys):
@@ -976,6 +978,19 @@ def test_config_rejects_bad_primes():
         with pytest.raises(ValueError):
             JobConfig(primes=primes)
     assert JobConfig(primes=(2, 3, 2**61 - 1)).primes == (2, 3, 2**61 - 1)
+    assert JobConfig(primes=[5, 7]).primes == (5, 7)  # normalized, hashable
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", "1"), ("seed", 1.0), ("seed", True),
+    ("max_subspace_checks", True), ("max_orbit_points", 10.0), ("iso_trials", "64"),
+    ("h90_retries", 1.5), ("h90_retries", False),
+    ("output_format", "xml"), ("output_format", "JSON"), ("output_format", None),
+    ("primes", 5), ("primes", None),
+])
+def test_config_rejects_ill_typed_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        JobConfig(**{field: value})
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -987,9 +1002,12 @@ def test_config_rejects_bad_primes():
     ([], '{"iso_trials": "many"}'),
     ([], '[1, 2]'),
     ([], '{"seed": 1,'),
+    (["--format", "json"], '{"max_subspace_checks": true}'),
+    ([], '{"output_format": "xml"}'),
+    (["--format", "json"], '{"h90_retries": 1.5}'),
 ], ids=[
     "primes-4", "primes-4-5", "budget-0", "primes-empty", "primes-int", "trials-str",
-    "not-object", "bad-json",
+    "not-object", "bad-json", "budget-bool", "format-xml", "retries-float",
 ])
 def test_cli_bad_config_is_parse_error(tmp_path, capsys, monkeypatch, argv, config):
     if config is not None:
