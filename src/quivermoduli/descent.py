@@ -35,11 +35,12 @@ def twist(rep, pair, power=1):
     power = power % pair.degree
     if power == 0:
         return rep
-    return rep.map_entries(lambda x: pair.sigma(x, power))
+    mats = {name: pair.sigma_mat(m, power) for name, m in rep.mats.items()}
+    return Representation(rep.quiver, rep.ring, rep.dims, mats)
 
 
 def twist_hom(h, pair, power=1):
-    return {v: m.map(lambda x: pair.sigma(x, power)) for v, m in h.items()}
+    return {v: pair.sigma_mat(m, power) for v, m in h.items()}
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ def modified_action_failures(rep, u, pair):
     bad = []
     for a in rep.quiver.arrows:
         m = rep.mats[a.name]
-        if u[a.dst] @ m.map(pair.sigma) != m @ u[a.src]:
+        if u[a.dst] @ pair.sigma_mat(m) != m @ u[a.src]:
             bad.append(a.name)
     return bad
 
@@ -193,14 +194,14 @@ def _average(u_from, u_to, pair, config, label):
                 c = Mat(ext, entries, (n, n))
             term = acc = c
             for _ in range(1, pair.degree):
-                term = target @ term.map(pair.sigma) @ inv_from[v]
+                term = target @ pair.sigma_mat(term) @ inv_from[v]
                 acc = acc + term
             if n and not acc.is_invertible():
                 break
             h[v] = acc
         else:
             for v, hv in h.items():
-                if hv @ u_from[v] @ hv.map(pair.sigma).inverse() != u_to[v]:
+                if hv @ u_from[v] @ pair.sigma_mat(hv).inverse() != u_to[v]:
                     raise InvariantError(f"{label}: the average does not reach the target")
             return h
     raise InconclusiveError(
@@ -239,9 +240,10 @@ def hilbert90_descend(datum, config):
         mats[arr.name] = m
     descended = Representation(rep.quiver, pair.ext, rep.dims, mats)
     for name, m in descended.mats.items():
-        if m.map(pair.sigma) != m:
+        if pair.sigma_mat(m) != m:
             raise InvariantError(f"descended matrix for arrow {name} is not Galois-fixed")
-    base_rep = descended.map_entries(pair.to_base, pair.base)
+    base_mats = {name: pair.to_base_mat(m) for name, m in descended.mats.items()}
+    base_rep = Representation(rep.quiver, pair.base, rep.dims, base_mats)
     return base_rep, g
 
 

@@ -53,6 +53,14 @@ class GaloisPair:
         """k -> L."""
         raise NotImplementedError
 
+    def sigma_mat(self, mat, power=1):
+        """sigma^power on each entry of a matrix over L."""
+        return mat.map(lambda x: self.sigma(x, power))
+
+    def to_base_mat(self, mat):
+        """A sigma-fixed matrix over L read over k."""
+        return mat.map(self.to_base, self.base)
+
     def is_fixed(self, x):
         return self.sigma(x) == x
 
@@ -154,6 +162,13 @@ class QuadraticPair(GaloisPair):
 
     def sigma(self, x, power=1):
         return self.ext.conj(x) if power % 2 else x
+
+    def sigma_mat(self, mat, power=1):
+        """On integer coordinates sigma negates the sqrt(m) part B."""
+        return mat.conj() if power % 2 else mat
+
+    def to_base_mat(self, mat):
+        return mat.over(self.base)
 
     def embed(self, x):
         return self.ext.from_rational(x)

@@ -2,12 +2,13 @@
 
 hom_space solves f_{h(a)} M_a = M'_a f_{t(a)} exactly, with one system
 builder, _field_hom_system, for every ring.  Over a field the system is
-solved directly, over Q and Q(sqrt(m)) on the integer coordinates of the
-arrow matrices.  Over a quaternion algebra the same system is built on 4x4
-rational blocks: each entry c of M becomes right_mul_matrix(c), each entry
-of M' left_mul_matrix(c), and each block row is read as four rational rows,
-so every unknown entry of f is its four rational coordinates and the
-returned basis is a Q-basis of the D-linear intertwiners.
+solved directly, over Q and Q(sqrt(m)) on the integer coordinates the
+arrow matrices keep, with the basis returned in coordinates too.  Over a
+quaternion algebra the same system is built on 4x4 rational blocks: each
+entry c of M becomes right_mul_matrix(c), each entry of M'
+left_mul_matrix(c), and each block row is read as four rational rows, so
+every unknown entry of f is its four rational coordinates and the returned
+basis is a Q-basis of the D-linear intertwiners.
 """
 
 import operator
@@ -16,7 +17,7 @@ from math import gcd
 from types import SimpleNamespace
 
 from .errors import BudgetExceededError, InconclusiveError
-from .linalg import Mat, _integer_rows, _kernel_coords, _quadratic_m
+from .linalg import Mat, _eliminate_coords, _kernel_coords, _quadratic_m, _reduced
 from .quaternions import QuaternionAlgebra
 from .rings import QQ
 
@@ -76,14 +77,15 @@ _BLOCK_OPS = SimpleNamespace(
 )
 
 
-def _coords_hom_kernel(w, wp, m):
-    """Kernel of the Hom system over Q (m = 0) or Q(sqrt(m)), solved on
-    integer coordinates.  With M_a = (A + B sqrt(m)) / d and M'_a =
+def _coords_homs(w, wp, m):
+    """The Hom basis over Q (m = 0) or Q(sqrt(m)), solved on integer
+    coordinates.  With M_a = (A + B sqrt(m)) / d and M'_a =
     (A' + B' sqrt(m)) / d', the rows of arrow a times d d' are built from
-    d' A and d A', then from d' B and d B'."""
+    d' A and d A', then from d' B and d B'.  Each kernel vector (X, Y) / L
+    is cut into its vertex blocks as coordinate matrices."""
     parts = ([], []), ([], [])  # (point, point_p) of each coordinate part
     for a in w.quiver.arrows:
-        (A, B, d), (Ap, Bp, dp) = (_integer_rows(r.mats[a.name], m) for r in (w, wp))
+        (A, B, d), (Ap, Bp, dp) = (r.mats[a.name].coords for r in (w, wp))
         for (point, point_p), x, xp in zip(parts, (A, B), (Ap, Bp)):
             point.append([[e * dp for e in row] for row in x])
             point_p.append([[e * d for e in row] for row in xp])
@@ -92,21 +94,35 @@ def _coords_hom_kernel(w, wp, m):
         B = _field_hom_system(w.quiver, _INT_OPS, w.dims, wp.dims, *parts[1])[2]
     else:
         B = [[0] * total for _ in A]
-    return offsets, _kernel_coords(w.ring, m, A, B, total)
+    X, Y, L = _kernel_coords(A, B, _eliminate_coords(A, B, m, total), total)
+    homs = []
+    for xs, ys in zip(X, Y):
+        xb, yb = (_vertex_blocks(vec, w, wp, offsets) for vec in (xs, ys))
+        homs.append({v: _reduced(w.ring, xb[v][0], xb[v][1], yb[v][1], L) for v in xb})
+    return homs
 
 
-def _reshape_solution(vec, w, wp, offsets):
-    """The per-vertex matrices of a kernel vector; over a quaternion algebra
-    each entry is its four rational coordinates."""
-    n = 4 if isinstance(w.ring, QuaternionAlgebra) else 1
+def _vertex_blocks(vec, w, wp, offsets, n=1):
+    """Per vertex, (shape, rows) of the dims_p[v] x dims[v] block of a flat
+    kernel vector; with n > 1 each entry is n consecutive values."""
     out = {}
     for v in w.quiver.vertices:
         dv, dpv = w.dims[v], wp.dims[v]
         flat = vec[offsets[v] * n:(offsets[v] + dpv * dv) * n]
         if n > 1:
             flat = [flat[k:k + n] for k in range(0, len(flat), n)]
-        out[v] = Mat(w.ring, tuple(flat[i * dv:(i + 1) * dv] for i in range(dpv)), (dpv, dv))
+        out[v] = (dpv, dv), tuple(tuple(flat[i * dv:(i + 1) * dv]) for i in range(dpv))
     return out
+
+
+def _reshape_solution(vec, w, wp, offsets):
+    """The per-vertex matrices of a kernel vector; over a quaternion algebra
+    each entry is its four rational coordinates."""
+    n = 4 if isinstance(w.ring, QuaternionAlgebra) else 1
+    return {
+        v: Mat(w.ring, rows, shape)
+        for v, (shape, rows) in _vertex_blocks(vec, w, wp, offsets, n).items()
+    }
 
 
 def hom_space(w, wp):
@@ -128,7 +144,7 @@ def hom_space(w, wp):
         rows = [[b[r][s] for b in row for s in range(4)] for row in blocks for r in range(4)]
         kernel = Mat(QQ, rows, (len(rows), 4 * total)).nullspace()
     elif m is not None:
-        offsets, kernel = _coords_hom_kernel(w, wp, m)
+        return _coords_homs(w, wp, m)
     else:
         points = ([r.mats[a.name].rows for a in w.quiver.arrows] for r in (w, wp))
         offsets, total, rows = _field_hom_system(w.quiver, w.ring, w.dims, wp.dims, *points)

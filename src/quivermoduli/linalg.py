@@ -1,32 +1,43 @@
 """Dense exact matrices over a coefficient ring.
 
-Rows are tuples of payloads.  Over Q and Q(sqrt(m)), `rref`, `rank`,
-`nullspace` and `@` clear denominators and run on integer coordinates
-(a, b) of a + b sqrt(m).  Only `rref` writes reduced `Fraction` rows back:
-`rank` reads the pivots, and `nullspace` divides the free-column entries
-of the integer pivot rows by their pivots (homs builds its Hom systems on
-these integer rows directly).  Over F_p and over the F_{p^n} that
-carry tables, `rref` runs on the int codes themselves: one `% p` per
-updated entry, or table lookups, and only on the nonzero columns of the
-pivot row.  The reduced echelon form is unique and products are exact, so
-the answers are the ones the per-entry loop gives; that loop remains for
-quaternion algebras and untabled extension fields, with the ring object
-supplying one operation per entry.  Shapes are tracked explicitly so
-zero-row and zero-column matrices behave.  Elimination routines require the
-ring to be a field.
+A matrix over F_q, a quaternion algebra or an untabled extension field
+holds its rows, tuples of payloads, in the plain slot `rows`.  A matrix over
+Q or Q(sqrt(m)), which Mat(...) makes a _CoordMat, holds one form at a time.
+Built from payload rows (JSON input, a test) it keeps them until its first
+arithmetic use, which replaces them by canonical integer coordinates
+(A, B, d): entry (i, j) = (A[i][j] + B[i][j] sqrt(m)) / d with d > 0 and
+gcd(all of A, all of B, d) = 1, so equal matrices have equal coordinates and
+d is the lcm of the entry denominators; over Q, m = 0 and B is all zeros.
+Every operation reads and writes coordinates: products, sums, scaling,
+stacking, transposes, conjugation, and elimination, which cross-multiplies
+rows and removes their content instead of dividing (fraction-free
+Gauss-Jordan); `inverse`, `solve` and `rref` divide by the pivots once,
+through their lcm.  `rows`, `entry` and `col` build reduced Fractions from
+the coordinates each time they are read.  Over F_p and over the F_{p^n} that
+carry tables, `rref` runs on the int codes themselves: one `% p` per updated
+entry, or table lookups, and only on the nonzero columns of the pivot row.
+The reduced echelon form is unique and products are exact, so the answers
+are the ones the per-entry loop gives; that loop remains for quaternion
+algebras and untabled extension fields, with the ring object supplying one
+operation per entry.  Shapes are tracked explicitly so zero-row and
+zero-column matrices behave.  Elimination routines require the ring to be a
+field.
 """
 
 import operator
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import NotDecidableError, NotInvertibleError, SchemaError
 from .ffields import ExtensionField, PrimeField
 from .rings import QuadraticField, RationalField
 
+_COORD_RINGS = (RationalField, QuadraticField)
+
 
 class Mat:
-    __slots__ = ("ring", "nrows", "ncols", "rows")
+    __slots__ = ("ring", "nrows", "ncols", "rows", "_coords")  # _coords: a _CoordMat's only
 
     def __init__(self, ring, rows, shape=None):
         rows = tuple(tuple(r) for r in rows)
@@ -39,6 +50,11 @@ class Mat:
         if len(rows) != self.nrows or any(len(r) != self.ncols for r in rows):
             raise SchemaError(f"ragged matrix: expected shape {shape}")
         self.rows = rows
+        if isinstance(ring, _COORD_RINGS):
+            # same slots, so the matrix becomes a _CoordMat in place; a
+            # __new__ would put a Python call on every F_q construction
+            self.__class__ = _CoordMat
+            self._coords = None
 
     @classmethod
     def _of(cls, ring, rows, shape):
@@ -54,11 +70,15 @@ class Mat:
 
     @staticmethod
     def zero(ring, nrows, ncols):
+        if isinstance(ring, _COORD_RINGS):
+            return _CoordMat._diagonal(ring, (nrows, ncols), 0)
         z = ring.zero
         return Mat(ring, tuple((z,) * ncols for _ in range(nrows)), (nrows, ncols))
 
     @staticmethod
     def identity(ring, n):
+        if isinstance(ring, _COORD_RINGS):
+            return _CoordMat._diagonal(ring, (n, n), 1)
         z, o = ring.zero, ring.one
         return Mat(
             ring,
@@ -68,6 +88,8 @@ class Mat:
 
     @staticmethod
     def scalar(ring, n, c):
+        if isinstance(ring, _COORD_RINGS):
+            return _CoordMat._diagonal(ring, (n, n), *_element_coords(c, _quadratic_m(ring)))
         z = ring.zero
         return Mat(
             ring,
@@ -78,11 +100,10 @@ class Mat:
     @staticmethod
     def from_cols(ring, cols, nrows):
         cols = list(cols)
-        return Mat._of(
-            ring,
-            tuple(tuple(col[i] for col in cols) for i in range(nrows)),
-            (nrows, len(cols)),
-        )
+        rows = tuple(tuple(col[i] for col in cols) for i in range(nrows))
+        if isinstance(ring, _COORD_RINGS):
+            return Mat(ring, rows, (nrows, len(cols)))
+        return Mat._of(ring, rows, (nrows, len(cols)))
 
     # --- basics ---
 
@@ -142,10 +163,9 @@ class Mat:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise SchemaError(f"shape mismatch {self.shape} @ {other.shape}")
+        if isinstance(self, _CoordMat):
+            return _matmul_coords(self, other)
         ring = self.ring
-        m = _quadratic_m(ring)
-        if m is not None:
-            return _matmul_coords(ring, m, self, other)
         add, mul, zero = ring.add, ring.mul, ring.zero
         ocols = list(zip(*other.rows)) or [()] * other.ncols
         out = []
@@ -177,6 +197,10 @@ class Mat:
             raise SchemaError("vstack needs equal column counts")
         return Mat(self.ring, self.rows + other.rows, (self.nrows + other.nrows, self.ncols))
 
+    def _top(self, k):
+        """The first k rows."""
+        return Mat._of(self.ring, self.rows[:k], (k, self.ncols))
+
     def is_zero(self):
         z = self.ring.zero
         return all(x == z for row in self.rows for x in row)
@@ -192,10 +216,9 @@ class Mat:
         divisors raises NotDecidableError rather than being read as a zero
         column.
         """
+        if isinstance(self, _CoordMat):
+            return _rref_coords(self)
         ring = self.ring
-        m = _quadratic_m(ring)
-        if m is not None:
-            return _rref_coords(ring, m, self)
         if isinstance(ring, PrimeField) or (isinstance(ring, ExtensionField) and ring._tables):
             return _rref_fq(ring, self)
         zero = ring.zero
@@ -240,24 +263,25 @@ class Mat:
         return Mat._of(ring, tuple(tuple(r_) for r_ in rows), self.shape), tuple(pivots)
 
     def rank(self):
-        m = _quadratic_m(self.ring)
-        if m is not None:
-            A, B, _ = _integer_rows(self, m)
-            return len(_eliminate_coords(A, B, m, self.ncols))
+        if isinstance(self, _CoordMat):
+            return len(_eliminated(self, reduce=False)[2])
         return len(self.rref()[1])
 
     def nullspace(self):
         """Basis of the right kernel, one column tuple per basis vector."""
+        if isinstance(self, _CoordMat):
+            X, Y, d = _kernel_coords(*_eliminated(self), self.ncols)
+            return list(_payload_rows(X, Y, d, self.m))
         ring = self.ring
-        m = _quadratic_m(ring)
-        if m is not None:
-            A, B, _ = _integer_rows(self, m)
-            return _kernel_coords(ring, m, A, B, self.ncols)
         R, pivots = self.rref()
-        free = [j for j in range(self.ncols) if j not in pivots]
-        neg = ring.neg
-        negs = [[neg(R.rows[i][j]) for j in free] for i in range(len(pivots))]
-        return _kernel(ring, self.ncols, pivots, free, negs)
+        basis = []
+        for fj in (j for j in range(self.ncols) if j not in pivots):
+            vec = [ring.zero] * self.ncols
+            vec[fj] = ring.one
+            for row, pj in zip(R.rows, pivots):
+                vec[pj] = ring.neg(row[fj])
+            basis.append(tuple(vec))
+        return basis
 
     def inverse(self):
         """Inverse over a field, or None when singular."""
@@ -266,6 +290,9 @@ class Mat:
         n = self.nrows
         if n == 0:
             return self
+        if isinstance(self, _CoordMat):
+            # [M | I] has full rank, so a singular M puts a pivot in the I part
+            return _solve_coords(self, Mat.identity(self.ring, n))
         aug = self.hstack(Mat.identity(self.ring, n))
         R, pivots = aug.rref()
         if tuple(pivots) != tuple(range(n)):
@@ -277,8 +304,11 @@ class Mat:
 
     def solve(self, rhs):
         """One solution X of self @ X = rhs over a field, or None."""
-        aug = self.hstack(rhs)
-        R, pivots = aug.rref()
+        if self.nrows != rhs.nrows:
+            raise SchemaError("hstack needs equal row counts")
+        if isinstance(self, _CoordMat):
+            return _solve_coords(self, rhs)
+        R, pivots = self.hstack(rhs).rref()
         n = self.ncols
         if any(p >= n for p in pivots):
             return None
@@ -294,8 +324,7 @@ class Mat:
     def canonical_cols(self):
         """Canonical matrix with the same column span (RREF of the transpose)."""
         R, pivots = self.transpose().rref()
-        rows = [R.rows[i] for i in range(len(pivots))]
-        return Mat._of(self.ring, tuple(rows), (len(pivots), self.nrows)).transpose()
+        return R._top(len(pivots)).transpose()
 
     def cols_contained_in(self, other):
         """Whether span(self columns) is inside span(other columns)."""
@@ -306,12 +335,6 @@ class Mat:
 
 
 # --- Q and Q(sqrt(m)) on integer coordinates ---
-#
-# A matrix of payloads is held as integer rows A, B and a positive integer d
-# with entry (i, j) = (A[i][j] + B[i][j] sqrt(m)) / d; over Q, m = 0 and B is
-# all zeros, so one loop serves both rings.  Elimination keeps each row a
-# rational multiple of the row the field algorithm would hold, so the
-# reduced form, which is unique, comes out the same.
 
 
 def _quadratic_m(ring):
@@ -323,51 +346,221 @@ def _quadratic_m(ring):
     return None
 
 
-def _integer_rows(mat, m):
-    """(A, B, d): integer rows with entry (i, j) = (A[i][j] + B[i][j] sqrt(m)) / d,
-    d the lcm of all denominators."""
-    if m:
-        xs = [[x[0] for x in row] for row in mat.rows]
-        ys = [[x[1] for x in row] for row in mat.rows]
-    else:
-        xs = mat.rows
-        ys = [[0] * mat.ncols for _ in xs]
-    d = lcm(*[x.denominator for row in xs for x in row],
-            *[y.denominator for row in ys for y in row])
+def _zeros(nrows, ncols):
+    return ((0,) * ncols,) * nrows
+
+
+class _CoordMat(Mat):
+    """A matrix over Q (m = 0) or Q(sqrt(m)) in one form: the payload rows
+    it was built from, in the slot `rows`, until its first arithmetic use,
+    then only its canonical integer coordinates (`_coords`, read through
+    `coords`), with `rows` unset and built on each read by __getattr__."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _make(ring, shape, A, B, d):
+        """The matrix with canonical coordinates (A, B, d), row tuples of ints."""
+        mat = object.__new__(_CoordMat)
+        mat.ring = ring
+        mat.nrows, mat.ncols = shape
+        mat._coords = (A, B, d)
+        return mat
+
+    @staticmethod
+    def _diagonal(ring, shape, a, b=0, d=1):
+        """(a + b sqrt(m)) / d on the diagonal, zero elsewhere."""
+        nrows, ncols = shape
+        A, B = (
+            tuple(tuple(x if i == j else 0 for j in range(ncols)) for i in range(nrows))
+            for x in (a, b)
+        )
+        return _reduced(ring, shape, A, B, d)
+
+    @property
+    def m(self):
+        return _quadratic_m(self.ring)
+
+    @property
+    def coords(self):
+        """(A, B, d), computed from the payload rows on first use."""
+        c = self._coords
+        if c is None:
+            c = self._coords = _integer_rows(self.rows, self.m, self.ncols)
+            del self.rows
+        return c
+
+    def __getattr__(self, name):
+        # reached only for a slot left unset: `rows` in coordinate form
+        if name != "rows":
+            raise AttributeError(name)
+        return _payload_rows(*self._coords, self.m)
+
+    def entry(self, i, j):
+        c = self._coords
+        if c is None:
+            return self.rows[i][j]
+        A, B, d = c
+        return _payload(A[i][j], B[i][j], d, self.m)
+
+    def transpose(self):
+        A, B, d = self.coords
+        shape = (self.ncols, self.nrows)
+        At, Bt = (tuple(zip(*X)) or _zeros(*shape) for X in (A, B))
+        return _CoordMat._make(self.ring, shape, At, Bt, d)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, _CoordMat)
+            and other.ring == self.ring
+            and other.nrows == self.nrows
+            and other.ncols == self.ncols
+            and other.coords == self.coords
+        )
+
+    def __hash__(self):
+        return hash((self.nrows, self.ncols, self.coords))
+
+    def __add__(self, other):
+        (A, B, d), (C, E, f) = self.coords, other.coords
+        l = lcm(d, f)
+        s, t = l // d, l // f
+        X, Y = (
+            tuple(tuple(s * x + t * y for x, y in zip(a, c)) for a, c in zip(P, R))
+            for P, R in ((A, C), (B, E))
+        )
+        return _reduced(self.ring, self.shape, X, Y, l)
+
+    def scale(self, c):
+        m = self.m
+        a, b, e = _element_coords(c, m)
+        A, B, d = self.coords
+        mb = m * b
+        X = tuple(tuple(a * x + mb * y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
+        Y = tuple(tuple(a * y + b * x for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
+        return _reduced(self.ring, self.shape, X, Y, e * d)
+
+    def _stack(self, other, shape, join):
+        """Both coordinate sets over the lcm of the denominators, joined row
+        by row (hstack) or as row lists (vstack).  No content is left to
+        remove: at each prime the operand with the full power in the lcm has
+        a coordinate prime to it, and its scale factor is prime to it too."""
+        (A, B, d), (C, E, f) = self.coords, other.coords
+        l = lcm(d, f)
+        if l != d:
+            A, B = _scaled(A, l // d), _scaled(B, l // d)
+        if l != f:
+            C, E = _scaled(C, l // f), _scaled(E, l // f)
+        return _CoordMat._make(self.ring, shape, join(A, C), join(B, E), l)
+
+    def hstack(self, other):
+        if self.nrows != other.nrows:
+            raise SchemaError("hstack needs equal row counts")
+        shape = (self.nrows, self.ncols + other.ncols)
+        return self._stack(other, shape, lambda X, Y: tuple(map(operator.add, X, Y)))
+
+    def vstack(self, other):
+        if self.ncols != other.ncols:
+            raise SchemaError("vstack needs equal column counts")
+        return self._stack(other, (self.nrows + other.nrows, self.ncols), operator.add)
+
+    def _top(self, k):
+        A, B, d = self.coords
+        return _reduced(self.ring, (k, self.ncols), A[:k], B[:k], d)
+
+    def conj(self):
+        """sqrt(m) -> -sqrt(m) entrywise: the coordinates B negated."""
+        if not self.m:
+            return self
+        A, B, d = self.coords
+        B = tuple(tuple(-y for y in r) for r in B)
+        return _CoordMat._make(self.ring, self.shape, A, B, d)
+
+    def over(self, ring):
+        """The same entries over ring = Q; ValueError when one has a
+        sqrt(m) part."""
+        A, B, d = self.coords
+        if any(map(any, B)):
+            raise ValueError(f"matrix over {self.ring!r} has entries outside {ring!r}")
+        return _CoordMat._make(ring, self.shape, A, B, d)
+
+
+def _scaled(A, s):
+    return tuple(tuple(s * x for x in r) for r in A)
+
+
+def _reduced(ring, shape, A, B, d):
+    """The matrix (A + B sqrt(m)) / d for d > 0, with the common factor of
+    all its coordinates removed."""
+    if d != 1:
+        g = gcd(d, *chain.from_iterable(A), *chain.from_iterable(B))
+        if g != 1:
+            A, B = (tuple(tuple(x // g for x in r) for r in X) for X in (A, B))
+            d //= g
+    return _CoordMat._make(ring, shape, A, B, d)
+
+
+def _element_coords(x, m):
+    """(a, b, e) with x = (a + b sqrt(m)) / e, e the lcm of the denominators."""
+    if not m:
+        return x.numerator, 0, x.denominator
+    x, y = x
+    e = lcm(x.denominator, y.denominator)
+    return x.numerator * (e // x.denominator), y.numerator * (e // y.denominator), e
+
+
+def _integer_rows(rows, m, ncols):
+    """Canonical (A, B, d) of payload rows, d the lcm of all denominators:
+    at each prime of d, an entry with its full power there keeps a
+    numerator prime to it."""
+    parts = [[[x[k] for x in row] for row in rows] for k in (0, 1)] if m else [rows]
+    d = lcm(*[x.denominator for part in parts for row in part for x in row])
     if d == 1:
-        return [[x.numerator for x in row] for row in xs], [[y.numerator for y in row] for row in ys], 1
-    return (
-        [[x.numerator * (d // x.denominator) for x in row] for row in xs],
-        [[y.numerator * (d // y.denominator) for y in row] for row in ys],
-        d,
-    )
+        coords = [tuple(tuple(x.numerator for x in row) for row in part) for part in parts]
+    else:
+        coords = [
+            tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in part)
+            for part in parts
+        ]
+    if not m:
+        coords.append(_zeros(len(rows), ncols))
+    return coords[0], coords[1], d
 
 
 _ZERO = Fraction(0)
 
 
-def _payloads(xs, ys, d, m):
-    """The payloads (x_j + y_j sqrt(m)) / d, as reduced Fractions."""
-    zero = _ZERO
-    fx = [Fraction(x, d) if x else zero for x in xs]
+def _payload(x, y, d, m):
+    fx = Fraction(x, d) if x else _ZERO
     if not m:
-        return tuple(fx)
-    return tuple(zip(fx, [Fraction(y, d) if y else zero for y in ys]))
+        return fx
+    return (fx, Fraction(y, d) if y else _ZERO)
 
 
-def _primitive(xs, ys):
-    """The row divided by the gcd of all its integer coordinates."""
-    g = gcd(*xs, *ys)
+def _payload_rows(A, B, d, m):
+    """The reduced Fraction payloads of (A + B sqrt(m)) / d, row by row: the
+    one place payload rows are built from coordinates."""
+    return tuple(
+        tuple(_payload(x, y, d, m) for x, y in zip(a, b)) for a, b in zip(A, B)
+    )
+
+
+def _primitive(xs, ys, m):
+    """The row divided by the gcd of all its integer coordinates; over Q
+    (m = 0) ys is zero and kept."""
+    g = gcd(*xs, *ys) if m else gcd(*xs)
     if g > 1:
-        return [x // g for x in xs], [y // g for y in ys]
+        return [x // g for x in xs], [y // g for y in ys] if m else ys
     return xs, ys
 
 
-def _eliminate_coords(A, B, m, ncols):
+def _eliminate_coords(A, B, m, ncols, reduce=True):
     """Gauss-Jordan in place by cross-multiplication: row_i <- s*row_i - f*row_r,
     with the pivot made rational and every row kept primitive (content
     removed).  Returns the pivot columns; pivot row i is a multiple of the
-    reduced row i, with the rational integer A[i][c] at its pivot c."""
+    reduced row i, with the rational integer A[i][c] at its pivot c.  With
+    reduce False only the rows below each pivot are cleared (echelon form,
+    enough for the rank).  Over Q (m = 0) B is zero and left untouched."""
     nrows = len(A)
     pivots = []
     r = 0
@@ -390,86 +583,116 @@ def _eliminate_coords(A, B, m, ncols):
                 [pa * x - mpb * y for x, y in zip(ya, yb)],
                 [pa * y - pb * x for x, y in zip(ya, yb)],
             )
-        A[r], B[r] = ya, yb = _primitive(ya, yb)
+        A[r], B[r] = ya, yb = _primitive(ya, yb, m)
         p = ya[c]
         support = [j for j in range(c, ncols) if ya[j] or yb[j]]
-        for i in range(nrows):
+        for i in range(0 if reduce else r + 1, nrows):
             xa, xb = A[i], B[i]
             fa, fb = xa[c], xb[c]
             if i == r or not (fa or fb):
                 continue
             g = gcd(p, fa, fb)
             s, fa, fb = p // g, fa // g, fb // g
-            mfb = m * fb
-            if s == 1:
+            if s != 1:
+                xa = [s * x for x in xa]
+                xb = [s * x for x in xb] if m else xb
+            if m:
+                mfb = m * fb
                 for j in support:
                     u, v = ya[j], yb[j]
                     xa[j] -= fa * u + mfb * v
                     xb[j] -= fa * v + fb * u
             else:
-                xa = [s * x - fa * u - mfb * v for x, u, v in zip(xa, ya, yb)]
-                xb = [s * x - fa * v - fb * u for x, u, v in zip(xb, ya, yb)]
-            A[i], B[i] = _primitive(xa, xb)
+                for j in support:
+                    xa[j] -= fa * ya[j]
+            A[i], B[i] = _primitive(xa, xb, m)
         pivots.append(c)
         r += 1
     return pivots
 
 
-def _rref_coords(ring, m, mat):
-    """The reduced form: each pivot row divided by its pivot, written back."""
-    A, B, _ = _integer_rows(mat, m)
-    pivots = _eliminate_coords(A, B, m, mat.ncols)
-    rows = [_payloads(A[i], B[i], A[i][c], m) for i, c in enumerate(pivots)]
-    rows.extend([(ring.zero,) * mat.ncols] * (mat.nrows - len(pivots)))
-    return Mat._of(ring, tuple(rows), mat.shape), tuple(pivots)
+def _eliminated(mat, reduce=True):
+    """(A, B, pivots): the matrix's coordinates, eliminated in a copy."""
+    A, B, _ = mat.coords
+    A, B = [list(r) for r in A], [list(r) for r in B]
+    return A, B, _eliminate_coords(A, B, mat.m, mat.ncols, reduce)
 
 
-def _kernel(ring, ncols, pivots, free, negs):
-    """One kernel vector per free column: one there and, at each pivot, the
-    negated entry of its reduced row in that column (negs, free columns only)."""
-    basis = []
-    for k, fj in enumerate(free):
-        vec = [ring.zero] * ncols
-        vec[fj] = ring.one
-        for row, pj in zip(negs, pivots):
-            vec[pj] = row[k]
-        basis.append(tuple(vec))
-    return basis
+def _divided(mat, shape, rows, divisors):
+    """The matrix whose row k is rows[k] = (x, y) divided by divisors[k],
+    over the lcm of the divisors."""
+    L = lcm(*divisors)
+    X = tuple(tuple(x * (L // p) for x in xs) for (xs, _), p in zip(rows, divisors))
+    Y = tuple(tuple(y * (L // p) for y in ys) for (_, ys), p in zip(rows, divisors))
+    return _reduced(mat.ring, shape, X, Y, L)
 
 
-def _kernel_coords(ring, m, A, B, ncols):
-    """Mat.nullspace of the integer rows (A + B sqrt(m)), read off the pivot
-    rows: a free-column entry x of a row with pivot p gives -x/p, so no
-    reduced row is written."""
-    pivots = _eliminate_coords(A, B, m, ncols)
-    free = [j for j in range(ncols) if j not in pivots]
-    negs = [
-        _payloads([-A[i][j] for j in free], [-B[i][j] for j in free], A[i][c], m)
-        for i, c in enumerate(pivots)
-    ]
-    return _kernel(ring, ncols, pivots, free, negs)
+def _rref_coords(mat):
+    """The reduced form: each pivot row divided by its pivot."""
+    A, B, pivots = _eliminated(mat)
+    r = len(pivots)
+    zero = ((0,) * mat.ncols,) * 2
+    rows = [(A[i], B[i]) for i in range(r)] + [zero] * (mat.nrows - r)
+    divisors = [A[i][c] for i, c in enumerate(pivots)] + [1] * (mat.nrows - r)
+    return _divided(mat, mat.shape, rows, divisors), tuple(pivots)
 
 
-def _matmul_coords(ring, m, left, right):
-    """Integer dot products, with the denominators of each factor cleared."""
-    mul = operator.mul
-    A, B, d = _integer_rows(left, m)
-    C, E, f = _integer_rows(right, m)
-    q = d * f
+def _kernel_coords(A, B, pivots, ncols):
+    """The right kernel of eliminated integer rows as coordinate rows
+    (X, Y, L), one per free column fj: L at fj and, at the pivot c of row i,
+    -L x / A[i][c] for the entry x of row i in column fj; L is the lcm of
+    the pivots."""
+    L = lcm(*(A[i][c] for i, c in enumerate(pivots)))
+    scales = [L // A[i][c] for i, c in enumerate(pivots)]
+    X, Y = [], []
+    for fj in (j for j in range(ncols) if j not in pivots):
+        xs, ys = [0] * ncols, [0] * ncols
+        xs[fj] = L
+        for i, (c, s) in enumerate(zip(pivots, scales)):
+            xs[c] = -s * A[i][fj]
+            ys[c] = -s * B[i][fj]
+        X.append(tuple(xs))
+        Y.append(tuple(ys))
+    return X, Y, L
+
+
+def _solve_coords(mat, rhs):
+    """mat.solve(rhs): [M | R] is eliminated over the lcm l of the
+    denominators, and the row of the solution at pivot p is the rhs part of
+    the pivot row divided by its pivot.  None when a pivot falls in the rhs
+    part."""
+    (A, B, d), (C, E, f) = mat.coords, rhs.coords
+    n, k = mat.ncols, rhs.ncols
+    l = lcm(d, f)
+    s, t = l // d, l // f
+    AA = [[s * x for x in a] + [t * y for y in c] for a, c in zip(A, C)]
+    BB = [[s * x for x in b] + [t * y for y in e] for b, e in zip(B, E)]
+    pivots = _eliminate_coords(AA, BB, mat.m, n + k)
+    if any(p >= n for p in pivots):
+        return None
+    zero = ((0,) * k,) * 2
+    rows, divisors = [zero] * n, [1] * n
+    for i, p in enumerate(pivots):
+        rows[p] = AA[i][n:], BB[i][n:]
+        divisors[p] = AA[i][p]
+    return _divided(mat, (n, k), rows, divisors)
+
+
+def _matmul_coords(left, right):
+    """Integer dot products over the product of the denominators."""
+    mul, m = operator.mul, left.m
+    (A, B, d), (C, E, f) = left.coords, right.coords
+    shape = (left.nrows, right.ncols)
     cols = list(zip(zip(*C), zip(*E))) or [((), ())] * right.ncols
-    out = []
+    X, Y = [], []
     for a, b in zip(A, B):
-        row = []
-        for c, e in cols:
-            x = sum(map(mul, a, c))
-            if m:
-                x += m * sum(map(mul, b, e))
-                y = sum(map(mul, a, e)) + sum(map(mul, b, c))
-                row.append((Fraction(x, q), Fraction(y, q)))
-            else:
-                row.append(Fraction(x, q))
-        out.append(tuple(row))
-    return Mat._of(ring, tuple(out), (left.nrows, right.ncols))
+        if any(b):
+            X.append(tuple(sum(map(mul, a, c)) + m * sum(map(mul, b, e)) for c, e in cols))
+            Y.append(tuple(sum(map(mul, a, e)) + sum(map(mul, b, c)) for c, e in cols))
+        else:
+            X.append(tuple(sum(map(mul, a, c)) for c, _ in cols))
+            Y.append(tuple(sum(map(mul, a, e)) for _, e in cols))
+    return _reduced(left.ring, shape, tuple(X), tuple(Y), d * f)
 
 
 # --- F_q on int codes ---

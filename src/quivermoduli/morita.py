@@ -82,8 +82,8 @@ def unsplit_matrix(alg, pair, m):
     if m.nrows % 2 or m.ncols % 2:
         raise SchemaError("matrix shape is not a doubling")
     _check_split_pair(alg, pair)
-    rows = []
-    for top, bottom in zip(m.rows[::2], m.rows[1::2]):
+    rows, mrows = [], m.rows
+    for top, bottom in zip(mrows[::2], mrows[1::2]):
         row = []
         for j in range(0, m.ncols, 2):
             (a, b), (c, d) = top[j], bottom[j]

@@ -160,7 +160,7 @@ class Representation:
         )
 
     def __hash__(self):
-        return hash(tuple((a.name, self.mats[a.name].rows) for a in self.quiver.arrows))
+        return hash(tuple((a.name, self.mats[a.name]) for a in self.quiver.arrows))
 
     def __repr__(self):
         d = [self.dims[v] for v in self.quiver.vertices]

@@ -37,6 +37,7 @@ certificates (rep.certificates), and the type map's precondition check reads
 the one its caller already asked for.
 """
 
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -228,12 +229,18 @@ class _Subspaces(dict):
     """
 
     def __init__(self, field, dim):
-        self.field = field
+        # held weakly: the field holds this store, and a reference back would
+        # keep every reduced field of a certificate alive until a gc pass
+        self._field = weakref.ref(field)
         self.dim = dim
         sizes = [_gaussian_binomial(field.size, dim, r) for r in range(dim + 1)]
         self.offsets = list(accumulate(sizes, initial=0))
         self._ranks = {}  # rank -> its RREF bases, in index order
         self.lines = _Lines(self)
+
+    @property
+    def field(self):
+        return self._field()
 
     def __missing__(self, idx):
         span = self[idx] = _Span(self.rows(idx), self)
@@ -274,15 +281,16 @@ class _Images(dict):
     basis, with M u computed once per basis vector.
     """
 
-    __slots__ = ("mat", "tails", "codes")
+    __slots__ = ("mat", "tails", "field", "codes")
 
     def __init__(self, mat, tails):
         self.mat = mat
         self.tails = tails
+        self.field = tails.field
         self.codes = {}  # basis vector u -> code of M u
 
     def __missing__(self, t_idx):
-        field = self.tails.field
+        field = self.field
         add, mul, zero, q = field.add, field.mul, field.zero, field.size
         img = []
         for u in self.tails.rows(t_idx):
@@ -726,38 +734,35 @@ def base_change_witness(witness, pair):
 # certificates over Q and Q(sqrt(m))
 
 
-def _reduction_map(ring, p):
-    """Entry map ring -> F_p, or None when p is unusable for this ring.
-
-    Q reduces at every p.  Q(sqrt(m)) reduces at an odd p where m is a
-    nonzero square, with sqrt(m) sent to its least square root mod p; for
-    m = -1 those are the primes p = 1 mod 4."""
-    fp = PrimeField(p)
-
-    def red(x):
-        if x.denominator % p == 0:
-            raise ZeroDivisionError
-        return x.numerator * pow(x.denominator, -1, p) % p
-
-    if ring == QQ:
-        return fp, red
-    if isinstance(ring, QuadraticField) and p > 2 and legendre(ring.m, p) == 1:
-        r = sqrt_mod(ring.m, p)
-        return fp, lambda x: (red(x[0]) + red(x[1]) * r) % p
-    return None
-
-
 def reduce_mod_prime(rep, p):
     """Reduction of a Q- or Q(sqrt(m))-representation mod p, or None if p
-    is unusable."""
-    rm = _reduction_map(rep.ring, p)
-    if rm is None:
+    is unusable.
+
+    Q reduces at every p.  Q(sqrt(m)) reduces at an odd p where m is a
+    nonzero square, with sqrt(m) sent to its least square root r mod p; for
+    m = -1 those are the primes p = 1 mod 4.  A matrix (A + B sqrt(m)) / d
+    reduces to (A + r B) d^-1, so p is also unusable when it divides some
+    d: the coordinates are canonical, so that is when p divides the
+    denominator of some entry."""
+    ring = rep.ring
+    if ring == QQ:
+        r = 0
+    elif isinstance(ring, QuadraticField) and p > 2 and legendre(ring.m, p) == 1:
+        r = sqrt_mod(ring.m, p)
+    else:
         return None
-    fp, red = rm
-    try:
-        return rep.map_entries(red, fp)
-    except ZeroDivisionError:
+    coords = {name: m.coords for name, m in rep.mats.items()}
+    if any(d % p == 0 for _, _, d in coords.values()):
         return None
+    fp = PrimeField(p)
+    mats = {}
+    for name, (A, B, d) in coords.items():
+        t = pow(d, -1, p)
+        rows = tuple(
+            tuple((x + r * y) * t % p for x, y in zip(a, b)) for a, b in zip(A, B)
+        )
+        mats[name] = Mat._of(fp, rows, rep.mats[name].shape)
+    return Representation(rep.quiver, fp, rep.dims, mats)
 
 
 def _forward_closure(rep, seeds):
@@ -831,7 +836,7 @@ def _exact_destabilizer_candidates(rep, seeds):
     seen = set()
     for seed in seeds:
         cand = _forward_closure(rep, seed)
-        key = tuple(sorted((v, m.rows) for v, m in cand.bases.items()))
+        key = tuple(sorted(cand.bases.items()))
         if key in seen:
             continue
         seen.add(key)

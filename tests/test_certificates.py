@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -104,6 +106,33 @@ def test_reduction_over_a_real_quadratic_field():
     assert geom_stability_certificate(w, THETA, JobConfig(primes=(5, 7))).detail == {
         "certificate": "reduction", "prime": 7
     }
+
+
+def test_reduced_fields_are_freed_when_the_certificate_returns(monkeypatch):
+    # the subspace store on a field refers back to it weakly, so no reference
+    # cycle keeps a reduced field alive: with the collector off, reference
+    # counting frees each one once the certificate returns, after a Stable
+    # reduction and after the exact hunt at every prime
+    fields = []
+
+    def reducing(rep, p):
+        red = reduce_mod_prime(rep, p)
+        if red is not None:
+            fields.append(weakref.ref(red.ring))
+        return red
+
+    monkeypatch.setattr(stability, "reduce_mod_prime", reducing)
+    ident = qmat([[1, 0], [0, 1]])
+    semistable = Representation(kronecker_quiver(3), QQ, {"s": 2, "t": 2},
+                                {"a1": ident, "a2": ident, "a3": ident})
+    stable, _, theta = quaternionic_kronecker_example()
+    gc.disable()
+    try:
+        kinds = [geom_stability_certificate(w, theta, CFG).kind for w in (stable, semistable)]
+        assert kinds == [STABLE, STRICTLY_SEMISTABLE] and len(fields) > 2
+        assert [ref() for ref in fields] == [None] * len(fields)
+    finally:
+        gc.enable()
 
 
 def test_unknown_when_all_primes_unusable():

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -389,3 +391,73 @@ def test_two_forms_from_one_orbit_are_isomorphic():
         forms.append(form)
     assert is_isomorphic(forms[0], forms[1], CFG) is not None
     assert is_isomorphic(forms[0], w0, CFG) is not None
+
+
+# --- a golden file of descent answers over Q(i) ---
+
+
+def _unimodular(ring, a, b):
+    o, z = ring.one, ring.zero
+    return Mat(ring, ((o, a), (z, o))) @ Mat(ring, ((o, z), (b, o)))
+
+
+def _descent_cases():
+    """Eight seeded Galois-fixed orbits over Q(i), built like the arith
+    benchmark's: moved rational 3-Kronecker (2,2) reps, and Morita splittings
+    of moved quaternionic (1,1) reps over (-1,-1)_Q."""
+    from quivermoduli import hamilton_quaternions, morita_split
+
+    rng = random.Random(20170425)
+    pair, H, k3 = GaloisPair.gaussian(), hamilton_quaternions(), kronecker_quiver(3)
+    Qi = pair.ext
+    cases = []
+    for _ in range(4):
+        mats = {a.name: Mat(QQ, [[Fraction(rng.randint(-3, 3)) for _ in range(2)]
+                                 for _ in range(2)]) for a in k3.arrows}
+        w = Representation(k3, QQ, {"s": 2, "t": 2}, mats)
+        signs = [QQ.one, QQ.neg(QQ.one)]
+        w = w.act({v: _unimodular(QQ, rng.choice(signs), rng.choice(signs)) for v in "st"})
+        units = [Qi.one, Qi.neg(Qi.one), Qi.sqrt_gen, Qi.neg(Qi.sqrt_gen)]
+        g = {v: _unimodular(Qi, rng.choice(units), rng.choice(units)) for v in "st"}
+        cases.append(base_change(w, pair).act(g))
+    for _ in range(4):
+        quats = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(4)) for _ in k3.arrows]
+        drep = Representation(k3, H, {"s": 1, "t": 1}, {
+            a.name: Mat(H, ((x if any(x) else H.one,),)) for a, x in zip(k3.arrows, quats)
+        })
+        x = {v: Mat(H, ((rng.choice([H.one, H.i, H.j, H.k]),),)) for v in "st"}
+        cases.append(morita_split(drep.act(x), pair))
+    return pair, cases
+
+
+def _descent_answers():
+    """Per case: the certificate, and for a Stable one the type map's u,
+    lambda and class and the descended form, as the CLI serializes them."""
+    from quivermoduli import geom_stability_certificate
+    from quivermoduli.morita import descended_form
+    from quivermoduli.serialize import hom_to_json, rep_to_json
+
+    pair, cases = _descent_cases()
+    config = JobConfig(seed=0)
+    out = []
+    for rep in cases:
+        cert = geom_stability_certificate(rep, THETA, config)
+        entry = {"certificate": {"kind": cert.kind, "detail": str(cert.detail)}}
+        if cert.is_stable:
+            datum = type_map(rep, pair, THETA, config)
+            entry.update(
+                u=hom_to_json(datum.u),
+                lam=str(datum.lam),
+                brauer_class=datum.brauer.describe(),
+                form=rep_to_json(descended_form(datum, config)),
+            )
+        out.append(entry)
+    return json.dumps(out, indent=1, sort_keys=True) + "\n"
+
+
+def test_descent_answers_match_golden_file():
+    # written from the per-entry Fraction implementation, so a normalization
+    # of the integer coordinates (the sign of d, content) that leaked into a
+    # printed payload would show here
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+    assert _descent_answers() == (fixtures / "qi_descent.golden.json").read_text()

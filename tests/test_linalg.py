@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -7,21 +8,33 @@ from hypothesis import strategies as st
 
 from quivermoduli import (
     GF,
+    GaloisPair,
     Mat,
     Representation,
     a2_quiver,
     end_dim,
+    geom_stability_certificate,
     hamilton_quaternions,
     hom_space,
     jordan_quiver,
     kronecker_quiver,
+    linalg,
+    twist,
+    type_map,
 )
+from quivermoduli.config import JobConfig
 from quivermoduli.errors import SchemaError
 from quivermoduli.ffields import ExtensionField, PrimeField
 from quivermoduli.homs import _field_hom_system
+from quivermoduli.morita import descended_form
+from quivermoduli.numtheory import legendre, sqrt_mod
+from quivermoduli.quiver import base_change
 from quivermoduli.rings import QQ, QuadraticField, RationalField, gaussian_rationals
+from quivermoduli.serialize import rep_to_json
+from quivermoduli.stability import STABLE, reduce_mod_prime
 
 from helpers import (
+    count_calls,
     fmat,
     qmat,
     reference_hom_space,
@@ -367,10 +380,27 @@ def test_finite_field_rref_makes_no_ring_calls(monkeypatch):
         Mat(GF(5), ((1, 2), (3,)), (2, 2))
 
 
+def _moved_qi_rep():
+    """A 3-Kronecker (2,2) rep over Q with denominators, moved by g in
+    GL_2(Q(i)) after base change: a Galois-fixed orbit of trivial class."""
+    Qi, pair = gaussian_rationals(), GaloisPair.gaussian()
+    f = lambda *xs: [Fraction(x) for x in xs]
+    w = Representation(kronecker_quiver(3), QQ, {"s": 2, "t": 2}, {
+        "a1": Mat(QQ, (f(1, 0), f(0, 1))),
+        "a2": Mat(QQ, (f(2, Fraction(1, 3)), f(-1, 0))),
+        "a3": Mat(QQ, (f(0, 1), f(Fraction(5, 2), 3))),
+    })
+    gi = lambda a, b=0: (Fraction(a), Fraction(b))
+    o, z = Qi.one, Qi.zero
+    g = Mat(Qi, ((o, gi(1, 1)), (z, o))) @ Mat(Qi, ((o, z), (gi(0, Fraction(1, 2)), o)))
+    return base_change(w, pair).act({"s": g, "t": g.transpose()}), pair
+
+
 def test_rational_kernels_make_no_ring_calls(monkeypatch):
-    # over Q and Q(sqrt(m)) rank, kernels and Hom spaces run on integer
-    # coordinates; a fall-back to rref or to per-entry arithmetic would
-    # call what is patched here
+    # over Q and Q(sqrt(m)) rank, kernels, Hom spaces, products, sums,
+    # scaling, inverses, the twist and the reduction mod p run on integer
+    # coordinates; a fall-back to rref or to per-entry arithmetic would call
+    # what is patched here
     Qi, H = gaussian_rationals(), hamilton_quaternions()
     k3 = kronecker_quiver(3)
 
@@ -392,9 +422,22 @@ def test_rational_kernels_make_no_ring_calls(monkeypatch):
         ((tuple(map(Fraction, x)),),) for x in ((1, 0, 1, 0), (0, Fraction(1, 2), 0, 1), (2, 0, 0, -1))
     ])
     m = Mat(Qi, [[gi(j - i, i * j % 3) for j in range(5)] for i in range(4)], (4, 5))
+    a, b = w.mats["a3"], wg.mats["a2"]
+    c = gi(Fraction(2, 3), -1)
+    pair = GaloisPair.gaussian()
     homs_want = reference_hom_space(w, wg)
     assert len(homs_want) == 1 and end_dim(drep) == 1
     want = (homs_want, end_dim(drep), len(reference_rref(m)[1]), reference_nullspace(m))
+    arith_want = (
+        reference_matmul(a, b),
+        tuple(tuple(map(Qi.add, r, s)) for r, s in zip(a.rows, b.rows)),
+        tuple(tuple(Qi.mul(c, x) for x in r) for r in a.rows),
+        {name: x.map(Qi.conj) for name, x in wg.mats.items()},
+        {name: x.map(lambda e: (e[0].numerator * pow(e[0].denominator, -1, 13)
+                                + 5 * e[1].numerator * pow(e[1].denominator, -1, 13)) % 13,
+                     GF(13)).rows
+         for name, x in wg.mats.items()},
+    )
 
     def refuse(*args):
         raise AssertionError("ring arithmetic or rref on the integer path")
@@ -402,5 +445,123 @@ def test_rational_kernels_make_no_ring_calls(monkeypatch):
     for cls in (RationalField, QuadraticField):
         for op in ("add", "sub", "mul", "neg"):
             monkeypatch.setattr(cls, op, refuse)
+    monkeypatch.setattr(QuadraticField, "conj", refuse)
     monkeypatch.setattr(Mat, "rref", refuse)
     assert (hom_space(w, wg), end_dim(drep), m.rank(), m.nullspace()) == want
+    inv = b.inverse()
+    assert inv is not None and b @ inv == Mat.identity(Qi, 2) == inv @ b
+    red = reduce_mod_prime(wg, 13)  # sqrt(-1) = 5 mod 13
+    assert (
+        (a @ b).rows,
+        (a + b).rows,
+        a.scale(c).rows,
+        dict(twist(wg, pair, 1).mats),
+        {name: x.rows for name, x in red.mats.items()},
+    ) == arith_want
+
+
+def test_descent_builds_no_payload_rows(monkeypatch):
+    # certificate, type map and descended form of a moved Q(i) rep stay on
+    # integer coordinates: no matrix builds its Fraction rows until the form
+    # is serialized
+    rep, pair = _moved_qi_rep()
+    built = count_calls(monkeypatch, linalg._payload_rows)
+    config = JobConfig(seed=0)
+    assert geom_stability_certificate(rep, THETA_ST, config).kind == STABLE
+    form = descended_form(type_map(rep, pair, THETA_ST, config), config)
+    assert form.ring == QQ and built == []
+    rep_to_json(form)
+    assert len(built) == 3
+
+
+# --- the coordinate form of Q and Q(sqrt(m)) matrices against per-entry
+# arithmetic ---
+
+COORD_FIELDS = st.sampled_from([QQ, QuadraticField(-1), QuadraticField(2), QuadraticField(-3)])
+THETA_ST = {"s": 1, "t": -1}
+
+
+def _coords_are_canonical(mat):
+    A, B, d = mat.coords
+    flat = [x for X in (A, B) for row in X for x in row]
+    parts = [x for row in mat.rows for e in row for x in (e if isinstance(e, tuple) else (e,))]
+    return d > 0 and gcd(d, *flat) == 1 and d == lcm(*(x.denominator for x in parts))
+
+
+@given(COORD_FIELDS, st.data())
+def test_coordinate_ops_match_per_entry(ring, data):
+    a = data.draw(matrices(ring))
+    b = data.draw(matrices(ring, a.nrows, a.ncols))
+    c = data.draw(elements(ring))
+    wide = data.draw(matrices(ring, a.nrows, data.draw(st.integers(0, 3))))
+    tall = data.draw(matrices(ring, data.draw(st.integers(0, 3)), a.ncols))
+    rows_a, rows_b = a.rows, b.rows
+    n, k = a.shape
+    cases = [
+        (a + b, tuple(tuple(map(ring.add, r, s)) for r, s in zip(rows_a, rows_b))),
+        (a.scale(c), tuple(tuple(ring.mul(c, x) for x in r) for r in rows_a)),
+        (a.transpose(), tuple(tuple(rows_a[i][j] for i in range(n)) for j in range(k))),
+        (a.hstack(wide), tuple(r + s for r, s in zip(rows_a, wide.rows))),
+        (a.vstack(tall), rows_a + tall.rows),
+        (a @ Mat.identity(ring, k), rows_a),
+        (a.rref()[0], reference_rref(Mat(ring, rows_a, a.shape))[0]),
+    ]
+    if ring != QQ:
+        conj = GaloisPair.quadratic(ring.m).sigma_mat(a)
+        cases.append((conj, tuple(tuple(map(ring.conj, r)) for r in rows_a)))
+    for got, want in cases:
+        assert got.rows == want and _coords_are_canonical(got)
+        fresh = Mat(ring, want, got.shape)
+        assert got == fresh and hash(got) == hash(fresh)
+        assert [got.entry(i, j) for i in range(got.nrows) for j in range(got.ncols)] == [
+            x for row in want for x in row
+        ]
+        assert [got.col(j) for j in range(got.ncols)] == [
+            tuple(row[j] for row in want) for j in range(got.ncols)
+        ]
+    assert a.nullspace() == reference_nullspace(Mat(ring, rows_a, a.shape))
+    assert (a == b) == (rows_a == rows_b)
+
+
+@given(COORD_FIELDS, st.data())
+def test_singular_inverse_is_none(ring, data):
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(matrices(ring, n, n))
+    rows = list(m.rows)
+    rows[-1] = tuple(ring.add(x, y) for x, y in zip(rows[0], rows[-1])) if n > 1 else (ring.zero,)
+    if n > 1:
+        rows[0] = rows[-1]
+    singular = Mat(ring, rows, (n, n))
+    assert singular.inverse() is None and singular.solve(Mat.identity(ring, n)) is None
+
+
+def _reference_reduction(rep, p):
+    """The per-entry reduction mod p of a Q- or Q(sqrt(m))-rep."""
+    ring = rep.ring
+    if ring == QQ:
+        r = 0
+    elif p > 2 and legendre(ring.m, p) == 1:
+        r = sqrt_mod(ring.m, p)
+    else:
+        return None
+    red = lambda x: x.numerator * pow(x.denominator, -1, p) % p
+    out = {}
+    for name, mat in rep.mats.items():
+        flat = [x for row in mat.rows for e in row for x in (e if isinstance(e, tuple) else (e,))]
+        if any(x.denominator % p == 0 for x in flat):
+            return None
+        one = (lambda x: red(x)) if ring == QQ else (lambda x: (red(x[0]) + r * red(x[1])) % p)
+        out[name] = tuple(tuple(one(x) for x in row) for row in mat.rows)
+    return out
+
+
+@given(COORD_FIELDS, st.data())
+def test_reduce_mod_prime_matches_per_entry(ring, data):
+    dims = {"s": data.draw(st.integers(0, 2)), "t": data.draw(st.integers(1, 2))}
+    rep = data.draw(reps(ring, kronecker_quiver(2), dims))
+    if data.draw(st.booleans()):
+        rep = rep.act({v: Mat.identity(ring, d) for v, d in dims.items()})  # coordinate form
+    for p in (2, 3, 5, 7, 11, 13):
+        want = _reference_reduction(rep, p)
+        got = reduce_mod_prime(rep, p)
+        assert (None if got is None else {k: m.rows for k, m in got.mats.items()}) == want
