@@ -169,7 +169,8 @@ def type_map(rep, pair, theta, config):
 
 
 def _average(u_from, u_to, pair, config, label):
-    """h with h u_from sigma(h)^{-1} = u_to, for cocycles with one scalar.
+    """(h, h^{-1}) with h u_from sigma(h)^{-1} = u_to, for cocycles with one
+    scalar; u_from None is the identity.
 
     T(c) = u_to sigma(c) u_from^{-1} has T^i(c) =
     (u_to)_{sigma^i} sigma^i(c) ((u_from)_{sigma^i})^{-1} and T^n(c) =
@@ -178,13 +179,14 @@ def _average(u_from, u_to, pair, config, label):
     Zariski-closed subset of M_n(L).  The identity resolvent goes first, for
     a deterministic result whenever it works (it fails e.g. when
     char | degree); then c is drawn entrywise from L.  Every output is
-    verified; exhaustion raises InconclusiveError with the seed.
+    verified, with sigma(h)^{-1} read as sigma(h^{-1}) from the one inverse
+    taken per average; exhaustion raises InconclusiveError with the seed.
     """
     ext = pair.ext
-    inv_from = {v: m.inverse() for v, m in u_from.items()}
+    inv_from = None if u_from is None else {v: m.inverse() for v, m in u_from.items()}
     rng = config.rng(label)
     for attempt in range(config.h90_retries):
-        h = {}
+        h, h_inv = {}, {}
         for v, target in u_to.items():
             n = target.nrows
             if attempt == 0:
@@ -194,16 +196,20 @@ def _average(u_from, u_to, pair, config, label):
                 c = Mat(ext, entries, (n, n))
             term = acc = c
             for _ in range(1, pair.degree):
-                term = target @ pair.sigma_mat(term) @ inv_from[v]
+                term = target @ pair.sigma_mat(term)
+                if inv_from is not None:
+                    term = term @ inv_from[v]
                 acc = acc + term
-            if n and not acc.is_invertible():
+            inv = acc.inverse()
+            if inv is None:
                 break
-            h[v] = acc
+            h[v], h_inv[v] = acc, inv
         else:
             for v, hv in h.items():
-                if hv @ u_from[v] @ pair.sigma_mat(hv).inverse() != u_to[v]:
+                moved = hv if u_from is None else hv @ u_from[v]
+                if moved @ pair.sigma_mat(h_inv[v]) != u_to[v]:
                     raise InvariantError(f"{label}: the average does not reach the target")
-            return h
+            return h, h_inv
     raise InconclusiveError(
         f"no invertible Hilbert-90 average ({label}) in {config.h90_retries} attempts",
         seed=config.seed,
@@ -211,9 +217,9 @@ def _average(u_from, u_to, pair, config, label):
 
 
 def hilbert90_split(u, pair, config):
-    """g with u = g sigma(g)^{-1}, for a 1-cocycle u (cyclic product = 1)."""
-    ident = {v: Mat.identity(pair.ext, m.nrows) for v, m in u.items()}
-    return _average(ident, u, pair, config, "hilbert90")
+    """(g, g^{-1}) with u = g sigma(g)^{-1}, for a 1-cocycle u (cyclic
+    product = 1)."""
+    return _average(None, u, pair, config, "hilbert90")
 
 
 def hilbert90_descend(datum, config):
@@ -231,14 +237,9 @@ def hilbert90_descend(datum, config):
     normalized = datum.rescale(a_inv)
     if normalized.lam != pair.base.one:
         raise InvariantError("rescaled cocycle scalar is not 1")
-    g = hilbert90_split(normalized.u, pair, config)
-    ginv = {v: m.inverse() for v, m in g.items()}
+    g, g_inv = hilbert90_split(normalized.u, pair, config)
     rep = datum.rep
-    mats = {}
-    for arr in rep.quiver.arrows:
-        m = ginv[arr.dst] @ rep.mats[arr.name] @ g[arr.src]
-        mats[arr.name] = m
-    descended = Representation(rep.quiver, pair.ext, rep.dims, mats)
+    descended = rep.conjugate(g_inv, g)
     for name, m in descended.mats.items():
         if pair.sigma_mat(m) != m:
             raise InvariantError(f"descended matrix for arrow {name} is not Galois-fixed")
@@ -248,8 +249,10 @@ def hilbert90_descend(datum, config):
 
 
 def solve_descent_change_of_basis(u, u_target, pair, config):
-    """h with h u sigma(h)^{-1} = u_target, for two modifying elements with
-    the same cocycle scalar, by the same averaging as hilbert90_split."""
+    """(h, h^{-1}) with h u sigma(h)^{-1} = u_target, for two modifying
+    elements with the same cocycle scalar, by the same averaging as
+    hilbert90_split; the identity twice when u is already u_target."""
     if u == u_target:
-        return {v: Mat.identity(pair.ext, m.nrows) for v, m in u.items()}
+        eye = {v: Mat.identity(pair.ext, m.nrows) for v, m in u.items()}
+        return eye, eye
     return _average(u, u_target, pair, config, "cob")

@@ -168,8 +168,8 @@ def division_form(datum, config):
         raise InvariantError("lambda normalization failed")
     dprime = {v: d // 2 for v, d in rep.dims.items()}
     u_std = standard_u(pair, lam_std, dprime)
-    h = solve_descent_change_of_basis(normalized.u, u_std, pair, config)
-    rep_std = rep.act(h)
+    h, h_inv = solve_descent_change_of_basis(normalized.u, u_std, pair, config)
+    rep_std = rep if normalized.u == u_std else rep.conjugate(h, h_inv)
     drep = morita_unsplit(rep_std, pair, lam_std)
     return drep, {"h": h, "standard_rep": rep_std, "lambda": lam_std, "class": cls}
 

@@ -80,9 +80,11 @@ class Representation:
 
     Immutable: dims and mats are read-only views of copies made at
     construction, so every answer computed from a rep stays true of it.
-    certificates is the rep's own memo of geometric-stability certificates,
-    filled by stability.geom_stability_certificate on first use; equal reps
-    built separately share nothing.
+    certificates is the rep's own memo of its stability answers, made on
+    first use: exact verdicts over F_q by stability.stability_verdict, read
+    again by is_semistable and scss, and geometric-stability certificates
+    over Q and Q(sqrt(m)) by stability.geom_stability_certificate.  Equal
+    reps built separately share nothing.
     """
 
     __slots__ = ("quiver", "ring", "dims", "mats", "certificates")
@@ -127,6 +129,10 @@ class Representation:
         ginv = {v: g[v].inverse() for v in self.quiver.vertices}
         if any(m is None for m in ginv.values()):
             raise ValueError("group element is not invertible")
+        return self.conjugate(g, ginv)
+
+    def conjugate(self, g, ginv):
+        """g . M from g and its inverse ginv, which is trusted, not checked."""
         mats = {
             a.name: g[a.dst] @ self.mats[a.name] @ ginv[a.src] for a in self.quiver.arrows
         }

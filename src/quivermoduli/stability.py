@@ -33,8 +33,12 @@ Decision procedures over infinite fields do not exist here;
 geom_stability_certificate returns Stable only with a finite-field
 certificate, returns a non-stable verdict only with an exactly re-verified
 witness, and says Unknown otherwise.  A rep is immutable, so it keeps its
-certificates (rep.certificates), and the type map's precondition check reads
-the one its caller already asked for.
+answers in rep.certificates: its exact verdicts over F_q, which
+is_semistable, scss, and so hn_filtration and verify_hn (whose one layer of
+a length-1 filtration is the rep itself), read instead of searching again,
+and its certificates, which the type map's precondition check reads.  Each
+is kept under the budget it was decided with and read only under that
+budget; a BudgetExceededError is never kept.
 """
 
 import weakref
@@ -523,25 +527,54 @@ def _verdicts(quiver, dims, theta, field, config, strict=False):
     return eng, verdict
 
 
+def _memo(rep):
+    """rep.certificates, made on first use."""
+    try:
+        return rep.certificates
+    except AttributeError:
+        memo = rep.certificates = {}
+        return memo
+
+
+def _verdict_key(theta, config):
+    """The key of an exact verdict in rep.certificates: theta and the one
+    config field the verdict reads, the subspace budget.  A kept verdict
+    passed the budget over the slope groups at or above mu, so each walk it
+    stands in for, under the same budget, would have passed too."""
+    return ("verdict", tuple(sorted(theta.items())), config.max_subspace_checks)
+
+
 def stability_verdict(rep, theta, config):
     """Exact verdict over a finite field by subrepresentation enumeration.
 
     Unstable comes with a witness of maximal slope; the witness slope is
     strictly larger than mu(W).  A maximal slope equal to mu(W) attained by
     a proper subrepresentation gives StrictlySemistable.
+
+    The verdict is kept in rep.certificates under _verdict_key, where
+    is_semistable and scss read it; a BudgetExceededError is not kept.
     """
     if rep.is_zero_dimensional():
         raise ValueError("stability of the zero representation is undefined")
-    eng, verdict = _verdicts(rep.quiver, rep.dims, theta, rep.ring, config)
-    kind, hit = verdict(_encode_rep(rep))
-    if hit is None:
-        return StabilityVerdict(STABLE)
-    s, e, combo = hit
-    return StabilityVerdict(kind, witness=eng.witness(e, combo), detail={"slope": s})
+    memo = _memo(rep)
+    key = _verdict_key(theta, config)
+    if key not in memo:
+        eng, verdict = _verdicts(rep.quiver, rep.dims, theta, rep.ring, config)
+        kind, hit = verdict(_encode_rep(rep))
+        if hit is None:
+            memo[key] = StabilityVerdict(STABLE)
+        else:
+            s, e, combo = hit
+            memo[key] = StabilityVerdict(kind, witness=eng.witness(e, combo), detail={"slope": s})
+    return memo[key]
 
 
 def is_semistable(rep, theta, config):
-    """Semistability only needs the slope groups strictly above mu."""
+    """Semistability: read off a kept verdict, or else a walk of the slope
+    groups strictly above mu only."""
+    kept = getattr(rep, "certificates", {}).get(_verdict_key(theta, config))
+    if kept is not None:
+        return kept.kind != UNSTABLE
     _, verdict = _verdicts(rep.quiver, rep.dims, theta, rep.ring, config, strict=True)
     return verdict(_encode_rep(rep))[1] is None
 
@@ -584,8 +617,14 @@ def scss(rep, theta, config):
     if rep.is_zero_dimensional():
         raise ValueError("scss of the zero representation is undefined")
     # Only slopes strictly above mu can beat the full representation; if none
-    # is attained, the representation is semistable and is its own scss.
+    # is attained, the representation is semistable and is its own scss.  A
+    # kept Unstable verdict's slope is the highest attained: walk its group.
+    kept = getattr(rep, "certificates", {}).get(_verdict_key(theta, config))
+    if kept is not None and kept.kind != UNSTABLE:
+        return full_witness(rep)
     groups = _slope_groups(rep.dims, theta, rep.slope(theta), strict=True)
+    if kept is not None:
+        groups = [g for g in groups if g[0] == kept.detail["slope"]]
     eng, groups = _search(rep.quiver, rep.dims, rep.ring, groups, config)
     tests = eng.tests(_encode_rep(rep))
     for _, same_slope in groupby(groups, key=lambda g: g[0]):
@@ -694,11 +733,13 @@ def hn_filtration(rep, theta, config):
 
 
 def hn_subquotients(rep, theta, hn):
-    """The subquotients W^i / W^{i-1} of a filtration, as representations."""
+    """The subquotients W^i / W^{i-1} of a filtration, as representations.
+    A first step that is the full witness (identity bases) gives W itself,
+    which keeps its verdicts."""
     out = []
     lower = _zero_witness(rep)
     for w in hn.steps:
-        out.append(_subquotient(rep, lower, w)[0])
+        out.append(rep if not out and w == full_witness(rep) else _subquotient(rep, lower, w)[0])
         lower = w
     return out
 
@@ -878,10 +919,7 @@ def geom_stability_certificate(rep, theta, config):
     if rep.ring.is_finite:
         raise SchemaError("certificates are for infinite coefficient fields")
     key = (tuple(sorted(theta.items())), config.primes, config.max_subspace_checks)
-    try:
-        memo = rep.certificates
-    except AttributeError:  # first certificate asked of this rep
-        memo = rep.certificates = {}
+    memo = _memo(rep)
     if key not in memo:
         memo[key] = _certificate(rep, theta, config)
     return memo[key]

@@ -1,9 +1,9 @@
 """Shared builders for the test suite, the per-entry matrix loops and Hom
 solver as the reference for the integer-coordinate kernel, a brute-force
 stability reference, the one-loop certificate over Q and Q(i), the
-full-scan orbit census as the reference for the slice census, and
+full-scan orbit census as the reference for the slice census,
 product-by-product references for finite-field tables and quaternion
-regular representations."""
+regular representations, and the transpose on the opposite quiver."""
 
 import sys
 from fractions import Fraction
@@ -13,6 +13,7 @@ from itertools import combinations, product
 from quivermoduli import (
     GaloisPair,
     Mat,
+    Quiver,
     Representation,
     SubrepWitness,
     gaussian_rationals,
@@ -21,6 +22,7 @@ from quivermoduli import (
 )
 from quivermoduli import census, homs, stability
 from quivermoduli.errors import BudgetExceededError, InvariantError
+from quivermoduli.quiver import Arrow
 from quivermoduli.rings import QQ
 from quivermoduli.stability import (
     STABLE,
@@ -369,3 +371,17 @@ def reference_left_mul_matrix(alg, c):
 def reference_right_mul_matrix(alg, c):
     """Rows of y -> y c, column k the product e_k c."""
     return _cols_to_rows([alg.mul(e, c) for e in (alg.one, alg.i, alg.j, alg.k)])
+
+
+# ---------------------------------------------------------------------------
+# the opposite quiver
+
+
+def opposite_transpose(rep):
+    """W^T on the opposite quiver: every arrow reversed, its matrix
+    transposed, so W^T is the dual representation in dual bases."""
+    quiver = Quiver(
+        rep.quiver.vertices, tuple(Arrow(a.name, a.dst, a.src) for a in rep.quiver.arrows)
+    )
+    mats = {name: m.transpose() for name, m in rep.mats.items()}
+    return Representation(quiver, rep.ring, rep.dims, mats)

@@ -269,6 +269,10 @@ def _splits(g, u, pair):
     return all(g[v] @ g[v].map(pair.sigma).inverse() == u[v] for v in u)
 
 
+def _inverts(g, g_inv):
+    return all(g[v] @ g_inv[v] == Mat.identity(g[v].ring, g[v].nrows) for v in g)
+
+
 @pytest.mark.parametrize("m", [-1, 2])
 def test_hilbert90_split_minus_one(m):
     # the identity resolvent gives 1 + u = 0, and so does every rational one:
@@ -276,15 +280,15 @@ def test_hilbert90_split_minus_one(m):
     pair = GaloisPair.quadratic(m)
     L = pair.ext
     u = {"v": Mat(L, ((L.neg(L.one),),))}
-    g = hilbert90_split(u, pair, CFG)
-    assert _splits(g, u, pair)
+    g, g_inv = hilbert90_split(u, pair, CFG)
+    assert _splits(g, u, pair) and _inverts(g, g_inv)
 
 
 def test_hilbert90_split_eigenvalue_minus_one():
     pair = GaloisPair.gaussian()
     u = {"v": gimat([[1, 0], [0, -1]])}
-    g = hilbert90_split(u, pair, CFG)
-    assert _splits(g, u, pair)
+    g, g_inv = hilbert90_split(u, pair, CFG)
+    assert _splits(g, u, pair) and _inverts(g, g_inv)
 
 
 def test_hilbert90_gaussian_round_trip_minus_identity():
@@ -326,7 +330,8 @@ def test_change_of_basis_degree_three():
                 break
     target = {v: h0[v] @ u[v] @ h0[v].map(pair.sigma).inverse() for v in u}
     assert cocycle_scalar(u, pair) == cocycle_scalar(target, pair)
-    h = solve_descent_change_of_basis(u, target, pair, CFG)
+    h, h_inv = solve_descent_change_of_basis(u, target, pair, CFG)
+    assert _inverts(h, h_inv)
     for v in u:
         assert h[v] @ u[v] @ h[v].map(pair.sigma).inverse() == target[v]
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -747,6 +748,59 @@ def test_cli_hamilton_matches_golden_file(tmp_path, capsys, monkeypatch):
     got = json.dumps(_hamilton_cli_outputs(tmp_path, capsys, monkeypatch), indent=2, sort_keys=True)
     fixtures = pathlib.Path(__file__).parent / "fixtures"
     assert got + "\n" == (fixtures / "hamilton_cli.golden.json").read_text()
+
+
+def _stability_cli_reps():
+    """Twelve seeded reps over F_3, F_4 and F_5 on K2, K3, A2 and the Jordan
+    quiver, named by quiver and q, each with its theta.  They are stable,
+    strictly semistable and unstable, with HN lengths 1 to 3."""
+    from quivermoduli import a2_quiver, jordan_quiver
+
+    quivers = {"K2": kronecker_quiver(2), "K3": kronecker_quiver(3), "A2": a2_quiver(),
+               "Jordan": jordan_quiver()}
+    specs = [
+        ("K2", 3, {"s": 2, "t": 2}), ("K2", 4, {"s": 1, "t": 2}), ("K2", 5, {"s": 2, "t": 1}),
+        ("K3", 3, {"s": 2, "t": 2}), ("K3", 4, {"s": 1, "t": 1}), ("K3", 5, {"s": 2, "t": 3}),
+        ("A2", 3, {"s": 2, "t": 2}), ("A2", 4, {"s": 3, "t": 2}), ("A2", 5, {"s": 1, "t": 1}),
+        ("Jordan", 3, {"v": 2}), ("Jordan", 4, {"v": 3}), ("Jordan", 5, {"v": 2}),
+    ]
+    rng = random.Random(3)
+    out = []
+    for name, q, dims in specs:
+        quiver, field = quivers[name], GF(q)
+        density = rng.choice((0.3, 0.6, 1.0))
+        mats = {}
+        for a in quiver.arrows:
+            rows = tuple(
+                tuple(rng.randrange(q) if rng.random() < density else 0 for _ in range(dims[a.src]))
+                for _ in range(dims[a.dst])
+            )
+            mats[a.name] = Mat(field, rows, (dims[a.dst], dims[a.src]))
+        theta = {"v": 0} if name == "Jordan" else {"s": 1, "t": -1}
+        out.append((f"{name}_q{q}", Representation(quiver, field, dims, mats), theta))
+    return out
+
+
+def test_cli_stability_and_hn_match_golden_file(tmp_path, capsys, monkeypatch):
+    # the JSON stdout of stability --hn and hn on each rep, files named
+    # relative to the working directory so no machine path is printed
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QUIVERMODULI_CONFIG", raising=False)
+    out, kinds, lengths = {}, set(), set()
+    for name, rep, theta in _stability_cli_reps():
+        write_json(tmp_path, f"{name}.json", rep_to_json(rep))
+        for label, argv in (("stability_hn", ["stability", "--hn"]), ("hn", ["hn"])):
+            args = ["--format", "json", "--seed", "0", argv[0], f"{name}.json",
+                    "--theta", json.dumps(theta), *argv[1:]]
+            assert main(args) == 0, (name, label)
+            out[f"{name}/{label}"] = text = capsys.readouterr().out
+        report = json.loads(text)
+        kinds.add(report["verdict"]["kind"])
+        lengths.add(len(report["hn"]["steps"]))
+    assert kinds == {"stable", "strictly_semistable", "unstable"} and lengths == {1, 2, 3}
+    got = json.dumps(out, indent=2, sort_keys=True) + "\n"
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+    assert got == (fixtures / "stability_cli.golden.json").read_text()
 
 
 def test_cli_config_env(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quivermoduli import (
     GF,
@@ -49,7 +51,7 @@ from quivermoduli.stability import (
     _Subspaces,
 )
 
-from helpers import fmat, kronecker_rep
+from helpers import count_calls, fmat, kronecker_rep, opposite_transpose
 
 CFG = JobConfig()
 THETA = {"s": 1, "t": -1}
@@ -465,19 +467,25 @@ def test_slope_groups_match_their_definition():
                 assert all(type(s) is Fraction for s, _ in got)
 
 
-def test_verify_hn_rejects_bad_filtrations():
+def _check_bad_filtrations_rejected(keep_verdicts):
+    """verify_hn on S_s + S_t and an open first step, with each rep's
+    stability verdict kept beforehand when keep_verdicts."""
     f3 = GF(3)
     none = Mat.zero(f3, 1, 0)
     at_s = SubrepWitness({"s": 1, "t": 0}, {"s": fmat(f3, [[1]]), "t": none})
     at_t = SubrepWitness({"s": 0, "t": 1}, {"s": none, "t": fmat(f3, [[1]])})
     # S_s + S_t: HN steps S_s, W with slopes 1, -1
     split = Representation.zero_maps(kronecker_quiver(2), f3, {"s": 1, "t": 1})
+    # a1 = 1 maps S_s's space onto t: the first step is not closed
+    open_first = kronecker_rep(f3, [1, 0])
+    if keep_verdicts:
+        assert stability_verdict(split, THETA, CFG).kind == UNSTABLE
+        assert stability_verdict(open_first, THETA, CFG).kind == STABLE
     hn = hn_filtration(split, THETA, CFG)
     assert hn.steps[0].dims == at_s.dims and hn.slopes == (1, -1)
     assert verify_hn(split, THETA, hn, CFG)
     full = hn.steps[1]
-    # a1 = 1 maps S_s's space onto t: the first step is not closed
-    open_first = kronecker_rep(f3, [1, 0])
+    # S_s is not closed in open_first
     assert not verify_hn(open_first, THETA, HNFiltration((at_s, full), (1, -1)), CFG)
     # S_t then S_s: each closed, not nested
     assert not verify_hn(split, THETA, HNFiltration((at_t, at_s), (1, -1)), CFG)
@@ -488,6 +496,19 @@ def test_verify_hn_rejects_bad_filtrations():
     assert not verify_hn(split, THETA, HNFiltration(hn.steps, (2, -1)), CFG)
     # one layer of the right slope 0, destabilized by S_s
     assert not verify_hn(split, THETA, HNFiltration((full,), (0,)), CFG)
+    # the same filtration is right for the stable open_first, whose one layer is itself
+    assert verify_hn(open_first, THETA, HNFiltration((full,), (0,)), CFG)
+    # a one-step filtration of full dimensions whose basis at s is not one
+    dependent = SubrepWitness(full.dims, {"s": fmat(f3, [[0]]), "t": fmat(f3, [[1]])})
+    assert not verify_hn(open_first, THETA, HNFiltration((dependent,), (0,)), CFG)
+
+
+def test_verify_hn_rejects_bad_filtrations():
+    _check_bad_filtrations_rejected(keep_verdicts=False)
+
+
+def test_verify_hn_rejects_bad_filtrations_on_reps_with_kept_verdicts():
+    _check_bad_filtrations_rejected(keep_verdicts=True)
 
 
 @pytest.mark.parametrize("true_steps", [0, 1])
@@ -750,3 +771,131 @@ def test_cli_stability_hn_lists_each_rank_once(monkeypatch, tmp_path, capsys):
                  "--hn"]) == 0
     assert len(json.loads(capsys.readouterr().out)["hn"]["steps"]) == 3
     assert listed and max(listed.values()) == 1, listed
+
+
+# ---------------------------------------------------------------------------
+# the exact verdict kept on the representation
+
+
+def _reads_record(rep, theta, config=CFG):
+    """scss, is_semistable, the HN filtration and its re-verification as
+    plain data: the answers that can read a kept verdict."""
+
+    def rows(w):
+        return sorted((v, b.rows) for v, b in w.bases.items())
+
+    hn = hn_filtration(rep, theta, config)
+    return (
+        rows(scss(rep, theta, config)), is_semistable(rep, theta, config),
+        [rows(w) for w in hn.steps], hn.slopes, verify_hn(rep, theta, hn, config),
+    )
+
+
+def test_kept_verdict_changes_no_answer():
+    fresh = [_reads_record(rep, theta) for rep, theta in _store_grid(GF)]
+    kept = []
+    for rep, theta in _store_grid(GF):
+        verdict = stability_verdict(rep, theta, CFG)
+        assert stability_verdict(rep, theta, CFG) is verdict
+        kept.append(_reads_record(rep, theta))
+    assert kept == fresh
+
+
+def _cost(rep, theta, strict):
+    """Closure checks of the slope groups above mu (and at mu unless strict)."""
+    groups = stability._slope_groups(rep.dims, theta, rep.slope(theta), strict)
+    unbounded = JobConfig(max_subspace_checks=10**9)
+    return stability._check_budget(
+        rep.dims, rep.ring.size, [e for _, es in groups for e in es], unbounded
+    )
+
+
+def test_kept_verdict_is_read_only_under_its_budget():
+    w = _three_layer_rep(GF(3))
+    assert stability_verdict(w, THETA, CFG).kind == UNSTABLE
+    small = JobConfig(max_subspace_checks=_cost(w, THETA, strict=True) - 1)
+    for call in (stability_verdict, is_semistable, scss, hn_filtration):
+        with pytest.raises(BudgetExceededError):
+            call(w, THETA, small)
+    # a budget refusal is not kept either: it is raised again
+    with pytest.raises(BudgetExceededError):
+        stability_verdict(w, THETA, small)
+    assert stability_verdict(w, THETA, CFG).kind == UNSTABLE
+
+
+def test_semistability_needs_only_the_groups_above_mu():
+    # K2 (2,2) at theta (1,-1): mu = 0, and the slope-0 group (1,1) costs
+    # (q+1)^2 closure checks on top of the groups above it
+    f3 = GF(3)
+    w = kronecker_rep(f3, [fmat(f3, [[1, 0], [0, 1]]), fmat(f3, [[0, 1], [1, 0]])],
+                      {"s": 2, "t": 2})
+    above = _cost(w, THETA, strict=True)
+    assert _cost(w, THETA, strict=False) == above + 16
+    tight = JobConfig(max_subspace_checks=above)
+    assert is_semistable(w, THETA, tight)
+    assert scss(w, THETA, tight).is_full(w)
+    with pytest.raises(BudgetExceededError):
+        stability_verdict(w, THETA, tight)
+    assert is_semistable(w, THETA, tight)
+    assert stability_verdict(w, THETA, CFG).kind == STRICTLY_SEMISTABLE
+
+
+def test_a_stable_rep_is_searched_once(monkeypatch):
+    searches = count_calls(monkeypatch, stability._search)
+    w = kronecker_rep(GF(3), [1, 2])
+    assert stability_verdict(w, THETA, CFG).kind == STABLE
+    hn = hn_filtration(w, THETA, CFG)
+    assert hn.length() == 1 and verify_hn(w, THETA, hn, CFG)
+    assert len(searches) == 1
+
+
+def test_cli_stability_hn_searches_a_stable_rep_once(monkeypatch, tmp_path, capsys):
+    searches = count_calls(monkeypatch, stability._search)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep_to_json(kronecker_rep(GF(3), [1, 2]))))
+    assert main(["--format", "json", "stability", str(path), "--theta", json.dumps(THETA),
+                 "--hn"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"]["kind"] == STABLE and len(out["hn"]["steps"]) == 1
+    assert len(searches) == 1
+
+
+# ---------------------------------------------------------------------------
+# duality: W on Q against its transpose on the opposite quiver
+
+
+@st.composite
+def _small_reps(draw):
+    kind = draw(st.sampled_from(["K2", "K3", "A2", "Jordan"]))
+    field = GF(draw(st.sampled_from([2, 3, 4, 5])))
+    if kind == "Jordan":
+        quiver, dims, theta = jordan_quiver(), {"v": draw(st.integers(1, 3))}, {"v": 0}
+    else:
+        quiver = {"K2": kronecker_quiver(2), "K3": kronecker_quiver(3), "A2": a2_quiver()}[kind]
+        dims = {"s": draw(st.integers(0, 2)), "t": draw(st.integers(0, 2))}
+        theta = {"s": draw(st.integers(-2, 2)), "t": draw(st.integers(-2, 2))}
+    if not any(dims.values()):
+        dims = {v: 1 for v in dims}
+    entries = st.integers(0, field.size - 1)
+    mats = {}
+    for a in quiver.arrows:
+        shape = (dims[a.dst], dims[a.src])
+        rows = draw(st.lists(st.lists(entries, min_size=shape[1], max_size=shape[1]),
+                             min_size=shape[0], max_size=shape[0]))
+        mats[a.name] = Mat(field, tuple(map(tuple, rows)), shape)
+    return Representation(quiver, field, dims, mats), theta
+
+
+@settings(max_examples=40, derandomize=True)
+@given(_small_reps())
+def test_transpose_on_the_opposite_quiver_is_dual(case):
+    # W is theta-(semi)stable iff W^T is (-theta)-(semi)stable on Q^op, and
+    # the HN layers of W^T are the duals of W's, in reverse order
+    w, theta = case
+    wt, neg = opposite_transpose(w), {v: -x for v, x in theta.items()}
+    assert stability_verdict(wt, neg, CFG).kind == stability_verdict(w, theta, CFG).kind
+    hn, hn_t = hn_filtration(w, theta, CFG), hn_filtration(wt, neg, CFG)
+    layers = [dict(r.dims) for r in hn_subquotients(w, theta, hn)]
+    layers_t = [dict(r.dims) for r in hn_subquotients(wt, neg, hn_t)]
+    assert layers_t == layers[::-1]
+    assert list(hn_t.slopes) == [-s for s in reversed(hn.slopes)]
