@@ -58,7 +58,7 @@ from .descent import solve_modifying_u, type_map
 from .errors import BudgetExceededError, InvariantError, SchemaError, count_text
 from .ffields import GF, _poly_mul, monic_irreducibles
 from .galois import GaloisPair
-from .homs import _coprime_dims, _field_hom_system, is_isomorphic
+from .homs import _coprime_dims, end_dim, is_isomorphic
 from .linalg import Mat
 from .morita import descended_form, drep_to_twisted
 from .numtheory import mobius
@@ -79,14 +79,12 @@ STABLE_NOT_SCHUR = "stable_not_schur"
 
 
 def _end_dim_point(point, quiver, dims, field):
-    """dim End for an encoded stable point: the corank of its intertwiner
-    system, or 1 with no system when the nonzero d_v are coprime
-    (homs._coprime_dims).  On a point that is not stable the shortcut can be
-    wrong."""
+    """dim End for an encoded stable point: homs.end_dim, or 1 with no
+    system when the nonzero d_v are coprime (homs._coprime_dims).  On a
+    point that is not stable the shortcut can be wrong."""
     if _coprime_dims(dims):
         return 1
-    _, total, rows = _field_hom_system(quiver, field, dims, dims, point, point)
-    return total - Mat(field, rows, (len(rows), total)).rank()
+    return end_dim(_decode_rep(quiver, field, dims, point))
 
 
 def _decode_rep(quiver, ring, dims, point):

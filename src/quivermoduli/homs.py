@@ -1,15 +1,15 @@
 """Intertwiner spaces and isomorphism testing.
 
-hom_space solves f_{h(a)} M_a = M'_a f_{t(a)} exactly, with one system
-builder, _field_hom_system, for every ring.  Over a field the system is
-solved directly, over Q and Q(sqrt(m)) on the integer coordinates the
-arrow matrices keep, with the basis returned in coordinates too.  Over a
-quaternion algebra the same system is built on 4x4 rational blocks: each
-entry c of M becomes right_mul_matrix(c), each entry of M'
-left_mul_matrix(c), and each block row is read as four rational rows, so
-every unknown entry of f is its four rational coordinates and the returned
-basis is a Q-basis of the D-linear intertwiners.
-"""
+hom_space solves f_{h(a)} M_a = M'_a f_{t(a)} exactly; _hom_system puts it
+in one matrix, with one row builder, _field_hom_system, for every ring.
+Over a field the matrix is over that field, over Q and Q(sqrt(m)) it holds
+the integer coordinates the arrow matrices keep, and the basis comes back
+in coordinates too.  Over a quaternion algebra the same system is built on
+4x4 rational blocks: each entry c of M becomes right_mul_matrix(c), each
+entry of M' left_mul_matrix(c), and each block row is read as four rational
+rows, so every unknown entry of f is its four rational coordinates and the
+returned basis is a Q-basis of the D-linear intertwiners.  Dimensions are
+coranks: hom_dim and end_dim build no basis, only hom_space does."""
 
 import operator
 from itertools import product
@@ -17,7 +17,7 @@ from math import gcd
 from types import SimpleNamespace
 
 from .errors import BudgetExceededError, InconclusiveError
-from .linalg import Mat, _eliminate_coords, _kernel_coords, _quadratic_m, _reduced
+from .linalg import Mat, _eliminated, _kernel_coords, _quadratic_m, _reduced, _zeros
 from .quaternions import QuaternionAlgebra
 from .rings import QQ
 
@@ -77,12 +77,11 @@ _BLOCK_OPS = SimpleNamespace(
 )
 
 
-def _coords_homs(w, wp, m):
-    """The Hom basis over Q (m = 0) or Q(sqrt(m)), solved on integer
-    coordinates.  With M_a = (A + B sqrt(m)) / d and M'_a =
-    (A' + B' sqrt(m)) / d', the rows of arrow a times d d' are built from
-    d' A and d A', then from d' B and d B'.  Each kernel vector (X, Y) / L
-    is cut into its vertex blocks as coordinate matrices."""
+def _coords_system(w, wp, m):
+    """The Hom system over Q (m = 0) or Q(sqrt(m)) on integer coordinates.
+    With M_a = (A + B sqrt(m)) / d and M'_a = (A' + B' sqrt(m)) / d', the
+    rows of arrow a times d d' are built from d' A and d A', then from d' B
+    and d B'."""
     parts = ([], []), ([], [])  # (point, point_p) of each coordinate part
     for a in w.quiver.arrows:
         (A, B, d), (Ap, Bp, dp) = (r.mats[a.name].coords for r in (w, wp))
@@ -90,16 +89,10 @@ def _coords_homs(w, wp, m):
             point.append([[e * dp for e in row] for row in x])
             point_p.append([[e * d for e in row] for row in xp])
     offsets, total, A = _field_hom_system(w.quiver, _INT_OPS, w.dims, wp.dims, *parts[0])
-    if m:
-        B = _field_hom_system(w.quiver, _INT_OPS, w.dims, wp.dims, *parts[1])[2]
-    else:
-        B = [[0] * total for _ in A]
-    X, Y, L = _kernel_coords(A, B, _eliminate_coords(A, B, m, total), total)
-    homs = []
-    for xs, ys in zip(X, Y):
-        xb, yb = (_vertex_blocks(vec, w, wp, offsets) for vec in (xs, ys))
-        homs.append({v: _reduced(w.ring, xb[v][0], xb[v][1], yb[v][1], L) for v in xb})
-    return homs
+    B = _field_hom_system(w.quiver, _INT_OPS, w.dims, wp.dims, *parts[1])[2] if m else (
+        _zeros(len(A), total))
+    A, B = (tuple(map(tuple, X)) for X in (A, B))
+    return offsets, _reduced(w.ring, (len(A), total), A, B, 1)
 
 
 def _vertex_blocks(vec, w, wp, offsets, n=1):
@@ -125,15 +118,14 @@ def _reshape_solution(vec, w, wp, offsets):
     }
 
 
-def hom_space(w, wp):
-    """Basis of Hom(w, wp) as per-vertex matrix dicts.
-
-    Over a quaternion algebra the basis is a Q-basis of the D-linear
-    intertwiners; over a field it is a basis over that field.
-    """
+def _hom_system(w, wp):
+    """(offsets, system): one matrix, its right kernel Hom(w, wp), in the
+    coordinates the module docstring gives for each ring."""
     if w.quiver != wp.quiver or w.ring != wp.ring:
         raise ValueError("hom_space needs two representations of one quiver over one ring")
     m = _quadratic_m(w.ring)
+    if m is not None:
+        return _coords_system(w, wp, m)
     if isinstance(w.ring, QuaternionAlgebra):
         alg = w.ring
         points = (
@@ -142,19 +134,35 @@ def hom_space(w, wp):
         )
         offsets, total, blocks = _field_hom_system(w.quiver, _BLOCK_OPS, w.dims, wp.dims, *points)
         rows = [[b[r][s] for b in row for s in range(4)] for row in blocks for r in range(4)]
-        kernel = Mat(QQ, rows, (len(rows), 4 * total)).nullspace()
-    elif m is not None:
-        return _coords_homs(w, wp, m)
-    else:
-        points = ([r.mats[a.name].rows for a in w.quiver.arrows] for r in (w, wp))
-        offsets, total, rows = _field_hom_system(w.quiver, w.ring, w.dims, wp.dims, *points)
-        kernel = Mat(w.ring, rows, (len(rows), total)).nullspace()
-    return [_reshape_solution(vec, w, wp, offsets) for vec in kernel]
+        return offsets, Mat(QQ, rows, (len(rows), 4 * total))
+    points = ([r.mats[a.name].rows for a in w.quiver.arrows] for r in (w, wp))
+    offsets, total, rows = _field_hom_system(w.quiver, w.ring, w.dims, wp.dims, *points)
+    return offsets, Mat(w.ring, rows, (len(rows), total))
+
+
+def hom_space(w, wp):
+    """Basis of Hom(w, wp) as per-vertex matrix dicts.
+
+    Over a quaternion algebra the basis is a Q-basis of the D-linear
+    intertwiners; over a field it is a basis over that field.
+    """
+    offsets, system = _hom_system(w, wp)
+    if _quadratic_m(w.ring) is None:
+        return [_reshape_solution(vec, w, wp, offsets) for vec in system.nullspace()]
+    X, Y, L = _kernel_coords(*_eliminated(system), system.ncols)
+    blocks = ([_vertex_blocks(vec, w, wp, offsets) for vec in pair] for pair in zip(X, Y))
+    return [{v: _reduced(w.ring, *xb[v], yb[v][1], L) for v in xb} for xb, yb in blocks]
+
+
+def hom_dim(w, wp):
+    """dim Hom(w, wp) as the corank of its system (over Q for quaternions)."""
+    system = _hom_system(w, wp)[1]
+    return system.ncols - system.rank()
 
 
 def end_dim(w):
     """Dimension of End(w) over the coefficient field (over Q for quaternions)."""
-    return len(hom_space(w, w))
+    return hom_dim(w, w)
 
 
 def _coprime_dims(dims):
@@ -255,9 +263,7 @@ def is_isomorphic(w, wp, config):
     if w.total_dim() == 0:
         return identity_hom(w)
     fwd = hom_space(w, wp)
-    if len(fwd) > 1 and (
-        len(fwd) != len(hom_space(wp, w)) or len(hom_space(w, w)) != len(hom_space(wp, wp))
-    ):
+    if len(fwd) > 1 and (len(fwd) != hom_dim(wp, w) or end_dim(w) != end_dim(wp)):
         return None
     return find_invertible_in_span(fwd, w.ring, config, rng_label="iso-search")
 

@@ -15,11 +15,12 @@ Gauss-Jordan); `inverse`, `solve` and `rref` divide by the pivots once,
 through their lcm.  `rows`, `entry` and `col` build reduced Fractions from
 the coordinates each time they are read.  Over F_p and over the F_{p^n} that
 carry tables, `rref` runs on the int codes themselves: one `% p` per updated
-entry, or table lookups, and only on the nonzero columns of the pivot row.
+entry, or table lookups, and only on the nonzero columns of the pivot row;
+an F_p product takes one `% p` per entry, of its integer dot product.
 The reduced echelon form is unique and products are exact, so the answers
 are the ones the per-entry loop gives; that loop remains for quaternion
-algebras and untabled extension fields, with the ring object supplying one
-operation per entry.  Shapes are tracked explicitly so zero-row and
+algebras and untabled extension fields (and for products over any
+F_{p^n}), with the ring object supplying one operation per entry.  Shapes are tracked explicitly so zero-row and
 zero-column matrices behave.  Elimination routines require the ring to be a
 field.
 """
@@ -166,8 +167,12 @@ class Mat:
         if isinstance(self, _CoordMat):
             return _matmul_coords(self, other)
         ring = self.ring
-        add, mul, zero = ring.add, ring.mul, ring.zero
         ocols = list(zip(*other.rows)) or [()] * other.ncols
+        if isinstance(ring, PrimeField):
+            p, mul = ring.p, operator.mul
+            out = tuple(tuple(sum(map(mul, row, col)) % p for col in ocols) for row in self.rows)
+            return Mat._of(ring, out, (self.nrows, other.ncols))
+        add, mul, zero = ring.add, ring.mul, ring.zero
         out = []
         for row in self.rows:
             orow = []

@@ -4,8 +4,9 @@ certificates over Q and Q(sqrt(m)), joined in geom_stability, the one
 geometric-stability decision.
 
 One routine, _subquotient, builds every subquotient U / L of nested
-subrepresentations: quotient_rep, restrict_rep and the HN layers.  The HN
-filtration is a loop: W^1 = scss(W), and W^i adds the lift of
+subrepresentations: quotient_rep, restrict_rep and the HN layers, with one
+rref of [L | U | I] per vertex, whose I block inverts the completed basis.
+The HN filtration is a loop: W^1 = scss(W), and W^i adds the lift of
 scss(W / W^{i-1}), each quotient built from W itself.
 
 Every finite-field answer, here and in the censuses, comes from one closure
@@ -657,34 +658,38 @@ def _subquotient(rep, lower, upper):
     the columns C of upper completing lower's basis: the pivots of
     rref [lower | upper] past lower's columns.
 
-    The layer's matrices are the C-coordinates of M C in the basis
-    [lower | C].  Left-multiplying by a basis matrix keeps the pivots, so C
-    is the complement the greedy left-to-right pick would choose in upper's
-    own coordinates.
+    One rref of [lower | upper | I] per vertex also gives, in its I block,
+    P with P [lower | C | E] = I, E unit columns.  The layer's matrices are
+    the C block of P M [lower | C]: its E rows vanish when upper is closed,
+    its lower-left block when lower is.  A basis matrix on the left keeps
+    the pivots: C is the greedy pick in upper's own coordinates.
     """
     ring = rep.ring
-    C, basis = {}, {}
+    C, basis, P = {}, {}, {}
     for v in rep.quiver.vertices:
         L, U = lower.bases[v], upper.bases[v]
-        k = L.ncols
-        pivots = L.hstack(U).rref()[1]
-        inside = pivots[:k] == tuple(range(k)) and len(pivots) == U.ncols
+        d, k, n = rep.dims[v], L.ncols, L.ncols + U.ncols
+        R, pivots = L.hstack(U).hstack(Mat.identity(ring, d)).rref()
+        pivots = [p for p in pivots if p < n]
+        inside = pivots[:k] == list(range(k)) and len(pivots) == U.ncols
         # with lower nonzero, the pivot count alone would also pass a
         # dependent upper that lower sticks out of
         if not inside or (k and U.rank() != U.ncols):
             raise InvariantError("witness bases are not independent and nested")
-        C[v] = Mat.from_cols(ring, [U.col(p - k) for p in pivots[k:]], rep.dims[v])
+        C[v] = Mat.from_cols(ring, [U.col(p - k) for p in pivots[k:]], d)
         basis[v] = L.hstack(C[v])
+        P[v] = Mat(ring, (r[n:] for r in R.rows), (d, d))
     dims = {v: C[v].ncols for v in rep.quiver.vertices}
     mats = {}
     for a in rep.quiver.arrows:
-        coords = basis[a.dst].solve(rep.mats[a.name] @ basis[a.src])
-        if coords is None:
-            raise InvariantError("upper witness is not closed")
+        coords = (P[a.dst] @ (rep.mats[a.name] @ basis[a.src])).rows
         k_h, k_t = lower.dims[a.dst], lower.dims[a.src]
-        if any(x != ring.zero for row in coords.rows[k_h:] for x in row[:k_t]):
+        top = k_h + dims[a.dst]
+        if any(x != ring.zero for row in coords[top:] for x in row):
+            raise InvariantError("upper witness is not closed")
+        if any(x != ring.zero for row in coords[k_h:top] for x in row[:k_t]):
             raise InvariantError("lower witness is not closed")
-        block = tuple(row[k_t:] for row in coords.rows[k_h:])
+        block = tuple(row[k_t:] for row in coords[k_h:top])
         mats[a.name] = Mat(ring, block, (dims[a.dst], dims[a.src]))
     return Representation(rep.quiver, ring, dims, mats), C
 
@@ -706,26 +711,27 @@ def restrict_rep(rep, witness):
 
 def hn_filtration(rep, theta, config):
     """The Harder-Narasimhan filtration: W^1 = scss(W), and W^i = W^{i-1}
-    plus the lift of scss(W / W^{i-1}) until W^i = W."""
+    plus the lift of scss(W / W^{i-1}) until W^i = W.  W^1 is canonical as
+    scss returns it; a layer that is its whole quotient ends with W."""
     if rep.is_zero_dimensional():
         raise ValueError("HN filtration of the zero representation is undefined")
     full = full_witness(rep)
-    step = layer = scss(rep, theta, config)
+    quotient, step = rep, None
     steps, slopes = [], []
     while True:
+        layer = scss(quotient, theta, config)
         if layer.is_zero():
             raise InvariantError("scss returned the zero subrepresentation")
-        step = step.canonical()
-        steps.append(step)
         slopes.append(layer.slope(theta))
-        if step.is_full(rep):
+        if layer.is_full(quotient):
+            steps.append(full)
             break
-        quotient, C = _subquotient(rep, step, full)
-        layer = scss(quotient, theta, config)
-        step = SubrepWitness(
+        step = layer if step is None else SubrepWitness(
             {v: step.dims[v] + layer.dims[v] for v in rep.quiver.vertices},
             {v: step.bases[v].hstack(C[v] @ layer.bases[v]) for v in rep.quiver.vertices},
-        )
+        ).canonical()
+        steps.append(step)
+        quotient, C = _subquotient(rep, step, full)
     for a, b in zip(slopes, slopes[1:]):
         if not a > b:
             raise InvariantError("HN slopes fail to decrease strictly")

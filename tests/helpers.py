@@ -3,7 +3,8 @@ solver as the reference for the integer-coordinate kernel, a brute-force
 stability reference, the one-loop certificate over Q and Q(i), the
 full-scan orbit census as the reference for the slice census,
 product-by-product references for finite-field tables and quaternion
-regular representations, and the transpose on the opposite quiver."""
+regular representations, the transpose on the opposite quiver, and a
+subquotient built by one solve per arrow."""
 
 import sys
 from fractions import Fraction
@@ -385,3 +386,36 @@ def opposite_transpose(rep):
     )
     mats = {name: m.transpose() for name, m in rep.mats.items()}
     return Representation(quiver, rep.ring, rep.dims, mats)
+
+
+# ---------------------------------------------------------------------------
+# subquotients by one solve per arrow
+
+
+def reference_subquotient(rep, lower, upper):
+    """(layer, C) as stability._subquotient returns them: C from the pivots
+    of rref [lower | upper], and each arrow's coordinates solved in the
+    basis [lower | C], one solve per arrow."""
+    ring = rep.ring
+    C, basis = {}, {}
+    for v in rep.quiver.vertices:
+        L, U = lower.bases[v], upper.bases[v]
+        k = L.ncols
+        pivots = L.hstack(U).rref()[1]
+        inside = pivots[:k] == tuple(range(k)) and len(pivots) == U.ncols
+        if not inside or (k and U.rank() != U.ncols):
+            raise InvariantError("witness bases are not independent and nested")
+        C[v] = Mat.from_cols(ring, [U.col(p - k) for p in pivots[k:]], rep.dims[v])
+        basis[v] = L.hstack(C[v])
+    dims = {v: C[v].ncols for v in rep.quiver.vertices}
+    mats = {}
+    for a in rep.quiver.arrows:
+        coords = basis[a.dst].solve(rep.mats[a.name] @ basis[a.src])
+        if coords is None:
+            raise InvariantError("upper witness is not closed")
+        k_h, k_t = lower.dims[a.dst], lower.dims[a.src]
+        if any(x != ring.zero for row in coords.rows[k_h:] for x in row[:k_t]):
+            raise InvariantError("lower witness is not closed")
+        block = tuple(row[k_t:] for row in coords.rows[k_h:])
+        mats[a.name] = Mat(ring, block, (dims[a.dst], dims[a.src]))
+    return Representation(rep.quiver, ring, dims, mats), C

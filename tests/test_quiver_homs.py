@@ -4,11 +4,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quivermoduli import (
     GF,
     Mat,
     Representation,
+    a2_quiver,
     end_dim,
     hom_space,
     is_isomorphic,
@@ -133,15 +136,18 @@ def test_is_isomorphic_examples():
     assert is_isomorphic(a, b, CFG) is None
 
 
-def _count_hom_spaces(monkeypatch):
+def _count_hom_systems(monkeypatch):
+    """Record each Hom system solved, for a basis (hom_space) or for its
+    dimension alone (hom_dim), as (name, w, wp)."""
     calls = []
-    real = homs.hom_space
+    for name in ("hom_space", "hom_dim"):
+        real = getattr(homs, name)
 
-    def counted(w, wp):
-        calls.append((w, wp))
-        return real(w, wp)
+        def counted(w, wp, name=name, real=real):
+            calls.append((name, w, wp))
+            return real(w, wp)
 
-    monkeypatch.setattr(homs, "hom_space", counted)
+        monkeypatch.setattr(homs, name, counted)
     return calls
 
 
@@ -154,14 +160,16 @@ def test_is_isomorphic_decides_a_hom_line_alone(monkeypatch):
     g = {"s": qmat([[1, 1], [0, 1]]), "t": qmat([[2, 0], [1, 1]])}
     wg = w.act(g)
     assert end_dim(w) == 1
-    calls = _count_hom_spaces(monkeypatch)
+    calls = _count_hom_systems(monkeypatch)
     iso = is_isomorphic(w, wg, CFG)
     assert w.act(iso) == wg and len(calls) == 1
-    # a larger Hom space still checks the three other dimensions first
+    # a larger Hom space still checks the three other dimensions first,
+    # by their coranks alone
     ww = w.direct_sum(w)
     calls.clear()
     iso = is_isomorphic(ww, wg.direct_sum(wg), CFG)
     assert iso is not None and len(calls) == 4
+    assert [name for name, _, _ in calls] == ["hom_space"] + ["hom_dim"] * 3
     # Hom(W, 0) is the line of (f_s, f_t) = (1, 0), which is singular
     line = Representation(k2, QQ, {"s": 1, "t": 1}, {"a1": qmat([[1]]), "a2": qmat([[0]])})
     calls.clear()
@@ -338,3 +346,54 @@ def test_hom_answers_pinned_on_seeded_grid():
     assert digest.hexdigest() == (
         "c09922fa2984d5380e248ff01d7ef13c8426c2c7a845b35b6d38ff0b4361590d"
     )
+
+
+# ---------------------------------------------------------------------------
+# dimensions are the sizes of the bases
+
+
+_SMALL = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)])
+
+
+def _entries(ring):
+    if ring.is_finite:
+        return st.integers(0, ring.size - 1)
+    if ring == QQ:
+        return _SMALL
+    if ring == gaussian_rationals():
+        return st.tuples(_SMALL, _SMALL)
+    return st.tuples(_SMALL, _SMALL, _SMALL, _SMALL)
+
+
+@st.composite
+def _rep_pairs(draw, ring):
+    """(w, wp) of one small quiver over ring: wp drawn alone, or w + w."""
+    quiver = draw(st.sampled_from(
+        [kronecker_quiver(2), kronecker_quiver(3), a2_quiver(), jordan_quiver()]
+    ))
+    top = 3 if ring.is_finite else 2
+
+    def rep():
+        dims = {v: draw(st.integers(0, top)) for v in quiver.vertices}
+        mats = {}
+        for a in quiver.arrows:
+            shape = (dims[a.dst], dims[a.src])
+            row = st.lists(_entries(ring), min_size=shape[1], max_size=shape[1])
+            rows = draw(st.lists(row, min_size=shape[0], max_size=shape[0]))
+            mats[a.name] = Mat(ring, tuple(map(tuple, rows)), shape)
+        return Representation(quiver, ring, dims, mats)
+
+    w = rep()
+    return w, (w.direct_sum(w) if draw(st.booleans()) else rep())
+
+
+@pytest.mark.parametrize("ring", [
+    GF(2), GF(3), GF(4), GF(5), QQ, gaussian_rationals(), hamilton_quaternions()
+], ids=repr)
+@settings(max_examples=20, derandomize=True)
+@given(data=st.data())
+def test_hom_and_end_dimensions_are_the_basis_sizes(ring, data):
+    w, wp = data.draw(_rep_pairs(ring))
+    assert end_dim(w) == len(hom_space(w, w))
+    assert homs.hom_dim(w, wp) == len(hom_space(w, wp))
+    assert homs.hom_dim(wp, w) == len(hom_space(wp, w))

@@ -51,7 +51,13 @@ from quivermoduli.stability import (
     _Subspaces,
 )
 
-from helpers import count_calls, fmat, kronecker_rep, opposite_transpose
+from helpers import (
+    count_calls,
+    fmat,
+    kronecker_rep,
+    opposite_transpose,
+    reference_subquotient,
+)
 
 CFG = JobConfig()
 THETA = {"s": 1, "t": -1}
@@ -234,7 +240,8 @@ def test_line_lookup_work_guard(monkeypatch):
 
 def test_coprime_dims_decide_end_without_hom_space(monkeypatch):
     # End W of a stable W with coprime nonzero d_v is k, so neither the
-    # exact decision nor the certificate's mod-p step solves for End
+    # exact decision nor the certificate's mod-p step solves for End: no
+    # Hom system is solved, for a basis or for its corank
     f3 = GF(3)
     w = kronecker_rep(f3, [fmat(f3, [[1], [0]]), fmat(f3, [[0], [1]])], {"s": 1, "t": 2})
     wq = kronecker_rep(QQ, [Mat(QQ, ((1,), (0,))), Mat(QQ, ((0,), (1,)))], {"s": 1, "t": 2})
@@ -242,11 +249,12 @@ def test_coprime_dims_decide_end_without_hom_space(monkeypatch):
         jordan_quiver(), f3, {"v": 2}, {"loop": fmat(f3, [[0, 2], [1, 0]])}
     )
 
-    def no_hom_space(*args):
-        raise AssertionError("hom_space called")
+    def no_hom_system(*args):
+        raise AssertionError("a Hom system was solved")
 
     with monkeypatch.context() as m:
-        m.setattr(homs, "hom_space", no_hom_space)
+        m.setattr(homs, "hom_space", no_hom_system)
+        m.setattr(homs, "hom_dim", no_hom_system)
         assert geom_stability(w, THETA, CFG).kind == STABLE
         cert = geom_stability_certificate(wq, THETA, CFG)
         assert cert.kind == STABLE and cert.detail["certificate"] == "reduction"
@@ -899,3 +907,94 @@ def test_transpose_on_the_opposite_quiver_is_dual(case):
     layers_t = [dict(r.dims) for r in hn_subquotients(wt, neg, hn_t)]
     assert layers_t == layers[::-1]
     assert list(hn_t.slopes) == [-s for s in reversed(hn.slopes)]
+
+
+# ---------------------------------------------------------------------------
+# subquotients against one solve per arrow, and their eliminations
+
+
+def _same_span(draw, field, basis):
+    """basis times a drawn matrix when it is invertible: the same span in
+    other columns, so the complement C is not just the canonical one."""
+    n = basis.ncols
+    entries = st.integers(0, field.size - 1)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    g = Mat(field, tuple(map(tuple, rows)), (n, n))
+    return basis @ g if g.is_invertible() else basis
+
+
+@settings(max_examples=40, derandomize=True)
+@given(_small_reps(), st.data())
+def test_subquotients_match_the_solve_oracle(case, data):
+    w, theta = case
+    subs = enumerate_subreps(w, CFG)
+    upper = data.draw(st.sampled_from(subs))
+    lower = data.draw(st.sampled_from([s for s in subs if upper.contains(s)]))
+    upper, lower = (
+        SubrepWitness(dict(x.dims), {v: _same_span(data.draw, w.ring, b) for v, b in x.bases.items()})
+        for x in (upper, lower)
+    )
+    assert stability._subquotient(w, lower, upper) == reference_subquotient(w, lower, upper)
+    quotient, lift = quotient_rep(w, lower)
+    want, C = reference_subquotient(w, lower, stability.full_witness(w))
+    assert quotient == want
+    assert all(lift(v, Mat.identity(w.ring, quotient.dims[v])) == C[v] for v in w.dims)
+    zero = stability._zero_witness(w)
+    assert restrict_rep(w, upper) == reference_subquotient(w, zero, upper)[0]
+    # the first HN step is kept as scss returns it: already canonical
+    hn = hn_filtration(w, theta, CFG)
+    assert all(step == step.canonical() for step in hn.steps)
+    pairs = zip((zero,) + hn.steps[:-1], hn.steps)
+    assert hn_subquotients(w, theta, hn) == [reference_subquotient(w, *p)[0] for p in pairs]
+
+
+def test_subquotients_of_bad_witnesses_raise_as_the_oracle_does():
+    f3 = GF(3)
+    none = Mat.zero(f3, 1, 0)
+    w = kronecker_rep(f3, [1, 0])  # a1 maps e_s to e_t
+    at_s = SubrepWitness({"s": 1, "t": 0}, {"s": fmat(f3, [[1]]), "t": none})
+    at_t = SubrepWitness({"s": 0, "t": 1}, {"s": none, "t": fmat(f3, [[1]])})
+    full, zero = stability.full_witness(w), stability._zero_witness(w)
+    twice = SubrepWitness({"s": 2, "t": 1}, {"s": fmat(f3, [[1, 1]]), "t": fmat(f3, [[1]])})
+    # a dependent upper basis with the pivot count of a basis: lower sticks out
+    plane = Representation.zero_maps(kronecker_quiver(2), f3, {"s": 2, "t": 0})
+    empty = Mat.zero(f3, 0, 0)
+    line = SubrepWitness({"s": 1, "t": 0}, {"s": fmat(f3, [[0], [1]]), "t": empty})
+    doubled = SubrepWitness({"s": 2, "t": 0}, {"s": fmat(f3, [[1, 1], [0, 0]]), "t": empty})
+    nested = "not independent and nested"
+    cases = [
+        (w, zero, twice, nested),
+        (plane, line, doubled, nested),
+        (w, full, at_t, nested),
+        (w, zero, at_s, "upper witness is not closed"),
+        (w, at_s, full, "lower witness is not closed"),
+    ]
+    for rep, lower, upper, message in cases:
+        for build in (stability._subquotient, reference_subquotient):
+            with pytest.raises(InvariantError, match=message):
+                build(rep, lower, upper)
+
+
+def test_hn_and_its_check_eliminate_once_per_subquotient_vertex(monkeypatch):
+    # a pinned unstable K3 (3, 3) rep over F_5 with HN steps (2, 1) < (3, 3):
+    # hn_filtration builds one quotient and verify_hn two layers, one rref
+    # per vertex each, plus the rank of upper where lower is nonzero
+    f5 = GF(5)
+    mats = {
+        "a1": fmat(f5, [[3, 0, 0], [0, 0, 4], [0, 0, 0]]),
+        "a2": fmat(f5, [[2, 4, 0], [0, 0, 4], [0, 0, 1]]),
+        "a3": fmat(f5, [[0, 0, 3], [0, 0, 3], [0, 0, 0]]),
+    }
+    w = Representation(kronecker_quiver(3), f5, {"s": 3, "t": 3}, mats)
+    calls = []
+    rref = Mat.rref
+
+    def counted(self):
+        calls.append(self.shape)
+        return rref(self)
+
+    monkeypatch.setattr(Mat, "rref", counted)
+    hn = hn_filtration(w, THETA, CFG)
+    assert [dict(step.dims) for step in hn.steps] == [{"s": 2, "t": 1}, {"s": 3, "t": 3}]
+    assert verify_hn(w, THETA, hn, CFG)
+    assert len(calls) <= 10

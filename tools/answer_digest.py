@@ -6,8 +6,9 @@ For each workload of bench/workloads.py and each seed, builds the seeded
 inputs, runs every item and prints one line: workload, seed and the SHA-256
 of a canonical JSON of all the items' answers (a failed item counts as its
 exception type and message).  Matrices are written as their entries, rings
-and Galois pairs as their names, and library objects as their fields, so
-two trees agree exactly when every answer agrees entry by entry.
+and Galois pairs as their names, and library objects as their fields, memo
+slots left out, so two trees agree exactly when every answer agrees entry
+by entry.
 
 Run it from the root of each checkout; it imports that checkout's `src/`
 and reads `bench/workloads.py` without changing it.  It re-runs itself
@@ -28,6 +29,9 @@ from types import MappingProxyType
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKDIR = os.path.join(tempfile.gettempdir(), "quivermoduli-answer-digest")
 WORKLOADS = ("census_orbits", "census_closure", "stability_queries", "arith_pipeline")
+# slots where an object keeps answers about itself, filled on first use: what
+# they hold depends on what was asked before, not on the answer digested
+MEMO_SLOTS = frozenset({"certificates"})
 
 
 def plain(obj, seen=()):
@@ -62,7 +66,7 @@ def plain(obj, seen=()):
     else:
         slots = (s for cls in type(obj).__mro__ for s in getattr(cls, "__slots__", ()))
         fields = {s: getattr(obj, s) for s in slots if hasattr(obj, s)}
-    fields = {k: v for k, v in fields.items() if not callable(v)}
+    fields = {k: v for k, v in fields.items() if not callable(v) and k not in MEMO_SLOTS}
     return {"type": type(obj).__name__, **{k: plain(v, seen) for k, v in fields.items()}}
 
 
