@@ -2,18 +2,18 @@
 
 A matrix over F_q, a quaternion algebra or an untabled extension field
 holds its rows, tuples of payloads, in the plain slot `rows`.  A matrix over
-Q or Q(sqrt(m)), which Mat(...) makes a _CoordMat, holds one form at a time.
-Built from payload rows (JSON input, a test) it keeps them until its first
-arithmetic use, which replaces them by canonical integer coordinates
-(A, B, d): entry (i, j) = (A[i][j] + B[i][j] sqrt(m)) / d with d > 0 and
-gcd(all of A, all of B, d) = 1, so equal matrices have equal coordinates and
-d is the lcm of the entry denominators; over Q, m = 0 and B is all zeros.
-Every operation reads and writes coordinates: products, sums, scaling,
-stacking, transposes, conjugation, and elimination, which cross-multiplies
-rows and removes their content instead of dividing (fraction-free
-Gauss-Jordan); `inverse`, `solve` and `rref` divide by the pivots once,
+Q or Q(sqrt(m)), which Mat(...) makes a _CoordMat, holds only its canonical
+integer coordinates (A, B, d), converted from payload rows (JSON input, a
+test) when it is built: entry (i, j) = (A[i][j] + B[i][j] sqrt(m)) / d with
+d > 0 and gcd(all of A, all of B, d) = 1, so equal matrices have equal
+coordinates and d is the lcm of the entry denominators; over Q, m = 0 and B
+is all zeros.  Every operation reads and writes coordinates: products, sums,
+scaling, stacking, transposes, conjugation, and elimination, which
+cross-multiplies rows and removes their content instead of dividing
+(fraction-free Gauss-Jordan); `solve` and `rref` divide by the pivots once,
 through their lcm.  `rows`, `entry` and `col` build reduced Fractions from
-the coordinates each time they are read.  Over F_p and over the F_{p^n} that
+the coordinates each time they are read.  On every ring `inverse` is one
+`solve` against the identity.  Over F_p and over the F_{p^n} that
 carry tables, `rref` runs on the int codes themselves: one `% p` per updated
 entry, or table lookups, and only on the nonzero columns of the pivot row;
 an F_p product takes one `% p` per entry, of its integer dot product.
@@ -38,7 +38,7 @@ _COORD_RINGS = (RationalField, QuadraticField)
 
 
 class Mat:
-    __slots__ = ("ring", "nrows", "ncols", "rows", "_coords")  # _coords: a _CoordMat's only
+    __slots__ = ("ring", "nrows", "ncols", "rows", "coords")  # coords: a _CoordMat's only
 
     def __init__(self, ring, rows, shape=None):
         rows = tuple(tuple(r) for r in rows)
@@ -50,12 +50,13 @@ class Mat:
         self.nrows, self.ncols = shape
         if len(rows) != self.nrows or any(len(r) != self.ncols for r in rows):
             raise SchemaError(f"ragged matrix: expected shape {shape}")
-        self.rows = rows
         if isinstance(ring, _COORD_RINGS):
             # same slots, so the matrix becomes a _CoordMat in place; a
             # __new__ would put a Python call on every F_q construction
             self.__class__ = _CoordMat
-            self._coords = None
+            self.coords = _integer_rows(rows, _quadratic_m(ring), self.ncols)
+        else:
+            self.rows = rows
 
     @classmethod
     def _of(cls, ring, rows, shape):
@@ -151,6 +152,10 @@ class Mat:
     # --- arithmetic ---
 
     def __add__(self, other):
+        if self.shape != other.shape:
+            raise SchemaError(f"shape mismatch {self.shape} + {other.shape}")
+        if isinstance(self, _CoordMat):
+            return _add_coords(self, other)
         add = self.ring.add
         return Mat(
             self.ring,
@@ -191,16 +196,16 @@ class Mat:
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise SchemaError("hstack needs equal row counts")
-        return Mat._of(
-            self.ring,
-            tuple(r1 + r2 for r1, r2 in zip(self.rows, other.rows)),
-            (self.nrows, self.ncols + other.ncols),
-        )
+        return self._stack(other, (self.nrows, self.ncols + other.ncols), _beside)
 
     def vstack(self, other):
         if self.ncols != other.ncols:
             raise SchemaError("vstack needs equal column counts")
-        return Mat(self.ring, self.rows + other.rows, (self.nrows + other.nrows, self.ncols))
+        return self._stack(other, (self.nrows + other.nrows, self.ncols), operator.add)
+
+    def _stack(self, other, shape, join):
+        """The rows joined row by row (hstack) or as row lists (vstack)."""
+        return Mat._of(self.ring, join(self.rows, other.rows), shape)
 
     def _top(self, k):
         """The first k rows."""
@@ -289,20 +294,13 @@ class Mat:
         return basis
 
     def inverse(self):
-        """Inverse over a field, or None when singular."""
+        """Inverse over a field, or None when singular: [M | I] has full
+        rank, so a singular M puts a pivot in the I part, and solve says None."""
         if self.nrows != self.ncols:
             return None
-        n = self.nrows
-        if n == 0:
+        if self.nrows == 0:
             return self
-        if isinstance(self, _CoordMat):
-            # [M | I] has full rank, so a singular M puts a pivot in the I part
-            return _solve_coords(self, Mat.identity(self.ring, n))
-        aug = self.hstack(Mat.identity(self.ring, n))
-        R, pivots = aug.rref()
-        if tuple(pivots) != tuple(range(n)):
-            return None
-        return Mat._of(self.ring, tuple(r[n:] for r in R.rows), (n, n))
+        return self.solve(Mat.identity(self.ring, self.nrows))
 
     def is_invertible(self):
         return self.nrows == self.ncols and (self.nrows == 0 or self.rank() == self.nrows)
@@ -310,19 +308,17 @@ class Mat:
     def solve(self, rhs):
         """One solution X of self @ X = rhs over a field, or None."""
         if self.nrows != rhs.nrows:
-            raise SchemaError("hstack needs equal row counts")
+            raise SchemaError(f"solve needs equal row counts: {self.shape} and {rhs.shape}")
         if isinstance(self, _CoordMat):
             return _solve_coords(self, rhs)
         R, pivots = self.hstack(rhs).rref()
         n = self.ncols
-        if any(p >= n for p in pivots):
+        if pivots and pivots[-1] >= n:
             return None
-        zero = self.ring.zero
-        out_rows = [[zero] * rhs.ncols for _ in range(n)]
-        for i, p in enumerate(pivots):
-            for j in range(rhs.ncols):
-                out_rows[p][j] = R.rows[i][n + j]
-        return Mat._of(self.ring, tuple(tuple(r) for r in out_rows), (n, rhs.ncols))
+        out = [(self.ring.zero,) * rhs.ncols] * n
+        for row, p in zip(R.rows, pivots):
+            out[p] = row[n:]
+        return Mat._of(self.ring, tuple(out), (n, rhs.ncols))
 
     # --- column span utilities (bases are stored as columns) ---
 
@@ -355,11 +351,16 @@ def _zeros(nrows, ncols):
     return ((0,) * ncols,) * nrows
 
 
+def _beside(X, Y):
+    """Row lists joined row by row."""
+    return tuple(map(operator.add, X, Y))
+
+
 class _CoordMat(Mat):
-    """A matrix over Q (m = 0) or Q(sqrt(m)) in one form: the payload rows
-    it was built from, in the slot `rows`, until its first arithmetic use,
-    then only its canonical integer coordinates (`_coords`, read through
-    `coords`), with `rows` unset and built on each read by __getattr__."""
+    """A matrix over Q (m = 0) or Q(sqrt(m)) in one form from the moment it
+    is built: its canonical integer coordinates (A, B, d) in the slot
+    `coords`.  The slot `rows` stays unset; the property `rows` builds
+    reduced Fraction payloads from the coordinates on each read."""
 
     __slots__ = ()
 
@@ -369,7 +370,7 @@ class _CoordMat(Mat):
         mat = object.__new__(_CoordMat)
         mat.ring = ring
         mat.nrows, mat.ncols = shape
-        mat._coords = (A, B, d)
+        mat.coords = (A, B, d)
         return mat
 
     @staticmethod
@@ -387,25 +388,11 @@ class _CoordMat(Mat):
         return _quadratic_m(self.ring)
 
     @property
-    def coords(self):
-        """(A, B, d), computed from the payload rows on first use."""
-        c = self._coords
-        if c is None:
-            c = self._coords = _integer_rows(self.rows, self.m, self.ncols)
-            del self.rows
-        return c
-
-    def __getattr__(self, name):
-        # reached only for a slot left unset: `rows` in coordinate form
-        if name != "rows":
-            raise AttributeError(name)
-        return _payload_rows(*self._coords, self.m)
+    def rows(self):
+        return _payload_rows(*self.coords, self.m)
 
     def entry(self, i, j):
-        c = self._coords
-        if c is None:
-            return self.rows[i][j]
-        A, B, d = c
+        A, B, d = self.coords
         return _payload(A[i][j], B[i][j], d, self.m)
 
     def transpose(self):
@@ -426,16 +413,6 @@ class _CoordMat(Mat):
     def __hash__(self):
         return hash((self.nrows, self.ncols, self.coords))
 
-    def __add__(self, other):
-        (A, B, d), (C, E, f) = self.coords, other.coords
-        l = lcm(d, f)
-        s, t = l // d, l // f
-        X, Y = (
-            tuple(tuple(s * x + t * y for x, y in zip(a, c)) for a, c in zip(P, R))
-            for P, R in ((A, C), (B, E))
-        )
-        return _reduced(self.ring, self.shape, X, Y, l)
-
     def scale(self, c):
         m = self.m
         a, b, e = _element_coords(c, m)
@@ -446,10 +423,10 @@ class _CoordMat(Mat):
         return _reduced(self.ring, self.shape, X, Y, e * d)
 
     def _stack(self, other, shape, join):
-        """Both coordinate sets over the lcm of the denominators, joined row
-        by row (hstack) or as row lists (vstack).  No content is left to
-        remove: at each prime the operand with the full power in the lcm has
-        a coordinate prime to it, and its scale factor is prime to it too."""
+        """Both coordinate sets over the lcm of the denominators, joined as
+        Mat._stack joins rows.  No content is left to remove: at each prime
+        the operand with the full power in the lcm has a coordinate prime to
+        it, and its scale factor is prime to it too."""
         (A, B, d), (C, E, f) = self.coords, other.coords
         l = lcm(d, f)
         if l != d:
@@ -457,17 +434,6 @@ class _CoordMat(Mat):
         if l != f:
             C, E = _scaled(C, l // f), _scaled(E, l // f)
         return _CoordMat._make(self.ring, shape, join(A, C), join(B, E), l)
-
-    def hstack(self, other):
-        if self.nrows != other.nrows:
-            raise SchemaError("hstack needs equal row counts")
-        shape = (self.nrows, self.ncols + other.ncols)
-        return self._stack(other, shape, lambda X, Y: tuple(map(operator.add, X, Y)))
-
-    def vstack(self, other):
-        if self.ncols != other.ncols:
-            raise SchemaError("vstack needs equal column counts")
-        return self._stack(other, (self.nrows + other.nrows, self.ncols), operator.add)
 
     def _top(self, k):
         A, B, d = self.coords
@@ -662,25 +628,31 @@ def _kernel_coords(A, B, pivots, ncols):
 
 
 def _solve_coords(mat, rhs):
-    """mat.solve(rhs): [M | R] is eliminated over the lcm l of the
-    denominators, and the row of the solution at pivot p is the rhs part of
-    the pivot row divided by its pivot.  None when a pivot falls in the rhs
-    part."""
-    (A, B, d), (C, E, f) = mat.coords, rhs.coords
+    """mat.solve(rhs): [M | R] is eliminated, and the row of the solution at
+    pivot p is the rhs part of the pivot row divided by its pivot.  None
+    when a pivot falls in the rhs part."""
     n, k = mat.ncols, rhs.ncols
-    l = lcm(d, f)
-    s, t = l // d, l // f
-    AA = [[s * x for x in a] + [t * y for y in c] for a, c in zip(A, C)]
-    BB = [[s * x for x in b] + [t * y for y in e] for b, e in zip(B, E)]
-    pivots = _eliminate_coords(AA, BB, mat.m, n + k)
-    if any(p >= n for p in pivots):
+    A, B, pivots = _eliminated(mat.hstack(rhs))
+    if pivots and pivots[-1] >= n:
         return None
     zero = ((0,) * k,) * 2
     rows, divisors = [zero] * n, [1] * n
     for i, p in enumerate(pivots):
-        rows[p] = AA[i][n:], BB[i][n:]
-        divisors[p] = AA[i][p]
+        rows[p] = A[i][n:], B[i][n:]
+        divisors[p] = A[i][p]
     return _divided(mat, (n, k), rows, divisors)
+
+
+def _add_coords(left, right):
+    """Integer sums over the lcm of the denominators."""
+    (A, B, d), (C, E, f) = left.coords, right.coords
+    l = lcm(d, f)
+    s, t = l // d, l // f
+    X, Y = (
+        tuple(tuple(s * x + t * y for x, y in zip(a, c)) for a, c in zip(P, R))
+        for P, R in ((A, C), (B, E))
+    )
+    return _reduced(left.ring, left.shape, X, Y, l)
 
 
 def _matmul_coords(left, right):

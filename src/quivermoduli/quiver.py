@@ -80,11 +80,12 @@ class Representation:
 
     Immutable: dims and mats are read-only views of copies made at
     construction, so every answer computed from a rep stays true of it.
-    certificates is the rep's own memo of its stability answers, made on
-    first use: exact verdicts over F_q by stability.stability_verdict, read
-    again by is_semistable and scss, and geometric-stability certificates
-    over Q and Q(sqrt(m)) by stability.geom_stability_certificate.  Equal
-    reps built separately share nothing.
+    certificates is the rep's own memo of its stability answers, a dict
+    made empty at construction: exact verdicts over F_q by
+    stability.stability_verdict, read again by is_semistable and scss, and
+    geometric-stability certificates over Q and Q(sqrt(m)) by
+    stability.geom_stability_certificate.  Equal reps built separately share
+    nothing.
     """
 
     __slots__ = ("quiver", "ring", "dims", "mats", "certificates")
@@ -109,6 +110,7 @@ class Representation:
         self.ring = ring
         self.dims = MappingProxyType(dims)
         self.mats = MappingProxyType(mats)
+        self.certificates = {}
 
     @staticmethod
     def zero_maps(quiver, ring, dims):

@@ -34,12 +34,12 @@ Decision procedures over infinite fields do not exist here;
 geom_stability_certificate returns Stable only with a finite-field
 certificate, returns a non-stable verdict only with an exactly re-verified
 witness, and says Unknown otherwise.  A rep is immutable, so it keeps its
-answers in rep.certificates: its exact verdicts over F_q, which
-is_semistable, scss, and so hn_filtration and verify_hn (whose one layer of
-a length-1 filtration is the rep itself), read instead of searching again,
-and its certificates, which the type map's precondition check reads.  Each
-is kept under the budget it was decided with and read only under that
-budget; a BudgetExceededError is never kept.
+answers in rep.certificates, the dict it is built with: its exact verdicts
+over F_q, which is_semistable, scss, and so hn_filtration and verify_hn
+(whose one layer of a length-1 filtration is the rep itself), read instead
+of searching again, and its certificates, which the type map's
+precondition check reads.  Each is kept under the budget it was decided
+with and read only under that budget; a BudgetExceededError is never kept.
 """
 
 import weakref
@@ -528,15 +528,6 @@ def _verdicts(quiver, dims, theta, field, config, strict=False):
     return eng, verdict
 
 
-def _memo(rep):
-    """rep.certificates, made on first use."""
-    try:
-        return rep.certificates
-    except AttributeError:
-        memo = rep.certificates = {}
-        return memo
-
-
 def _verdict_key(theta, config):
     """The key of an exact verdict in rep.certificates: theta and the one
     config field the verdict reads, the subspace budget.  A kept verdict
@@ -557,7 +548,7 @@ def stability_verdict(rep, theta, config):
     """
     if rep.is_zero_dimensional():
         raise ValueError("stability of the zero representation is undefined")
-    memo = _memo(rep)
+    memo = rep.certificates
     key = _verdict_key(theta, config)
     if key not in memo:
         eng, verdict = _verdicts(rep.quiver, rep.dims, theta, rep.ring, config)
@@ -573,7 +564,7 @@ def stability_verdict(rep, theta, config):
 def is_semistable(rep, theta, config):
     """Semistability: read off a kept verdict, or else a walk of the slope
     groups strictly above mu only."""
-    kept = getattr(rep, "certificates", {}).get(_verdict_key(theta, config))
+    kept = rep.certificates.get(_verdict_key(theta, config))
     if kept is not None:
         return kept.kind != UNSTABLE
     _, verdict = _verdicts(rep.quiver, rep.dims, theta, rep.ring, config, strict=True)
@@ -620,7 +611,7 @@ def scss(rep, theta, config):
     # Only slopes strictly above mu can beat the full representation; if none
     # is attained, the representation is semistable and is its own scss.  A
     # kept Unstable verdict's slope is the highest attained: walk its group.
-    kept = getattr(rep, "certificates", {}).get(_verdict_key(theta, config))
+    kept = rep.certificates.get(_verdict_key(theta, config))
     if kept is not None and kept.kind != UNSTABLE:
         return full_witness(rep)
     groups = _slope_groups(rep.dims, theta, rep.slope(theta), strict=True)
@@ -925,7 +916,7 @@ def geom_stability_certificate(rep, theta, config):
     if rep.ring.is_finite:
         raise SchemaError("certificates are for infinite coefficient fields")
     key = (tuple(sorted(theta.items())), config.primes, config.max_subspace_checks)
-    memo = _memo(rep)
+    memo = rep.certificates
     if key not in memo:
         memo[key] = _certificate(rep, theta, config)
     return memo[key]

@@ -171,6 +171,37 @@ def test_block_ops():
     assert Mat.scalar(QQ, 2, Fraction(5)).entry(1, 1) == 5
 
 
+def test_mismatched_shapes_are_schema_errors():
+    # a sum checks shapes as a product does, on every ring; a Q sum used to
+    # return a matrix whose shape disagreed with its coordinates
+    H = hamilton_quaternions()
+    for ring in (GF(3), GF(4), QQ, gaussian_rationals(), H):
+        square = Mat.identity(ring, 2)
+        for other in (Mat.identity(ring, 1).hstack(Mat.zero(ring, 1, 1)), Mat.zero(ring, 2, 1)):
+            with pytest.raises(SchemaError, match="shape mismatch"):
+                square + other
+        with pytest.raises(SchemaError, match="solve needs equal row counts"):
+            square.solve(Mat.zero(ring, 1, 1))
+
+
+def test_rational_matrices_hold_one_form():
+    # Q and Q(sqrt(m)) matrices read back reduced Fraction payloads however
+    # they were built, and a new rep starts with an empty memo
+    Qi = gaussian_rationals()
+    half = (Fraction(1, 2), Fraction(3))
+    for mat, want in (
+        (Mat(QQ, ((1, 2),)), (Fraction(1), Fraction(2))),
+        (Mat(Qi, (((1, 0), [Fraction(2, 4), 3]),), (1, 2)), ((Fraction(1), Fraction(0)), half)),
+    ):
+        for got in (mat.rows[0], (mat.entry(0, 0), mat.entry(0, 1)), mat.col(0) + mat.col(1)):
+            assert got == want
+            assert [type(e) for e in got] == [type(e) for e in want]
+            assert all(type(x) is Fraction for e in got for x in (e if type(e) is tuple else (e,)))
+    for ring in (QQ, GF(3)):
+        w = Representation.zero_maps(kronecker_quiver(2), ring, {"s": 1, "t": 1})
+        assert w.certificates == {}
+
+
 # --- the integer-coordinate kernel over Q and Q(sqrt(m)) against the
 # per-entry reference loops ---
 

@@ -910,6 +910,48 @@ def test_transpose_on_the_opposite_quiver_is_dual(case):
 
 
 # ---------------------------------------------------------------------------
+# orbit invariance: W against g . W for a random g in G_d
+
+
+def _group_element(draw, field, dims):
+    """A random g in G_d = prod_v GL(d_v), drawn as P L U: a permutation, a
+    unit lower triangular and an invertible upper triangular matrix.  Every
+    invertible matrix factors so."""
+    entries, units = st.integers(0, field.size - 1), st.integers(1, field.size - 1)
+    g = {}
+    for v, n in dims.items():
+        perm = draw(st.permutations(range(n)))
+        cells = (
+            lambda i, j: int(j == perm[i]),
+            lambda i, j: draw(entries) if j < i else int(i == j),
+            lambda i, j: draw(units) if i == j else draw(entries) if j > i else 0,
+        )
+        P, L, U = (
+            Mat(field, tuple(tuple(cell(i, j) for j in range(n)) for i in range(n)), (n, n))
+            for cell in cells
+        )
+        g[v] = P @ L @ U
+    return g
+
+
+@settings(max_examples=40, derandomize=True)
+@given(_small_reps(), st.data())
+def test_verdict_hn_type_and_end_dim_are_orbit_invariants(case, data):
+    # the orbit census counts one verdict per G_d-orbit; act runs through
+    # inverse, which is one solve against the identity
+    w, theta = case
+    g = _group_element(data.draw, w.ring, w.dims)
+    moved = w.act(g)
+    assert moved.act({v: m.inverse() for v, m in g.items()}) == w
+    assert stability_verdict(moved, theta, CFG).kind == stability_verdict(w, theta, CFG).kind
+    hn, hn_moved = hn_filtration(w, theta, CFG), hn_filtration(moved, theta, CFG)
+    layers = [dict(r.dims) for r in hn_subquotients(w, theta, hn)]
+    assert [dict(r.dims) for r in hn_subquotients(moved, theta, hn_moved)] == layers
+    assert hn_moved.slopes == hn.slopes
+    assert homs.end_dim(moved) == homs.end_dim(w)
+
+
+# ---------------------------------------------------------------------------
 # subquotients against one solve per arrow, and their eliminations
 
 
