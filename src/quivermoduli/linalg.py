@@ -16,13 +16,15 @@ the coordinates each time they are read.  On every ring `inverse` is one
 `solve` against the identity.  Over F_p and over the F_{p^n} that
 carry tables, `rref` runs on the int codes themselves: one `% p` per updated
 entry, or table lookups, and only on the nonzero columns of the pivot row;
-an F_p product takes one `% p` per entry, of its integer dot product.
+an F_p product takes one `% p` per entry, of its integer dot product, and a
+tabled F_{p^n} product table lookups over each row's nonzero entries.
 The reduced echelon form is unique and products are exact, so the answers
 are the ones the per-entry loop gives; that loop remains for quaternion
-algebras and untabled extension fields (and for products over any
-F_{p^n}), with the ring object supplying one operation per entry.  Shapes are tracked explicitly so zero-row and
-zero-column matrices behave.  Elimination routines require the ring to be a
-field.
+algebras and untabled extension fields, with the ring object supplying one
+operation per entry.  The operands of +, @, hstack and vstack (so of solve)
+must share a ring, else SchemaError.  Shapes are tracked explicitly so
+zero-row and zero-column matrices behave.  Elimination routines require
+the ring to be a field.
 """
 
 import operator
@@ -74,30 +76,20 @@ class Mat:
     def zero(ring, nrows, ncols):
         if isinstance(ring, _COORD_RINGS):
             return _CoordMat._diagonal(ring, (nrows, ncols), 0)
-        z = ring.zero
-        return Mat(ring, tuple((z,) * ncols for _ in range(nrows)), (nrows, ncols))
+        return Mat._of(ring, ((ring.zero,) * ncols,) * nrows, (nrows, ncols))
 
     @staticmethod
     def identity(ring, n):
         if isinstance(ring, _COORD_RINGS):
             return _CoordMat._diagonal(ring, (n, n), 1)
-        z, o = ring.zero, ring.one
-        return Mat(
-            ring,
-            tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)),
-            (n, n),
-        )
+        return Mat.scalar(ring, n, ring.one)
 
     @staticmethod
     def scalar(ring, n, c):
         if isinstance(ring, _COORD_RINGS):
             return _CoordMat._diagonal(ring, (n, n), *_element_coords(c, _quadratic_m(ring)))
         z = ring.zero
-        return Mat(
-            ring,
-            tuple(tuple(c if i == j else z for j in range(n)) for i in range(n)),
-            (n, n),
-        )
+        return Mat._of(ring, tuple((z,) * i + (c,) + (z,) * (n - 1 - i) for i in range(n)), (n, n))
 
     @staticmethod
     def from_cols(ring, cols, nrows):
@@ -154,6 +146,8 @@ class Mat:
     def __add__(self, other):
         if self.shape != other.shape:
             raise SchemaError(f"shape mismatch {self.shape} + {other.shape}")
+        if other.ring is not self.ring:
+            _same_ring(self, other, "+")
         if isinstance(self, _CoordMat):
             return _add_coords(self, other)
         add = self.ring.add
@@ -169,6 +163,8 @@ class Mat:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise SchemaError(f"shape mismatch {self.shape} @ {other.shape}")
+        if other.ring is not self.ring:
+            _same_ring(self, other, "@")
         if isinstance(self, _CoordMat):
             return _matmul_coords(self, other)
         ring = self.ring
@@ -177,6 +173,8 @@ class Mat:
             p, mul = ring.p, operator.mul
             out = tuple(tuple(sum(map(mul, row, col)) % p for col in ocols) for row in self.rows)
             return Mat._of(ring, out, (self.nrows, other.ncols))
+        if isinstance(ring, ExtensionField) and ring._tables:
+            return _matmul_fq(ring, self, ocols)
         add, mul, zero = ring.add, ring.mul, ring.zero
         out = []
         for row in self.rows:
@@ -196,11 +194,15 @@ class Mat:
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise SchemaError("hstack needs equal row counts")
+        if other.ring is not self.ring:
+            _same_ring(self, other, "hstack")
         return self._stack(other, (self.nrows, self.ncols + other.ncols), _beside)
 
     def vstack(self, other):
         if self.ncols != other.ncols:
             raise SchemaError("vstack needs equal column counts")
+        if other.ring is not self.ring:
+            _same_ring(self, other, "vstack")
         return self._stack(other, (self.nrows + other.nrows, self.ncols), operator.add)
 
     def _stack(self, other, shape, join):
@@ -333,6 +335,13 @@ class Mat:
             return True
         stacked = other.hstack(self)
         return stacked.rank() == other.rank()
+
+
+def _same_ring(left, right, op):
+    """SchemaError unless both operands are over equal rings; callers skip
+    it when the ring objects are the same."""
+    if left.ring != right.ring:
+        raise SchemaError(f"ring mismatch: {left.ring!r} {op} {right.ring!r}")
 
 
 # --- Q and Q(sqrt(m)) on integer coordinates ---
@@ -673,6 +682,25 @@ def _matmul_coords(left, right):
 
 
 # --- F_q on int codes ---
+
+
+def _matmul_fq(ring, left, ocols):
+    """left @ right from right's columns, over an F_{p^n} with tables: each
+    row's nonzero entries, times the column's, summed by table lookups."""
+    s, add, mul = ring.size, ring._add_t, ring._mul_t
+    out = []
+    for row in left.rows:
+        terms = [(j, a * s) for j, a in enumerate(row) if a]
+        orow = []
+        for col in ocols:
+            acc = 0
+            for j, a in terms:
+                b = col[j]
+                if b:
+                    acc = add[acc * s + mul[a + b]]
+            orow.append(acc)
+        out.append(tuple(orow))
+    return Mat._of(ring, tuple(out), (left.nrows, len(ocols)))
 
 
 def _rref_fq(ring, mat):

@@ -6,8 +6,14 @@ geometric-stability decision.
 One routine, _subquotient, builds every subquotient U / L of nested
 subrepresentations: quotient_rep, restrict_rep and the HN layers, with one
 rref of [L | U | I] per vertex, whose I block inverts the completed basis.
+It ranks U on its own only where L is nonzero and U's columns are not in
+column-echelon form with unit leads; the engine's witnesses, canonical
+steps and the full witness are, so they are independent by construction.
 The HN filtration is a loop: W^1 = scss(W), and W^i adds the lift of
-scss(W / W^{i-1}), each quotient built from W itself.
+scss(W / W^{i-1}), each quotient built from W itself.  scss takes the
+largest closed subspace tuple of the first slope group that has one and
+checks that every other is nested in it on the engine's membership memos,
+one lookup per basis row, before one witness becomes Mat bases.
 
 Every finite-field answer, here and in the censuses, comes from one closure
 engine, entered through _search: it refuses an infinite field, checks the
@@ -47,7 +53,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations, groupby, product
-from operator import mul
+from math import gcd
+from operator import itemgetter, mul
 from typing import Dict, Optional, Tuple
 
 from .errors import BudgetExceededError, InvariantError, SchemaError, count_text
@@ -155,41 +162,27 @@ def count_subspaces(q, dim):
 class _Span(dict):
     """Membership of vector codes in one subspace U, filled on first lookup.
 
-    With U's basis rows in reduced echelon form, v lies in U iff
-    v[j] = sum_i v[p_i] row_i[j] at every non-pivot column j, p_i the pivot
-    of row i.  A lookup miss costs O(rank * dim) field operations, and the
-    memo holds only the codes looked up.
+    With U's basis rows in reduced echelon form, v lies in U iff v is the
+    combination sum_i v[p_i] row_i, p_i the pivot of row i: a lookup miss
+    reads the pivot digits of v's code and compares the code of that
+    combination, the image of the coefficients under the dim x rank matrix
+    of U's basis columns (_image_code), with v's.  The memo holds only the
+    codes looked up.
     """
 
-    __slots__ = ("rows", "space", "pivots")
+    __slots__ = ("space", "cols", "weights")
 
     def __init__(self, rows, space):
-        self.rows = rows
         self.space = space
-        self.pivots = tuple(row.index(space.field.one) for row in rows)
+        self.cols = tuple(zip(*rows)) if rows else ((),) * space.dim
+        q = space.field.size
+        self.weights = [q ** row.index(space.field.one) for row in rows]
 
     def __missing__(self, code):
-        field, dim, rows = self.space.field, self.space.dim, self.rows
-        add, mul, q = field.add, field.mul, field.size
-        v = []
-        rest = code
-        for _ in range(dim):
-            rest, x = divmod(rest, q)
-            v.append(x)
-        pivots = self.pivots
-        inside = True
-        for j in range(dim):
-            if j in pivots:
-                continue
-            acc = field.zero
-            for p, row in zip(pivots, rows):
-                c = v[p]
-                if c and row[j]:
-                    acc = add(acc, mul(c, row[j]))
-            if acc != v[j]:
-                inside = False
-                break
-        self[code] = inside
+        field = self.space.field
+        q = field.size
+        coeffs = [code // w % q for w in self.weights]
+        inside = self[code] = _image_code(field, self.cols, coeffs) == code
         return inside
 
 
@@ -283,7 +276,7 @@ class _Images(dict):
     """Image codes of one arrow matrix M by tail subspace index.
 
     Filled on first lookup: the codes sum_i (M u)_i q^i for u in U_t's
-    basis, with M u computed once per basis vector.
+    basis, with M u computed once per basis vector (_image_code).
     """
 
     __slots__ = ("mat", "tails", "field", "codes")
@@ -295,23 +288,49 @@ class _Images(dict):
         self.codes = {}  # basis vector u -> code of M u
 
     def __missing__(self, t_idx):
-        field = self.field
-        add, mul, zero, q = field.add, field.mul, field.zero, field.size
+        codes = self.codes
         img = []
         for u in self.tails.rows(t_idx):
-            code = self.codes.get(u)
+            code = codes.get(u)
             if code is None:
-                code = 0
-                for mrow in reversed(self.mat):
-                    acc = zero
-                    for c, x in zip(mrow, u):
-                        if c and x:
-                            acc = add(acc, mul(c, x))
-                    code = code * q + acc
-                self.codes[u] = code
+                code = codes[u] = _image_code(self.field, self.mat, u)
             img.append(code)
         img = self[t_idx] = tuple(img)
         return img
+
+
+def _image_code(field, mat, u):
+    """The code sum_i (M u)_i q^i of M u over F_q, M given by its rows: one
+    % p per integer dot product over F_p, table lookups over an F_{p^n}
+    with tables (see ffields), and the field's operations otherwise."""
+    q, code = field.size, 0
+    if isinstance(field, PrimeField):
+        for mrow in reversed(mat):
+            code = code * q + sum(map(mul, mrow, u)) % q
+        return code
+    terms = [(j, x) for j, x in enumerate(u) if x]
+    tables = field._tables
+    for mrow in reversed(mat):
+        acc = 0
+        if tables:
+            add, times = tables[0], tables[1]
+            for j, x in terms:
+                if mrow[j]:
+                    acc = add[acc * q + times[x * q + mrow[j]]]
+        else:
+            for j, x in terms:
+                if mrow[j]:
+                    acc = field.add(acc, field.mul(x, mrow[j]))
+        code = code * q + acc
+    return code
+
+
+def _code(vec, q):
+    """The integer code sum_i vec[i] q^i of a vector over F_q."""
+    code = 0
+    for x in reversed(vec):
+        code = code * q + x
+    return code
 
 
 def _closed_pairs(mat, tails):
@@ -412,6 +431,18 @@ class _Engine:
                     else:
                         yield s, e, tuple(combo)
 
+    def nested(self, inner, outer):
+        """Whether combo inner lies in combo outer vertex by vertex: the code
+        of every basis row of inner's subspace in outer's _Span."""
+        q = self.field.size
+        for sp, i, o in zip(self.spaces, inner, outer):
+            if i != o:
+                span = sp[o]
+                for row in sp.rows(i):
+                    if not span[_code(row, q)]:
+                        return False
+        return True
+
     def witness(self, e, combo):
         """A closed combo as per-vertex column bases."""
         return SubrepWitness(
@@ -432,8 +463,9 @@ def _sub_dim_vectors(dims):
 def _slope_groups(dims, theta, floor, strict=False):
     """Proper nonzero sub-dimension vectors of slope at least floor (above
     it when strict), grouped by slope, decreasing.  The slope num / tot of
-    each integer tuple is compared with floor by cross-multiplication, and
-    only a kept vector becomes a Fraction and a dict."""
+    each integer tuple is compared with floor by cross-multiplication; a
+    kept vector becomes a dict, grouped under its reduced (num, tot), and
+    each distinct slope becomes one Fraction."""
     verts = list(dims)
     full = tuple(dims.values())
     weights = [theta[v] for v in verts]
@@ -447,8 +479,10 @@ def _slope_groups(dims, theta, floor, strict=False):
         num = sum(map(mul, weights, e))
         above = num * b - a * tot
         if above > 0 or (above == 0 and not strict):
-            groups.setdefault(Fraction(num, tot), []).append(dict(zip(verts, e)))
-    return sorted(groups.items(), key=lambda kv: kv[0], reverse=True)
+            g = gcd(num, tot)
+            groups.setdefault((num // g, tot // g), []).append(dict(zip(verts, e)))
+    out = [(Fraction(num, tot), es) for (num, tot), es in groups.items()]
+    return sorted(out, key=itemgetter(0), reverse=True)
 
 
 def _check_budget(dims, q, dim_vectors, config):
@@ -458,14 +492,20 @@ def _check_budget(dims, q, dim_vectors, config):
     The sum stops once it passes both the budget and 2^64: a count that
     large is reported as a power-of-two floor anyway, and a single large
     d_v would otherwise sum Gaussian binomials of F_q^{d_v} for every
-    dimension vector before refusing.
+    dimension vector before refusing.  Each Gaussian binomial is computed
+    once per (d, r) asked for in the call.
     """
     cap = max(config.max_subspace_checks, 2**64)
+    binomials = {}  # (d, r) -> subspaces of rank r in F_q^d
     cost = 0
     for e in dim_vectors:
         c = 1
         for v, d in dims.items():
-            c *= _gaussian_binomial(q, d, e[v])
+            key = (d, e[v])
+            b = binomials.get(key)
+            if b is None:
+                b = binomials[key] = _gaussian_binomial(q, d, e[v])
+            c *= b
         cost += c
         if cost > cap:
             break
@@ -619,18 +659,18 @@ def scss(rep, theta, config):
         groups = [g for g in groups if g[0] == kept.detail["slope"]]
     eng, groups = _search(rep.quiver, rep.dims, rep.ring, groups, config)
     tests = eng.tests(_encode_rep(rep))
-    for _, same_slope in groupby(groups, key=lambda g: g[0]):
-        witnesses = [eng.witness(e, combo) for _, e, combo in eng.closed(tests, same_slope)]
-        if witnesses:
+    for _, same_slope in groupby(groups, key=itemgetter(0)):
+        closed = [(e, combo) for _, e, combo in eng.closed(tests, same_slope)]
+        if closed:
             break
     else:
         return full_witness(rep)
-    witnesses.sort(key=lambda w: w.total_dim(), reverse=True)
-    top = witnesses[0]
-    for w in witnesses[1:]:
-        if not top.contains(w):
-            raise InvariantError("maximal-slope subrepresentations not nested in scss")
-    return top
+    # the largest closed combo of the group, first in product order; every
+    # other must lie in it, which its _Span memos decide
+    e, top = max(closed, key=lambda hit: sum(hit[0].values()))
+    if not all(combo is top or eng.nested(combo, top) for _, combo in closed):
+        raise InvariantError("maximal-slope subrepresentations not nested in scss")
+    return eng.witness(e, top)
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +696,7 @@ def _subquotient(rep, lower, upper):
     the pivots: C is the greedy pick in upper's own coordinates.
     """
     ring = rep.ring
+    build = Mat._of if ring.is_finite else Mat  # Mat makes Q's coordinates
     C, basis, P = {}, {}, {}
     for v in rep.quiver.vertices:
         L, U = lower.bases[v], upper.bases[v]
@@ -665,11 +706,11 @@ def _subquotient(rep, lower, upper):
         inside = pivots[:k] == list(range(k)) and len(pivots) == U.ncols
         # with lower nonzero, the pivot count alone would also pass a
         # dependent upper that lower sticks out of
-        if not inside or (k and U.rank() != U.ncols):
+        if not inside or (k and not _echelon(U) and U.rank() != U.ncols):
             raise InvariantError("witness bases are not independent and nested")
         C[v] = Mat.from_cols(ring, [U.col(p - k) for p in pivots[k:]], d)
         basis[v] = L.hstack(C[v])
-        P[v] = Mat(ring, (r[n:] for r in R.rows), (d, d))
+        P[v] = build(ring, tuple(r[n:] for r in R.rows), (d, d))
     dims = {v: C[v].ncols for v in rep.quiver.vertices}
     mats = {}
     for a in rep.quiver.arrows:
@@ -681,8 +722,27 @@ def _subquotient(rep, lower, upper):
         if any(x != ring.zero for row in coords[k_h:top] for x in row[:k_t]):
             raise InvariantError("lower witness is not closed")
         block = tuple(row[k_t:] for row in coords[k_h:top])
-        mats[a.name] = Mat(ring, block, (dims[a.dst], dims[a.src]))
+        mats[a.name] = build(ring, block, (dims[a.dst], dims[a.src]))
     return Representation(rep.quiver, ring, dims, mats), C
+
+
+def _echelon(basis):
+    """Whether the columns are in column-echelon form with unit leads: the
+    first nonzero entry of each is a one, below the previous column's.
+    Such columns are independent, as the engine's witnesses, canonical
+    bases and identities are by construction."""
+    one, zero = basis.ring.one, basis.ring.zero
+    top = -1
+    for col in zip(*basis.rows):
+        for i, x in enumerate(col):
+            if x != zero:
+                break
+        else:
+            return False
+        if i <= top or x != one:
+            return False
+        top = i
+    return True
 
 
 def quotient_rep(rep, witness):
@@ -703,10 +763,10 @@ def restrict_rep(rep, witness):
 def hn_filtration(rep, theta, config):
     """The Harder-Narasimhan filtration: W^1 = scss(W), and W^i = W^{i-1}
     plus the lift of scss(W / W^{i-1}) until W^i = W.  W^1 is canonical as
-    scss returns it; a layer that is its whole quotient ends with W."""
+    scss returns it; a layer that is its whole quotient ends with W, which
+    for a semistable W is its scss, the full witness."""
     if rep.is_zero_dimensional():
         raise ValueError("HN filtration of the zero representation is undefined")
-    full = full_witness(rep)
     quotient, step = rep, None
     steps, slopes = [], []
     while True:
@@ -715,12 +775,15 @@ def hn_filtration(rep, theta, config):
             raise InvariantError("scss returned the zero subrepresentation")
         slopes.append(layer.slope(theta))
         if layer.is_full(quotient):
-            steps.append(full)
+            steps.append(layer if step is None else full)
             break
-        step = layer if step is None else SubrepWitness(
-            {v: step.dims[v] + layer.dims[v] for v in rep.quiver.vertices},
-            {v: step.bases[v].hstack(C[v] @ layer.bases[v]) for v in rep.quiver.vertices},
-        ).canonical()
+        if step is None:
+            step, full = layer, full_witness(rep)
+        else:
+            step = SubrepWitness(
+                {v: step.dims[v] + layer.dims[v] for v in rep.quiver.vertices},
+                {v: step.bases[v].hstack(C[v] @ layer.bases[v]) for v in rep.quiver.vertices},
+            ).canonical()
         steps.append(step)
         quotient, C = _subquotient(rep, step, full)
     for a, b in zip(slopes, slopes[1:]):
@@ -736,25 +799,33 @@ def hn_subquotients(rep, theta, hn):
     out = []
     lower = _zero_witness(rep)
     for w in hn.steps:
-        out.append(rep if not out and w == full_witness(rep) else _subquotient(rep, lower, w)[0])
+        whole = not out and w.dims == rep.dims and all(
+            w.bases[v] == Mat.identity(rep.ring, d) for v, d in rep.dims.items()
+        )
+        out.append(rep if whole else _subquotient(rep, lower, w)[0])
         lower = w
     return out
 
 
 def verify_hn(rep, theta, hn, config):
-    """Re-check an HN filtration: strictly decreasing slopes, then closed and
-    nested steps (each checked once, by _subquotient as it builds the
-    layers), then semistable layers of the stated slopes."""
-    if list(hn.slopes) != sorted(hn.slopes, reverse=True) or len(set(hn.slopes)) != len(
-        hn.slopes
-    ):
+    """Re-check an HN filtration: one slope per step, strictly decreasing,
+    and a last step with d_v basis columns at each vertex v; then closed and
+    nested steps with independent bases (each checked once, by _subquotient
+    as it builds the layers), so the last step is all of W; then nonzero
+    semistable layers of the stated slopes."""
+    steps, slopes = hn.steps, list(hn.slopes)
+    if not steps or len(steps) != len(slopes):
+        return False
+    if any(steps[-1].bases[v].ncols != d for v, d in rep.dims.items()):
+        return False
+    if slopes != sorted(slopes, reverse=True) or len(set(slopes)) != len(slopes):
         return False
     try:
         layers = hn_subquotients(rep, theta, hn)
     except InvariantError:
         return False
-    for layer, s in zip(layers, hn.slopes):
-        if layer.slope(theta) != s:
+    for layer, s in zip(layers, slopes):
+        if layer.is_zero_dimensional() or layer.slope(theta) != s:
             return False
         if not is_semistable(layer, theta, config):
             return False

@@ -1,9 +1,12 @@
 """tools/answer_digest.py compares answers only: a memo a representation
-fills on first use is not part of the answer it is digested in."""
+fills on first use is not part of the answer it is digested in.  Its
+--workload option digests only the named workloads."""
 
 import importlib.util
 import json
 import pathlib
+import subprocess
+import sys
 
 from helpers import kronecker_rep
 from quivermoduli import GF, JobConfig, stability_verdict
@@ -27,3 +30,24 @@ def test_a_filled_memo_leaves_the_digest_unchanged():
     assert stability_verdict(w, {"s": 1, "t": -1}, JobConfig()).is_stable
     assert w.certificates
     assert json.dumps(plain(w), sort_keys=True) == before
+
+
+def _digest_lines(*args):
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "answer_digest.py"), *args],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    return run.returncode, run.stdout.splitlines(), run.stderr
+
+
+def test_workload_option_digests_only_the_named_workloads():
+    code, both, err = _digest_lines("1", "--workload", "census_closure", "--workload", "stability_queries")
+    assert code == 0, err
+    assert [line.split()[:2] for line in both] == [["census_closure", "1"], ["stability_queries", "1"]]
+    # the option may come before the seeds, and one workload digests alike alone
+    code, alone, err = _digest_lines("--workload", "census_closure", "1")
+    assert code == 0 and alone == both[:1], err
+    code, _, err = _digest_lines("1", "--workload", "no_such_workload")
+    assert code == 2 and "invalid choice" in err

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -182,6 +183,34 @@ def test_mismatched_shapes_are_schema_errors():
                 square + other
         with pytest.raises(SchemaError, match="solve needs equal row counts"):
             square.solve(Mat.zero(ring, 1, 1))
+
+
+def test_operands_over_different_rings_are_schema_errors():
+    # +, @, hstack, vstack and solve need one ring: F_3 with F_5 used to
+    # compute in the left operand's ring, and Q with F_3 to raise
+    # AttributeError; equal rings built apart still combine
+    H = hamilton_quaternions()
+    rings = (GF(3), GF(5), GF(4), QQ, gaussian_rationals(), QuadraticField(2), H)
+    ops = (
+        lambda a, b: a + b,
+        lambda a, b: a @ b,
+        Mat.hstack,
+        Mat.vstack,
+        Mat.solve,
+    )
+    for left, right in product(rings, repeat=2):
+        if left == right:
+            continue
+        a, b = Mat.identity(left, 2), Mat.identity(right, 2)
+        for op in ops:
+            with pytest.raises(SchemaError, match="ring mismatch"):
+                op(a, b)
+    for make in (lambda: GF(3), lambda: QuadraticField(-1)):
+        a, b = Mat.identity(make(), 2), Mat.identity(make(), 2)
+        assert a.ring is not b.ring
+        assert a + b == Mat.scalar(a.ring, 2, a.ring.add(a.ring.one, a.ring.one))
+        assert a @ b == a and a.solve(b) == a
+        assert a.hstack(b).shape == (2, 4) and a.vstack(b).shape == (4, 2)
 
 
 def test_rational_matrices_hold_one_form():
@@ -409,6 +438,33 @@ def test_finite_field_rref_makes_no_ring_calls(monkeypatch):
         assert m.nullspace() == kernel
     with pytest.raises(SchemaError):
         Mat(GF(5), ((1, 2), (3,)), (2, 2))
+
+
+@given(finite_fields, st.data())
+def test_matmul_matches_reference_over_finite_fields(field, data):
+    # F_p by integer dot products, a tabled F_{p^n} by table lookups, and
+    # GF(2**11) by the field's operations: one answer
+    a = data.draw(fq_matrices(field))
+    b = data.draw(fq_matrices(field, a.ncols, data.draw(st.integers(0, 5))))
+    assert (a @ b).rows == reference_matmul(a, b)
+
+
+def test_finite_field_products_make_no_ring_calls(monkeypatch):
+    cases = []
+    for q in (5, 4):
+        f = GF(q)
+        a = Mat(f, tuple(tuple((3 * i + j * j + 1) % q for j in range(4)) for i in range(3)), (3, 4))
+        b = a.transpose()
+        cases.append((a, b, reference_matmul(a, b)))
+
+    def refuse(*args):
+        raise AssertionError("ring arithmetic inside a product")
+
+    for cls in (PrimeField, ExtensionField):
+        for op in ("add", "sub", "mul"):
+            monkeypatch.setattr(cls, op, refuse)
+    for a, b, want in cases:
+        assert (a @ b).rows == want
 
 
 def _moved_qi_rep():

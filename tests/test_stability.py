@@ -30,6 +30,7 @@ from quivermoduli.cli import main
 from quivermoduli.config import JobConfig
 from quivermoduli import homs, stability
 from quivermoduli.errors import BudgetExceededError, InvariantError, SchemaError
+from quivermoduli.ffields import ExtensionField, PrimeField
 from quivermoduli.quiver import base_change, slope
 from quivermoduli.rings import QQ
 from quivermoduli.serialize import rep_to_json
@@ -56,6 +57,7 @@ from helpers import (
     fmat,
     kronecker_rep,
     opposite_transpose,
+    reference_matmul,
     reference_subquotient,
 )
 
@@ -509,6 +511,15 @@ def _check_bad_filtrations_rejected(keep_verdicts):
     # a one-step filtration of full dimensions whose basis at s is not one
     dependent = SubrepWitness(full.dims, {"s": fmat(f3, [[0]]), "t": fmat(f3, [[1]])})
     assert not verify_hn(open_first, THETA, HNFiltration((dependent,), (0,)), CFG)
+    # malformed: no step; W^1 alone, short of W; fewer or more slopes than
+    # steps; a zero step; a repeated step
+    zero = stability._zero_witness(split)
+    assert not verify_hn(split, THETA, HNFiltration((), ()), CFG)
+    assert not verify_hn(split, THETA, HNFiltration(hn.steps[:1], hn.slopes[:1]), CFG)
+    assert not verify_hn(split, THETA, HNFiltration(hn.steps, (1,)), CFG)
+    assert not verify_hn(open_first, THETA, HNFiltration((full,), (0, -1)), CFG)
+    assert not verify_hn(split, THETA, HNFiltration((zero, at_s, full), (2, 1, -1)), CFG)
+    assert not verify_hn(split, THETA, HNFiltration((at_s, at_s, full), (1, 0, -1)), CFG)
 
 
 def test_verify_hn_rejects_bad_filtrations():
@@ -743,6 +754,140 @@ def _count_listings(monkeypatch):
 
     monkeypatch.setattr(_Subspaces, "_list_rank", counted)
     return listed
+
+
+def _nested_top_rep(field):
+    """K2 (3,2) as S_s^2 + (a stable (1,1)) + S_t: HN slopes 1, 0, -1, and
+    the top slope group has every line of the plane S_s^2 besides it."""
+    return kronecker_rep(
+        field,
+        [fmat(field, [[0, 0, 0], [0, 0, 1]]), fmat(field, [[0, 0, 0], [0, 0, 2]])],
+        {"s": 3, "t": 2},
+    )
+
+
+def test_hn_path_ranks_no_nested_combo_and_no_echelon_upper(monkeypatch):
+    # scss decides nesting on its _Span memos, and _subquotient does not
+    # rank an upper in column-echelon form (engine witnesses, canonical
+    # steps, the full witness): hn_filtration and verify_hn make no rank,
+    # and one rref per vertex for each subquotient and each canonical step
+    w = _nested_top_rep(GF(3))
+    ranks, rrefs = [], []
+    rank, rref = Mat.rank, Mat.rref
+    monkeypatch.setattr(Mat, "rank", lambda m: ranks.append(m) or rank(m))
+    monkeypatch.setattr(Mat, "rref", lambda m: rrefs.append(m) or rref(m))
+    hn = hn_filtration(w, THETA, CFG)
+    assert hn.slopes == (1, 0, -1) and hn.steps[0].dims == {"s": 2, "t": 0}
+    assert verify_hn(w, THETA, hn, CFG)
+    # hn_filtration: two subquotients and one canonical step; verify_hn:
+    # three subquotients; two vertices each
+    assert not ranks and len(rrefs) == 2 * (2 + 1 + 3)
+
+
+def test_span_nesting_matches_contains():
+    # on a seeded grid, the engine's nesting verdict for every ordered pair
+    # of closed combos of the top slope group equals SubrepWitness.contains
+    rng = random.Random(30)
+    verdicts = Counter()
+    for q in (2, 3, 4):
+        f = GF(q)
+        for quiv, dims in (
+            (kronecker_quiver(2), {"s": 2, "t": 1}),
+            (kronecker_quiver(2), {"s": 3, "t": 2}),
+            (kronecker_quiver(3), {"s": 2, "t": 2}),
+        ):
+            for _ in range(4):
+                mats = {
+                    a.name: Mat(
+                        f,
+                        tuple(
+                            tuple(rng.randrange(q) if rng.random() < 0.3 else 0 for _ in range(dims[a.src]))
+                            for _ in range(dims[a.dst])
+                        ),
+                        (dims[a.dst], dims[a.src]),
+                    )
+                    for a in quiv.arrows
+                }
+                w = Representation(quiv, f, dims, mats)
+                groups = stability._slope_groups(dims, THETA, w.slope(THETA), strict=True)
+                eng, walks = stability._search(quiv, dims, f, groups, CFG)
+                closed = list(eng.closed(eng.tests(stability._encode_rep(w)), walks))
+                top = [(e, c) for s, e, c in closed if s == closed[0][0]] if closed else []
+                for (e1, c1), (e2, c2) in product(top, repeat=2):
+                    want = eng.witness(e2, c2).contains(eng.witness(e1, c1))
+                    assert eng.nested(c1, c2) == want
+                    verdicts[want] += 1
+    assert verdicts[True] > 20 and verdicts[False] > 20, verdicts
+
+
+def _kernel_cases(field, dim, count, rng):
+    """Subspace indices, vector codes and arrow matrices over F_q^dim, with
+    the memberships (a rank of stacked columns) and image codes (the
+    per-term reference product) they should give."""
+    space = stability._Subspaces(field, dim)
+    q = field.size
+    indices = [rng.randrange(space.offsets[-1]) for _ in range(count)]
+    codes = [rng.randrange(q**dim) for _ in range(count)]
+    for k in range(0, count, 2):  # every other code a combination of U's rows
+        combo = [field.zero] * dim
+        for row in space.rows(indices[k]):
+            c = rng.randrange(q)
+            combo = [field.add(x, field.mul(c, y)) for x, y in zip(combo, row)]
+        codes[k] = stability._code(combo, q)
+    mats = [
+        tuple(tuple(rng.randrange(q) for _ in range(dim)) for _ in range(dim)) for _ in range(count)
+    ]
+
+    def vec(code):
+        return tuple(code // q**i % q for i in range(dim))
+
+    inside = [
+        Mat.from_cols(field, [vec(c)], dim).cols_contained_in(
+            Mat.from_cols(field, space.rows(i), dim)
+        )
+        for i, c in zip(indices, codes)
+    ]
+    images = [
+        tuple(
+            stability._code(
+                [r[0] for r in reference_matmul(Mat(field, m), Mat.from_cols(field, [u], dim))], q
+            )
+            for u in space.rows(i)
+        )
+        for i, m in zip(indices, mats)
+    ]
+    return indices, codes, mats, inside, images
+
+
+def _kernel_answers(field, dim, indices, codes, mats):
+    space = stability._Subspaces(field, dim)
+    inside = [space[i][c] for i, c in zip(indices, codes)]
+    images = [stability._Images(m, space)[i] for i, m in zip(indices, mats)]
+    return inside, images
+
+
+def test_span_and_image_memos_match_mat_on_every_field_kind(monkeypatch):
+    # _Span and _Images misses over F_p (integer products mod p), a tabled
+    # F_{p^n} (table lookups) and an untabled one (the field's operations)
+    # agree with Mat; the first two make no ring call
+    rng = random.Random(31)
+    tabled = []
+    for field, dim in ((GF(5), 3), (GF(4), 3), (GF(9), 2), (GF(2**11), 2)):
+        indices, codes, mats, inside, images = _kernel_cases(field, dim, 60, rng)
+        assert any(inside) and not all(inside)
+        if field.size > 1024:
+            assert _kernel_answers(field, dim, indices, codes, mats) == (inside, images)
+        else:
+            tabled.append((field, dim, indices, codes, mats, inside, images))
+
+    def refuse(*args):
+        raise AssertionError("ring arithmetic inside a memo miss")
+
+    for cls in (PrimeField, ExtensionField):
+        for op in ("add", "sub", "mul"):
+            monkeypatch.setattr(cls, op, refuse)
+    for field, dim, indices, codes, mats, inside, images in tabled:
+        assert _kernel_answers(field, dim, indices, codes, mats) == (inside, images)
 
 
 def _three_layer_rep(field):

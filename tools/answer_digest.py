@@ -1,8 +1,10 @@
 """Digest every answer of the benchmark workloads, to compare two trees.
 
     python3 tools/answer_digest.py 1 2 3
+    python3 tools/answer_digest.py --workload stability_queries 1 2 3
 
-For each workload of bench/workloads.py and each seed, builds the seeded
+For each workload of bench/workloads.py (or each one named with
+--workload, which can be repeated) and each seed, builds the seeded
 inputs, runs every item and prints one line: workload, seed and the SHA-256
 of a canonical JSON of all the items' answers (a failed item counts as its
 exception type and message).  Matrices are written as their entries, rings
@@ -16,6 +18,7 @@ with PYTHONHASHSEED=0 and puts the Hamilton example's files in one fixed
 directory, since their paths appear in the CLI's answers.
 """
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -86,14 +89,23 @@ def digest(name, seed):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def main(seeds):
+def main(argv):
+    parser = argparse.ArgumentParser(description="Digest the benchmark workloads' answers.")
+    parser.add_argument("seeds", nargs="+", type=int)
+    parser.add_argument(
+        "--workload",
+        action="append",
+        choices=WORKLOADS,
+        help="digest only this workload; repeat for several (default: all, in order)",
+    )
+    args = parser.parse_args(argv)
     if os.environ.get("PYTHONHASHSEED") != "0":
         env = dict(os.environ, PYTHONHASHSEED="0")
-        os.execve(sys.executable, [sys.executable, *sys.argv], env)
+        os.execve(sys.executable, [sys.executable, os.path.abspath(__file__), *argv], env)
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
-    for seed in seeds:
-        for name in WORKLOADS:
-            print(name, seed, digest(name, int(seed)), flush=True)
+    for seed in args.seeds:
+        for name in args.workload or WORKLOADS:
+            print(name, seed, digest(name, seed), flush=True)
     shutil.rmtree(WORKDIR, ignore_errors=True)
     return 0
 
