@@ -56,12 +56,12 @@ from typing import Dict, List, Optional
 from .config import JobConfig
 from .descent import solve_modifying_u, type_map
 from .errors import BudgetExceededError, InvariantError, SchemaError, count_text
-from .ffields import GF, _poly_mul, monic_irreducibles
+from .ffields import GF, _poly_mul, monic_irreducibles, prime_power
 from .galois import GaloisPair
 from .homs import _coprime_dims, end_dim, is_isomorphic
 from .linalg import Mat
 from .morita import descended_form, drep_to_twisted
-from .numtheory import mobius
+from .numtheory import isprime, mobius
 from .quiver import Representation, base_change, group_generators, total_dim
 from .stability import (
     STRICTLY_SEMISTABLE,
@@ -212,9 +212,9 @@ def _slices(quiver, dims, field, k):
     return out
 
 
-def _checked_slice_arrow(quiver, dims, field, config):
+def _checked_slice_arrow(quiver, dims, q, config):
     """The slice arrow's index (see _slice_arrow), once the slices' points
-    fit config.max_orbit_points (BudgetExceededError otherwise)."""
+    over F_q fit config.max_orbit_points (BudgetExceededError otherwise)."""
     k = _slice_arrow(quiver, dims)
     entries = sum(dims[a.dst] * dims[a.src] for a in quiver.arrows)
     nslices = 1
@@ -222,7 +222,7 @@ def _checked_slice_arrow(quiver, dims, field, config):
         a = quiver.arrows[k]
         entries -= dims[a.dst] * dims[a.src]
         nslices = min(dims[a.src], dims[a.dst]) + 1
-    npoints = nslices * field.size**entries
+    npoints = nslices * q**entries
     if npoints > config.max_orbit_points:
         raise BudgetExceededError(
             f"slices have {count_text(npoints)} points "
@@ -347,7 +347,7 @@ def orbit_census(quiver, dims, theta, field, config):
     computed on the orbit's minimum, sets its category.  Without a non-loop
     arrow the one slice is the whole space and H = G_d.
     """
-    k = _checked_slice_arrow(quiver, dims, field, config)
+    k = _checked_slice_arrow(quiver, dims, field.size, config)
     _, verdict = _verdicts(quiver, dims, theta, field, config)
     uf, orbits, forms = _slice_orbits(
         quiver, dims, field, k, keep=lambda p: verdict(p)[1] is None
@@ -542,10 +542,10 @@ def _similarity_class_count(d, q):
     return c[d]
 
 
-def _checked_class_count(field, size, config):
-    """The number of similarity classes of size x size matrices, once it
-    fits config.max_orbit_points (BudgetExceededError otherwise)."""
-    n = _similarity_class_count(size, field.size)
+def _checked_class_count(q, size, config):
+    """The number of similarity classes of size x size matrices over F_q,
+    once it fits config.max_orbit_points (BudgetExceededError otherwise)."""
+    n = _similarity_class_count(size, q)
     if n > config.max_orbit_points:
         raise BudgetExceededError(
             f"{count_text(n)} similarity classes of {size}x{size} matrices "
@@ -565,7 +565,7 @@ def loop_class_census(quiver, dims, theta, field, config):
     size = dims[quiver.vertices[0]]
     if size < 1:
         raise ValueError("class census needs a nonzero dimension")
-    nclasses = _checked_class_count(field, size, config)
+    nclasses = _checked_class_count(field.size, size, config)
     counts = {GEOM_STABLE: 0, STABLE_NOT_SCHUR: 0}
     classes = []
     for data in similarity_class_data(field, size):
@@ -602,8 +602,20 @@ def stable_orbit_census(quiver, dims, theta, field, config):
     return orbit_census(quiver, dims, theta, field, config)
 
 
+def _check_census_budget(quiver, dims, q, config):
+    """stable_orbit_census's point budget over F_q, routed as it routes,
+    checked from q alone: before a field of that size is built, which for
+    a large extension degree would take longer than any census allowed."""
+    if quiver.is_single_loop() and total_dim(dims) > 0:
+        _checked_class_count(q, dims[quiver.vertices[0]], config)
+    else:
+        _checked_slice_arrow(quiver, dims, q, config)
+
+
 def count_geom_stable_orbits(quiver, dims, theta, q, config=JobConfig()):
     """Number of isomorphism classes of geometrically stable reps over F_q."""
+    prime_power(q)  # a q that is no prime power is refused first
+    _check_census_budget(quiver, dims, q, config)
     return stable_orbit_census(quiver, dims, theta, GF(q), config).geom_stable_count
 
 
@@ -703,10 +715,10 @@ def verify_descent_census(quiver, dims, theta, q, n, config=JobConfig()):
     """
     if n < 2:
         raise SchemaError(f"descent census needs an extension degree n >= 2, got {n}")
-    try:
-        pair = GaloisPair.finite(q, n)
-    except ValueError as exc:
-        raise SchemaError(f"descent census needs a prime q: {exc}") from exc
+    if not isprime(q):
+        raise SchemaError(f"descent census needs a prime q: {q} is not prime")
+    _check_census_budget(quiver, dims, q**n, config)
+    pair = GaloisPair.finite(q, n)
     census_l = stable_orbit_census(quiver, dims, theta, pair.ext, config)
     census_k = stable_orbit_census(quiver, dims, theta, pair.base, config)
     violations = []
@@ -814,11 +826,11 @@ def all_orbit_representatives(quiver, dims, field, config):
     """
     if quiver.is_single_loop() and total_dim(dims) > 0:
         size = dims[quiver.vertices[0]]
-        _checked_class_count(field, size, config)
+        _checked_class_count(field.size, size, config)
         return [
             _decode_rep(quiver, field, dims, (rows,))
             for _, rows in similarity_class_reps(field, size)
         ]
-    k = _checked_slice_arrow(quiver, dims, field, config)
+    k = _checked_slice_arrow(quiver, dims, field.size, config)
     _, orbits, _ = _slice_orbits(quiver, dims, field, k)
     return [_decode_rep(quiver, field, dims, rep) for rep, _, _, _ in orbits]

@@ -233,7 +233,6 @@ class PrimeField(_FiniteField):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.size = p
-        self.char = p
         self.zero = 0
         self.one = 1 % p
         self.subspaces = {}  # dim -> the subspaces of F_p^dim, kept by stability
@@ -300,7 +299,6 @@ class ExtensionField(_FiniteField):
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = tuple(modulus)
         self.size = p**n
-        self.char = p
         self.zero = 0
         self.one = 1
         self.gen = p  # the class of x

@@ -10,10 +10,12 @@ It ranks U on its own only where L is nonzero and U's columns are not in
 column-echelon form with unit leads; the engine's witnesses, canonical
 steps and the full witness are, so they are independent by construction.
 The HN filtration is a loop: W^1 = scss(W), and W^i adds the lift of
-scss(W / W^{i-1}), each quotient built from W itself.  scss takes the
-largest closed subspace tuple of the first slope group that has one and
-checks that every other is nested in it on the engine's membership memos,
-one lookup per basis row, before one witness becomes Mat bases.
+scss(W / W^{i-1}), each quotient built from W itself, until a quotient is
+semistable: its slope is the last, and W's full witness the last step.
+scss takes the largest closed subspace tuple of the first slope group above
+mu that has one and checks that every other is nested in it on the
+engine's membership memos, one lookup per basis row, before one witness
+becomes Mat bases.
 
 Every finite-field answer, here and in the censuses, comes from one closure
 engine, entered through _search: it refuses an infinite field, checks the
@@ -21,10 +23,12 @@ subspace budget before any listing, and returns each slope group with its
 walk, the index tuples of every vertex but the last and the last vertex's
 range.  The engine lists subspaces as reduced-echelon bases, one rank at a
 time on first use, so witnesses are deduplicated by construction.  M U_t
-lies inside U_h when each M u, u in a basis of U_t, reduces to zero against
-U_h's echelon rows; vectors are keyed by their integer code sum v_i q^i,
-and every image code and membership verdict is memoized on first use, so
-the work and memory grow with the closure checks made, never with q^dim.
+lies inside U_h when each M u, u in a basis of U_t, is the combination of
+U_h's echelon rows its pivot entries give; vectors are keyed by their
+integer code sum v_i q^i, and every image code and membership verdict is
+memoized on first use, so the work and memory grow with the closure checks
+made, never with q^dim.  Each subspace is held once, as the row tuple of
+its listing: a membership miss derives its pivots and columns from it.
 A line at the last vertex is looked up from the code of a nonzero image
 M u, the one line that can hold it, rather than scanned for.  The search
 stops at the first closed subspace tuple, from which _verdicts, the one
@@ -163,26 +167,24 @@ class _Span(dict):
     """Membership of vector codes in one subspace U, filled on first lookup.
 
     With U's basis rows in reduced echelon form, v lies in U iff v is the
-    combination sum_i v[p_i] row_i, p_i the pivot of row i: a lookup miss
-    reads the pivot digits of v's code and compares the code of that
-    combination, the image of the coefficients under the dim x rank matrix
-    of U's basis columns (_image_code), with v's.  The memo holds only the
-    codes looked up.
+    combination sum_i v[p_i] row_i, p_i the position of the first one in
+    row i: a miss reads those digits of v's code and compares the code of
+    the combination, their image under U's basis columns (_image_code),
+    with v's.  U is held once, as the row tuple of the store's listing;
+    the memo holds only the codes looked up.
     """
 
-    __slots__ = ("space", "cols", "weights")
+    __slots__ = ("space", "rows")
 
     def __init__(self, rows, space):
         self.space = space
-        self.cols = tuple(zip(*rows)) if rows else ((),) * space.dim
-        q = space.field.size
-        self.weights = [q ** row.index(space.field.one) for row in rows]
+        self.rows = rows
 
     def __missing__(self, code):
-        field = self.space.field
+        field, rows = self.space.field, self.rows
         q = field.size
-        coeffs = [code // w % q for w in self.weights]
-        inside = self[code] = _image_code(field, self.cols, coeffs) == code
+        coeffs = [code // q ** row.index(field.one) % q for row in rows]
+        inside = self[code] = _image_code(field, tuple(zip(*rows)), coeffs) == code
         return inside
 
 
@@ -648,12 +650,18 @@ def scss(rep, theta, config):
     """
     if rep.is_zero_dimensional():
         raise ValueError("scss of the zero representation is undefined")
-    # Only slopes strictly above mu can beat the full representation; if none
-    # is attained, the representation is semistable and is its own scss.  A
+    top = _scss_above(rep, theta, config)
+    return full_witness(rep) if top is None else top
+
+
+def _scss_above(rep, theta, config):
+    """scss of a rep with a subrepresentation of slope above mu, or None
+    when it is semistable (its scss is then the full witness)."""
+    # Only slopes strictly above mu can beat the full representation.  A
     # kept Unstable verdict's slope is the highest attained: walk its group.
     kept = rep.certificates.get(_verdict_key(theta, config))
     if kept is not None and kept.kind != UNSTABLE:
-        return full_witness(rep)
+        return None
     groups = _slope_groups(rep.dims, theta, rep.slope(theta), strict=True)
     if kept is not None:
         groups = [g for g in groups if g[0] == kept.detail["slope"]]
@@ -664,7 +672,7 @@ def scss(rep, theta, config):
         if closed:
             break
     else:
-        return full_witness(rep)
+        return None
     # the largest closed combo of the group, first in product order; every
     # other must lie in it, which its _Span memos decide
     e, top = max(closed, key=lambda hit: sum(hit[0].values()))
@@ -762,21 +770,22 @@ def restrict_rep(rep, witness):
 
 def hn_filtration(rep, theta, config):
     """The Harder-Narasimhan filtration: W^1 = scss(W), and W^i = W^{i-1}
-    plus the lift of scss(W / W^{i-1}) until W^i = W.  W^1 is canonical as
-    scss returns it; a layer that is its whole quotient ends with W, which
-    for a semistable W is its scss, the full witness."""
+    plus the lift of scss(W / W^{i-1}) until a quotient is semistable; its
+    slope is the last one and W the last step.  W^1 is canonical as scss
+    returns it, and only the last step is ever the full witness."""
     if rep.is_zero_dimensional():
         raise ValueError("HN filtration of the zero representation is undefined")
     quotient, step = rep, None
     steps, slopes = [], []
     while True:
-        layer = scss(quotient, theta, config)
+        layer = _scss_above(quotient, theta, config)
+        if layer is None:
+            slopes.append(quotient.slope(theta))
+            steps.append(full_witness(rep) if step is None else full)
+            break
         if layer.is_zero():
             raise InvariantError("scss returned the zero subrepresentation")
         slopes.append(layer.slope(theta))
-        if layer.is_full(quotient):
-            steps.append(layer if step is None else full)
-            break
         if step is None:
             step, full = layer, full_witness(rep)
         else:

@@ -1,0 +1,30 @@
+"""tools/large_field_probe.py runs one large-field verdict in its own
+process and prints one JSON line of its cost."""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_f101_probe_prints_its_verdict_and_costs():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "large_field_probe.py"), "f101"],
+        capture_output=True, text=True, cwd=ROOT, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    (line,) = done.stdout.splitlines()
+    out = json.loads(line)
+    assert set(out) == {"mode", "verdict", "cpu_s", "max_rss_mb", "traced_peak_mb"}
+    assert out["mode"] == "f101" and out["verdict"] == "stable"
+    assert all(out[k] > 0 for k in ("cpu_s", "max_rss_mb", "traced_peak_mb"))
+
+
+def test_probe_refuses_an_unknown_mode():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "large_field_probe.py"), "f7"],
+        capture_output=True, text=True, cwd=ROOT, timeout=60,
+    )
+    assert done.returncode == 2 and done.stdout == "" and "usage" in done.stderr

@@ -537,6 +537,28 @@ def test_cli_census_verify_descent_below_degree_two(tmp_path, capsys, n):
     assert captured.err.startswith("parse error:") and "extension degree" in captured.err
 
 
+@pytest.mark.parametrize("q, n, code, err", [
+    # building F_{2^99999} would outlast any census; its point count refuses first
+    ("2", "99999", 3, "budget exceeded: slices have at least 2^100000 points (budget 1000000)"),
+    ("4", "99999", 2, "parse error: descent census needs a prime q: 4 is not prime"),
+    (str(2**80), None, 3, "budget exceeded: slices have at least 2^81 points (budget 1000000)"),
+])
+def test_cli_census_refuses_a_huge_field_before_building_it(q, n, code, err):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    quiver = pathlib.Path(__file__).parent / "fixtures" / "kronecker2.quiver.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    argv = ["census", "--quiver", str(quiver), "--dims", '{"s":1,"t":1}',
+            "--theta", '{"s":1,"t":0}', "--q", q]
+    if n is not None:
+        argv += ["--verify-descent", n]
+    done = subprocess.run(
+        [sys.executable, "-m", "quivermoduli.cli", *argv],
+        capture_output=True, env=env, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr.strip()) == (code, "", err)
+
+
 def test_cli_census_builds_each_field_once(monkeypatch, capsys):
     # q is validated without building F_q; the census builds it once
     import pathlib

@@ -212,7 +212,9 @@ def test_large_field_closure_stays_small():
     finally:
         tracemalloc.stop()
     assert verdict.kind == STABLE
-    assert peak < 64 * 2**20
+    # each subspace is held once, as its listed rows, with a small memo: about
+    # 11 MB; a transposed copy of every subspace met would take over 17 MB
+    assert peak < 15 * 2**20, peak
     assert alive() is None
     assert left < 2**16, left
 
@@ -532,11 +534,11 @@ def test_verify_hn_rejects_bad_filtrations_on_reps_with_kept_verdicts():
 
 @pytest.mark.parametrize("true_steps", [0, 1])
 def test_hn_refuses_a_zero_scss_step(monkeypatch, true_steps):
-    # a faulty scss that returns 0, at the first step or a later one, must
-    # raise rather than loop
+    # a faulty scss search that returns 0, at the first step or a later one,
+    # must raise rather than loop
     w = Representation.zero_maps(kronecker_quiver(2), GF(2), {"s": 1, "t": 1})
     calls = []
-    true_scss = stability.scss
+    true_scss = stability._scss_above
 
     def faulty(rep, theta, config):
         calls.append(rep)
@@ -547,7 +549,7 @@ def test_hn_refuses_a_zero_scss_step(monkeypatch, true_steps):
             {v: Mat.zero(rep.ring, d, 0) for v, d in rep.dims.items()},
         )
 
-    monkeypatch.setattr(stability, "scss", faulty)
+    monkeypatch.setattr(stability, "_scss_above", faulty)
     with pytest.raises(InvariantError):
         hn_filtration(w, THETA, CFG)
     assert len(calls) == true_steps + 1
@@ -895,6 +897,19 @@ def _three_layer_rep(field):
     return kronecker_rep(
         field, [fmat(field, [[0, 0], [0, 1]]), fmat(field, [[0, 0], [0, 2]])], {"s": 2, "t": 2}
     )
+
+
+def test_hn_builds_one_full_witness(monkeypatch):
+    # the semistable last quotient ends the filtration with its slope and W's
+    # full witness: no full witness of the quotient is built and dropped
+    fulls = count_calls(monkeypatch, stability.full_witness)
+    w = _three_layer_rep(GF(3))
+    hn = hn_filtration(w, THETA, CFG)
+    assert hn.slopes == (1, 0, -1) and hn.steps[-1].is_full(w)
+    assert len(fulls) == 1 and fulls[0][0] is w
+    # scss keeps its contract: a semistable rep is its own scss
+    layer = hn_subquotients(w, THETA, hn)[-1]
+    assert scss(layer, THETA, CFG).is_full(layer) and len(fulls) == 2
 
 
 def test_one_listing_per_field_and_dimension(monkeypatch):

@@ -1,0 +1,70 @@
+"""Measure the exact verdict of one irreducible loop over a large prime field.
+
+    python3 tools/large_field_probe.py f29
+    python3 tools/large_field_probe.py f101
+
+f29 is the Jordan-quiver loop over F_29 given by the companion matrix of
+x^4 + 3x^3 + 1, theta = 0, budget 10^6 closure checks; f101 is the loop over
+F_101 given by the companion matrix of x^3 + x + 1, budget 2 * 10303 (every
+proper subspace of F_101^3).  Neither matrix has an invariant proper
+subspace, so every closure check is made and the verdict is stable.
+
+Prints one JSON line: the mode, the verdict kind, the process CPU seconds,
+the process's max RSS in MB, and for f101 the tracemalloc peak of the
+verdict call in MB (the field and the matrix are built before tracing
+starts).  Run it from the root of a checkout; it imports that checkout's
+`src/`.  Each run is one fresh process, so the RSS is its own.
+"""
+
+import json
+import os
+import resource
+import sys
+import time
+import tracemalloc
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# mode -> (q, companion matrix rows, subspace budget)
+LOOPS = {
+    "f29": (29, [[0, 0, 0, 28], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 26]], 10**6),
+    "f101": (101, [[0, 0, 100], [1, 0, 100], [0, 1, 0]], 2 * 10303),
+}
+
+
+def probe(mode):
+    from quivermoduli import GF, JobConfig, Mat, Representation, jordan_quiver, stability_verdict
+
+    q, rows, budget = LOOPS[mode]
+    field = GF(q)
+    loop = Representation(
+        jordan_quiver(), field, {"v": len(rows)},
+        {"loop": Mat(field, tuple(tuple(field.from_int(x) for x in r) for r in rows))},
+    )
+    config = JobConfig(max_subspace_checks=budget)
+    traced = mode == "f101"
+    if traced:
+        tracemalloc.start()
+    verdict = stability_verdict(loop, {"v": 0}, config)
+    out = {"mode": mode, "verdict": verdict.kind}
+    if traced:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    out["cpu_s"] = round(time.process_time(), 3)
+    out["max_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    if traced:
+        out["traced_peak_mb"] = round(peak / 2**20, 2)
+    return out
+
+
+def main(argv):
+    if len(argv) != 1 or argv[0] not in LOOPS:
+        print(f"usage: large_field_probe.py {{{','.join(LOOPS)}}}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    print(json.dumps(probe(argv[0])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
