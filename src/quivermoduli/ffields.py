@@ -8,6 +8,10 @@ Frobenius tables, which keeps the inner loops of the census at plain
 list-indexing speed.  The products come from discrete logs to a
 multiplicative generator, so building them takes O(s) polynomial products,
 not s^2/2.  Larger fields fall back to on-the-fly polynomial arithmetic.
+Only this module reads the tables: Mat's products and eliminations, and
+the stability engine's image codes, call the fields' row kernels
+(row_times, divide_row, row_sub), which F_p runs with one % p per entry
+and a tabled F_{p^n} with table lookups.
 
 This is the one polynomial module over finite fields.  `monic_irreducibles`
 lists every monic irreducible up to a degree by a sieve, for the similarity
@@ -20,7 +24,7 @@ change.
 """
 
 from itertools import product
-from operator import itemgetter
+from operator import itemgetter, mul as int_mul
 
 from .errors import NotInvertibleError
 from .numtheory import factorint, isprime
@@ -257,6 +261,22 @@ class PrimeField(_FiniteField):
     def _pow_code(self, x, e):
         return pow(x, e, self.p)
 
+    # --- row kernels: one % p per output entry or updated entry ---
+
+    def row_times(self, row, cols):
+        p = self.p
+        return tuple([sum(map(int_mul, row, col)) % p for col in cols])
+
+    def divide_row(self, x, row):
+        p = self.p
+        t = pow(x, p - 2, p)
+        return [t * y % p for y in row]
+
+    def row_sub(self, row, f, prow, support):
+        p = self.p
+        for j in support:
+            row[j] = (row[j] - f * prow[j]) % p
+
     def frobenius(self, x, power=1):
         return x
 
@@ -401,6 +421,38 @@ class ExtensionField(_FiniteField):
         if self._tables:
             return self._inv_t[x]
         return self._pow_code(x, self.size - 2)
+
+    # --- row kernels: table lookups over nonzero entries, or Ring's
+    # per-entry loops when the field has no tables ---
+
+    def row_times(self, row, cols):
+        if not self._tables:
+            return Ring.row_times(self, row, cols)
+        s, add, mul = self.size, self._add_t, self._mul_t
+        terms = [(j, a * s) for j, a in enumerate(row) if a]
+        out = []
+        for col in cols:
+            acc = 0
+            for j, a in terms:
+                b = col[j]
+                if b:
+                    acc = add[acc * s + mul[a + b]]
+            out.append(acc)
+        return tuple(out)
+
+    def divide_row(self, x, row):
+        if not self._tables:
+            return Ring.divide_row(self, x, row)
+        mul, t = self._mul_t, self._inv_t[x] * self.size
+        return [mul[t + y] for y in row]
+
+    def row_sub(self, row, f, prow, support):
+        if not self._tables:
+            return Ring.row_sub(self, row, f, prow, support)
+        s, add, mul = self.size, self._add_t, self._mul_t
+        f = self._neg_t[f] * s
+        for j in support:
+            row[j] = add[row[j] * s + mul[f + prow[j]]]
 
     def frobenius(self, x, power=1):
         """x -> x^(p^power), the canonical generator of Gal(F_{p^n}/F_p)."""

@@ -1,7 +1,13 @@
 """Dense exact matrices over a coefficient ring.
 
-A matrix over F_q, a quaternion algebra or an untabled extension field
-holds its rows, tuples of payloads, in the plain slot `rows`.  A matrix over
+A matrix over F_q or a quaternion algebra holds its rows, tuples of
+payloads, in the plain slot `rows`.  Its product and its elimination are
+one loop each over the ring's row kernels (rings.Ring): `row_times` gives
+one output row of a product, and Gauss-Jordan divides the pivot row by its
+pivot (`divide_row`) and subtracts multiples of it (`row_sub`) on its
+nonzero columns only.  F_p and the F_{p^n} that carry tables override the
+kernels on their int codes (see ffields); quaternion algebras and untabled
+extension fields keep Ring's, one ring operation per entry.  A matrix over
 Q or Q(sqrt(m)), which Mat(...) makes a _CoordMat, holds only its canonical
 integer coordinates (A, B, d), converted from payload rows (JSON input, a
 test) when it is built: entry (i, j) = (A[i][j] + B[i][j] sqrt(m)) / d with
@@ -13,27 +19,18 @@ cross-multiplies rows and removes their content instead of dividing
 (fraction-free Gauss-Jordan); `solve` and `rref` divide by the pivots once,
 through their lcm.  `rows`, `entry` and `col` build reduced Fractions from
 the coordinates each time they are read.  On every ring `inverse` is one
-`solve` against the identity.  Over F_p and over the F_{p^n} that
-carry tables, `rref` runs on the int codes themselves: one `% p` per updated
-entry, or table lookups, and only on the nonzero columns of the pivot row;
-an F_p product takes one `% p` per entry, of its integer dot product, and a
-tabled F_{p^n} product table lookups over each row's nonzero entries.
-The reduced echelon form is unique and products are exact, so the answers
-are the ones the per-entry loop gives; that loop remains for quaternion
-algebras and untabled extension fields, with the ring object supplying one
-operation per entry.  The operands of +, @, hstack and vstack (so of solve)
-must share a ring, else SchemaError.  Shapes are tracked explicitly so
-zero-row and zero-column matrices behave.  Elimination routines require
-the ring to be a field.
+`solve` against the identity.  The operands of +, @, hstack and vstack (so
+of solve) must share a ring, else SchemaError.  Shapes are tracked
+explicitly so zero-row and zero-column matrices behave.  Elimination
+routines require the ring to be a field.
 """
 
 import operator
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
 
 from .errors import NotDecidableError, NotInvertibleError, SchemaError
-from .ffields import ExtensionField, PrimeField
 from .rings import QuadraticField, RationalField
 
 _COORD_RINGS = (RationalField, QuadraticField)
@@ -167,25 +164,9 @@ class Mat:
             _same_ring(self, other, "@")
         if isinstance(self, _CoordMat):
             return _matmul_coords(self, other)
-        ring = self.ring
         ocols = list(zip(*other.rows)) or [()] * other.ncols
-        if isinstance(ring, PrimeField):
-            p, mul = ring.p, operator.mul
-            out = tuple(tuple(sum(map(mul, row, col)) % p for col in ocols) for row in self.rows)
-            return Mat._of(ring, out, (self.nrows, other.ncols))
-        if isinstance(ring, ExtensionField) and ring._tables:
-            return _matmul_fq(ring, self, ocols)
-        add, mul, zero = ring.add, ring.mul, ring.zero
-        out = []
-        for row in self.rows:
-            orow = []
-            for col in ocols:
-                acc = zero
-                for a, b in zip(row, col):
-                    acc = add(acc, mul(a, b))
-                orow.append(acc)
-            out.append(tuple(orow))
-        return Mat._of(ring, tuple(out), (self.nrows, other.ncols))
+        out = tuple(map(self.ring.row_times, self.rows, repeat(ocols)))
+        return Mat._of(self.ring, out, (self.nrows, other.ncols))
 
     def scale(self, c):
         mul = self.ring.mul
@@ -222,32 +203,33 @@ class Mat:
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column tuple).
 
-        Row operations act from the left, which stays valid over a division
-        ring (quaternions).  Over a split quaternion algebra a nonzero entry
-        can be a zero divisor; a column whose nonzero candidates are all zero
-        divisors raises NotDecidableError rather than being read as a zero
-        column.
+        Over Q and Q(sqrt(m)), the fraction-free kernel on integer
+        coordinates; over every other ring, one Gauss-Jordan loop over the
+        ring's row kernels, each row update touching only the nonzero
+        columns of the pivot row.  Row operations act from the left, which
+        stays valid over a division ring (quaternions).  Over a split
+        quaternion algebra a nonzero entry can be a zero divisor; a column
+        whose nonzero candidates are all zero divisors raises
+        NotDecidableError rather than being read as a zero column.
         """
         if isinstance(self, _CoordMat):
             return _rref_coords(self)
         ring = self.ring
-        if isinstance(ring, PrimeField) or (isinstance(ring, ExtensionField) and ring._tables):
-            return _rref_fq(ring, self)
-        zero = ring.zero
-        sub, mul, inv = ring.sub, ring.mul, ring.inv
-        is_field = ring.is_field
+        zero, one, is_field = ring.zero, ring.one, ring.is_field
         rows = [list(r) for r in self.rows]
-        m, n = self.nrows, self.ncols
+        nrows, ncols = self.shape
         pivots = []
         r = 0
-        for c in range(n):
-            pr = None
-            zero_divisor = False
-            for i in range(r, m):
-                if rows[i][c] != zero:
+        for c in range(ncols):
+            if r == nrows:
+                break
+            pr, zero_divisor = None, False
+            for i in range(r, nrows):
+                x = rows[i][c]
+                if x != zero:
                     if not is_field:
                         try:
-                            inv(rows[i][c])
+                            ring.inv(x)
                         except NotInvertibleError:
                             zero_divisor = True
                             continue
@@ -259,20 +241,21 @@ class Mat:
                         f"column {c} has only zero-divisor pivots over {ring!r}"
                     )
                 continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            pv = inv(rows[r][c])
-            if rows[r][c] != ring.one:
-                rows[r] = [mul(pv, x) for x in rows[r]]
-            prow = rows[r]
-            for i in range(m):
-                if i != r and rows[i][c] != zero:
-                    f = rows[i][c]
-                    rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], prow)]
+            prow = rows[pr]
+            rows[pr] = rows[r]
+            x = prow[c]
+            if x != one:
+                prow = ring.divide_row(x, prow)
+            rows[r] = prow
+            # the pivot row is zero left of c
+            support = [j for j in range(c, ncols) if prow[j] != zero]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f != zero and i != r:
+                    ring.row_sub(row, f, prow, support)
             pivots.append(c)
             r += 1
-            if r == m:
-                break
-        return Mat._of(ring, tuple(tuple(r_) for r_ in rows), self.shape), tuple(pivots)
+        return Mat._of(ring, tuple(map(tuple, rows)), self.shape), tuple(pivots)
 
     def rank(self):
         if isinstance(self, _CoordMat):
@@ -679,76 +662,3 @@ def _matmul_coords(left, right):
             X.append(tuple(sum(map(mul, a, c)) for c, _ in cols))
             Y.append(tuple(sum(map(mul, a, e)) for _, e in cols))
     return _reduced(left.ring, shape, tuple(X), tuple(Y), d * f)
-
-
-# --- F_q on int codes ---
-
-
-def _matmul_fq(ring, left, ocols):
-    """left @ right from right's columns, over an F_{p^n} with tables: each
-    row's nonzero entries, times the column's, summed by table lookups."""
-    s, add, mul = ring.size, ring._add_t, ring._mul_t
-    out = []
-    for row in left.rows:
-        terms = [(j, a * s) for j, a in enumerate(row) if a]
-        orow = []
-        for col in ocols:
-            acc = 0
-            for j, a in terms:
-                b = col[j]
-                if b:
-                    acc = add[acc * s + mul[a + b]]
-            orow.append(acc)
-        out.append(tuple(orow))
-    return Mat._of(ring, tuple(out), (left.nrows, len(ocols)))
-
-
-def _rref_fq(ring, mat):
-    """Gauss-Jordan on the codes of F_p, or of an F_{p^n} with tables (see
-    ffields).  Zero and one are the codes 0 and 1; a row update touches only
-    the nonzero columns of the pivot row, which are zero left of the pivot."""
-    nrows, ncols = mat.shape
-    rows = [list(r) for r in mat.rows]
-    prime = isinstance(ring, PrimeField)
-    if prime:
-        p = ring.p
-    else:
-        s = ring.size
-        add, mul, neg, inv = ring._tables[:4]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        for pr in range(r, nrows):
-            if rows[pr][c]:
-                break
-        else:
-            continue
-        prow = rows[pr]
-        rows[pr] = rows[r]
-        x = prow[c]
-        if x != 1:
-            if prime:
-                t = pow(x, p - 2, p)
-                prow = [t * y % p for y in prow]
-            else:
-                t = inv[x] * s
-                prow = [mul[t + y] for y in prow]
-        rows[r] = prow
-        support = [j for j in range(c, ncols) if prow[j]]
-        for i in range(nrows):
-            row = rows[i]
-            f = row[c]
-            if not f or i == r:
-                continue
-            if prime:
-                for j in support:
-                    row[j] = (row[j] - f * prow[j]) % p
-            else:
-                f = neg[f] * s
-                for j in support:
-                    row[j] = add[row[j] * s + mul[f + prow[j]]]
-        pivots.append(c)
-        r += 1
-    return Mat._of(ring, tuple(map(tuple, rows)), mat.shape), tuple(pivots)

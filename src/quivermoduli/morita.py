@@ -194,9 +194,15 @@ class TwistedRep(DescentDatum):
     intertwines sigma(W) with W and its n-fold twisted product is
     lambda times the identity.  The declared index e divides every vertex
     dimension of W over L; the twisted dimension vector is dim_L(W)/e.
+    An index that is not an int >= 1 is refused with SchemaError.
     """
 
     index: int = field(kw_only=True)
+
+    def __post_init__(self):
+        e = self.index
+        if isinstance(e, bool) or not isinstance(e, int) or e < 1:
+            raise SchemaError(f"bad twisted representation: index must be an int >= 1, got {e!r}")
 
 
 def twisted_dim(twisted):

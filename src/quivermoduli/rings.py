@@ -22,7 +22,6 @@ class Ring:
     is_field = True
     is_finite = False
     size = None
-    char = 0
 
     # --- arithmetic on payloads ---
 
@@ -43,6 +42,34 @@ class Ring:
 
     def from_int(self, n):
         raise NotImplementedError
+
+    # --- row kernels: the loops of Mat products and eliminations, with one
+    # ring operation per entry; the finite fields override them on codes ---
+
+    def row_times(self, row, cols):
+        """The row of row @ M from M's columns: sum_j row[j] col[j] for
+        each column, row's entries on the left, zero terms skipped."""
+        add, mul, zero = self.add, self.mul, self.zero
+        terms = [(j, x) for j, x in enumerate(row) if x != zero]
+        out = []
+        for col in cols:
+            acc = zero
+            for j, x in terms:
+                if col[j] != zero:
+                    acc = add(acc, mul(x, col[j]))
+            out.append(acc)
+        return tuple(out)
+
+    def divide_row(self, x, row):
+        """x^-1 row, as a new list."""
+        mul, t = self.mul, self.inv(x)
+        return [mul(t, y) for y in row]
+
+    def row_sub(self, row, f, prow, support):
+        """row[j] -= f prow[j] in place, for each j in support."""
+        sub, mul = self.sub, self.mul
+        for j in support:
+            row[j] = sub(row[j], mul(f, prow[j]))
 
     def elements(self):
         raise NotImplementedError(f"{self} is not enumerable")

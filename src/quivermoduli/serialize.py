@@ -209,8 +209,6 @@ def twisted_from_json(data):
     if "index" not in data:
         raise SchemaError("bad twisted representation: missing index")
     index = json_int(data["index"], "index")
-    if index < 1:
-        raise SchemaError(f"bad twisted representation: index must be at least 1, got {index}")
     return TwistedRep(datum.rep, datum.u, datum.lam, datum.pair, index=index)
 
 

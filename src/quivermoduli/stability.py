@@ -302,29 +302,9 @@ class _Images(dict):
 
 
 def _image_code(field, mat, u):
-    """The code sum_i (M u)_i q^i of M u over F_q, M given by its rows: one
-    % p per integer dot product over F_p, table lookups over an F_{p^n}
-    with tables (see ffields), and the field's operations otherwise."""
-    q, code = field.size, 0
-    if isinstance(field, PrimeField):
-        for mrow in reversed(mat):
-            code = code * q + sum(map(mul, mrow, u)) % q
-        return code
-    terms = [(j, x) for j, x in enumerate(u) if x]
-    tables = field._tables
-    for mrow in reversed(mat):
-        acc = 0
-        if tables:
-            add, times = tables[0], tables[1]
-            for j, x in terms:
-                if mrow[j]:
-                    acc = add[acc * q + times[x * q + mrow[j]]]
-        else:
-            for j, x in terms:
-                if mrow[j]:
-                    acc = field.add(acc, field.mul(x, mrow[j]))
-        code = code * q + acc
-    return code
+    """The code sum_i (M u)_i q^i of M u over F_q, M given by its rows:
+    the field's row kernel, with u's entries on the left."""
+    return _code(field.row_times(u, mat), field.size)
 
 
 def _code(vec, q):

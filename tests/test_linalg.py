@@ -11,6 +11,7 @@ from quivermoduli import (
     GF,
     GaloisPair,
     Mat,
+    QuaternionAlgebra,
     Representation,
     a2_quiver,
     end_dim,
@@ -250,6 +251,8 @@ def elements(draw, ring):
         return ring.zero
     if ring == QQ:
         return draw(rationals())
+    if isinstance(ring, QuaternionAlgebra):
+        return tuple(draw(rationals()) if draw(st.booleans()) else Fraction(0) for _ in range(4))
     return (draw(rationals()), draw(rationals()) if draw(st.booleans()) else Fraction(0))
 
 
@@ -380,8 +383,29 @@ def _check_multiply_back(ring, m):
     assert x is not None and m @ x == rhs
 
 
-# --- the int-code kernel over F_q against the per-entry reference loop;
-# GF(2**11) has no tables and stays on the per-entry loop ---
+# --- division algebras on the ring's per-entry row kernels, which invert
+# the pivot and combine rows from the left, against the reference loops ---
+
+division_algebras = st.sampled_from([hamilton_quaternions(), QuaternionAlgebra(-2, -5)])
+
+
+@given(division_algebras.flatmap(matrices))
+def test_rref_matches_reference_over_division_algebras(m):
+    _check_rref(m)
+
+
+@given(division_algebras, st.data())
+def test_matmul_matches_reference_over_division_algebras(ring, data):
+    a = data.draw(matrices(ring))
+    b = data.draw(matrices(ring, a.ncols, data.draw(st.integers(0, 5))))
+    prod = a @ b
+    assert prod.shape == (a.nrows, b.ncols)
+    assert prod.rows == reference_matmul(a, b)
+
+
+# --- the F_q row kernels on codes against the per-entry reference loop;
+# GF(2**11) has no tables, so ExtensionField falls back to the ring's
+# per-entry kernels there ---
 
 FINITE_FIELDS = [GF(q) for q in (2, 3, 4, 5, 9, 25, 29, 2**11)]
 finite_fields = st.sampled_from(FINITE_FIELDS)

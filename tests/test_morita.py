@@ -220,6 +220,14 @@ def test_twisted_rep_is_its_own_descent_datum():
         TwistedRep(rep, datum.u, datum.lam, pair)  # the index is declared, never implied
 
 
+@pytest.mark.parametrize("index", [0, -2, True, 2.0, "2"])
+def test_twisted_rep_refuses_an_index_below_one_or_not_an_int(index):
+    rep, pair, theta = quaternionic_kronecker_example()
+    datum = solve_modifying_u(rep, pair, theta, CFG)
+    with pytest.raises(SchemaError, match="index must be an int >= 1"):
+        TwistedRep(rep, datum.u, datum.lam, pair, index=index)
+
+
 def test_validate_twisted_computes_one_class_per_twisted_rep(monkeypatch):
     calls = count_calls(monkeypatch, brauer_class)
     tw = drep_to_twisted(drep_1ij(), PAIR)
