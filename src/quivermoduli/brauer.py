@@ -52,14 +52,6 @@ class BrauerClass:
             raise ValueError("the trivial class has no quaternion representative")
         return QuaternionAlgebra(self.pair.m, self.lam)
 
-    def equivalent(self, other):
-        """Equality decided through the norm test, as a cross-check of __eq__."""
-        if self.is_trivial or other.is_trivial:
-            return self.is_trivial == other.is_trivial
-        if self.pair != other.pair:
-            return False
-        return self.pair.is_norm(Fraction(self.lam) / Fraction(other.lam))
-
     def describe(self):
         if self.is_trivial:
             return "Trivial"

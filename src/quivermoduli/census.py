@@ -458,12 +458,6 @@ def _class_matrix(data, field):
     return tuple(tuple(r) for r in rows)
 
 
-def similarity_class_reps(field, size):
-    """(class_data, matrix_rows) per similarity class of size x size
-    matrices, in the order of similarity_class_data."""
-    return [(data, _class_matrix(data, field)) for data in similarity_class_data(field, size)]
-
-
 def _frobenius_class_data(data, field):
     out = []
     for poly, part in data:
@@ -597,19 +591,20 @@ def stable_orbit_census(quiver, dims, theta, field, config):
     Gauss's count of irreducibles.  The pointwise union-find census remains
     the general path and the cross-check.
     """
-    if quiver.is_single_loop() and total_dim(dims) > 0:
-        return loop_class_census(quiver, dims, theta, field, config)
-    return orbit_census(quiver, dims, theta, field, config)
+    census = _check_census_budget(quiver, dims, field.size, config)
+    return census(quiver, dims, theta, field, config)
 
 
 def _check_census_budget(quiver, dims, q, config):
-    """stable_orbit_census's point budget over F_q, routed as it routes,
-    checked from q alone: before a field of that size is built, which for
-    a large extension degree would take longer than any census allowed."""
+    """The census that stable_orbit_census runs, loop_class_census or
+    orbit_census, once its point budget over F_q fits: checked from q
+    alone, before a field of that size is built, which for a large
+    extension degree would take longer than any census allowed."""
     if quiver.is_single_loop() and total_dim(dims) > 0:
         _checked_class_count(q, dims[quiver.vertices[0]], config)
-    else:
-        _checked_slice_arrow(quiver, dims, q, config)
+        return loop_class_census
+    _checked_slice_arrow(quiver, dims, q, config)
+    return orbit_census
 
 
 def count_geom_stable_orbits(quiver, dims, theta, q, config=JobConfig()):
@@ -813,24 +808,3 @@ def index_divisibility_audit(records):
                 violations.append(f"record {i}: index {rec.index} does not divide d_{v}={d}")
     return (not violations, violations)
 
-
-def all_orbit_representatives(quiver, dims, field, config):
-    """One representative per isomorphism class of ALL representations.
-
-    Group-equivariant properties (HN data, semistability of layers, base
-    change behaviour) are constant on orbits, so checking them on these
-    representatives checks them for the whole representation space.
-    Single-loop quivers use similarity classes; everything else is the
-    slice union-find of orbit_census over every slice point, and each
-    orbit is represented by its minimum within its slice.
-    """
-    if quiver.is_single_loop() and total_dim(dims) > 0:
-        size = dims[quiver.vertices[0]]
-        _checked_class_count(field.size, size, config)
-        return [
-            _decode_rep(quiver, field, dims, (rows,))
-            for _, rows in similarity_class_reps(field, size)
-        ]
-    k = _checked_slice_arrow(quiver, dims, field.size, config)
-    _, orbits, _ = _slice_orbits(quiver, dims, field, k)
-    return [_decode_rep(quiver, field, dims, rep) for rep, _, _, _ in orbits]

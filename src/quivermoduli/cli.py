@@ -48,7 +48,7 @@ from .serialize import (
     twisted_from_json,
     verdict_to_json,
 )
-from .stability import UNKNOWN, end_dim, hn_filtration, stability_verdict
+from .stability import UNKNOWN, end_dim, geom_stability, hn_filtration, stability_verdict
 
 CONFIG_ENV = "QUIVERMODULI_CONFIG"
 
@@ -142,9 +142,7 @@ def cmd_stability(args, config):
         verdict = stability_verdict(rep, theta, config)
         payload["verdict"] = verdict_to_json(verdict)
         payload["end_dim"] = end_dim(rep)
-        payload["geometrically_stable"] = bool(
-            verdict.is_stable and payload["end_dim"] == 1
-        )
+        payload["geometrically_stable"] = geom_stability(rep, theta, config).is_stable
     else:
         # quaternionic representations are judged through their splitting
         verdict = drep_is_geom_stable(rep, theta, config)
@@ -239,7 +237,9 @@ def cmd_census(args, config):
     try:
         q_list = [int(q) for q in args.q.split(",")]
         for q in q_list:
-            prime_power(q)  # raises for a q that is not a prime power
+            _, e = prime_power(q)  # raises for a q that is not a prime power
+            if n is not None and e > 1:  # refused before any census runs
+                raise SchemaError(f"descent census needs a prime q: {q} is not prime")
     except ValueError as exc:
         raise SchemaError(f"bad q: {exc}") from exc
     fit = census_polynomiality(quiver, dims, theta, q_list, config)

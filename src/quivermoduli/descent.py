@@ -118,7 +118,7 @@ def cocycle_scalar(u, pair):
     return pair.to_base(lam)
 
 
-def ensure_geom_stable(rep, pair, theta, config):
+def ensure_geom_stable(rep, theta, config):
     """Precondition check shared by the descent operations: geom_stability
     must say Stable.  Finite fields decide it exactly; over Q(i) an Unknown
     certificate blocks the operation."""
@@ -145,7 +145,7 @@ def solve_modifying_u(rep, pair, theta, config, check_stability=True):
     """
     provenance = {}
     if check_stability:
-        provenance.update(ensure_geom_stable(rep, pair, theta, config))
+        provenance.update(ensure_geom_stable(rep, theta, config))
     tw = twist(rep, pair, 1)
     basis = hom_space(tw, rep)
     if not basis:

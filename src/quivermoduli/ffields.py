@@ -28,7 +28,7 @@ from operator import itemgetter, mul as int_mul
 
 from .errors import NotInvertibleError
 from .numtheory import factorint, isprime
-from .rings import Ring
+from .rings import Ring, json_int
 
 _TABLE_LIMIT = 1024  # build s*s tables only up to this field size
 
@@ -284,8 +284,6 @@ class PrimeField(_FiniteField):
         return x
 
     def from_json(self, data):
-        from .serialize import json_int  # serialize imports this module
-
         return json_int(data, "prime field element") % self.p
 
     def descriptor(self):
@@ -479,8 +477,6 @@ class ExtensionField(_FiniteField):
         return self.coeffs(x)
 
     def from_json(self, data):
-        from .serialize import json_int  # serialize imports this module
-
         if isinstance(data, (int, float)):  # json_int refuses bools and floats
             return json_int(data, "extension field element") % self.p
         if not isinstance(data, list) or len(data) > self.n:

@@ -173,7 +173,7 @@ def _coprime_dims(dims):
     return gcd(*(d for d in dims.values() if d)) == 1
 
 
-def combine_homs(basis, coeffs, ring):
+def combine_homs(basis, coeffs):
     """Linear combination of hom-space basis elements."""
     out = None
     for c, h in zip(coeffs, basis):
@@ -195,7 +195,7 @@ def _first_invertible(basis, ring, combos):
     for coeffs in combos:
         if all(c == ring.zero for c in coeffs):
             continue
-        h = combine_homs(basis, coeffs, ring)
+        h = combine_homs(basis, coeffs)
         if _is_invertible_tuple(h):
             return h
     return None
@@ -214,7 +214,7 @@ def find_invertible_in_span(basis, ring, config, rng_label="inv-search"):
     if dim == 1:
         h = basis[0]
         return h if _is_invertible_tuple(h) else None
-    if getattr(ring, "is_finite", False):
+    if ring.is_finite:
         count = ring.size**dim
         if count > config.max_orbit_points:
             raise BudgetExceededError(

@@ -194,10 +194,6 @@ class Mat:
         """The first k rows."""
         return Mat._of(self.ring, self.rows[:k], (k, self.ncols))
 
-    def is_zero(self):
-        z = self.ring.zero
-        return all(x == z for row in self.rows for x in row)
-
     # --- elimination over a field ---
 
     def rref(self):

@@ -59,11 +59,6 @@ def _split_rows(alg, x):
     return ((a, b), (lam * c, lam * d)), ((c, -d), (a, -b))
 
 
-def split_entry(alg, pair, x):
-    _check_split_pair(alg, pair)
-    return Mat(pair.ext, _split_rows(alg, x), (2, 2))
-
-
 def split_matrix(alg, pair, m):
     """Blockwise image of a D-matrix, shape doubling in both directions."""
     _check_split_pair(alg, pair)

@@ -112,11 +112,6 @@ class Representation:
         self.mats = MappingProxyType(mats)
         self.certificates = {}
 
-    @staticmethod
-    def zero_maps(quiver, ring, dims):
-        mats = {a.name: Mat.zero(ring, dims[a.dst], dims[a.src]) for a in quiver.arrows}
-        return Representation(quiver, ring, dims, mats)
-
     def slope(self, theta):
         return slope(self.dims, theta)
 

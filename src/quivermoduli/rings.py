@@ -90,6 +90,17 @@ class Ring:
         raise NotImplementedError
 
 
+def json_int(value, what):
+    """An integer from JSON: an int or an integer string.  A float or a bool
+    is refused, not truncated."""
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise SchemaError(f"{what} must be an integer, got {value!r}")
+
+
 def _fraction_from_json(data):
     if isinstance(data, str):
         try:

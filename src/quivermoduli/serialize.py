@@ -9,26 +9,17 @@ fixed (input, seed, version) triple produces byte-identical output.
 
 import json
 
+from .descent import DescentDatum
 from .errors import SchemaError
 from .ffields import ExtensionField, PrimeField
 from .galois import GaloisPair
 from .linalg import Mat
+from .morita import TwistedRep
 from .quaternions import QuaternionAlgebra
 from .quiver import Arrow, Quiver, Representation
-from .rings import QQ, QuadraticField
+from .rings import QQ, QuadraticField, json_int
 
 VERSION = "0.1.0"
-
-
-def json_int(value, what):
-    """An integer from JSON: an int or an integer string.  A float or a bool
-    is refused, not truncated."""
-    if not isinstance(value, (bool, float)):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
-    raise SchemaError(f"{what} must be an integer, got {value!r}")
 
 
 def _modulus(data):
@@ -174,8 +165,6 @@ def datum_to_json(datum):
 
 
 def datum_from_json(data):
-    from .descent import DescentDatum
-
     try:
         rep = rep_from_json(data["rep"])
         pair = pair_from_json(data["pair"])
@@ -203,8 +192,6 @@ def twisted_to_json(twisted):
 
 
 def twisted_from_json(data):
-    from .morita import TwistedRep
-
     datum = datum_from_json(data)
     if "index" not in data:
         raise SchemaError("bad twisted representation: missing index")

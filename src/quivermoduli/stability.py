@@ -4,7 +4,7 @@ certificates over Q and Q(sqrt(m)), joined in geom_stability, the one
 geometric-stability decision.
 
 One routine, _subquotient, builds every subquotient U / L of nested
-subrepresentations: quotient_rep, restrict_rep and the HN layers, with one
+subrepresentations: each HN quotient and each HN layer, with one
 rref of [L | U | I] per vertex, whose I block inverts the completed basis.
 It ranks U on its own only where L is nonzero and U's columns are not in
 column-echelon form with unit leads; the engine's witnesses, canonical
@@ -106,9 +106,6 @@ class SubrepWitness:
             dict(self.dims), {v: b.canonical_cols() for v, b in self.bases.items()}
         )
 
-    def is_full(self, rep):
-        return self.dims == rep.dims
-
     def is_zero(self):
         return self.total_dim() == 0
 
@@ -156,11 +153,6 @@ def _gaussian_binomial(q, n, k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
     return num // den
-
-
-def count_subspaces(q, dim):
-    """Total number of subspaces of F_q^dim (sum of Gaussian binomials)."""
-    return sum(_gaussian_binomial(q, dim, r) for r in range(dim + 1))
 
 
 class _Span(dict):
@@ -733,21 +725,6 @@ def _echelon(basis):
     return True
 
 
-def quotient_rep(rep, witness):
-    """The quotient representation W / U together with pullback data.
-
-    Returns (quotient, lift) with lift(v, quotient-coordinate columns)
-    producing columns in W's coordinates.
-    """
-    quotient, C = _subquotient(rep, witness, full_witness(rep))
-    return quotient, lambda v, cols: C[v] @ cols
-
-
-def restrict_rep(rep, witness):
-    """The representation induced on the witness subspaces, in witness coordinates."""
-    return _subquotient(rep, _zero_witness(rep), witness)[0]
-
-
 def hn_filtration(rep, theta, config):
     """The Harder-Narasimhan filtration: W^1 = scss(W), and W^i = W^{i-1}
     plus the lift of scss(W / W^{i-1}) until a quotient is semistable; its
@@ -781,7 +758,7 @@ def hn_filtration(rep, theta, config):
     return HNFiltration(tuple(steps), tuple(slopes))
 
 
-def hn_subquotients(rep, theta, hn):
+def hn_subquotients(rep, hn):
     """The subquotients W^i / W^{i-1} of a filtration, as representations.
     A first step that is the full witness (identity bases) gives W itself,
     which keeps its verdicts."""
@@ -810,7 +787,7 @@ def verify_hn(rep, theta, hn, config):
     if slopes != sorted(slopes, reverse=True) or len(set(slopes)) != len(slopes):
         return False
     try:
-        layers = hn_subquotients(rep, theta, hn)
+        layers = hn_subquotients(rep, hn)
     except InvariantError:
         return False
     for layer, s in zip(layers, slopes):
@@ -819,13 +796,6 @@ def verify_hn(rep, theta, hn, config):
         if not is_semistable(layer, theta, config):
             return False
     return True
-
-
-def base_change_witness(witness, pair):
-    return SubrepWitness(
-        dict(witness.dims),
-        {v: b.map(pair.embed, pair.ext) for v, b in witness.bases.items()},
-    )
 
 
 # ---------------------------------------------------------------------------

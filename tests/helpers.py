@@ -3,8 +3,11 @@ solver as the reference for the integer-coordinate kernel, a brute-force
 stability reference, the one-loop certificate over Q and Q(i), the
 full-scan orbit census as the reference for the slice census,
 product-by-product references for finite-field tables and quaternion
-regular representations, the transpose on the opposite quiver, and a
-subquotient built by one solve per arrow."""
+regular representations, the transpose on the opposite quiver, a
+subquotient built by one solve per arrow, and the library-side helpers only
+tests call: zero maps, subspace counts, quotients and restrictions,
+witnesses moved along a field extension, and one representative per orbit
+of a whole representation space."""
 
 import sys
 from fractions import Fraction
@@ -47,6 +50,12 @@ def count_calls(monkeypatch, fn):
         if name.split(".")[0] == "quivermoduli" and getattr(mod, fn.__name__, None) is fn:
             monkeypatch.setattr(mod, fn.__name__, counting)
     return calls
+
+
+def zero_maps(quiver, ring, dims):
+    """The representation with every arrow the zero map."""
+    mats = {a.name: Mat.zero(ring, dims[a.dst], dims[a.src]) for a in quiver.arrows}
+    return Representation(quiver, ring, dims, mats)
 
 
 def fmat(field, rows):
@@ -419,3 +428,72 @@ def reference_subquotient(rep, lower, upper):
         block = tuple(row[k_t:] for row in coords.rows[k_h:])
         mats[a.name] = Mat(ring, block, (dims[a.dst], dims[a.src]))
     return Representation(rep.quiver, ring, dims, mats), C
+
+
+# ---------------------------------------------------------------------------
+# subspaces, subquotients and witnesses
+
+
+def count_subspaces(q, dim):
+    """Total number of subspaces of F_q^dim (sum of Gaussian binomials)."""
+    return sum(stability._gaussian_binomial(q, dim, r) for r in range(dim + 1))
+
+
+def is_full(witness, rep):
+    """Whether the witness is all of rep."""
+    return witness.dims == rep.dims
+
+
+def quotient_rep(rep, witness):
+    """(W / U, lift): lift(v, quotient-coordinate columns) gives the
+    columns in W's coordinates."""
+    quotient, C = stability._subquotient(rep, witness, stability.full_witness(rep))
+    return quotient, lambda v, cols: C[v] @ cols
+
+
+def restrict_rep(rep, witness):
+    """The representation induced on the witness subspaces, in witness coordinates."""
+    return stability._subquotient(rep, stability._zero_witness(rep), witness)[0]
+
+
+def base_change_witness(witness, pair):
+    """The witness with its bases moved into pair.ext."""
+    return SubrepWitness(
+        dict(witness.dims),
+        {v: b.map(pair.embed, pair.ext) for v, b in witness.bases.items()},
+    )
+
+
+# ---------------------------------------------------------------------------
+# one representative per orbit of a whole representation space
+
+
+def similarity_class_reps(field, size):
+    """(class_data, matrix_rows) per similarity class of size x size
+    matrices, in the order of census.similarity_class_data."""
+    return [
+        (data, census._class_matrix(data, field))
+        for data in census.similarity_class_data(field, size)
+    ]
+
+
+def all_orbit_representatives(quiver, dims, field, config):
+    """One representative per isomorphism class of ALL representations, on
+    the route census._check_census_budget picks, under its point budget.
+
+    Group-equivariant properties (HN data, semistability of layers, base
+    change behaviour) are constant on orbits, so checking them on these
+    representatives checks them for the whole representation space.
+    Single-loop quivers use similarity classes; everything else is the
+    slice union-find of orbit_census over every slice point, and each
+    orbit is represented by its minimum within its slice.
+    """
+    route = census._check_census_budget(quiver, dims, field.size, config)
+    if route is census.loop_class_census:
+        return [
+            census._decode_rep(quiver, field, dims, (rows,))
+            for _, rows in similarity_class_reps(field, dims[quiver.vertices[0]])
+        ]
+    k = census._slice_arrow(quiver, dims)
+    _, orbits, _ = census._slice_orbits(quiver, dims, field, k)
+    return [census._decode_rep(quiver, field, dims, rep) for rep, _, _, _ in orbits]

@@ -30,7 +30,6 @@ from quivermoduli.census import (
     GEOM_STABLE,
     STABLE_NOT_SCHUR,
     ClassificationRecord,
-    all_orbit_representatives,
     decompose_rational_point,
     index_divisibility_audit,
     orbit_census,
@@ -44,14 +43,18 @@ from quivermoduli.numtheory import hilbert_symbol, relevant_places
 from quivermoduli.quiver import base_change
 from quivermoduli.stability import (
     STABLE,
-    base_change_witness,
     geom_stability_certificate,
     hn_filtration,
     stability_verdict,
     verify_hn,
 )
 
-from helpers import gimat, quaternionic_kronecker_example
+from helpers import (
+    all_orbit_representatives,
+    base_change_witness,
+    gimat,
+    quaternionic_kronecker_example,
+)
 
 CFG = JobConfig(seed=2024)
 THETA = {"s": 1, "t": -1}

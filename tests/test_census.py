@@ -30,11 +30,9 @@ from quivermoduli.census import (
     _decode_rep,
     _encode_rep,
     _generator_tables,
-    all_orbit_representatives,
     lagrange_interpolation,
     loop_class_census,
     orbit_census,
-    similarity_class_reps,
     stable_orbit_census,
 )
 from quivermoduli.config import JobConfig
@@ -51,12 +49,14 @@ from quivermoduli.stability import (
 )
 
 from helpers import (
+    all_orbit_representatives,
     count_calls,
     gimat,
     quaternionic_kronecker_example,
     reference_orbit_census,
     reference_subreps,
     reference_verdict,
+    similarity_class_reps,
 )
 
 CFG = JobConfig()

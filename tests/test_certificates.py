@@ -40,6 +40,7 @@ from helpers import (
     qmat,
     quaternionic_kronecker_example,
     reference_certificate,
+    zero_maps,
 )
 
 CFG = JobConfig()
@@ -65,7 +66,7 @@ def test_kronecker_stable_certificate():
 
 
 def test_zero_rep_unstable_exact_witness():
-    w = Representation.zero_maps(kronecker_quiver(2), QQ, {"s": 1, "t": 1})
+    w = zero_maps(kronecker_quiver(2), QQ, {"s": 1, "t": 1})
     v = geom_stability_certificate(w, THETA, CFG)
     assert v.kind == UNSTABLE
     assert v.witness.dims == {"s": 1, "t": 0}
@@ -168,7 +169,7 @@ def test_dimension_count_shortcut():
 def test_certificate_rejects_finite_fields():
     from quivermoduli import GF
 
-    w = Representation.zero_maps(kronecker_quiver(2), GF(2), {"s": 1, "t": 1})
+    w = zero_maps(kronecker_quiver(2), GF(2), {"s": 1, "t": 1})
     with pytest.raises(SchemaError):
         geom_stability_certificate(w, THETA, CFG)
 
@@ -286,7 +287,7 @@ def _over_budget_at(p_bad, monkeypatch):
 
 def test_budget_error_at_second_prime_after_unstable_hunt(monkeypatch):
     _over_budget_at(13, monkeypatch)
-    w = Representation.zero_maps(kronecker_quiver(2), QQ, {"s": 1, "t": 1})
+    w = zero_maps(kronecker_quiver(2), QQ, {"s": 1, "t": 1})
     v = geom_stability_certificate(w, THETA, JobConfig(primes=(5, 13)))
     assert v.kind == UNSTABLE and v.detail["prime"] == 5
     assert v.witness.dims == {"s": 1, "t": 0}

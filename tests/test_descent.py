@@ -32,7 +32,7 @@ from quivermoduli.quiver import base_change
 from quivermoduli.rings import QQ, gaussian_rationals
 from quivermoduli.stability import UNSTABLE
 
-from helpers import gimat, kronecker_rep, quaternionic_kronecker_example
+from helpers import gimat, kronecker_rep, quaternionic_kronecker_example, zero_maps
 
 CFG = JobConfig()
 THETA = {"s": 1, "t": -1}
@@ -113,7 +113,7 @@ def test_solve_modifying_u_non_invertible_hom_line():
 
 def test_solve_modifying_u_rejects_unstable():
     pair = GaloisPair.finite(2, 2)
-    w = Representation.zero_maps(kronecker_quiver(2), pair.ext, {"s": 1, "t": 1})
+    w = zero_maps(kronecker_quiver(2), pair.ext, {"s": 1, "t": 1})
     with pytest.raises(NotGeometricallyStableError) as err:
         solve_modifying_u(w, pair, THETA, CFG)
     assert err.value.verdict == UNSTABLE
@@ -211,7 +211,7 @@ def test_verify_modified_action_examples():
     # only the diag(i, -i) arrow moves under plain conjugation
     assert modified_action_failures(rep, ident, pair) == ["a2"]
     rational = base_change(
-        Representation.zero_maps(kronecker_quiver(3), QQ, {"s": 2, "t": 2}), pair
+        zero_maps(kronecker_quiver(3), QQ, {"s": 2, "t": 2}), pair
     )
     assert not modified_action_failures(rational, ident, pair)
 

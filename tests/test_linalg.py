@@ -43,7 +43,13 @@ from helpers import (
     reference_matmul,
     reference_nullspace,
     reference_rref,
+    zero_maps,
 )
+
+
+def is_zero(m):
+    """Whether every entry of m is the ring's zero."""
+    return all(x == m.ring.zero for row in m.rows for x in row)
 
 
 def test_shapes_and_empty():
@@ -75,7 +81,7 @@ def test_rref_rank_nullspace_over_f5():
     assert len(ns) == 1
     for vec in ns:
         col = Mat.from_cols(f, [vec], 3)
-        assert (m @ col).is_zero()
+        assert is_zero(m @ col)
 
 
 def test_inverse_and_solve_over_q():
@@ -228,7 +234,7 @@ def test_rational_matrices_hold_one_form():
             assert [type(e) for e in got] == [type(e) for e in want]
             assert all(type(x) is Fraction for e in got for x in (e if type(e) is tuple else (e,)))
     for ring in (QQ, GF(3)):
-        w = Representation.zero_maps(kronecker_quiver(2), ring, {"s": 1, "t": 1})
+        w = zero_maps(kronecker_quiver(2), ring, {"s": 1, "t": 1})
         assert w.certificates == {}
 
 
@@ -371,7 +377,7 @@ def _check_multiply_back(ring, m):
     kernel = m.nullspace()
     assert kernel == reference_nullspace(m)
     for vec in kernel:
-        assert (m @ Mat.from_cols(ring, [vec], m.ncols)).is_zero()
+        assert is_zero(m @ Mat.from_cols(ring, [vec], m.ncols))
     assert len(kernel) == m.ncols - rank
     inv = m.inverse()
     assert (inv is not None) == (rank == n)

@@ -16,7 +16,7 @@ from quivermoduli import (
 from quivermoduli.config import JobConfig
 from quivermoduli.descent import solve_modifying_u
 from quivermoduli.homs import hom_space
-from quivermoduli import descent
+from quivermoduli import descent, morita
 from quivermoduli.errors import InvariantError, SchemaError
 from quivermoduli.morita import (
     TwistedRep,
@@ -26,7 +26,6 @@ from quivermoduli.morita import (
     drep_to_twisted,
     morita_split,
     morita_unsplit,
-    split_entry,
     split_matrix,
     standard_u,
     twisted_dim,
@@ -38,7 +37,7 @@ from quivermoduli.rings import QQ
 from quivermoduli.serialize import verdict_to_json
 from quivermoduli.stability import STABLE, UNSTABLE, STRICTLY_SEMISTABLE, geom_stability
 
-from helpers import count_calls, gimat, quaternionic_kronecker_example
+from helpers import count_calls, gimat, quaternionic_kronecker_example, zero_maps
 
 CFG = JobConfig()
 THETA = {"s": 1, "t": -1}
@@ -61,6 +60,12 @@ def drep_1ij():
 
 
 SPLIT_CASES = [(-1, -1), (-1, 3), (2, 5), (-3, 7), (5, -2)]  # (m, lambda)
+
+
+def split_entry(alg, pair, x):
+    """The 2x2 image of one D-entry over pair.ext."""
+    morita._check_split_pair(alg, pair)
+    return Mat(pair.ext, morita._split_rows(alg, x), (2, 2))
 
 
 def random_dmat(alg, nrows, ncols, rng):
@@ -155,7 +160,7 @@ def test_division_form_quaternionic_example():
 
 def test_division_form_rejects_trivial_class():
     pair = GaloisPair.gaussian()
-    w0 = Representation.zero_maps(kronecker_quiver(2), QQ, {"s": 1, "t": 0})
+    w0 = zero_maps(kronecker_quiver(2), QQ, {"s": 1, "t": 0})
     # build a trivial datum directly: identity u on a base-changed rep
     from quivermoduli.descent import DescentDatum, cocycle_scalar
     from quivermoduli.quiver import base_change

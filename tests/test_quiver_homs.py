@@ -29,7 +29,7 @@ from quivermoduli.quiver import Arrow, Quiver, base_change, group_generators
 from quivermoduli.galois import GaloisPair
 from quivermoduli.rings import QQ
 
-from helpers import fmat, kronecker_rep, qmat
+from helpers import fmat, kronecker_rep, qmat, zero_maps
 
 CFG = JobConfig()
 
@@ -87,7 +87,7 @@ def test_hom_space_examples():
     h = basis[0]
     assert h["s"] == h["t"]  # the (1,1) intertwiner line
 
-    zero = Representation.zero_maps(kronecker_quiver(2), f2, {"s": 1, "t": 1})
+    zero = zero_maps(kronecker_quiver(2), f2, {"s": 1, "t": 1})
     assert end_dim(zero) == 2
 
     loop = jordan_quiver()
@@ -173,7 +173,7 @@ def test_is_isomorphic_decides_a_hom_line_alone(monkeypatch):
     # Hom(W, 0) is the line of (f_s, f_t) = (1, 0), which is singular
     line = Representation(k2, QQ, {"s": 1, "t": 1}, {"a1": qmat([[1]]), "a2": qmat([[0]])})
     calls.clear()
-    assert is_isomorphic(line, Representation.zero_maps(k2, QQ, line.dims), CFG) is None
+    assert is_isomorphic(line, zero_maps(k2, QQ, line.dims), CFG) is None
     assert len(calls) == 1
 
 
@@ -217,15 +217,15 @@ def test_is_isomorphic_exhausts_a_finite_field(monkeypatch):
 
 def test_is_isomorphic_zero_dimensional():
     k2 = kronecker_quiver(2)
-    zero = Representation.zero_maps(k2, QQ, {"s": 0, "t": 0})
+    zero = zero_maps(k2, QQ, {"s": 0, "t": 0})
     assert is_isomorphic(zero, zero, CFG) == identity_hom(zero)
 
 
 def test_is_isomorphic_respects_dims():
     f2 = GF(2)
     q = kronecker_quiver(2)
-    w1 = Representation.zero_maps(q, f2, {"s": 1, "t": 1})
-    w2 = Representation.zero_maps(q, f2, {"s": 1, "t": 2})
+    w1 = zero_maps(q, f2, {"s": 1, "t": 1})
+    w2 = zero_maps(q, f2, {"s": 1, "t": 2})
     assert is_isomorphic(w1, w2, CFG) is None
 
 
@@ -317,7 +317,7 @@ def _hom_grid():
             grid.append((w, partner))
         # a singular Hom line, and Hom spaces of dimension 2 and 4
         lines = [rep(k3, ring, {"s": 1, "t": 1}) for _ in range(2)]
-        zero = Representation.zero_maps(k3, ring, lines[0].dims)
+        zero = zero_maps(k3, ring, lines[0].dims)
         sums = [lines[0].direct_sum(x) for x in lines]
         grid += [(lines[0], zero), (sums[0], moved(sums[0])), (sums[1], sums[0])]
     for d in (2, 3, 2, 3):

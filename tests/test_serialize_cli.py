@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quivermoduli import GF, GaloisPair, Mat, Representation, kronecker_quiver
+from quivermoduli import GF, GaloisPair, Mat, Representation, census, kronecker_quiver
 from quivermoduli.cli import main
 from quivermoduli.config import JobConfig
 from quivermoduli.descent import DescentDatum, cocycle_scalar, solve_modifying_u
@@ -34,7 +34,13 @@ from quivermoduli.serialize import (
     twisted_to_json,
 )
 
-from helpers import count_calls, gimat, kronecker_rep, quaternionic_kronecker_example
+from helpers import (
+    count_calls,
+    gimat,
+    kronecker_rep,
+    quaternionic_kronecker_example,
+    zero_maps,
+)
 
 CFG = JobConfig()
 
@@ -140,7 +146,7 @@ def test_cli_stability_huge_prime_field(tmp_path, capsys):
 
 
 def test_cli_hn(tmp_path, capsys):
-    rep = Representation.zero_maps(kronecker_quiver(2), GF(2), {"s": 1, "t": 1})
+    rep = zero_maps(kronecker_quiver(2), GF(2), {"s": 1, "t": 1})
     path = write_json(tmp_path, "rep.json", rep_to_json(rep))
     code = main(["--format", "json", "hn", path, "--theta", '{"s":1,"t":-1}'])
     assert code == 0
@@ -274,7 +280,7 @@ def test_cli_typemap_not_fixed(tmp_path, capsys):
 
 
 def test_cli_typemap_not_geom_stable(tmp_path, capsys):
-    w = Representation.zero_maps(kronecker_quiver(2), gaussian_rationals(), {"s": 1, "t": 1})
+    w = zero_maps(kronecker_quiver(2), gaussian_rationals(), {"s": 1, "t": 1})
     path = write_json(tmp_path, "rep.json", rep_to_json(w))
     code = main([
         "--format", "json",
@@ -585,6 +591,23 @@ def test_cli_census_builds_each_field_once(monkeypatch, capsys):
     assert code == 0
     assert json.loads(capsys.readouterr().out)["census"]["counts"] == [5]
     assert built == [(2, 2, None)]
+
+
+def test_cli_census_refuses_a_non_prime_descent_q_before_any_census(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, census.stable_orbit_census)
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+    code = main([
+        "census",
+        "--quiver", str(fixtures / "kronecker2.quiver.json"),
+        "--dims", '{"s":2,"t":2}',
+        "--theta", '{"s":1,"t":-1}',
+        "--q", "16",
+        "--verify-descent", "2",
+    ])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.strip() == "parse error: descent census needs a prime q: 16 is not prime"
+    assert calls == []
 
 
 KRONECKER2_JSON = {"vertices": ["s", "t"], "arrows": [

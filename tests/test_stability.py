@@ -40,25 +40,27 @@ from quivermoduli.stability import (
     UNSTABLE,
     HNFiltration,
     SubrepWitness,
-    base_change_witness,
-    count_subspaces,
     geom_stability,
     geom_stability_certificate,
     hn_subquotients,
     is_semistable,
-    quotient_rep,
-    restrict_rep,
     verify_hn,
     _Subspaces,
 )
 
 from helpers import (
+    base_change_witness,
     count_calls,
+    count_subspaces,
     fmat,
+    is_full,
     kronecker_rep,
     opposite_transpose,
+    quotient_rep,
     reference_matmul,
     reference_subquotient,
+    restrict_rep,
+    zero_maps,
 )
 
 CFG = JobConfig()
@@ -148,7 +150,7 @@ def test_enumerate_subreps_examples():
     dims = sorted(tuple(s.dims[v] for v in ("s", "t")) for s in subs)
     assert dims == [(0, 0), (0, 1), (1, 1)]
 
-    zero = Representation.zero_maps(kronecker_quiver(2), f2, {"s": 1, "t": 1})
+    zero = zero_maps(kronecker_quiver(2), f2, {"s": 1, "t": 1})
     assert len(enumerate_subreps(zero, CFG)) == 4
 
     f3 = GF(3)
@@ -175,7 +177,7 @@ def test_budget_error():
         enumerate_subreps(w, tight)
     # F_3^9 has about 1.4e10 subspaces: listing them, or keeping one slot per
     # subspace, would exhaust memory, so the budget must refuse first.
-    big = Representation.zero_maps(kronecker_quiver(2), f3, {"s": 1, "t": 9})
+    big = zero_maps(kronecker_quiver(2), f3, {"s": 1, "t": 9})
     assert count_subspaces(3, 9) > 10**10
     for call in (
         lambda: enumerate_subreps(big, CFG),
@@ -275,7 +277,7 @@ def test_stability_verdict_examples():
     w = kronecker_rep(f2, [1, 1])
     assert stability_verdict(w, THETA, CFG).kind == STABLE
 
-    zero = Representation.zero_maps(kronecker_quiver(2), f2, {"s": 1, "t": 1})
+    zero = zero_maps(kronecker_quiver(2), f2, {"s": 1, "t": 1})
     v = stability_verdict(zero, THETA, CFG)
     assert v.kind == UNSTABLE
     assert v.witness.dims == {"s": 1, "t": 0}
@@ -343,12 +345,12 @@ def test_geometric_stability_tower_oracle():
 
 def test_scss_examples():
     f2 = GF(2)
-    zero = Representation.zero_maps(kronecker_quiver(2), f2, {"s": 1, "t": 1})
+    zero = zero_maps(kronecker_quiver(2), f2, {"s": 1, "t": 1})
     w = scss(zero, THETA, CFG)
     assert w.dims == {"s": 1, "t": 0}
 
     stable = kronecker_rep(f2, [1, 1])
-    assert scss(stable, THETA, CFG).is_full(stable)
+    assert is_full(scss(stable, THETA, CFG), stable)
 
 
 def test_scss_contains_all_max_slope_subreps():
@@ -360,7 +362,7 @@ def test_scss_contains_all_max_slope_subreps():
             dims = rng.choice([{"s": 2, "t": 1}, {"s": 1, "t": 2}, {"s": 2, "t": 2}])
             w = random_rep(quiv, f, dims, rng)
             top = scss(w, THETA, CFG)
-            smax = top.slope(THETA) if not top.is_full(w) else None
+            smax = top.slope(THETA) if not is_full(top, w) else None
             if smax is None:
                 continue
             for sub in enumerate_subreps(w, CFG):
@@ -377,7 +379,7 @@ def test_quotient_and_restrict():
     )
     v = stability_verdict(w, THETA, CFG)
     sub = scss(w, THETA, CFG)
-    if not sub.is_full(w):
+    if not is_full(sub, w):
         quot, lift = quotient_rep(w, sub)
         assert quot.total_dim() == w.total_dim() - sub.total_dim()
         res = restrict_rep(w, sub)
@@ -386,7 +388,7 @@ def test_quotient_and_restrict():
 
 def test_hn_examples():
     f2 = GF(2)
-    zero = Representation.zero_maps(kronecker_quiver(2), f2, {"s": 1, "t": 1})
+    zero = zero_maps(kronecker_quiver(2), f2, {"s": 1, "t": 1})
     hn = hn_filtration(zero, THETA, CFG)
     assert [dict(s.dims) for s in hn.steps] == [{"s": 1, "t": 0}, {"s": 1, "t": 1}]
     assert list(hn.slopes) == [1, -1]
@@ -401,8 +403,8 @@ def test_hn_of_split_direct_sum():
     f3 = GF(3)
     q = kronecker_quiver(2)
     # S1 = simple at s (slope 1), S2 = simple at t (slope -1)
-    s1 = Representation.zero_maps(q, f3, {"s": 1, "t": 0})
-    s2 = Representation.zero_maps(q, f3, {"s": 0, "t": 1})
+    s1 = zero_maps(q, f3, {"s": 1, "t": 0})
+    s2 = zero_maps(q, f3, {"s": 0, "t": 1})
     w = s1.direct_sum(s2)
     hn = hn_filtration(w, THETA, CFG)
     assert list(hn.slopes) == [1, -1]
@@ -413,9 +415,9 @@ def test_hn_of_length_three():
     # S_s + (a stable (1,1)) + S_t, moved by a base change: slopes 1, 0, -1
     f5 = GF(5)
     q = kronecker_quiver(2)
-    w = Representation.zero_maps(q, f5, {"s": 1, "t": 0})
+    w = zero_maps(q, f5, {"s": 1, "t": 0})
     w = w.direct_sum(kronecker_rep(f5, [1, 2]))
-    w = w.direct_sum(Representation.zero_maps(q, f5, {"s": 0, "t": 1}))
+    w = w.direct_sum(zero_maps(q, f5, {"s": 0, "t": 1}))
     w = w.act({"s": fmat(f5, [[1, 2], [3, 4]]), "t": fmat(f5, [[2, 1], [1, 1]])})
     hn = hn_filtration(w, THETA, CFG)
     assert list(hn.slopes) == [1, 0, -1]
@@ -423,7 +425,7 @@ def test_hn_of_length_three():
         {"s": 1, "t": 0}, {"s": 2, "t": 1}, {"s": 2, "t": 2}
     ]
     assert verify_hn(w, THETA, hn, CFG)
-    layers = hn_subquotients(w, THETA, hn)
+    layers = hn_subquotients(w, hn)
     assert [layer.dims for layer in layers] == [
         {"s": 1, "t": 0}, {"s": 1, "t": 1}, {"s": 0, "t": 1}
     ]
@@ -444,18 +446,18 @@ def test_subquotients_of_bad_witnesses_raise():
     with pytest.raises(InvariantError):
         quotient_rep(w, twice)
     # S_t then S_s in S_s + S_t: each a subrepresentation, not nested
-    split = Representation.zero_maps(kronecker_quiver(2), f3, {"s": 1, "t": 1})
+    split = zero_maps(kronecker_quiver(2), f3, {"s": 1, "t": 1})
     at_t = SubrepWitness({"s": 0, "t": 1}, {"s": Mat.zero(f3, 1, 0), "t": fmat(f3, [[1]])})
     at_s = SubrepWitness({"s": 1, "t": 0}, {"s": fmat(f3, [[1]]), "t": Mat.zero(f3, 1, 0)})
     with pytest.raises(InvariantError):
-        hn_subquotients(split, THETA, HNFiltration((at_t, at_s), (-1, 1)))
+        hn_subquotients(split, HNFiltration((at_t, at_s), (-1, 1)))
     # a last step with a dependent basis that the step before sticks out of
-    plane = Representation.zero_maps(kronecker_quiver(2), f3, {"s": 2, "t": 0})
+    plane = zero_maps(kronecker_quiver(2), f3, {"s": 2, "t": 0})
     none = Mat.zero(f3, 0, 0)
     line = SubrepWitness({"s": 1, "t": 0}, {"s": fmat(f3, [[0], [1]]), "t": none})
     doubled = SubrepWitness({"s": 2, "t": 0}, {"s": fmat(f3, [[1, 1], [0, 0]]), "t": none})
     with pytest.raises(InvariantError):
-        hn_subquotients(plane, THETA, HNFiltration((line, doubled), (1, 1)))
+        hn_subquotients(plane, HNFiltration((line, doubled), (1, 1)))
 
 
 def test_slope_groups_match_their_definition():
@@ -487,7 +489,7 @@ def _check_bad_filtrations_rejected(keep_verdicts):
     at_s = SubrepWitness({"s": 1, "t": 0}, {"s": fmat(f3, [[1]]), "t": none})
     at_t = SubrepWitness({"s": 0, "t": 1}, {"s": none, "t": fmat(f3, [[1]])})
     # S_s + S_t: HN steps S_s, W with slopes 1, -1
-    split = Representation.zero_maps(kronecker_quiver(2), f3, {"s": 1, "t": 1})
+    split = zero_maps(kronecker_quiver(2), f3, {"s": 1, "t": 1})
     # a1 = 1 maps S_s's space onto t: the first step is not closed
     open_first = kronecker_rep(f3, [1, 0])
     if keep_verdicts:
@@ -536,7 +538,7 @@ def test_verify_hn_rejects_bad_filtrations_on_reps_with_kept_verdicts():
 def test_hn_refuses_a_zero_scss_step(monkeypatch, true_steps):
     # a faulty scss search that returns 0, at the first step or a later one,
     # must raise rather than loop
-    w = Representation.zero_maps(kronecker_quiver(2), GF(2), {"s": 1, "t": 1})
+    w = zero_maps(kronecker_quiver(2), GF(2), {"s": 1, "t": 1})
     calls = []
     true_scss = stability._scss_above
 
@@ -568,7 +570,7 @@ def test_hn_properties_random():
             hn = hn_filtration(w, THETA, CFG)
             assert verify_hn(w, THETA, hn, CFG)
             assert list(hn.slopes) == sorted(hn.slopes, reverse=True)
-            layers = hn_subquotients(w, THETA, hn)
+            layers = hn_subquotients(w, hn)
             total = {v: sum(l.dims[v] for l in layers) for v in w.dims}
             assert total == w.dims
 
@@ -623,7 +625,7 @@ def _subquotient_record(rep, hn):
             lifts,
             mats(restrict_rep(rep, w)),
         ))
-    layers = [mats(layer) for layer in hn_subquotients(rep, THETA, hn)]
+    layers = [mats(layer) for layer in hn_subquotients(rep, hn)]
     return steps, [str(s) for s in hn.slopes], layers
 
 
@@ -905,11 +907,11 @@ def test_hn_builds_one_full_witness(monkeypatch):
     fulls = count_calls(monkeypatch, stability.full_witness)
     w = _three_layer_rep(GF(3))
     hn = hn_filtration(w, THETA, CFG)
-    assert hn.slopes == (1, 0, -1) and hn.steps[-1].is_full(w)
+    assert hn.slopes == (1, 0, -1) and is_full(hn.steps[-1], w)
     assert len(fulls) == 1 and fulls[0][0] is w
     # scss keeps its contract: a semistable rep is its own scss
-    layer = hn_subquotients(w, THETA, hn)[-1]
-    assert scss(layer, THETA, CFG).is_full(layer) and len(fulls) == 2
+    layer = hn_subquotients(w, hn)[-1]
+    assert is_full(scss(layer, THETA, CFG), layer) and len(fulls) == 2
 
 
 def test_one_listing_per_field_and_dimension(monkeypatch):
@@ -1001,7 +1003,7 @@ def test_semistability_needs_only_the_groups_above_mu():
     assert _cost(w, THETA, strict=False) == above + 16
     tight = JobConfig(max_subspace_checks=above)
     assert is_semistable(w, THETA, tight)
-    assert scss(w, THETA, tight).is_full(w)
+    assert is_full(scss(w, THETA, tight), w)
     with pytest.raises(BudgetExceededError):
         stability_verdict(w, THETA, tight)
     assert is_semistable(w, THETA, tight)
@@ -1063,8 +1065,8 @@ def test_transpose_on_the_opposite_quiver_is_dual(case):
     wt, neg = opposite_transpose(w), {v: -x for v, x in theta.items()}
     assert stability_verdict(wt, neg, CFG).kind == stability_verdict(w, theta, CFG).kind
     hn, hn_t = hn_filtration(w, theta, CFG), hn_filtration(wt, neg, CFG)
-    layers = [dict(r.dims) for r in hn_subquotients(w, theta, hn)]
-    layers_t = [dict(r.dims) for r in hn_subquotients(wt, neg, hn_t)]
+    layers = [dict(r.dims) for r in hn_subquotients(w, hn)]
+    layers_t = [dict(r.dims) for r in hn_subquotients(wt, hn_t)]
     assert layers_t == layers[::-1]
     assert list(hn_t.slopes) == [-s for s in reversed(hn.slopes)]
 
@@ -1105,8 +1107,8 @@ def test_verdict_hn_type_and_end_dim_are_orbit_invariants(case, data):
     assert moved.act({v: m.inverse() for v, m in g.items()}) == w
     assert stability_verdict(moved, theta, CFG).kind == stability_verdict(w, theta, CFG).kind
     hn, hn_moved = hn_filtration(w, theta, CFG), hn_filtration(moved, theta, CFG)
-    layers = [dict(r.dims) for r in hn_subquotients(w, theta, hn)]
-    assert [dict(r.dims) for r in hn_subquotients(moved, theta, hn_moved)] == layers
+    layers = [dict(r.dims) for r in hn_subquotients(w, hn)]
+    assert [dict(r.dims) for r in hn_subquotients(moved, hn_moved)] == layers
     assert hn_moved.slopes == hn.slopes
     assert homs.end_dim(moved) == homs.end_dim(w)
 
@@ -1147,7 +1149,7 @@ def test_subquotients_match_the_solve_oracle(case, data):
     hn = hn_filtration(w, theta, CFG)
     assert all(step == step.canonical() for step in hn.steps)
     pairs = zip((zero,) + hn.steps[:-1], hn.steps)
-    assert hn_subquotients(w, theta, hn) == [reference_subquotient(w, *p)[0] for p in pairs]
+    assert hn_subquotients(w, hn) == [reference_subquotient(w, *p)[0] for p in pairs]
 
 
 def test_subquotients_of_bad_witnesses_raise_as_the_oracle_does():
@@ -1159,7 +1161,7 @@ def test_subquotients_of_bad_witnesses_raise_as_the_oracle_does():
     full, zero = stability.full_witness(w), stability._zero_witness(w)
     twice = SubrepWitness({"s": 2, "t": 1}, {"s": fmat(f3, [[1, 1]]), "t": fmat(f3, [[1]])})
     # a dependent upper basis with the pivot count of a basis: lower sticks out
-    plane = Representation.zero_maps(kronecker_quiver(2), f3, {"s": 2, "t": 0})
+    plane = zero_maps(kronecker_quiver(2), f3, {"s": 2, "t": 0})
     empty = Mat.zero(f3, 0, 0)
     line = SubrepWitness({"s": 1, "t": 0}, {"s": fmat(f3, [[0], [1]]), "t": empty})
     doubled = SubrepWitness({"s": 2, "t": 0}, {"s": fmat(f3, [[1, 1], [0, 0]]), "t": empty})
