@@ -18,11 +18,12 @@ from an image rather than scanned, subspace membership verdicts are shared
 by all points, and when the quiver has more than one arrow each arrow
 matrix keeps its image codes across points.
 
-Orbits are counted by union-find over generators of H_r, and each orbit's
-size is checked by orbit-stabilizer against |H_r| and e = dim End, computed
-once per orbit.  When the nonzero d_v are coprime, e = 1 with no
-elimination (homs._coprime_dims).  The orbit-stabilizer check runs on every
-orbit either way.  Within one census each generator acts once per distinct
+Orbits are counted by union-find over generators of H_r, built only for
+a slice that has stable points, and each orbit's size is checked by
+orbit-stabilizer against |H_r| and e = dim End, computed once per orbit.
+When the nonzero d_v are coprime, e = 1 with no elimination
+(homs._coprime_dims).  The orbit-stabilizer check runs on every orbit
+either way.  Within one census each generator acts once per distinct
 arrow matrix: every (generator, arrow) pair has a lazily filled memo
 M -> g_dst M g_src^-1, shared by arrows with the same ends.
 
@@ -238,9 +239,11 @@ def _slice_orbits(quiver, dims, field, k, keep=None):
 
     Each slice is scanned in product order and its kept points are joined
     along the generators of its stabilizer H_r; every generator image must
-    be a kept point of the same slice, or InvariantError.  Returns the
-    union-find and, per orbit, (minimum, size, root, |H_r|), sorted by
-    minimum, and the set of a0's normal forms J_r (empty without a0).
+    be a kept point of the same slice, or InvariantError.  A slice with no
+    kept points has nothing to join, so its generators are never built.
+    Returns the union-find and, per orbit, (minimum, size, root, |H_r|),
+    sorted by minimum, and the set of a0's normal forms J_r (empty without
+    a0).
     """
     slices = _slices(quiver, dims, field, k)
     a0 = None if k is None else quiver.arrows[k]
@@ -250,6 +253,8 @@ def _slice_orbits(quiver, dims, field, k, keep=None):
         # a dict, not a set: scan order fixes the union-find's roots
         points = _all_points(quiver, dims, field, fixed)
         kept = dict.fromkeys(points if keep is None else filter(keep, points))
+        if not kept:
+            continue
         for point in kept:
             uf.add(point)
         for gen in _generator_tables(quiver, dims, field, a0, r):

@@ -14,11 +14,11 @@ the stability engine's image codes, call the fields' row kernels
 and a tabled F_{p^n} with table lookups.
 
 This is the one polynomial module over finite fields.  `monic_irreducibles`
-lists every monic irreducible up to a degree by a sieve, for the similarity
-classes of the census.  The modulus of F_{p^n} is found instead by Rabin's
-irreducibility test (SIAM J. Comput. 9 (1980)), which needs polynomially
-many products in n and log p, where a sieve would list all p^n candidates:
-`ExtensionField(2, 40)` is a valid field.  `default_modulus` is the first
+lists every monic irreducible up to a degree by a linear sieve, for the
+similarity classes of the census.  The modulus of F_{p^n} is found instead
+by Rabin's irreducibility test (SIAM J. Comput. 9 (1980)), which needs
+polynomially many products in n and log p, where a sieve would list all
+p^n candidates: `ExtensionField(2, 40)` is a valid field.  `default_modulus` is the first
 irreducible in code order; it fixes every element code, so it must not
 change.
 """
@@ -142,27 +142,33 @@ def is_irreducible(coeffs, p):
 
 
 def monic_irreducibles(field, max_degree):
-    """All monic irreducible polynomials of degree <= max_degree (low first).
+    """All monic irreducible polynomials of degree <= max_degree (low first),
+    by degree and within a degree in product(elems) order.
 
-    A sieve: each degree marks every product p r, with p irreducible of
-    degree k <= deg/2 and r monic of degree deg - k, as reducible, and keeps
-    the unmarked candidates in product(elems) order.
+    A linear sieve (Gries and Misra, CACM 21 (1978)): each reducible is made
+    once, as p r, with p its least irreducible factor in output order and r
+    any monic whose least factor comes no earlier than p.  least[m] maps
+    each monic of degree m < max_degree to the output index of its least
+    factor; the top degree keeps only the reducibles it made.
     """
     out = []
     elems = list(field.elements())
     one = (field.one,)
+    least = [{}]
+    bounds = [(0, 0)]  # bounds[k]: the output slice of the degree-k irreducibles
     for deg in range(1, max_degree + 1):
-        reducible = set()
-        for p in out:
-            k = len(p) - 1
-            if 2 * k > deg:
-                break
-            for tail in product(elems, repeat=deg - k):
-                reducible.add(tuple(_poly_mul(p, tail + one, field)))
-        for tail in product(elems, repeat=deg):
-            coeffs = tail + one
-            if coeffs not in reducible:
-                out.append(coeffs)
+        made = {}
+        for k in range(1, deg // 2 + 1):
+            lo, hi = bounds[k]
+            for r, r_least in least[deg - k].items():
+                for i in range(lo, min(hi, r_least + 1)):
+                    made[tuple(_poly_mul(out[i], r, field))] = i
+        start = len(out)
+        out.extend(c for tail in product(elems, repeat=deg) if (c := tail + one) not in made)
+        if deg < max_degree:
+            made.update(zip(out[start:], range(start, len(out))))
+            least.append(made)
+            bounds.append((start, len(out)))
     return out
 
 

@@ -2,12 +2,12 @@
 solver as the reference for the integer-coordinate kernel, a brute-force
 stability reference, the one-loop certificate over Q and Q(i), the
 full-scan orbit census as the reference for the slice census,
-product-by-product references for finite-field tables and quaternion
-regular representations, the transpose on the opposite quiver, a
-subquotient built by one solve per arrow, and the library-side helpers only
-tests call: zero maps, subspace counts, quotients and restrictions,
-witnesses moved along a field extension, and one representative per orbit
-of a whole representation space."""
+product-by-product references for finite-field tables, the monic
+irreducibles and quaternion regular representations, the transpose on the
+opposite quiver, a subquotient built by one solve per arrow, and the
+library-side helpers only tests call: zero maps, subspace counts, quotients
+and restrictions, witnesses moved along a field extension, and one
+representative per orbit of a whole representation space."""
 
 import sys
 from fractions import Fraction
@@ -26,6 +26,7 @@ from quivermoduli import (
 )
 from quivermoduli import census, homs, stability
 from quivermoduli.errors import BudgetExceededError, InvariantError
+from quivermoduli.ffields import _poly_mul
 from quivermoduli.quiver import Arrow
 from quivermoduli.rings import QQ
 from quivermoduli.stability import (
@@ -350,7 +351,8 @@ def reference_orbit_census(quiver, dims, theta, field, config):
 
 
 # ---------------------------------------------------------------------------
-# product-by-product references for field tables and quaternion matrices
+# product-by-product references for field tables, monic irreducibles and
+# quaternion matrices
 
 
 def reference_field_tables(field):
@@ -367,6 +369,31 @@ def reference_field_tables(field):
     inv = [0] + [mul.index(1, x * s, (x + 1) * s) - x * s for x in range(1, s)]
     frob = [field._pow_code(x, field.p) for x in range(s)]
     return add, mul, neg, inv, frob
+
+
+def reference_monic_irreducibles(field, max_degree):
+    """All monic irreducible polynomials of degree <= max_degree (low first).
+
+    A sieve: each degree marks every product p r, with p irreducible of
+    degree k <= deg/2 and r monic of degree deg - k, as reducible, and keeps
+    the unmarked candidates in product(elems) order.
+    """
+    out = []
+    elems = list(field.elements())
+    one = (field.one,)
+    for deg in range(1, max_degree + 1):
+        reducible = set()
+        for p in out:
+            k = len(p) - 1
+            if 2 * k > deg:
+                break
+            for tail in product(elems, repeat=deg - k):
+                reducible.add(tuple(_poly_mul(p, tail + one, field)))
+        for tail in product(elems, repeat=deg):
+            coeffs = tail + one
+            if coeffs not in reducible:
+                out.append(coeffs)
+    return out
 
 
 def _cols_to_rows(cols):

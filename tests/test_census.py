@@ -341,6 +341,17 @@ def test_orbit_stabilizer_check_catches_lost_generator(monkeypatch):
         orbit_census(K2, {"s": 2, "t": 1}, THETA, GF(3), CFG)
 
 
+def test_generators_only_for_slices_with_kept_points(monkeypatch):
+    # A2 (2,2) has no stable point, so no slice asks for generators; on
+    # K2 (2,2) over F_4 only the rank-2 slice a1 = I holds stable points
+    calls = count_calls(monkeypatch, census.group_generators)
+    cen = orbit_census(a2_quiver(), {"s": 2, "t": 2}, THETA, GF(3), CFG)
+    assert calls == [] and cen.representatives == []
+    cen = orbit_census(K2, {"s": 2, "t": 2}, THETA, GF(4), CFG)
+    assert [args[-1] for args in calls] == [2]
+    assert cen.counts[STABLE_NOT_SCHUR] == 6
+
+
 def test_end_dim_runs_once_per_orbit(monkeypatch):
     real = census._end_dim_point
     calls = []

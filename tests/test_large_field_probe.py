@@ -1,5 +1,5 @@
-"""tools/large_field_probe.py runs one large-field verdict in its own
-process and prints one JSON line of its cost."""
+"""tools/large_field_probe.py runs one large-field verdict, or one descent
+census, in its own process and prints one JSON line of its cost."""
 
 import json
 import pathlib
@@ -20,6 +20,20 @@ def test_f101_probe_prints_its_verdict_and_costs():
     assert set(out) == {"mode", "verdict", "cpu_s", "max_rss_mb", "traced_peak_mb"}
     assert out["mode"] == "f101" and out["verdict"] == "stable"
     assert all(out[k] > 0 for k in ("cpu_s", "max_rss_mb", "traced_peak_mb"))
+
+
+def test_loop25_probe_reports_the_census_and_costs():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "large_field_probe.py"), "loop25"],
+        capture_output=True, text=True, cwd=ROOT, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    (line,) = done.stdout.splitlines()
+    out = json.loads(line)
+    assert set(out) == {"mode", "ok", "fixed_orbits", "base_count", "cpu_s", "max_rss_mb"}
+    assert out["mode"] == "loop25" and out["ok"] is True
+    assert out["fixed_orbits"] == out["base_count"] == 0
+    assert out["cpu_s"] > 0 and out["max_rss_mb"] > 0
 
 
 def test_probe_refuses_an_unknown_mode():

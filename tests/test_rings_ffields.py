@@ -1,16 +1,19 @@
 import hashlib
 import random
 import time
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from sympy import primerange
 
 from quivermoduli import GF, ExtensionField, PrimeField, NotInvertibleError
-from quivermoduli.ffields import _poly_mul, default_modulus, is_irreducible
+from quivermoduli.ffields import _poly_mul, default_modulus, is_irreducible, monic_irreducibles
+from quivermoduli.numtheory import isprime
 from quivermoduli.rings import QQ, QuadraticField, gaussian_rationals
 
-from helpers import reference_field_tables
+from helpers import reference_field_tables, reference_monic_irreducibles
 
 
 def check_field_axioms(field, elems):
@@ -131,6 +134,37 @@ def test_poly_mul_against_schoolbook():
             while want and want[-1] == field.zero:
                 want.pop()
             assert _poly_mul(a, b, field) == want, (field, a, b)
+
+
+def test_linear_sieve_matches_the_marking_sieve():
+    # the same list in the same order as the sieve that marks every product
+    # p r; over F_p also as the product-order filter by Rabin's test.  The
+    # grid runs over prime, tabled and untabled (F_{2^11}) fields.
+    grid = [(2, 6), (3, 4)] + [(q, 3) for q in (4, 5, 7, 8, 9)]
+    grid += [(q, 2) for q in (16, 25, 27, 49)] + [(2**11, 1)]
+    assert GF(2**11)._tables is None
+    for q, d in grid:
+        field = GF(q)
+        got = monic_irreducibles(field, d)
+        assert got == reference_monic_irreducibles(field, d), (q, d)
+        if isprime(q):
+            candidates = (t + (1,) for n in range(1, d + 1) for t in product(range(q), repeat=n))
+            assert got == [c for c in candidates if is_irreducible(c, q)], (q, d)
+
+
+def test_linear_sieve_peak_stays_within_the_marking_sieve():
+    # the top degree keeps only the reducibles it made, so the linear
+    # sieve's lower-degree table costs no peak memory
+    for q, d in ((25, 3), (211, 2)):
+        field = GF(q)
+        peaks = []
+        for sieve in (monic_irreducibles, reference_monic_irreducibles):
+            sieve(field, d)  # keeps a first call's one-off allocations out
+            tracemalloc.start()
+            sieve(field, d)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[0] <= peaks[1], (q, d, peaks)
 
 
 def test_multiplicative_generator():

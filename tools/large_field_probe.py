@@ -1,19 +1,26 @@
-"""Measure the exact verdict of one irreducible loop over a large prime field.
+"""Measure the exact verdict of one irreducible loop over a large prime
+field, or the descent census of the Jordan quiver over F_25.
 
     python3 tools/large_field_probe.py f29
     python3 tools/large_field_probe.py f101
+    python3 tools/large_field_probe.py loop25
 
 f29 is the Jordan-quiver loop over F_29 given by the companion matrix of
 x^4 + 3x^3 + 1, theta = 0, budget 10^6 closure checks; f101 is the loop over
 F_101 given by the companion matrix of x^3 + x + 1, budget 2 * 10303 (every
 proper subspace of F_101^3).  Neither matrix has an invariant proper
 subspace, so every closure check is made and the verdict is stable.
+loop25 runs verify_descent_census for the Jordan quiver, d = 3, theta = 0,
+over F_25/F_5: 16,275 similarity classes over F_25, listed from the monic
+irreducibles of degree <= 3.
 
 Prints one JSON line: the mode, the verdict kind, the process CPU seconds,
 the process's max RSS in MB, and for f101 the tracemalloc peak of the
 verdict call in MB (the field and the matrix are built before tracing
-starts).  Run it from the root of a checkout; it imports that checkout's
-`src/`.  Each run is one fresh process, so the RSS is its own.
+starts).  loop25 has no verdict; it prints the report's ok, fixed_orbits
+and base_count in its place.  Run it from the root of a checkout; it
+imports that checkout's `src/`.  Each run is one fresh process, so the RSS
+is its own.
 """
 
 import json
@@ -30,11 +37,19 @@ LOOPS = {
     "f29": (29, [[0, 0, 0, 28], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 26]], 10**6),
     "f101": (101, [[0, 0, 100], [1, 0, 100], [0, 1, 0]], 2 * 10303),
 }
+MODES = (*LOOPS, "loop25")
 
 
 def probe(mode):
-    from quivermoduli import GF, JobConfig, Mat, Representation, jordan_quiver, stability_verdict
+    from quivermoduli import (
+        GF, JobConfig, Mat, Representation, jordan_quiver, stability_verdict, verify_descent_census,
+    )
 
+    if mode == "loop25":
+        report = verify_descent_census(jordan_quiver(), {"v": 3}, {"v": 0}, 5, 2)
+        out = {"mode": mode, "ok": report.ok}
+        out["fixed_orbits"], out["base_count"] = report.fixed_orbit_count, report.base_count
+        return _costs(out)
     q, rows, budget = LOOPS[mode]
     field = GF(q)
     loop = Representation(
@@ -50,16 +65,22 @@ def probe(mode):
     if traced:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-    out["cpu_s"] = round(time.process_time(), 3)
-    out["max_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    _costs(out)
     if traced:
         out["traced_peak_mb"] = round(peak / 2**20, 2)
     return out
 
 
+def _costs(out):
+    """out with the process's CPU seconds and max RSS in MB added."""
+    out["cpu_s"] = round(time.process_time(), 3)
+    out["max_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    return out
+
+
 def main(argv):
-    if len(argv) != 1 or argv[0] not in LOOPS:
-        print(f"usage: large_field_probe.py {{{','.join(LOOPS)}}}", file=sys.stderr)
+    if len(argv) != 1 or argv[0] not in MODES:
+        print(f"usage: large_field_probe.py {{{','.join(MODES)}}}", file=sys.stderr)
         return 2
     sys.path.insert(0, os.path.join(ROOT, "src"))
     print(json.dumps(probe(argv[0])))
