@@ -19,7 +19,11 @@ by all points, and when the quiver has more than one arrow each arrow
 matrix keeps its image codes across points.
 
 Orbits are counted by union-find over generators of H_r, built only for
-a slice that has stable points, and each orbit's size is checked by
+a slice that has stable points.  Each slice's stable points are numbered
+once, in scan order, and the union-find runs on the numbers, so no point
+tuple is hashed again after its image is looked up.  A generator that is
+one scalar at every vertex fixes every point (lambda M lambda^-1 = M) and
+is not applied.  Each orbit's size is checked by
 orbit-stabilizer against |H_r| and e = dim End, computed once per orbit.
 When the nonzero d_v are coprime, e = 1 with no elimination
 (homs._coprime_dims).  The orbit-stabilizer check runs on every orbit
@@ -119,12 +123,11 @@ def _all_points(quiver, dims, field, fixed=None):
 
 
 class _UnionFind:
-    def __init__(self):
-        self.parent = {}
+    """Union-find over parent, a list over the indices 0..n-1 or a dict
+    over hashable points; each root is its own parent."""
 
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
+    def __init__(self, parent):
+        self.parent = parent
 
     def find(self, x):
         p = self.parent
@@ -233,43 +236,58 @@ def _checked_slice_arrow(quiver, dims, q, config):
     return k
 
 
+def _fixes_every_point(g, field):
+    """Whether g is one scalar lambda I at every vertex of nonzero
+    dimension: then g_dst M g_src^-1 = lambda M lambda^-1 = M on every
+    arrow, so g joins nothing and keeps every point where it is."""
+    mats = [m for m in g.values() if m.nrows]
+    return all(m == Mat.scalar(field, m.nrows, mats[0].rows[0][0]) for m in mats)
+
+
 def _slice_orbits(quiver, dims, field, k, keep=None):
     """Union-find over the points of arrow k's slices that keep accepts
     (all when None).
 
-    Each slice is scanned in product order and its kept points are joined
-    along the generators of its stabilizer H_r; every generator image must
-    be a kept point of the same slice, or InvariantError.  A slice with no
+    Each slice is scanned in product order and its kept points are numbered
+    in that order; union-find runs on the numbers, joining each point's
+    root under its image's root along the generators of the stabilizer
+    H_r.  Every generator image must be a kept point of the same slice, or
+    InvariantError.  A generator that is one scalar at every vertex fixes
+    every point (on the rank-1 slice of a 1 x 1 slice arrow between two
+    vertices H_1 is the scalars), so it is not applied.  A slice with no
     kept points has nothing to join, so its generators are never built.
-    Returns the union-find and, per orbit, (minimum, size, root, |H_r|),
-    sorted by minimum, and the set of a0's normal forms J_r (empty without
-    a0).
+    Returns a union-find whose parent maps every kept point to its orbit's
+    root point, per orbit (minimum, size, root, |H_r|) sorted by minimum,
+    and the set of a0's normal forms J_r (empty without a0).
     """
     slices = _slices(quiver, dims, field, k)
     a0 = None if k is None else quiver.arrows[k]
-    uf = _UnionFind()
+    parent = {}
     orbits = []
     for fixed, order, r in slices:
-        # a dict, not a set: scan order fixes the union-find's roots
         points = _all_points(quiver, dims, field, fixed)
-        kept = dict.fromkeys(points if keep is None else filter(keep, points))
+        kept = list(points if keep is None else filter(keep, points))
         if not kept:
             continue
-        for point in kept:
-            uf.add(point)
+        index = {point: i for i, point in enumerate(kept)}
+        uf = _UnionFind(list(range(len(kept))))
         for gen in _generator_tables(quiver, dims, field, a0, r):
-            for point in kept:
-                image = _apply_generator(point, gen, quiver, field)
-                if image not in kept:
+            if _fixes_every_point(gen[0], field):
+                continue
+            for i, point in enumerate(kept):
+                j = index.get(_apply_generator(point, gen, quiver, field))
+                if j is None:
                     raise InvariantError(f"a generator of H_{r} maps {point} out of the kept points")
-                uf.union(point, image)
+                uf.union(i, j)
         members = {}
-        for point in kept:
-            members.setdefault(uf.find(point), []).append(point)
-        orbits += [(min(ps), len(ps), root, order) for root, ps in members.items()]
+        for i, point in enumerate(kept):
+            members.setdefault(uf.find(i), []).append(point)
+        for root, ps in members.items():
+            parent.update(dict.fromkeys(ps, kept[root]))
+            orbits.append((min(ps), len(ps), kept[root], order))
     orbits.sort()
     forms = frozenset(fixed[k] for fixed, _, _ in slices if k is not None)
-    return uf, orbits, forms
+    return _UnionFind(parent), orbits, forms
 
 
 def _to_slice(point, quiver, dims, field, k):

@@ -184,8 +184,9 @@ def _average(u_from, u_to, pair, config, label):
     """
     ext = pair.ext
     inv_from = None if u_from is None else {v: m.inverse() for v, m in u_from.items()}
-    rng = config.rng(label)
     for attempt in range(config.h90_retries):
+        if attempt == 1:
+            rng = config.rng(label)  # made only once the identity fails
         h, h_inv = {}, {}
         for v, target in u_to.items():
             n = target.nrows

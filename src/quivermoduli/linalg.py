@@ -116,12 +116,14 @@ class Mat:
         )
 
     def map(self, fn, ring=None):
-        """Entrywise image, optionally landing in another ring."""
-        return Mat(
-            ring if ring is not None else self.ring,
-            tuple(tuple(fn(x) for x in row) for row in self.rows),
-            self.shape,
-        )
+        """Entrywise image, optionally landing in another ring; only an
+        image over Q or Q(sqrt(m)) goes through __init__, for its
+        coordinates."""
+        ring = self.ring if ring is None else ring
+        rows = tuple(tuple(map(fn, row)) for row in self.rows)
+        if isinstance(ring, _COORD_RINGS):
+            return Mat(ring, rows, self.shape)
+        return Mat._of(ring, rows, self.shape)
 
     def __eq__(self, other):
         return (
@@ -148,7 +150,7 @@ class Mat:
         if isinstance(self, _CoordMat):
             return _add_coords(self, other)
         add = self.ring.add
-        return Mat(
+        return Mat._of(
             self.ring,
             tuple(
                 tuple(add(a, b) for a, b in zip(r1, r2))
@@ -170,7 +172,7 @@ class Mat:
 
     def scale(self, c):
         mul = self.ring.mul
-        return Mat(self.ring, tuple(tuple(mul(c, a) for a in r) for r in self.rows), self.shape)
+        return Mat._of(self.ring, tuple(tuple(mul(c, a) for a in r) for r in self.rows), self.shape)
 
     def hstack(self, other):
         if self.nrows != other.nrows:

@@ -324,9 +324,7 @@ def reference_orbit_census(quiver, dims, theta, field, config):
     stable = dict.fromkeys(
         p for p in census._all_points(quiver, dims, field) if verdict(p)[0] == STABLE
     )
-    uf = census._UnionFind()
-    for point in stable:
-        uf.add(point)
+    uf = census._UnionFind({point: point for point in stable})
     for gen in census._generator_tables(quiver, dims, field):
         for point in stable:
             image = census._apply_generator(point, gen, quiver, field)

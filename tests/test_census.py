@@ -141,11 +141,40 @@ def test_union_find_and_canonical_counts_agree():
         assert len(cen.representatives) == len(cen.orbit_category)
 
 
+def _slice_orbit_sets(quiver, dims, theta, field, k):
+    """Each slice's stable orbits under every generator of its H_r, by a
+    breadth-first search that shares no code with the union-find."""
+    _, verdict = _verdicts(quiver, dims, theta, field, CFG)
+    a0 = None if k is None else quiver.arrows[k]
+    orbits = []
+    for fixed, _, r in census._slices(quiver, dims, field, k):
+        stable = [p for p in census._all_points(quiver, dims, field, fixed) if verdict(p)[0] == STABLE]
+        gens = _generator_tables(quiver, dims, field, a0, r) if stable else []
+        seen = set()
+        for start in stable:
+            if start in seen:
+                continue
+            orbit, frontier = {start}, [start]
+            while frontier:
+                point = frontier.pop()
+                for gen in gens:
+                    image = _apply_generator(point, gen, quiver, field)
+                    if image not in orbit:
+                        orbit.add(image)
+                        frontier.append(image)
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
 def test_slice_census_matches_full_scan():
     # K2, K3 and A2 at every d <= (2,2) but (0,0), three thetas, F_2, F_3
     # and F_4, against the full-scan reference in tests/helpers.py; cells
     # whose whole space exceeds the reference's budget are skipped on both
-    # sides (K3 (2,2) over F_3 and F_4)
+    # sides (K3 (2,2) over F_3 and F_4).  The indexed union-find holds
+    # every stable slice point, each sent straight to the root of its
+    # orbit, one root per orbit, and each orbit's minimum is a
+    # representative.
     ref_cfg = JobConfig(max_orbit_points=70_000)
     checked = 0
     for quiver in (K2, kronecker_quiver(3), a2_quiver()):
@@ -163,6 +192,13 @@ def test_slice_census_matches_full_scan():
                 cen = orbit_census(quiver, dims, theta, GF(q), CFG)
                 cats = sorted(cen.orbit_category[cen.uf.find(r)] for r in cen.representatives)
                 assert (cen.counts, len(cen.representatives), cats) == want, (quiver, dims, theta, q)
+                orbits = _slice_orbit_sets(quiver, dims, theta, GF(q), cen.slice_arrow)
+                assert len(cen.uf.parent) == sum(map(len, orbits))
+                assert sorted(map(min, orbits)) == cen.representatives
+                roots = [cen.uf.find(min(orbit)) for orbit in orbits]
+                assert len(set(roots)) == len(orbits)
+                for orbit, root in zip(orbits, roots):
+                    assert all(cen.uf.parent[p] == root for p in orbit)
                 checked += 1
     assert checked == 3 * 8 * 3 * 3 - 2 * 3
 
@@ -350,6 +386,17 @@ def test_generators_only_for_slices_with_kept_points(monkeypatch):
     cen = orbit_census(K2, {"s": 2, "t": 2}, THETA, GF(4), CFG)
     assert [args[-1] for args in calls] == [2]
     assert cen.counts[STABLE_NOT_SCHUR] == 6
+
+
+def test_scalar_generators_are_not_applied(monkeypatch):
+    # K3 (1,1) over F_5: the rank-1 slice of the 1 x 1 slice arrow has
+    # H_1 = the scalars, which fix every point, so only H_0 = G_d's two
+    # generators act on the 24 stable points of the rank-0 slice (73
+    # applications with the scalar's 25)
+    calls = count_calls(monkeypatch, census._apply_generator)
+    cen = orbit_census(kronecker_quiver(3), {"s": 1, "t": 1}, THETA, GF(5), CFG)
+    assert len(calls) == 48
+    assert cen.counts == {GEOM_STABLE: 31, STABLE_NOT_SCHUR: 0}
 
 
 def test_end_dim_runs_once_per_orbit(monkeypatch):

@@ -17,6 +17,7 @@ from quivermoduli import (
     solve_modifying_u,
     twist,
     type_map,
+    verify_descent_census,
 )
 from quivermoduli.config import JobConfig
 from quivermoduli.descent import (
@@ -466,3 +467,40 @@ def test_descent_answers_match_golden_file():
     # printed payload would show here
     fixtures = pathlib.Path(__file__).parent / "fixtures"
     assert _descent_answers() == (fixtures / "qi_descent.golden.json").read_text()
+
+
+def _counted_rng(monkeypatch):
+    """Record the label of each JobConfig.rng call."""
+    real, labels = JobConfig.rng, []
+
+    def counted(self, label):
+        labels.append(label)
+        return real(self, label)
+
+    monkeypatch.setattr(JobConfig, "rng", counted)
+    return labels
+
+
+def test_identity_resolvent_makes_no_generator(monkeypatch):
+    # over F_49/F_7 every average of K2 (1,1) succeeds on the identity
+    # resolvent, so no seeded generator is made
+    labels = _counted_rng(monkeypatch)
+    report = verify_descent_census(kronecker_quiver(2), {"s": 1, "t": 1}, THETA, 7, 2, CFG)
+    assert report.ok and report.fixed_orbit_count > 0
+    assert labels == []
+
+
+def test_random_resolvent_is_seeded_once_per_average(monkeypatch):
+    # the identity cocycle over F_4/F_2 averages the identity to I + I = 0,
+    # so the split retries on drawn resolvents: one generator per call, and
+    # the same seed and label draw the same split
+    labels = _counted_rng(monkeypatch)
+    pair = GaloisPair.finite(2, 2)
+    u = {"s": Mat.identity(pair.ext, 2), "t": Mat.identity(pair.ext, 1)}
+    first = hilbert90_split(u, pair, CFG)
+    assert labels == ["hilbert90"]
+    second = hilbert90_split(u, pair, CFG)
+    assert labels == ["hilbert90"] * 2
+    assert first == second
+    g, g_inv = first
+    assert all(g[v] @ pair.sigma_mat(g_inv[v]) == u[v] for v in u)

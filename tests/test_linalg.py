@@ -682,3 +682,38 @@ def test_reduce_mod_prime_matches_per_entry(ring, data):
         want = _reference_reduction(rep, p)
         got = reduce_mod_prime(rep, p)
         assert (None if got is None else {k: m.rows for k, m in got.mats.items()}) == want
+
+
+def test_entrywise_results_skip_the_constructor(monkeypatch):
+    # map, scale and + know their shape from the operand, so over F_4 and
+    # (-1,-1)_Q they build their results with no second copy and check;
+    # a map into Q still goes through __init__ for its integer coordinates
+    H, F4 = hamilton_quaternions(), GF(4)
+    quat = lambda *xs: tuple(map(Fraction, xs))
+    cases = (
+        (Mat(F4, [[1, 2, 3], [0, 3, 1]]), F4.frobenius, 2),
+        (Mat(H, [[quat(1, 2, 0, 0), quat(0, 0, 1, -1)]]), H.neg, quat(0, 1, 1, 0)),
+    )
+    real_init = Mat.__init__
+    inits = []
+
+    def counted_init(self, *args, **kwargs):
+        inits.append(args)
+        real_init(self, *args, **kwargs)
+
+    for a, fn, c in cases:
+        ring = a.ring
+        monkeypatch.setattr(Mat, "__init__", counted_init)
+        got = (a.map(fn), a.scale(c), a + a)
+        monkeypatch.setattr(Mat, "__init__", real_init)
+        assert inits == []
+        want = (
+            [[fn(x) for x in row] for row in a.rows],
+            [[ring.mul(c, x) for x in row] for row in a.rows],
+            [[ring.add(x, x) for x in row] for row in a.rows],
+        )
+        for mat, rows in zip(got, want):
+            assert type(mat) is Mat and mat == Mat(ring, rows, a.shape)
+    rows = [[1, 2], [3, 4]]
+    moved = Mat(GF(5), rows).map(Fraction, QQ)
+    assert isinstance(moved, linalg._CoordMat) and moved == Mat(QQ, rows)
