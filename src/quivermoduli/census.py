@@ -11,12 +11,14 @@ slice, the whole space, with H = G_d.
 
 The scan works on integer-encoded matrices with the field's operations
 bound to locals.  Stability is decided by stability._verdicts, the one
-verdict driver, whose closure engine is built once per census: each slope
-group's walk (the index tuples of every vertex but the last, and the last
-vertex's range) is listed once, a line at the last vertex is looked up
-from an image rather than scanned, subspace membership verdicts are shared
-by all points, and when the quiver has more than one arrow each arrow
-matrix keeps its image codes across points.
+verdict driver, whose closure engine is built once per census.  Each slice
+settles a0 once: its verdict (_Verdicts.on_slice) walks each slope group's
+combos narrowed to those closed under J_r, prefix by prefix on first use,
+so a slice point tests only its free arrows; a slice of one point reads
+the whole walk.  A line at the last vertex is
+looked up from an image rather than scanned, subspace membership verdicts
+are shared by all points, and when the quiver has more than one arrow
+each arrow matrix keeps its image codes across points.
 
 Orbits are counted by union-find over generators of H_r, built only for
 a slice that has stable points.  Each slice's stable points are numbered
@@ -244,9 +246,10 @@ def _fixes_every_point(g, field):
     return all(m == Mat.scalar(field, m.nrows, mats[0].rows[0][0]) for m in mats)
 
 
-def _slice_orbits(quiver, dims, field, k, keep=None):
-    """Union-find over the points of arrow k's slices that keep accepts
-    (all when None).
+def _slice_orbits(quiver, dims, field, k, on_slice=None):
+    """Union-find over the points of arrow k's slices that are stable by
+    on_slice(fixed), the verdict of the slice with those fixed matrices
+    (every point when on_slice is None).
 
     Each slice is scanned in product order and its kept points are numbered
     in that order; union-find runs on the numbers, joining each point's
@@ -266,7 +269,11 @@ def _slice_orbits(quiver, dims, field, k, keep=None):
     orbits = []
     for fixed, order, r in slices:
         points = _all_points(quiver, dims, field, fixed)
-        kept = list(points if keep is None else filter(keep, points))
+        if on_slice is None:
+            kept = list(points)
+        else:
+            verdict = on_slice(fixed)
+            kept = [point for point in points if verdict(point)[1] is None]
         if not kept:
             continue
         index = {point: i for i, point in enumerate(kept)}
@@ -371,10 +378,8 @@ def orbit_census(quiver, dims, theta, field, config):
     arrow the one slice is the whole space and H = G_d.
     """
     k = _checked_slice_arrow(quiver, dims, field.size, config)
-    _, verdict = _verdicts(quiver, dims, theta, field, config)
-    uf, orbits, forms = _slice_orbits(
-        quiver, dims, field, k, keep=lambda p: verdict(p)[1] is None
-    )
+    _, verdicts = _verdicts(quiver, dims, theta, field, config)
+    uf, orbits, forms = _slice_orbits(quiver, dims, field, k, verdicts.on_slice)
     q = field.size
     counts = {GEOM_STABLE: 0, STABLE_NOT_SCHUR: 0}
     orbit_category = {}

@@ -16,9 +16,10 @@ and a tabled F_{p^n} with table lookups.
 This is the one polynomial module over finite fields.  `monic_irreducibles`
 lists every monic irreducible up to a degree by a linear sieve, for the
 similarity classes of the census.  The modulus of F_{p^n} is found instead
-by Rabin's irreducibility test (SIAM J. Comput. 9 (1980)), which needs
-polynomially many products in n and log p, where a sieve would list all
-p^n candidates: `ExtensionField(2, 40)` is a valid field.  `default_modulus` is the first
+by Ben-Or's irreducibility test (FOCS 1981), which needs polynomially many
+products in n and log p, where a sieve would list all p^n candidates, and
+refuses most reducible candidates after a few products:
+`ExtensionField(2, 40)` is a valid field.  `default_modulus` is the first
 irreducible in code order; it fixes every element code, so it must not
 change.
 """
@@ -124,19 +125,19 @@ def _minus_x(c, p):
 
 
 def is_irreducible(coeffs, p):
-    """Irreducibility over F_p of a monic polynomial given low-first (Rabin)."""
+    """Irreducibility over F_p of a monic polynomial given low-first
+    (Ben-Or, FOCS 1981): f of degree n is irreducible iff
+    gcd(f, x^(p^i) - x) = 1 for every i <= n/2, x^(p^i) mod f being the
+    p-th power of x^(p^(i-1)).  The first i with a nontrivial gcd ends the
+    test, so a polynomial with a factor of low degree costs few products."""
     n = len(coeffs) - 1
     if n < 1 or coeffs[-1] != 1:
         return False
-    if n == 1:
-        return True
-    # x^(p^n) = x mod f, and gcd(x^(p^(n/l)) - x, f) = 1 for prime l | n
     mod = list(coeffs)
-    if _minus_x(_poly_powmod([0, 1], p**n, mod, p), p):
-        return False
-    for ell in factorint(n):
-        diff = _minus_x(_poly_powmod([0, 1], p ** (n // ell), mod, p), p)
-        if len(_poly_gcd(mod, diff, p)) > 1:
+    power = [0, 1]  # x^(p^i) mod f
+    for _ in range(n // 2):
+        power = _poly_powmod(power, p, mod, p)
+        if len(_poly_gcd(mod, _minus_x(power, p), p)) > 1:
             return False
     return True
 
@@ -315,12 +316,13 @@ class ExtensionField(_FiniteField):
         self.n = n
         self.base = PrimeField(p)
         if modulus is None:
-            modulus = default_modulus(p, n)
-        modulus = [c % p for c in modulus]
-        if len(modulus) != n + 1 or modulus[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {n}")
-        if not is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+            modulus = default_modulus(p, n)  # irreducible by construction
+        else:
+            modulus = [c % p for c in modulus]
+            if len(modulus) != n + 1 or modulus[-1] != 1:
+                raise ValueError(f"modulus must be monic of degree {n}")
+            if not is_irreducible(modulus, p):
+                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = tuple(modulus)
         self.size = p**n
         self.zero = 0

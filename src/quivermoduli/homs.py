@@ -161,8 +161,13 @@ def hom_dim(w, wp):
 
 
 def end_dim(w):
-    """Dimension of End(w) over the coefficient field (over Q for quaternions)."""
-    return hom_dim(w, w)
+    """Dimension of End(w) over the coefficient field (over Q for
+    quaternions), kept in w.certificates under ("end_dim",); End has no
+    budget, so the key names none."""
+    memo, key = w.certificates, ("end_dim",)
+    if key not in memo:
+        memo[key] = hom_dim(w, w)
+    return memo[key]
 
 
 def _coprime_dims(dims):

@@ -82,10 +82,10 @@ class Representation:
     construction, so every answer computed from a rep stays true of it.
     certificates is the rep's own memo of its stability answers, a dict
     made empty at construction: exact verdicts over F_q by
-    stability.stability_verdict, read again by is_semistable and scss, and
+    stability.stability_verdict, read again by is_semistable and scss,
     geometric-stability certificates over Q and Q(sqrt(m)) by
-    stability.geom_stability_certificate.  Equal reps built separately share
-    nothing.
+    stability.geom_stability_certificate, and dim End by homs.end_dim.
+    Equal reps built separately share nothing.
     """
 
     __slots__ = ("quiver", "ring", "dims", "mats", "certificates")

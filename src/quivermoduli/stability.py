@@ -20,23 +20,27 @@ becomes Mat bases.
 Every finite-field answer, here and in the censuses, comes from one closure
 engine, entered through _search: it refuses an infinite field, checks the
 subspace budget before any listing, and returns each slope group with its
-walk, the index tuples of every vertex but the last and the last vertex's
-range.  The engine lists subspaces as reduced-echelon bases, one rank at a
-time on first use, so witnesses are deduplicated by construction.  M U_t
-lies inside U_h when each M u, u in a basis of U_t, is the combination of
-U_h's echelon rows its pivot entries give; vectors are keyed by their
-integer code sum v_i q^i, and every image code and membership verdict is
-memoized on first use, so the work and memory grow with the closure checks
-made, never with q^dim.  Each subspace is held once, as the row tuple of
-its listing: a membership miss derives its pivots and columns from it.
-A line at the last vertex is looked up from the code of a nonzero image
-M u, the one line that can hold it, rather than scanned for.  The search
-stops at the first closed subspace tuple, from which _verdicts, the one
-verdict driver, reads every verdict here and in the censuses.  The
-subspaces of F_q^d and their memos live on the field object, shared by
-every engine over it; an engine, built per call (or once per census), keeps
-one point's image codes, and witnesses become Mat column bases on the way
-out.
+walk, (prefix, candidates) pairs in product order: the index tuple of every
+vertex but the last, and the last vertex's indices to try with it, its
+whole range.  A census slice, whose arrow a0 is fixed at J_r, narrows each
+walk to the combos closed under J_r, prefix by prefix on first use, so its
+points test only their free arrows (_Verdicts.on_slice); the one loop,
+_Engine.closed, walks both.  The engine lists subspaces as reduced-echelon
+bases, one rank at a time on first use, so witnesses are deduplicated by
+construction.  M U_t lies inside U_h when each M u, u in a basis of U_t, is
+the combination of U_h's echelon rows its pivot entries give; vectors are
+keyed by their integer code sum v_i q^i, and every image code and
+membership verdict is memoized on first use, so the work and memory grow
+with the closure checks made, never with q^dim.  Each subspace is held
+once, as the row tuple of its listing: a membership miss derives its pivots
+and columns from it.  A line at the last vertex is looked up from the code
+of a nonzero image M u, the one line that can hold it, rather than scanned
+for.  The search stops at the first closed subspace tuple, from which
+_verdicts, the one verdict driver, reads every verdict here and in the
+censuses.  The subspaces of F_q^d and their memos live on the field object,
+shared by every engine over it; an engine, built per call (or once per
+census), keeps one point's image codes, and witnesses become Mat column
+bases on the way out.
 
 Over F_q a rep is geometrically stable iff it is stable and End W = k
 (King, Quart. J. Math. 45 (1994)), which geom_stability decides exactly.
@@ -56,7 +60,7 @@ import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations, groupby, product
+from itertools import accumulate, combinations, groupby, product, tee
 from math import gcd
 from operator import itemgetter, mul
 from typing import Dict, Optional, Tuple
@@ -284,7 +288,7 @@ class _Images(dict):
     def __missing__(self, t_idx):
         codes = self.codes
         img = []
-        for u in self.tails.rows(t_idx):
+        for u in self.tails[t_idx].rows:
             code = codes.get(u)
             if code is None:
                 code = codes[u] = _image_code(self.field, self.mat, u)
@@ -318,6 +322,22 @@ def _encode_rep(rep):
     return tuple(rep.mats[a.name].rows for a in rep.quiver.arrows)
 
 
+class _Narrowed:
+    """A slope group's walk narrowed by _Engine.narrow, prefix by prefix on
+    first use: each pass replays the pairs narrowed so far and narrows
+    further only when it reads past them."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs):
+        # a tee iterator that is never advanced keeps every pair read through
+        # its copies, and each copy starts at the first
+        (self.pairs,) = tee(pairs, 1)
+
+    def __iter__(self):
+        return self.pairs.__copy__()
+
+
 class _Engine:
     """Closure engine for one (quiver, dims) over a finite field.
 
@@ -342,51 +362,67 @@ class _Engine:
             for a in quiver.arrows
         ]
         self.last = len(self.verts) - 1
-        # arrows from an earlier vertex into the last: an image pins a line
-        self.pins = [i for i, (_, _, t, h) in enumerate(self.arrows) if h == self.last != t]
 
     def walk(self, e):
-        """The combos with dimension vector e: the index tuples of every
-        vertex but the last, in product order, the last vertex's range, and
-        whether an arrow can pin a line there."""
+        """The combos with dimension vector e as (prefix, candidates) pairs
+        in product order: each index tuple of every vertex but the last,
+        with the whole range of the last."""
         ranges = [sp.indices(e[v]) for v, sp in zip(self.verts, self.spaces)]
-        line = e[self.verts[-1]] == 1 and bool(self.pins)
-        return list(product(*ranges[:-1])), ranges[-1], line
+        return [(prefix, ranges[-1]) for prefix in product(*ranges[:-1])]
 
-    def tests(self, point, memo=None):
-        """Closure tests (images, heads, t, h), one per arrow matrix of an
-        encoded point.  With memo (one dict per arrow), a matrix met before
+    def narrow(self, tests, e, walk):
+        """The pairs of a walk narrowed, prefix by prefix, to the candidates
+        that pass tests (through closed); a prefix that keeps none is left
+        out, and product order is kept."""
+        for pair in walk:
+            kept = tuple(combo[-1] for _, _, combo in self.closed(tests, [(None, e, [pair])]))
+            if kept:
+                yield pair[0], kept
+
+    def test(self, i, mat):
+        """The closure test (images, heads, t, h) of arrow i's matrix rows."""
+        tails, heads, t, h = self.arrows[i]
+        return _closed_pairs(mat, tails), heads, t, h
+
+    def tests(self, point, memo=None, settled=None):
+        """Closure tests, one per arrow matrix of an encoded point but arrow
+        settled's.  With memo (one dict per arrow), a matrix met before
         reuses its test and a new one is kept for the points that follow."""
         out = []
         for i, mat in enumerate(point):
+            if i == settled:
+                continue
             test = memo[i].get(mat) if memo else None
             if test is None:
-                tails, heads, t, h = self.arrows[i]
-                test = (_closed_pairs(mat, tails), heads, t, h)
+                test = self.test(i, mat)
                 if memo:
                     memo[i][mat] = test
             out.append(test)
         return out
 
     def closed(self, tests, groups):
-        """(s, e, combo) for each closed combo in [(s, e, walk)], in product
-        order.
+        """(s, e, combo) for each combo in [(s, e, walk)] that passes every
+        test, in product order.
 
         M U_t lies inside U_h iff the code of every M u, u in U_t's basis,
         is in the span of U_h.  A line at the last vertex holding a nonzero
-        image can only be its span, so that line is the one candidate.
+        image of a tested arrow can only be its span, so that line is the one
+        candidate, if the walk offers it.
         """
-        last, pins = self.last, self.pins
+        last, lastv = self.last, self.verts[-1]
         lines = self.spaces[last].lines
-        for s, e, (prefixes, everything, line) in groups:
-            for prefix in prefixes:
-                candidates = everything
+        pins = None  # the tested arrows into the last vertex, listed once needed
+        for s, e, walk in groups:
+            line = e[lastv] == 1
+            if line and pins is None:
+                pins = [(images, t) for images, _, t, h in tests if h == last != t]
+            for prefix, candidates in walk:
                 if line:
-                    for i in pins:
-                        images, _, t, _ = tests[i]
+                    for images, t in pins:
                         for code in images[prefix[t]]:
                             if code:
-                                candidates = (lines[code],)
+                                c = lines[code]
+                                candidates = (c,) if c in candidates else ()
                                 break
                         else:
                             continue
@@ -518,11 +554,59 @@ def enumerate_subreps(rep, config):
 # verdicts
 
 
+class _Verdicts:
+    """verdict(point) for an encoded point: (kind, hit), hit the first
+    closed (s, e, combo) in the slope groups, or (STABLE, None) when there
+    is none.
+
+    on_slice({k: form}) is the same verdict for the points whose arrow k
+    matrix is form: each group's walk is narrowed to the combos closed
+    under form (_Narrowed), so a point tests only its other arrows.  A
+    combo is closed exactly when it is closed under form and under every
+    other arrow, and product order is kept, so each hit is verdict's.
+    """
+
+    def __init__(self, eng, groups, mu, memo):
+        self.eng, self.groups, self.memo = eng, groups, memo
+        # the groups fall in slope, so only the last can be at mu, and a hit
+        # carries its group's slope object
+        self.at_mu = groups[-1][0] if groups and groups[-1][0] == mu else None
+        self.whole = self._verdict(groups, None)
+
+    def __call__(self, point):
+        return self.whole(point)
+
+    def _verdict(self, walks, settled):
+        eng, memo, at_mu = self.eng, self.memo, self.at_mu
+
+        def verdict(point):
+            hit = next(eng.closed(eng.tests(point, memo, settled), walks), None)
+            if hit is None:
+                return STABLE, None
+            return (STRICTLY_SEMISTABLE if hit[0] is at_mu else UNSTABLE), hit
+
+        return verdict
+
+    def on_slice(self, fixed):
+        """verdict for the points whose arrow matrices fixed gives, {k: form}
+        or {} for the whole space.  A slice whose other arrows have no
+        entries is one point, which no other point would share a narrowing
+        with, so it reads the whole walk."""
+        if not fixed:
+            return self.whole
+        ((k, form),) = fixed.items()
+        eng = self.eng
+        if not any(t.dim * h.dim for i, (t, h, _, _) in enumerate(eng.arrows) if i != k):
+            return self.whole
+        settled = [eng.test(k, form)]
+        walks = [(s, e, _Narrowed(eng.narrow(settled, e, walk))) for s, e, walk in self.groups]
+        return self._verdict(walks, k)
+
+
 def _verdicts(quiver, dims, theta, field, config, strict=False):
-    """The engine for (quiver, dims) over a finite field, and verdict(point)
-    for an encoded point: (kind, hit), hit the first closed (s, e, combo) in
-    the slope groups at or above mu (strictly above when strict), or
-    (STABLE, None) when there is none.
+    """The engine for (quiver, dims) over a finite field, and its
+    _Verdicts over the slope groups at or above mu (strictly above when
+    strict).
 
     With several arrows, whose matrices repeat across a census's points,
     each arrow keeps a memo from matrix rows to that matrix's closure test;
@@ -532,14 +616,7 @@ def _verdicts(quiver, dims, theta, field, config, strict=False):
     groups = _slope_groups(dims, theta, mu, strict)
     eng, groups = _search(quiver, dims, field, groups, config)
     memo = [{} for _ in quiver.arrows] if len(quiver.arrows) > 1 else None
-
-    def verdict(point):
-        hit = next(eng.closed(eng.tests(point, memo), groups), None)
-        if hit is None:
-            return STABLE, None
-        return (UNSTABLE if hit[0] > mu else STRICTLY_SEMISTABLE), hit
-
-    return eng, verdict
+    return eng, _Verdicts(eng, groups, mu, memo)
 
 
 def _verdict_key(theta, config):
@@ -897,12 +974,17 @@ def _fixed_seeds(rep):
     return seeds
 
 
-def _exact_destabilizer_candidates(rep, seeds):
-    """The proper nonzero forward closures of the seeds, in seed order and
-    without repeats."""
+def _exact_destabilizer_candidates(rep, seeds, seen):
+    """The proper nonzero forward closures of the seeds, in seed order,
+    leaving out each seed and each closure that seen already holds and
+    adding them to it.  One seen per certificate: a later prime closes no
+    seed and offers no candidate that an earlier prime handled."""
     out = []
-    seen = set()
     for seed in seeds:
+        key = ("seed", *sorted(seed.items()))
+        if key in seen:
+            continue
+        seen.add(key)
         cand = _forward_closure(rep, seed)
         key = tuple(sorted(cand.bases.items()))
         if key in seen:
@@ -977,12 +1059,15 @@ def _certificate(rep, theta, config):
         tried.append((p, verdict.kind))
         hunts.append((p, red.ring, verdict.witness))
     best_exact = None
+    # a candidate met again at a later prime has already returned Unstable
+    # or set best_exact, so each seed and candidate is handled once
+    seen = set()
     for i, (p, fp, witness) in enumerate(hunts):
         seeds = _lifted_seeds(rep, witness, fp)
         if i == 0:
             # later primes would close these again and could add nothing
             seeds += _fixed_seeds(rep)
-        for cand in _exact_destabilizer_candidates(rep, seeds):
+        for cand in _exact_destabilizer_candidates(rep, seeds, seen):
             if not cand.is_closed_in(rep):
                 continue
             s = cand.slope(theta)

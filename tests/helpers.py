@@ -26,7 +26,8 @@ from quivermoduli import (
 )
 from quivermoduli import census, homs, stability
 from quivermoduli.errors import BudgetExceededError, InvariantError
-from quivermoduli.ffields import _poly_mul
+from quivermoduli.ffields import _minus_x, _poly_gcd, _poly_mul, _poly_powmod
+from quivermoduli.numtheory import factorint
 from quivermoduli.quiver import Arrow
 from quivermoduli.rings import QQ
 from quivermoduli.stability import (
@@ -349,8 +350,8 @@ def reference_orbit_census(quiver, dims, theta, field, config):
 
 
 # ---------------------------------------------------------------------------
-# product-by-product references for field tables, monic irreducibles and
-# quaternion matrices
+# product-by-product references for field tables, monic irreducibles,
+# irreducibility and quaternion matrices
 
 
 def reference_field_tables(field):
@@ -406,6 +407,25 @@ def reference_left_mul_matrix(alg, c):
 def reference_right_mul_matrix(alg, c):
     """Rows of y -> y c, column k the product e_k c."""
     return _cols_to_rows([alg.mul(e, c) for e in (alg.one, alg.i, alg.j, alg.k)])
+
+
+def reference_is_irreducible(coeffs, p):
+    """Rabin's test (SIAM J. Comput. 9 (1980)) for a monic polynomial over
+    F_p given low-first: x^(p^n) = x mod f, and gcd(x^(p^(n/l)) - x, f) = 1
+    for each prime l dividing n."""
+    n = len(coeffs) - 1
+    if n < 1 or coeffs[-1] != 1:
+        return False
+    if n == 1:
+        return True
+    mod = list(coeffs)
+    if _minus_x(_poly_powmod([0, 1], p**n, mod, p), p):
+        return False
+    for ell in factorint(n):
+        diff = _minus_x(_poly_powmod([0, 1], p ** (n // ell), mod, p), p)
+        if len(_poly_gcd(mod, diff, p)) > 1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

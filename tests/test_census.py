@@ -1,7 +1,10 @@
+import gc
 import hashlib
 import json
 import random
 import time
+import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -22,7 +25,7 @@ from quivermoduli import (
     kronecker_quiver,
     verify_descent_census,
 )
-from quivermoduli import census
+from quivermoduli import census, stability
 from quivermoduli.census import (
     GEOM_STABLE,
     STABLE_NOT_SCHUR,
@@ -43,6 +46,7 @@ from quivermoduli.quiver import Arrow, Quiver, base_change
 from quivermoduli.stability import (
     STABLE,
     STRICTLY_SEMISTABLE,
+    UNSTABLE,
     _verdicts,
     enumerate_subreps,
     stability_verdict,
@@ -201,6 +205,78 @@ def test_slice_census_matches_full_scan():
                     assert all(cen.uf.parent[p] == root for p in orbit)
                 checked += 1
     assert checked == 3 * 8 * 3 * 3 - 2 * 3
+
+
+def test_slice_verdicts_match_the_whole_walk():
+    # each slice point's verdict on the walk narrowed by its fixed arrow is
+    # the whole walk's, hit and all, on K2, K3, A2, a loop beside an arrow
+    # and an arrow back from the last vertex (whose fixed arrow pins no
+    # line), at every d <= (2,2) but (0,0), over F_2, F_3 and F_4; cells
+    # past 20,000 slice points are left out
+    loop_arrow = Quiver(("s", "t"), (Arrow("loop", "s", "s"), Arrow("a", "s", "t")))
+    back = Quiver(("s", "t"), (Arrow("a", "t", "s"), Arrow("b", "s", "t")))
+    small = JobConfig(max_orbit_points=20_000)
+    checked = Counter()
+    for quiver in (K2, kronecker_quiver(3), a2_quiver(), loop_arrow, back):
+        for ds, dt in product(range(3), repeat=2):
+            if ds == dt == 0:
+                continue
+            dims = {"s": ds, "t": dt}
+            for theta, q in product(({"s": 1, "t": -1}, {"s": -1, "t": 1}), (2, 3, 4)):
+                try:
+                    k = census._checked_slice_arrow(quiver, dims, q, small)
+                except BudgetExceededError:
+                    continue
+                field = GF(q)
+                _, verdict = _verdicts(quiver, dims, theta, field, CFG)
+                for fixed, _, _ in census._slices(quiver, dims, field, k):
+                    on_slice = verdict.on_slice(fixed)
+                    for point in census._all_points(quiver, dims, field, fixed):
+                        want = verdict(point)
+                        assert on_slice(point) == want, (quiver, dims, theta, q, point)
+                        checked[want[0]] += 1
+    assert sum(checked.values()) == 53_102
+    assert min(checked[kind] for kind in (STABLE, STRICTLY_SEMISTABLE, UNSTABLE)) > 9_000, checked
+
+
+def test_slice_census_frees_its_field_without_the_collector():
+    # the narrowed walks, their replays and the slice verdicts make no
+    # reference cycle: reference counting frees the field once the census
+    # is dropped
+    field = GF(4)
+    alive = weakref.ref(field)
+    gc.disable()
+    try:
+        cen = orbit_census(K2, {"s": 2, "t": 2}, THETA, field, CFG)
+        assert cen.counts == {GEOM_STABLE: 0, STABLE_NOT_SCHUR: 6}
+        del cen, field
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def _span_lookups(monkeypatch, quiver, dims, q):
+    """_Span membership lookups, memo hits included, in one orbit_census."""
+    calls = [0]
+    lookup = dict.__getitem__
+
+    def counted(span, code):
+        calls[0] += 1
+        return lookup(span, code)
+
+    with monkeypatch.context() as m:
+        m.setattr(stability._Span, "__getitem__", counted)
+        orbit_census(quiver, dims, THETA, GF(q), CFG)
+    return calls[0]
+
+
+def test_slice_points_test_only_their_free_arrows(monkeypatch):
+    # a slice settles its fixed arrow once, on a walk narrowed prefix by
+    # prefix on first use: K2 (2,2) over F_4 made 11,364 lookups when each
+    # point tested its fixed arrow again; A2 (2,2) over F_9 has one point
+    # per slice, which reads the whole walk, 25 lookups as before
+    assert _span_lookups(monkeypatch, K2, {"s": 2, "t": 2}, 4) == 2_662
+    assert _span_lookups(monkeypatch, a2_quiver(), {"s": 2, "t": 2}, 9) == 25
 
 
 def test_slice_census_kronecker3_d23():

@@ -329,6 +329,17 @@ def test_prime_independent_seeds_closed_once(monkeypatch):
     assert calls == {QQ: 8}
 
 
+def test_certificate_closes_each_seed_once(monkeypatch):
+    # one seen set per certificate, so no seed is closed twice: here the
+    # images of both arrows are the vertex space at t, one seed and one
+    # closure (16 closures when every seed was closed)
+    rep = _gaussian_kronecker()
+    closures = count_calls(monkeypatch, stability._forward_closure)
+    v = geom_stability_certificate(rep, THETA, CFG)
+    assert v.kind == UNKNOWN
+    assert len(closures) == 14
+
+
 # ---------------------------------------------------------------------------
 # the certificate memo on the representation
 

@@ -36,6 +36,22 @@ def test_loop25_probe_reports_the_census_and_costs():
     assert out["cpu_s"] > 0 and out["max_rss_mb"] > 0
 
 
+def test_k2f9_probe_reports_the_census_and_costs():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "large_field_probe.py"), "k2f9"],
+        capture_output=True, text=True, cwd=ROOT, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    (line,) = done.stdout.splitlines()
+    out = json.loads(line)
+    assert set(out) == {"mode", "ok", "fixed_orbits", "base_count", "cpu_s", "max_rss_mb"}
+    assert out["mode"] == "k2f9" and out["ok"] is True
+    # every stable (2, 2) Kronecker module over F_9 has End = F_81, so no
+    # orbit is geometrically stable
+    assert out["fixed_orbits"] == out["base_count"] == 0
+    assert out["cpu_s"] > 0 and out["max_rss_mb"] > 0
+
+
 def test_probe_refuses_an_unknown_mode():
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "large_field_probe.py"), "f7"],

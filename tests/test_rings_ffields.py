@@ -13,7 +13,7 @@ from quivermoduli.ffields import _poly_mul, default_modulus, is_irreducible, mon
 from quivermoduli.numtheory import isprime
 from quivermoduli.rings import QQ, QuadraticField, gaussian_rationals
 
-from helpers import reference_field_tables, reference_monic_irreducibles
+from helpers import reference_field_tables, reference_is_irreducible, reference_monic_irreducibles
 
 
 def check_field_axioms(field, elems):
@@ -66,6 +66,28 @@ def test_default_moduli():
     digest = hashlib.sha256(repr(moduli).encode()).hexdigest()
     assert digest == "a5e782cd47788dddd73328039e49f64812d6f0706f6437dfd7fd919069967065"
     assert default_modulus(2, 40) == [1, 0, 0, 1, 1, 1] + [0] * 34 + [1]  # x^40+x^5+x^4+x^3+1
+
+
+def test_ben_or_agrees_with_rabin_on_every_small_monic():
+    # Ben-Or's early stop against Rabin's test: every monic polynomial of
+    # degree <= 8 over F_2 and <= 5 over F_3, plus a non-monic one
+    for p, top in ((2, 8), (3, 5)):
+        checked = 0
+        for n in range(1, top + 1):
+            for tail in product(range(p), repeat=n):
+                coeffs = list(tail) + [1]
+                assert is_irreducible(coeffs, p) == reference_is_irreducible(coeffs, p), (p, coeffs)
+                checked += 1
+        assert checked == sum(p**n for n in range(1, top + 1))
+    assert not is_irreducible([1, 1, 2], 3) and not reference_is_irreducible([1, 1, 2], 3)
+    # the same first irreducible in code order, so every element code stays
+    for p in (2, 3, 5, 7):
+        for n in range(2, 13):
+            first = next(
+                c for tail in product(range(p), repeat=n)
+                if reference_is_irreducible(c := list(reversed(tail)) + [1], p)
+            )
+            assert default_modulus(p, n) == first, (p, n)
 
 
 def test_tables_match_pairwise_reference():
@@ -138,7 +160,7 @@ def test_poly_mul_against_schoolbook():
 
 def test_linear_sieve_matches_the_marking_sieve():
     # the same list in the same order as the sieve that marks every product
-    # p r; over F_p also as the product-order filter by Rabin's test.  The
+    # p r; over F_p also as the product-order filter by is_irreducible.  The
     # grid runs over prime, tabled and untabled (F_{2^11}) fields.
     grid = [(2, 6), (3, 4)] + [(q, 3) for q in (4, 5, 7, 8, 9)]
     grid += [(q, 2) for q in (16, 25, 27, 49)] + [(2**11, 1)]

@@ -848,6 +848,31 @@ def test_cli_stability_and_hn_match_golden_file(tmp_path, capsys, monkeypatch):
     assert got == (fixtures / "stability_cli.golden.json").read_text()
 
 
+def test_cli_stability_solves_one_end_system_per_rep(tmp_path, capsys, monkeypatch):
+    # stability prints end_dim, and geom_stability reads the same value from
+    # rep.certificates: one Hom system per rep over the fixture's twelve
+    # stability runs (a stable rep with non-coprime dims once took two)
+    from quivermoduli import homs
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QUIVERMODULI_CONFIG", raising=False)
+    calls = []
+    real = homs.hom_dim
+
+    def counted(w, wp):
+        calls.append(w)
+        return real(w, wp)
+
+    monkeypatch.setattr(homs, "hom_dim", counted)
+    for name, rep, theta in _stability_cli_reps():
+        write_json(tmp_path, f"{name}.json", rep_to_json(rep))
+        args = ["--format", "json", "--seed", "0", "stability", f"{name}.json",
+                "--theta", json.dumps(theta), "--hn"]
+        assert main(args) == 0, name
+        capsys.readouterr()
+    assert len(calls) == 12
+
+
 def test_cli_config_env(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"seed": 99, "output_format": "json"}))

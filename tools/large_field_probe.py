@@ -1,9 +1,11 @@
 """Measure the exact verdict of one irreducible loop over a large prime
-field, or the descent census of the Jordan quiver over F_25.
+field, or one descent census: the Jordan quiver over F_25, or the
+Kronecker quiver over F_9.
 
     python3 tools/large_field_probe.py f29
     python3 tools/large_field_probe.py f101
     python3 tools/large_field_probe.py loop25
+    python3 tools/large_field_probe.py k2f9
 
 f29 is the Jordan-quiver loop over F_29 given by the companion matrix of
 x^4 + 3x^3 + 1, theta = 0, budget 10^6 closure checks; f101 is the loop over
@@ -13,14 +15,17 @@ subspace, so every closure check is made and the verdict is stable.
 loop25 runs verify_descent_census for the Jordan quiver, d = 3, theta = 0,
 over F_25/F_5: 16,275 similarity classes over F_25, listed from the monic
 irreducibles of degree <= 3.
+k2f9 runs verify_descent_census for the Kronecker quiver K2, dims (2, 2),
+theta = (1, -1), over F_9/F_3: a slice census of 3 * 9^4 points over F_9,
+each slice walking the subspace pairs closed under its fixed arrow.
 
 Prints one JSON line: the mode, the verdict kind, the process CPU seconds,
 the process's max RSS in MB, and for f101 the tracemalloc peak of the
 verdict call in MB (the field and the matrix are built before tracing
-starts).  loop25 has no verdict; it prints the report's ok, fixed_orbits
-and base_count in its place.  Run it from the root of a checkout; it
-imports that checkout's `src/`.  Each run is one fresh process, so the RSS
-is its own.
+starts).  loop25 and k2f9 have no verdict; they print the report's ok,
+fixed_orbits and base_count in its place.  Run it from the root of a
+checkout; it imports that checkout's `src/`.  Each run is one fresh
+process, so the RSS is its own.
 """
 
 import json
@@ -37,16 +42,24 @@ LOOPS = {
     "f29": (29, [[0, 0, 0, 28], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 26]], 10**6),
     "f101": (101, [[0, 0, 100], [1, 0, 100], [0, 1, 0]], 2 * 10303),
 }
-MODES = (*LOOPS, "loop25")
+# mode -> (quiver name, dims, theta, q) of a descent census over F_{q^2}/F_q
+CENSUSES = {
+    "loop25": ("jordan", {"v": 3}, {"v": 0}, 5),
+    "k2f9": ("kronecker", {"s": 2, "t": 2}, {"s": 1, "t": -1}, 3),
+}
+MODES = (*LOOPS, *CENSUSES)
 
 
 def probe(mode):
     from quivermoduli import (
-        GF, JobConfig, Mat, Representation, jordan_quiver, stability_verdict, verify_descent_census,
+        GF, JobConfig, Mat, Representation, jordan_quiver, kronecker_quiver, stability_verdict,
+        verify_descent_census,
     )
 
-    if mode == "loop25":
-        report = verify_descent_census(jordan_quiver(), {"v": 3}, {"v": 0}, 5, 2)
+    if mode in CENSUSES:
+        name, dims, theta, q = CENSUSES[mode]
+        quiver = jordan_quiver() if name == "jordan" else kronecker_quiver(2)
+        report = verify_descent_census(quiver, dims, theta, q, 2)
         out = {"mode": mode, "ok": report.ok}
         out["fixed_orbits"], out["base_count"] = report.fixed_orbit_count, report.base_count
         return _costs(out)
