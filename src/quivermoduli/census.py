@@ -12,13 +12,12 @@ slice, the whole space, with H = G_d.
 The scan works on integer-encoded matrices with the field's operations
 bound to locals.  Stability is decided by stability._verdicts, the one
 verdict driver, whose closure engine is built once per census.  Each slice
-settles a0 once: its verdict (_Verdicts.on_slice) walks each slope group's
-combos narrowed to those closed under J_r, prefix by prefix on first use,
-so a slice point tests only its free arrows; a slice of one point reads
-the whole walk.  A line at the last vertex is
-looked up from an image rather than scanned, subspace membership verdicts
-are shared by all points, and when the quiver has more than one arrow
-each arrow matrix keeps its image codes across points.
+settles a0 once: its verdict walks each slope group's combos narrowed
+once, into a list, to those closed under J_r, so a slice point tests only
+its free arrows; a slice of one point reads the whole walk.  A line at the
+last vertex is looked up from an image rather than scanned, subspace
+membership verdicts are shared by all points, and when the quiver has more
+than one arrow each arrow matrix keeps its image codes across points.
 
 Orbits are counted by union-find over generators of H_r, built only for
 a slice that has stable points.  Each slice's stable points are numbered
@@ -184,7 +183,7 @@ def _apply_generator(point, gen, quiver, field):
     for rows, a, memo in zip(point, quiver.arrows, memos):
         image = memo.get(rows)
         if image is None:
-            m = Mat(field, rows, (g[a.dst].nrows, ginv[a.src].ncols))
+            m = Mat._of(field, rows, (g[a.dst].nrows, ginv[a.src].ncols))
             image = memo[rows] = (g[a.dst] @ m @ ginv[a.src]).rows
         out.append(image)
     return tuple(out)
@@ -246,10 +245,9 @@ def _fixes_every_point(g, field):
     return all(m == Mat.scalar(field, m.nrows, mats[0].rows[0][0]) for m in mats)
 
 
-def _slice_orbits(quiver, dims, field, k, on_slice=None):
+def _slice_orbits(quiver, dims, field, k, on_slice):
     """Union-find over the points of arrow k's slices that are stable by
-    on_slice(fixed), the verdict of the slice with those fixed matrices
-    (every point when on_slice is None).
+    on_slice(fixed), the verdict of the slice with those fixed matrices.
 
     Each slice is scanned in product order and its kept points are numbered
     in that order; union-find runs on the numbers, joining each point's
@@ -268,12 +266,8 @@ def _slice_orbits(quiver, dims, field, k, on_slice=None):
     parent = {}
     orbits = []
     for fixed, order, r in slices:
-        points = _all_points(quiver, dims, field, fixed)
-        if on_slice is None:
-            kept = list(points)
-        else:
-            verdict = on_slice(fixed)
-            kept = [point for point in points if verdict(point)[1] is None]
+        verdict = on_slice(fixed)
+        kept = [point for point in _all_points(quiver, dims, field, fixed) if verdict(point)[1] is None]
         if not kept:
             continue
         index = {point: i for i, point in enumerate(kept)}
@@ -326,7 +320,8 @@ class OrbitCensus:
     enter the orbit structure.  The union-find holds the stable points of
     the slices only.  orbit_id and same_orbit look a point whose slice
     arrow matrix is one of `slice_forms` up directly, and row-reduce any
-    other point into its slice first.
+    other point into its slice first; a point off the stable locus is an
+    InvariantError.
     """
 
     quiver: object
@@ -345,10 +340,12 @@ class OrbitCensus:
         return self.counts[GEOM_STABLE]
 
     def orbit_id(self, point):
-        k = self.slice_arrow
-        if k is not None and point[k] not in self.slice_forms:
-            point = _to_slice(point, self.quiver, self.dims, self.field, k)
-        return self.uf.find(point)
+        k, p = self.slice_arrow, point
+        if k is not None and p[k] not in self.slice_forms:
+            p = _to_slice(p, self.quiver, self.dims, self.field, k)
+        if p not in self.uf.parent:
+            raise InvariantError(f"point {point} is not a stable point of the census")
+        return self.uf.find(p)
 
     def same_orbit(self, p1, p2):
         return self.orbit_id(p1) == self.orbit_id(p2)
@@ -379,7 +376,7 @@ def orbit_census(quiver, dims, theta, field, config):
     """
     k = _checked_slice_arrow(quiver, dims, field.size, config)
     _, verdicts = _verdicts(quiver, dims, theta, field, config)
-    uf, orbits, forms = _slice_orbits(quiver, dims, field, k, verdicts.on_slice)
+    uf, orbits, forms = _slice_orbits(quiver, dims, field, k, verdicts)
     q = field.size
     counts = {GEOM_STABLE: 0, STABLE_NOT_SCHUR: 0}
     orbit_category = {}

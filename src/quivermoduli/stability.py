@@ -23,11 +23,11 @@ subspace budget before any listing, and returns each slope group with its
 walk, (prefix, candidates) pairs in product order: the index tuple of every
 vertex but the last, and the last vertex's indices to try with it, its
 whole range.  A census slice, whose arrow a0 is fixed at J_r, narrows each
-walk to the combos closed under J_r, prefix by prefix on first use, so its
-points test only their free arrows (_Verdicts.on_slice); the one loop,
-_Engine.closed, walks both.  The engine lists subspaces as reduced-echelon
-bases, one rank at a time on first use, so witnesses are deduplicated by
-construction.  M U_t lies inside U_h when each M u, u in a basis of U_t, is
+walk once, into a list, to the combos closed under J_r, so its points test
+only their free arrows (see _verdicts); the one loop, _Engine.closed,
+walks both.  The engine lists subspaces as reduced-echelon bases, one rank
+at a time on first use, so witnesses are deduplicated by construction.
+M U_t lies inside U_h when each M u, u in a basis of U_t, is
 the combination of U_h's echelon rows its pivot entries give; vectors are
 keyed by their integer code sum v_i q^i, and every image code and
 membership verdict is memoized on first use, so the work and memory grow
@@ -60,7 +60,7 @@ import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations, groupby, product, tee
+from itertools import accumulate, combinations, groupby, product
 from math import gcd
 from operator import itemgetter, mul
 from typing import Dict, Optional, Tuple
@@ -322,22 +322,6 @@ def _encode_rep(rep):
     return tuple(rep.mats[a.name].rows for a in rep.quiver.arrows)
 
 
-class _Narrowed:
-    """A slope group's walk narrowed by _Engine.narrow, prefix by prefix on
-    first use: each pass replays the pairs narrowed so far and narrows
-    further only when it reads past them."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs):
-        # a tee iterator that is never advanced keeps every pair read through
-        # its copies, and each copy starts at the first
-        (self.pairs,) = tee(pairs, 1)
-
-    def __iter__(self):
-        return self.pairs.__copy__()
-
-
 class _Engine:
     """Closure engine for one (quiver, dims) over a finite field.
 
@@ -554,59 +538,21 @@ def enumerate_subreps(rep, config):
 # verdicts
 
 
-class _Verdicts:
-    """verdict(point) for an encoded point: (kind, hit), hit the first
-    closed (s, e, combo) in the slope groups, or (STABLE, None) when there
-    is none.
-
-    on_slice({k: form}) is the same verdict for the points whose arrow k
-    matrix is form: each group's walk is narrowed to the combos closed
-    under form (_Narrowed), so a point tests only its other arrows.  A
-    combo is closed exactly when it is closed under form and under every
-    other arrow, and product order is kept, so each hit is verdict's.
-    """
-
-    def __init__(self, eng, groups, mu, memo):
-        self.eng, self.groups, self.memo = eng, groups, memo
-        # the groups fall in slope, so only the last can be at mu, and a hit
-        # carries its group's slope object
-        self.at_mu = groups[-1][0] if groups and groups[-1][0] == mu else None
-        self.whole = self._verdict(groups, None)
-
-    def __call__(self, point):
-        return self.whole(point)
-
-    def _verdict(self, walks, settled):
-        eng, memo, at_mu = self.eng, self.memo, self.at_mu
-
-        def verdict(point):
-            hit = next(eng.closed(eng.tests(point, memo, settled), walks), None)
-            if hit is None:
-                return STABLE, None
-            return (STRICTLY_SEMISTABLE if hit[0] is at_mu else UNSTABLE), hit
-
-        return verdict
-
-    def on_slice(self, fixed):
-        """verdict for the points whose arrow matrices fixed gives, {k: form}
-        or {} for the whole space.  A slice whose other arrows have no
-        entries is one point, which no other point would share a narrowing
-        with, so it reads the whole walk."""
-        if not fixed:
-            return self.whole
-        ((k, form),) = fixed.items()
-        eng = self.eng
-        if not any(t.dim * h.dim for i, (t, h, _, _) in enumerate(eng.arrows) if i != k):
-            return self.whole
-        settled = [eng.test(k, form)]
-        walks = [(s, e, _Narrowed(eng.narrow(settled, e, walk))) for s, e, walk in self.groups]
-        return self._verdict(walks, k)
-
-
 def _verdicts(quiver, dims, theta, field, config, strict=False):
-    """The engine for (quiver, dims) over a finite field, and its
-    _Verdicts over the slope groups at or above mu (strictly above when
-    strict).
+    """The engine for (quiver, dims) over a finite field, and verdicts:
+    verdicts(fixed) is the verdict function of the points whose arrow
+    matrices fixed gives, {k: form} or {} for the whole space.  A verdict
+    is (kind, hit), hit the first closed (s, e, combo) in the slope groups
+    at or above mu (strictly above when strict), or (STABLE, None) when
+    there is none.
+
+    A slice narrows each group's walk once, into a list, to the combos
+    closed under form (_Engine.narrow), so its points test only their
+    other arrows.  A combo is closed exactly when it is closed under form
+    and under every other arrow, and product order is kept, so each hit is
+    the whole walk's.  A slice whose other arrows have no entries is one
+    point, which no other point would share a narrowing with, so it reads
+    the whole walk.
 
     With several arrows, whose matrices repeat across a census's points,
     each arrow keeps a memo from matrix rows to that matrix's closure test;
@@ -616,7 +562,27 @@ def _verdicts(quiver, dims, theta, field, config, strict=False):
     groups = _slope_groups(dims, theta, mu, strict)
     eng, groups = _search(quiver, dims, field, groups, config)
     memo = [{} for _ in quiver.arrows] if len(quiver.arrows) > 1 else None
-    return eng, _Verdicts(eng, groups, mu, memo)
+    # the groups fall in slope, so only the last can be at mu, and a hit
+    # carries its group's slope object
+    at_mu = groups[-1][0] if groups and groups[-1][0] == mu else None
+
+    def verdicts(fixed):
+        walks, settled = groups, None
+        if fixed:
+            ((k, form),) = fixed.items()
+            if any(t.dim * h.dim for i, (t, h, _, _) in enumerate(eng.arrows) if i != k):
+                tests, settled = [eng.test(k, form)], k
+                walks = [(s, e, list(eng.narrow(tests, e, walk))) for s, e, walk in groups]
+
+        def verdict(point):
+            hit = next(eng.closed(eng.tests(point, memo, settled), walks), None)
+            if hit is None:
+                return STABLE, None
+            return (STRICTLY_SEMISTABLE if hit[0] is at_mu else UNSTABLE), hit
+
+        return verdict
+
+    return eng, verdicts
 
 
 def _verdict_key(theta, config):
@@ -642,8 +608,8 @@ def stability_verdict(rep, theta, config):
     memo = rep.certificates
     key = _verdict_key(theta, config)
     if key not in memo:
-        eng, verdict = _verdicts(rep.quiver, rep.dims, theta, rep.ring, config)
-        kind, hit = verdict(_encode_rep(rep))
+        eng, verdicts = _verdicts(rep.quiver, rep.dims, theta, rep.ring, config)
+        kind, hit = verdicts({})(_encode_rep(rep))
         if hit is None:
             memo[key] = StabilityVerdict(STABLE)
         else:
@@ -658,8 +624,8 @@ def is_semistable(rep, theta, config):
     kept = rep.certificates.get(_verdict_key(theta, config))
     if kept is not None:
         return kept.kind != UNSTABLE
-    _, verdict = _verdicts(rep.quiver, rep.dims, theta, rep.ring, config, strict=True)
-    return verdict(_encode_rep(rep))[1] is None
+    _, verdicts = _verdicts(rep.quiver, rep.dims, theta, rep.ring, config, strict=True)
+    return verdicts({})(_encode_rep(rep))[1] is None
 
 
 def geom_stability(rep, theta, config):

@@ -321,7 +321,7 @@ def reference_orbit_census(quiver, dims, theta, field, config):
     npoints = field.size ** sum(dims[a.dst] * dims[a.src] for a in quiver.arrows)
     if npoints > config.max_orbit_points:
         raise BudgetExceededError(f"rep space has {npoints} points", estimate=npoints)
-    _, verdict = stability._verdicts(quiver, dims, theta, field, config)
+    verdict = stability._verdicts(quiver, dims, theta, field, config)[1]({})
     stable = dict.fromkeys(
         p for p in census._all_points(quiver, dims, field) if verdict(p)[0] == STABLE
     )
@@ -540,5 +540,7 @@ def all_orbit_representatives(quiver, dims, field, config):
             for _, rows in similarity_class_reps(field, dims[quiver.vertices[0]])
         ]
     k = census._slice_arrow(quiver, dims)
-    _, orbits, _ = census._slice_orbits(quiver, dims, field, k)
+    _, orbits, _ = census._slice_orbits(
+        quiver, dims, field, k, lambda fixed: lambda point: (STABLE, None)
+    )
     return [census._decode_rep(quiver, field, dims, rep) for rep, _, _, _ in orbits]

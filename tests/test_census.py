@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import time
 import weakref
 from collections import Counter
@@ -113,7 +114,7 @@ def test_kernel_matches_generic_verdicts():
         (a3, {"s": 1, "m": 2, "t": 2}, {"s": 1, "m": 0, "t": -1}, GF(3)),
         (back, {"s": 2, "t": 2}, {"s": 1, "t": -1}, GF(3)),
     ):
-        _, point_verdict = _verdicts(quiver, dims, theta, field, CFG)
+        point_verdict = _verdicts(quiver, dims, theta, field, CFG)[1]({})
         for n in range(31):
             mats = {}
             for a in quiver.arrows:
@@ -148,7 +149,7 @@ def test_union_find_and_canonical_counts_agree():
 def _slice_orbit_sets(quiver, dims, theta, field, k):
     """Each slice's stable orbits under every generator of its H_r, by a
     breadth-first search that shares no code with the union-find."""
-    _, verdict = _verdicts(quiver, dims, theta, field, CFG)
+    verdict = _verdicts(quiver, dims, theta, field, CFG)[1]({})
     a0 = None if k is None else quiver.arrows[k]
     orbits = []
     for fixed, _, r in census._slices(quiver, dims, field, k):
@@ -228,11 +229,12 @@ def test_slice_verdicts_match_the_whole_walk():
                 except BudgetExceededError:
                     continue
                 field = GF(q)
-                _, verdict = _verdicts(quiver, dims, theta, field, CFG)
+                _, verdicts = _verdicts(quiver, dims, theta, field, CFG)
+                whole = verdicts({})
                 for fixed, _, _ in census._slices(quiver, dims, field, k):
-                    on_slice = verdict.on_slice(fixed)
+                    on_slice = verdicts(fixed)
                     for point in census._all_points(quiver, dims, field, fixed):
-                        want = verdict(point)
+                        want = whole(point)
                         assert on_slice(point) == want, (quiver, dims, theta, q, point)
                         checked[want[0]] += 1
     assert sum(checked.values()) == 53_102
@@ -240,9 +242,8 @@ def test_slice_verdicts_match_the_whole_walk():
 
 
 def test_slice_census_frees_its_field_without_the_collector():
-    # the narrowed walks, their replays and the slice verdicts make no
-    # reference cycle: reference counting frees the field once the census
-    # is dropped
+    # the narrowed walks and the slice verdicts make no reference cycle:
+    # reference counting frees the field once the census is dropped
     field = GF(4)
     alive = weakref.ref(field)
     gc.disable()
@@ -271,11 +272,14 @@ def _span_lookups(monkeypatch, quiver, dims, q):
 
 
 def test_slice_points_test_only_their_free_arrows(monkeypatch):
-    # a slice settles its fixed arrow once, on a walk narrowed prefix by
-    # prefix on first use: K2 (2,2) over F_4 made 11,364 lookups when each
-    # point tested its fixed arrow again; A2 (2,2) over F_9 has one point
-    # per slice, which reads the whole walk, 25 lookups as before
-    assert _span_lookups(monkeypatch, K2, {"s": 2, "t": 2}, 4) == 2_662
+    # a slice settles its fixed arrow once, on a walk narrowed once to its
+    # end: K2 (2,2) over F_4 made 11,364 lookups when each point tested its
+    # fixed arrow again.  The count is exact: each slice's walk is narrowed
+    # in full, also where every point of it stops at an early hit, so it is
+    # 20 more than the 2,662 of walks narrowed only as far as points read.
+    # A2 (2,2) over F_9 has one point per slice, which reads the whole
+    # walk, 25 lookups as before
+    assert _span_lookups(monkeypatch, K2, {"s": 2, "t": 2}, 4) == 2_682
     assert _span_lookups(monkeypatch, a2_quiver(), {"s": 2, "t": 2}, 9) == 25
 
 
@@ -316,6 +320,17 @@ def test_orbit_id_moves_points_into_their_slice():
                 assert cen.same_orbit(image, p)
                 assert [cen.same_orbit(image, r) for r in reps].count(True) == 1
         assert moved > 0
+
+
+def test_orbit_id_refuses_a_point_off_the_stable_locus():
+    # the zero point of K2 (1,1) is unstable at theta = (1, -1), so it is in
+    # no orbit of the census: InvariantError naming it, not a KeyError
+    cen = orbit_census(K2, {"s": 1, "t": 1}, THETA, GF(3), CFG)
+    zero = (((0,),), ((0,),))
+    with pytest.raises(InvariantError, match=re.escape(f"point {zero} is not a stable point")):
+        cen.orbit_id(zero)
+    with pytest.raises(InvariantError):
+        cen.same_orbit(zero, cen.representatives[0])
 
 
 def test_slice_lookup_skips_elimination(monkeypatch):
@@ -555,7 +570,7 @@ def test_class_census_matches_engine():
         for theta in ({"v": 0}, {"v": 3}):
             if theta["v"] and q > 3:
                 continue
-            _, verdict = _verdicts(J, dims, theta, field, CFG)
+            verdict = _verdicts(J, dims, theta, field, CFG)[1]({})
             cen = loop_class_census(J, dims, theta, field, CFG)
             for data, point, cat in cen.entries:
                 kind = verdict(point)[0]
