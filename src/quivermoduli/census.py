@@ -61,14 +61,14 @@ from typing import Dict, List, Optional
 
 from .config import JobConfig
 from .descent import solve_modifying_u, type_map
-from .errors import BudgetExceededError, InvariantError, SchemaError, count_text
+from .errors import InvariantError, SchemaError, check_budget
 from .ffields import GF, _poly_mul, monic_irreducibles, prime_power
 from .galois import GaloisPair
 from .homs import _coprime_dims, end_dim, is_isomorphic
 from .linalg import Mat
 from .morita import descended_form, drep_to_twisted
 from .numtheory import isprime, mobius
-from .quiver import Representation, base_change, group_generators, total_dim
+from .quiver import Representation, _block_diag, base_change, group_generators, total_dim
 from .stability import (
     STRICTLY_SEMISTABLE,
     _closed_pairs,  # noqa: F401  called through _Engine.tests once per memo miss
@@ -227,13 +227,7 @@ def _checked_slice_arrow(quiver, dims, q, config):
         a = quiver.arrows[k]
         entries -= dims[a.dst] * dims[a.src]
         nslices = min(dims[a.src], dims[a.dst]) + 1
-    npoints = nslices * q**entries
-    if npoints > config.max_orbit_points:
-        raise BudgetExceededError(
-            f"slices have {count_text(npoints)} points "
-            f"(budget {config.max_orbit_points})",
-            estimate=npoints,
-        )
+    check_budget(nslices * q**entries, config.max_orbit_points, "slices have {} points")
     return k
 
 
@@ -416,14 +410,14 @@ def _partitions(n):
 
 
 def _companion_matrix(poly, field):
-    """Companion matrix of a monic polynomial, as encoded rows."""
+    """Companion matrix of a monic polynomial."""
     n = len(poly) - 1
     rows = [[field.zero] * n for _ in range(n)]
     for i in range(1, n):
         rows[i][i - 1] = field.one
     for i in range(n):
         rows[i][n - 1] = field.neg(poly[i])
-    return tuple(tuple(r) for r in rows)
+    return Mat(field, rows, (n, n))
 
 
 def similarity_class_data(field, size):
@@ -471,16 +465,7 @@ def _class_matrix(data, field):
             for _ in range(m):
                 pm = _poly_mul(pm, list(poly), field)
             blocks.append(_companion_matrix(pm, field))
-    n = sum(len(b) for b in blocks)
-    rows = [[field.zero] * n for _ in range(n)]
-    at = 0
-    for b in blocks:
-        k = len(b)
-        for i in range(k):
-            for j in range(k):
-                rows[at + i][at + j] = b[i][j]
-        at += k
-    return tuple(tuple(r) for r in rows)
+    return _block_diag(field, *blocks).rows
 
 
 def _frobenius_class_data(data, field):
@@ -564,14 +549,8 @@ def _similarity_class_count(d, q):
 def _checked_class_count(q, size, config):
     """The number of similarity classes of size x size matrices over F_q,
     once it fits config.max_orbit_points (BudgetExceededError otherwise)."""
-    n = _similarity_class_count(size, q)
-    if n > config.max_orbit_points:
-        raise BudgetExceededError(
-            f"{count_text(n)} similarity classes of {size}x{size} matrices "
-            f"(budget {config.max_orbit_points})",
-            estimate=n,
-        )
-    return n
+    what = f"{{}} similarity classes of {size}x{size} matrices"
+    return check_budget(_similarity_class_count(size, q), config.max_orbit_points, what)
 
 
 def loop_class_census(quiver, dims, theta, field, config):

@@ -4,11 +4,13 @@ For a cyclic pair L/k with generator sigma, a Galois-fixed orbit of a
 geometrically stable representation W over L is witnessed by u with
 u . sigma(W) = W; the n-fold product u sigma(u) ... sigma^{n-1}(u) is then a
 scalar lambda in k^x, and the Brauer class of the cyclic algebra
-(L/k, sigma, lambda) is the type of the orbit.  The type map returns the
-orbit's DescentDatum, which carries that class as `brauer`: it is computed
-once per datum and read by every later step.  Trivial classes descend to
-k-forms through an explicit Hilbert-90 resolvent; nontrivial quadratic
-classes produce representations over the quaternion algebra (m, lambda)_Q.
+(L/k, sigma, lambda) is the type of the orbit.  DescentDatum.problems()
+checks both facts, for check() to raise on and validate_twisted to report.
+The type map returns the orbit's DescentDatum, which carries that class as
+`brauer`: it is computed once per datum and read by every later step.
+Trivial classes descend to k-forms through an explicit Hilbert-90
+resolvent; nontrivial quadratic classes produce representations over the
+quaternion algebra (m, lambda)_Q.
 
 Descent and the change of basis onto the standard quaternionic form share
 one Hilbert-90 average (Serre, Local Fields, X Prop. 3).  Its resolvents
@@ -58,12 +60,24 @@ class DescentDatum:
     pair: object
     provenance: dict = field(default_factory=dict)
 
+    def problems(self):
+        """The failed invariants, as messages: each arrow where u does not
+        intertwine sigma(W) with W, and a cocycle product that is not lambda."""
+        out = [
+            f"transition fails on arrow {name}"
+            for name in modified_action_failures(self.rep, self.u, self.pair)
+        ]
+        try:
+            lam = cocycle_scalar(self.u, self.pair)
+            if lam != self.lam:
+                out.append(f"cocycle scalar {lam} differs from declared lambda {self.lam}")
+        except InvariantError as exc:
+            out.append(str(exc))
+        return out
+
     def check(self):
-        if modified_action_failures(self.rep, self.u, self.pair):
-            raise InvariantError("u does not intertwine sigma(W) with W")
-        lam = cocycle_scalar(self.u, self.pair)
-        if lam != self.lam:
-            raise InvariantError(f"stored lambda {self.lam} differs from computed {lam}")
+        if problems := self.problems():
+            raise InvariantError("; ".join(problems))
         return True
 
     @cached_property

@@ -43,6 +43,14 @@ def count_text(n):
     return str(n) if n.bit_length() <= 64 else f"at least 2^{n.bit_length() - 1}"
 
 
+def check_budget(n, budget, what):
+    """n if it fits the budget, else the one budget refusal: BudgetExceededError,
+    its message what with {} filled by count_text(n), then "(budget B)"."""
+    if n > budget:
+        raise BudgetExceededError(f"{what.format(count_text(n))} (budget {budget})", estimate=n)
+    return n
+
+
 class InconclusiveError(QuiverModuliError):
     """A randomized or certificate-based search ended without an answer.
 

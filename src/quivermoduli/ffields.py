@@ -13,15 +13,17 @@ the stability engine's image codes, call the fields' row kernels
 (row_times, divide_row, row_sub), which F_p runs with one % p per entry
 and a tabled F_{p^n} with table lookups.
 
-This is the one polynomial module over finite fields.  `monic_irreducibles`
-lists every monic irreducible up to a degree by a linear sieve, for the
-similarity classes of the census.  The modulus of F_{p^n} is found instead
-by Ben-Or's irreducibility test (FOCS 1981), which needs polynomially many
-products in n and log p, where a sieve would list all p^n candidates, and
-refuses most reducible candidates after a few products:
-`ExtensionField(2, 40)` is a valid field.  `default_modulus` is the first
-irreducible in code order; it fixes every element code, so it must not
-change.
+This is the one polynomial module over finite fields, with one product
+over F_p, `_poly_mul_p`, and one power, `_poly_powmod`, shared by the
+modulus test and by an untabled F_{p^n}'s products, inverses and
+Frobenius.  `monic_irreducibles` lists every monic irreducible up to a
+degree by a linear sieve, for the similarity classes of the census.  The
+modulus of F_{p^n} is found instead by Ben-Or's irreducibility test (FOCS
+1981), which needs polynomially many products in n and log p, where a
+sieve would list all p^n candidates, and refuses most reducible
+candidates after a few products: `ExtensionField(2, 40)` is a valid
+field.  `default_modulus` is the first irreducible in code order; it
+fixes every element code, so it must not change.
 """
 
 from itertools import product
@@ -48,16 +50,11 @@ def _poly_mul(a, b, field):
     """Product of coefficient lists over a field object, on the codes: over
     F_p one % p per coefficient, over a tabled F_{p^n} its add and mul
     tables, and the field's operations otherwise."""
+    if isinstance(field, PrimeField):
+        return _poly_mul_p(a, b, field.p)
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
-    if isinstance(field, PrimeField):
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    out[j] += ai * bj
-        p = field.p
-        return _poly_trim([c % p for c in out])
     if field._tables:
         s, add, mul = field.size, field._add_t, field._mul_t
         for i, ai in enumerate(a):
@@ -76,6 +73,18 @@ def _poly_mul(a, b, field):
     return _poly_trim(out)
 
 
+def _poly_mul_p(a, b, p):
+    """Product of coefficient lists over F_p, one % p per coefficient."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return _poly_trim([c % p for c in out])
+
+
 def _poly_mod(c, mod, p):
     c = list(c)
     dm = len(mod) - 1
@@ -89,22 +98,13 @@ def _poly_mod(c, mod, p):
     return _poly_trim(c)
 
 
-def _poly_mulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_mod(out, mod, p)
-
-
 def _poly_powmod(a, e, mod, p):
     result = [1]
-    base = _poly_mod(list(a), mod, p)
+    base = _poly_mod(a, mod, p)
     while e:
         if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
+            result = _poly_mod(_poly_mul_p(result, base, p), mod, p)
+        base = _poly_mod(_poly_mul_p(base, base, p), mod, p)
         e >>= 1
     return result
 
@@ -336,10 +336,8 @@ class ExtensionField(_FiniteField):
     # --- raw polynomial ops on codes ---
 
     def _mul_codes(self, x, y):
-        a = _decode(x, self.p, self.n)
-        b = _decode(y, self.p, self.n)
-        c = _poly_mulmod(a, b, list(self.modulus), self.p)
-        return _encode(c + [0] * (self.n - len(c)), self.p)
+        c = _poly_mul_p(_decode(x, self.p, self.n), _decode(y, self.p, self.n), self.p)
+        return _encode(_poly_mod(c, self.modulus, self.p), self.p)
 
     def _add_codes(self, x, y):
         a = _decode(x, self.p, self.n)
@@ -389,14 +387,7 @@ class ExtensionField(_FiniteField):
         self._add_t, self._mul_t, self._neg_t, self._inv_t, self._frob_t = self._tables
 
     def _pow_code(self, x, e):
-        r = 1
-        b = x
-        while e:
-            if e & 1:
-                r = self._mul_codes(r, b)
-            b = self._mul_codes(b, b)
-            e >>= 1
-        return r
+        return _encode(_poly_powmod(_decode(x, self.p, self.n), e, self.modulus, self.p), self.p)
 
     # --- ring interface ---
 

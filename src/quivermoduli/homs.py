@@ -16,7 +16,7 @@ from itertools import product
 from math import gcd
 from types import SimpleNamespace
 
-from .errors import BudgetExceededError, InconclusiveError
+from .errors import InconclusiveError, check_budget
 from .linalg import Mat, _eliminated, _kernel_coords, _quadratic_m, _reduced, _zeros
 from .quaternions import QuaternionAlgebra
 from .rings import QQ
@@ -220,11 +220,7 @@ def find_invertible_in_span(basis, ring, config, rng_label="inv-search"):
         h = basis[0]
         return h if _is_invertible_tuple(h) else None
     if ring.is_finite:
-        count = ring.size**dim
-        if count > config.max_orbit_points:
-            raise BudgetExceededError(
-                f"iso search space {count} exceeds budget", estimate=count
-            )
+        check_budget(ring.size**dim, config.max_orbit_points, "iso search space has {} points")
         return _first_invertible(basis, ring, product(ring.elements(), repeat=dim))
     rng = config.rng(rng_label)
     trials = (

@@ -28,13 +28,7 @@ A twisted representation (TwistedRep) is a descent datum with a declared index.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .descent import (
-    DescentDatum,
-    cocycle_scalar,
-    hilbert90_descend,
-    modified_action_failures,
-    solve_descent_change_of_basis,
-)
+from .descent import DescentDatum, hilbert90_descend, solve_descent_change_of_basis
 from .errors import InvariantError, NotDecidableError, SchemaError
 from .galois import GaloisPair, QuadraticPair
 from .linalg import Mat
@@ -209,22 +203,12 @@ def twisted_dim(twisted):
 
 
 def validate_twisted(twisted):
-    """Check all twisted-representation invariants; returns (ok, diagnostics).
-
-    The index is checked against the Brauer class the twisted rep carries,
-    so a caller that goes on to descend it computes the class once."""
-    rep, u, pair = twisted.rep, twisted.u, twisted.pair
-    problems = [
-        f"transition fails on arrow {name}"
-        for name in modified_action_failures(rep, u, pair)
-    ]
-    try:
-        lam = cocycle_scalar(u, pair)
-        if lam != twisted.lam:
-            problems.append(f"cocycle scalar {lam} differs from declared {twisted.lam}")
-    except InvariantError as exc:
-        problems.append(str(exc))
-    for v, d in rep.dims.items():
+    """Check all twisted-representation invariants; returns (ok, diagnostics):
+    DescentDatum.problems(), then the index's, checked against the Brauer
+    class the twisted rep carries, so a caller that goes on to descend it
+    computes the class once."""
+    problems = twisted.problems()
+    for v, d in twisted.rep.dims.items():
         if d % twisted.index:
             problems.append(f"index {twisted.index} does not divide dim {d} at {v}")
     try:

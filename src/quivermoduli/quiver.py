@@ -183,13 +183,13 @@ def _transvection(ring, n, i, j):
     return Mat(ring, rows, (n, n))
 
 
-def _block_diag(ring, top, bottom):
-    k, n = top.nrows, top.nrows + bottom.nrows
-    rows = [[ring.zero] * n for _ in range(n)]
-    for i, row in enumerate(top.rows):
-        rows[i][:k] = row
-    for i, row in enumerate(bottom.rows):
-        rows[k + i][k:] = row
+def _block_diag(ring, *blocks):
+    n = sum(b.nrows for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        zeros = [ring.zero] * (n - b.nrows)
+        rows += [zeros[:at] + list(row) + zeros[at:] for row in b.rows]
+        at += b.nrows
     return Mat(ring, rows, (n, n))
 
 

@@ -27,23 +27,24 @@ walk once, into a list, to the combos closed under J_r, so its points test
 only their free arrows (see _verdicts); the one loop, _Engine.closed,
 walks both.  The engine lists subspaces as reduced-echelon bases, one rank
 at a time on first use, so witnesses are deduplicated by construction.
-M U_t lies inside U_h when each M u, u in a basis of U_t, is
-the combination of U_h's echelon rows its pivot entries give; vectors are
-keyed by their integer code sum v_i q^i, and every image code and
-membership verdict is memoized on first use, so the work and memory grow
-with the closure checks made, never with q^dim.  Each subspace is held
-once, as the row tuple of its listing: a membership miss derives its pivots
-and columns from it.  A line at the last vertex is looked up from the code
-of a nonzero image M u, the one line that can hold it, rather than scanned
-for.  The search stops at the first closed subspace tuple, from which
-_verdicts, the one verdict driver, reads every verdict here and in the
-censuses.  The subspaces of F_q^d and their memos live on the field object,
-shared by every engine over it; an engine, built per call (or once per
-census), keeps one point's image codes, and witnesses become Mat column
-bases on the way out.
+M U_t lies inside U_h when each M u, u in a basis of U_t, is the combination
+of U_h's echelon rows its pivot entries give; vectors are keyed by their
+integer code sum v_i q^i, and every image code and membership verdict is
+memoized on first use, so the work and memory grow with the closure checks
+made, never with q^dim.  Each subspace is held once, as the row tuple of its
+listing: a membership miss derives its pivots and columns from it.  A line
+at the last vertex is looked up from the code of a nonzero image M u, the
+one line that can hold it, rather than scanned for.  The search stops at the
+first closed subspace tuple: _verdicts reads the first at or above mu, for
+stability_verdict and the censuses, and _scss_above the first group above
+mu, for scss, HN and is_semistable.  The subspaces of F_q^d and their memos
+live on the field object, shared by every engine over it; an engine, built
+per call (or once per census), keeps one point's image codes, and witnesses
+become Mat column bases on the way out.
 
 Over F_q a rep is geometrically stable iff it is stable and End W = k
-(King, Quart. J. Math. 45 (1994)), which geom_stability decides exactly.
+(King, Quart. J. Math. 45 (1994)), which geom_stability decides exactly,
+also for each reduction mod p of a certificate.
 Decision procedures over infinite fields do not exist here;
 geom_stability_certificate returns Stable only with a finite-field
 certificate, returns a non-stable verdict only with an exactly re-verified
@@ -65,7 +66,7 @@ from math import gcd
 from operator import itemgetter, mul
 from typing import Dict, Optional, Tuple
 
-from .errors import BudgetExceededError, InvariantError, SchemaError, count_text
+from .errors import BudgetExceededError, InvariantError, SchemaError, check_budget
 from .ffields import PrimeField
 from .homs import _coprime_dims, end_dim
 from .linalg import Mat
@@ -503,13 +504,8 @@ def _check_budget(dims, q, dim_vectors, config):
         cost += c
         if cost > cap:
             break
-    if cost > config.max_subspace_checks:
-        raise BudgetExceededError(
-            f"subspace enumeration needs {count_text(cost)} closure checks "
-            f"(budget {config.max_subspace_checks})",
-            estimate=cost,
-        )
-    return cost
+    what = "subspace enumeration needs {} closure checks"
+    return check_budget(cost, config.max_subspace_checks, what)
 
 
 _NEEDS_FINITE = "exact verdicts need a finite field; use geom_stability_certificate"
@@ -538,13 +534,12 @@ def enumerate_subreps(rep, config):
 # verdicts
 
 
-def _verdicts(quiver, dims, theta, field, config, strict=False):
+def _verdicts(quiver, dims, theta, field, config):
     """The engine for (quiver, dims) over a finite field, and verdicts:
     verdicts(fixed) is the verdict function of the points whose arrow
     matrices fixed gives, {k: form} or {} for the whole space.  A verdict
     is (kind, hit), hit the first closed (s, e, combo) in the slope groups
-    at or above mu (strictly above when strict), or (STABLE, None) when
-    there is none.
+    at or above mu, or (STABLE, None) when there is none.
 
     A slice narrows each group's walk once, into a list, to the combos
     closed under form (_Engine.narrow), so its points test only their
@@ -559,7 +554,7 @@ def _verdicts(quiver, dims, theta, field, config, strict=False):
     a scan over one arrow meets every matrix once, so it keeps none.
     """
     mu = slope(dims, theta)
-    groups = _slope_groups(dims, theta, mu, strict)
+    groups = _slope_groups(dims, theta, mu)
     eng, groups = _search(quiver, dims, field, groups, config)
     memo = [{} for _ in quiver.arrows] if len(quiver.arrows) > 1 else None
     # the groups fall in slope, so only the last can be at mu, and a hit
@@ -619,13 +614,12 @@ def stability_verdict(rep, theta, config):
 
 
 def is_semistable(rep, theta, config):
-    """Semistability: read off a kept verdict, or else a walk of the slope
-    groups strictly above mu only."""
+    """Semistability: read off a kept verdict, or else whether _scss_above
+    finds a subrepresentation of slope above mu."""
     kept = rep.certificates.get(_verdict_key(theta, config))
     if kept is not None:
         return kept.kind != UNSTABLE
-    _, verdicts = _verdicts(rep.quiver, rep.dims, theta, rep.ring, config, strict=True)
-    return verdicts({})(_encode_rep(rep))[1] is None
+    return _scss_above(rep, theta, config) is None
 
 
 def geom_stability(rep, theta, config):
@@ -1020,7 +1014,7 @@ def _certificate(rep, theta, config):
         except BudgetExceededError as exc:
             over_budget = exc
             break
-        if verdict.is_stable and (_coprime_dims(red.dims) or end_dim(red) == 1):
+        if geom_stability(red, theta, config).is_stable:
             return StabilityVerdict(STABLE, detail={"certificate": "reduction", "prime": p})
         tried.append((p, verdict.kind))
         hunts.append((p, red.ring, verdict.witness))

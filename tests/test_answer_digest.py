@@ -61,3 +61,19 @@ def test_answers_match_the_golden_digest():
     assert code == 0, err
     golden = (ROOT / "tests" / "fixtures" / "answer_digest.golden.txt").read_text().splitlines()
     assert lines == golden
+
+
+def test_runs_started_at_once_both_print_the_golden_line():
+    # the Hamilton files sit in one fixed directory, since the CLI's answers
+    # print their paths; the tool's lock makes two runs started at once take
+    # turns there instead of deleting each other's files
+    command = [sys.executable, str(ROOT / "tools" / "answer_digest.py"), "--workload", "arith_pipeline", "1"]
+    runs = [
+        subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=ROOT)
+        for _ in range(2)
+    ]
+    golden = (ROOT / "tests" / "fixtures" / "answer_digest.golden.txt").read_text().splitlines()
+    for run in runs:
+        out, err = run.communicate()
+        assert run.returncode == 0, err
+        assert out.splitlines() == [golden[3]]

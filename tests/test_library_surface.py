@@ -6,6 +6,9 @@ tool (as a name, an attribute or, since bench/tracing.py names the methods
 it wraps, a string).  A helper that only tests call lives in
 tests/helpers.py or in the test that uses it.  serialize's *_to_json
 writers are exempt: they write the file schema whose reader the CLI runs.
+
+Each budget refusal is errors.check_budget: no other function builds a
+BudgetExceededError.
 """
 
 import ast
@@ -100,3 +103,46 @@ def test_unread_definitions_are_found():
         ("a", 14, "stored"),
         ("serialize", 3, "orphan"),
     ]
+
+
+def budget_refusals(text):
+    """(line, innermost enclosing function or None) of each call that builds
+    a BudgetExceededError."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+            if name == "BudgetExceededError":
+                found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(text), None)
+    return found
+
+
+def test_check_budget_is_the_one_budget_refusal():
+    refusals = [
+        (p.stem, func)
+        for p in sorted(SRC.glob("*.py"))
+        for _, func in budget_refusals(p.read_text())
+    ]
+    assert refusals == [("errors", "check_budget")]
+
+
+def test_budget_refusals_are_found():
+    text = (
+        "from . import errors\n"
+        "def check_budget(n):\n"
+        "    raise BudgetExceededError('x', estimate=n)\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        raise errors.BudgetExceededError('y')\n"
+        "    except_budget = BudgetExceededError\n"
+        "LATE = BudgetExceededError('z')\n"
+    )
+    assert budget_refusals(text) == [(3, "check_budget"), (6, "inner"), (8, None)]

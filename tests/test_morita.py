@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quivermoduli import (
+    GF,
     GaloisPair,
     Mat,
     QuaternionAlgebra,
@@ -16,6 +17,7 @@ from quivermoduli import (
 from quivermoduli.config import JobConfig
 from quivermoduli.descent import solve_modifying_u
 from quivermoduli.homs import hom_space
+from quivermoduli.quiver import base_change
 from quivermoduli import descent, morita
 from quivermoduli.errors import InvariantError, SchemaError
 from quivermoduli.morita import (
@@ -37,7 +39,7 @@ from quivermoduli.rings import QQ
 from quivermoduli.serialize import verdict_to_json
 from quivermoduli.stability import STABLE, UNSTABLE, STRICTLY_SEMISTABLE, geom_stability
 
-from helpers import count_calls, gimat, quaternionic_kronecker_example, zero_maps
+from helpers import count_calls, fmat, gimat, kronecker_rep, quaternionic_kronecker_example, zero_maps
 
 CFG = JobConfig()
 THETA = {"s": 1, "t": -1}
@@ -212,6 +214,44 @@ def test_twisted_rep_validate_and_dim():
     wrong_scalar = TwistedRep(rep, ident, Fraction(-1), pair, index=2)
     ok, problems = validate_twisted(wrong_scalar)
     assert not ok
+
+
+def _corrupted_data(datum):
+    """The datum and three corruptions: a wrong lambda, u scaled at one
+    vertex, and u with a non-scalar cyclic product at a 2-dim vertex."""
+    rep, u, pair = datum.rep, datum.u, datum.pair
+    v = next(v for v, d in rep.dims.items() if d >= 2)
+    unipotent = Mat(pair.ext, ((pair.ext.one, pair.ext.one), (pair.ext.zero, pair.ext.one)))
+    return [
+        datum,
+        descent.DescentDatum(rep, u, pair.base.mul(datum.lam, pair.base.from_int(2)), pair),
+        descent.DescentDatum(rep, {**u, "s": u["s"].scale(pair.ext.from_int(2))}, datum.lam, pair),
+        descent.DescentDatum(rep, {**u, v: unipotent}, datum.lam, pair),
+    ]
+
+
+def test_check_raises_exactly_on_the_problems_validate_twisted_reports():
+    # one datum check: check() raises with the messages validate_twisted
+    # reports for the same datum, declared with its own class's index
+    hamilton, qpair, theta = quaternionic_kronecker_example()
+    f3 = GF(3)
+    fpair = GaloisPair.finite(3, 2)
+    column = kronecker_rep(f3, [fmat(f3, [[1], [0]]), fmat(f3, [[0], [1]])], {"s": 1, "t": 2})
+    for rep, pair in ((hamilton, qpair), (base_change(column, fpair), fpair)):
+        data = _corrupted_data(solve_modifying_u(rep, pair, theta, CFG))
+        for k, datum in enumerate(data):
+            tw = TwistedRep(datum.rep, datum.u, datum.lam, pair, index=datum.brauer.index)
+            ok, problems = validate_twisted(tw)
+            assert problems == datum.problems() and ok == (k == 0), (pair, k, problems)
+            if ok:
+                assert datum.check()
+                continue
+            with pytest.raises(InvariantError) as exc:
+                datum.check()
+            assert str(exc.value) == "; ".join(problems)
+    # each corruption shows in its own words
+    assert any("lambda" in m for m in data[1].problems())
+    assert any("not scalar" in m for m in data[3].problems())
 
 
 def test_twisted_rep_is_its_own_descent_datum():

@@ -215,6 +215,18 @@ def test_is_isomorphic_exhausts_a_finite_field(monkeypatch):
         is_isomorphic(w, wp, JobConfig(max_orbit_points=8))
 
 
+def test_iso_search_refuses_a_count_too_large_to_print():
+    # End of this rep is Mat_11, 121 dimensions over F_(2^127 - 1): its
+    # point count has more digits than str() prints, and is still refused
+    # as over the budget
+    p = 2**127 - 1
+    w = zero_maps(kronecker_quiver(2), GF(p), {"s": 11, "t": 0})
+    with pytest.raises(BudgetExceededError) as exc:
+        is_isomorphic(w, w, JobConfig())
+    assert str(exc.value) == "iso search space has at least 2^15366 points (budget 1000000)"
+    assert exc.value.estimate == p**121
+
+
 def test_is_isomorphic_zero_dimensional():
     k2 = kronecker_quiver(2)
     zero = zero_maps(k2, QQ, {"s": 0, "t": 0})

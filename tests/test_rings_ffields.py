@@ -141,6 +141,17 @@ def test_extension_field_without_tables():
     assert f.frobenius(f.frobenius(x, 2), 3) == x  # sigma^5 = id
 
 
+def test_untabled_inverse_and_frobenius_are_powers():
+    # over F_{2^11}, with no tables, inv and frobenius are powers by one
+    # square-and-multiply on polynomials, checked against the product
+    f = GF(2**11)
+    assert f._tables is None
+    rng = random.Random(11)
+    for x in [f.gen, f.size - 1] + [rng.randrange(1, f.size) for _ in range(30)]:
+        assert f.mul(f.inv(x), x) == f.one
+        assert f.frobenius(x) == f.mul(x, x)
+
+
 def test_poly_mul_against_schoolbook():
     # the F_p, tabled and untabled paths against a product through the
     # field's own add and mul, trailing zeros trimmed

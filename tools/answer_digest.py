@@ -15,11 +15,15 @@ by entry.
 Run it from the root of each checkout; it imports that checkout's `src/`
 and reads `bench/workloads.py` without changing it.  It re-runs itself
 with PYTHONHASHSEED=0 and puts the Hamilton example's files in one fixed
-directory, since their paths appear in the CLI's answers.
+directory, since their paths appear in the CLI's answers.  A run holds an
+exclusive lock on that directory's `.lock` file from its first workload to
+its last, so runs started at once take turns instead of overwriting each
+other's files.
 """
 
 import argparse
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
@@ -103,10 +107,12 @@ def main(argv):
         env = dict(os.environ, PYTHONHASHSEED="0")
         os.execve(sys.executable, [sys.executable, os.path.abspath(__file__), *argv], env)
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
-    for seed in args.seeds:
-        for name in args.workload or WORKLOADS:
-            print(name, seed, digest(name, seed), flush=True)
-    shutil.rmtree(WORKDIR, ignore_errors=True)
+    with open(WORKDIR + ".lock", "w") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+        for seed in args.seeds:
+            for name in args.workload or WORKLOADS:
+                print(name, seed, digest(name, seed), flush=True)
+        shutil.rmtree(WORKDIR, ignore_errors=True)
     return 0
 
 
