@@ -33,8 +33,8 @@ arrow matrix: every (generator, arrow) pair has a lazily filled memo
 M -> g_dst M g_src^-1, shared by arrows with the same ends.
 
 A point whose a0 matrix is one of the normal forms J_r is looked up in the
-union-find directly; only a point outside the slices is row-reduced to J_r
-first.
+flat root map directly; only a point outside the slices is row-reduced to
+J_r first.
 
 `stable_orbit_census` routes single-loop quivers through similarity
 classes instead (invariant-factor data over the monic irreducibles found by
@@ -311,10 +311,11 @@ class OrbitCensus:
     """Stable orbits of one rep space, with category counts and orbit lookup.
 
     `counts` covers the two stable categories only; non-stable points never
-    enter the orbit structure.  The union-find holds the stable points of
-    the slices only.  orbit_id and same_orbit look a point whose slice
-    arrow matrix is one of `slice_forms` up directly, and row-reduce any
-    other point into its slice first; a point off the stable locus is an
+    enter the orbit structure.  `uf.parent` is a flat root map: it sends
+    every stable point of the slices, and no other point, straight to its
+    orbit's root point, and each root to itself.  orbit_id reads it with
+    one lookup, after row-reducing a point whose slice arrow matrix is not
+    one of `slice_forms` into its slice; a point off the stable locus is an
     InvariantError.
     """
 
@@ -337,22 +338,39 @@ class OrbitCensus:
         k, p = self.slice_arrow, point
         if k is not None and p[k] not in self.slice_forms:
             p = _to_slice(p, self.quiver, self.dims, self.field, k)
-        if p not in self.uf.parent:
+        root = self.uf.parent.get(p)
+        if root is None:
             raise InvariantError(f"point {point} is not a stable point of the census")
-        return self.uf.find(p)
+        return root
 
     def same_orbit(self, p1, p2):
         return self.orbit_id(p1) == self.orbit_id(p2)
 
     def frobenius_fixed(self):
-        """The geometrically stable representatives whose orbit Frobenius fixes."""
-        frob = self.field.frobenius
-        return [
-            r
-            for r in self.representatives
-            if self.orbit_category[self.uf.find(r)] == GEOM_STABLE
-            and self.same_orbit(tuple(tuple(tuple(map(frob, row)) for row in m) for m in r), r)
-        ]
+        """The geometrically stable representatives whose orbit Frobenius fixes.
+
+        Frobenius fixes each J_r, whose entries 0 and 1 lie in F_p, and
+        keeps stability, so it maps a stable slice point to a stable point
+        of the same slice; the orbit of r is fixed exactly when its image's
+        root is r's.  Each distinct arrow matrix is mapped once per call.
+        An image missing from the root map is an InvariantError.
+        """
+        frob, parent = self.field.frobenius, self.uf.parent
+        images = {}  # arrow matrix rows -> their Frobenius image
+        out = []
+        for r in self.representatives:
+            root = parent[r]
+            if self.orbit_category[root] != GEOM_STABLE:
+                continue
+            for m in r:
+                if m not in images:
+                    images[m] = tuple(tuple(map(frob, row)) for row in m)
+            image_root = parent.get(tuple(images[m] for m in r))
+            if image_root is None:
+                raise InvariantError(f"the Frobenius image of {r} is not a stable point of the census")
+            if image_root == root:
+                out.append(r)
+        return out
 
 
 def orbit_census(quiver, dims, theta, field, config):

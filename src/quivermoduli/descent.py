@@ -242,9 +242,10 @@ def hilbert90_descend(datum, config):
 
     Rescales u to an exact 1-cocycle using a norm witness for lambda, splits
     it as g sigma(g)^{-1}, and returns (g^{-1} . W, g).  The output has all
-    entries in the base field and is isomorphic to W over L via g.  A
-    lambda that is not a norm (a nontrivial class) makes norm_witness raise
-    ValueError.
+    entries in the base field and is isomorphic to W over L via g: reading
+    each matrix over k is the one fixedness check, and an entry outside k
+    is an InvariantError naming its arrow.  A lambda that is not a norm (a
+    nontrivial class) makes norm_witness raise ValueError.
     """
     pair = datum.pair
     a = pair.norm_witness(datum.lam)
@@ -254,11 +255,12 @@ def hilbert90_descend(datum, config):
         raise InvariantError("rescaled cocycle scalar is not 1")
     g, g_inv = hilbert90_split(normalized.u, pair, config)
     rep = datum.rep
-    descended = rep.conjugate(g_inv, g)
-    for name, m in descended.mats.items():
-        if pair.sigma_mat(m) != m:
-            raise InvariantError(f"descended matrix for arrow {name} is not Galois-fixed")
-    base_mats = {name: pair.to_base_mat(m) for name, m in descended.mats.items()}
+    base_mats = {}
+    for name, m in rep.conjugate(g_inv, g).mats.items():
+        try:
+            base_mats[name] = pair.to_base_mat(m)
+        except ValueError:
+            raise InvariantError(f"descended matrix for arrow {name} is not Galois-fixed") from None
     base_rep = Representation(rep.quiver, pair.base, rep.dims, base_mats)
     return base_rep, g
 

@@ -547,7 +547,9 @@ def _verdicts(quiver, dims, theta, field, config):
     and under every other arrow, and product order is kept, so each hit is
     the whole walk's.  A slice whose other arrows have no entries is one
     point, which no other point would share a narrowing with, so it reads
-    the whole walk.
+    the whole walk.  When every walk a verdict would read is empty, no
+    combo can close, and the verdict keeps every point, Stable, with no
+    closure test built.
 
     With several arrows, whose matrices repeat across a census's points,
     each arrow keeps a memo from matrix rows to that matrix's closure test;
@@ -568,6 +570,8 @@ def _verdicts(quiver, dims, theta, field, config):
             if any(t.dim * h.dim for i, (t, h, _, _) in enumerate(eng.arrows) if i != k):
                 tests, settled = [eng.test(k, form)], k
                 walks = [(s, e, list(eng.narrow(tests, e, walk))) for s, e, walk in groups]
+        if not any(walk for _, _, walk in walks):
+            return lambda point: (STABLE, None)
 
         def verdict(point):
             hit = next(eng.closed(eng.tests(point, memo, settled), walks), None)

@@ -1,7 +1,8 @@
 """Shared builders for the test suite, the per-entry matrix loops and Hom
 solver as the reference for the integer-coordinate kernel, a brute-force
 stability reference, the one-loop certificate over Q and Q(i), the
-full-scan orbit census as the reference for the slice census,
+full-scan orbit census as the reference for the slice census, the
+same-orbit rule as the reference for Frobenius-fixed orbits,
 product-by-product references for finite-field tables, the monic
 irreducibles and quaternion regular representations, the transpose on the
 opposite quiver, a subquotient built by one solve per arrow, and the
@@ -347,6 +348,18 @@ def reference_orbit_census(quiver, dims, theta, field, config):
         counts[cat] += 1
         categories.append(cat)
     return counts, len(orbits), sorted(categories)
+
+
+def reference_frobenius_fixed(cen):
+    """The geometrically stable representatives of an OrbitCensus whose
+    entrywise Frobenius image lies in their own orbit, by same_orbit."""
+    frob = cen.field.frobenius
+    return [
+        r
+        for r in cen.representatives
+        if cen.orbit_category[cen.uf.find(r)] == census.GEOM_STABLE
+        and cen.same_orbit(tuple(tuple(tuple(map(frob, row)) for row in m) for m in r), r)
+    ]
 
 
 # ---------------------------------------------------------------------------

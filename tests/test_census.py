@@ -58,6 +58,7 @@ from helpers import (
     count_calls,
     gimat,
     quaternionic_kronecker_example,
+    reference_frobenius_fixed,
     reference_orbit_census,
     reference_subreps,
     reference_verdict,
@@ -488,6 +489,88 @@ def test_scalar_generators_are_not_applied(monkeypatch):
     cen = orbit_census(kronecker_quiver(3), {"s": 1, "t": 1}, THETA, GF(5), CFG)
     assert len(calls) == 48
     assert cen.counts == {GEOM_STABLE: 31, STABLE_NOT_SCHUR: 0}
+
+
+def test_frobenius_fixed_matches_the_same_orbit_rule():
+    # one root-map lookup per representative finds the orbits that
+    # same_orbit finds on the entrywise Frobenius image, as many as the
+    # geometrically stable orbits over F_p
+    K3 = kronecker_quiver(3)
+    for quiver, dims, q, p in (
+        (K2, {"s": 1, "t": 1}, 4, 2),
+        (K2, {"s": 1, "t": 1}, 9, 3),
+        (K2, {"s": 1, "t": 1}, 49, 7),
+        (K3, {"s": 1, "t": 1}, 25, 5),
+        (K2, {"s": 2, "t": 1}, 9, 3),
+    ):
+        cen = orbit_census(quiver, dims, THETA, GF(q), CFG)
+        got = cen.frobenius_fixed()
+        assert got == reference_frobenius_fixed(cen), (dims, q)
+        assert len(got) == count_geom_stable_orbits(quiver, dims, THETA, p, CFG) > 0
+
+
+def _k3_census_f25():
+    return orbit_census(kronecker_quiver(3), {"s": 1, "t": 1}, THETA, GF(25), CFG)
+
+
+def test_frobenius_image_missing_from_the_root_map_is_an_invariant_error():
+    # the first representative that Frobenius moves comes before its image,
+    # so its lookup is the first to miss
+    cen = _k3_census_f25()
+    frob = cen.field.frobenius
+    for r in cen.representatives:
+        image = tuple(tuple(tuple(map(frob, row)) for row in m) for m in r)
+        if image != r:
+            break
+    assert image > r
+    del cen.uf.parent[image]
+    with pytest.raises(InvariantError, match="Frobenius image"):
+        cen.frobenius_fixed()
+
+
+def test_frobenius_maps_each_distinct_arrow_matrix_once(monkeypatch):
+    # K3 (1,1) over F_25: 651 orbits, each with three 1 x 1 arrow matrices
+    # (1,953 entries, each mapped by the same-orbit rule), but only the
+    # distinct matrices, at most one per element of F_25, are mapped
+    cen = _k3_census_f25()
+    field = cen.field
+    calls = []
+
+    def counted(x, power=1):
+        calls.append(x)
+        return type(field).frobenius(field, x, power)
+
+    monkeypatch.setattr(field, "frobenius", counted, raising=False)
+    fixed = cen.frobenius_fixed()
+    assert len(cen.representatives) == 651 and len(fixed) == 31
+    distinct = {m for r in cen.representatives for m in r}
+    assert len(calls) == sum(len(m) * len(m[0]) for m in distinct) <= 25
+
+
+def test_a_slice_with_nothing_to_close_tests_no_point(monkeypatch):
+    # the rank-1 slice of K3 (1,1) over F_25 fixes a1 = 1, which no
+    # subrepresentation of dimension (1, 0) is closed under, so its narrowed
+    # walk is empty and its 625 points are kept with no closure test
+    quiver, dims, field = kronecker_quiver(3), {"s": 1, "t": 1}, GF(25)
+    k = census._slice_arrow(quiver, dims)
+    fixed = {k: census._normal_form(field, 1, 1, 1)}
+    real, calls = stability._Engine.test, []
+
+    def counted(eng, i, mat):
+        calls.append(i)
+        return real(eng, i, mat)
+
+    monkeypatch.setattr(stability._Engine, "test", counted)
+    _, verdicts = _verdicts(quiver, dims, THETA, field, CFG)
+    verdict = verdicts(fixed)
+    assert calls == [k]  # the fixed arrow's, to narrow the walk
+    whole = verdicts({})
+    calls.clear()
+    points = list(census._all_points(quiver, dims, field, fixed))
+    assert len(points) == 625
+    assert all(verdict(p) == (STABLE, None) for p in points)
+    assert calls == []
+    assert all(whole(p) == (STABLE, None) for p in points)
 
 
 def test_end_dim_runs_once_per_orbit(monkeypatch):

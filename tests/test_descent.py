@@ -19,6 +19,7 @@ from quivermoduli import (
     type_map,
     verify_descent_census,
 )
+from quivermoduli import descent
 from quivermoduli.config import JobConfig
 from quivermoduli.descent import (
     DescentDatum,
@@ -342,6 +343,26 @@ def test_hilbert90_requires_trivial_class():
     datum = solve_modifying_u(rep, pair, theta, CFG)
     with pytest.raises(ValueError):
         hilbert90_descend(datum, CFG)
+
+
+def test_hilbert90_descend_refuses_a_form_off_the_base_field(monkeypatch):
+    # a split that leaves an entry outside k is caught when the matrix is
+    # read over k, as an InvariantError naming the arrow, over F_9/F_3 and
+    # over Q(i)/Q; the datum is a K2 (1,1) rep Galois-fixed up to a scalar
+    # but not rational
+    def identities(u, pair, config):
+        eye = {v: Mat.identity(pair.ext, m.nrows) for v, m in u.items()}
+        return eye, eye
+
+    monkeypatch.setattr(descent, "hilbert90_split", identities)
+    f9 = GaloisPair.finite(3, 2)
+    w = next(x for x in f9.ext.elements() if not f9.is_fixed(x))
+    for pair, m in ((f9, Mat(f9.ext, ((w,),))), (GaloisPair.gaussian(), gimat([[(0, 1)]]))):
+        rep = kronecker_rep(pair.ext, [m, m], {"s": 1, "t": 1})
+        datum = solve_modifying_u(rep, pair, THETA, CFG)
+        assert datum is not None and datum.brauer.is_trivial
+        with pytest.raises(InvariantError, match="arrow a1 is not Galois-fixed"):
+            hilbert90_descend(datum, CFG)
 
 
 def test_finite_field_completeness_tiny():

@@ -52,6 +52,21 @@ def test_k2f9_probe_reports_the_census_and_costs():
     assert out["cpu_s"] > 0 and out["max_rss_mb"] > 0
 
 
+def test_k3f121_probe_reports_the_census_and_costs():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "large_field_probe.py"), "k3f121"],
+        capture_output=True, text=True, cwd=ROOT, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    (line,) = done.stdout.splitlines()
+    out = json.loads(line)
+    assert set(out) == {"mode", "ok", "fixed_orbits", "base_count", "cpu_s", "max_rss_mb"}
+    assert out["mode"] == "k3f121" and out["ok"] is True
+    # the 133 points of P^2(F_11) among the 14,763 of P^2(F_121)
+    assert out["fixed_orbits"] == out["base_count"] == 133
+    assert out["cpu_s"] > 0 and out["max_rss_mb"] > 0
+
+
 def test_probe_refuses_an_unknown_mode():
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "large_field_probe.py"), "f7"],

@@ -1,11 +1,12 @@
 """Measure the exact verdict of one irreducible loop over a large prime
-field, or one descent census: the Jordan quiver over F_25, or the
-Kronecker quiver over F_9.
+field, or one descent census: the Jordan quiver over F_25, the Kronecker
+quiver over F_9, or the 3-Kronecker quiver over F_121.
 
     python3 tools/large_field_probe.py f29
     python3 tools/large_field_probe.py f101
     python3 tools/large_field_probe.py loop25
     python3 tools/large_field_probe.py k2f9
+    python3 tools/large_field_probe.py k3f121
 
 f29 is the Jordan-quiver loop over F_29 given by the companion matrix of
 x^4 + 3x^3 + 1, theta = 0, budget 10^6 closure checks; f101 is the loop over
@@ -18,11 +19,14 @@ irreducibles of degree <= 3.
 k2f9 runs verify_descent_census for the Kronecker quiver K2, dims (2, 2),
 theta = (1, -1), over F_9/F_3: a slice census of 3 * 9^4 points over F_9,
 each slice walking the subspace pairs closed under its fixed arrow.
+k3f121 runs verify_descent_census for the 3-Kronecker quiver K3, dims
+(1, 1), theta = (1, -1), over F_121/F_11: 14,763 stable orbits over F_121,
+of which the 133 = |P^2(F_11)| Frobenius-fixed ones descend.
 
 Prints one JSON line: the mode, the verdict kind, the process CPU seconds,
 the process's max RSS in MB, and for f101 the tracemalloc peak of the
 verdict call in MB (the field and the matrix are built before tracing
-starts).  loop25 and k2f9 have no verdict; they print the report's ok,
+starts).  The census modes have no verdict; they print the report's ok,
 fixed_orbits and base_count in its place.  Run it from the root of a
 checkout; it imports that checkout's `src/`.  Each run is one fresh
 process, so the RSS is its own.
@@ -42,10 +46,12 @@ LOOPS = {
     "f29": (29, [[0, 0, 0, 28], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 26]], 10**6),
     "f101": (101, [[0, 0, 100], [1, 0, 100], [0, 1, 0]], 2 * 10303),
 }
-# mode -> (quiver name, dims, theta, q) of a descent census over F_{q^2}/F_q
+# mode -> (quiver name, dims, theta, q) of a descent census over F_{q^2}/F_q;
+# kronecker<n> is the Kronecker quiver with n arrows
 CENSUSES = {
     "loop25": ("jordan", {"v": 3}, {"v": 0}, 5),
-    "k2f9": ("kronecker", {"s": 2, "t": 2}, {"s": 1, "t": -1}, 3),
+    "k2f9": ("kronecker2", {"s": 2, "t": 2}, {"s": 1, "t": -1}, 3),
+    "k3f121": ("kronecker3", {"s": 1, "t": 1}, {"s": 1, "t": -1}, 11),
 }
 MODES = (*LOOPS, *CENSUSES)
 
@@ -58,7 +64,7 @@ def probe(mode):
 
     if mode in CENSUSES:
         name, dims, theta, q = CENSUSES[mode]
-        quiver = jordan_quiver() if name == "jordan" else kronecker_quiver(2)
+        quiver = jordan_quiver() if name == "jordan" else kronecker_quiver(int(name[-1]))
         report = verify_descent_census(quiver, dims, theta, q, 2)
         out = {"mode": mode, "ok": report.ok}
         out["fixed_orbits"], out["base_count"] = report.fixed_orbit_count, report.base_count
